@@ -7,7 +7,9 @@ chosen by file extension. Every command can emit a structured JSON report
 (stdout by default, --report writes a file); all reals carry 17 significant
 digits, and every certified claim in a report is recomputed from the files
 actually written before the report is emitted. Exit codes: 0 success,
-2 parse error, 3 precondition violation, 4 numerical failure.
+2 parse error, 3 precondition violation, 4 numerical failure; when the engine
+finds no feasible step, exit 4 also prints the failing step q and the
+exception's diagnostics as one JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import time
 import numpy as np
 
 from .core import (
+    InfeasibleStepError,
     NumericalError,
     ParseError,
     PreconditionError,
@@ -212,57 +215,37 @@ def _input_block(**paths: str) -> dict:
     }
 
 
+# Per-step engine trace fields, in report and CSV column order.
+TRACE_FIELDS = (
+    "q",
+    "index",
+    "t",
+    "slack",
+    "l",
+    "u",
+    "lower_potential",
+    "upper_potential",
+    "lower_increase",
+    "upper_increase",
+    "upper_gap",
+    "lower_gap",
+    "feasible_candidates",
+)
+
+
 def _engine_trace_rows(result) -> list:
-    return [
-        {
-            "q": rec.q,
-            "index": rec.index,
-            "t": rec.t,
-            "slack": rec.slack,
-            "l": rec.l,
-            "u": rec.u,
-            "lower_potential": rec.lower_potential,
-            "upper_potential": rec.upper_potential,
-            "lower_increase": rec.lower_increase,
-            "upper_increase": rec.upper_increase,
-        }
-        for rec in result.trace
-    ]
+    return [{name: getattr(rec, name) for name in TRACE_FIELDS} for rec in result.trace]
 
 
 def _write_trace_csv(path: str, engine_results) -> None:
-    columns = [
-        "engine",
-        "q",
-        "index",
-        "t",
-        "slack",
-        "l",
-        "u",
-        "lower_potential",
-        "upper_potential",
-        "lower_increase",
-        "upper_increase",
-    ]
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(columns)
+        writer.writerow(("engine",) + TRACE_FIELDS)
         for engine_idx, result in enumerate(engine_results):
-            for rec in result.trace:
+            for row in _engine_trace_rows(result):
                 writer.writerow(
-                    [
-                        engine_idx,
-                        rec.q,
-                        rec.index,
-                        format_float(rec.t),
-                        format_float(rec.slack),
-                        format_float(rec.l),
-                        format_float(rec.u),
-                        format_float(rec.lower_potential),
-                        format_float(rec.upper_potential),
-                        format_float(rec.lower_increase),
-                        format_float(rec.upper_increase),
-                    ]
+                    [engine_idx]
+                    + [val if isinstance(val, int) else format_float(val) for val in row.values()]
                 )
 
 
@@ -666,6 +649,16 @@ def main(argv: list | None = None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except InfeasibleStepError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        failure = {
+            "error": type(exc).__name__,
+            "message": str(exc),
+            "q": exc.diagnostics.get("q"),
+            "diagnostics": exc.diagnostics,
+        }
+        print(json.dumps(failure), file=sys.stderr)
+        return 4
     except (NumericalError, ToolkitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4

@@ -17,7 +17,7 @@ import scipy.sparse.csgraph
 
 # Rank decisions: eigenvalues below REL_RANK_TOL * lambda_max count as zero.
 REL_RANK_TOL = 1e-10
-# Inputs claiming symmetry must satisfy it to this absolute tolerance.
+# Inputs claiming symmetry must satisfy max |A - A^T| <= SYMMETRY_TOL * max |A|.
 SYMMETRY_TOL = 1e-12
 
 
@@ -86,13 +86,23 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
 
 
 def check_symmetric(a: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
-    """Raise unless `a` is square and symmetric within absolute tolerance `tol`."""
+    """Raise unless `a` is square and symmetric within `tol` relative to max |A|,
+    so rounding noise of a valid matrix passes at any weight scale. NaN or
+    infinite entries fail the check."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise PreconditionError(f"expected a square matrix, got shape {a.shape}")
-    dev = float(np.max(np.abs(a - a.T))) if a.size else 0.0
-    if dev > tol:
-        raise PreconditionError(f"matrix not symmetric: max |A - A^T| = {dev:g} > {tol:g}")
+    if not a.size:
+        return a
+    hi, lo = float(a.max()), float(a.min())  # NaN if any entry is NaN
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        raise PreconditionError("matrix has NaN or infinite entries")
+    dev = float(np.max(np.abs(a - a.T)))
+    bound = tol * max(hi, -lo)
+    if dev > bound:
+        raise PreconditionError(
+            f"matrix not symmetric: max |A - A^T| = {dev:g} > {tol:g} * max |A| = {bound:g}"
+        )
     return a
 
 
@@ -327,8 +337,11 @@ def pencil_eigenvalues(a: np.ndarray, b: np.ndarray, rel_tol: float = REL_RANK_T
     a = check_symmetric(a)
     b = check_symmetric(b)
     f = pinv_sqrt(b, rel_tol)
-    img = matrix_image(b, rel_tol)
-    return eigvalsh(restrict(f @ a @ f, img))
+    q = matrix_image(b, rel_tol).basis
+    # f a f is symmetric up to rounding of size eps * |f|^2 |a|, which can
+    # exceed any tolerance relative to its own entries when B is badly
+    # conditioned: symmetrize the restriction instead of checking it.
+    return eigvalsh(symmetrize(q.T @ (f @ a @ f) @ q))
 
 
 def relative_condition_number(a: np.ndarray, b: np.ndarray, rel_tol: float = REL_RANK_TOL) -> float:

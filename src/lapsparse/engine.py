@@ -8,6 +8,16 @@ lifted towards lambda_min(M*). Two potential functions steer the choice: a
 floating upper barrier u over the T largest eigenvalues of A, and a lower
 barrier l under the spectrum of B = Z(A - X)Z restricted to S, where
 Z = ((P_S (M* - X) P_S)^+)^(1/2) normalizes the reachable mass on S.
+
+Cost per step, for d = dim X, m candidates and k = dim S: one d x d
+eigendecomposition of A, one k x k eigendecomposition of B_S = S^T B S, and
+the scoring GEMMs Q^T V (d x d x m) and R^T (S^T Z V) (k x k x m) in the
+carried eigenbases Q of A and R of B_S. Each decomposition serves the
+barrier check and potential after the update and the next step's scores;
+the last one serves the certificate. B itself is never formed: only its
+k x k restriction is carried. Once per run come the spectra of X and M*
+(validate), of M* - X and of its k x k restriction (compute_Z), and the
+d x d x m product Z V.
 """
 
 from __future__ import annotations
@@ -78,7 +88,9 @@ class EngineProblem:
     def num_updates(self) -> int:
         return self.vectors.shape[1]
 
-    def validate(self) -> None:
+    def validate(self) -> tuple[SpectralDecomposition, np.ndarray]:
+        """Check every precondition; return the eigendecomposition of X and
+        the ascending spectrum of Mstar that the spectral checks used."""
         d, m = self.dim, self.num_updates
         if self.vectors.shape != (d, m):
             raise PreconditionError(f"vectors must be (d, m) = ({d}, {m}), got {self.vectors.shape}")
@@ -102,12 +114,15 @@ class EngineProblem:
         dev = float(np.max(np.abs(recon - self.Mstar)))
         if dev > 1e-8:
             raise PreconditionError(f"X + sum Y_i must equal Mstar entrywise within 1e-8, got {dev:g}")
-        lam_max = float(eigvalsh(self.Mstar)[-1]) if d else 0.0
+        mstar_vals = eigvalsh(self.Mstar)
+        lam_max = float(mstar_vals[-1]) if d else 0.0
         if lam_max > 1.0 + 1e-9:
             raise PreconditionError(f"lambda_max(Mstar) = {lam_max!r} exceeds 1 + 1e-9")
-        x_min = float(eigvalsh(self.X)[0]) if d else 0.0
+        dec_x = eigh(self.X)
+        x_min = float(dec_x.eigenvalues[0]) if d else 0.0
         if x_min < -1e-9:
             raise PreconditionError(f"X must be PSD, got lambda_min = {x_min:g}")
+        return dec_x, mstar_vals
 
 
 @dataclass(frozen=True)
@@ -145,21 +160,55 @@ def init_schedule(k: int, n_budget: int, t_bound: int) -> EngineSchedule:
 
 @dataclass
 class EngineState:
-    """Mutable iteration state: step index, weights, A, B, barriers, fixed S and Z."""
+    """Mutable iteration state.
+
+    A = X + sum_i w_i Y_i with its eigendecomposition dec_a; b_s = S^T B S,
+    the k x k restriction of B = Z(A - X)Z to S, with its eigendecomposition
+    dec_b; the barriers l, u; and the fixed k x m matrix szv = S^T Z V whose
+    column i generates the restriction of Z Y_i Z.
+    """
 
     q: int
     weights: np.ndarray
     A: np.ndarray
-    B: np.ndarray
+    dec_a: SpectralDecomposition
+    b_s: np.ndarray
+    dec_b: SpectralDecomposition
     l: float
     u: float
-    S: Subspace
-    Z: np.ndarray
+    szv: np.ndarray
+
+    @property
+    def k_eff(self) -> int:
+        return self.szv.shape[0]
+
+
+def initial_state(
+    problem: EngineProblem, schedule: EngineSchedule, dec_x: SpectralDecomposition, szv: np.ndarray
+) -> EngineState:
+    """State before step 1: A = X (decomposed as dec_x), B_S = 0, barriers at l0, u0."""
+    k_eff = szv.shape[0]
+    return EngineState(
+        q=0,
+        weights=np.zeros(problem.num_updates),
+        A=problem.X.copy(),
+        dec_a=dec_x,
+        b_s=np.zeros((k_eff, k_eff)),
+        dec_b=SpectralDecomposition(np.zeros(k_eff), np.eye(k_eff)),
+        l=schedule.l0,
+        u=schedule.u0,
+        szv=szv,
+    )
 
 
 @dataclass(frozen=True)
 class StepRecord:
-    """Per-step trace row (values after the update and barrier shift)."""
+    """Per-step trace row (values after the update and barrier shift).
+
+    upper_gap = u - lambda_max(A) and lower_gap = lambda_min(B|S) - l (inf
+    for an empty S) are the barrier distances; feasible_candidates counts
+    the indices that satisfied the selection inequality at this step.
+    """
 
     q: int
     index: int
@@ -171,6 +220,9 @@ class StepRecord:
     upper_potential: float
     lower_increase: float
     upper_increase: float
+    upper_gap: float
+    lower_gap: float
+    feasible_candidates: int
 
 
 @dataclass(frozen=True)
@@ -242,28 +294,9 @@ def compute_Z(x: np.ndarray, mstar: np.ndarray, s: Subspace) -> tuple[np.ndarray
     return symmetrize(q @ z_s @ q.T), perturbation
 
 
-def lower_potential(b: np.ndarray, l: float, s: Subspace) -> float:
-    """Sum of 1/(lambda_i - l) over the spectrum of B restricted to S.
-
-    Zero for an empty S. Raises if any restricted eigenvalue is at or below l.
-    """
-    if s.dim == 0:
-        return 0.0
-    vals = eigvalsh(restrict(b, s))
-    if float(vals[0]) <= l:
-        raise BarrierViolationError(
-            f"lower barrier crossed: min restricted eigenvalue {float(vals[0])!r} <= l = {l!r}"
-        )
-    return float(np.sum(1.0 / (vals - l)))
-
-
-def upper_potential(a: np.ndarray, u: float, t_bound: int) -> float:
-    """Sum of 1/(u - lambda_i) over the T largest eigenvalues of A.
-
-    Raises if lambda_max(A) is at or above u. T above the dimension sums over
-    the whole spectrum.
-    """
-    vals = eigvalsh(a)
+def _upper_phi(vals: np.ndarray, u: float, t_bound: int) -> float:
+    """Sum of 1/(u - lambda) over the T largest of the ascending `vals`;
+    raises if the largest is at or above u."""
     if vals.size == 0:
         return 0.0
     if float(vals[-1]) >= u:
@@ -274,34 +307,65 @@ def upper_potential(a: np.ndarray, u: float, t_bound: int) -> float:
     return float(np.sum(1.0 / (u - top)))
 
 
-def _upper_potential_from_vals(vals: np.ndarray, u: float, t_bound: int) -> float:
-    top = vals[-min(t_bound, vals.size):]
-    return float(np.sum(1.0 / (u - top)))
+def _lower_phi(vals: np.ndarray, l: float) -> float:
+    """Sum of 1/(lambda - l) over the ascending `vals`; raises if the
+    smallest is at or below l."""
+    if vals.size == 0:
+        return 0.0
+    if float(vals[0]) <= l:
+        raise BarrierViolationError(
+            f"lower barrier crossed: min restricted eigenvalue {float(vals[0])!r} <= l = {l!r}"
+        )
+    return float(np.sum(1.0 / (vals - l)))
+
+
+def lower_potential(b: np.ndarray, l: float, s: Subspace) -> float:
+    """Sum of 1/(lambda_i - l) over the spectrum of B restricted to S.
+
+    Zero for an empty S. Raises if any restricted eigenvalue is at or below l.
+    """
+    if s.dim == 0:
+        return 0.0
+    return _lower_phi(eigvalsh(restrict(b, s)), l)
+
+
+def upper_potential(a: np.ndarray, u: float, t_bound: int) -> float:
+    """Sum of 1/(u - lambda_i) over the T largest eigenvalues of A.
+
+    Raises if lambda_max(A) is at or above u. T above the dimension sums over
+    the whole spectrum.
+    """
+    return _upper_phi(eigvalsh(a), u, t_bound)
+
+
+def _upper_gradient_diag(vals: np.ndarray, u: float, delta_u: float, t_bound: int) -> np.ndarray:
+    """Eigenvalues of U_A, in the order of A's ascending eigenvalues `vals`."""
+    gap = (u + delta_u) - vals
+    dphi = _upper_phi(vals, u, t_bound) - _upper_phi(vals, u + delta_u, t_bound)
+    if dphi <= 1e-14:
+        raise DegenerateGradientError(f"upper potential difference {dphi:g} too small to normalize")
+    return (1.0 / gap**2) / dphi + 1.0 / gap
+
+
+def _lower_gradient_diag(rvals: np.ndarray, l: float, delta_l: float) -> np.ndarray:
+    """Eigenvalues of L_B on S, in the order of B_S's ascending eigenvalues `rvals`."""
+    mu = rvals - (l + delta_l)
+    if float(mu.min()) <= 0:
+        raise BarrierViolationError(
+            f"lower barrier too close: min restricted eigenvalue {float(rvals.min())!r}"
+            f" <= l + delta_l = {l + delta_l!r}"
+        )
+    dphi = float(np.sum(1.0 / mu) - np.sum(1.0 / (rvals - l)))
+    if dphi <= 1e-14:
+        raise DegenerateGradientError(f"lower potential difference {dphi:g} too small to normalize")
+    return (1.0 / mu**2) / dphi - 1.0 / mu
 
 
 def upper_gradient(a: np.ndarray, u: float, delta_u: float, t_bound: int) -> np.ndarray:
     """U_A = ((u')I - A)^(-2) / (Phi^u(A) - Phi^{u'}(A)) + ((u')I - A)^(-1), u' = u + delta_u."""
     dec = eigh(a)
-    vals = dec.eigenvalues
-    if vals.size and float(vals[-1]) >= u:
-        raise BarrierViolationError(
-            f"upper barrier crossed: lambda_max = {float(vals[-1])!r} >= u = {u!r}"
-        )
-    return _upper_gradient_from_eigs(dec, u, delta_u, t_bound)
-
-
-def _upper_gradient_from_eigs(
-    dec: SpectralDecomposition, u: float, delta_u: float, t_bound: int
-) -> np.ndarray:
-    vals, vecs = dec.eigenvalues, dec.eigenvectors
-    gap = (u + delta_u) - vals
-    dphi = _upper_potential_from_vals(vals, u, t_bound) - _upper_potential_from_vals(
-        vals, u + delta_u, t_bound
-    )
-    if dphi <= 1e-14:
-        raise DegenerateGradientError(f"upper potential difference {dphi:g} too small to normalize")
-    diag = (1.0 / gap**2) / dphi + 1.0 / gap
-    return symmetrize((vecs * diag) @ vecs.T)
+    diag = _upper_gradient_diag(dec.eigenvalues, u, delta_u, t_bound)
+    return symmetrize((dec.eigenvectors * diag) @ dec.eigenvectors.T)
 
 
 def lower_gradient(b: np.ndarray, l: float, delta_l: float, s: Subspace) -> np.ndarray:
@@ -312,63 +376,52 @@ def lower_gradient(b: np.ndarray, l: float, delta_l: float, s: Subspace) -> np.n
     if s.dim == 0:
         return np.zeros_like(b)
     q = s.basis
-    r = symmetrize(q.T @ b @ q)
-    rvals, rvecs = np.linalg.eigh(r)
-    mu = rvals - (l + delta_l)
-    if float(mu.min()) <= 0:
-        raise BarrierViolationError(
-            f"lower barrier too close: min restricted eigenvalue {float(rvals.min())!r}"
-            f" <= l + delta_l = {l + delta_l!r}"
-        )
-    dphi = float(np.sum(1.0 / mu) - np.sum(1.0 / (rvals - l)))
-    if dphi <= 1e-14:
-        raise DegenerateGradientError(f"lower potential difference {dphi:g} too small to normalize")
-    diag = (1.0 / mu**2) / dphi - 1.0 / mu
-    g_s = (rvecs * diag) @ rvecs.T
+    rvals, rvecs = np.linalg.eigh(symmetrize(q.T @ b @ q))
+    g_s = (rvecs * _lower_gradient_diag(rvals, l, delta_l)) @ rvecs.T
     return symmetrize(q @ g_s @ q.T)
 
 
 def _selection_scores(
-    problem: EngineProblem, state: EngineState, schedule: EngineSchedule, zv: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, int]:
+    problem: EngineProblem, state: EngineState, schedule: EngineSchedule
+) -> tuple[np.ndarray, np.ndarray]:
     """Quadratic forms of every candidate against both gradients.
 
-    Returns (upper side U_A.Y_i + max(N,T) cost_i, lower side L_B.(Z Y_i Z), k_eff).
+    Returns (upper side U_A.Y_i + max(N,T) cost_i, lower side L_B.(Z Y_i Z)).
+    With A = Q diag(a) Q^T, U_A.Y_i = sum_j g_u(a_j) (q_j^T v_i)^2, so the
+    upper side is one GEMM Q^T V and one GEMV. The lower side is the same
+    in k coordinates: L_B.(Z Y_i Z) = sum_j g_l(b_j) (r_j^T S^T Z v_i)^2
+    with B_S = R diag(b) R^T.
     """
     mx = max(problem.N, problem.T)
-    dec_a = eigh(state.A)
-    if float(dec_a.eigenvalues[-1]) >= state.u:
+    vals = state.dec_a.eigenvalues
+    if float(vals[-1]) >= state.u:
         raise BarrierViolationError(
-            f"upper barrier crossed before selection: lambda_max = {float(dec_a.eigenvalues[-1])!r}"
+            f"upper barrier crossed before selection: lambda_max = {float(vals[-1])!r}"
             f" >= u = {state.u!r}"
         )
-    u_a = _upper_gradient_from_eigs(dec_a, state.u, schedule.delta_u, problem.T)
-    quad_u = np.einsum("ij,jm,im->m", u_a, problem.vectors, problem.vectors)
-    k_eff = state.S.dim
-    if k_eff > 0:
-        l_b = lower_gradient(state.B, state.l, schedule.delta_l, state.S)
-        quad_l = np.einsum("ij,jm,im->m", l_b, zv, zv)
+    w = state.dec_a.eigenvectors.T @ problem.vectors
+    quad_u = _upper_gradient_diag(vals, state.u, schedule.delta_u, problem.T) @ (w * w)
+    if state.k_eff > 0:
+        r = state.dec_b.eigenvectors.T @ state.szv
+        quad_l = _lower_gradient_diag(state.dec_b.eigenvalues, state.l, schedule.delta_l) @ (r * r)
     else:
         quad_l = np.zeros(problem.num_updates)
-    return quad_u + mx * problem.costs, quad_l, k_eff
+    return quad_u + mx * problem.costs, quad_l
 
 
 def _select(
-    problem: EngineProblem,
-    state: EngineState,
-    schedule: EngineSchedule,
-    zv: np.ndarray,
-) -> tuple[int, float, float]:
-    """Index, step size, and selection slack for the current state."""
-    lhs, rhs, k_eff = _selection_scores(problem, state, schedule, zv)
-    if k_eff == 0:
+    problem: EngineProblem, state: EngineState, schedule: EngineSchedule
+) -> tuple[int, float, float, int]:
+    """Index, step size, selection slack, and feasible-candidate count."""
+    lhs, rhs = _selection_scores(problem, state, schedule)
+    if state.k_eff == 0:
         idx = int(np.argmin(lhs))
         if lhs[idx] <= 0:
             raise InfeasibleStepError(
                 "degenerate candidate: U_A.Y + max(N,T) cost vanished",
                 {"q": state.q, "lhs_min": float(lhs[idx])},
             )
-        return idx, 1.0 / float(lhs[idx]), float(-lhs[idx])
+        return idx, 1.0 / float(lhs[idx]), float(-lhs[idx]), int(np.count_nonzero(lhs > 0))
     slack = rhs - lhs
     idx = int(np.argmax(slack))
     if slack[idx] < 0:
@@ -377,20 +430,17 @@ def _select(
             {
                 "q": state.q,
                 "max_slack": float(slack[idx]),
-                "upper_potential": upper_potential(state.A, state.u, problem.T),
-                "lower_potential": lower_potential(state.B, state.l, state.S),
+                "upper_potential": _upper_phi(state.dec_a.eigenvalues, state.u, problem.T),
+                "lower_potential": _lower_phi(state.dec_b.eigenvalues, state.l),
                 "sum_lhs": float(lhs.sum()),
                 "sum_rhs": float(rhs.sum()),
             },
         )
-    return idx, 1.0 / float(rhs[idx]), float(slack[idx])
+    return idx, 1.0 / float(rhs[idx]), float(slack[idx]), int(np.count_nonzero(slack >= 0))
 
 
 def select_update(
-    problem: EngineProblem,
-    state: EngineState,
-    schedule: EngineSchedule,
-    zv: np.ndarray | None = None,
+    problem: EngineProblem, state: EngineState, schedule: EngineSchedule
 ) -> tuple[int, float]:
     """Pick the update index and step size for the current state.
 
@@ -400,43 +450,44 @@ def select_update(
     and the step becomes t = 1/(U_A.Y_i + max(N,T) cost_i) at the index
     minimizing that quantity. Either way cost_i * t <= 1/max(N,T).
     """
-    if zv is None:
-        zv = state.Z @ problem.vectors
-    idx, t, _ = _select(problem, state, schedule, zv)
+    idx, t, _, _ = _select(problem, state, schedule)
     return idx, t
+
+
+def _decompose(a: np.ndarray) -> SpectralDecomposition:
+    """Eigendecomposition of a matrix the loop keeps exactly symmetric,
+    eigenvalues ascending, by numpy's LAPACK (the copy whose BLAS threads
+    also run the scoring products). An empty matrix costs no solve.
+    """
+    if a.shape[0] == 0:
+        return SpectralDecomposition(np.zeros(0), np.zeros((0, 0)))
+    try:
+        vals, vecs = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericalError(f"symmetric eigensolver failed to converge: {exc}") from exc
+    return SpectralDecomposition(vals, vecs)
 
 
 def run_engine(problem: EngineProblem, collect_trace: bool = True) -> EngineResult:
     """Run exactly N selection steps and certify the outcome.
 
-    Each step picks (i, t) via select_update, adds t Y_i to A (and t Z Y_i Z
-    to B), then shifts both barriers: l += delta_l, u += delta_u. Potentials
-    are re-evaluated from fresh eigensolves every step and must not increase
-    beyond 1e-9; the final certificate is checked before returning.
+    Each step picks (i, t) via select_update, adds t Y_i to A (and
+    t (S^T Z v_i)(S^T Z v_i)^T to B_S), then shifts both barriers:
+    l += delta_l, u += delta_u. A and B_S are then each decomposed once; the
+    decompositions give the barrier checks and potentials, which must not
+    increase beyond 1e-9, and the next step's scores. The final certificate
+    is checked before returning.
     """
-    problem.validate()
-    d, m = problem.dim, problem.num_updates
-    k_eff = min(problem.k, d)
-    dec_x = eigh(problem.X)
+    dec_x, mstar_vals = problem.validate()
+    k_eff = min(problem.k, problem.dim)
     s = Subspace(dec_x.eigenvectors[:, :k_eff])
     z, perturbation = compute_Z(problem.X, problem.Mstar, s)
-    zv = z @ problem.vectors
     schedule = init_schedule(problem.k, problem.N, problem.T)
     mx = max(problem.N, problem.T)
+    state = initial_state(problem, schedule, dec_x, s.basis.T @ (z @ problem.vectors))
 
-    state = EngineState(
-        q=0,
-        weights=np.zeros(m),
-        A=problem.X.copy(),
-        B=np.zeros((d, d)),
-        l=schedule.l0,
-        u=schedule.u0,
-        S=s,
-        Z=z,
-    )
-
-    phi_u = upper_potential(state.A, state.u, problem.T)
-    phi_l = lower_potential(state.B, state.l, state.S)
+    phi_u = _upper_phi(state.dec_a.eigenvalues, state.u, problem.T)
+    phi_l = _lower_phi(state.dec_b.eigenvalues, state.l)
     if phi_u > schedule.eps_u + 1e-9:
         raise NumericalError(
             f"starting upper potential {phi_u!r} exceeds eps_u = {schedule.eps_u!r}"
@@ -450,17 +501,19 @@ def run_engine(problem: EngineProblem, collect_trace: bool = True) -> EngineResu
     max_increase = 0.0
     for q in range(1, problem.N + 1):
         state.q = q
-        idx, t, slack = _select(problem, state, schedule, zv)
+        idx, t, slack, feasible = _select(problem, state, schedule)
         v = problem.vectors[:, idx]
         state.weights[idx] += t
         state.A = symmetrize(state.A + t * np.outer(v, v))
-        zvi = zv[:, idx]
-        state.B = symmetrize(state.B + t * np.outer(zvi, zvi))
+        s_i = state.szv[:, idx]
+        state.b_s = symmetrize(state.b_s + t * np.outer(s_i, s_i))
         state.l += schedule.delta_l
         state.u += schedule.delta_u
 
-        new_phi_u = upper_potential(state.A, state.u, problem.T)
-        new_phi_l = lower_potential(state.B, state.l, state.S)
+        state.dec_a = _decompose(state.A)
+        state.dec_b = _decompose(state.b_s)
+        new_phi_u = _upper_phi(state.dec_a.eigenvalues, state.u, problem.T)
+        new_phi_l = _lower_phi(state.dec_b.eigenvalues, state.l)
         upper_inc = new_phi_u - phi_u
         lower_inc = new_phi_l - phi_l
         max_increase = max(max_increase, upper_inc, lower_inc)
@@ -481,6 +534,11 @@ def run_engine(problem: EngineProblem, collect_trace: bool = True) -> EngineResu
                     upper_potential=new_phi_u,
                     lower_increase=lower_inc,
                     upper_increase=upper_inc,
+                    upper_gap=state.u - float(state.dec_a.eigenvalues[-1]),
+                    lower_gap=(
+                        float(state.dec_b.eigenvalues[0]) - state.l if k_eff else math.inf
+                    ),
+                    feasible_candidates=feasible,
                 )
             )
         phi_u, phi_l = new_phi_u, new_phi_l
@@ -491,7 +549,9 @@ def run_engine(problem: EngineProblem, collect_trace: bool = True) -> EngineResu
                 f"running cost {cost_so_far!r} exceeds q/max(N,T) = {q / mx!r} at step {q}"
             )
 
-    return _certify(problem, state, schedule, perturbation, dec_x, tuple(trace), max_increase)
+    return _certify(
+        problem, state, schedule, perturbation, dec_x, mstar_vals, tuple(trace), max_increase
+    )
 
 
 def _certify(
@@ -500,11 +560,13 @@ def _certify(
     schedule: EngineSchedule,
     perturbation: float,
     dec_x: SpectralDecomposition,
+    mstar_vals: np.ndarray,
     trace: tuple,
     max_increase: float,
 ) -> EngineResult:
+    """Check the certificate from the decompositions the loop carried out."""
     d = problem.dim
-    k_eff = state.S.dim
+    k_eff = state.k_eff
     mx = max(problem.N, problem.T)
     theta_max = 2.0 * (problem.N + problem.T) / mx + 1.0
     theta_min = (problem.N / 2.0 - 2.0 * problem.k) / mx
@@ -513,15 +575,14 @@ def _certify(
     dev = float(np.max(np.abs(m_final - state.A)))
     if dev > 1e-8:
         raise NumericalError(f"A drifted from X + sum w_i Y_i by {dev:g}")
-    mvals = eigvalsh(state.A)
+    mvals = state.dec_a.eigenvalues
     lam_min_m, lam_max_m = float(mvals[0]), float(mvals[-1])
 
     if lam_max_m > theta_max + 1e-9:
         raise NumericalError(f"lambda_max(M) = {lam_max_m!r} exceeds theta_max = {theta_max!r}")
 
     if k_eff > 0:
-        bvals = eigvalsh(restrict(state.B, state.S))
-        lam_min_b = float(bvals[0])
+        lam_min_b = float(state.dec_b.eigenvalues[0])
         if lam_min_b < theta_min - 1e-9:
             raise NumericalError(
                 f"lambda_min(B|S) = {lam_min_b!r} below theta_min = {theta_min!r}"
@@ -529,7 +590,6 @@ def _certify(
     else:
         lam_min_b = float("inf")
 
-    mstar_vals = eigvalsh(problem.Mstar)
     lam_min_mstar = float(mstar_vals[0])
     lam_star = float(dec_x.eigenvalues[k_eff]) if k_eff < d else float("inf")
 

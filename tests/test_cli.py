@@ -305,3 +305,71 @@ def test_exit_code_three_on_violated_preconditions(tmp_path, capsys):
     base = save_text(tmp_path, "base.txt", WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)]))
     heavy = save_text(tmp_path, "heavy.txt", WeightedGraph(3, [(0, 2, 2.0)]))
     assert main(["algconn", base, heavy, str(out), "--k", "1"]) == 3
+
+
+def test_exit_code_four_prints_the_infeasible_step_as_json(tmp_path, capsys, monkeypatch):
+    import lapsparse.engine as engine
+
+    real_scores = engine._selection_scores
+
+    def no_feasible_candidate(problem, state, schedule):
+        lhs, rhs = real_scores(problem, state, schedule)
+        return lhs + np.max(rhs - lhs) + 1.0, rhs
+
+    monkeypatch.setattr(engine, "_selection_scores", no_feasible_candidate)
+    rng = np.random.default_rng(77)
+    g_path = save_text(tmp_path, "G.txt", random_connected_graph(rng, 18, extra_edges=24))
+    assert main(["ultra", g_path, str(tmp_path / "U.txt"), "--k", "2"]) == 4
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines[0].startswith("error: no candidate satisfies")
+    failure = json.loads(lines[-1])
+    assert failure["error"] == "InfeasibleStepError"
+    assert failure["q"] == 1
+    diag = failure["diagnostics"]
+    assert diag["q"] == 1 and diag["max_slack"] < 0
+    assert diag["upper_potential"] > 0 and diag["lower_potential"] > 0
+
+
+# ---------------------------------------------------------------------------
+# engine trace fields and wide weight ranges
+
+
+def test_trace_rows_and_csv_carry_barrier_distances_and_feasible_counts(tmp_path):
+    rng = np.random.default_rng(77)
+    g_path = save_text(tmp_path, "G.txt", random_connected_graph(rng, 18, extra_edges=24))
+    rep = tmp_path / "ultra.json"
+    trace = tmp_path / "trace.csv"
+    code = main(
+        ["ultra", g_path, str(tmp_path / "U.txt"), "--k", "2",
+         "--report", str(rep), "--trace-csv", str(trace)]
+    )
+    assert code == 0
+    steps = json.loads(rep.read_text())["potential_trace"][0]["steps"]
+    assert steps
+    for row in steps:
+        assert row["upper_gap"] > 0 and row["lower_gap"] > 0
+        assert row["feasible_candidates"] >= 1
+    with open(trace, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == len(steps)
+    for row, step in zip(rows, steps):
+        assert float(row["upper_gap"]) == step["upper_gap"]
+        assert float(row["lower_gap"]) == step["lower_gap"]
+        assert int(row["feasible_candidates"]) == step["feasible_candidates"]
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_ultra_accepts_weights_spread_over_ten_decades(tmp_path, seed):
+    # Laplacian entries near 1e10 carry rounding asymmetry above 1e-12, and
+    # the pencil congruence of a badly conditioned pair carries more; both
+    # used to be rejected as "matrix not symmetric" (exit 3).
+    rng = np.random.default_rng(seed)
+    g0 = random_connected_graph(rng, 40, extra_edges=80)
+    w = 10.0 ** rng.uniform(0, 10, size=g0.num_edges)
+    g = WeightedGraph(40, [(u, v, float(x)) for (u, v, _), x in zip(g0.edges, w)])
+    g_path = save_text(tmp_path, "G.txt", g)
+    rep = tmp_path / "ultra.json"
+    assert main(["ultra", g_path, str(tmp_path / "U.txt"), "--k", "2", "--report", str(rep)]) == 0
+    report = json.loads(rep.read_text())
+    assert report["coherence"]["max_relative_deviation"] <= 1e-9
+    assert report["measured"]["kappa"] >= report["measured"]["c"] > 0

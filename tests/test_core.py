@@ -46,6 +46,24 @@ def test_check_symmetric_rejects_asymmetry_and_non_square():
     assert check_symmetric(a) is not None
 
 
+def test_check_symmetric_tolerance_scales_with_the_largest_entry():
+    base = np.array([[2.0, 1.0], [1.0, 3.0]])
+    skew = np.array([[0.0, 1.0], [0.0, 0.0]])
+    # relative asymmetry 3e-14 passes at any scale ...
+    for scale in (1e-9, 1.0, 1e10):
+        noisy = scale * (base + 1e-13 * skew)
+        assert np.array_equal(check_symmetric(noisy), noisy)
+    # ... and 3e-7 fails at any scale, including below the old absolute 1e-12
+    for scale in (1e-9, 1.0, 1e10):
+        with pytest.raises(PreconditionError):
+            check_symmetric(scale * (base + 1e-6 * skew))
+    assert check_symmetric(np.zeros((2, 2))) is not None
+    # NaN compares false against any bound: it must fail, not pass
+    for bad in (np.nan, np.inf):
+        with pytest.raises(PreconditionError, match="NaN or infinite"):
+            check_symmetric(np.array([[1.0, bad], [bad, 1.0]]))
+
+
 # ---------------------------------------------------------------------------
 # WeightedGraph container
 

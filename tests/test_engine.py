@@ -2,21 +2,28 @@
 import numpy as np
 import pytest
 
+import lapsparse.engine as engine
+
 from conftest import make_engine_instance, random_psd
 from lapsparse.core import (
     BarrierViolationError,
     BudgetTooSmallError,
+    InfeasibleStepError,
     PreconditionError,
+    SpectralDecomposition,
     Subspace,
+    eigh,
     eigvalsh,
     restrict,
     symmetrize,
 )
 from lapsparse.engine import (
     EngineProblem,
+    _selection_scores,
     compute_Z,
     fixed_subspace,
     init_schedule,
+    initial_state,
     integer_trace_bound,
     lower_gradient,
     lower_potential,
@@ -249,48 +256,82 @@ def _single_update_problem():
 
 def test_select_update_single_candidate_gets_index_zero():
     p = _single_update_problem()
-    from lapsparse.engine import EngineState
-
     schedule = init_schedule(p.k, p.N, p.T)
-    state = EngineState(
-        q=0,
-        weights=np.zeros(1),
-        A=p.X.copy(),
-        B=np.zeros((2, 2)),
-        l=schedule.l0,
-        u=schedule.u0,
-        S=Subspace(np.zeros((2, 0))),
-        Z=np.zeros((2, 2)),
-    )
+    state = initial_state(p, schedule, eigh(p.X), np.zeros((0, 1)))
     idx, t = select_update(p, state, schedule)
     assert idx == 0
     assert t > 0
     assert p.costs[0] * t <= 1.0 / max(p.N, p.T) + 1e-12
 
 
+def _start_state(problem):
+    """Initial state built from the public pieces: S, Z, and S^T Z V."""
+    schedule = init_schedule(problem.k, problem.N, problem.T)
+    s = fixed_subspace(problem.X, problem.k)
+    z, _ = compute_Z(problem.X, problem.Mstar, s)
+    state = initial_state(problem, schedule, eigh(problem.X), s.basis.T @ z @ problem.vectors)
+    return state, schedule, s, z
+
+
 def test_selection_scores_balance_on_covered_instances():
     # Feasibility of each step comes from the averaging bound: the total
     # upper-side score cannot exceed the total lower-side score.
     problem = make_engine_instance(3, n=12, m=60, k=1)
-    from lapsparse.engine import EngineState, _selection_scores
-
-    schedule = init_schedule(problem.k, problem.N, problem.T)
-    s = fixed_subspace(problem.X, problem.k)
-    z, _ = compute_Z(problem.X, problem.Mstar, s)
-    state = EngineState(
-        q=0,
-        weights=np.zeros(problem.num_updates),
-        A=problem.X.copy(),
-        B=np.zeros((12, 12)),
-        l=schedule.l0,
-        u=schedule.u0,
-        S=s,
-        Z=z,
-    )
-    upper_scores, lower_scores, _ = _selection_scores(
-        problem, state, schedule, z @ problem.vectors
-    )
+    state, schedule, _, _ = _start_state(problem)
+    upper_scores, lower_scores = _selection_scores(problem, state, schedule)
     assert float(upper_scores.sum()) <= float(lower_scores.sum()) + 1e-8
+
+
+@pytest.mark.parametrize("seed,n,m,k", [(41, 10, 50, 0), (42, 12, 60, 1), (43, 15, 80, 3), (44, 4, 30, 6)])
+def test_selection_scores_match_einsum_against_the_gradients(seed, n, m, k):
+    # The eigenbasis scores equal U_A.Y_i + max(N,T) cost_i and L_B.(Z Y_i Z)
+    # formed from the dense gradients, at a mid-run state with B != 0.
+    problem = make_engine_instance(seed, n=n, m=m, k=k)
+    _, schedule, s, z = _start_state(problem)
+    w = np.random.default_rng(seed).uniform(0.0, 1.0, size=m)
+    a = symmetrize(problem.X + (problem.vectors * w) @ problem.vectors.T)
+    zv = z @ problem.vectors
+    b = symmetrize((zv * w) @ zv.T)
+    szv = s.basis.T @ zv
+    b_s = symmetrize((szv * w) @ szv.T)
+    state = initial_state(problem, schedule, eigh(a), szv)
+    state.A, state.b_s = a, b_s
+    state.dec_b = SpectralDecomposition(*np.linalg.eigh(b_s))
+
+    upper, lower = _selection_scores(problem, state, schedule)
+
+    mx = max(problem.N, problem.T)
+    u_a = upper_gradient(a, state.u, schedule.delta_u, problem.T)
+    want_upper = np.einsum("ij,jm,im->m", u_a, problem.vectors, problem.vectors) + mx * problem.costs
+    l_b = lower_gradient(b, state.l, schedule.delta_l, s)
+    want_lower = np.einsum("ij,jm,im->m", l_b, zv, zv)
+    assert np.max(np.abs(upper - want_upper)) <= 1e-12 * np.max(np.abs(want_upper))
+    if s.dim == 0:
+        assert not np.any(lower) and not np.any(want_lower)
+    else:
+        assert np.max(np.abs(lower - want_lower)) <= 1e-12 * np.max(np.abs(want_lower))
+
+
+def test_infeasible_step_carries_the_potentials_of_the_failing_state(monkeypatch):
+    problem = make_engine_instance(17, n=14, m=70, k=1)
+    clean = run_engine(problem)
+    real_scores = engine._selection_scores
+
+    def no_feasible_candidate_at_step_three(problem, state, schedule):
+        lhs, rhs = real_scores(problem, state, schedule)
+        if state.q == 3:
+            lhs = lhs + np.max(rhs - lhs) + 1.0
+        return lhs, rhs
+
+    monkeypatch.setattr(engine, "_selection_scores", no_feasible_candidate_at_step_three)
+    with pytest.raises(InfeasibleStepError) as info:
+        run_engine(problem)
+    diag = info.value.diagnostics
+    assert diag["q"] == 3
+    assert diag["max_slack"] < 0
+    # the state at step 3's selection is the state after step 2
+    assert diag["upper_potential"] == pytest.approx(clean.trace[1].upper_potential, rel=1e-12)
+    assert diag["lower_potential"] == pytest.approx(clean.trace[1].lower_potential, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -374,3 +415,94 @@ def test_problem_validation_rejects_bad_costs_and_budget():
         run_engine(
             EngineProblem(X=x, vectors=v, costs=np.full(d, 0.25), Mstar=mstar, k=1, N=8)
         )
+
+
+# Reference picks recorded with the dense formulation of the loop (d x d B,
+# ambient gradients, einsum scores, fresh eigensolves for every potential):
+# (make_engine_instance arguments (seed, n, m, k, n_budget), the index
+# picked at every step, the final nonzero weights). The eigenbasis scoring
+# must reproduce them: same indices, weights within 1e-12 relative.
+PINNED_PICKS = [
+    ((0, 20, 80, 0, 12), [28, 65, 16, 43, 4, 28, 60, 18, 39, 64, 65, 28], {
+        4: 12.25303843704281,
+        16: 11.486961698291902,
+        18: 11.403186073661852,
+        28: 37.15158086145482,
+        39: 11.54630603897882,
+        43: 11.895329397820015,
+        60: 11.151556177660911,
+        64: 11.779774013045945,
+        65: 24.52264436621513,
+    }),
+    ((1, 20, 80, 1, None), [62, 62, 62, 62, 62, 62, 62, 48, 62], {
+        48: 0.7750074484426801,
+        62: 7.5690132261454925,
+    }),
+    ((2, 24, 120, 2, None), [117, 2, 2, 117, 103, 117, 2, 117, 103, 117, 2, 2, 117, 103, 117, 2, 117], {
+        2: 5.538470866832401,
+        103: 3.136137188178317,
+        117: 6.521161757874942,
+    }),
+    ((3, 30, 200, 3, None), [114, 49, 75, 173, 114, 75, 49, 75, 49, 114, 160, 49, 75, 114, 173, 49, 75, 114, 75, 49, 114, 160, 49, 75, 114], {
+        49: 8.969006593209457,
+        75: 7.990804189934373,
+        114: 8.169589091803157,
+        160: 2.682273358984806,
+        173: 2.7016977404114866,
+    }),
+    ((4, 16, 60, 1, 20), [12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12, 12], {
+        12: 4.050590995414653,
+    }),
+    ((5, 5, 40, 6, None), [39, 15, 34, 11, 35, 15, 9, 32, 39, 36, 11, 9, 14, 15, 36, 32, 9, 36, 32, 15, 9, 11, 39, 35, 34, 29, 32, 36, 9, 15, 32, 36, 9, 39, 11, 35, 15, 9, 32, 36, 39, 9, 37, 11, 15, 34, 36, 32, 9], {
+        9: 2.3380624840054027,
+        11: 1.8823139515749965,
+        14: 0.28441991946597345,
+        15: 2.0769636843818065,
+        29: 0.4332075870517988,
+        32: 1.9816731147868227,
+        34: 0.7939722050082285,
+        35: 1.1163891465464972,
+        36: 2.0989929490417008,
+        37: 0.29218956849457006,
+        39: 1.140940869269081,
+    }),
+    ((6, 30, 150, 2, 30), [94, 133, 44, 133, 44, 94, 133, 6, 133, 44, 94, 133, 6, 133, 94, 6, 133, 44, 94, 97, 133, 44, 133, 94, 6, 133, 44, 133, 94, 6], {
+        6: 3.0448592986838428,
+        44: 3.9510043779634545,
+        94: 5.082429969810013,
+        97: 0.5836223347041097,
+        133: 7.61081993085666,
+    }),
+    # d = 72: a larger instance, with steps that revisit the same candidates
+    ((7, 72, 300, 2, None), [121, 103, 136, 121, 103, 121, 103, 121, 103, 121, 136, 121, 103, 103, 121, 136, 121], {
+        103: 8.957140229109518,
+        121: 11.585749951501368,
+        136: 4.200480695452057,
+    }),
+]
+
+
+@pytest.mark.parametrize("case,sequence,weights", PINNED_PICKS)
+def test_run_engine_reproduces_pinned_picks(case, sequence, weights):
+    seed, n, m, k, n_budget = case
+    res = run_engine(make_engine_instance(seed, n=n, m=m, k=k, n_budget=n_budget))
+    assert [rec.index for rec in res.trace] == sequence
+    assert res.support_indices.tolist() == sorted(weights)
+    for i, w in weights.items():
+        assert abs(res.weights[i] - w) <= 1e-12 * max(1.0, abs(w))
+
+
+def test_trace_reports_barrier_distances_and_feasible_counts():
+    for k in (0, 2):
+        p = make_engine_instance(19, n=16, m=80, k=k, n_budget=12 if k == 0 else None)
+        res = run_engine(p)
+        for rec in res.trace:
+            assert rec.upper_gap > 0
+            assert rec.lower_gap > 0
+            assert 1 <= rec.feasible_candidates <= p.num_updates
+        last = res.trace[-1]
+        assert last.upper_gap == pytest.approx(last.u - res.lambda_max, rel=1e-12)
+        if k:
+            assert last.lower_gap == pytest.approx(res.lambda_min_b_restricted - last.l, rel=1e-12)
+        else:
+            assert last.lower_gap == float("inf")
