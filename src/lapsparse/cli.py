@@ -32,8 +32,11 @@ from .core import (
     ToolkitError,
     WeightedGraph,
     eigvalsh,
+    factor_laplacian,
     laplacian,
+    numpy_blas_threads,
     pencil_eigenvalues,
+    same_components,
 )
 from .connectivity import (
     ConnectivityInstance,
@@ -269,18 +272,6 @@ def _check_coherent(claims: list) -> float:
     return worst
 
 
-def _component_partition(g: WeightedGraph) -> list:
-    labels = g.component_labels()
-    first: dict = {}
-    canon = []
-    for v in range(g.n):
-        lab = int(labels[v])
-        if lab not in first:
-            first[lab] = v
-        canon.append(first[lab])
-    return canon
-
-
 # ---------------------------------------------------------------------------
 # Commands
 
@@ -305,7 +296,7 @@ def cmd_sparsify_patch(
     wk_back = read_graph(out_path)
     gw = g.union(w) if w.edges else g
     gwk = g.union(wk_back) if wk_back.edges else g
-    vals = pencil_eigenvalues(laplacian(gwk), laplacian(gw))
+    vals = pencil_eigenvalues(laplacian(gwk), factor_laplacian(gw))
     re_lower, re_upper = float(vals[0]), float(vals[-1])
     re_weight = wk_back.weight_sum()
     worst = _check_coherent(
@@ -378,9 +369,10 @@ def cmd_ultra(
         _write_trace_csv(trace_csv, engine_results)
 
     u_back = read_graph(out_path)
-    vals_ug = pencil_eigenvalues(laplacian(u_back), laplacian(g))
-    c_measured, kappa_upper = float(vals_ug[0]), float(vals_ug[-1])
-    vals_gu = pencil_eigenvalues(laplacian(g), laplacian(u_back))
+    vals_gu = pencil_eigenvalues(laplacian(g), factor_laplacian(u_back))
+    # G and U are connected, so both pencils live on the complement of the
+    # ones vector and the (U, G) spectrum is the reversed reciprocals of (G, U).
+    c_measured, kappa_upper = 1.0 / float(vals_gu[-1]), 1.0 / float(vals_gu[0])
     worst = _check_coherent(
         [
             ("pencil (G, U) lower", result.gen_lower, float(vals_gu[0])),
@@ -539,18 +531,13 @@ def cmd_verify(g_path: str, h_path: str) -> dict:
     h = read_graph(h_path)
     if g.n != h.n:
         raise PreconditionError(f"vertex counts differ: {g.n} vs {h.n}")
-    if _component_partition(g) != _component_partition(h):
+    if not same_components(g, h):
         raise PreconditionError(
             "connected components differ between the two graphs; the pencil"
             " range is only defined on a common image"
         )
-    vals = pencil_eigenvalues(laplacian(h), laplacian(g))
+    vals = pencil_eigenvalues(laplacian(h), factor_laplacian(g))
     c, kappa = float(vals[0]), float(vals[-1])
-    g2, h2 = read_graph(g_path), read_graph(h_path)
-    vals2 = pencil_eigenvalues(laplacian(h2), laplacian(g2))
-    worst = _check_coherent(
-        [("c", c, float(vals2[0])), ("kappa", kappa, float(vals2[-1]))]
-    )
     t_end = time.perf_counter()
     return {
         "command": "verify",
@@ -561,9 +548,11 @@ def cmd_verify(g_path: str, h_path: str) -> dict:
             "kappa": kappa,
             "relative_condition_number": kappa / c if c > 0 else math.inf,
         },
+        # verify writes no output, so nothing is recomputed; the block stays
+        # because report readers expect it in every report.
         "coherence": {
-            "recomputed_from_output": True,
-            "max_relative_deviation": worst,
+            "recomputed_from_output": False,
+            "max_relative_deviation": 0.0,
         },
         "timings": {"total_seconds": t_end - t_start},
     }
@@ -642,7 +631,11 @@ def main(argv: list | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        report = _dispatch(args)
+        # Every solve and product here is at most a few hundred wide: a
+        # second BLAS thread adds no speed there, only a spinning core whose
+        # availability the command's time then depends on.
+        with numpy_blas_threads(1):
+            report = _dispatch(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

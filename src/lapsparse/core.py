@@ -1,12 +1,19 @@
 """Weighted graphs and dense symmetric-matrix utilities.
 
 Everything downstream works on dense numpy arrays at desk scale (n up to a
-few hundred): Laplacians, eigendecompositions, pseudoinverses, subspace
-restrictions, and generalized condition numbers of PSD pencils.
+few hundred): Laplacians, eigendecompositions, one factor per Laplacian
+(its pseudoinverse square root on the image), subspace restrictions, and
+generalized eigenvalues of PSD pencils.
+
+Solvers: Laplacian factors, pencils and the selection engine use numpy's
+LAPACK (`_decompose`, `_spectrum`); `eigh` and `eigvalsh` use scipy's and
+serve the connectivity solver.
 """
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import math
 from dataclasses import dataclass, field
 
@@ -15,8 +22,12 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.csgraph
 
-# Rank decisions: eigenvalues below REL_RANK_TOL * lambda_max count as zero.
+# Rank decisions for raw PSD matrices: eigenvalues below REL_RANK_TOL *
+# lambda_max count as zero. Laplacian factors take their rank from the graph.
 REL_RANK_TOL = 1e-10
+# A Laplacian's computed kernel eigenvalues must lie within KERNEL_TOL *
+# lambda_max of zero; rounding puts them near n * 1e-16 * lambda_max.
+KERNEL_TOL = 1e-10
 # Inputs claiming symmetry must satisfy max |A - A^T| <= SYMMETRY_TOL * max |A|.
 SYMMETRY_TOL = 1e-12
 
@@ -221,10 +232,6 @@ class Subspace:
     def ambient_dim(self) -> int:
         return self.basis.shape[0]
 
-    def projection(self) -> np.ndarray:
-        """The orthogonal projection matrix P = Q Q^T."""
-        return self.basis @ self.basis.T
-
 
 def laplacian(g: WeightedGraph) -> np.ndarray:
     """Dense Laplacian: weighted degrees on the diagonal, -w off-diagonal."""
@@ -246,7 +253,7 @@ def incidence_vector(n: int, u: int, v: int) -> np.ndarray:
 
 
 def eigh(a: np.ndarray) -> SpectralDecomposition:
-    """Full symmetric eigendecomposition, eigenvalues ascending."""
+    """Full symmetric eigendecomposition by scipy, eigenvalues ascending."""
     a = check_symmetric(a)
     if a.shape[0] == 0:
         return SpectralDecomposition(np.zeros(0), np.zeros((0, 0)))
@@ -258,7 +265,7 @@ def eigh(a: np.ndarray) -> SpectralDecomposition:
 
 
 def eigvalsh(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues only, ascending."""
+    """Eigenvalues only by scipy, ascending."""
     a = check_symmetric(a)
     if a.shape[0] == 0:
         return np.zeros(0)
@@ -266,6 +273,74 @@ def eigvalsh(a: np.ndarray) -> np.ndarray:
         return scipy.linalg.eigvalsh(a)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover
         raise NumericalError(f"symmetric eigensolver failed to converge: {exc}") from exc
+
+
+def _decompose(a: np.ndarray) -> SpectralDecomposition:
+    """Eigendecomposition of a symmetric matrix, eigenvalues ascending, by
+    numpy's LAPACK. Laplacian factors, pencils and the engine all solve
+    through here and `_spectrum`, on the same LAPACK copy whose BLAS threads
+    run their matrix products. An empty matrix costs no solve.
+    """
+    if a.shape[0] == 0:
+        return SpectralDecomposition(np.zeros(0), np.zeros((0, 0)))
+    try:
+        vals, vecs = np.linalg.eigh(a)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericalError(f"symmetric eigensolver failed to converge: {exc}") from exc
+    return SpectralDecomposition(vals, vecs)
+
+
+def _spectrum(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues only, ascending, by the same numpy LAPACK as `_decompose`."""
+    if a.shape[0] == 0:
+        return np.zeros(0)
+    try:
+        return np.linalg.eigvalsh(a)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise NumericalError(f"symmetric eigensolver failed to converge: {exc}") from exc
+
+
+# (set, get) thread-count symbols of the OpenBLAS builds numpy links against.
+_OPENBLAS_THREAD_SYMBOLS = (
+    ("scipy_openblas_set_num_threads64_", "scipy_openblas_get_num_threads64_"),
+    ("openblas_set_num_threads64_", "openblas_get_num_threads64_"),
+    ("openblas_set_num_threads", "openblas_get_num_threads"),
+)
+
+
+def _numpy_openblas():
+    """(set, get) thread-count functions of numpy's OpenBLAS, or None where
+    numpy's BLAS is another library. They are looked up through numpy's
+    linalg extension, so they belong to numpy's BLAS, never to scipy's copy.
+    """
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (OSError, AttributeError):
+        return None
+    for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
+        setter, getter = getattr(lib, set_name, None), getattr(lib, get_name, None)
+        if setter is not None and getter is not None:
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return setter, getter
+    return None
+
+
+@contextlib.contextmanager
+def numpy_blas_threads(count: int):
+    """Run the block with numpy's OpenBLAS on `count` threads, then restore
+    the previous count. A no-op where numpy's BLAS is not OpenBLAS."""
+    blas = _numpy_openblas()
+    if blas is None:
+        yield
+        return
+    setter, getter = blas
+    previous = getter()
+    setter(count)
+    try:
+        yield
+    finally:
+        setter(previous)
 
 
 def _rank_split(dec: SpectralDecomposition, rel_tol: float) -> np.ndarray:
@@ -277,31 +352,67 @@ def _rank_split(dec: SpectralDecomposition, rel_tol: float) -> np.ndarray:
     return np.abs(vals) > rel_tol * max(lam_max, 1e-300)
 
 
-def pseudoinverse(a: np.ndarray, rel_tol: float = REL_RANK_TOL) -> np.ndarray:
-    """Moore-Penrose pseudoinverse of a symmetric PSD matrix.
+@dataclass(frozen=True)
+class LaplacianFactor:
+    """One eigendecomposition of a graph Laplacian L, restricted to its image.
 
-    Eigenvalues below rel_tol * lambda_max are treated as exact zeros.
+    With L = Q diag(eigenvalues) Q^T over the r image eigenpairs, the factor
+    keeps F = Q diag(eigenvalues)^(-1/2) (n x r), so that L^+ = F F^T and
+    F^T L F = I. The kernel is spanned by the component indicators, so
+    r = n - (number of components) exactly; `labels` are the component
+    labels it was built with. Build one with `factor_laplacian`.
     """
-    dec = eigh(a)
-    keep = _rank_split(dec, rel_tol)
-    inv = np.where(keep, 1.0 / np.where(keep, dec.eigenvalues, 1.0), 0.0)
-    return symmetrize((dec.eigenvectors * inv) @ dec.eigenvectors.T)
+
+    f: np.ndarray
+    eigenvalues: np.ndarray
+    labels: np.ndarray
+
+    @property
+    def components(self) -> int:
+        return self.f.shape[0] - self.f.shape[1]
+
+    def trace_pinv(self, a: np.ndarray) -> float:
+        """Tr(A L^+) = sum of the entries of F o (A F), with no n x n pseudoinverse."""
+        return float(np.sum(self.f * (a @ self.f)))
 
 
-def pinv_sqrt(a: np.ndarray, rel_tol: float = REL_RANK_TOL) -> np.ndarray:
-    """Symmetric PSD square root of the pseudoinverse, (A^+)^(1/2)."""
-    dec = eigh(a)
-    keep = _rank_split(dec, rel_tol)
-    vals = np.where(keep, dec.eigenvalues, 1.0)
-    inv_rt = np.where(keep, 1.0 / np.sqrt(np.abs(vals)), 0.0)
-    return symmetrize((dec.eigenvectors * inv_rt) @ dec.eigenvectors.T)
+def factor_laplacian(g: WeightedGraph) -> LaplacianFactor:
+    """Factor L_G with one eigendecomposition; the kernel dimension is G's
+    component count, not a numerical-rank guess.
+
+    Exactly that many smallest eigenvalues are dropped. Raises NumericalError
+    unless each dropped one lies within KERNEL_TOL * lambda_max of zero and
+    the smallest kept one is positive and above all of them.
+    """
+    labels = g.component_labels()
+    c = int(labels.max()) + 1 if g.n else 0
+    dec = _decompose(laplacian(g))
+    vals = dec.eigenvalues
+    noise = float(np.max(np.abs(vals[:c]))) if c else 0.0
+    lam_max = float(vals[-1]) if vals.size else 0.0
+    if noise > KERNEL_TOL * lam_max:
+        raise NumericalError(
+            f"Laplacian kernel eigenvalue of magnitude {noise:g} exceeds"
+            f" {KERNEL_TOL:g} * lambda_max = {KERNEL_TOL * lam_max:g} ({c} components)"
+        )
+    image = vals[c:]
+    if image.size and not float(image[0]) > noise:
+        raise NumericalError(
+            f"smallest image eigenvalue {float(image[0]):g} of the Laplacian is not above"
+            f" its kernel's rounding noise {noise:g}"
+        )
+    return LaplacianFactor(f=dec.eigenvectors[:, c:] / np.sqrt(image), eigenvalues=image, labels=labels)
 
 
-def matrix_image(a: np.ndarray, rel_tol: float = REL_RANK_TOL) -> Subspace:
-    """Orthonormal basis of the image (column space) of a symmetric matrix."""
-    dec = eigh(a)
-    keep = _rank_split(dec, rel_tol)
-    return Subspace(dec.eigenvectors[:, keep])
+def same_components(g: WeightedGraph, h: WeightedGraph) -> bool:
+    """Whether G and H, on the same vertex count, have the same connected
+    components, which is when their Laplacians have the same image."""
+    if g.n != h.n:
+        return False
+    lg, lh = g.component_labels(), h.component_labels()
+    # the partitions agree iff the labels biject: pairs (lg, lh) are as many as either
+    pairs = set(zip(lg.tolist(), lh.tolist()))
+    return len(pairs) == len(set(lg.tolist())) == len(set(lh.tolist()))
 
 
 def sm_pinv_update(adag: np.ndarray, p: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -327,43 +438,43 @@ def restrict(a: np.ndarray, s: Subspace) -> np.ndarray:
     return symmetrize(q.T @ a @ q)
 
 
-def pencil_eigenvalues(a: np.ndarray, b: np.ndarray, rel_tol: float = REL_RANK_TOL) -> np.ndarray:
+def pencil_eigenvalues(
+    a: np.ndarray, b: LaplacianFactor | np.ndarray, rel_tol: float = REL_RANK_TOL
+) -> np.ndarray:
     """Generalized eigenvalues of the PSD pencil (A, B) on the image of B.
 
-    Returns the ascending eigenvalues of (B^+)^(1/2) A (B^+)^(1/2) restricted
-    to im(B); these are the stationary values of x^T A x / x^T B x over
+    B is a LaplacianFactor, whose image is exact, or a raw PSD matrix, whose
+    image is the span of its eigenvalues above rel_tol * lambda_max. With F a
+    basis of im(B) scaled so that F^T B F = I, returns the ascending
+    eigenvalues of F^T A F: the stationary values of x^T A x / x^T B x over
     x in im(B).
     """
     a = check_symmetric(a)
-    b = check_symmetric(b)
-    f = pinv_sqrt(b, rel_tol)
-    q = matrix_image(b, rel_tol).basis
-    # f a f is symmetric up to rounding of size eps * |f|^2 |a|, which can
+    if isinstance(b, LaplacianFactor):
+        f = b.f
+    else:
+        dec = _decompose(check_symmetric(b))
+        keep = _rank_split(dec, rel_tol)
+        f = dec.eigenvectors[:, keep] / np.sqrt(np.abs(dec.eigenvalues[keep]))
+    # F^T A F is symmetric up to rounding of size eps * |F|^2 |A|, which can
     # exceed any tolerance relative to its own entries when B is badly
-    # conditioned: symmetrize the restriction instead of checking it.
-    return eigvalsh(symmetrize(q.T @ (f @ a @ f) @ q))
+    # conditioned: symmetrize the congruence instead of checking it.
+    return _spectrum(symmetrize(f.T @ a @ f))
 
 
-def relative_condition_number(a: np.ndarray, b: np.ndarray, rel_tol: float = REL_RANK_TOL) -> float:
-    """max x^T A x / x^T B x times max x^T B x / x^T A x over the shared image.
+def relative_condition_number(g: WeightedGraph, h: WeightedGraph) -> float:
+    """max x^T L_G x / x^T L_H x times max x^T L_H x / x^T L_G x over the
+    shared image of the two Laplacians.
 
-    Preconditions: A, B PSD with im(A) = im(B), checked via rank equality and
-    projection alignment within 1e-8.
+    Raises IncompatibleImagesError unless G and H have the same connected
+    components, which is exactly when im(L_G) = im(L_H).
     """
-    a = check_symmetric(a)
-    b = check_symmetric(b)
-    img_a = matrix_image(a, rel_tol)
-    img_b = matrix_image(b, rel_tol)
-    if img_a.dim != img_b.dim:
-        raise IncompatibleImagesError(
-            f"rank mismatch: rank(A) = {img_a.dim}, rank(B) = {img_b.dim}"
-        )
-    align = float(np.max(np.abs(img_a.projection() - img_b.projection()))) if img_a.dim else 0.0
-    if align > 1e-8:
-        raise IncompatibleImagesError(f"images differ: max |P_A - P_B| = {align:g} > 1e-8")
-    if img_b.dim == 0:
+    if not same_components(g, h):
+        raise IncompatibleImagesError("the graphs have different connected components")
+    factor = factor_laplacian(h)
+    if factor.f.shape[1] == 0:
         return 1.0
-    vals = pencil_eigenvalues(a, b, rel_tol)
+    vals = pencil_eigenvalues(laplacian(g), factor)
     lam_min, lam_max = float(vals[0]), float(vals[-1])
     if lam_min <= 0:
         raise NumericalError(f"pencil eigenvalue {lam_min:g} <= 0 despite matching images")

@@ -36,6 +36,8 @@ from .core import (
     PreconditionError,
     SpectralDecomposition,
     Subspace,
+    _decompose,
+    _spectrum,
     check_symmetric,
     eigh,
     eigvalsh,
@@ -114,11 +116,11 @@ class EngineProblem:
         dev = float(np.max(np.abs(recon - self.Mstar)))
         if dev > 1e-8:
             raise PreconditionError(f"X + sum Y_i must equal Mstar entrywise within 1e-8, got {dev:g}")
-        mstar_vals = eigvalsh(self.Mstar)
+        mstar_vals = _spectrum(self.Mstar)
         lam_max = float(mstar_vals[-1]) if d else 0.0
         if lam_max > 1.0 + 1e-9:
             raise PreconditionError(f"lambda_max(Mstar) = {lam_max!r} exceeds 1 + 1e-9")
-        dec_x = eigh(self.X)
+        dec_x = _decompose(self.X)
         x_min = float(dec_x.eigenvalues[0]) if d else 0.0
         if x_min < -1e-9:
             raise PreconditionError(f"X must be PSD, got lambda_min = {x_min:g}")
@@ -276,7 +278,7 @@ def compute_Z(x: np.ndarray, mstar: np.ndarray, s: Subspace) -> tuple[np.ndarray
     Z Z (P_S (M*-X) P_S) equals P_S for the (possibly perturbed) operator.
     """
     d = check_symmetric(mstar - x)
-    dvals = eigvalsh(d) if d.shape[0] else np.zeros(0)
+    dvals = _spectrum(d)
     if dvals.size and float(dvals[0]) < -1e-8 * max(1.0, float(dvals[-1])):
         raise PreconditionError(f"Mstar - X must be PSD, got lambda_min = {float(dvals[0]):g}")
     q = s.basis
@@ -452,20 +454,6 @@ def select_update(
     """
     idx, t, _, _ = _select(problem, state, schedule)
     return idx, t
-
-
-def _decompose(a: np.ndarray) -> SpectralDecomposition:
-    """Eigendecomposition of a matrix the loop keeps exactly symmetric,
-    eigenvalues ascending, by numpy's LAPACK (the copy whose BLAS threads
-    also run the scoring products). An empty matrix costs no solve.
-    """
-    if a.shape[0] == 0:
-        return SpectralDecomposition(np.zeros(0), np.zeros((0, 0)))
-    try:
-        vals, vecs = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalError(f"symmetric eigensolver failed to converge: {exc}") from exc
-    return SpectralDecomposition(vals, vecs)
 
 
 def run_engine(problem: EngineProblem, collect_trace: bool = True) -> EngineResult:

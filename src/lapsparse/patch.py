@@ -9,7 +9,6 @@ edges of W so that G + W_k spectrally sandwiches G + W.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,15 +16,13 @@ import numpy as np
 from .core import (
     BudgetTooSmallError,
     InvalidKError,
+    LaplacianFactor,
     NumericalError,
     PreconditionError,
     WeightedGraph,
-    eigh,
-    eigvalsh,
+    factor_laplacian,
     laplacian,
     pencil_eigenvalues,
-    pinv_sqrt,
-    pseudoinverse,
     symmetrize,
 )
 from .engine import EngineProblem, integer_trace_bound, run_engine
@@ -61,52 +58,58 @@ class PatchSparsifier:
     engine_results: tuple
 
 
-def verify_patch(g: WeightedGraph, w: WeightedGraph, k: int) -> PatchParams:
+def verify_patch(
+    g: WeightedGraph, w: WeightedGraph, k: int, factor: LaplacianFactor | None = None
+) -> PatchParams:
     """Measure (lambda_{k+1} of the (L_G, L_{G+W}) pencil, Tr(L_W L_{G+W}^+)).
 
     Both quantities live on the image of L_{G+W}; for disconnected G+W the
-    pencil spectrum is the union over components, sorted globally.
+    pencil spectrum is the union over components, sorted globally. `factor`
+    is the factor of L_{G+W}, built here when the caller holds none.
     """
     if w.n != g.n:
         raise PreconditionError(f"vertex count mismatch: G has {g.n}, W has {w.n}")
     if k < 0:
         raise PreconditionError(f"k must be nonnegative, got {k}")
-    l_g = laplacian(g)
-    l_w = laplacian(w)
-    l_gw = l_g + l_w
-    vals = pencil_eigenvalues(l_g, l_gw)
+    if factor is None:
+        factor = factor_laplacian(g.union(w))
+    vals = pencil_eigenvalues(laplacian(g), factor)
     if k >= vals.size:
         raise InvalidKError(f"k = {k} is at or above the image rank {vals.size}")
-    t_patch = float(np.sum(l_w * pseudoinverse(l_gw)))
-    return PatchParams(k=k, T_patch=t_patch, lambda_star=float(vals[k]))
+    return PatchParams(k=k, T_patch=factor.trace_pinv(laplacian(w)), lambda_star=float(vals[k]))
 
 
-def build_patch_problem(g: WeightedGraph, w: WeightedGraph, k: int, n_budget: int) -> EngineProblem:
+def build_patch_problem(
+    g: WeightedGraph,
+    w: WeightedGraph,
+    k: int,
+    n_budget: int,
+    factor: LaplacianFactor | None = None,
+) -> EngineProblem:
     """Engine instance for sparsifying W against G (G+W must be connected).
 
-    Working space: im(L_{G+W}) in an eigenbasis. X is the restricted pencil
-    matrix of L_G, edge e of W contributes the rank-one generator
-    sqrt(w_e) (L_{G+W}^+)^(1/2) b_e, costs are w_e / sum(w), and M* is the
-    identity on the working space.
+    Working space: im(L_{G+W}) in the eigenbasis of `factor`, the factor
+    F = Q diag(lambda)^(-1/2) of L_{G+W} (built here when the caller holds
+    none). X = F^T L_G F is the pencil matrix of L_G, edge e = (u, v) of W
+    contributes the rank-one generator sqrt(w_e) F^T b_e = sqrt(w_e) (F[u] - F[v]),
+    costs are w_e / sum(w), and M* is the identity on the working space.
     """
     if w.n != g.n:
         raise PreconditionError(f"vertex count mismatch: G has {g.n}, W has {w.n}")
     if not w.edges:
         raise PreconditionError("W has no edges; nothing to sparsify")
-    gw = g.union(w)
-    if not gw.is_connected():
+    if factor is None:
+        factor = factor_laplacian(g.union(w))
+    if factor.components != 1:
         raise PreconditionError("G+W must be connected here; split by component upstream")
-    l_gw = laplacian(gw)
-    dec = eigh(l_gw)
-    q = dec.eigenvectors[:, 1:]  # connected: one zero eigenvalue spans the kernel
-    f = pinv_sqrt(l_gw)
-    x = symmetrize(q.T @ f @ laplacian(g) @ f @ q)
-    ftq = (f @ q).T  # row i of fq holds (Q^T F) e_i, so v_e = column u minus column v
-    vectors = np.stack([math.sqrt(we) * (ftq[:, u] - ftq[:, v]) for u, v, we in w.edges], axis=1)
+    f = factor.f
+    x = symmetrize(f.T @ laplacian(g) @ f)
+    u, v, we = (np.array(col) for col in zip(*w.edges))
+    vectors = np.sqrt(we) * (f[u] - f[v]).T
     total = w.weight_sum()
-    costs = np.array([we / total for _, _, we in w.edges])
+    costs = we / total
     costs[-1] = 1.0 - float(costs[:-1].sum())
-    d = q.shape[1]
+    d = f.shape[1]
     return EngineProblem(X=x, vectors=vectors, costs=costs, Mstar=np.eye(d), k=k, N=n_budget)
 
 
@@ -141,9 +144,6 @@ def sparsify_patch(
         )
     else:
         n_eff = int(n_budget)
-    params = verify_patch(g, w, k) if w.edges else PatchParams(k=k, T_patch=0.0, lambda_star=1.0)
-    l_gw_full = laplacian(g.union(w)) if w.edges else laplacian(g)
-
     if not w.edges:
         # nothing to select; the sandwich of L_G against itself is exactly 1
         return PatchSparsifier(
@@ -154,17 +154,19 @@ def sparsify_patch(
             measured_upper=1.0,
             total_weight=0.0,
             weight_bound=0.0,
-            params=params,
+            params=PatchParams(k=k, T_patch=0.0, lambda_star=1.0),
             n_budget=n_eff,
             engine_results=(),
         )
 
-    gw = g.union(w)
-    labels = gw.component_labels()
-    n_components = int(labels.max()) + 1 if g.n else 0
+    # One factor of L_{G+W} serves the measured certificate, the connected
+    # problem and the final sandwich.
+    factor = factor_laplacian(g.union(w))
+    params = verify_patch(g, w, k, factor)
+    n_components = factor.components
 
     if n_components <= 1:
-        problem = build_patch_problem(g, w, k, n_eff)
+        problem = build_patch_problem(g, w, k, n_eff, factor)
         result = run_engine(problem)
         wk_edges = [
             (u, v, rho * we)
@@ -179,19 +181,21 @@ def sparsify_patch(
     else:
         # Per-component split. Protected counts follow the global bottom-k of
         # the block-diagonal X; budgets follow the component trace bounds.
+        # Each component's factor gives its X spectrum as a pencil and then
+        # its problem, so the problem is built once.
         comps = []
+        spectra = []
         for c in range(n_components):
-            verts = np.flatnonzero(labels == c)
+            verts = np.flatnonzero(factor.labels == c)
             g_c, old_ids = g.subgraph(verts)
             w_c, _ = w.subgraph(verts)
-            comps.append((g_c, w_c, old_ids))
-        spectra = []
-        for g_c, w_c, _ in comps:
             if w_c.edges:
-                prob_c = build_patch_problem(g_c, w_c, 0, 1)
-                spectra.append(eigvalsh(prob_c.X))
+                factor_c = factor_laplacian(g_c.union(w_c))
+                spectra.append(pencil_eigenvalues(laplacian(g_c), factor_c))
             else:
+                factor_c = None
                 spectra.append(np.ones(max(g_c.n - 1, 0)))
+            comps.append((g_c, w_c, old_ids, factor_c))
         merged = sorted((val, ci) for ci, vals in enumerate(spectra) for val in vals)
         k_counts = [0] * n_components
         for _, ci in merged[:k]:
@@ -207,11 +211,11 @@ def sparsify_patch(
         ceilings = []
         realized_budget = 0
         weight_bound = 0.0
-        for (g_c, w_c, old_ids), k_c, n_c in zip(comps, k_counts, budgets):
+        for (g_c, w_c, old_ids, factor_c), k_c, n_c in zip(comps, k_counts, budgets):
             if not w_c.edges:
                 continue
             realized_budget += n_c
-            problem = build_patch_problem(g_c, w_c, k_c, n_c)
+            problem = build_patch_problem(g_c, w_c, k_c, n_c, factor_c)
             result = run_engine(problem)
             engine_results.append(result)
             floors.append(result.explicit_floor)
@@ -225,8 +229,7 @@ def sparsify_patch(
         certified_upper = max(ceilings) if ceilings else 1.0
 
     wk = WeightedGraph(g.n, wk_edges)
-    l_wk = laplacian(g.union(wk))
-    sandwich = pencil_eigenvalues(l_wk, l_gw_full)
+    sandwich = pencil_eigenvalues(laplacian(g.union(wk)), factor)
     measured_lower = float(sandwich[0])
     measured_upper = float(sandwich[-1])
     if measured_lower < certified_lower - 1e-9:

@@ -19,9 +19,9 @@ from .core import (
     NumericalError,
     PreconditionError,
     WeightedGraph,
+    factor_laplacian,
     laplacian,
     pencil_eigenvalues,
-    pseudoinverse,
 )
 from .patch import PatchParams, PatchSparsifier, sparsify_patch
 
@@ -97,27 +97,25 @@ class SpanningTree:
         ]
         return WeightedGraph(self.n, edges)
 
-    def lca(self, u: int, v: int) -> int:
-        """Lowest common ancestor by binary lifting."""
-        if not (0 <= u < self.n and 0 <= v < self.n):
-            raise PreconditionError(f"vertex ({u}, {v}) outside the tree on {self.n} vertices")
-        du, dv = int(self.depth[u]), int(self.depth[v])
-        if du < dv:
-            u, v, du, dv = v, u, dv, du
-        diff = du - dv
-        j = 0
-        while diff:
-            if diff & 1:
-                u = int(self.ancestors[j, u])
-            diff >>= 1
-            j += 1
-        if u == v:
-            return u
+    def lca(self, u, v):
+        """Lowest common ancestors of the pairs (u[i], v[i]) by binary
+        lifting, all pairs at once; scalar u and v give an int."""
+        u, v = np.asarray(u, dtype=int), np.asarray(v, dtype=int)
+        if np.any((u < 0) | (u >= self.n) | (v < 0) | (v >= self.n)):
+            raise PreconditionError(f"vertex pair outside the tree on {self.n} vertices")
+        du, dv = self.depth[u], self.depth[v]
+        deep, high = np.where(du >= dv, u, v), np.where(du >= dv, v, u)
+        diff = np.abs(du - dv)
+        for j in range(self.ancestors.shape[0]):
+            deep = np.where((diff >> j) & 1 == 1, self.ancestors[j, deep], deep)
+        # deep and high now sit at one depth, so their 2^j-th ancestors both
+        # exist or both are -1.
         for j in range(self.ancestors.shape[0] - 1, -1, -1):
-            au, av = int(self.ancestors[j, u]), int(self.ancestors[j, v])
-            if au != av:
-                u, v = au, av
-        return int(self.parent[u])
+            a_deep, a_high = self.ancestors[j, deep], self.ancestors[j, high]
+            step = a_deep != a_high
+            deep, high = np.where(step, a_deep, deep), np.where(step, a_high, high)
+        out = np.where(deep == high, deep, self.parent[deep])
+        return int(out) if out.ndim == 0 else out
 
 
 @dataclass(frozen=True)
@@ -212,15 +210,15 @@ def tree_stretch(g: WeightedGraph, tree: SpanningTree) -> StretchReport:
     for (u, v), w in tree_pairs.items():
         if (u, v) not in graph_pairs:
             raise PreconditionError(f"tree edge ({u},{v}) is not an edge of the graph")
-    per_edge = []
+    if not g.edges:
+        return StretchReport(per_edge=(), total=0.0)
+    u, v, w = (np.array(col) for col in zip(*g.edges))
     resistance = tree.resistance_to_root
-    for u, v, w in g.edges:
-        a = tree.lca(u, v)
-        path_resistance = float(resistance[u] + resistance[v] - 2.0 * resistance[a])
-        # w * path resistance; below 1 is possible when a light tree path
-        # undercuts a heavy edge, so no lower bound is enforced here.
-        per_edge.append(w * path_resistance)
-    return StretchReport(per_edge=tuple(per_edge), total=float(sum(per_edge)))
+    a = tree.lca(u, v)
+    # w * path resistance; below 1 is possible when a light tree path
+    # undercuts a heavy edge, so no lower bound is enforced here.
+    per_edge = tuple((w * (resistance[u] + resistance[v] - 2.0 * resistance[a])).tolist())
+    return StretchReport(per_edge=per_edge, total=float(sum(per_edge)))
 
 
 def sw_trace_check(
@@ -234,14 +232,14 @@ def sw_trace_check(
     """
     report = tree_stretch(g, tree)
     l_g = laplacian(g)
-    l_t = laplacian(tree.graph())
-    trace = float(np.sum(l_g * pseudoinverse(l_t)))
+    factor = factor_laplacian(tree.graph())
+    trace = factor.trace_pinv(l_g)
     stretch = report.total
     if abs(trace - stretch) > 1e-7 * stretch:
         raise NumericalError(
             f"trace {trace!r} and total stretch {stretch!r} disagree beyond 1e-7 relative"
         )
-    vals = pencil_eigenvalues(l_g, l_t)
+    vals = pencil_eigenvalues(l_g, factor)
     for t in probes:
         count = int(np.sum(vals > t))
         if count > stretch / t + 1e-9:
@@ -299,7 +297,7 @@ def build_ultrasparsifier(
         tree = SpanningTree.build(g.n, g.edges)
         report = tree_stretch(g, tree)
         trace, stretch = sw_trace_check(g, tree)
-        vals = pencil_eigenvalues(laplacian(g), laplacian(g))
+        vals = pencil_eigenvalues(laplacian(g), factor_laplacian(g))
         return UltraResult(
             u=g,
             kappa_target=c1 * stretch / k,
@@ -327,7 +325,7 @@ def build_ultrasparsifier(
     patch = sparsify_patch(t_graph, w, k, 8 * k + 1)
     u = t_graph.union(patch.wk)
 
-    vals = pencil_eigenvalues(laplacian(g), laplacian(u))
+    vals = pencil_eigenvalues(laplacian(g), factor_laplacian(u))
     gen_lower, gen_upper = float(vals[0]), float(vals[-1])
     certified_lower = 1.0 / (patch.certified_upper * (1.0 + scale))
     if gen_lower < certified_lower - 1e-9:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import random_connected_graph
-from lapsparse.core import ParseError, WeightedGraph, eigvalsh, laplacian
+from lapsparse import cli
+from lapsparse.core import ParseError, WeightedGraph, _numpy_openblas, eigvalsh, laplacian
 from lapsparse.cli import (
     dumps_report,
     format_float,
@@ -265,6 +266,26 @@ def test_verify_command_identity_and_doubling(tmp_path):
     assert doubled["c"] == pytest.approx(2.0, abs=1e-9)
     assert doubled["kappa"] == pytest.approx(2.0, abs=1e-9)
     assert doubled["relative_condition_number"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_commands_run_on_one_numpy_blas_thread_and_restore_it(tmp_path, monkeypatch):
+    blas = _numpy_openblas()
+    if blas is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    count = blas[1]
+    before = count()
+    seen = []
+    dispatch = cli._dispatch
+
+    def recording_dispatch(args):
+        seen.append(count())
+        return dispatch(args)
+
+    monkeypatch.setattr(cli, "_dispatch", recording_dispatch)
+    g_path = save_text(tmp_path, "G.txt", random_connected_graph(np.random.default_rng(83), 8, extra_edges=4))
+    assert main(["verify", g_path, g_path, "--report", str(tmp_path / "rep.json")]) == 0
+    assert seen == [1]
+    assert count() == before
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from conftest import random_connected_graph, random_projection, random_psd
 from lapsparse.core import (
     IncompatibleImagesError,
+    NumericalError,
     PreconditionError,
     SingularUpdateError,
     Subspace,
@@ -13,17 +14,37 @@ from lapsparse.core import (
     check_symmetric,
     eigh,
     eigvalsh,
+    factor_laplacian,
     incidence_vector,
+    _numpy_openblas,
     laplacian,
-    matrix_image,
+    numpy_blas_threads,
     pencil_eigenvalues,
-    pinv_sqrt,
-    pseudoinverse,
     relative_condition_number,
     restrict,
+    same_components,
     sm_pinv_update,
     symmetrize,
 )
+
+
+def random_multicomponent_graph(rng, sizes, decades=0.3, extra=3):
+    """Disjoint random connected components of the given sizes on shuffled
+    vertex ids, weights 10**U(0, decades)."""
+    n = sum(sizes)
+    ids = rng.permutation(n)
+    edges, off = [], 0
+    for size in sizes:
+        comp = random_connected_graph(rng, size, extra_edges=extra)
+        for u, v, _ in comp.edges:
+            edges.append((int(ids[u + off]), int(ids[v + off]), float(10.0 ** rng.uniform(0, decades))))
+        off += size
+    return WeightedGraph(n, edges)
+
+
+def indicators(g):
+    labels = g.component_labels()
+    return np.stack([(labels == c).astype(float) for c in range(int(labels.max()) + 1)], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -156,34 +177,86 @@ def test_eigh_orders_ascending_and_reconstructs():
     assert np.allclose(eigvalsh(a), dec.eigenvalues)
 
 
+# ---------------------------------------------------------------------------
+# Laplacian factor
+
+
 @settings(max_examples=30, deadline=None)
-@given(st.integers(min_value=1, max_value=10), st.integers(min_value=0, max_value=10), st.integers())
-def test_pseudoinverse_is_an_involution_on_psd(d, null_dim, seed):
+@given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4), st.integers())
+def test_factor_pseudoinverse_is_an_involution_on_laplacians(sizes, seed):
     rng = np.random.default_rng(seed % (2**32))
-    r = max(d - null_dim, 0)
-    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    vals = np.concatenate([rng.uniform(0.5, 2.0, size=r), np.zeros(d - r)])
-    a = symmetrize((q * vals) @ q.T)
-    adag = pseudoinverse(a)
-    assert np.allclose(pseudoinverse(adag), a, atol=1e-8)
+    g = random_multicomponent_graph(rng, sizes)
+    lap = laplacian(g)
+    f = factor_laplacian(g).f
+    ldag = f @ f.T
+    assert np.allclose(np.linalg.pinv(ldag), lap, atol=1e-8)
     # Penrose identities
-    assert np.allclose(a @ adag @ a, a, atol=1e-9)
-    assert np.allclose(adag @ a @ adag, adag, atol=1e-9)
+    assert np.allclose(lap @ ldag @ lap, lap, atol=1e-9)
+    assert np.allclose(ldag @ lap @ ldag, ldag, atol=1e-9)
 
 
-def test_pinv_sqrt_squares_to_pseudoinverse():
+def test_factor_f_ft_is_the_laplacian_pseudoinverse():
     rng = np.random.default_rng(7)
     g = random_connected_graph(rng, 9, extra_edges=6)
+    factor = factor_laplacian(g)
     lap = laplacian(g)
-    f = pinv_sqrt(lap)
-    assert np.allclose(f @ f, pseudoinverse(lap), atol=1e-9)
+    assert np.allclose(factor.f @ factor.f.T, np.linalg.pinv(lap), atol=1e-9)
+    assert np.allclose(factor.f.T @ lap @ factor.f, np.eye(8), atol=1e-9)
+    assert factor.trace_pinv(lap) == pytest.approx(8.0, rel=1e-12)
 
 
-def test_matrix_image_of_laplacian_is_ones_complement():
+def test_factor_image_is_orthogonal_to_component_indicators():
     g = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-    img = matrix_image(laplacian(g))
-    assert img.dim == 3
-    assert np.allclose(img.basis.T @ np.ones(4), 0.0, atol=1e-9)
+    factor = factor_laplacian(g)
+    assert factor.f.shape == (4, 3) and factor.components == 1
+    assert np.allclose(factor.f.T @ np.ones(4), 0.0, atol=1e-9)
+    rng = np.random.default_rng(9)
+    g = random_multicomponent_graph(rng, [3, 1, 5])
+    factor = factor_laplacian(g)
+    assert factor.f.shape == (9, 6) and factor.components == 3
+    assert np.allclose(factor.f.T @ indicators(g), 0.0, atol=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(st.integers(min_value=1, max_value=8), min_size=1, max_size=4),
+    st.floats(min_value=0.0, max_value=12.0),
+    st.integers(),
+)
+def test_factor_kernel_dimension_is_the_component_count(sizes, decades, seed):
+    # Weights spread over up to twelve decades: the kernel comes from the
+    # component labels, and the factor still reproduces L from its image.
+    rng = np.random.default_rng(seed % (2**32))
+    g = random_multicomponent_graph(rng, sizes, decades=decades)
+    factor = factor_laplacian(g)
+    assert factor.components == len(sizes)
+    assert factor.f.shape == (g.n, g.n - len(sizes))
+    assert np.all(factor.eigenvalues > 0)
+    lap = laplacian(g)
+    recon = (factor.f * factor.eigenvalues**2) @ factor.f.T
+    assert np.max(np.abs(recon - lap)) <= 1e-12 * g.n * np.max(np.abs(lap))
+
+
+def test_factor_rejects_a_kernel_eigenvalue_off_zero(monkeypatch):
+    g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    # claim three components for a connected graph: two dropped eigenvalues are 1 and 3
+    monkeypatch.setattr(WeightedGraph, "component_labels", lambda self: np.arange(self.n))
+    with pytest.raises(NumericalError, match="kernel eigenvalue"):
+        factor_laplacian(g)
+
+
+def test_numpy_blas_threads_sets_and_restores_the_count():
+    blas = _numpy_openblas()
+    if blas is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    count = blas[1]
+    before = count()
+    with numpy_blas_threads(1):
+        assert count() == 1
+    assert count() == before
+    with pytest.raises(RuntimeError), numpy_blas_threads(1):
+        raise RuntimeError("restored on the way out")
+    assert count() == before
 
 
 def test_sm_update_matches_dense_inverse_in_nonsingular_case():
@@ -200,8 +273,9 @@ def test_sm_update_matches_dense_pseudoinverse_on_image():
     g = random_connected_graph(rng, 8, extra_edges=5)
     lap = laplacian(g)
     v = lap @ rng.standard_normal(8)  # in the image
-    p = lap @ pseudoinverse(lap)
-    got = sm_pinv_update(pseudoinverse(lap), p, v)
+    f = factor_laplacian(g).f
+    p = lap @ f @ f.T
+    got = sm_pinv_update(f @ f.T, p, v)
     want = np.linalg.pinv(lap + np.outer(v, v))
     assert np.allclose(got, want, atol=1e-8)
 
@@ -230,11 +304,35 @@ def test_pencil_of_doubled_graph_is_constant_two():
 def test_relative_condition_number_identity_and_mismatch():
     rng = np.random.default_rng(19)
     g = random_connected_graph(rng, 8, extra_edges=4)
-    lap = laplacian(g)
-    assert relative_condition_number(lap, lap) == pytest.approx(1.0, abs=1e-9)
-    disconnected = laplacian(WeightedGraph(8, [(0, 1, 1.0)]))
+    assert relative_condition_number(g, g) == pytest.approx(1.0, abs=1e-9)
+    assert relative_condition_number(g.scale(3.0), g) == pytest.approx(1.0, abs=1e-9)
+    disconnected = WeightedGraph(8, [(0, 1, 1.0)])
     with pytest.raises(IncompatibleImagesError):
-        relative_condition_number(lap, disconnected)
+        relative_condition_number(g, disconnected)
+    # same components under different labels share one image
+    two = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 2.0)])
+    swapped = WeightedGraph(4, [(2, 3, 1.0), (0, 1, 5.0)])
+    assert same_components(two, swapped)
+    assert not same_components(two, WeightedGraph(4, [(0, 2, 1.0), (1, 3, 1.0)]))
+    assert relative_condition_number(two, swapped) == pytest.approx(5.0 * 2.0, rel=1e-12)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=3), st.integers())
+def test_pencil_spectra_are_invariant_under_vertex_relabeling(sizes, seed):
+    rng = np.random.default_rng(seed % (2**32))
+    b = random_multicomponent_graph(rng, sizes, decades=2.0)
+    a = random_connected_graph(rng, b.n, extra_edges=b.n)
+    perm = rng.permutation(b.n)
+
+    def relabel(g):
+        return WeightedGraph(g.n, [(int(perm[u]), int(perm[v]), w) for u, v, w in g.edges])
+
+    vals = pencil_eigenvalues(laplacian(a), factor_laplacian(b))
+    moved = pencil_eigenvalues(laplacian(relabel(a)), factor_laplacian(relabel(b)))
+    assert vals.shape == (b.n - len(sizes),)
+    scale = max(1.0, float(np.max(np.abs(vals)))) if vals.size else 1.0
+    assert np.max(np.abs(moved - vals), initial=0.0) <= 1e-9 * scale
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Certifying a patch W against a base graph G and sparsifying it."""
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_connected_graph
 from lapsparse.core import (
@@ -153,3 +154,32 @@ def test_sparsify_splits_disconnected_union_by_component():
     vals = pencil_eigenvalues(laplacian(g.union(result.wk)), laplacian(g.union(w)))
     assert float(vals[0]) >= result.certified_lower - 1e-9
     assert float(vals[-1]) <= result.certified_upper + 1e-9
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(), st.floats(min_value=-9.0, max_value=8.0), st.booleans())
+def test_measured_sandwich_is_invariant_under_uniform_scaling(seed, exponent, split):
+    # Scaling G and W by one factor c leaves every pencil unchanged, so the
+    # selection and its measured sandwich must not move beyond rounding.
+    # Weights are continuous random draws, so ties in the bottom-k spectrum
+    # of X (where the selection may legitimately change) have probability 0.
+    rng = np.random.default_rng(seed % (2**32))
+    parts = 2 if split else 1
+    size = 9
+    g_edges, w_edges = [], []
+    for p in range(parts):
+        off = p * size
+        g_p = random_connected_graph(rng, size, extra_edges=2)
+        g_edges += [(u + off, v + off, w) for u, v, w in g_p.edges]
+        pool = [(u, v) for u in range(size) for v in range(u + 1, size)]
+        for j in rng.choice(len(pool), size=14, replace=False):
+            u, v = pool[int(j)]
+            w_edges.append((u + off, v + off, float(rng.uniform(0.05, 0.5))))
+    g = WeightedGraph(parts * size, g_edges)
+    w = WeightedGraph(parts * size, w_edges)
+    c = 10.0**exponent
+    base = sparsify_patch(g, w, 1)
+    scaled = sparsify_patch(g.scale(c), w.scale(c), 1)
+    assert scaled.wk.edge_pairs() == base.wk.edge_pairs()
+    assert scaled.measured_lower == pytest.approx(base.measured_lower, rel=1e-9)
+    assert scaled.measured_upper == pytest.approx(base.measured_upper, rel=1e-9)

@@ -1,6 +1,7 @@
 """Spanning trees, stretch accounting, and the tree-plus-patch sparsifier."""
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import random_connected_graph
 from lapsparse.core import (
@@ -10,6 +11,7 @@ from lapsparse.core import (
     laplacian,
     pencil_eigenvalues,
 )
+from lapsparse.patch import sparsify_patch
 from lapsparse.ultra import (
     SpanningTree,
     build_ultrasparsifier,
@@ -133,6 +135,49 @@ def test_weighted_stretch_may_dip_below_one():
     assert by_pair[(0, 2)] == pytest.approx(0.08, abs=1e-12)
 
 
+def _reference_lca(tree, u, v):
+    """The scalar binary-lifting walk, one pair at a time."""
+    du, dv = int(tree.depth[u]), int(tree.depth[v])
+    if du < dv:
+        u, v, du, dv = v, u, dv, du
+    diff, j = du - dv, 0
+    while diff:
+        if diff & 1:
+            u = int(tree.ancestors[j, u])
+        diff >>= 1
+        j += 1
+    if u == v:
+        return u
+    for j in range(tree.ancestors.shape[0] - 1, -1, -1):
+        au, av = int(tree.ancestors[j, u]), int(tree.ancestors[j, v])
+        if au != av:
+            u, v = au, av
+    return int(tree.parent[u])
+
+
+def test_vectorised_stretch_matches_the_scalar_loop_bit_for_bit():
+    rng = np.random.default_rng(53)
+    for n in (2, 9, 40, 130):
+        g = random_connected_graph(rng, n, extra_edges=2 * n, wmin=0.01, wmax=100.0)
+        for tree in candidate_trees(g, seed=n):
+            pairs = [(u, v) for u in range(min(n, 40)) for v in range(n)]
+            got = tree.lca([u for u, _ in pairs], [v for _, v in pairs])
+            assert got.tolist() == [_reference_lca(tree, u, v) for u, v in pairs]
+            res = tree.resistance_to_root
+            per_edge = [
+                w * float(res[u] + res[v] - 2.0 * res[_reference_lca(tree, u, v)])
+                for u, v, w in g.edges
+            ]
+            report = tree_stretch(g, tree)
+            assert report.per_edge == tuple(per_edge)
+            assert report.total == float(sum(per_edge))
+    t = SpanningTree.build(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    with pytest.raises(PreconditionError):
+        t.lca(0, 3)
+    with pytest.raises(PreconditionError):
+        t.lca([0, -1], [1, 2])
+
+
 def test_tree_stretch_rejects_a_foreign_tree():
     star = WeightedGraph(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)])
     path = SpanningTree.build(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
@@ -238,3 +283,46 @@ def test_build_rejects_bad_inputs():
         build_ultrasparsifier(WeightedGraph(4, [(0, 1, 1.0)]), 1)
     with pytest.raises(PreconditionError):
         build_ultrasparsifier(WeightedGraph(1, []), 1)
+
+
+def test_solve_budget_of_the_patch_and_ultra_pipelines(monkeypatch):
+    # Every eigensolve goes through numpy: one factor per Laplacian, one
+    # spectrum per pencil, and the engine's N + 3 solves of the d x d
+    # working space, d = n - 1.
+    solves = []
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(a, *args, **kwargs):
+            solves.append((owner.__name__, a.shape[0]))
+            return original(a, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    for owner in (np.linalg, scipy.linalg):
+        counting(owner, "eigh")
+        counting(owner, "eigvalsh")
+
+    rng = np.random.default_rng(55)
+    n, k = 30, 2
+    g = random_connected_graph(rng, n, extra_edges=2 * n)
+    n_steps = 8 * k + 1
+
+    def big():
+        return sum(1 for _, d in solves if d >= n - 1)
+
+    result = build_ultrasparsifier(g, k)
+    assert result.patch is not None and len(result.patch.engine_results) == 1
+    assert all(owner == "numpy.linalg" for owner, _ in solves)
+    # sw_trace_check: factor of L_T + pencil; patch: factor of L_{T+W},
+    # verify pencil, validate (X, M*), compute_Z, N steps, final sandwich;
+    # ultra: factor of L_U + pencil.
+    assert big() == n_steps + 10
+    assert sum(1 for _, d in solves if d == k) == n_steps + 1  # B_S per step, Z's restriction
+
+    solves.clear()
+    tree = low_stretch_tree(g)
+    sparsify_patch(tree.graph(), g.scale(0.01), k)
+    assert all(owner == "numpy.linalg" for owner, _ in solves)
+    assert big() == n_steps + 6
