@@ -31,7 +31,8 @@ from .core import (
     PreconditionError,
     ToolkitError,
     WeightedGraph,
-    eigvalsh,
+    _spectrum,
+    check_symmetric,
     factor_laplacian,
     laplacian,
     numpy_blas_threads,
@@ -467,7 +468,7 @@ def cmd_algconn(
 
     sel_back = read_graph(out_path)
     lap = laplacian(base) + laplacian(sel_back)
-    re_lambda2 = float(eigvalsh(lap)[1])
+    re_lambda2 = float(_spectrum(check_symmetric(lap))[1])
     worst = _check_coherent(
         [
             ("achieved lambda_2 (weighted)", rounded.lambda2_weighted, re_lambda2),
@@ -488,6 +489,8 @@ def cmd_algconn(
         "parameters": {"k": k, "tol": tol, "delta": inst.delta},
         "fractional": {
             "lambda_sdp": frac.lambda_sdp,
+            "lambda_upper": frac.lambda_upper,
+            "gap": frac.gap,
             "iterations": frac.iterations,
             "gradient_norm": frac.gradient_norm,
             "converged": frac.converged,
@@ -519,7 +522,7 @@ def cmd_algconn(
         report["oracle"] = {
             "value": value,
             "edges": [[u, v] for u, v in edges],
-            "within_sdp_upper": bool(value <= frac.lambda_sdp + 1e-3),
+            "within_sdp_upper": bool(value <= frac.lambda_upper + 1e-9),
             "within_lambda_k2_upper": bool(value <= lambda_k2_bound(base, k) + 1e-9),
         }
     return report
@@ -594,7 +597,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("candidates", help="candidate edges as a unit-weight graph file")
     p.add_argument("out", help="output file for the selected weighted edges")
     p.add_argument("--k", type=int, required=True, help="edge budget")
-    p.add_argument("--tol", type=float, default=1e-4, help="fractional solver tolerance")
+    p.add_argument("--tol", type=float, default=1e-4, help="certified gap at which the fractional solver stops")
     p.add_argument("--oracle", action="store_true", help="also run the exhaustive oracle")
     p.add_argument("--report", default=None, help="write the JSON report here instead of stdout")
     p.add_argument("--trace-csv", default=None, help="write the per-step potential trace as CSV")

@@ -2,7 +2,8 @@
 
 Three layers: a fractional solver maximizing the concave map
 w -> lambda_2(L_base + sum_e w_e L_e) over {0 <= w <= 1, sum w <= k}
-(projected supergradient ascent — a stand-in for the SDP relaxation),
+(projected supergradient ascent — a stand-in for the SDP relaxation — with
+a dual certificate bounding its maximum from above),
 a rounding step that funnels the fractional solution through the
 selection engine to get at most 8k+1 reweighted edges with a certified
 lambda_2 floor, and an exhaustive oracle for small instances.
@@ -22,8 +23,9 @@ from .core import (
     PreconditionError,
     TooLargeError,
     WeightedGraph,
-    eigh,
-    eigvalsh,
+    _decompose,
+    _spectrum,
+    check_symmetric,
     laplacian,
     symmetrize,
 )
@@ -37,6 +39,13 @@ from .engine import (
 SOLVER_ITERATION_CAP = 5000
 DEGENERACY_TOL = 1e-8
 WEIGHT_DROP_REL = 1e-9
+# Dual certificate: Y on at most CERTIFICATE_RANK nontrivial eigenvectors,
+# tuned for CERTIFICATE_STEPS steps per check. Besides every phase end, it
+# is checked once after CERTIFICATE_FIRST_CHECK iterations, where instances
+# whose starting point is already optimal can stop.
+CERTIFICATE_RANK = 5
+CERTIFICATE_STEPS = 60
+CERTIFICATE_FIRST_CHECK = 25
 
 
 @dataclass(frozen=True)
@@ -93,10 +102,14 @@ def _max_degree(base: WeightedGraph, pairs) -> float:
 
 @dataclass(frozen=True)
 class FractionalSolution:
-    """Fractional edge weights with the exact lambda_2 they achieve."""
+    """Fractional edge weights with the exact lambda_2 they achieve
+    (lambda_sdp), a certified upper bound on the fractional maximum
+    (lambda_upper) and the gap between the two."""
 
     weights: np.ndarray
     lambda_sdp: float
+    lambda_upper: float
+    gap: float
     iterations: int
     gradient_norm: float
     converged: bool
@@ -123,6 +136,11 @@ class RoundedSolution:
     engine: EngineResult | None
 
 
+def _lambda2_of(lap: np.ndarray) -> float:
+    """lambda_2 of a Laplacian, by the numpy LAPACK of `core._spectrum`."""
+    return float(_spectrum(check_symmetric(lap))[1])
+
+
 def _graph_lambda2_with(base: WeightedGraph, pairs, weights) -> float:
     """lambda_2 of base plus the given weighted edges."""
     lap = laplacian(base)
@@ -131,7 +149,7 @@ def _graph_lambda2_with(base: WeightedGraph, pairs, weights) -> float:
         lap[v, v] += w
         lap[u, v] -= w
         lap[v, u] -= w
-    return float(eigvalsh(symmetrize(lap))[1])
+    return _lambda2_of(symmetrize(lap))
 
 
 def _incidence_rows(n: int, pairs) -> np.ndarray:
@@ -142,40 +160,62 @@ def _incidence_rows(n: int, pairs) -> np.ndarray:
     return rows
 
 
+def _laplacian_at(lb: np.ndarray, inc: np.ndarray, w: np.ndarray) -> np.ndarray:
+    return check_symmetric(symmetrize(lb + inc.T @ (w[:, None] * inc)))
+
+
 def _lambda2_with_gradient(lb: np.ndarray, inc: np.ndarray, w: np.ndarray):
-    """Exact lambda_2 at w and a supergradient over the candidates.
+    """Exact lambda_2 at w, a supergradient over the candidates, and the
+    eigendecomposition both come from.
 
     Near-degenerate eigenvalues (within 1e-8 of lambda_2) are handled by
     averaging (x_u - x_v)^2 over an orthonormal basis of the cluster."""
-    lap = symmetrize(lb + inc.T @ (w[:, None] * inc))
-    dec = eigh(lap)
-    vals, vecs = dec.eigenvalues, dec.eigenvectors
-    lam2 = float(vals[1])
-    cluster = [j for j in range(1, len(vals)) if vals[j] - vals[1] <= DEGENERACY_TOL]
-    basis = vecs[:, cluster]
-    diffs = inc @ basis
-    grad = np.mean(diffs * diffs, axis=1)
-    return lam2, grad
+    dec = _decompose(_laplacian_at(lb, inc, w))
+    vals = dec.eigenvalues
+    cluster = int(np.count_nonzero(vals[1:] - vals[1] <= DEGENERACY_TOL))
+    diffs = inc @ dec.eigenvectors[:, 1 : 1 + cluster]
+    return float(vals[1]), np.mean(diffs * diffs, axis=1), dec
 
 
 def _lambda2(lb: np.ndarray, inc: np.ndarray, w: np.ndarray) -> float:
-    lap = symmetrize(lb + inc.T @ (w[:, None] * inc))
-    return float(eigvalsh(lap)[1])
+    return _lambda2_of(_laplacian_at(lb, inc, w))
 
 
 def _project_capped_box(v: np.ndarray, cap: float) -> np.ndarray:
-    """Euclidean projection onto {0 <= w <= 1, sum w <= cap}."""
+    """Exact Euclidean projection onto {0 <= w <= 1, sum w <= cap}.
+
+    When clipping to the box overshoots the budget, the projection is
+    clip(v - tau, 0, 1) with s(tau) = sum clip(v - tau, 0, 1) = cap. s falls
+    piecewise linearly from m to 0, with breakpoints at v - 1 and v; tau is
+    solved for on the segment where s crosses cap (Wang & Lu, "Projection
+    onto the capped simplex", arXiv 1503.01002).
+    """
     w = np.clip(v, 0.0, 1.0)
     if float(w.sum()) <= cap + 1e-12:
         return w
-    lo, hi = 0.0, float(np.max(v))
-    for _ in range(100):
-        tau = 0.5 * (lo + hi)
-        if float(np.clip(v - tau, 0.0, 1.0).sum()) > cap:
-            lo = tau
-        else:
-            hi = tau
-    return np.clip(v - hi, 0.0, 1.0)
+    m = v.shape[0]
+    vs = np.sort(v)
+    prefix = np.concatenate(([0.0], np.cumsum(vs)))
+    t = np.sort(np.concatenate((vs - 1.0, vs)))
+    zero = np.searchsorted(vs, t, side="right")  # v_i <= tau: clipped to 0
+    free = np.searchsorted(vs, t + 1.0, side="left")  # v_i < tau + 1: below 1
+    s = (m - free) + (prefix[free] - prefix[zero]) - (free - zero) * t
+    j = max(int(np.argmax(s <= cap)), 1)  # s(t[j-1]) > cap >= s(t[j])
+    # No breakpoint lies strictly inside (t[j-1], t[j]), so its midpoint
+    # classifies every coordinate; tau comes from the coordinates themselves.
+    mid = 0.5 * (t[j - 1] + t[j])
+    inside = (v > mid) & (v < mid + 1.0)
+    count = int(np.count_nonzero(inside))
+    if count:
+        tau = (np.count_nonzero(v >= mid + 1.0) + float(v[inside].sum()) - cap) / count
+    else:  # s is flat at cap on the whole segment
+        tau = t[j]
+    w = np.clip(v - tau, 0.0, 1.0)
+    # tau is rounded; the next floats up restore sum w <= cap as computed
+    while float(w.sum()) > cap:
+        tau = np.nextafter(tau, math.inf)
+        w = np.clip(v - tau, 0.0, 1.0)
+    return w
 
 
 def _fill_budget(w: np.ndarray, cap: float) -> np.ndarray:
@@ -211,26 +251,123 @@ def _greedy_integral(lb: np.ndarray, inc: np.ndarray, k: int) -> np.ndarray:
     return w
 
 
+class _DualCertificate:
+    """Certified upper bound on max lambda_2 over {0 <= w <= 1, sum w <= k}.
+
+    For PSD Y with Y 1 = 0, lambda_2(L) tr Y <= tr(Y L) for every Laplacian
+    L, so for every feasible w, lambda_2(L(w)) tr Y <= tr(Y L_base) + (sum of
+    the k largest loads b_e^T Y b_e). Each check takes Y = V D V^T, with V
+    the given columns with 1 projected out and D an r x r density matrix.
+    The bound holds for any such V and D, however accurate the eigenvectors
+    are. A check evaluates the single-vector bound (D on V's first column),
+    carries the previous check's D into the new basis, and refines it by
+    CERTIFICATE_STEPS steps of matrix-exponentiated gradient descent on the
+    bound, stopping once it is at most `target`. `upper` is the smallest
+    bound found so far.
+    """
+
+    def __init__(self, lb: np.ndarray, inc: np.ndarray, k: int):
+        self.lb, self.inc, self.k = lb, inc, k
+        self.upper = math.inf
+        self._basis = None  # V of the previous check
+        self._log_d = None  # log D of the previous check, in V's coordinates
+
+    def check(self, vecs: np.ndarray, target: float) -> float:
+        v = vecs - vecs.mean(axis=0)
+        a, c, gram = v.T @ self.lb @ v, self.inc @ v, v.T @ v
+        k = self.k
+
+        def bound(q, p):
+            """The bound at D = Q diag(p) Q^T, and its numerator's gradient in D."""
+            proj = c @ q
+            loads = (proj * proj) @ p
+            top = np.argsort(loads)[loads.size - k :]
+            numerator = p @ np.einsum("ji,jl,li->i", q, a, q) + float(loads[top].sum())
+            value = float(numerator / (p @ np.einsum("ji,jl,li->i", q, gram, q)))
+            return value, a + c[top].T @ c[top]
+
+        def exp_bound(log_d):
+            vals, q = np.linalg.eigh(log_d)
+            p = np.exp(vals - vals[-1])
+            return bound(q, p / p.sum())
+
+        r = v.shape[1]
+        best, grad = bound(np.eye(r), np.eye(r)[0])
+        if self._log_d is None:
+            log_d = np.zeros((r, r))
+        else:
+            carry = v.T @ self._basis
+            log_d = carry @ self._log_d @ carry.T
+            value, grad = exp_bound(log_d)
+            best = min(best, value)
+        spread = np.ptp(np.linalg.eigvalsh(grad))
+        if r > 1 and spread > 0.0:
+            # a multiple of I added to log D or to a gradient leaves D unchanged
+            for step in range(1, CERTIFICATE_STEPS + 1):
+                if best <= target:
+                    break
+                log_d = log_d - grad * (0.5 / (spread * math.sqrt(step)))
+                value, grad = exp_bound(log_d)
+                best = min(best, value)
+        self._basis, self._log_d = v, log_d
+        self.upper = min(self.upper, best)
+        return self.upper
+
+
 def solve_fractional(inst: ConnectivityInstance, tol: float = 1e-4) -> FractionalSolution:
     """Maximize lambda_2(L_base + sum w_e L_e) over {0<=w<=1, sum w <= k}.
 
     Projected supergradient ascent with step a/sqrt(iter) over a few step
     scales, restarting each phase from the best iterate, under a global
-    iteration cap. Deterministic. Returns the best iterate with its exact
-    lambda_2; hitting the cap sets converged=False rather than raising.
+    iteration cap. A dual certificate (`_DualCertificate`, on the best
+    iterate's eigenvectors) bounds the maximum from above. It is checked after
+    iteration 25, at every phase end and at the end, and the ascent stops
+    once lambda_upper - lambda_sdp <= tol. Deterministic. Returns the best
+    iterate with its exact lambda_2, the smallest upper bound found, and
+    converged = (gap <= tol); hitting the cap with a larger gap sets
+    converged=False rather than raising.
     """
     m = len(inst.candidates)
     if m < 1:
         raise PreconditionError("need at least one candidate edge")
     if inst.base.n < 2:
         raise PreconditionError("lambda_2 needs at least 2 vertices")
+    full = inst.base.union(WeightedGraph(inst.base.n, [(u, v, 1.0) for u, v in inst.candidates]))
+    if not full.is_connected():
+        # every feasible w leaves the same components apart: lambda_2 is 0 on
+        # the whole feasible set, and 0 is a supergradient there
+        return FractionalSolution(
+            weights=np.zeros(m),
+            lambda_sdp=0.0,
+            lambda_upper=0.0,
+            gap=0.0,
+            iterations=0,
+            gradient_norm=0.0,
+            converged=True,
+        )
     lb = laplacian(inst.base)
     inc = _incidence_rows(inst.base.n, inst.candidates)
-    cap = float(min(inst.k, m))
+    k = min(inst.k, m)
+    cap = float(k)
+    rank = min(CERTIFICATE_RANK, inst.base.n - 1)
+    certificate = _DualCertificate(lb, inc, k)
+
+    def certify(lam: float, dec) -> float:
+        return certificate.check(dec.eigenvectors[:, 1 : 1 + rank], lam + tol)
+
     if inst.k == 0:
         w = np.zeros(m)
-        lam, grad = _lambda2_with_gradient(lb, inc, w)
-        return FractionalSolution(w, lam, 0, float(np.linalg.norm(grad)), True)
+        lam, grad, dec = _lambda2_with_gradient(lb, inc, w)
+        upper = max(certify(lam, dec), lam)
+        return FractionalSolution(
+            weights=w,
+            lambda_sdp=lam,
+            lambda_upper=upper,
+            gap=upper - lam,
+            iterations=0,
+            gradient_norm=float(np.linalg.norm(grad)),
+            converged=upper - lam <= tol,
+        )
 
     inits = [_fill_budget(np.full(m, min(1.0, cap / m)), cap)]
     if m * inst.k <= 20000:
@@ -238,51 +375,55 @@ def solve_fractional(inst: ConnectivityInstance, tol: float = 1e-4) -> Fractiona
 
     best_w = inits[0].copy()
     best_val = -math.inf
+    best_dec = None
+    upper = math.inf
     total = 0
-    capped = False
-    last_phase_gain = math.inf
     phase_budget = max(1, SOLVER_ITERATION_CAP // (len(inits) * 4))
-    for w0 in inits:
-        w = w0.copy()
-        for a in (2.0, 0.5, 0.1, 0.02):
-            phase_start_best = best_val
-            for it in range(1, phase_budget + 1):
-                if total >= SOLVER_ITERATION_CAP:
-                    capped = True
-                    break
-                total += 1
-                val, grad = _lambda2_with_gradient(lb, inc, w)
-                if val > best_val:
-                    best_val = val
-                    best_w = w.copy()
-                gnorm = float(np.linalg.norm(grad))
-                if gnorm < 1e-14:
-                    break
-                w = _project_capped_box(w + (a / math.sqrt(it)) * grad / gnorm, cap)
-            last_phase_gain = best_val - phase_start_best
-            if capped:
+    phases = [(w0, a) for w0 in inits for a in (2.0, 0.5, 0.1, 0.02)]
+    for index, (w0, a) in enumerate(phases):
+        # each start opens from its own point; later phases restart from the best iterate
+        w = (w0 if index % 4 == 0 else best_w).copy()
+        for it in range(1, phase_budget + 1):
+            if total >= SOLVER_ITERATION_CAP:
                 break
-            w = best_w.copy()
-        if capped:
+            total += 1
+            val, grad, dec = _lambda2_with_gradient(lb, inc, w)
+            if val > best_val:
+                best_val, best_w, best_dec = val, w.copy(), dec
+            if total == CERTIFICATE_FIRST_CHECK or it == phase_budget:
+                upper = min(upper, certify(best_val, best_dec))
+                if upper - best_val <= tol:
+                    break
+            gnorm = float(np.linalg.norm(grad))
+            if gnorm < 1e-14:
+                break
+            w = _project_capped_box(w + (a / math.sqrt(it)) * grad / gnorm, cap)
+        if upper - best_val <= tol or total >= SOLVER_ITERATION_CAP:
             break
 
     filled = _fill_budget(best_w.copy(), cap)
     filled_val = _lambda2(lb, inc, filled)
     if filled_val >= best_val:
         best_w, best_val = filled, filled_val
-    lam, grad = _lambda2_with_gradient(lb, inc, best_w)
+    lam, grad, dec = _lambda2_with_gradient(lb, inc, best_w)
     if lam >= best_val:
         best_val = lam
+    if upper - best_val > tol:
+        upper = min(upper, certify(best_val, dec))
     total_w = float(best_w.sum())
     if total_w > inst.k + 1e-8 or float(best_w.min()) < -1e-10 or float(best_w.max()) > 1.0 + 1e-10:
         raise NumericalError(f"solver left the feasible region: sum={total_w!r}")
-    converged = (not capped) and last_phase_gain <= tol
+    # Raising an upper bound keeps it one. Rounding can put the computed
+    # lambda_2 of the best iterate a few ulps above a tight bound.
+    upper = max(upper, best_val)
     return FractionalSolution(
         weights=best_w,
         lambda_sdp=float(best_val),
+        lambda_upper=float(upper),
+        gap=float(upper - best_val),
         iterations=total,
         gradient_norm=float(np.linalg.norm(grad)),
-        converged=converged,
+        converged=upper - best_val <= tol,
     )
 
 
@@ -293,7 +434,7 @@ def lambda_k2_bound(g: WeightedGraph, k: int) -> float:
         raise PreconditionError(f"k must be nonnegative, got {k}")
     if k + 2 > g.n:
         return math.inf
-    return float(eigvalsh(laplacian(g))[k + 1])
+    return float(_spectrum(check_symmetric(laplacian(g)))[k + 1])
 
 
 def round_solution(inst: ConnectivityInstance, frac: FractionalSolution) -> RoundedSolution:
@@ -313,7 +454,7 @@ def round_solution(inst: ConnectivityInstance, frac: FractionalSolution) -> Roun
     four_delta = 4.0 * inst.delta
     if four_delta <= 0.0:
         raise PreconditionError("Delta must be positive to round (no edges anywhere)")
-    lam2_base = float(eigvalsh(laplacian(inst.base))[1])
+    lam2_base = _lambda2_of(laplacian(inst.base))
     if math.isfinite(lam_k2):
         floor = lam_k2 * frac.lambda_sdp / (LOWER_CONSTANT_DIVISOR * four_delta**2)
     else:

@@ -5,9 +5,10 @@ few hundred): Laplacians, eigendecompositions, one factor per Laplacian
 (its pseudoinverse square root on the image), subspace restrictions, and
 generalized eigenvalues of PSD pencils.
 
-Solvers: Laplacian factors, pencils and the selection engine use numpy's
-LAPACK (`_decompose`, `_spectrum`); `eigh` and `eigvalsh` use scipy's and
-serve the connectivity solver.
+Solvers: Laplacian factors, pencils, the selection engine and the
+connectivity solver use numpy's LAPACK (`_decompose`, `_spectrum`). `eigh`
+and `eigvalsh` use scipy's; no command's solve path calls them, so they
+give an independent check.
 """
 
 from __future__ import annotations
@@ -234,13 +235,19 @@ class Subspace:
 
 
 def laplacian(g: WeightedGraph) -> np.ndarray:
-    """Dense Laplacian: weighted degrees on the diagonal, -w off-diagonal."""
+    """Dense Laplacian: weighted degrees on the diagonal, -w off-diagonal.
+
+    One unbuffered `np.add.at` adds each edge's four entries in edge order,
+    so every diagonal entry sums its weights in the same order as a loop over
+    the edges would.
+    """
     lap = np.zeros((g.n, g.n))
-    for u, v, w in g.edges:
-        lap[u, u] += w
-        lap[v, v] += w
-        lap[u, v] -= w
-        lap[v, u] -= w
+    if g.edges:
+        edges = np.array(g.edges)
+        u, v, w = edges[:, 0].astype(int), edges[:, 1].astype(int), edges[:, 2]
+        rows = np.stack((u, v, u, v), axis=1).ravel()
+        cols = np.stack((u, v, v, u), axis=1).ravel()
+        np.add.at(lap, (rows, cols), np.stack((w, w, -w, -w), axis=1).ravel())
     return lap
 
 

@@ -257,7 +257,8 @@ def test_07_exhaustive_oracle_brackets_solver_and_rounding():
         lam_k2 = lambda_k2_bound(inst.base, inst.k)
         rounded = round_solution(inst, frac)
 
-        assert brute_val <= min(frac.lambda_sdp + 1e-3, lam_k2 + 1e-9)
+        assert frac.lambda_sdp <= frac.lambda_upper
+        assert brute_val <= min(frac.lambda_upper + 1e-9, lam_k2 + 1e-9)
         assert frac.lambda_sdp >= brute_val - 1e-3
         assert len(rounded.selected) <= 8 * inst.k + 1
         if math.isfinite(lam_k2):

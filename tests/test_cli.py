@@ -224,6 +224,10 @@ def test_algconn_command_with_oracle_block(tmp_path):
     assert code == 0
     report = json.loads(rep.read_text())
     assert report["fractional"]["lambda_sdp"] == pytest.approx(3.0, abs=1e-3)
+    frac = report["fractional"]
+    assert frac["lambda_sdp"] <= frac["lambda_upper"]
+    assert frac["gap"] == frac["lambda_upper"] - frac["lambda_sdp"]
+    assert frac["converged"] is (frac["gap"] <= 1e-4)
     assert report["rounded"]["selected"] == [[0, 2]]
     assert report["rounded"]["lambda2_unweighted"] == pytest.approx(3.0, abs=1e-9)
     assert report["oracle"]["value"] == pytest.approx(3.0, abs=1e-9)

@@ -1,4 +1,6 @@
 """Fractional edge-addition solver, rounding, and the brute-force reference."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,11 @@ from lapsparse.core import (
     laplacian,
 )
 from lapsparse.connectivity import (
+    CERTIFICATE_RANK,
     ConnectivityInstance,
+    _DualCertificate,
+    _incidence_rows,
+    _project_capped_box,
     brute_force_opt,
     lambda_k2_bound,
     round_solution,
@@ -25,6 +31,25 @@ def path3() -> WeightedGraph:
 
 def lambda2(g: WeightedGraph) -> float:
     return float(eigvalsh(laplacian(g))[1])
+
+
+def lambda2_with(base: WeightedGraph, pairs, weights) -> float:
+    lap = laplacian(base)
+    for (u, v), w in zip(pairs, weights):
+        lap[u, u] += w
+        lap[v, v] += w
+        lap[u, v] -= w
+        lap[v, u] -= w
+    return float(np.linalg.eigvalsh(lap)[1])
+
+
+def random_instance(rng, n: int, m_max: int, k_max: int, extra_edges: int = 2):
+    """Connected random base on n vertices, up to m_max candidate non-edges, k in 1..k_max."""
+    base = random_connected_graph(rng, n, extra_edges=extra_edges)
+    pool = sorted({(u, v) for u in range(n) for v in range(u + 1, n)} - base.edge_pairs())
+    m = int(rng.integers(1, min(len(pool), m_max) + 1))
+    cand = [pool[int(j)] for j in rng.choice(len(pool), size=m, replace=False)]
+    return ConnectivityInstance(base, cand, int(rng.integers(1, k_max + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -73,6 +98,22 @@ def test_zero_budget_keeps_the_base_value():
     frac = solve_fractional(inst)
     assert frac.weights == pytest.approx([0.0], abs=0.0)
     assert frac.lambda_sdp == pytest.approx(lambda2(path3()), abs=1e-9)
+    # the only feasible point is w = 0, and the certificate finds that out
+    assert frac.lambda_upper == pytest.approx(frac.lambda_sdp, rel=1e-12, abs=1e-14)
+    assert frac.gap <= 1e-12 and frac.converged and frac.iterations == 0
+
+
+def test_disconnected_base_and_candidates_certify_zero_without_iterating():
+    # vertices {0,1,2} and {3,4} stay apart whatever the weights
+    base = WeightedGraph(5, [(0, 1, 1.0), (3, 4, 2.0)])
+    inst = ConnectivityInstance(base, [(1, 2), (0, 2)], 1)
+    frac = solve_fractional(inst)
+    assert frac.lambda_sdp == 0.0 and frac.lambda_upper == 0.0 and frac.gap == 0.0
+    assert frac.iterations == 0 and frac.converged
+    assert brute_force_opt(inst)[0] == pytest.approx(0.0, abs=1e-12)
+    rounded = round_solution(inst, frac)
+    assert rounded.selected == ()
+    assert rounded.lambda2_weighted == pytest.approx(0.0, abs=1e-12)
 
 
 def test_fractional_value_never_falls_below_the_base():
@@ -140,6 +181,78 @@ def test_expander_candidates_reach_the_uniform_value():
     assert uniform_value > 0
     frac = solve_fractional(inst)
     assert frac.lambda_sdp >= uniform_value - 1e-6
+
+
+def _bisection_projection(v: np.ndarray, cap: float) -> np.ndarray:
+    """Reference: projection onto {0 <= w <= 1, sum w <= cap} by 100 bisection steps on tau."""
+    w = np.clip(v, 0.0, 1.0)
+    if float(w.sum()) <= cap + 1e-12:
+        return w
+    lo, hi = 0.0, float(np.max(v))
+    for _ in range(100):
+        tau = 0.5 * (lo + hi)
+        if float(np.clip(v - tau, 0.0, 1.0).sum()) > cap:
+            lo = tau
+        else:
+            hi = tau
+    return np.clip(v - hi, 0.0, 1.0)
+
+
+def test_exact_projection_matches_the_bisection():
+    rng = np.random.default_rng(71)
+    cases = []
+    for scale in 10.0 ** np.arange(-6, 7):
+        for m in (1, 2, 7, 40, 150):
+            v = scale * rng.standard_normal(m)
+            total = float(np.clip(v, 0.0, 1.0).sum())
+            for cap in (0.0, 0.3 * total, 0.9 * total, float(m // 2), float(m), m + 2.5):
+                cases.append((v, cap))
+            ties = scale * rng.integers(-2, 3, size=m).astype(float)
+            cases += [(ties, float(c)) for c in range(m + 1)]
+            clipped = 1.0 + scale * rng.random(m)  # above 1: clipping changes every entry
+            cases += [(clipped, float(c)) for c in (0, m // 3, m - 1, m)]
+    cases.append((np.full(6, 2.0), 3.0))  # one tie block inside the box
+    cases.append((np.array([-1.0, -5.0, 0.0]), 1.0))  # everything clipped to 0
+    for v, cap in cases:
+        got = _project_capped_box(v, cap)
+        want = _bisection_projection(v, cap)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(v))))
+        assert float(got.sum()) <= cap + 1e-12
+        assert np.all(got >= 0.0) and np.all(got <= 1.0)
+
+
+def test_certificate_bounds_lambda2_for_any_basis_and_feasible_weights():
+    # the bound holds for every basis V with 1 projected out, eigenvectors or not
+    rng = np.random.default_rng(73)
+    for _ in range(12):
+        inst = random_instance(rng, int(rng.integers(4, 12)), m_max=10, k_max=3)
+        lb = laplacian(inst.base)
+        inc = _incidence_rows(inst.base.n, inst.candidates)
+        m, k = len(inst.candidates), min(inst.k, len(inst.candidates))
+        weights = [rng.uniform(0.0, 1.0, size=m) for _ in range(20)]
+        weights = [w * min(1.0, k / float(w.sum())) for w in weights]
+        weights += [np.array([1.0 if i in s else 0.0 for i in range(m)]) for s in itertools.combinations(range(m), k)]
+        r = min(CERTIFICATE_RANK, inst.base.n - 1)
+        certificate = _DualCertificate(lb, inc, k)
+        for _ in range(3):
+            upper = certificate.check(rng.standard_normal((inst.base.n, r)), -np.inf)
+            for w in weights:
+                assert lambda2_with(inst.base, inst.candidates, w) <= upper + 1e-12 * max(1.0, upper)
+
+
+def test_certificate_bounds_the_solver_and_the_brute_force_optimum():
+    rng = np.random.default_rng(79)
+    for _ in range(15):
+        inst = random_instance(rng, int(rng.integers(4, 9)), m_max=8, k_max=3, extra_edges=1)
+        frac = solve_fractional(inst)
+        brute_val, _ = brute_force_opt(inst)
+        assert frac.lambda_sdp <= frac.lambda_upper
+        assert frac.gap == pytest.approx(frac.lambda_upper - frac.lambda_sdp, abs=0.0)
+        assert frac.converged == (frac.gap <= 1e-4)
+        assert brute_val <= frac.lambda_upper + 1e-12
+        w = rng.uniform(0.0, 1.0, size=len(inst.candidates))
+        w *= min(1.0, inst.k / float(w.sum()))
+        assert lambda2_with(inst.base, inst.candidates, w) <= frac.lambda_upper + 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,31 @@ def test_laplacian_quadratic_form_matches_edge_sum():
     assert np.allclose(lap @ np.ones(12), 0.0, atol=1e-12)
 
 
+def _reference_laplacian(g: WeightedGraph) -> np.ndarray:
+    """Reference: four scalar updates per edge, in edge order."""
+    lap = np.zeros((g.n, g.n))
+    for u, v, w in g.edges:
+        lap[u, u] += w
+        lap[v, v] += w
+        lap[u, v] -= w
+        lap[v, u] -= w
+    return lap
+
+
+def test_laplacian_matches_the_edge_loop_bit_for_bit():
+    rng = np.random.default_rng(5)
+    graphs = [WeightedGraph(0, []), WeightedGraph(3, []), WeightedGraph(2, [(0, 1, 0.1)])]
+    for _ in range(200):
+        n = int(rng.integers(2, 50))
+        graphs.append(
+            random_connected_graph(rng, n, extra_edges=int(rng.integers(0, 3 * n)), wmin=1e-6, wmax=1e6)
+        )
+    for g in graphs:
+        got, want = laplacian(g), _reference_laplacian(g)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=2, max_value=20), st.integers(min_value=0, max_value=30), st.integers())
 def test_laplacian_of_connected_graph_has_simple_nullspace(n, extra, seed):
