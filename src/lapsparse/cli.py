@@ -46,7 +46,7 @@ from .connectivity import (
     round_solution,
     solve_fractional,
 )
-from .patch import sparsify_patch, verify_patch
+from .patch import sparsify_patch
 from .ultra import build_ultrasparsifier
 
 COHERENCE_TOL = 1e-9
@@ -82,14 +82,15 @@ def parse_graph_text(text: str, name: str) -> WeightedGraph:
         edges.append((u, v, w, lineno))
     if n is None:
         raise ParseError(f"{name}: missing 'n <count>' header")
-    for u, v, w, lineno in edges:
-        try:
-            WeightedGraph(max(n, 1), [(u, v, w)])
-        except PreconditionError as exc:
-            raise ParseError(f"{name}:{lineno}: {exc}") from None
     try:
         return WeightedGraph(n, [(u, v, w) for u, v, w, _ in edges])
     except PreconditionError as exc:
+        # name the first line that is bad on its own, if one is
+        for u, v, w, lineno in edges:
+            try:
+                WeightedGraph(max(n, 1), [(u, v, w)])
+            except PreconditionError as line_exc:
+                raise ParseError(f"{name}:{lineno}: {line_exc}") from None
         raise ParseError(f"{name}: {exc}") from None
 
 
@@ -253,6 +254,29 @@ def _write_trace_csv(path: str, engine_results) -> None:
                 )
 
 
+def _report_tail(engine_results, trace_csv, worst: float, t_start: float, t_solve: float) -> dict:
+    """The closing blocks of an engine command's report: the potential
+    trace, the coherence verdict and the timings. Writes the trace CSV first
+    when one is asked for, so total_seconds includes it."""
+    if trace_csv is not None:
+        _write_trace_csv(trace_csv, engine_results)
+    t_end = time.perf_counter()
+    return {
+        "potential_trace": [
+            {"engine": i, "steps": _engine_trace_rows(res)}
+            for i, res in enumerate(engine_results)
+        ],
+        "coherence": {
+            "recomputed_from_output": True,
+            "max_relative_deviation": worst,
+        },
+        "timings": {
+            "solve_seconds": t_solve - t_start,
+            "total_seconds": t_end - t_start,
+        },
+    }
+
+
 def _relative_deviation(a: float, b: float) -> float:
     if math.isinf(a) and math.isinf(b):
         return 0.0
@@ -291,8 +315,6 @@ def cmd_sparsify_patch(
     result = sparsify_patch(g, w, k, n_budget)
     t_solve = time.perf_counter()
     write_graph(out_path, result.wk)
-    if trace_csv is not None:
-        _write_trace_csv(trace_csv, result.engine_results)
 
     wk_back = read_graph(out_path)
     gw = g.union(w) if w.edges else g
@@ -313,7 +335,6 @@ def cmd_sparsify_patch(
             f" [{re_lower!r}, {re_upper!r}] vs certified"
             f" [{result.certified_lower!r}, {result.certified_upper!r}]"
         )
-    t_end = time.perf_counter()
 
     return {
         "command": "sparsify-patch",
@@ -336,18 +357,7 @@ def cmd_sparsify_patch(
             "total_weight": result.total_weight,
             "support": result.wk.num_edges,
         },
-        "potential_trace": [
-            {"engine": i, "steps": _engine_trace_rows(res)}
-            for i, res in enumerate(result.engine_results)
-        ],
-        "coherence": {
-            "recomputed_from_output": True,
-            "max_relative_deviation": worst,
-        },
-        "timings": {
-            "solve_seconds": t_solve - t_start,
-            "total_seconds": t_end - t_start,
-        },
+        **_report_tail(result.engine_results, trace_csv, worst, t_start, t_solve),
     }
 
 
@@ -366,8 +376,6 @@ def cmd_ultra(
     t_solve = time.perf_counter()
     write_graph(out_path, result.u)
     engine_results = result.patch.engine_results if result.patch is not None else ()
-    if trace_csv is not None:
-        _write_trace_csv(trace_csv, engine_results)
 
     u_back = read_graph(out_path)
     vals_gu = pencil_eigenvalues(laplacian(g), factor_laplacian(u_back))
@@ -387,7 +395,6 @@ def cmd_ultra(
             f"written output violates the certified floor: measured {float(vals_gu[0])!r}"
             f" vs certified {result.certified_lower!r}"
         )
-    t_end = time.perf_counter()
 
     report = {
         "command": "ultra",
@@ -409,18 +416,7 @@ def cmd_ultra(
             "pencil_g_over_u_upper": result.gen_upper,
             "relative_condition_number": result.kappa_measured,
         },
-        "potential_trace": [
-            {"engine": i, "steps": _engine_trace_rows(res)}
-            for i, res in enumerate(engine_results)
-        ],
-        "coherence": {
-            "recomputed_from_output": True,
-            "max_relative_deviation": worst,
-        },
-        "timings": {
-            "solve_seconds": t_solve - t_start,
-            "total_seconds": t_end - t_start,
-        },
+        **_report_tail(engine_results, trace_csv, worst, t_start, t_solve),
     }
     if result.patch is not None:
         report["patch"] = {
@@ -463,8 +459,6 @@ def cmd_algconn(
     )
     write_graph(out_path, selection)
     engine_results = (rounded.engine,) if rounded.engine is not None else ()
-    if trace_csv is not None:
-        _write_trace_csv(trace_csv, engine_results)
 
     sel_back = read_graph(out_path)
     lap = laplacian(base) + laplacian(sel_back)
@@ -480,7 +474,6 @@ def cmd_algconn(
             f"written selection violates the certified floor: lambda_2 {re_lambda2!r}"
             f" vs floor {rounded.floor!r}"
         )
-    t_end = time.perf_counter()
 
     report = {
         "command": "algconn",
@@ -504,18 +497,7 @@ def cmd_algconn(
             "lambda_k2": rounded.lambda_k2,
             "floor": rounded.floor,
         },
-        "potential_trace": [
-            {"engine": i, "steps": _engine_trace_rows(res)}
-            for i, res in enumerate(engine_results)
-        ],
-        "coherence": {
-            "recomputed_from_output": True,
-            "max_relative_deviation": worst,
-        },
-        "timings": {
-            "solve_seconds": t_solve - t_start,
-            "total_seconds": t_end - t_start,
-        },
+        **_report_tail(engine_results, trace_csv, worst, t_start, t_solve),
     }
     if oracle:
         value, edges = brute_force_opt(inst)

@@ -23,6 +23,7 @@ from .core import (
     PreconditionError,
     TooLargeError,
     WeightedGraph,
+    _add_edges,
     _decompose,
     _spectrum,
     check_symmetric,
@@ -143,12 +144,8 @@ def _lambda2_of(lap: np.ndarray) -> float:
 
 def _graph_lambda2_with(base: WeightedGraph, pairs, weights) -> float:
     """lambda_2 of base plus the given weighted edges."""
-    lap = laplacian(base)
-    for (u, v), w in zip(pairs, weights):
-        lap[u, u] += w
-        lap[v, v] += w
-        lap[u, v] -= w
-        lap[v, u] -= w
+    u, v = np.array(pairs, dtype=int).reshape(-1, 2).T
+    lap = _add_edges(laplacian(base), u, v, np.array(weights, dtype=float))
     return _lambda2_of(symmetrize(lap))
 
 
@@ -501,17 +498,13 @@ def round_solution(inst: ConnectivityInstance, frac: FractionalSolution) -> Roun
     lb = laplacian(inst.base)
     x = symmetrize(h @ lb @ h.T / four_delta)
     vectors = np.zeros((n - 1, len(kept)))
-    lap_frac = lb.copy()
     for j, i in enumerate(kept):
         u, v = inst.candidates[i]
-        w_e = float(frac.weights[i])
-        vectors[:, j] = math.sqrt(w_e / four_delta) * (h[:, u] - h[:, v])
-        lap_frac[u, u] += w_e
-        lap_frac[v, v] += w_e
-        lap_frac[u, v] -= w_e
-        lap_frac[v, u] -= w_e
-    mstar = symmetrize(h @ lap_frac @ h.T / four_delta)
+        vectors[:, j] = math.sqrt(float(frac.weights[i]) / four_delta) * (h[:, u] - h[:, v])
     kept_w = np.array([frac.weights[i] for i in kept])
+    kept_u, kept_v = np.array([inst.candidates[i] for i in kept]).T
+    lap_frac = _add_edges(lb.copy(), kept_u, kept_v, kept_w)
+    mstar = symmetrize(h @ lap_frac @ h.T / four_delta)
     costs = kept_w / float(kept_w.sum())
     costs[-1] = 1.0 - float(costs[:-1].sum())
     problem = EngineProblem(

@@ -2,8 +2,8 @@
 
 Everything downstream works on dense numpy arrays at desk scale (n up to a
 few hundred): Laplacians, eigendecompositions, one factor per Laplacian
-(its pseudoinverse square root on the image), subspace restrictions, and
-generalized eigenvalues of PSD pencils.
+(its pseudoinverse square root on the image), and generalized eigenvalues
+of PSD pencils.
 
 Solvers: Laplacian factors, pencils, the selection engine and the
 connectivity solver use numpy's LAPACK (`_decompose`, `_spectrum`). `eigh`
@@ -16,7 +16,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -77,10 +77,6 @@ class DegenerateGradientError(NumericalError):
     """Potential difference too small to normalize a gradient."""
 
 
-class SingularUpdateError(NumericalError):
-    """Rank-one inverse update has a vanishing denominator."""
-
-
 class InfeasibleStepError(NumericalError):
     """No update index satisfies the selection inequality.
 
@@ -124,7 +120,8 @@ class WeightedGraph:
 
     Edges are stored canonically: u < v, sorted lexicographically, parallel
     input edges merged by weight addition. Self-loops and non-positive
-    weights are rejected. Instances are immutable.
+    weights are rejected, and so are parallel edges whose weights sum past
+    the largest float. Instances are immutable.
     """
 
     n: int
@@ -145,7 +142,10 @@ class WeightedGraph:
             if not (w > 0) or not math.isfinite(w):
                 raise PreconditionError(f"edge ({u},{v}) needs a positive finite weight, got {w}")
             key = (u, v) if u < v else (v, u)
-            merged[key] = merged.get(key, 0.0) + w
+            total = merged.get(key, 0.0) + w
+            if not math.isfinite(total):
+                raise PreconditionError(f"parallel edges ({key[0]},{key[1]}) merge to a non-finite weight")
+            merged[key] = total
         canon = tuple((u, v, merged[(u, v)]) for (u, v) in sorted(merged))
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "edges", canon)
@@ -219,44 +219,27 @@ class SpectralDecomposition:
     eigenvectors: np.ndarray
 
 
-@dataclass(frozen=True)
-class Subspace:
-    """A subspace given by an orthonormal basis matrix of shape (n, d)."""
-
-    basis: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return self.basis.shape[1]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[0]
-
-
 def laplacian(g: WeightedGraph) -> np.ndarray:
-    """Dense Laplacian: weighted degrees on the diagonal, -w off-diagonal.
-
-    One unbuffered `np.add.at` adds each edge's four entries in edge order,
-    so every diagonal entry sums its weights in the same order as a loop over
-    the edges would.
-    """
+    """Dense Laplacian: weighted degrees on the diagonal, -w off-diagonal."""
     lap = np.zeros((g.n, g.n))
     if g.edges:
         edges = np.array(g.edges)
-        u, v, w = edges[:, 0].astype(int), edges[:, 1].astype(int), edges[:, 2]
-        rows = np.stack((u, v, u, v), axis=1).ravel()
-        cols = np.stack((u, v, v, u), axis=1).ravel()
-        np.add.at(lap, (rows, cols), np.stack((w, w, -w, -w), axis=1).ravel())
+        _add_edges(lap, edges[:, 0].astype(int), edges[:, 1].astype(int), edges[:, 2])
     return lap
 
 
-def incidence_vector(n: int, u: int, v: int) -> np.ndarray:
-    """Signed edge-incidence vector e_u - e_v, so L_e = b b^T for a unit edge."""
-    b = np.zeros(n)
-    b[u] = 1.0
-    b[v] = -1.0
-    return b
+def _add_edges(lap: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Add the Laplacians of the edges (u[i], v[i]) of weight w[i] to `lap`
+    in place, and return it.
+
+    One unbuffered `np.add.at` adds each edge's four entries in edge order,
+    so every entry sums its weights in the same order, and to the same
+    floats, as four scalar updates per edge in a loop would.
+    """
+    rows = np.stack((u, v, u, v), axis=1).ravel()
+    cols = np.stack((u, v, v, u), axis=1).ravel()
+    np.add.at(lap, (rows, cols), np.stack((w, w, -w, -w), axis=1).ravel())
+    return lap
 
 
 def eigh(a: np.ndarray) -> SpectralDecomposition:
@@ -420,29 +403,6 @@ def same_components(g: WeightedGraph, h: WeightedGraph) -> bool:
     # the partitions agree iff the labels biject: pairs (lg, lh) are as many as either
     pairs = set(zip(lg.tolist(), lh.tolist()))
     return len(pairs) == len(set(lg.tolist())) == len(set(lh.tolist()))
-
-
-def sm_pinv_update(adag: np.ndarray, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Rank-one pseudoinverse update (A + P v v^T P)^+ from A^+.
-
-    `adag` is the pseudoinverse of a symmetric A and `p` projects onto im(A);
-    the update direction is projected into the image, and the result is
-    A^+ - (A^+ v v^T A^+) / (1 + v^T A^+ v).
-    """
-    adag = check_symmetric(adag)
-    v = np.asarray(v, dtype=float)
-    av = adag @ v
-    denom = 1.0 + float(v @ av)
-    if abs(denom) <= 1e-12:
-        raise SingularUpdateError(f"update denominator 1 + A^+ . vv^T = {denom:g} is numerically zero")
-    return symmetrize(adag - np.outer(av, av) / denom)
-
-
-def restrict(a: np.ndarray, s: Subspace) -> np.ndarray:
-    """The d x d restriction Q^T A Q of a symmetric matrix to a subspace."""
-    a = check_symmetric(a)
-    q = s.basis
-    return symmetrize(q.T @ a @ q)
 
 
 def pencil_eigenvalues(

@@ -35,19 +35,14 @@ from .core import (
     NumericalError,
     PreconditionError,
     SpectralDecomposition,
-    Subspace,
     _decompose,
     _spectrum,
     check_symmetric,
-    eigh,
-    eigvalsh,
-    restrict,
     symmetrize,
 )
 
-# Certified explicit constants: lambda_min floor divisor and lambda_max ceiling.
+# Certified explicit constant: the lambda_min floor divisor.
 LOWER_CONSTANT_DIVISOR = 72.0
-UPPER_CONSTANT = 5.0
 
 
 def integer_trace_bound(trace: float) -> int:
@@ -255,22 +250,9 @@ class EngineResult:
         return np.flatnonzero(self.weights > 0)
 
 
-def fixed_subspace(x: np.ndarray, k: int) -> Subspace:
-    """Span of the eigenvectors of X's k smallest eigenvalues.
-
-    Ties are broken by the deterministic order of the eigensolver. k at or
-    above the dimension clamps to the full space (used by callers whose
-    protected count exceeds the working dimension).
-    """
-    if k < 0:
-        raise PreconditionError(f"k must be nonnegative, got {k}")
-    dec = eigh(x)
-    k_eff = min(k, x.shape[0])
-    return Subspace(dec.eigenvectors[:, :k_eff])
-
-
-def compute_Z(x: np.ndarray, mstar: np.ndarray, s: Subspace) -> tuple[np.ndarray, float]:
-    """Z = ((P_S (M* - X) P_S)^+)^(1/2) as an ambient symmetric matrix.
+def compute_Z(x: np.ndarray, mstar: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]:
+    """Z = ((P_S (M* - X) P_S)^+)^(1/2) as an ambient symmetric matrix, for
+    S spanned by the orthonormal columns of the d x k array `basis`.
 
     If the restriction of M* - X to S is numerically singular, a perturbation
     eps * P_S with eps = 1e-8 * lambda_max(M* - X) is added first; the second
@@ -281,10 +263,9 @@ def compute_Z(x: np.ndarray, mstar: np.ndarray, s: Subspace) -> tuple[np.ndarray
     dvals = _spectrum(d)
     if dvals.size and float(dvals[0]) < -1e-8 * max(1.0, float(dvals[-1])):
         raise PreconditionError(f"Mstar - X must be PSD, got lambda_min = {float(dvals[0]):g}")
-    q = s.basis
-    if s.dim == 0:
+    if basis.shape[1] == 0:
         return np.zeros_like(d), 0.0
-    r = symmetrize(q.T @ d @ q)
+    r = symmetrize(basis.T @ d @ basis)
     rvals, rvecs = np.linalg.eigh(r)
     lam_scale = float(dvals[-1]) if dvals.size else 0.0
     perturbation = 0.0
@@ -293,7 +274,7 @@ def compute_Z(x: np.ndarray, mstar: np.ndarray, s: Subspace) -> tuple[np.ndarray
         rvals = rvals + perturbation
     inv_rt = 1.0 / np.sqrt(rvals)
     z_s = (rvecs * inv_rt) @ rvecs.T
-    return symmetrize(q @ z_s @ q.T), perturbation
+    return symmetrize(basis @ z_s @ basis.T), perturbation
 
 
 def _upper_phi(vals: np.ndarray, u: float, t_bound: int) -> float:
@@ -321,25 +302,6 @@ def _lower_phi(vals: np.ndarray, l: float) -> float:
     return float(np.sum(1.0 / (vals - l)))
 
 
-def lower_potential(b: np.ndarray, l: float, s: Subspace) -> float:
-    """Sum of 1/(lambda_i - l) over the spectrum of B restricted to S.
-
-    Zero for an empty S. Raises if any restricted eigenvalue is at or below l.
-    """
-    if s.dim == 0:
-        return 0.0
-    return _lower_phi(eigvalsh(restrict(b, s)), l)
-
-
-def upper_potential(a: np.ndarray, u: float, t_bound: int) -> float:
-    """Sum of 1/(u - lambda_i) over the T largest eigenvalues of A.
-
-    Raises if lambda_max(A) is at or above u. T above the dimension sums over
-    the whole spectrum.
-    """
-    return _upper_phi(eigvalsh(a), u, t_bound)
-
-
 def _upper_gradient_diag(vals: np.ndarray, u: float, delta_u: float, t_bound: int) -> np.ndarray:
     """Eigenvalues of U_A, in the order of A's ascending eigenvalues `vals`."""
     gap = (u + delta_u) - vals
@@ -361,26 +323,6 @@ def _lower_gradient_diag(rvals: np.ndarray, l: float, delta_l: float) -> np.ndar
     if dphi <= 1e-14:
         raise DegenerateGradientError(f"lower potential difference {dphi:g} too small to normalize")
     return (1.0 / mu**2) / dphi - 1.0 / mu
-
-
-def upper_gradient(a: np.ndarray, u: float, delta_u: float, t_bound: int) -> np.ndarray:
-    """U_A = ((u')I - A)^(-2) / (Phi^u(A) - Phi^{u'}(A)) + ((u')I - A)^(-1), u' = u + delta_u."""
-    dec = eigh(a)
-    diag = _upper_gradient_diag(dec.eigenvalues, u, delta_u, t_bound)
-    return symmetrize((dec.eigenvectors * diag) @ dec.eigenvectors.T)
-
-
-def lower_gradient(b: np.ndarray, l: float, delta_l: float, s: Subspace) -> np.ndarray:
-    """L_B = (P_S(B - l'I)P_S)^{+2} / (Phi_{l'}(B) - Phi_l(B)) - (P_S(B - l'I)P_S)^+, l' = l + delta_l.
-
-    Supported inside S; the zero matrix for an empty S.
-    """
-    if s.dim == 0:
-        return np.zeros_like(b)
-    q = s.basis
-    rvals, rvecs = np.linalg.eigh(symmetrize(q.T @ b @ q))
-    g_s = (rvecs * _lower_gradient_diag(rvals, l, delta_l)) @ rvecs.T
-    return symmetrize(q @ g_s @ q.T)
 
 
 def _selection_scores(
@@ -414,7 +356,15 @@ def _selection_scores(
 def _select(
     problem: EngineProblem, state: EngineState, schedule: EngineSchedule
 ) -> tuple[int, float, float, int]:
-    """Index, step size, selection slack, and feasible-candidate count."""
+    """Pick the update index and step size for the current state; return
+    them with the selection slack and the feasible-candidate count.
+
+    Feasible indices satisfy U_A.Y_i + max(N,T) cost_i <= L_B.(Z Y_i Z); among
+    them the one with maximum slack (lowest index on ties) is chosen, with
+    t = 1/(L_B.(Z Y_i Z)). With an empty S the lower side vanishes identically
+    and the step becomes t = 1/(U_A.Y_i + max(N,T) cost_i) at the index
+    minimizing that quantity. Either way cost_i * t <= 1/max(N,T).
+    """
     lhs, rhs = _selection_scores(problem, state, schedule)
     if state.k_eff == 0:
         idx = int(np.argmin(lhs))
@@ -441,25 +391,10 @@ def _select(
     return idx, 1.0 / float(rhs[idx]), float(slack[idx]), int(np.count_nonzero(slack >= 0))
 
 
-def select_update(
-    problem: EngineProblem, state: EngineState, schedule: EngineSchedule
-) -> tuple[int, float]:
-    """Pick the update index and step size for the current state.
-
-    Feasible indices satisfy U_A.Y_i + max(N,T) cost_i <= L_B.(Z Y_i Z); among
-    them the one with maximum slack (lowest index on ties) is chosen, with
-    t = 1/(L_B.(Z Y_i Z)). With an empty S the lower side vanishes identically
-    and the step becomes t = 1/(U_A.Y_i + max(N,T) cost_i) at the index
-    minimizing that quantity. Either way cost_i * t <= 1/max(N,T).
-    """
-    idx, t, _, _ = _select(problem, state, schedule)
-    return idx, t
-
-
 def run_engine(problem: EngineProblem, collect_trace: bool = True) -> EngineResult:
     """Run exactly N selection steps and certify the outcome.
 
-    Each step picks (i, t) via select_update, adds t Y_i to A (and
+    Each step picks (i, t) via _select, adds t Y_i to A (and
     t (S^T Z v_i)(S^T Z v_i)^T to B_S), then shifts both barriers:
     l += delta_l, u += delta_u. A and B_S are then each decomposed once; the
     decompositions give the barrier checks and potentials, which must not
@@ -468,11 +403,12 @@ def run_engine(problem: EngineProblem, collect_trace: bool = True) -> EngineResu
     """
     dec_x, mstar_vals = problem.validate()
     k_eff = min(problem.k, problem.dim)
-    s = Subspace(dec_x.eigenvectors[:, :k_eff])
-    z, perturbation = compute_Z(problem.X, problem.Mstar, s)
+    # S: the span of X's k smallest eigenvectors, ties broken by the solver's order
+    basis = dec_x.eigenvectors[:, :k_eff]
+    z, perturbation = compute_Z(problem.X, problem.Mstar, basis)
     schedule = init_schedule(problem.k, problem.N, problem.T)
     mx = max(problem.N, problem.T)
-    state = initial_state(problem, schedule, dec_x, s.basis.T @ (z @ problem.vectors))
+    state = initial_state(problem, schedule, dec_x, basis.T @ (z @ problem.vectors))
 
     phi_u = _upper_phi(state.dec_a.eigenvalues, state.u, problem.T)
     phi_l = _lower_phi(state.dec_b.eigenvalues, state.l)

@@ -25,7 +25,7 @@ from .core import (
     pencil_eigenvalues,
     symmetrize,
 )
-from .engine import EngineProblem, integer_trace_bound, run_engine
+from .engine import EngineProblem, run_engine
 
 
 @dataclass(frozen=True)
@@ -160,24 +160,11 @@ def sparsify_patch(
         )
 
     # One factor of L_{G+W} serves the measured certificate, the connected
-    # problem and the final sandwich.
+    # problem and the final sandwich. Connected G+W is a one-part partition.
     factor = factor_laplacian(g.union(w))
     params = verify_patch(g, w, k, factor)
-    n_components = factor.components
-
-    if n_components <= 1:
-        problem = build_patch_problem(g, w, k, n_eff, factor)
-        result = run_engine(problem)
-        wk_edges = [
-            (u, v, rho * we)
-            for (u, v, we), rho in zip(w.edges, result.weights)
-            if rho > 0
-        ]
-        engine_results = (result,)
-        certified_lower = result.explicit_floor
-        certified_upper = result.theta_max
-        realized_budget = n_eff
-        weight_bound = result.cost_bound * w.weight_sum()
+    if factor.components <= 1:
+        parts = [(g, w, np.arange(g.n), factor, k, n_eff)]
     else:
         # Per-component split. Protected counts follow the global bottom-k of
         # the block-diagonal X; budgets follow the component trace bounds.
@@ -185,7 +172,7 @@ def sparsify_patch(
         # its problem, so the problem is built once.
         comps = []
         spectra = []
-        for c in range(n_components):
+        for c in range(factor.components):
             verts = np.flatnonzero(factor.labels == c)
             g_c, old_ids = g.subgraph(verts)
             w_c, _ = w.subgraph(verts)
@@ -197,7 +184,7 @@ def sparsify_patch(
                 spectra.append(np.ones(max(g_c.n - 1, 0)))
             comps.append((g_c, w_c, old_ids, factor_c))
         merged = sorted((val, ci) for ci, vals in enumerate(spectra) for val in vals)
-        k_counts = [0] * n_components
+        k_counts = [0] * len(comps)
         for _, ci in merged[:k]:
             k_counts[ci] += 1
         traces = [
@@ -205,28 +192,25 @@ def sparsify_patch(
             for vals in spectra
         ]
         budgets = _component_budgets(traces, k_counts, n_eff)
-        wk_edges = []
-        engine_results = []
-        floors = []
-        ceilings = []
-        realized_budget = 0
-        weight_bound = 0.0
-        for (g_c, w_c, old_ids, factor_c), k_c, n_c in zip(comps, k_counts, budgets):
-            if not w_c.edges:
-                continue
-            realized_budget += n_c
-            problem = build_patch_problem(g_c, w_c, k_c, n_c, factor_c)
-            result = run_engine(problem)
-            engine_results.append(result)
-            floors.append(result.explicit_floor)
-            ceilings.append(result.theta_max)
-            weight_bound += result.cost_bound * w_c.weight_sum()
-            for (u, v, we), rho in zip(w_c.edges, result.weights):
-                if rho > 0:
-                    wk_edges.append((int(old_ids[u]), int(old_ids[v]), rho * we))
-        engine_results = tuple(engine_results)
-        certified_lower = min(floors) if floors else 1.0
-        certified_upper = max(ceilings) if ceilings else 1.0
+        parts = [comp + (k_c, n_c) for comp, k_c, n_c in zip(comps, k_counts, budgets)]
+
+    wk_edges = []
+    engine_results = []
+    realized_budget = 0
+    weight_bound = 0.0
+    for g_c, w_c, old_ids, factor_c, k_c, n_c in parts:
+        if not w_c.edges:
+            continue
+        realized_budget += n_c
+        result = run_engine(build_patch_problem(g_c, w_c, k_c, n_c, factor_c))
+        engine_results.append(result)
+        weight_bound += result.cost_bound * w_c.weight_sum()
+        for (u, v, we), rho in zip(w_c.edges, result.weights):
+            if rho > 0:
+                wk_edges.append((int(old_ids[u]), int(old_ids[v]), rho * we))
+    # every edge of W lies in one component, so at least one engine ran
+    certified_lower = min(result.explicit_floor for result in engine_results)
+    certified_upper = max(result.theta_max for result in engine_results)
 
     wk = WeightedGraph(g.n, wk_edges)
     sandwich = pencil_eigenvalues(laplacian(g.union(wk)), factor)
@@ -256,6 +240,6 @@ def sparsify_patch(
         total_weight=total_weight,
         weight_bound=weight_bound,
         params=params,
-        n_budget=realized_budget if n_components > 1 else n_eff,
-        engine_results=engine_results,
+        n_budget=realized_budget,
+        engine_results=tuple(engine_results),
     )

@@ -120,16 +120,10 @@ class SpanningTree:
 
 @dataclass(frozen=True)
 class StretchReport:
-    """Per-edge and total stretch of G against a spanning tree.
-
-    trace and tail_counts are filled by sw_trace_check; tail_counts maps each
-    probe threshold t to the number of pencil eigenvalues above t.
-    """
+    """Per-edge and total stretch of G against a spanning tree."""
 
     per_edge: tuple
     total: float
-    trace: float | None = None
-    tail_counts: tuple | None = None
 
 
 def _spt_edges(g: WeightedGraph, root: int) -> list:

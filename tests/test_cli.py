@@ -304,6 +304,12 @@ def test_exit_code_two_on_malformed_input(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "bad.txt:2" in err
 
+    # parallel edges whose weights overflow when merged
+    huge = tmp_path / "huge.txt"
+    huge.write_text("n 2\n0 1 1e308\n1 0 1e308\n")
+    assert main(["verify", str(huge), str(huge)]) == 2
+    assert "huge.txt: parallel edges (0,1) merge to a non-finite weight" in capsys.readouterr().err
+
 
 def test_exit_code_three_on_violated_preconditions(tmp_path, capsys):
     rng = np.random.default_rng(83)

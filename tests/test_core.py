@@ -8,22 +8,18 @@ from lapsparse.core import (
     IncompatibleImagesError,
     NumericalError,
     PreconditionError,
-    SingularUpdateError,
-    Subspace,
     WeightedGraph,
     check_symmetric,
     eigh,
     eigvalsh,
     factor_laplacian,
-    incidence_vector,
+    _add_edges,
     _numpy_openblas,
     laplacian,
     numpy_blas_threads,
     pencil_eigenvalues,
     relative_condition_number,
-    restrict,
     same_components,
-    sm_pinv_update,
     symmetrize,
 )
 
@@ -108,6 +104,9 @@ def test_graph_rejects_bad_edges():
         WeightedGraph(3, [(0, 1, -2.0)])
     with pytest.raises(PreconditionError):
         WeightedGraph(-1, [])
+    # each weight is finite, their merged sum is not
+    with pytest.raises(PreconditionError, match="non-finite"):
+        WeightedGraph(2, [(0, 1, 1e308), (1, 0, 1e308)])
 
 
 def test_graph_scale_union_degrees():
@@ -170,6 +169,21 @@ def test_laplacian_matches_the_edge_loop_bit_for_bit():
         got, want = laplacian(g), _reference_laplacian(g)
         assert got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+    # edges added onto an existing Laplacian, repeated pairs included, as
+    # the connectivity solver adds candidate edges to its base graph
+    for g in graphs[3:103]:
+        m = int(rng.integers(0, 3 * g.n))
+        u = rng.integers(0, g.n, size=m)
+        v = (u + rng.integers(1, g.n, size=m)) % g.n
+        w = 10.0 ** rng.uniform(-6, 6, size=m)
+        got = _add_edges(laplacian(g), u, v, w)
+        want = _reference_laplacian(g)
+        for a, b, x in zip(u, v, w):
+            want[a, a] += x
+            want[b, b] += x
+            want[a, b] -= x
+            want[b, a] -= x
+        assert got.tobytes() == want.tobytes()
 
 
 @settings(max_examples=40, deadline=None)
@@ -183,7 +197,7 @@ def test_laplacian_of_connected_graph_has_simple_nullspace(n, extra, seed):
 
 
 def test_incidence_vector_outer_product_is_edge_laplacian():
-    b = incidence_vector(4, 1, 3)
+    b = np.array([0.0, 1.0, 0.0, -1.0])  # e_1 - e_3
     lap = laplacian(WeightedGraph(4, [(1, 3, 1.0)]))
     assert np.allclose(np.outer(b, b), lap)
 
@@ -282,40 +296,6 @@ def test_numpy_blas_threads_sets_and_restores_the_count():
     with pytest.raises(RuntimeError), numpy_blas_threads(1):
         raise RuntimeError("restored on the way out")
     assert count() == before
-
-
-def test_sm_update_matches_dense_inverse_in_nonsingular_case():
-    rng = np.random.default_rng(11)
-    a = random_psd(rng, 7)
-    v = rng.standard_normal(7)
-    got = sm_pinv_update(np.linalg.inv(a), np.eye(7), v)
-    want = np.linalg.inv(a + np.outer(v, v))
-    assert np.allclose(got, want, atol=1e-9)
-
-
-def test_sm_update_matches_dense_pseudoinverse_on_image():
-    rng = np.random.default_rng(13)
-    g = random_connected_graph(rng, 8, extra_edges=5)
-    lap = laplacian(g)
-    v = lap @ rng.standard_normal(8)  # in the image
-    f = factor_laplacian(g).f
-    p = lap @ f @ f.T
-    got = sm_pinv_update(f @ f.T, p, v)
-    want = np.linalg.pinv(lap + np.outer(v, v))
-    assert np.allclose(got, want, atol=1e-8)
-
-
-def test_sm_update_rejects_vanishing_denominator():
-    a = np.diag([1.0, -1.0])
-    v = np.array([0.0, 1.0])  # 1 + v^T A^-1 v = 0
-    with pytest.raises(SingularUpdateError):
-        sm_pinv_update(np.linalg.inv(a), np.eye(2), v)
-
-
-def test_restrict_reads_off_diagonal_blocks():
-    a = np.diag([1.0, 2.0, 3.0])
-    s = Subspace(np.eye(3)[:, :2])
-    assert np.allclose(restrict(a, s), np.diag([1.0, 2.0]))
 
 
 def test_pencil_of_doubled_graph_is_constant_two():

@@ -11,27 +11,71 @@ from lapsparse.core import (
     InfeasibleStepError,
     PreconditionError,
     SpectralDecomposition,
-    Subspace,
     eigh,
     eigvalsh,
-    restrict,
     symmetrize,
 )
 from lapsparse.engine import (
     EngineProblem,
+    _lower_gradient_diag,
+    _lower_phi,
+    _select,
     _selection_scores,
+    _upper_gradient_diag,
+    _upper_phi,
     compute_Z,
-    fixed_subspace,
     init_schedule,
     initial_state,
     integer_trace_bound,
-    lower_gradient,
-    lower_potential,
     run_engine,
-    select_update,
-    upper_gradient,
-    upper_potential,
 )
+
+
+# Dense gradients from their definitions, an independent reference for the
+# engine's eigenbasis scoring. With u' = u + delta_u and l' = l + delta_l:
+#   U_A = (u'I - A)^-2 / (Phi^u(A) - Phi^u'(A)) + (u'I - A)^-1,
+#   L_B = (P_S(B - l'I)P_S)^+2 / (Phi_l'(B) - Phi_l(B)) - (P_S(B - l'I)P_S)^+,
+# where Phi^u sums 1/(u - lambda) over the T largest eigenvalues of A, Phi_l
+# sums 1/(lambda - l) over the spectrum of B on S, and L_B = 0 for an empty S.
+
+
+def dense_upper_gradient(a, u, delta_u, t_bound):
+    vals, vecs = np.linalg.eigh(a)
+    top = vals[-min(t_bound, vals.size):]
+    dphi = np.sum(1.0 / (u - top)) - np.sum(1.0 / (u + delta_u - top))
+    gap = u + delta_u - vals
+    return symmetrize((vecs * ((1.0 / gap**2) / dphi + 1.0 / gap)) @ vecs.T)
+
+
+def dense_lower_gradient(b, l, delta_l, basis):
+    if basis.shape[1] == 0:
+        return np.zeros_like(b)
+    rvals, rvecs = np.linalg.eigh(symmetrize(basis.T @ b @ basis))
+    mu = rvals - (l + delta_l)
+    dphi = np.sum(1.0 / mu) - np.sum(1.0 / (rvals - l))
+    g_s = (rvecs * ((1.0 / mu**2) / dphi - 1.0 / mu)) @ rvecs.T
+    return symmetrize(basis @ g_s @ basis.T)
+
+
+def engine_upper_gradient(a, u, delta_u, t_bound):
+    """U_A with the eigenvalues the engine scores with."""
+    vals, vecs = np.linalg.eigh(a)
+    return symmetrize((vecs * _upper_gradient_diag(vals, u, delta_u, t_bound)) @ vecs.T)
+
+
+def engine_lower_gradient(b, l, delta_l, basis):
+    """L_B with the eigenvalues the engine scores with, on B_S = S^T B S."""
+    rvals, rvecs = np.linalg.eigh(symmetrize(basis.T @ b @ basis))
+    g_s = (rvecs * _lower_gradient_diag(rvals, l, delta_l)) @ rvecs.T
+    return symmetrize(basis @ g_s @ basis.T)
+
+
+def upper_potential(a, u, t_bound):
+    return _upper_phi(np.linalg.eigvalsh(a), u, t_bound)
+
+
+def lower_potential(b, l, basis):
+    return _lower_phi(np.linalg.eigvalsh(symmetrize(basis.T @ b @ basis)), l)
 
 
 # ---------------------------------------------------------------------------
@@ -70,30 +114,12 @@ def test_integer_trace_bound_rounds_up_and_floors_at_one():
 # protected subspace and normalizer
 
 
-def test_fixed_subspace_picks_bottom_eigenvectors():
-    s = fixed_subspace(np.diag([1.0, 2.0, 3.0]), 2)
-    p = s.basis @ s.basis.T
-    want = np.diag([1.0, 1.0, 0.0])
-    assert np.allclose(p, want, atol=1e-12)
-    assert fixed_subspace(np.diag([1.0, 2.0]), 0).dim == 0
-    assert fixed_subspace(np.diag([1.0, 2.0]), 5).dim == 2
-
-
-def test_fixed_subspace_restriction_tops_out_at_kth_eigenvalue():
-    rng = np.random.default_rng(5)
-    x = random_psd(rng, 8)
-    k = 3
-    s = fixed_subspace(x, k)
-    vals = eigvalsh(restrict(x, s))
-    assert vals[-1] == pytest.approx(np.sort(eigvalsh(x))[k - 1], abs=1e-9)
-
-
 def test_normalizer_inverts_the_restricted_gap():
     rng = np.random.default_rng(9)
     d = 6
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    s = Subspace(q[:, :2])
-    p = s.basis @ s.basis.T
+    s = q[:, :2]
+    p = s @ s.T
     x = np.zeros((d, d))
 
     z, eps = compute_Z(x, p, s)  # M* - X = P_S
@@ -111,9 +137,8 @@ def test_normalizer_inverts_the_restricted_gap():
 
 
 def test_normalizer_rejects_indefinite_gap():
-    s = Subspace(np.eye(3)[:, :1])
     with pytest.raises(PreconditionError):
-        compute_Z(np.eye(3), np.zeros((3, 3)), s)
+        compute_Z(np.eye(3), np.zeros((3, 3)), np.eye(3)[:, :1])
 
 
 # ---------------------------------------------------------------------------
@@ -123,48 +148,45 @@ def test_normalizer_rejects_indefinite_gap():
 def test_lower_potential_at_start_equals_its_budget():
     for k, n_budget, t_bound in [(1, 9, 4), (2, 17, 6), (3, 25, 25)]:
         s = init_schedule(k, n_budget, t_bound)
-        sub = Subspace(np.eye(8)[:, :k])
-        phi = lower_potential(np.zeros((8, 8)), s.l0, sub)
+        phi = _lower_phi(np.zeros(k), s.l0)
         assert phi == pytest.approx(s.eps_l, rel=1e-12)
 
 
 def test_lower_potential_identity_block_is_dimension():
-    sub = Subspace(np.eye(5)[:, :3])
-    assert lower_potential(np.eye(5), 0.0, sub) == pytest.approx(3.0, rel=1e-12)
-    assert lower_potential(np.eye(5), 0.0, Subspace(np.eye(5)[:, :0])) == 0.0
+    assert _lower_phi(np.ones(3), 0.0) == pytest.approx(3.0, rel=1e-12)
+    assert _lower_phi(np.zeros(0), 0.0) == 0.0
 
 
 def test_lower_potential_matches_eigensum_oracle():
     rng = np.random.default_rng(21)
     b = random_psd(rng, 7, lo=1.0, hi=3.0)
     q, _ = np.linalg.qr(rng.standard_normal((7, 7)))
-    sub = Subspace(q[:, :4])
+    b_s = symmetrize(q[:, :4].T @ b @ q[:, :4])
     l = 0.5
-    want = float(np.sum(1.0 / (eigvalsh(restrict(b, sub)) - l)))
-    assert lower_potential(b, l, sub) == pytest.approx(want, rel=1e-9)
+    want = float(np.sum(1.0 / (eigvalsh(b_s) - l)))
+    assert _lower_phi(np.linalg.eigvalsh(b_s), l) == pytest.approx(want, rel=1e-9)
 
 
 def test_lower_potential_raises_past_the_barrier():
-    sub = Subspace(np.eye(3)[:, :2])
     with pytest.raises(BarrierViolationError):
-        lower_potential(np.zeros((3, 3)), 0.0, sub)
+        _lower_phi(np.zeros(2), 0.0)
 
 
 def test_upper_potential_at_start_stays_within_budget():
     for k, n_budget, t_bound in [(1, 9, 4), (2, 17, 17)]:
         s = init_schedule(k, n_budget, t_bound)
-        phi = upper_potential(np.zeros((6, 6)), s.u0, t_bound)
+        phi = _upper_phi(np.zeros(6), s.u0, t_bound)
         assert phi <= s.eps_u + 1e-12
 
 
 def test_upper_potential_counts_trace_slots():
     # A = 0, u = 1: each of the T tracked slots contributes 1/(1 - 0) = 1,
     # and T clamps to the dimension.
-    assert upper_potential(np.zeros((4, 4)), 1.0, 4) == pytest.approx(4.0, rel=1e-12)
-    assert upper_potential(np.zeros((2, 2)), 1.0, 7) == pytest.approx(2.0, rel=1e-12)
-    assert upper_potential(np.diag([0.0, 0.5]), 1.0, 1) == pytest.approx(2.0, rel=1e-12)
+    assert _upper_phi(np.zeros(4), 1.0, 4) == pytest.approx(4.0, rel=1e-12)
+    assert _upper_phi(np.zeros(2), 1.0, 7) == pytest.approx(2.0, rel=1e-12)
+    assert _upper_phi(np.array([0.0, 0.5]), 1.0, 1) == pytest.approx(2.0, rel=1e-12)
     with pytest.raises(BarrierViolationError):
-        upper_potential(np.eye(3), 1.0, 3)
+        _upper_phi(np.ones(3), 1.0, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +196,7 @@ def test_upper_potential_counts_trace_slots():
 def test_upper_gradient_scalar_case():
     # one dimension, A = 0, u = 2, delta_u = 1, T = 1:
     # (1/9) / (1/2 - 1/3) + 1/3 = 2/3 + 1/3 = 1
-    g = upper_gradient(np.zeros((1, 1)), 2.0, 1.0, 1)
+    g = engine_upper_gradient(np.zeros((1, 1)), 2.0, 1.0, 1)
     assert g.shape == (1, 1)
     assert g[0, 0] == pytest.approx(1.0, rel=1e-12)
 
@@ -182,8 +204,7 @@ def test_upper_gradient_scalar_case():
 def test_lower_gradient_scalar_case():
     # B = 1 on a one-dimensional S, l = 0, delta_l = 1/2:
     # (1/(1/2)^2) / (1/(1/2) - 1/1) - 1/(1/2) = 4 - 2 = 2
-    sub = Subspace(np.eye(1))
-    g = lower_gradient(np.ones((1, 1)), 0.0, 0.5, sub)
+    g = engine_lower_gradient(np.ones((1, 1)), 0.0, 0.5, np.eye(1))
     assert g[0, 0] == pytest.approx(2.0, rel=1e-12)
 
 
@@ -191,10 +212,10 @@ def test_lower_gradient_vanishes_off_the_subspace():
     rng = np.random.default_rng(31)
     d = 6
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-    sub = Subspace(q[:, :2])
-    p = sub.basis @ sub.basis.T
+    basis = q[:, :2]
+    p = basis @ basis.T
     b = symmetrize(p @ random_psd(rng, d, lo=1.0, hi=2.0) @ p)
-    g = lower_gradient(b, -0.25, 0.05, sub)
+    g = engine_lower_gradient(b, -0.25, 0.05, basis)
     perp = np.eye(d) - p
     assert np.max(np.abs(perp @ g @ perp)) <= 1e-9
 
@@ -208,7 +229,7 @@ def test_upper_gradient_certifies_a_safe_step_size():
         t_bound = int(rng.integers(1, d + 1))
         a = random_psd(rng, d, lo=0.0, hi=0.5)
         u, delta_u = 2.0, float(rng.uniform(0.05, 0.5))
-        g = upper_gradient(a, u, delta_u, t_bound)
+        g = engine_upper_gradient(a, u, delta_u, t_bound)
         v = rng.standard_normal(d)
         y = np.outer(v, v) / (v @ v)
         t = 1.0 / float(np.sum(g * y))
@@ -226,20 +247,20 @@ def test_lower_gradient_certifies_a_sufficient_step_size():
         d = int(rng.integers(2, 7))
         r = int(rng.integers(1, d + 1))
         q, _ = np.linalg.qr(rng.standard_normal((d, d)))
-        sub = Subspace(q[:, :r])
-        p = sub.basis @ sub.basis.T
+        basis = q[:, :r]
+        p = basis @ basis.T
         b = symmetrize(p @ random_psd(rng, d, lo=1.0, hi=2.0) @ p)
         l, delta_l = 0.25, float(rng.uniform(0.02, 0.2))
-        g = lower_gradient(b, l, delta_l, sub)
+        g = engine_lower_gradient(b, l, delta_l, basis)
         v = p @ rng.standard_normal(d)
         y = np.outer(v, v) / (v @ v)
         score = float(np.sum(g * y))
         if score <= 1e-12:
             continue
         t = 1.0 / score
-        before = lower_potential(b, l, sub)
+        before = lower_potential(b, l, basis)
         for step in (t, 2.0 * t):
-            after = lower_potential(symmetrize(b + step * y), l + delta_l, sub)
+            after = lower_potential(symmetrize(b + step * y), l + delta_l, basis)
             assert after <= before + 1e-9
 
 
@@ -258,18 +279,20 @@ def test_select_update_single_candidate_gets_index_zero():
     p = _single_update_problem()
     schedule = init_schedule(p.k, p.N, p.T)
     state = initial_state(p, schedule, eigh(p.X), np.zeros((0, 1)))
-    idx, t = select_update(p, state, schedule)
+    idx, t, _, _ = _select(p, state, schedule)
     assert idx == 0
     assert t > 0
     assert p.costs[0] * t <= 1.0 / max(p.N, p.T) + 1e-12
 
 
 def _start_state(problem):
-    """Initial state built from the public pieces: S, Z, and S^T Z V."""
+    """Initial state built the way run_engine builds it: S from X's k smallest
+    eigenvectors, Z, and S^T Z V."""
     schedule = init_schedule(problem.k, problem.N, problem.T)
-    s = fixed_subspace(problem.X, problem.k)
+    dec_x = eigh(problem.X)
+    s = dec_x.eigenvectors[:, : min(problem.k, problem.dim)]
     z, _ = compute_Z(problem.X, problem.Mstar, s)
-    state = initial_state(problem, schedule, eigh(problem.X), s.basis.T @ z @ problem.vectors)
+    state = initial_state(problem, schedule, dec_x, s.T @ z @ problem.vectors)
     return state, schedule, s, z
 
 
@@ -292,7 +315,7 @@ def test_selection_scores_match_einsum_against_the_gradients(seed, n, m, k):
     a = symmetrize(problem.X + (problem.vectors * w) @ problem.vectors.T)
     zv = z @ problem.vectors
     b = symmetrize((zv * w) @ zv.T)
-    szv = s.basis.T @ zv
+    szv = s.T @ zv
     b_s = symmetrize((szv * w) @ szv.T)
     state = initial_state(problem, schedule, eigh(a), szv)
     state.A, state.b_s = a, b_s
@@ -301,12 +324,12 @@ def test_selection_scores_match_einsum_against_the_gradients(seed, n, m, k):
     upper, lower = _selection_scores(problem, state, schedule)
 
     mx = max(problem.N, problem.T)
-    u_a = upper_gradient(a, state.u, schedule.delta_u, problem.T)
+    u_a = dense_upper_gradient(a, state.u, schedule.delta_u, problem.T)
     want_upper = np.einsum("ij,jm,im->m", u_a, problem.vectors, problem.vectors) + mx * problem.costs
-    l_b = lower_gradient(b, state.l, schedule.delta_l, s)
+    l_b = dense_lower_gradient(b, state.l, schedule.delta_l, s)
     want_lower = np.einsum("ij,jm,im->m", l_b, zv, zv)
     assert np.max(np.abs(upper - want_upper)) <= 1e-12 * np.max(np.abs(want_upper))
-    if s.dim == 0:
+    if s.shape[1] == 0:
         assert not np.any(lower) and not np.any(want_lower)
     else:
         assert np.max(np.abs(lower - want_lower)) <= 1e-12 * np.max(np.abs(want_lower))

@@ -1,0 +1,67 @@
+"""The package exposes no public name that nothing uses.
+
+A public module-level function, class or constant of lapsparse must be
+referenced by other code in the package or be exported in
+lapsparse.__all__. References are name loads and attribute reads; a name
+referenced only from definitions that are themselves unreferenced counts as
+unreferenced, repeated until nothing changes. core.eigh and core.eigvalsh
+are exempt: they are the independent (scipy) reference solvers.
+"""
+import ast
+from pathlib import Path
+
+import lapsparse
+
+SRC = Path(lapsparse.__file__).parent
+EXEMPT = {"core.eigh", "core.eigvalsh"}
+
+
+def _defined_names(stmt) -> list:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return [t.id for t in targets if isinstance(t, ast.Name)]
+    return []
+
+
+def _referenced(node) -> set:
+    refs = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            refs.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            refs.add(sub.attr)
+    return refs
+
+
+def unreferenced_public_names(src: Path = SRC) -> list:
+    """Sorted "module.name" of every public definition nothing live uses."""
+    units = []  # (module, public names defined, names referenced)
+    for path in sorted(src.glob("*.py")):
+        module = path.stem
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            public = {name for name in _defined_names(stmt) if not name.startswith("_")}
+            units.append((module, public, _referenced(stmt)))
+    candidates = {f"{module}.{name}" for module, public, _ in units for name in public} - EXEMPT
+    exported = set(lapsparse.__all__)
+    dead: set = set()
+    while True:
+        live_refs = set()
+        for module, public, refs in units:
+            if public and all(f"{module}.{name}" in dead for name in public):
+                continue
+            live_refs |= refs - public  # a definition does not keep itself alive
+        newly = {
+            qual
+            for qual in candidates - dead
+            if qual.split(".", 1)[1] not in live_refs | exported
+        }
+        if not newly:
+            return sorted(dead)
+        dead |= newly
+
+
+def test_every_public_name_is_used_or_exported():
+    dead = unreferenced_public_names()
+    assert not dead, f"public names that no lapsparse code uses and __all__ omits: {', '.join(dead)}"
