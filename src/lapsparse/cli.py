@@ -7,9 +7,10 @@ chosen by file extension. Every command can emit a structured JSON report
 (stdout by default, --report writes a file); all reals carry 17 significant
 digits, and every certified claim in a report is recomputed from the files
 actually written before the report is emitted. Exit codes: 0 success,
-2 parse error, 3 precondition violation, 4 numerical failure; when the engine
-finds no feasible step, exit 4 also prints the failing step q and the
-exception's diagnostics as one JSON line on stderr.
+2 parse error, 3 precondition violation, 4 numerical failure; exit 4 also
+prints one JSON line on stderr with the error's name and message, the
+failing engine step q and the exception's diagnostics (null and {} when the
+error carries none).
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ import time
 import numpy as np
 
 from .core import (
-    InfeasibleStepError,
     NumericalError,
     ParseError,
     PreconditionError,
@@ -627,18 +627,16 @@ def main(argv: list | None = None) -> int:
     except PreconditionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except InfeasibleStepError as exc:
+    except ToolkitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        diagnostics = getattr(exc, "diagnostics", {})
         failure = {
             "error": type(exc).__name__,
             "message": str(exc),
-            "q": exc.diagnostics.get("q"),
-            "diagnostics": exc.diagnostics,
+            "q": diagnostics.get("q"),
+            "diagnostics": diagnostics,
         }
         print(json.dumps(failure), file=sys.stderr)
-        return 4
-    except (NumericalError, ToolkitError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return 4
     text = dumps_report(report) + "\n"
     if getattr(args, "report", None):

@@ -2,8 +2,9 @@
 
 Three layers: a fractional solver maximizing the concave map
 w -> lambda_2(L_base + sum_e w_e L_e) over {0 <= w <= 1, sum w <= k}
-(projected supergradient ascent — a stand-in for the SDP relaxation — with
-a dual certificate bounding its maximum from above),
+(accelerated gradient ascent on a smoothing of lambda_2 — a stand-in for
+the SDP relaxation — whose gradient is the load vector of a dual matrix
+that bounds the maximum from above),
 a rounding step that funnels the fractional solution through the
 selection engine to get at most 8k+1 reweighted edges with a certified
 lambda_2 floor, and an exhaustive oracle for small instances.
@@ -38,15 +39,10 @@ from .engine import (
 )
 
 SOLVER_ITERATION_CAP = 5000
-DEGENERACY_TOL = 1e-8
 WEIGHT_DROP_REL = 1e-9
-# Dual certificate: Y on at most CERTIFICATE_RANK nontrivial eigenvectors,
-# tuned for CERTIFICATE_STEPS steps per check. Besides every phase end, it
-# is checked once after CERTIFICATE_FIRST_CHECK iterations, where instances
-# whose starting point is already optimal can stop.
-CERTIFICATE_RANK = 5
-CERTIFICATE_STEPS = 60
-CERTIFICATE_FIRST_CHECK = 25
+# The solver's Lipschitz estimate shrinks by this factor after every step,
+# so that backtracking can find a smaller one again.
+LIPSCHITZ_DECAY = 0.8
 
 
 @dataclass(frozen=True)
@@ -161,19 +157,6 @@ def _laplacian_at(lb: np.ndarray, inc: np.ndarray, w: np.ndarray) -> np.ndarray:
     return check_symmetric(symmetrize(lb + inc.T @ (w[:, None] * inc)))
 
 
-def _lambda2_with_gradient(lb: np.ndarray, inc: np.ndarray, w: np.ndarray):
-    """Exact lambda_2 at w, a supergradient over the candidates, and the
-    eigendecomposition both come from.
-
-    Near-degenerate eigenvalues (within 1e-8 of lambda_2) are handled by
-    averaging (x_u - x_v)^2 over an orthonormal basis of the cluster."""
-    dec = _decompose(_laplacian_at(lb, inc, w))
-    vals = dec.eigenvalues
-    cluster = int(np.count_nonzero(vals[1:] - vals[1] <= DEGENERACY_TOL))
-    diffs = inc @ dec.eigenvectors[:, 1 : 1 + cluster]
-    return float(vals[1]), np.mean(diffs * diffs, axis=1), dec
-
-
 def _lambda2(lb: np.ndarray, inc: np.ndarray, w: np.ndarray) -> float:
     return _lambda2_of(_laplacian_at(lb, inc, w))
 
@@ -208,128 +191,78 @@ def _project_capped_box(v: np.ndarray, cap: float) -> np.ndarray:
     else:  # s is flat at cap on the whole segment
         tau = t[j]
     w = np.clip(v - tau, 0.0, 1.0)
-    # tau is rounded; the next floats up restore sum w <= cap as computed
+    # tau is rounded: raising it by doubling steps restores sum w <= cap as computed
+    step = math.ulp(abs(tau) + cap / m)
     while float(w.sum()) > cap:
-        tau = np.nextafter(tau, math.inf)
+        tau += step
+        step *= 2.0
         w = np.clip(v - tau, 0.0, 1.0)
     return w
 
 
-def _fill_budget(w: np.ndarray, cap: float) -> np.ndarray:
-    """Spread any unused budget over unsaturated coordinates; lambda_2 is
-    nondecreasing in every weight, so this never hurts the objective."""
-    w = np.clip(w, 0.0, 1.0)
-    for _ in range(len(w) + 1):
-        slack = cap - float(w.sum())
-        if slack <= 1e-12:
-            break
-        free = w < 1.0 - 1e-12
-        if not free.any():
-            break
-        w[free] = np.minimum(w[free] + slack / int(free.sum()), 1.0)
-    return w
+def _dual_bound(lb: np.ndarray, inc: np.ndarray, vecs: np.ndarray, p: np.ndarray, k: int):
+    """Certified upper bound on max lambda_2 over {0 <= w <= 1, sum w <= k},
+    and the loads g_e = b_e^T Y b_e it is built from.
 
-
-def _greedy_integral(lb: np.ndarray, inc: np.ndarray, k: int) -> np.ndarray:
-    """Indicator of the greedy one-at-a-time unit-weight selection."""
-    m = inc.shape[0]
-    w = np.zeros(m)
-    for _ in range(min(k, m)):
-        best_i, best_val = -1, -math.inf
-        for i in range(m):
-            if w[i] > 0.0:
-                continue
-            w[i] = 1.0
-            val = _lambda2(lb, inc, w)
-            w[i] = 0.0
-            if val > best_val:
-                best_i, best_val = i, val
-        w[best_i] = 1.0
-    return w
-
-
-class _DualCertificate:
-    """Certified upper bound on max lambda_2 over {0 <= w <= 1, sum w <= k}.
-
-    For PSD Y with Y 1 = 0, lambda_2(L) tr Y <= tr(Y L) for every Laplacian
-    L, so for every feasible w, lambda_2(L(w)) tr Y <= tr(Y L_base) + (sum of
-    the k largest loads b_e^T Y b_e). Each check takes Y = V D V^T, with V
-    the given columns with 1 projected out and D an r x r density matrix.
-    The bound holds for any such V and D, however accurate the eigenvectors
-    are. A check evaluates the single-vector bound (D on V's first column),
-    carries the previous check's D into the new basis, and refines it by
-    CERTIFICATE_STEPS steps of matrix-exponentiated gradient descent on the
-    bound, stopping once it is at most `target`. `upper` is the smallest
-    bound found so far.
+    Y = sum_i p_i q_i q_i^T, with q_i the columns of `vecs` with 1 projected
+    out and p >= 0, is PSD with Y 1 = 0, so lambda_2(L) tr Y <= tr(Y L) for
+    every Laplacian L. For feasible w that gives lambda_2(L(w)) tr Y <=
+    tr(Y L_base) + (sum of the k largest loads). The bound holds for any
+    columns and any p, however inaccurate the eigenvectors are. Projecting
+    out 1 changes neither the loads nor q^T L_base q, only tr Y. Columns of
+    weight 0, which a softmax at small mu gives most of, add nothing to Y.
     """
+    keep = p > 0.0
+    vecs, p = vecs[:, keep], p[keep]
+    proj = inc @ vecs
+    loads = (proj * proj) @ p
+    top = float(np.sum(np.partition(loads, loads.size - k)[loads.size - k :])) if k else 0.0
+    quad = np.sum(vecs * (lb @ vecs), axis=0)
+    sq = np.sum(vecs * vecs, axis=0) - np.sum(vecs, axis=0) ** 2 / vecs.shape[0]
+    trace = float(p @ sq)
+    if not trace > 0.0:
+        return math.inf, loads
+    return (float(p @ quad) + top) / trace, loads
 
-    def __init__(self, lb: np.ndarray, inc: np.ndarray, k: int):
-        self.lb, self.inc, self.k = lb, inc, k
-        self.upper = math.inf
-        self._basis = None  # V of the previous check
-        self._log_d = None  # log D of the previous check, in V's coordinates
 
-    def check(self, vecs: np.ndarray, target: float) -> float:
-        v = vecs - vecs.mean(axis=0)
-        a, c, gram = v.T @ self.lb @ v, self.inc @ v, v.T @ v
-        k = self.k
-
-        def bound(q, p):
-            """The bound at D = Q diag(p) Q^T, and its numerator's gradient in D."""
-            proj = c @ q
-            loads = (proj * proj) @ p
-            top = np.argsort(loads)[loads.size - k :]
-            numerator = p @ np.einsum("ji,jl,li->i", q, a, q) + float(loads[top].sum())
-            value = float(numerator / (p @ np.einsum("ji,jl,li->i", q, gram, q)))
-            return value, a + c[top].T @ c[top]
-
-        def exp_bound(log_d):
-            vals, q = np.linalg.eigh(log_d)
-            p = np.exp(vals - vals[-1])
-            return bound(q, p / p.sum())
-
-        r = v.shape[1]
-        best, grad = bound(np.eye(r), np.eye(r)[0])
-        if self._log_d is None:
-            log_d = np.zeros((r, r))
-        else:
-            carry = v.T @ self._basis
-            log_d = carry @ self._log_d @ carry.T
-            value, grad = exp_bound(log_d)
-            best = min(best, value)
-        spread = np.ptp(np.linalg.eigvalsh(grad))
-        if r > 1 and spread > 0.0:
-            # a multiple of I added to log D or to a gradient leaves D unchanged
-            for step in range(1, CERTIFICATE_STEPS + 1):
-                if best <= target:
-                    break
-                log_d = log_d - grad * (0.5 / (spread * math.sqrt(step)))
-                value, grad = exp_bound(log_d)
-                best = min(best, value)
-        self._basis, self._log_d = v, log_d
-        self.upper = min(self.upper, best)
-        return self.upper
+def _smoothed(vals: np.ndarray, mu: float):
+    """f_mu = -mu log sum_i exp(-lambda_i / mu) over the nontrivial spectrum
+    `vals` (ascending), and the softmax density p it weights the eigenvectors
+    with. lambda_2 - mu log(n - 1) <= f_mu <= lambda_2."""
+    z = np.exp((vals[0] - vals) / mu)
+    total = float(z.sum())
+    return float(vals[0]) - mu * math.log(total), z / total
 
 
 def solve_fractional(inst: ConnectivityInstance, tol: float = 1e-4) -> FractionalSolution:
     """Maximize lambda_2(L_base + sum w_e L_e) over {0<=w<=1, sum w <= k}.
 
-    Projected supergradient ascent with step a/sqrt(iter) over a few step
-    scales, restarting each phase from the best iterate, under a global
-    iteration cap. A dual certificate (`_DualCertificate`, on the best
-    iterate's eigenvectors) bounds the maximum from above. It is checked after
-    iteration 25, at every phase end and at the end, and the ascent stops
-    once lambda_upper - lambda_sdp <= tol. Deterministic. Returns the best
-    iterate with its exact lambda_2, the smallest upper bound found, and
-    converged = (gap <= tol); hitting the cap with a larger gap sets
-    converged=False rather than raising.
+    Accelerated projected gradient ascent (FISTA, Beck & Teboulle 2009) on
+    Nesterov's entropic smoothing f_mu of lambda_2 (Math. Program. 2005),
+    with a backtracking Lipschitz estimate and a function-value restart
+    (O'Donoghue & Candes, Found. Comput. Math. 2015). Each iteration takes
+    one eigendecomposition at the extrapolated point y. Its softmax density
+    p gives f_mu(y), the gradient g_e = sum_i p_i (b_e^T q_i)^2, which is
+    the load of the dual matrix Y = sum_i p_i q_i q_i^T, the exact
+    lambda_2(y), and with it the certified upper bound of `_dual_bound`.
+    The backtracking test at each trial point needs eigenvalues only, and
+    they give its lambda_2 too. mu is halved (and the Lipschitz estimate,
+    which scales as 1/mu, doubled) whenever mu log(n - 1) exceeds a quarter
+    of the gap, and the ascent stops once lambda_upper - lambda_sdp <= tol
+    or at SOLVER_ITERATION_CAP iterations. Deterministic. Returns the
+    feasible point with the largest lambda_2 seen, the smallest upper bound
+    found, the norm of the smoothed gradient there, and
+    converged = (gap <= tol).
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise PreconditionError(f"tol must be finite and positive, got {tol!r}")
     m = len(inst.candidates)
     if m < 1:
         raise PreconditionError("need at least one candidate edge")
-    if inst.base.n < 2:
+    n = inst.base.n
+    if n < 2:
         raise PreconditionError("lambda_2 needs at least 2 vertices")
-    full = inst.base.union(WeightedGraph(inst.base.n, [(u, v, 1.0) for u, v in inst.candidates]))
+    full = inst.base.union(WeightedGraph(n, [(u, v, 1.0) for u, v in inst.candidates]))
     if not full.is_connected():
         # every feasible w leaves the same components apart: lambda_2 is 0 on
         # the whole feasible set, and 0 is a supergradient there
@@ -343,85 +276,86 @@ def solve_fractional(inst: ConnectivityInstance, tol: float = 1e-4) -> Fractiona
             converged=True,
         )
     lb = laplacian(inst.base)
-    inc = _incidence_rows(inst.base.n, inst.candidates)
+    inc = _incidence_rows(n, inst.candidates)
     k = min(inst.k, m)
     cap = float(k)
-    rank = min(CERTIFICATE_RANK, inst.base.n - 1)
-    certificate = _DualCertificate(lb, inc, k)
 
-    def certify(lam: float, dec) -> float:
-        return certificate.check(dec.eigenvectors[:, 1 : 1 + rank], lam + tol)
+    def decompose(w):
+        dec = _decompose(_laplacian_at(lb, inc, w))
+        return dec.eigenvalues[1:], dec.eigenvectors[:, 1:]
 
-    if inst.k == 0:
-        w = np.zeros(m)
-        lam, grad, dec = _lambda2_with_gradient(lb, inc, w)
-        upper = max(certify(lam, dec), lam)
+    def solution(w, lam, upper, iterations, grad):
+        total_w = float(w.sum())
+        if total_w > inst.k + 1e-8 or float(w.min()) < -1e-10 or float(w.max()) > 1.0 + 1e-10:
+            raise NumericalError(f"solver left the feasible region: sum={total_w!r}")
+        # Raising an upper bound keeps it one. Rounding can put the computed
+        # lambda_2 a few ulps above a tight bound.
+        upper = max(upper, lam)
         return FractionalSolution(
             weights=w,
             lambda_sdp=lam,
             lambda_upper=upper,
             gap=upper - lam,
-            iterations=0,
+            iterations=iterations,
             gradient_norm=float(np.linalg.norm(grad)),
             converged=upper - lam <= tol,
         )
 
-    inits = [_fill_budget(np.full(m, min(1.0, cap / m)), cap)]
-    if m * inst.k <= 20000:
-        inits.append(_greedy_integral(lb, inc, inst.k))
+    if inst.k == 0:
+        # w = 0 is the only feasible point; Y on lambda_2's eigenvector bounds it
+        w = np.zeros(m)
+        vals, vecs = decompose(w)
+        upper, grad = _dual_bound(lb, inc, vecs[:, :1], np.ones(1), 0)
+        return solution(w, float(vals[0]), upper, 0, grad)
 
-    best_w = inits[0].copy()
-    best_val = -math.inf
-    best_dec = None
-    upper = math.inf
-    total = 0
-    phase_budget = max(1, SOLVER_ITERATION_CAP // (len(inits) * 4))
-    phases = [(w0, a) for w0 in inits for a in (2.0, 0.5, 0.1, 0.02)]
-    for index, (w0, a) in enumerate(phases):
-        # each start opens from its own point; later phases restart from the best iterate
-        w = (w0 if index % 4 == 0 else best_w).copy()
-        for it in range(1, phase_budget + 1):
-            if total >= SOLVER_ITERATION_CAP:
-                break
-            total += 1
-            val, grad, dec = _lambda2_with_gradient(lb, inc, w)
-            if val > best_val:
-                best_val, best_w, best_dec = val, w.copy(), dec
-            if total == CERTIFICATE_FIRST_CHECK or it == phase_budget:
-                upper = min(upper, certify(best_val, best_dec))
-                if upper - best_val <= tol:
-                    break
-            gnorm = float(np.linalg.norm(grad))
-            if gnorm < 1e-14:
-                break
-            w = _project_capped_box(w + (a / math.sqrt(it)) * grad / gnorm, cap)
-        if upper - best_val <= tol or total >= SOLVER_ITERATION_CAP:
+    log_dim = math.log(max(n - 1, 2))
+    x = y = best_w = np.full(m, min(1.0, cap / m))
+    vals, vecs = decompose(y)
+    best_lam, upper, t, iterations, f_prev = float(vals[0]), math.inf, 1.0, 1, -math.inf
+    # the first mu comes from the gap of the uniform density's bound
+    first, _ = _dual_bound(lb, inc, vecs, np.full(n - 1, 1.0 / (n - 1)), k)
+    mu = max(first - best_lam, tol) / (4.0 * log_dim)
+    lip = 1.0 / mu
+    while True:
+        f_y, p = _smoothed(vals, mu)
+        bound, grad = _dual_bound(lb, inc, vecs, p, k)
+        upper = min(upper, bound)
+        if upper - best_lam <= tol or iterations >= SOLVER_ITERATION_CAP:
             break
+        if mu * log_dim > 0.25 * (upper - best_lam):
+            mu, lip = 0.5 * mu, 2.0 * lip
+            continue  # read the same decomposition again at the new mu
+        # two eigensolves of one matrix can differ by this much
+        noise = 64.0 * float(np.finfo(float).eps) * float(vals[-1])
+        while True:
+            x_new = _project_capped_box(y + grad / lip, cap)
+            step = x_new - y
+            vals_x = _spectrum(_laplacian_at(lb, inc, x_new))[1:]
+            if float(vals_x[0]) > best_lam:
+                best_w, best_lam = x_new, float(vals_x[0])
+            f_x, _ = _smoothed(vals_x, mu)
+            if f_x >= f_y + float(grad @ step) - 0.5 * lip * float(step @ step) - noise:
+                break
+            lip *= 2.0
+        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        if f_x < f_prev:
+            y, t = x_new, 1.0  # the momentum overshot: restart from x_new
+        else:
+            y, t = x_new + ((t - 1.0) / t_new) * (x_new - x), t_new
+        x, f_prev = x_new, f_x
+        lip *= LIPSCHITZ_DECAY
+        iterations += 1
+        vals, vecs = decompose(y)
+        # an extrapolated y can leave the feasible set; only feasible points count
+        in_set = float(y.min()) >= 0.0 and float(y.max()) <= 1.0 and float(y.sum()) <= cap
+        if float(vals[0]) > best_lam and in_set:
+            best_w, best_lam = y, float(vals[0])
 
-    filled = _fill_budget(best_w.copy(), cap)
-    filled_val = _lambda2(lb, inc, filled)
-    if filled_val >= best_val:
-        best_w, best_val = filled, filled_val
-    lam, grad, dec = _lambda2_with_gradient(lb, inc, best_w)
-    if lam >= best_val:
-        best_val = lam
-    if upper - best_val > tol:
-        upper = min(upper, certify(best_val, dec))
-    total_w = float(best_w.sum())
-    if total_w > inst.k + 1e-8 or float(best_w.min()) < -1e-10 or float(best_w.max()) > 1.0 + 1e-10:
-        raise NumericalError(f"solver left the feasible region: sum={total_w!r}")
-    # Raising an upper bound keeps it one. Rounding can put the computed
-    # lambda_2 of the best iterate a few ulps above a tight bound.
-    upper = max(upper, best_val)
-    return FractionalSolution(
-        weights=best_w,
-        lambda_sdp=float(best_val),
-        lambda_upper=float(upper),
-        gap=float(upper - best_val),
-        iterations=total,
-        gradient_norm=float(np.linalg.norm(grad)),
-        converged=upper - best_val <= tol,
-    )
+    # One more solve gives the returned point's gradient. Its lambda_2 can
+    # round a few ulps below the value the loop certified the gap with.
+    vals, vecs = decompose(best_w)
+    bound, grad = _dual_bound(lb, inc, vecs, _smoothed(vals, mu)[1], k)
+    return solution(best_w, max(best_lam, float(vals[0])), min(upper, bound), iterations, grad)
 
 
 def lambda_k2_bound(g: WeightedGraph, k: int) -> float:

@@ -337,6 +337,13 @@ def test_exit_code_three_on_violated_preconditions(tmp_path, capsys):
     heavy = save_text(tmp_path, "heavy.txt", WeightedGraph(3, [(0, 2, 2.0)]))
     assert main(["algconn", base, heavy, str(out), "--k", "1"]) == 3
 
+    # a gap tolerance that is not a positive number
+    cand = save_text(tmp_path, "cand.txt", WeightedGraph(3, [(0, 2, 1.0)]))
+    for tol in ("nan", "inf", "-1", "0"):
+        capsys.readouterr()
+        assert main(["algconn", base, cand, str(out), "--k", "1", "--tol", tol]) == 3
+        assert "tol must be finite and positive" in capsys.readouterr().err
+
 
 def test_exit_code_four_prints_the_infeasible_step_as_json(tmp_path, capsys, monkeypatch):
     import lapsparse.engine as engine
@@ -359,6 +366,25 @@ def test_exit_code_four_prints_the_infeasible_step_as_json(tmp_path, capsys, mon
     diag = failure["diagnostics"]
     assert diag["q"] == 1 and diag["max_slack"] < 0
     assert diag["upper_potential"] > 0 and diag["lower_potential"] > 0
+
+
+def test_exit_code_four_prints_a_json_line_for_errors_without_diagnostics(tmp_path, capsys, monkeypatch):
+    import lapsparse.connectivity as connectivity
+
+    # a certificate failure: the kept support's lambda_2 reads as far below the floor
+    monkeypatch.setattr(connectivity, "_graph_lambda2_with", lambda base, pairs, weights: -1.0)
+    base = save_text(tmp_path, "base.txt", WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)]))
+    cand = save_text(tmp_path, "cand.txt", WeightedGraph(3, [(0, 2, 1.0)]))
+    assert main(["algconn", base, cand, str(tmp_path / "sel.txt"), "--k", "1"]) == 4
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines[0].startswith("error: sparse-support lambda_2 -1.0 fell below the floor")
+    failure = json.loads(lines[-1])
+    assert failure == {
+        "error": "NumericalError",
+        "message": lines[0][len("error: "):],
+        "q": None,
+        "diagnostics": {},
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import random_connected_graph
 from lapsparse.core import (
@@ -13,9 +14,9 @@ from lapsparse.core import (
     laplacian,
 )
 from lapsparse.connectivity import (
-    CERTIFICATE_RANK,
+    SOLVER_ITERATION_CAP,
     ConnectivityInstance,
-    _DualCertificate,
+    _dual_bound,
     _incidence_rows,
     _project_capped_box,
     brute_force_opt,
@@ -222,22 +223,32 @@ def test_exact_projection_matches_the_bisection():
 
 
 def test_certificate_bounds_lambda2_for_any_basis_and_feasible_weights():
-    # the bound holds for every basis V with 1 projected out, eigenvectors or not
+    # the bound holds for every basis V, eigenvectors or not, shifted along 1
+    # or not, and every density p over its columns
     rng = np.random.default_rng(73)
     for _ in range(12):
         inst = random_instance(rng, int(rng.integers(4, 12)), m_max=10, k_max=3)
+        n = inst.base.n
         lb = laplacian(inst.base)
-        inc = _incidence_rows(inst.base.n, inst.candidates)
+        inc = _incidence_rows(n, inst.candidates)
         m, k = len(inst.candidates), min(inst.k, len(inst.candidates))
         weights = [rng.uniform(0.0, 1.0, size=m) for _ in range(20)]
         weights = [w * min(1.0, k / float(w.sum())) for w in weights]
         weights += [np.array([1.0 if i in s else 0.0 for i in range(m)]) for s in itertools.combinations(range(m), k)]
-        r = min(CERTIFICATE_RANK, inst.base.n - 1)
-        certificate = _DualCertificate(lb, inc, k)
-        for _ in range(3):
-            upper = certificate.check(rng.standard_normal((inst.base.n, r)), -np.inf)
-            for w in weights:
-                assert lambda2_with(inst.base, inst.candidates, w) <= upper + 1e-12 * max(1.0, upper)
+        # near-eigenvector bases make the bound nearly tight: at the solver's
+        # point and at a random feasible one, perturbed and shifted along 1
+        bases = [rng.standard_normal((n, n - 1))]
+        for w in (solve_fractional(inst).weights, weights[0]):
+            lap = laplacian(inst.base) + inc.T @ (w[:, None] * inc)
+            vecs = np.linalg.eigh(lap)[1][:, 1:]
+            bases.append(vecs + rng.uniform(-1.0, 1.0, size=n - 1))
+            bases.append(vecs + 1e-3 * rng.standard_normal(vecs.shape))
+        for basis in bases:
+            for p in (np.eye(n - 1)[0], rng.dirichlet(np.full(n - 1, 0.5)), np.exp(-np.arange(n - 1.0) * 4.0)):
+                upper, loads = _dual_bound(lb, inc, basis, p / p.sum(), k)
+                assert loads.shape == (m,) and np.all(loads >= 0.0)
+                for w in weights:
+                    assert lambda2_with(inst.base, inst.candidates, w) <= upper + 1e-12 * max(1.0, upper)
 
 
 def test_certificate_bounds_the_solver_and_the_brute_force_optimum():
@@ -253,6 +264,38 @@ def test_certificate_bounds_the_solver_and_the_brute_force_optimum():
         w = rng.uniform(0.0, 1.0, size=len(inst.candidates))
         w *= min(1.0, inst.k / float(w.sum()))
         assert lambda2_with(inst.base, inst.candidates, w) <= frac.lambda_upper + 1e-12
+
+
+def test_benchmark_sized_instance_certifies_before_the_cap():
+    # the shape of the algconn benchmark's inputs: tree plus n/5 chords, 40
+    # candidate non-edges, k = 3
+    rng = np.random.default_rng(41)
+    n = 30
+    base = random_connected_graph(rng, n, extra_edges=n // 5)
+    pool = sorted({(u, v) for u in range(n) for v in range(u + 1, n)} - base.edge_pairs())
+    cand = [pool[int(j)] for j in rng.choice(len(pool), size=40, replace=False)]
+    frac = solve_fractional(ConnectivityInstance(base, cand, 3))
+    assert frac.converged and frac.gap <= 1e-4
+    assert frac.iterations < SOLVER_ITERATION_CAP
+    assert frac.lambda_sdp >= lambda2(base)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_relabeled_instances_certify_overlapping_brackets(seed):
+    # [lambda_sdp, lambda_upper] contains the fractional optimum, which a
+    # vertex relabeling leaves unchanged, so the two brackets must meet
+    rng = np.random.default_rng(seed)
+    inst = random_instance(rng, int(rng.integers(4, 9)), m_max=8, k_max=3)
+    n = inst.base.n
+    perm = rng.permutation(n)
+    base = WeightedGraph(n, [(int(perm[u]), int(perm[v]), w) for u, v, w in inst.base.edges])
+    cand = [(int(perm[u]), int(perm[v])) for u, v in inst.candidates]
+    a = solve_fractional(inst)
+    b = solve_fractional(ConnectivityInstance(base, cand, inst.k))
+    slack = 1e-12 * max(1.0, a.lambda_upper, b.lambda_upper)
+    assert a.lambda_sdp <= b.lambda_upper + slack
+    assert b.lambda_sdp <= a.lambda_upper + slack
 
 
 # ---------------------------------------------------------------------------
