@@ -39,6 +39,13 @@ from .engine import (
 )
 
 SOLVER_ITERATION_CAP = 5000
+# The solver stops on the certified gap only after this many iterations per
+# candidate edge (or at the cap), so that a solve costs about the same on
+# every input of one size. How soon the gap closes varies about fivefold
+# between random inputs of one size (700 to 3,600 iterations with 40
+# candidates, 1,700 to 4,300 with 150), and so would the cost; the extra
+# iterations can only raise lambda_sdp and lower lambda_upper.
+SOLVER_ITERATIONS_PER_CANDIDATE = 50
 WEIGHT_DROP_REL = 1e-9
 # The solver's Lipschitz estimate shrinks by this factor after every step,
 # so that backtracking can find a smaller one again.
@@ -153,12 +160,26 @@ def _incidence_rows(n: int, pairs) -> np.ndarray:
     return rows
 
 
-def _laplacian_at(lb: np.ndarray, inc: np.ndarray, w: np.ndarray) -> np.ndarray:
-    return check_symmetric(symmetrize(lb + inc.T @ (w[:, None] * inc)))
+def _edge_entries(n: int, pairs) -> tuple:
+    """Flat positions in an n x n matrix of the four Laplacian entries of
+    each edge (uu, vv, uv, vu, edge by edge), and the signs they take."""
+    u, v = np.array(pairs, dtype=int).reshape(-1, 2).T
+    flat = np.stack((u * n + u, v * n + v, u * n + v, v * n + u), axis=1).ravel()
+    return flat, np.tile([1.0, 1.0, -1.0, -1.0], u.size)
 
 
-def _lambda2(lb: np.ndarray, inc: np.ndarray, w: np.ndarray) -> float:
-    return _lambda2_of(_laplacian_at(lb, inc, w))
+def _laplacian_at(lb: np.ndarray, entries: tuple, w: np.ndarray) -> np.ndarray:
+    """L_base + sum_e w_e L_e, in O(m + n^2). Each entry sums its weights in
+    edge order, and uv and vu get the same one, so the sum is exactly
+    symmetric when L_base is."""
+    flat, signs = entries
+    n = lb.shape[0]
+    added = np.bincount(flat, signs * np.repeat(w, 4), minlength=n * n)
+    return check_symmetric(lb + added.reshape(n, n))
+
+
+def _lambda2(lb: np.ndarray, entries: tuple, w: np.ndarray) -> float:
+    return _lambda2_of(_laplacian_at(lb, entries, w))
 
 
 def _project_capped_box(v: np.ndarray, cap: float) -> np.ndarray:
@@ -248,8 +269,10 @@ def solve_fractional(inst: ConnectivityInstance, tol: float = 1e-4) -> Fractiona
     The backtracking test at each trial point needs eigenvalues only, and
     they give its lambda_2 too. mu is halved (and the Lipschitz estimate,
     which scales as 1/mu, doubled) whenever mu log(n - 1) exceeds a quarter
-    of the gap, and the ascent stops once lambda_upper - lambda_sdp <= tol
-    or at SOLVER_ITERATION_CAP iterations. Deterministic. Returns the
+    of the gap. The ascent stops once lambda_upper - lambda_sdp <= tol, but
+    not before SOLVER_ITERATIONS_PER_CANDIDATE iterations per candidate
+    unless the gap is down to eigensolver rounding, or at
+    SOLVER_ITERATION_CAP. Deterministic. Returns the
     feasible point with the largest lambda_2 seen, the smallest upper bound
     found, the norm of the smoothed gradient there, and
     converged = (gap <= tol).
@@ -277,11 +300,12 @@ def solve_fractional(inst: ConnectivityInstance, tol: float = 1e-4) -> Fractiona
         )
     lb = laplacian(inst.base)
     inc = _incidence_rows(n, inst.candidates)
+    entries = _edge_entries(n, inst.candidates)
     k = min(inst.k, m)
     cap = float(k)
 
     def decompose(w):
-        dec = _decompose(_laplacian_at(lb, inc, w))
+        dec = _decompose(_laplacian_at(lb, entries, w))
         return dec.eigenvalues[1:], dec.eigenvectors[:, 1:]
 
     def solution(w, lam, upper, iterations, grad):
@@ -316,21 +340,27 @@ def solve_fractional(inst: ConnectivityInstance, tol: float = 1e-4) -> Fractiona
     first, _ = _dual_bound(lb, inc, vecs, np.full(n - 1, 1.0 / (n - 1)), k)
     mu = max(first - best_lam, tol) / (4.0 * log_dim)
     lip = 1.0 / mu
+    eps = float(np.finfo(float).eps)
+    floor = min(SOLVER_ITERATION_CAP, SOLVER_ITERATIONS_PER_CANDIDATE * m)
     while True:
         f_y, p = _smoothed(vals, mu)
         bound, grad = _dual_bound(lb, inc, vecs, p, k)
         upper = min(upper, bound)
-        if upper - best_lam <= tol or iterations >= SOLVER_ITERATION_CAP:
+        gap = upper - best_lam
+        # two eigensolves of one matrix can differ by this much; a gap that
+        # small cannot shrink further
+        noise = 64.0 * eps * float(vals[-1])
+        if iterations >= SOLVER_ITERATION_CAP or (
+            gap <= tol and (iterations >= floor or gap <= noise)
+        ):
             break
-        if mu * log_dim > 0.25 * (upper - best_lam):
+        if mu * log_dim > 0.25 * gap:
             mu, lip = 0.5 * mu, 2.0 * lip
             continue  # read the same decomposition again at the new mu
-        # two eigensolves of one matrix can differ by this much
-        noise = 64.0 * float(np.finfo(float).eps) * float(vals[-1])
         while True:
             x_new = _project_capped_box(y + grad / lip, cap)
             step = x_new - y
-            vals_x = _spectrum(_laplacian_at(lb, inc, x_new))[1:]
+            vals_x = _spectrum(_laplacian_at(lb, entries, x_new))[1:]
             if float(vals_x[0]) > best_lam:
                 best_w, best_lam = x_new, float(vals_x[0])
             f_x, _ = _smoothed(vals_x, mu)
@@ -493,7 +523,7 @@ def brute_force_opt(inst: ConnectivityInstance):
     if inst.base.n < 2:
         raise PreconditionError("lambda_2 needs at least 2 vertices")
     lb = laplacian(inst.base)
-    inc = _incidence_rows(inst.base.n, inst.candidates)
+    entries = _edge_entries(inst.base.n, inst.candidates)
     best_val = -math.inf
     best_set: tuple = ()
     w = np.zeros(m)
@@ -501,7 +531,7 @@ def brute_force_opt(inst: ConnectivityInstance):
         for subset in itertools.combinations(range(m), size):
             w[:] = 0.0
             w[list(subset)] = 1.0
-            val = _lambda2(lb, inc, w)
+            val = _lambda2(lb, entries, w)
             if val > best_val:
                 best_val = val
                 best_set = tuple(inst.candidates[i] for i in subset)

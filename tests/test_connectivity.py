@@ -15,6 +15,7 @@ from lapsparse.core import (
 )
 from lapsparse.connectivity import (
     SOLVER_ITERATION_CAP,
+    SOLVER_ITERATIONS_PER_CANDIDATE,
     ConnectivityInstance,
     _dual_bound,
     _incidence_rows,
@@ -266,7 +267,7 @@ def test_certificate_bounds_the_solver_and_the_brute_force_optimum():
         assert lambda2_with(inst.base, inst.candidates, w) <= frac.lambda_upper + 1e-12
 
 
-def test_benchmark_sized_instance_certifies_before_the_cap():
+def benchmark_sized_instance() -> ConnectivityInstance:
     # the shape of the algconn benchmark's inputs: tree plus n/5 chords, 40
     # candidate non-edges, k = 3
     rng = np.random.default_rng(41)
@@ -274,10 +275,33 @@ def test_benchmark_sized_instance_certifies_before_the_cap():
     base = random_connected_graph(rng, n, extra_edges=n // 5)
     pool = sorted({(u, v) for u in range(n) for v in range(u + 1, n)} - base.edge_pairs())
     cand = [pool[int(j)] for j in rng.choice(len(pool), size=40, replace=False)]
-    frac = solve_fractional(ConnectivityInstance(base, cand, 3))
+    return ConnectivityInstance(base, cand, 3)
+
+
+def test_benchmark_sized_instance_certifies_before_the_cap():
+    inst = benchmark_sized_instance()
+    frac = solve_fractional(inst)
     assert frac.converged and frac.gap <= 1e-4
     assert frac.iterations < SOLVER_ITERATION_CAP
-    assert frac.lambda_sdp >= lambda2(base)
+    assert frac.lambda_sdp >= lambda2(inst.base)
+
+
+def test_a_gap_that_closes_early_still_runs_to_the_iteration_floor():
+    # A loose tolerance is met within a few iterations, the default one
+    # later but still before the iteration floor: both solves run to the
+    # floor, along the same path, and return the same point and bounds.
+    inst = benchmark_sized_instance()
+    loose = solve_fractional(inst, tol=1e-1)
+    default = solve_fractional(inst)
+    floor = min(SOLVER_ITERATION_CAP, SOLVER_ITERATIONS_PER_CANDIDATE * len(inst.candidates))
+    assert loose.iterations == default.iterations == floor
+    assert np.array_equal(loose.weights, default.weights)
+    assert (loose.lambda_sdp, loose.lambda_upper) == (default.lambda_sdp, default.lambda_upper)
+    # a gap that is down to rounding ends the solve before the floor: on the
+    # path 0-1-2 the one candidate (0,2) at full weight makes a triangle
+    frac = solve_fractional(ConnectivityInstance(path3(), [(0, 2)], 1))
+    assert frac.iterations < SOLVER_ITERATIONS_PER_CANDIDATE
+    assert frac.converged and frac.lambda_sdp == pytest.approx(3.0, rel=1e-12)
 
 
 @settings(max_examples=15, deadline=None)
