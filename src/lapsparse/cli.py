@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -46,6 +47,7 @@ from .connectivity import (
     round_solution,
     solve_fractional,
 )
+from .engine import StepRecord
 from .patch import sparsify_patch
 from .ultra import build_ultrasparsifier
 
@@ -72,6 +74,8 @@ def parse_graph_text(text: str, name: str) -> WeightedGraph:
                 n = int(parts[1])
             except ValueError:
                 raise ParseError(f"{name}:{lineno}: vertex count {parts[1]!r} is not an integer") from None
+            if n < 0:
+                raise ParseError(f"{name}:{lineno}: vertex count must be nonnegative, got {n}")
             continue
         if len(parts) != 3:
             raise ParseError(f"{name}:{lineno}: expected 'u v w', got {raw.strip()!r}")
@@ -101,7 +105,8 @@ def parse_graph_json(text: str, name: str) -> WeightedGraph:
         raise ParseError(f"{name}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict) or "n" not in doc or "edges" not in doc:
         raise ParseError(f"{name}: JSON graph needs keys 'n' and 'edges'")
-    if not isinstance(doc["n"], int):
+    # exact types, not isinstance: JSON true and false load as bool, an int subclass
+    if type(doc["n"]) is not int:
         raise ParseError(f"{name}: 'n' must be an integer")
     if not isinstance(doc["edges"], list):
         raise ParseError(f"{name}: 'edges' must be a list of [u, v, w]")
@@ -110,7 +115,7 @@ def parse_graph_json(text: str, name: str) -> WeightedGraph:
         if not isinstance(item, (list, tuple)) or len(item) != 3:
             raise ParseError(f"{name}: edges[{i}] must be [u, v, w]")
         u, v, w = item
-        if not isinstance(u, int) or not isinstance(v, int) or not isinstance(w, (int, float)):
+        if type(u) is not int or type(v) is not int or type(w) not in (int, float):
             raise ParseError(f"{name}: edges[{i}] must be [int, int, number]")
         edges.append((u, v, float(w)))
     try:
@@ -221,21 +226,7 @@ def _input_block(**paths: str) -> dict:
 
 
 # Per-step engine trace fields, in report and CSV column order.
-TRACE_FIELDS = (
-    "q",
-    "index",
-    "t",
-    "slack",
-    "l",
-    "u",
-    "lower_potential",
-    "upper_potential",
-    "lower_increase",
-    "upper_increase",
-    "upper_gap",
-    "lower_gap",
-    "feasible_candidates",
-)
+TRACE_FIELDS = tuple(f.name for f in dataclasses.fields(StepRecord))
 
 
 def _engine_trace_rows(result) -> list:

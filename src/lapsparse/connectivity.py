@@ -24,8 +24,9 @@ from .core import (
     PreconditionError,
     TooLargeError,
     WeightedGraph,
-    _add_edges,
     _decompose,
+    _edge_entries,
+    _edge_laplacian,
     _spectrum,
     check_symmetric,
     laplacian,
@@ -134,7 +135,6 @@ class RoundedSolution:
     weights: tuple
     lambda2_weighted: float
     lambda2_unweighted: float
-    lambda_sdp: float
     lambda_k2: float
     floor: float
     engine: EngineResult | None
@@ -142,44 +142,14 @@ class RoundedSolution:
 
 def _lambda2_of(lap: np.ndarray) -> float:
     """lambda_2 of a Laplacian, by the numpy LAPACK of `core._spectrum`."""
-    return float(_spectrum(check_symmetric(lap))[1])
-
-
-def _graph_lambda2_with(base: WeightedGraph, pairs, weights) -> float:
-    """lambda_2 of base plus the given weighted edges."""
-    u, v = np.array(pairs, dtype=int).reshape(-1, 2).T
-    lap = _add_edges(laplacian(base), u, v, np.array(weights, dtype=float))
-    return _lambda2_of(symmetrize(lap))
-
-
-def _incidence_rows(n: int, pairs) -> np.ndarray:
-    rows = np.zeros((len(pairs), n))
-    for i, (u, v) in enumerate(pairs):
-        rows[i, u] = 1.0
-        rows[i, v] = -1.0
-    return rows
-
-
-def _edge_entries(n: int, pairs) -> tuple:
-    """Flat positions in an n x n matrix of the four Laplacian entries of
-    each edge (uu, vv, uv, vu, edge by edge), and the signs they take."""
-    u, v = np.array(pairs, dtype=int).reshape(-1, 2).T
-    flat = np.stack((u * n + u, v * n + v, u * n + v, v * n + u), axis=1).ravel()
-    return flat, np.tile([1.0, 1.0, -1.0, -1.0], u.size)
+    return float(_spectrum(lap)[1])
 
 
 def _laplacian_at(lb: np.ndarray, entries: tuple, w: np.ndarray) -> np.ndarray:
-    """L_base + sum_e w_e L_e, in O(m + n^2). Each entry sums its weights in
-    edge order, and uv and vu get the same one, so the sum is exactly
-    symmetric when L_base is."""
-    flat, signs = entries
-    n = lb.shape[0]
-    added = np.bincount(flat, signs * np.repeat(w, 4), minlength=n * n)
-    return check_symmetric(lb + added.reshape(n, n))
-
-
-def _lambda2(lb: np.ndarray, entries: tuple, w: np.ndarray) -> float:
-    return _lambda2_of(_laplacian_at(lb, entries, w))
+    """L_base + sum_e w_e L_e, in O(m + n^2), for the edges located by
+    `core._edge_entries`. The added Laplacian is exactly symmetric, so the
+    sum is when L_base is."""
+    return check_symmetric(lb + _edge_laplacian(lb.shape[0], entries, w))
 
 
 def _project_capped_box(v: np.ndarray, cap: float) -> np.ndarray:
@@ -221,9 +191,12 @@ def _project_capped_box(v: np.ndarray, cap: float) -> np.ndarray:
     return w
 
 
-def _dual_bound(lb: np.ndarray, inc: np.ndarray, vecs: np.ndarray, p: np.ndarray, k: int):
+def _dual_bound(
+    lb: np.ndarray, u: np.ndarray, v: np.ndarray, vecs: np.ndarray, p: np.ndarray, k: int
+):
     """Certified upper bound on max lambda_2 over {0 <= w <= 1, sum w <= k},
-    and the loads g_e = b_e^T Y b_e it is built from.
+    and the loads g_e = b_e^T Y b_e it is built from, for the candidate
+    edges e = (u[e], v[e]).
 
     Y = sum_i p_i q_i q_i^T, with q_i the columns of `vecs` with 1 projected
     out and p >= 0, is PSD with Y 1 = 0, so lambda_2(L) tr Y <= tr(Y L) for
@@ -235,7 +208,7 @@ def _dual_bound(lb: np.ndarray, inc: np.ndarray, vecs: np.ndarray, p: np.ndarray
     """
     keep = p > 0.0
     vecs, p = vecs[:, keep], p[keep]
-    proj = inc @ vecs
+    proj = vecs.take(u, axis=0) - vecs.take(v, axis=0)  # rows b_e^T vecs, by two gathers
     loads = (proj * proj) @ p
     top = float(np.sum(np.partition(loads, loads.size - k)[loads.size - k :])) if k else 0.0
     quad = np.sum(vecs * (lb @ vecs), axis=0)
@@ -299,8 +272,8 @@ def solve_fractional(inst: ConnectivityInstance, tol: float = 1e-4) -> Fractiona
             converged=True,
         )
     lb = laplacian(inst.base)
-    inc = _incidence_rows(n, inst.candidates)
-    entries = _edge_entries(n, inst.candidates)
+    u, v = np.array(inst.candidates, dtype=int).T
+    entries = _edge_entries(n, u, v)
     k = min(inst.k, m)
     cap = float(k)
 
@@ -329,7 +302,7 @@ def solve_fractional(inst: ConnectivityInstance, tol: float = 1e-4) -> Fractiona
         # w = 0 is the only feasible point; Y on lambda_2's eigenvector bounds it
         w = np.zeros(m)
         vals, vecs = decompose(w)
-        upper, grad = _dual_bound(lb, inc, vecs[:, :1], np.ones(1), 0)
+        upper, grad = _dual_bound(lb, u, v, vecs[:, :1], np.ones(1), 0)
         return solution(w, float(vals[0]), upper, 0, grad)
 
     log_dim = math.log(max(n - 1, 2))
@@ -337,14 +310,14 @@ def solve_fractional(inst: ConnectivityInstance, tol: float = 1e-4) -> Fractiona
     vals, vecs = decompose(y)
     best_lam, upper, t, iterations, f_prev = float(vals[0]), math.inf, 1.0, 1, -math.inf
     # the first mu comes from the gap of the uniform density's bound
-    first, _ = _dual_bound(lb, inc, vecs, np.full(n - 1, 1.0 / (n - 1)), k)
+    first, _ = _dual_bound(lb, u, v, vecs, np.full(n - 1, 1.0 / (n - 1)), k)
     mu = max(first - best_lam, tol) / (4.0 * log_dim)
     lip = 1.0 / mu
     eps = float(np.finfo(float).eps)
     floor = min(SOLVER_ITERATION_CAP, SOLVER_ITERATIONS_PER_CANDIDATE * m)
     while True:
         f_y, p = _smoothed(vals, mu)
-        bound, grad = _dual_bound(lb, inc, vecs, p, k)
+        bound, grad = _dual_bound(lb, u, v, vecs, p, k)
         upper = min(upper, bound)
         gap = upper - best_lam
         # two eigensolves of one matrix can differ by this much; a gap that
@@ -384,7 +357,7 @@ def solve_fractional(inst: ConnectivityInstance, tol: float = 1e-4) -> Fractiona
     # One more solve gives the returned point's gradient. Its lambda_2 can
     # round a few ulps below the value the loop certified the gap with.
     vals, vecs = decompose(best_w)
-    bound, grad = _dual_bound(lb, inc, vecs, _smoothed(vals, mu)[1], k)
+    bound, grad = _dual_bound(lb, u, v, vecs, _smoothed(vals, mu)[1], k)
     return solution(best_w, max(best_lam, float(vals[0])), min(upper, bound), iterations, grad)
 
 
@@ -415,99 +388,60 @@ def round_solution(inst: ConnectivityInstance, frac: FractionalSolution) -> Roun
     four_delta = 4.0 * inst.delta
     if four_delta <= 0.0:
         raise PreconditionError("Delta must be positive to round (no edges anywhere)")
-    lam2_base = _lambda2_of(laplacian(inst.base))
     if math.isfinite(lam_k2):
         floor = lam_k2 * frac.lambda_sdp / (LOWER_CONSTANT_DIVISOR * four_delta**2)
     else:
         floor = frac.lambda_sdp / LOWER_CONSTANT_DIVISOR
 
-    total_w = float(np.sum(frac.weights))
-    kept = [i for i in range(m) if frac.weights[i] > WEIGHT_DROP_REL * max(total_w, 1e-300)]
-    if inst.k == 0 or not kept:
-        return RoundedSolution(
-            selected=(),
-            weights=(),
-            lambda2_weighted=lam2_base,
-            lambda2_unweighted=lam2_base,
-            lambda_sdp=frac.lambda_sdp,
-            lambda_k2=lam_k2,
-            floor=floor,
-            engine=None,
-        )
-
-    if len(kept) <= 8 * inst.k + 1:
-        # Already within the support budget: keep the fractional weights as
-        # they are. The floor holds outright because lambda_{k+2} <= 2 Delta
-        # << 72 (4 Delta)^2, so lambda_sdp itself clears it.
-        selected = tuple(inst.candidates[i] for i in kept)
-        weights = tuple(float(frac.weights[i]) for i in kept)
-        lam2_weighted = _graph_lambda2_with(inst.base, selected, weights)
-        lam2_unweighted = _graph_lambda2_with(inst.base, selected, (1.0,) * len(selected))
-        if lam2_weighted < floor * (1.0 - 1e-6) - 1e-12:
-            raise NumericalError(
-                f"sparse-support lambda_2 {lam2_weighted!r} fell below the floor {floor!r}"
-            )
-        return RoundedSolution(
-            selected=selected,
-            weights=weights,
-            lambda2_weighted=lam2_weighted,
-            lambda2_unweighted=lam2_unweighted,
-            lambda_sdp=frac.lambda_sdp,
-            lambda_k2=lam_k2,
-            floor=floor,
-            engine=None,
-        )
-
-    h = scipy.linalg.helmert(n)
     lb = laplacian(inst.base)
-    x = symmetrize(h @ lb @ h.T / four_delta)
-    vectors = np.zeros((n - 1, len(kept)))
-    for j, i in enumerate(kept):
-        u, v = inst.candidates[i]
-        vectors[:, j] = math.sqrt(float(frac.weights[i]) / four_delta) * (h[:, u] - h[:, v])
-    kept_w = np.array([frac.weights[i] for i in kept])
-    kept_u, kept_v = np.array([inst.candidates[i] for i in kept]).T
-    lap_frac = _add_edges(lb.copy(), kept_u, kept_v, kept_w)
-    mstar = symmetrize(h @ lap_frac @ h.T / four_delta)
-    costs = kept_w / float(kept_w.sum())
-    costs[-1] = 1.0 - float(costs[:-1].sum())
-    problem = EngineProblem(
-        X=x,
-        vectors=vectors,
-        costs=costs,
-        Mstar=mstar,
-        k=inst.k,
-        N=8 * inst.k + 1,
-    )
-    result = run_engine(problem)
+    u, v = np.array(inst.candidates, dtype=int).reshape(-1, 2).T
+    total_w = float(np.sum(frac.weights))
+    kept = np.flatnonzero(frac.weights > WEIGHT_DROP_REL * max(total_w, 1e-300))
+    if inst.k == 0:
+        kept = kept[:0]  # no edge fits a zero budget, whatever the weights
+    engine = None
+    if kept.size <= 8 * inst.k + 1:
+        # Nothing kept, or already within the support budget: keep the
+        # fractional weights as they are. The floor holds outright because
+        # lambda_{k+2} <= 2 Delta << 72 (4 Delta)^2, so lambda_sdp itself
+        # clears it.
+        selected, weights = kept, frac.weights[kept]
+    else:
+        h = scipy.linalg.helmert(n)
+        kept_w = frac.weights[kept]
+        x = symmetrize(h @ lb @ h.T / four_delta)
+        vectors = np.sqrt(kept_w / four_delta) * (h[:, u[kept]] - h[:, v[kept]])
+        lap_frac = _laplacian_at(lb, _edge_entries(n, u[kept], v[kept]), kept_w)
+        mstar = symmetrize(h @ lap_frac @ h.T / four_delta)
+        costs = kept_w / float(kept_w.sum())
+        costs[-1] = 1.0 - float(costs[:-1].sum())
+        engine = run_engine(
+            EngineProblem(X=x, vectors=vectors, costs=costs, Mstar=mstar, k=inst.k, N=8 * inst.k + 1)
+        )
+        support = engine.support_indices
+        selected, weights = kept[support], engine.weights[support] * kept_w[support]
 
-    selected = []
-    weights = []
-    for j in result.support_indices:
-        i = kept[j]
-        selected.append(inst.candidates[i])
-        weights.append(float(result.weights[j] * frac.weights[i]))
-    lam2_weighted = _graph_lambda2_with(inst.base, selected, weights)
-    lam2_unweighted = _graph_lambda2_with(inst.base, selected, (1.0,) * len(selected))
-
+    entries = _edge_entries(n, u[selected], v[selected])
+    lam2_weighted = _lambda2_of(_laplacian_at(lb, entries, weights))
+    lam2_unweighted = _lambda2_of(_laplacian_at(lb, entries, np.ones(selected.size)))
     if lam2_weighted < floor * (1.0 - 1e-6) - 1e-12:
         raise NumericalError(
             f"rounded lambda_2 {lam2_weighted!r} fell below the certified floor {floor!r}"
         )
-    agreement = abs(lam2_weighted - four_delta * result.lambda_min)
-    if agreement > 1e-6 * max(1.0, lam2_weighted):
-        raise NumericalError(
-            f"graph-level lambda_2 {lam2_weighted!r} and engine lambda_min disagree by {agreement!r}"
-        )
+    if engine is not None:
+        agreement = abs(lam2_weighted - four_delta * engine.lambda_min)
+        if agreement > 1e-6 * max(1.0, lam2_weighted):
+            raise NumericalError(
+                f"graph-level lambda_2 {lam2_weighted!r} and engine lambda_min disagree by {agreement!r}"
+            )
     return RoundedSolution(
-        selected=tuple(selected),
-        weights=tuple(weights),
+        selected=tuple(inst.candidates[i] for i in selected),
+        weights=tuple(weights.tolist()),
         lambda2_weighted=lam2_weighted,
         lambda2_unweighted=lam2_unweighted,
-        lambda_sdp=frac.lambda_sdp,
         lambda_k2=lam_k2,
         floor=floor,
-        engine=result,
+        engine=engine,
     )
 
 
@@ -523,7 +457,8 @@ def brute_force_opt(inst: ConnectivityInstance):
     if inst.base.n < 2:
         raise PreconditionError("lambda_2 needs at least 2 vertices")
     lb = laplacian(inst.base)
-    entries = _edge_entries(inst.base.n, inst.candidates)
+    u, v = np.array(inst.candidates, dtype=int).reshape(-1, 2).T
+    entries = _edge_entries(inst.base.n, u, v)
     best_val = -math.inf
     best_set: tuple = ()
     w = np.zeros(m)
@@ -531,7 +466,7 @@ def brute_force_opt(inst: ConnectivityInstance):
         for subset in itertools.combinations(range(m), size):
             w[:] = 0.0
             w[list(subset)] = 1.0
-            val = _lambda2(lb, entries, w)
+            val = _lambda2_of(_laplacian_at(lb, entries, w))
             if val > best_val:
                 best_val = val
                 best_set = tuple(inst.candidates[i] for i in subset)

@@ -221,25 +221,29 @@ class SpectralDecomposition:
 
 def laplacian(g: WeightedGraph) -> np.ndarray:
     """Dense Laplacian: weighted degrees on the diagonal, -w off-diagonal."""
-    lap = np.zeros((g.n, g.n))
-    if g.edges:
-        edges = np.array(g.edges)
-        _add_edges(lap, edges[:, 0].astype(int), edges[:, 1].astype(int), edges[:, 2])
-    return lap
+    edges = np.array(g.edges, dtype=float).reshape(-1, 3)
+    u, v = edges[:, 0].astype(int), edges[:, 1].astype(int)
+    return _edge_laplacian(g.n, _edge_entries(g.n, u, v), edges[:, 2])
 
 
-def _add_edges(lap: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Add the Laplacians of the edges (u[i], v[i]) of weight w[i] to `lap`
-    in place, and return it.
+def _edge_entries(n: int, u: np.ndarray, v: np.ndarray) -> tuple:
+    """Flat positions in an n x n matrix of the four Laplacian entries of
+    each edge (u[i], v[i]) (uu, vv, uv, vu, edge by edge), and the signs
+    they take."""
+    flat = np.stack((u * n + u, v * n + v, u * n + v, v * n + u), axis=1).ravel()
+    return flat, np.tile([1.0, 1.0, -1.0, -1.0], u.size)
 
-    One unbuffered `np.add.at` adds each edge's four entries in edge order,
-    so every entry sums its weights in the same order, and to the same
-    floats, as four scalar updates per edge in a loop would.
+
+def _edge_laplacian(n: int, entries: tuple, w: np.ndarray) -> np.ndarray:
+    """Laplacian of the edges located by `_edge_entries`, edge i weighing w[i].
+
+    One bincount sums each entry's weights in edge order, to the same floats
+    as four scalar updates per edge in a loop from zero would, and gives uv
+    and vu the same sum, so the result is exactly symmetric.
     """
-    rows = np.stack((u, v, u, v), axis=1).ravel()
-    cols = np.stack((u, v, v, u), axis=1).ravel()
-    np.add.at(lap, (rows, cols), np.stack((w, w, -w, -w), axis=1).ravel())
-    return lap
+    flat, signs = entries
+    sums = np.bincount(flat, signs * np.repeat(w, 4), minlength=n * n)
+    return sums.astype(float, copy=False).reshape(n, n)  # bincount of nothing is integer
 
 
 def eigh(a: np.ndarray) -> SpectralDecomposition:
@@ -333,13 +337,13 @@ def numpy_blas_threads(count: int):
         setter(previous)
 
 
-def _rank_split(dec: SpectralDecomposition, rel_tol: float) -> np.ndarray:
+def _rank_split(dec: SpectralDecomposition) -> np.ndarray:
     """Boolean mask of eigenvalues treated as nonzero."""
     vals = dec.eigenvalues
     if vals.size == 0:
         return np.zeros(0, dtype=bool)
     lam_max = float(np.max(np.abs(vals)))
-    return np.abs(vals) > rel_tol * max(lam_max, 1e-300)
+    return np.abs(vals) > REL_RANK_TOL * max(lam_max, 1e-300)
 
 
 @dataclass(frozen=True)
@@ -354,7 +358,6 @@ class LaplacianFactor:
     """
 
     f: np.ndarray
-    eigenvalues: np.ndarray
     labels: np.ndarray
 
     @property
@@ -391,7 +394,7 @@ def factor_laplacian(g: WeightedGraph) -> LaplacianFactor:
             f"smallest image eigenvalue {float(image[0]):g} of the Laplacian is not above"
             f" its kernel's rounding noise {noise:g}"
         )
-    return LaplacianFactor(f=dec.eigenvectors[:, c:] / np.sqrt(image), eigenvalues=image, labels=labels)
+    return LaplacianFactor(f=dec.eigenvectors[:, c:] / np.sqrt(image), labels=labels)
 
 
 def same_components(g: WeightedGraph, h: WeightedGraph) -> bool:
@@ -405,23 +408,21 @@ def same_components(g: WeightedGraph, h: WeightedGraph) -> bool:
     return len(pairs) == len(set(lg.tolist())) == len(set(lh.tolist()))
 
 
-def pencil_eigenvalues(
-    a: np.ndarray, b: LaplacianFactor | np.ndarray, rel_tol: float = REL_RANK_TOL
-) -> np.ndarray:
+def pencil_eigenvalues(a: np.ndarray, b: LaplacianFactor | np.ndarray) -> np.ndarray:
     """Generalized eigenvalues of the PSD pencil (A, B) on the image of B.
 
     B is a LaplacianFactor, whose image is exact, or a raw PSD matrix, whose
-    image is the span of its eigenvalues above rel_tol * lambda_max. With F a
-    basis of im(B) scaled so that F^T B F = I, returns the ascending
-    eigenvalues of F^T A F: the stationary values of x^T A x / x^T B x over
-    x in im(B).
+    image is the span of its eigenvalues above REL_RANK_TOL * lambda_max.
+    With F a basis of im(B) scaled so that F^T B F = I, returns the
+    ascending eigenvalues of F^T A F: the stationary values of
+    x^T A x / x^T B x over x in im(B).
     """
     a = check_symmetric(a)
     if isinstance(b, LaplacianFactor):
         f = b.f
     else:
         dec = _decompose(check_symmetric(b))
-        keep = _rank_split(dec, rel_tol)
+        keep = _rank_split(dec)
         f = dec.eigenvectors[:, keep] / np.sqrt(np.abs(dec.eigenvalues[keep]))
     # F^T A F is symmetric up to rounding of size eps * |F|^2 |A|, which can
     # exceed any tolerance relative to its own entries when B is badly

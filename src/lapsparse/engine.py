@@ -391,7 +391,7 @@ def _select(
     return idx, 1.0 / float(rhs[idx]), float(slack[idx]), int(np.count_nonzero(slack >= 0))
 
 
-def run_engine(problem: EngineProblem, collect_trace: bool = True) -> EngineResult:
+def run_engine(problem: EngineProblem) -> EngineResult:
     """Run exactly N selection steps and certify the outcome.
 
     Each step picks (i, t) via _select, adds t Y_i to A (and
@@ -445,26 +445,25 @@ def run_engine(problem: EngineProblem, collect_trace: bool = True) -> EngineResu
             raise NumericalError(
                 f"potential increased at step {q}: upper by {upper_inc:g}, lower by {lower_inc:g}"
             )
-        if collect_trace:
-            trace.append(
-                StepRecord(
-                    q=q,
-                    index=idx,
-                    t=t,
-                    slack=slack,
-                    l=state.l,
-                    u=state.u,
-                    lower_potential=new_phi_l,
-                    upper_potential=new_phi_u,
-                    lower_increase=lower_inc,
-                    upper_increase=upper_inc,
-                    upper_gap=state.u - float(state.dec_a.eigenvalues[-1]),
-                    lower_gap=(
-                        float(state.dec_b.eigenvalues[0]) - state.l if k_eff else math.inf
-                    ),
-                    feasible_candidates=feasible,
-                )
+        trace.append(
+            StepRecord(
+                q=q,
+                index=idx,
+                t=t,
+                slack=slack,
+                l=state.l,
+                u=state.u,
+                lower_potential=new_phi_l,
+                upper_potential=new_phi_u,
+                lower_increase=lower_inc,
+                upper_increase=upper_inc,
+                upper_gap=state.u - float(state.dec_a.eigenvalues[-1]),
+                lower_gap=(
+                    float(state.dec_b.eigenvalues[0]) - state.l if k_eff else math.inf
+                ),
+                feasible_candidates=feasible,
             )
+        )
         phi_u, phi_l = new_phi_u, new_phi_l
 
         cost_so_far = float(state.weights @ problem.costs)

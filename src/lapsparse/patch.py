@@ -136,6 +136,8 @@ def sparsify_patch(
     combined edge count can exceed N on adversarial splits; the realized
     budget is reported via n_budget).
     """
+    if k < 0:
+        raise PreconditionError(f"k must be nonnegative, got {k}")
     if n_budget is None:
         n_eff = 8 * k + 1
     elif n_budget < 8 * k + 1:

@@ -23,7 +23,7 @@ from .core import (
     laplacian,
     pencil_eigenvalues,
 )
-from .patch import PatchParams, PatchSparsifier, sparsify_patch
+from .patch import PatchSparsifier, sparsify_patch
 
 
 @dataclass(frozen=True)
@@ -250,7 +250,8 @@ class UltraResult:
 
     gen_lower/gen_upper bound the (L_G, L_U) pencil; kappa_measured is their
     ratio (the relative condition number); certified_lower is the engine-backed
-    floor 1 / (theta_max * (1 + 1/(c3 kappa_target))).
+    floor 1 / (theta_max * (1 + 1/(c3 kappa_target))). A tree input has no
+    patch: U = G, and certified_lower is the measured gen_lower.
     """
 
     u: WeightedGraph
@@ -260,12 +261,9 @@ class UltraResult:
     kappa_measured: float
     certified_lower: float
     edge_count: int
-    c1: float
-    c3: float
     stretch: StretchReport
     trace_residual: float
     patch: PatchSparsifier | None
-    patch_params: PatchParams | None
     tree: SpanningTree
 
 
@@ -274,40 +272,19 @@ def build_ultrasparsifier(
 ) -> UltraResult:
     """Spanning tree plus at most 8k+1 reweighted edges approximating G.
 
-    Tree inputs short-circuit to U = G. Otherwise kappa = c1 * st_T(G) / k,
-    W = G / (c3 kappa), W_k = sparsify_patch(T, W, k, 8k+1), U = T + W_k.
+    kappa = c1 * st_T(G) / k, W = G / (c3 kappa), W_k = sparsify_patch(T, W,
+    k, 8k+1), U = T + W_k. A tree is its own low-stretch tree, so a tree
+    input gives U = G with no patch.
     """
     if k < 1:
         raise PreconditionError(f"k must be at least 1, got {k}")
-    if c1 <= 0 or c3 <= 0:
-        raise PreconditionError(f"constants must be positive, got c1={c1}, c3={c3}")
+    for name, c in (("c1", c1), ("c3", c3)):
+        if not (math.isfinite(c) and c > 0):
+            raise PreconditionError(f"{name} must be finite and positive, got {c!r}")
     if not g.is_connected():
         raise DisconnectedError("ultrasparsifier needs a connected input graph")
     if g.n < 2:
         raise PreconditionError("need at least 2 vertices")
-
-    if g.num_edges == g.n - 1:
-        # G is already a tree: U = G and the sandwich is exactly 1.
-        tree = SpanningTree.build(g.n, g.edges)
-        report = tree_stretch(g, tree)
-        trace, stretch = sw_trace_check(g, tree)
-        vals = pencil_eigenvalues(laplacian(g), factor_laplacian(g))
-        return UltraResult(
-            u=g,
-            kappa_target=c1 * stretch / k,
-            gen_lower=float(vals[0]),
-            gen_upper=float(vals[-1]),
-            kappa_measured=float(vals[-1]) / float(vals[0]),
-            certified_lower=float(vals[0]),
-            edge_count=g.num_edges,
-            c1=c1,
-            c3=c3,
-            stretch=report,
-            trace_residual=abs(trace - stretch),
-            patch=None,
-            patch_params=None,
-            tree=tree,
-        )
 
     tree = low_stretch_tree(g, seed)
     report = tree_stretch(g, tree)
@@ -315,13 +292,18 @@ def build_ultrasparsifier(
     kappa_target = c1 * stretch / k
     scale = 1.0 / (c3 * kappa_target)
     t_graph = tree.graph()
-    w = g.scale(scale)
-    patch = sparsify_patch(t_graph, w, k, 8 * k + 1)
-    u = t_graph.union(patch.wk)
+    if g.num_edges == g.n - 1:  # G is a tree, so T = G and W_k is empty
+        patch, u = None, g
+    else:
+        patch = sparsify_patch(t_graph, g.scale(scale), k, 8 * k + 1)
+        u = t_graph.union(patch.wk)
 
     vals = pencil_eigenvalues(laplacian(g), factor_laplacian(u))
     gen_lower, gen_upper = float(vals[0]), float(vals[-1])
-    certified_lower = 1.0 / (patch.certified_upper * (1.0 + scale))
+    if patch is None:
+        certified_lower = gen_lower
+    else:
+        certified_lower = 1.0 / (patch.certified_upper * (1.0 + scale))
     if gen_lower < certified_lower - 1e-9:
         raise NumericalError(
             f"measured sandwich lower {gen_lower!r} fell below certified {certified_lower!r}"
@@ -334,11 +316,8 @@ def build_ultrasparsifier(
         kappa_measured=gen_upper / gen_lower,
         certified_lower=certified_lower,
         edge_count=u.num_edges,
-        c1=c1,
-        c3=c3,
         stretch=report,
         trace_residual=abs(trace - stretch),
         patch=patch,
-        patch_params=patch.params,
         tree=tree,
     )

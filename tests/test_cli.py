@@ -74,6 +74,9 @@ def test_text_parser_errors_name_the_line():
         parse_graph_text("n 3\n0 1 1.0\n1 2 -1.0\n", "bad.txt")
     with pytest.raises(ParseError, match=r"bad\.txt:2"):
         parse_graph_text("n 3\n0 1 abc\n", "bad.txt")
+    # a negative vertex count is the header's fault, not the first edge's
+    with pytest.raises(ParseError, match=r"bad\.txt:1: vertex count must be nonnegative"):
+        parse_graph_text("n -3\n0 1 1.0\n", "bad.txt")
 
 
 def test_json_parser_rejects_malformed_documents():
@@ -85,6 +88,11 @@ def test_json_parser_rejects_malformed_documents():
         parse_graph_json('{"n": 3, "edges": [[0, 1]]}', "x.json")
     with pytest.raises(ParseError):
         parse_graph_json('{"n": 3, "edges": [[0, 3, 1.0]]}', "x.json")
+    # JSON booleans are not numbers
+    for doc in ('{"n": 3, "edges": [[0, 1, true]]}', '{"n": 3, "edges": [[false, 1, 1.0]]}',
+                '{"n": true, "edges": []}'):
+        with pytest.raises(ParseError, match="must be"):
+            parse_graph_json(doc, "x.json")
 
 
 def test_read_and_write_dispatch_on_extension(tmp_path):
@@ -253,6 +261,23 @@ def test_algconn_command_zero_budget_selects_nothing(tmp_path):
     assert read_graph(str(out)).num_edges == 0
 
 
+def test_algconn_report_recomputes_its_lambda_2_exactly(tmp_path):
+    # the re-check rebuilds L_base + L_sel from the written files as the
+    # library built it, so the two lambda_2 values are the same float
+    rng = np.random.default_rng(38)
+    n = 8
+    base = random_connected_graph(rng, n, extra_edges=2)
+    pool = sorted({(u, v) for u in range(n) for v in range(u + 1, n)} - base.edge_pairs())
+    cand = WeightedGraph(n, [pool[int(j)] + (1.0,) for j in rng.choice(len(pool), size=6, replace=False)])
+    rep = tmp_path / "rep.json"
+    argv = ["algconn", save_text(tmp_path, "base.txt", base), save_text(tmp_path, "cand.txt", cand),
+            str(tmp_path / "sel.txt"), "--k", "1", "--report", str(rep)]
+    assert main(argv) == 0
+    report = json.loads(rep.read_text())
+    assert len(report["rounded"]["selected"]) > 1
+    assert report["coherence"]["max_relative_deviation"] == 0.0
+
+
 def test_verify_command_identity_and_doubling(tmp_path):
     rng = np.random.default_rng(81)
     g = random_connected_graph(rng, 10, extra_edges=8)
@@ -328,6 +353,19 @@ def test_exit_code_three_on_violated_preconditions(tmp_path, capsys):
     disc = save_text(tmp_path, "disc.txt", WeightedGraph(5, [(0, 1, 1.0)]))
     assert main(["ultra", disc, str(out), "--k", "1"]) == 3
 
+    # NaN, infinite or nonpositive ultra constants, on a tree input and on G
+    tree = save_text(tmp_path, "tree.txt", random_connected_graph(rng, 6, extra_edges=0))
+    for graph in (tree, g_path):
+        for flag, value in (("--c1", "nan"), ("--c1", "inf"), ("--c3", "nan"), ("--c3", "0")):
+            capsys.readouterr()
+            assert main(["ultra", graph, str(out), "--k", "1", flag, value]) == 3
+            assert f"{flag[2:]} must be finite and positive" in capsys.readouterr().err
+
+    # a negative k with an empty W
+    empty = save_text(tmp_path, "empty.txt", WeightedGraph(8, []))
+    assert main(["sparsify-patch", g_path, empty, str(out), "--k", "-1"]) == 3
+    assert "k must be nonnegative" in capsys.readouterr().err
+
     # vertex-count mismatch in verify
     small = save_text(tmp_path, "small.txt", WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)]))
     assert main(["verify", g_path, small]) == 3
@@ -372,12 +410,12 @@ def test_exit_code_four_prints_a_json_line_for_errors_without_diagnostics(tmp_pa
     import lapsparse.connectivity as connectivity
 
     # a certificate failure: the kept support's lambda_2 reads as far below the floor
-    monkeypatch.setattr(connectivity, "_graph_lambda2_with", lambda base, pairs, weights: -1.0)
+    monkeypatch.setattr(connectivity, "_lambda2_of", lambda lap: -1.0)
     base = save_text(tmp_path, "base.txt", WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)]))
     cand = save_text(tmp_path, "cand.txt", WeightedGraph(3, [(0, 2, 1.0)]))
     assert main(["algconn", base, cand, str(tmp_path / "sel.txt"), "--k", "1"]) == 4
     lines = capsys.readouterr().err.strip().splitlines()
-    assert lines[0].startswith("error: sparse-support lambda_2 -1.0 fell below the floor")
+    assert lines[0].startswith("error: rounded lambda_2 -1.0 fell below the certified floor")
     failure = json.loads(lines[-1])
     assert failure == {
         "error": "NumericalError",

@@ -10,6 +10,8 @@ from lapsparse.core import (
     PreconditionError,
     TooLargeError,
     WeightedGraph,
+    _edge_entries,
+    _edge_laplacian,
     eigvalsh,
     laplacian,
 )
@@ -18,7 +20,6 @@ from lapsparse.connectivity import (
     SOLVER_ITERATIONS_PER_CANDIDATE,
     ConnectivityInstance,
     _dual_bound,
-    _incidence_rows,
     _project_capped_box,
     brute_force_opt,
     lambda_k2_bound,
@@ -231,7 +232,7 @@ def test_certificate_bounds_lambda2_for_any_basis_and_feasible_weights():
         inst = random_instance(rng, int(rng.integers(4, 12)), m_max=10, k_max=3)
         n = inst.base.n
         lb = laplacian(inst.base)
-        inc = _incidence_rows(n, inst.candidates)
+        u, v = np.array(inst.candidates).T
         m, k = len(inst.candidates), min(inst.k, len(inst.candidates))
         weights = [rng.uniform(0.0, 1.0, size=m) for _ in range(20)]
         weights = [w * min(1.0, k / float(w.sum())) for w in weights]
@@ -240,13 +241,13 @@ def test_certificate_bounds_lambda2_for_any_basis_and_feasible_weights():
         # point and at a random feasible one, perturbed and shifted along 1
         bases = [rng.standard_normal((n, n - 1))]
         for w in (solve_fractional(inst).weights, weights[0]):
-            lap = laplacian(inst.base) + inc.T @ (w[:, None] * inc)
+            lap = lb + _edge_laplacian(n, _edge_entries(n, u, v), w)
             vecs = np.linalg.eigh(lap)[1][:, 1:]
             bases.append(vecs + rng.uniform(-1.0, 1.0, size=n - 1))
             bases.append(vecs + 1e-3 * rng.standard_normal(vecs.shape))
         for basis in bases:
             for p in (np.eye(n - 1)[0], rng.dirichlet(np.full(n - 1, 0.5)), np.exp(-np.arange(n - 1.0) * 4.0)):
-                upper, loads = _dual_bound(lb, inc, basis, p / p.sum(), k)
+                upper, loads = _dual_bound(lb, u, v, basis, p / p.sum(), k)
                 assert loads.shape == (m,) and np.all(loads >= 0.0)
                 for w in weights:
                     assert lambda2_with(inst.base, inst.candidates, w) <= upper + 1e-12 * max(1.0, upper)
@@ -391,7 +392,7 @@ def test_rounding_respects_support_weight_and_floor_bounds():
 
 def test_rounding_runs_the_selection_engine_on_wide_supports():
     # more candidates than the rounded budget forces the engine path
-    rng = np.random.default_rng(69)
+    rng = np.random.default_rng(61)
     n, k = 12, 1
     base = WeightedGraph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
     pool = sorted({(u, v) for u in range(n) for v in range(u + 1, n)} - base.edge_pairs())
@@ -402,8 +403,37 @@ def test_rounding_runs_the_selection_engine_on_wide_supports():
     rounded = round_solution(inst, frac)
     assert len(rounded.selected) <= 8 * k + 1
     assert rounded.lambda2_weighted >= rounded.floor * (1 - 1e-6) - 1e-12
-    if kept > 8 * k + 1:
-        assert rounded.engine is not None
+    assert kept > 8 * k + 1 and rounded.engine is not None
+
+
+def test_rounding_takes_three_values_only_solves_on_every_exit(monkeypatch):
+    # lambda_{k+2} of the base, then lambda_2 of the base plus the selection,
+    # weighted and unweighted, whichever way the selection was made; the
+    # engine's own solves are of the (n - 1)-dimensional working space
+    rng = np.random.default_rng(61)
+    n = 12
+    path = WeightedGraph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+    pool = sorted({(u, v) for u in range(n) for v in range(u + 1, n)} - path.edge_pairs())
+    wide = [pool[int(j)] for j in rng.choice(len(pool), size=20, replace=False)]
+    solves = []
+    for name in ("eigh", "eigvalsh"):
+        original = getattr(np.linalg, name)
+
+        def counting(a, *args, _name=name, _original=original, **kwargs):
+            solves.append((_name, a.shape[0]))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+    engines = []
+    for cand, k in (([(0, 2)], 0), ([(0, 2)], 1), (wide, 1)):
+        base = path if cand is wide else path3()
+        inst = ConnectivityInstance(base, cand, k)
+        frac = solve_fractional(inst)
+        solves.clear()
+        rounded = round_solution(inst, frac)
+        assert [s for s in solves if s[1] == base.n] == [("eigvalsh", base.n)] * 3
+        engines.append(rounded.engine is not None)
+    assert engines == [False, False, True]
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,6 @@
 """Spanning trees, stretch accounting, and the tree-plus-patch sparsifier."""
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -243,9 +245,9 @@ def test_build_on_a_cycle_meets_budget_and_sandwich():
     assert r.gen_lower >= r.certified_lower - 1e-9
     assert r.stretch.total == 18.0
     assert r.trace_residual <= 1e-7 * r.stretch.total
-    assert r.patch_params is not None
-    assert r.patch_params.lambda_star >= 0.8 - 1e-6
-    assert r.patch_params.T_patch <= 1.0 / 4.0 + 1e-6
+    assert r.patch is not None
+    assert r.patch.params.lambda_star >= 0.8 - 1e-6
+    assert r.patch.params.T_patch <= 1.0 / 4.0 + 1e-6
 
 
 def test_build_keeps_the_tree_and_respects_the_edge_budget():
@@ -275,10 +277,13 @@ def test_build_rejects_bad_inputs():
     g = cycle(6)
     with pytest.raises(PreconditionError):
         build_ultrasparsifier(g, 0)
-    with pytest.raises(PreconditionError):
-        build_ultrasparsifier(g, 1, c1=0.0)
-    with pytest.raises(PreconditionError):
-        build_ultrasparsifier(g, 1, c3=-1.0)
+    tree = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (1, 3, 2.0)])
+    for graph in (g, tree):
+        for bad in (0.0, -1.0, math.nan, math.inf):
+            with pytest.raises(PreconditionError, match="c1 must be finite and positive"):
+                build_ultrasparsifier(graph, 1, c1=bad)
+            with pytest.raises(PreconditionError, match="c3 must be finite and positive"):
+                build_ultrasparsifier(graph, 1, c3=bad)
     with pytest.raises(DisconnectedError):
         build_ultrasparsifier(WeightedGraph(4, [(0, 1, 1.0)]), 1)
     with pytest.raises(PreconditionError):
