@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -62,9 +62,9 @@ class ConnectivityInstance:
     base: WeightedGraph
     candidates: tuple
     k: int
-    delta: float = field(default=0.0)
+    delta: float
 
-    def __init__(self, base: WeightedGraph, candidates, k: int, delta: float | None = None):
+    def __init__(self, base: WeightedGraph, candidates, k: int):
         if k < 0:
             raise PreconditionError(f"budget k must be nonnegative, got {k}")
         pairs = []
@@ -81,15 +81,10 @@ class ConnectivityInstance:
         if overlap:
             raise PreconditionError(f"candidates overlap base edges: {sorted(overlap)}")
         pairs = tuple(sorted(pairs))
-        measured = _max_degree(base, pairs)
-        if delta is None:
-            delta = measured
-        elif delta < measured - 1e-9:
-            raise PreconditionError(f"delta {delta} below the measured max degree {measured}")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "candidates", pairs)
         object.__setattr__(self, "k", int(k))
-        object.__setattr__(self, "delta", float(delta))
+        object.__setattr__(self, "delta", _max_degree(base, pairs))
 
 
 def _max_degree(base: WeightedGraph, pairs) -> float:
@@ -143,6 +138,16 @@ class RoundedSolution:
 def _lambda2_of(lap: np.ndarray) -> float:
     """lambda_2 of a Laplacian, by the numpy LAPACK of `core._spectrum`."""
     return float(_spectrum(lap)[1])
+
+
+def certify_lambda2(lap: np.ndarray, floor: float) -> float:
+    """lambda_2 of `lap`, the Laplacian of a base graph plus a rounded
+    selection; raises NumericalError when it falls below the certified floor
+    by more than floor * 1e-6 + 1e-12."""
+    lam2 = _lambda2_of(check_symmetric(lap))
+    if lam2 < floor * (1.0 - 1e-6) - 1e-12:
+        raise NumericalError(f"rounded lambda_2 {lam2!r} fell below the certified floor {floor!r}")
+    return lam2
 
 
 def _laplacian_at(lb: np.ndarray, entries: tuple, w: np.ndarray) -> np.ndarray:
@@ -422,12 +427,8 @@ def round_solution(inst: ConnectivityInstance, frac: FractionalSolution) -> Roun
         selected, weights = kept[support], engine.weights[support] * kept_w[support]
 
     entries = _edge_entries(n, u[selected], v[selected])
-    lam2_weighted = _lambda2_of(_laplacian_at(lb, entries, weights))
+    lam2_weighted = certify_lambda2(lb + _edge_laplacian(n, entries, weights), floor)
     lam2_unweighted = _lambda2_of(_laplacian_at(lb, entries, np.ones(selected.size)))
-    if lam2_weighted < floor * (1.0 - 1e-6) - 1e-12:
-        raise NumericalError(
-            f"rounded lambda_2 {lam2_weighted!r} fell below the certified floor {floor!r}"
-        )
     if engine is not None:
         agreement = abs(lam2_weighted - four_delta * engine.lambda_min)
         if agreement > 1e-6 * max(1.0, lam2_weighted):

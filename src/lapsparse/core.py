@@ -93,10 +93,10 @@ def symmetrize(a: np.ndarray) -> np.ndarray:
     return (a + a.T) / 2.0
 
 
-def check_symmetric(a: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
-    """Raise unless `a` is square and symmetric within `tol` relative to max |A|,
-    so rounding noise of a valid matrix passes at any weight scale. NaN or
-    infinite entries fail the check."""
+def check_symmetric(a: np.ndarray) -> np.ndarray:
+    """Raise unless `a` is square and symmetric within SYMMETRY_TOL relative to
+    max |A|, so rounding noise of a valid matrix passes at any weight scale.
+    NaN or infinite entries fail the check."""
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise PreconditionError(f"expected a square matrix, got shape {a.shape}")
@@ -106,10 +106,10 @@ def check_symmetric(a: np.ndarray, tol: float = SYMMETRY_TOL) -> np.ndarray:
     if not (math.isfinite(hi) and math.isfinite(lo)):
         raise PreconditionError("matrix has NaN or infinite entries")
     dev = float(np.max(np.abs(a - a.T)))
-    bound = tol * max(hi, -lo)
+    bound = SYMMETRY_TOL * max(hi, -lo)
     if dev > bound:
         raise PreconditionError(
-            f"matrix not symmetric: max |A - A^T| = {dev:g} > {tol:g} * max |A| = {bound:g}"
+            f"matrix not symmetric: max |A - A^T| = {dev:g} > {SYMMETRY_TOL:g} * max |A| = {bound:g}"
         )
     return a
 
@@ -397,17 +397,6 @@ def factor_laplacian(g: WeightedGraph) -> LaplacianFactor:
     return LaplacianFactor(f=dec.eigenvectors[:, c:] / np.sqrt(image), labels=labels)
 
 
-def same_components(g: WeightedGraph, h: WeightedGraph) -> bool:
-    """Whether G and H, on the same vertex count, have the same connected
-    components, which is when their Laplacians have the same image."""
-    if g.n != h.n:
-        return False
-    lg, lh = g.component_labels(), h.component_labels()
-    # the partitions agree iff the labels biject: pairs (lg, lh) are as many as either
-    pairs = set(zip(lg.tolist(), lh.tolist()))
-    return len(pairs) == len(set(lg.tolist())) == len(set(lh.tolist()))
-
-
 def pencil_eigenvalues(a: np.ndarray, b: LaplacianFactor | np.ndarray) -> np.ndarray:
     """Generalized eigenvalues of the PSD pencil (A, B) on the image of B.
 
@@ -430,20 +419,35 @@ def pencil_eigenvalues(a: np.ndarray, b: LaplacianFactor | np.ndarray) -> np.nda
     return _spectrum(symmetrize(f.T @ a @ f))
 
 
+def pencil_range(h: WeightedGraph, g: WeightedGraph | LaplacianFactor) -> tuple[float, float]:
+    """The tightest (c, kappa) with c L_G <= L_H <= kappa L_G over the common
+    image: the extreme generalized eigenvalues of the (L_H, L_G) pencil.
+
+    G is a graph or the factor of its Laplacian. Raises
+    IncompatibleImagesError unless H and G have the same connected
+    components, which is exactly when the two Laplacians share their image.
+    An empty image (a graph without edges) gives (1, 1).
+    """
+    factor = g if isinstance(g, LaplacianFactor) else factor_laplacian(g)
+    lh, lg = h.component_labels().tolist(), factor.labels.tolist()
+    # the partitions agree iff the labels biject: pairs (lh, lg) are as many as either
+    if len(lh) != len(lg) or not len(set(zip(lh, lg))) == len(set(lh)) == len(set(lg)):
+        raise IncompatibleImagesError(
+            "connected components differ between the two graphs; the pencil"
+            " range is only defined on a common image"
+        )
+    vals = pencil_eigenvalues(laplacian(h), factor)
+    return (float(vals[0]), float(vals[-1])) if vals.size else (1.0, 1.0)
+
+
 def relative_condition_number(g: WeightedGraph, h: WeightedGraph) -> float:
     """max x^T L_G x / x^T L_H x times max x^T L_H x / x^T L_G x over the
-    shared image of the two Laplacians.
+    shared image of the two Laplacians, from `pencil_range`.
 
     Raises IncompatibleImagesError unless G and H have the same connected
     components, which is exactly when im(L_G) = im(L_H).
     """
-    if not same_components(g, h):
-        raise IncompatibleImagesError("the graphs have different connected components")
-    factor = factor_laplacian(h)
-    if factor.f.shape[1] == 0:
-        return 1.0
-    vals = pencil_eigenvalues(laplacian(g), factor)
-    lam_min, lam_max = float(vals[0]), float(vals[-1])
+    lam_min, lam_max = pencil_range(g, h)
     if lam_min <= 0:
         raise NumericalError(f"pencil eigenvalue {lam_min:g} <= 0 despite matching images")
     return lam_max / lam_min

@@ -23,6 +23,7 @@ from .core import (
     factor_laplacian,
     laplacian,
     pencil_eigenvalues,
+    pencil_range,
     symmetrize,
 )
 from .engine import EngineProblem, run_engine
@@ -42,8 +43,9 @@ class PatchSparsifier:
     """Reweighted few-edge subgraph W_k of W with its spectral sandwich.
 
     Factors refer to the pencil of L_{G+W_k} against L_{G+W}: certified
-    bounds come from the engine certificate, measured ones from a dense
-    generalized eigensolve over im(L_{G+W}).
+    bounds come from the engine certificate, measured ones from
+    `measure_sandwich` with `factor`, the factor of L_{G+W} (of L_G when W
+    has no edges).
     """
 
     wk: WeightedGraph
@@ -56,6 +58,26 @@ class PatchSparsifier:
     params: PatchParams
     n_budget: int
     engine_results: tuple
+    factor: LaplacianFactor
+
+
+def measure_sandwich(
+    g: WeightedGraph,
+    wk: WeightedGraph,
+    factor: LaplacianFactor,
+    certified_lower: float,
+    certified_upper: float,
+) -> tuple[float, float]:
+    """Extremes of the (L_{G+W_k}, L_{G+W}) pencil, `factor` being the factor
+    of L_{G+W}; raises NumericalError unless they lie inside the certified
+    [certified_lower, certified_upper] within 1e-9."""
+    lower, upper = pencil_range(g.union(wk), factor)
+    if lower < certified_lower - 1e-9 or upper > certified_upper + 1e-9:
+        raise NumericalError(
+            f"measured sandwich [{lower!r}, {upper!r}] leaves the certified"
+            f" [{certified_lower!r}, {certified_upper!r}]"
+        )
+    return lower, upper
 
 
 def verify_patch(
@@ -84,22 +106,20 @@ def build_patch_problem(
     w: WeightedGraph,
     k: int,
     n_budget: int,
-    factor: LaplacianFactor | None = None,
+    factor: LaplacianFactor,
 ) -> EngineProblem:
     """Engine instance for sparsifying W against G (G+W must be connected).
 
     Working space: im(L_{G+W}) in the eigenbasis of `factor`, the factor
-    F = Q diag(lambda)^(-1/2) of L_{G+W} (built here when the caller holds
-    none). X = F^T L_G F is the pencil matrix of L_G, edge e = (u, v) of W
-    contributes the rank-one generator sqrt(w_e) F^T b_e = sqrt(w_e) (F[u] - F[v]),
-    costs are w_e / sum(w), and M* is the identity on the working space.
+    F = Q diag(lambda)^(-1/2) of L_{G+W}. X = F^T L_G F is the pencil
+    matrix of L_G, edge e = (u, v) of W contributes the rank-one generator
+    sqrt(w_e) F^T b_e = sqrt(w_e) (F[u] - F[v]), costs are w_e / sum(w),
+    and M* is the identity on the working space.
     """
     if w.n != g.n:
         raise PreconditionError(f"vertex count mismatch: G has {g.n}, W has {w.n}")
     if not w.edges:
         raise PreconditionError("W has no edges; nothing to sparsify")
-    if factor is None:
-        factor = factor_laplacian(g.union(w))
     if factor.components != 1:
         raise PreconditionError("G+W must be connected here; split by component upstream")
     f = factor.f
@@ -159,10 +179,12 @@ def sparsify_patch(
             params=PatchParams(k=k, T_patch=0.0, lambda_star=1.0),
             n_budget=n_eff,
             engine_results=(),
+            factor=factor_laplacian(g),
         )
 
     # One factor of L_{G+W} serves the measured certificate, the connected
-    # problem and the final sandwich. Connected G+W is a one-part partition.
+    # problem, the final sandwich and, carried in the result, a re-check of
+    # W_k read back from a file. Connected G+W is a one-part partition.
     factor = factor_laplacian(g.union(w))
     params = verify_patch(g, w, k, factor)
     if factor.components <= 1:
@@ -215,19 +237,7 @@ def sparsify_patch(
     certified_upper = max(result.theta_max for result in engine_results)
 
     wk = WeightedGraph(g.n, wk_edges)
-    sandwich = pencil_eigenvalues(laplacian(g.union(wk)), factor)
-    measured_lower = float(sandwich[0])
-    measured_upper = float(sandwich[-1])
-    if measured_lower < certified_lower - 1e-9:
-        raise NumericalError(
-            f"measured sandwich lower {measured_lower!r} fell below the certified"
-            f" floor {certified_lower!r}"
-        )
-    if measured_upper > certified_upper + 1e-9:
-        raise NumericalError(
-            f"measured sandwich upper {measured_upper!r} exceeds the certified"
-            f" ceiling {certified_upper!r}"
-        )
+    measured_lower, measured_upper = measure_sandwich(g, wk, factor, certified_lower, certified_upper)
     total_weight = wk.weight_sum()
     if total_weight > weight_bound + 1e-9 * max(1.0, weight_bound):
         raise NumericalError(
@@ -244,4 +254,5 @@ def sparsify_patch(
         params=params,
         n_budget=realized_budget,
         engine_results=tuple(engine_results),
+        factor=factor,
     )

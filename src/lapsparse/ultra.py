@@ -22,8 +22,12 @@ from .core import (
     factor_laplacian,
     laplacian,
     pencil_eigenvalues,
+    pencil_range,
 )
 from .patch import PatchSparsifier, sparsify_patch
+
+# Thresholds t at which sw_trace_check tests the tail bound #{lambda > t} <= st/t.
+TAIL_PROBES = (1.0, 2.0, 5.0, 10.0)
 
 
 @dataclass(frozen=True)
@@ -176,14 +180,14 @@ def candidate_trees(g: WeightedGraph, seed: int = 0) -> list:
     return trees
 
 
-def low_stretch_tree(g: WeightedGraph, seed: int = 0) -> SpanningTree:
-    """The ensemble member minimizing total stretch (first index on ties)."""
+def low_stretch_tree(g: WeightedGraph, seed: int = 0) -> tuple[SpanningTree, StretchReport]:
+    """The ensemble member minimizing total stretch (first index on ties),
+    with its stretch report."""
     best = None
-    best_total = math.inf
     for tree in candidate_trees(g, seed):
-        total = tree_stretch(g, tree).total
-        if total < best_total:
-            best, best_total = tree, total
+        report = tree_stretch(g, tree)
+        if best is None or report.total < best[1].total:
+            best = (tree, report)
     return best
 
 
@@ -215,16 +219,13 @@ def tree_stretch(g: WeightedGraph, tree: SpanningTree) -> StretchReport:
     return StretchReport(per_edge=per_edge, total=float(sum(per_edge)))
 
 
-def sw_trace_check(
-    g: WeightedGraph, tree: SpanningTree, probes: tuple = (1.0, 2.0, 5.0, 10.0)
-) -> tuple[float, float]:
+def sw_trace_check(g: WeightedGraph, tree: SpanningTree, report: StretchReport) -> float:
     """Trace identity and eigenvalue tail of the (L_G, L_T) pencil.
 
-    Returns (Tr(L_G L_T^+), st_T(G)); raises unless they agree within
-    1e-7 * stretch and the tail counts #{lambda > t} stay below st/t for
-    every probe t.
+    `report` is `tree_stretch(g, tree)`. Returns Tr(L_G L_T^+); raises unless
+    it agrees with st_T(G) within 1e-7 * stretch and the tail counts
+    #{lambda > t} stay below st/t for every t in TAIL_PROBES.
     """
-    report = tree_stretch(g, tree)
     l_g = laplacian(g)
     factor = factor_laplacian(tree.graph())
     trace = factor.trace_pinv(l_g)
@@ -234,14 +235,23 @@ def sw_trace_check(
             f"trace {trace!r} and total stretch {stretch!r} disagree beyond 1e-7 relative"
         )
     vals = pencil_eigenvalues(l_g, factor)
-    for t in probes:
+    for t in TAIL_PROBES:
         count = int(np.sum(vals > t))
         if count > stretch / t + 1e-9:
             raise NumericalError(
                 f"tail bound violated at t = {t}: {count} eigenvalues above t"
                 f" but st/t = {stretch / t!r}"
             )
-    return trace, stretch
+    return trace
+
+
+def measure_ultra(g: WeightedGraph, u: WeightedGraph, certified_lower: float) -> tuple[float, float]:
+    """Extremes of the (L_G, L_U) pencil; raises NumericalError when the
+    lower one falls more than 1e-9 below `certified_lower`."""
+    lower, upper = pencil_range(g, u)
+    if lower < certified_lower - 1e-9:
+        raise NumericalError(f"measured sandwich lower {lower!r} fell below certified {certified_lower!r}")
+    return lower, upper
 
 
 @dataclass(frozen=True)
@@ -286,10 +296,9 @@ def build_ultrasparsifier(
     if g.n < 2:
         raise PreconditionError("need at least 2 vertices")
 
-    tree = low_stretch_tree(g, seed)
-    report = tree_stretch(g, tree)
-    trace, stretch = sw_trace_check(g, tree)
-    kappa_target = c1 * stretch / k
+    tree, report = low_stretch_tree(g, seed)
+    trace = sw_trace_check(g, tree, report)
+    kappa_target = c1 * report.total / k
     scale = 1.0 / (c3 * kappa_target)
     t_graph = tree.graph()
     if g.num_edges == g.n - 1:  # G is a tree, so T = G and W_k is empty
@@ -298,26 +307,19 @@ def build_ultrasparsifier(
         patch = sparsify_patch(t_graph, g.scale(scale), k, 8 * k + 1)
         u = t_graph.union(patch.wk)
 
-    vals = pencil_eigenvalues(laplacian(g), factor_laplacian(u))
-    gen_lower, gen_upper = float(vals[0]), float(vals[-1])
-    if patch is None:
-        certified_lower = gen_lower
-    else:
-        certified_lower = 1.0 / (patch.certified_upper * (1.0 + scale))
-    if gen_lower < certified_lower - 1e-9:
-        raise NumericalError(
-            f"measured sandwich lower {gen_lower!r} fell below certified {certified_lower!r}"
-        )
+    # a tree has no engine floor: its certified constant is the measured one
+    floor = 0.0 if patch is None else 1.0 / (patch.certified_upper * (1.0 + scale))
+    gen_lower, gen_upper = measure_ultra(g, u, floor)
     return UltraResult(
         u=u,
         kappa_target=kappa_target,
         gen_lower=gen_lower,
         gen_upper=gen_upper,
         kappa_measured=gen_upper / gen_lower,
-        certified_lower=certified_lower,
+        certified_lower=gen_lower if patch is None else floor,
         edge_count=u.num_edges,
         stretch=report,
-        trace_residual=abs(trace - stretch),
+        trace_residual=abs(trace - report.total),
         patch=patch,
         tree=tree,
     )

@@ -14,7 +14,7 @@ from conftest import make_engine_instance, random_connected_graph
 from lapsparse.core import WeightedGraph, laplacian, pencil_eigenvalues
 from lapsparse.engine import _upper_phi, run_engine
 from lapsparse.patch import verify_patch
-from lapsparse.ultra import build_ultrasparsifier, low_stretch_tree, sw_trace_check, tree_stretch
+from lapsparse.ultra import TAIL_PROBES, build_ultrasparsifier, low_stretch_tree, sw_trace_check, tree_stretch
 from lapsparse.connectivity import (
     ConnectivityInstance,
     brute_force_opt,
@@ -158,22 +158,22 @@ def test_03_rank_one_update_and_majorization_suites():
 
 def test_04_tree_trace_identity_tails_and_cycle_exactness():
     rng = np.random.default_rng(404)
-    probes = (1.0, 2.0, 5.0, 10.0)
     for trial in range(30):
         n = int(rng.integers(12, 101))
         g = random_connected_graph(
             rng, n, extra_edges=int(rng.integers(0, 2 * n)), wmin=0.3, wmax=3.0
         )
-        tree = low_stretch_tree(g)
-        trace, stretch = sw_trace_check(g, tree, probes=probes)
+        tree, report = low_stretch_tree(g)
+        assert report == tree_stretch(g, tree)
+        trace, stretch = sw_trace_check(g, tree, report), report.total
         assert abs(trace - stretch) <= 1e-7 * stretch
         vals = pencil_eigenvalues(laplacian(g), laplacian(tree.graph()))
-        for t in probes:
+        for t in TAIL_PROBES:
             assert int(np.sum(vals > t)) <= stretch / t
 
     for n in (5, 10, 64, 100):
         cycle = WeightedGraph(n, [(i, (i + 1) % n, 1.0) for i in range(n)])
-        total = tree_stretch(cycle, low_stretch_tree(cycle)).total
+        total = low_stretch_tree(cycle)[1].total
         assert total == float(2 * n - 2)
 
 
@@ -186,8 +186,8 @@ def test_05_patch_certificates_for_scaled_inputs():
     for seed, k in itertools.product((0, 1, 2), (1, 2, 4)):
         rng = np.random.default_rng(500 + seed)
         g = random_connected_graph(rng, 60, extra_edges=90, wmin=0.5, wmax=2.0)
-        tree = low_stretch_tree(g)
-        stretch = tree_stretch(g, tree).total
+        tree, report = low_stretch_tree(g)
+        stretch = report.total
         kappa = c1 * stretch / k
         w = g.scale(1.0 / (c3 * kappa))
         params = verify_patch(tree.graph(), w, k)

@@ -93,6 +93,9 @@ def test_json_parser_rejects_malformed_documents():
                 '{"n": true, "edges": []}'):
         with pytest.raises(ParseError, match="must be"):
             parse_graph_json(doc, "x.json")
+    # an integer weight too large for a float
+    with pytest.raises(ParseError, match=r"edges\[0\]"):
+        parse_graph_json('{"n": 2, "edges": [[0, 1, ' + "9" * 400 + ']]}', "x.json")
 
 
 def test_read_and_write_dispatch_on_extension(tmp_path):
@@ -140,9 +143,10 @@ def test_report_serializer_handles_numpy_scalars_and_nesting():
 # subcommands end to end
 
 
-def test_sparsify_patch_command_writes_selection_report_and_trace(tmp_path, capsys):
+def patch_inputs(tmp_path):
+    """A connected G on 16 vertices and a 40-edge patch W, saved as text."""
     rng = np.random.default_rng(75)
-    n, k = 16, 1
+    n = 16
     g = random_connected_graph(rng, n, extra_edges=10)
     pool = sorted({(u, v) for u in range(n) for v in range(u + 1, n)} - g.edge_pairs())
     w = WeightedGraph(
@@ -152,8 +156,12 @@ def test_sparsify_patch_command_writes_selection_report_and_trace(tmp_path, caps
             for u, v in (pool[int(j)] for j in rng.choice(len(pool), 40, replace=False))
         ],
     )
-    g_path = save_text(tmp_path, "G.txt", g)
-    w_path = save_text(tmp_path, "W.txt", w)
+    return g, w, save_text(tmp_path, "G.txt", g), save_text(tmp_path, "W.txt", w)
+
+
+def test_sparsify_patch_command_writes_selection_report_and_trace(tmp_path, capsys):
+    k = 1
+    g, w, g_path, w_path = patch_inputs(tmp_path)
     out = tmp_path / "Wk.txt"
     rep = tmp_path / "report.json"
     trace = tmp_path / "trace.csv"
@@ -219,7 +227,19 @@ def test_ultra_command_on_a_tree_returns_the_tree(tmp_path):
     assert read_graph(str(out)).edges == g.edges
 
 
-def test_algconn_command_with_oracle_block(tmp_path):
+def test_algconn_command_with_oracle_block(tmp_path, monkeypatch):
+    import lapsparse.connectivity as connectivity
+
+    # the oracle block reads lambda_{k+2} off the rounding, which solved for it once
+    calls = []
+    original = connectivity.lambda_k2_bound
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(connectivity, "lambda_k2_bound", counting)
+    monkeypatch.setattr(cli, "lambda_k2_bound", counting, raising=False)
     base = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
     cand = WeightedGraph(3, [(0, 2, 1.0)])
     b_path = save_text(tmp_path, "base.txt", base)
@@ -242,6 +262,7 @@ def test_algconn_command_with_oracle_block(tmp_path):
     assert report["oracle"]["edges"] == [[0, 2]]
     assert report["oracle"]["within_sdp_upper"] is True
     assert report["oracle"]["within_lambda_k2_upper"] is True
+    assert len(calls) == 1
     sel = read_graph(str(out))
     assert sel.edge_pairs() == {(0, 2)}
 
@@ -295,6 +316,70 @@ def test_verify_command_identity_and_doubling(tmp_path):
     assert doubled["c"] == pytest.approx(2.0, abs=1e-9)
     assert doubled["kappa"] == pytest.approx(2.0, abs=1e-9)
     assert doubled["relative_condition_number"] == pytest.approx(1.0, abs=1e-9)
+
+
+def test_verify_on_graphs_without_edges_reads_one(tmp_path):
+    # an empty common image: c = kappa = 1 by convention
+    rep = tmp_path / "rep.json"
+    for n in (0, 1, 3):
+        path = save_text(tmp_path, f"empty{n}.txt", WeightedGraph(n, []))
+        assert main(["verify", path, path, "--report", str(rep)]) == 0
+        measured = json.loads(rep.read_text())["measured"]
+        assert measured == {"c": 1.0, "kappa": 1.0, "relative_condition_number": 1.0}
+    # the same convention lets sparsify-patch re-check an empty W on an edgeless G
+    empty = save_text(tmp_path, "empty3.txt", WeightedGraph(3, []))
+    assert main(["sparsify-patch", empty, empty, str(tmp_path / "wk.txt"), "--k", "0",
+                 "--report", str(rep)]) == 0
+    assert json.loads(rep.read_text())["measured"]["pencil_lower"] == 1.0
+
+
+def test_sparsify_patch_command_factors_the_patched_laplacian_once(tmp_path, monkeypatch):
+    # the re-check measures the written W_k against the library's factor of
+    # L_{G+W}; every other full-size solve is values-only or (n - 1)-wide
+    g, _, g_path, w_path = patch_inputs(tmp_path)
+    shapes = []
+    original = np.linalg.eigh
+
+    def counting(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting)
+    assert main(["sparsify-patch", g_path, w_path, str(tmp_path / "Wk.txt"), "--k", "1",
+                 "--report", str(tmp_path / "rep.json")]) == 0
+    assert shapes.count((g.n, g.n)) == 1
+
+
+def test_re_check_measures_the_written_file(tmp_path, monkeypatch, capsys):
+    # the heaviest written weight off by a relative 1e-6 must fail the
+    # re-check, so the re-check reads the file rather than the in-memory result
+    real_write = cli.write_graph
+
+    def tampered_write(path, graph):
+        heavy = max(range(graph.num_edges), key=lambda i: graph.edges[i][2])
+        edges = [(u, v, w * (1.0 + 1e-6) if i == heavy else w) for i, (u, v, w) in enumerate(graph.edges)]
+        real_write(path, WeightedGraph(graph.n, edges))
+
+    _, _, g_path, w_path = patch_inputs(tmp_path)
+    ultra_path = save_text(tmp_path, "U.txt", random_connected_graph(np.random.default_rng(77), 18, extra_edges=24))
+    rng = np.random.default_rng(38)
+    base = random_connected_graph(rng, 8, extra_edges=2)
+    pool = sorted({(u, v) for u in range(8) for v in range(u + 1, 8)} - base.edge_pairs())
+    cand = WeightedGraph(8, [pool[int(j)] + (1.0,) for j in rng.choice(len(pool), size=6, replace=False)])
+    out = str(tmp_path / "out.txt")
+    commands = [
+        ["sparsify-patch", g_path, w_path, out, "--k", "1"],
+        ["ultra", ultra_path, out, "--k", "2"],
+        ["algconn", save_text(tmp_path, "base.txt", base), save_text(tmp_path, "cand.txt", cand),
+         out, "--k", "1"],
+    ]
+    for argv in commands:
+        assert main(argv) == 0
+    monkeypatch.setattr(cli, "write_graph", tampered_write)
+    for argv in commands:
+        capsys.readouterr()
+        assert main(argv) == 4, argv[0]
+        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "NumericalError"
 
 
 def test_commands_run_on_one_numpy_blas_thread_and_restore_it(tmp_path, monkeypatch):

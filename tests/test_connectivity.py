@@ -65,8 +65,6 @@ def test_instance_canonicalizes_candidates_and_measures_delta():
     assert inst.candidates == ((0, 2),)
     # max degree: vertex 1 has weighted degree 2 in the base; candidates give count 1
     assert inst.delta == pytest.approx(2.0)
-    wide = ConnectivityInstance(base, [(2, 0)], 1, delta=10.0)
-    assert wide.delta == 10.0
 
 
 def test_instance_rejects_malformed_candidates():
@@ -81,8 +79,6 @@ def test_instance_rejects_malformed_candidates():
         ConnectivityInstance(base, [(0, 1)], 1)  # already a base edge
     with pytest.raises(PreconditionError):
         ConnectivityInstance(base, [(0, 2)], -1)
-    with pytest.raises(PreconditionError):
-        ConnectivityInstance(base, [(0, 2)], 1, delta=0.5)  # below measured
 
 
 # ---------------------------------------------------------------------------

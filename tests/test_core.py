@@ -19,8 +19,8 @@ from lapsparse.core import (
     laplacian,
     numpy_blas_threads,
     pencil_eigenvalues,
+    pencil_range,
     relative_condition_number,
-    same_components,
     symmetrize,
 )
 
@@ -320,8 +320,9 @@ def test_relative_condition_number_identity_and_mismatch():
     # same components under different labels share one image
     two = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 2.0)])
     swapped = WeightedGraph(4, [(2, 3, 1.0), (0, 1, 5.0)])
-    assert same_components(two, swapped)
-    assert not same_components(two, WeightedGraph(4, [(0, 2, 1.0), (1, 3, 1.0)]))
+    assert pencil_range(swapped, two) == pytest.approx((0.5, 5.0), rel=1e-12)
+    with pytest.raises(IncompatibleImagesError):
+        pencil_range(two, WeightedGraph(4, [(0, 2, 1.0), (1, 3, 1.0)]))
     assert relative_condition_number(two, swapped) == pytest.approx(5.0 * 2.0, rel=1e-12)
 
 

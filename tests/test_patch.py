@@ -9,6 +9,7 @@ from lapsparse.core import (
     InvalidKError,
     PreconditionError,
     WeightedGraph,
+    factor_laplacian,
     laplacian,
     pencil_eigenvalues,
 )
@@ -46,7 +47,7 @@ def test_problem_construction_sums_to_identity():
     rng = np.random.default_rng(4)
     g = random_connected_graph(rng, 10, extra_edges=4)
     w = random_connected_graph(rng, 10, extra_edges=12, wmin=0.1, wmax=0.8)
-    problem = build_patch_problem(g, w, 2, 17)
+    problem = build_patch_problem(g, w, 2, 17, factor_laplacian(g.union(w)))
     d = g.n - 1
     assert problem.X.shape == (d, d)
     recon = problem.X + problem.vectors @ problem.vectors.T
@@ -64,7 +65,7 @@ def test_problem_spectrum_matches_certificate():
     w = random_connected_graph(rng, 9, extra_edges=9, wmin=0.2, wmax=1.0)
     k = 2
     params = verify_patch(g, w, k)
-    problem = build_patch_problem(g, w, k, 8 * k + 1)
+    problem = build_patch_problem(g, w, k, 8 * k + 1, factor_laplacian(g.union(w)))
     x_vals = np.linalg.eigvalsh(problem.X)
     assert params.lambda_star == pytest.approx(float(x_vals[k]), abs=1e-8)
     assert params.T_patch == pytest.approx(float(np.trace(np.eye(g.n - 1) - problem.X)), abs=1e-8)

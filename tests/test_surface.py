@@ -1,4 +1,5 @@
-"""The package exposes no public name that nothing uses.
+"""The package exposes no public name that nothing uses, and the command
+line calls no solver of its own.
 
 A public module-level function, class or constant of lapsparse must be
 referenced by other code in the package or be exported in
@@ -65,3 +66,20 @@ def unreferenced_public_names(src: Path = SRC) -> list:
 def test_every_public_name_is_used_or_exported():
     dead = unreferenced_public_names()
     assert not dead, f"public names that no lapsparse code uses and __all__ omits: {', '.join(dead)}"
+
+
+# Solvers and checks that only the library's measurement routines call.
+SOLVER_NAMES = {
+    "pencil_eigenvalues", "factor_laplacian", "_decompose", "_spectrum",
+    "check_symmetric", "eigh", "eigvalsh",
+}
+
+
+def test_cli_calls_no_solver():
+    # the command line re-checks its written output through the library's
+    # own measurement routines, so it references no solver directly
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    names = _referenced(tree) | {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+    assert not names & SOLVER_NAMES, f"cli references {sorted(names & SOLVER_NAMES)}"

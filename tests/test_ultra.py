@@ -15,6 +15,7 @@ from lapsparse.core import (
 )
 from lapsparse.patch import sparsify_patch
 from lapsparse.ultra import (
+    TAIL_PROBES,
     SpanningTree,
     build_ultrasparsifier,
     candidate_trees,
@@ -74,8 +75,9 @@ def test_candidate_trees_are_spanning_trees_of_the_graph():
 def test_low_stretch_tree_minimizes_over_the_ensemble():
     rng = np.random.default_rng(43)
     g = random_connected_graph(rng, 12, extra_edges=14)
-    best = low_stretch_tree(g)
+    best, report = low_stretch_tree(g)
     best_total = tree_stretch(g, best).total
+    assert report == tree_stretch(g, best)
     for t in candidate_trees(g):
         assert best_total <= tree_stretch(g, t).total + 1e-9
 
@@ -83,9 +85,9 @@ def test_low_stretch_tree_minimizes_over_the_ensemble():
 def test_low_stretch_tree_of_a_tree_is_the_tree_itself():
     rng = np.random.default_rng(45)
     g = random_connected_graph(rng, 10, extra_edges=0)
-    t = low_stretch_tree(g)
+    t, report = low_stretch_tree(g)
     assert t.graph().edges == g.edges
-    assert tree_stretch(g, t).total == pytest.approx(9.0, abs=1e-12)
+    assert report.total == pytest.approx(9.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +114,7 @@ def test_stretch_of_a_heavy_chord_over_two_unit_edges():
 def test_cycle_stretch_totals_twice_edges_minus_two():
     for n in (4, 10, 37):
         g = cycle(n)
-        t = low_stretch_tree(g)
-        assert tree_stretch(g, t).total == float(2 * n - 2)
+        assert low_stretch_tree(g)[1].total == float(2 * n - 2)
 
 
 def test_unit_weight_stretch_is_never_below_one():
@@ -123,7 +124,7 @@ def test_unit_weight_stretch_is_never_below_one():
     for _ in range(15):
         n = int(rng.integers(4, 25))
         g = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, 2 * n)), wmin=1.0, wmax=1.0)
-        report = tree_stretch(g, low_stretch_tree(g))
+        report = low_stretch_tree(g)[1]
         assert min(report.per_edge) >= 1.0 - 1e-12
 
 
@@ -195,7 +196,8 @@ def test_trace_of_a_tree_against_itself_counts_edges():
     rng = np.random.default_rng(51)
     g = random_connected_graph(rng, 11, extra_edges=0, wmin=0.2, wmax=3.0)
     t = SpanningTree.build(11, g.edges)
-    trace, stretch = sw_trace_check(g, t)
+    report = tree_stretch(g, t)
+    trace, stretch = sw_trace_check(g, t, report), report.total
     assert stretch == pytest.approx(10.0, abs=1e-9)
     assert trace == pytest.approx(10.0, abs=1e-9)
 
@@ -203,22 +205,22 @@ def test_trace_of_a_tree_against_itself_counts_edges():
 def test_trace_identity_on_cycles():
     for n in (6, 12):
         g = cycle(n)
-        trace, stretch = sw_trace_check(g, low_stretch_tree(g))
+        t, report = low_stretch_tree(g)
+        trace, stretch = sw_trace_check(g, t, report), report.total
         assert stretch == float(2 * n - 2)
         assert abs(trace - stretch) <= 1e-7 * stretch
 
 
 def test_trace_identity_and_tail_on_random_graphs():
     rng = np.random.default_rng(53)
-    probes = (1.0, 2.0, 5.0, 10.0)
     for _ in range(5):
         n = int(rng.integers(10, 40))
         g = random_connected_graph(rng, n, extra_edges=int(rng.integers(5, 3 * n)))
-        t = low_stretch_tree(g)
-        trace, stretch = sw_trace_check(g, t, probes=probes)
+        t, report = low_stretch_tree(g)
+        trace, stretch = sw_trace_check(g, t, report), report.total
         assert abs(trace - stretch) <= 1e-7 * stretch
         vals = pencil_eigenvalues(laplacian(g), laplacian(t.graph()))
-        for p in probes:
+        for p in TAIL_PROBES:
             assert int(np.sum(vals > p)) <= stretch / p + 1e-9
 
 
@@ -327,7 +329,7 @@ def test_solve_budget_of_the_patch_and_ultra_pipelines(monkeypatch):
     assert sum(1 for _, d in solves if d == k) == n_steps + 1  # B_S per step, Z's restriction
 
     solves.clear()
-    tree = low_stretch_tree(g)
+    tree, _ = low_stretch_tree(g)
     sparsify_patch(tree.graph(), g.scale(0.01), k)
     assert all(owner == "numpy.linalg" for owner, _ in solves)
     assert big() == n_steps + 6
