@@ -239,6 +239,7 @@ def test_algconn_command_with_oracle_block(tmp_path, monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(connectivity, "lambda_k2_bound", counting)
+    # and in the command line, should it import its own reference again
     monkeypatch.setattr(cli, "lambda_k2_bound", counting, raising=False)
     base = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
     cand = WeightedGraph(3, [(0, 2, 1.0)])
