@@ -347,14 +347,12 @@ def cmd_ultra(
     g_path: str,
     k: int,
     out_path: str,
-    c1: float = 4.0,
-    c3: float = 1.0,
     seed: int = 0,
     trace_csv: str | None = None,
 ) -> dict:
     t_start = time.perf_counter()
     g = read_graph(g_path)
-    result = build_ultrasparsifier(g, k, c1=c1, c3=c3, seed=seed)
+    result = build_ultrasparsifier(g, k, seed=seed)
     t_solve = time.perf_counter()
     write_graph(out_path, result.u)
     engine_results = result.patch.engine_results if result.patch is not None else ()
@@ -377,7 +375,7 @@ def cmd_ultra(
         "command": "ultra",
         "inputs": _input_block(g=g_path),
         "output": {"path": out_path, "edges": u_back.num_edges},
-        "parameters": {"k": k, "c1": c1, "c3": c3, "seed": seed},
+        "parameters": {"k": k, "seed": seed},
         "stretch": {
             "total": result.stretch.total,
             "trace_residual": result.trace_residual,
@@ -533,8 +531,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("g", help="input graph file")
     p.add_argument("out", help="output file for the sparsifier")
     p.add_argument("--k", type=int, required=True, help="extra-edge budget parameter")
-    p.add_argument("--c1", type=float, default=4.0, help="kappa_target = c1 * stretch / k")
-    p.add_argument("--c3", type=float, default=1.0, help="patch scale = 1/(c3 * kappa_target)")
     p.add_argument("--seed", type=int, default=0, help="seed for the spanning-tree ensemble")
     p.add_argument("--report", default=None, help="write the JSON report here instead of stdout")
     p.add_argument("--trace-csv", default=None, help="write the per-step potential trace as CSV")
@@ -564,8 +560,7 @@ def _dispatch(args: argparse.Namespace) -> dict:
         )
     if args.subcommand == "ultra":
         return cmd_ultra(
-            args.g, args.k, args.out, c1=args.c1, c3=args.c3, seed=args.seed,
-            trace_csv=args.trace_csv,
+            args.g, args.k, args.out, seed=args.seed, trace_csv=args.trace_csv
         )
     if args.subcommand == "algconn":
         return cmd_algconn(

@@ -2,8 +2,8 @@
 
 Everything downstream works on dense numpy arrays at desk scale (n up to a
 few hundred): Laplacians, eigendecompositions, one factor per Laplacian
-(its pseudoinverse square root on the image), and generalized eigenvalues
-of PSD pencils.
+(its pseudoinverse square root on the image, one block per connected
+component), and generalized eigenvalues of PSD pencils.
 
 Solvers: Laplacian factors, pencils, the selection engine and the
 connectivity solver use numpy's LAPACK (`_decompose`, `_spectrum`). `eigh`
@@ -62,7 +62,8 @@ class InvalidKError(PreconditionError):
 
 
 class IncompatibleImagesError(PreconditionError):
-    """Two PSD matrices do not share the same image."""
+    """Two PSD matrices do not share the same image, or a matrix couples two
+    components of a factored graph."""
 
 
 class TooLargeError(PreconditionError):
@@ -347,76 +348,110 @@ def _rank_split(dec: SpectralDecomposition) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class LaplacianFactor:
-    """One eigendecomposition of a graph Laplacian L, restricted to its image.
+class FactorBlock:
+    """One connected component's share of a LaplacianFactor: its vertex ids,
+    ascending, and F_c = Q_c diag(lambda_c)^(-1/2) over the n_c - 1 image
+    eigenpairs of its Laplacian block L_c, so L_c^+ = F_c F_c^T."""
 
-    With L = Q diag(eigenvalues) Q^T over the r image eigenpairs, the factor
-    keeps F = Q diag(eigenvalues)^(-1/2) (n x r), so that L^+ = F F^T and
-    F^T L F = I. The kernel is spanned by the component indicators, so
-    r = n - (number of components) exactly; `labels` are the component
-    labels it was built with. Build one with `factor_laplacian`.
+    vertices: np.ndarray
+    f: np.ndarray
+
+
+def _diagonal_block(a: np.ndarray, vertices: np.ndarray) -> np.ndarray:
+    """A's diagonal block on `vertices`; A itself, not a copy, when they are all of A's rows."""
+    return a if vertices.size == a.shape[0] else a[np.ix_(vertices, vertices)]
+
+
+@dataclass(frozen=True)
+class LaplacianFactor:
+    """One eigendecomposition per connected component of a graph Laplacian
+    L on n vertices, restricted to the image.
+
+    L is block-diagonal over the components, and so is L^+: `blocks` holds
+    one FactorBlock per component, in component-label order, and
+    L^+ = sum_c F_c F_c^T on each block's vertices. Build one with
+    `factor_laplacian`.
     """
 
-    f: np.ndarray
-    labels: np.ndarray
-
-    @property
-    def components(self) -> int:
-        return self.f.shape[0] - self.f.shape[1]
+    n: int
+    blocks: tuple
 
     def trace_pinv(self, a: np.ndarray) -> float:
-        """Tr(A L^+) = sum of the entries of F o (A F), with no n x n pseudoinverse."""
-        return float(np.sum(self.f * (a @ self.f)))
+        """Tr(A L^+): the sum over blocks of the entries of F_c o (A_c F_c),
+        with no n x n pseudoinverse."""
+        return float(sum(np.sum(b.f * (_diagonal_block(a, b.vertices) @ b.f)) for b in self.blocks))
+
+    def pencil_spectra(self, a: np.ndarray) -> list:
+        """Ascending eigenvalues of F_c^T A_c F_c, one array per block.
+
+        Raises IncompatibleImagesError when A has an entry between two
+        components: the pencil then does not split over the blocks.
+        """
+        a = check_symmetric(a)
+        if a.shape[0] != self.n:
+            raise PreconditionError(f"matrix is {a.shape[0]} wide, the factor {self.n}")
+        parts = [_diagonal_block(a, b.vertices) for b in self.blocks]
+        if len(parts) > 1 and sum(map(np.count_nonzero, parts)) != np.count_nonzero(a):
+            raise IncompatibleImagesError(
+                "matrix has entries between two components of the factored graph,"
+                " so the pencil does not split over them"
+            )
+        # F^T A F is symmetric up to rounding of size eps * |F|^2 |A|, which can
+        # exceed any tolerance relative to its own entries when B is badly
+        # conditioned: symmetrize the congruence instead of checking it.
+        return [_spectrum(symmetrize(b.f.T @ part @ b.f)) for b, part in zip(self.blocks, parts)]
 
 
 def factor_laplacian(g: WeightedGraph) -> LaplacianFactor:
-    """Factor L_G with one eigendecomposition; the kernel dimension is G's
-    component count, not a numerical-rank guess.
+    """Factor L_G with one eigendecomposition per connected component of G;
+    each block's kernel is its component's indicator, not a numerical-rank
+    guess.
 
-    Exactly that many smallest eigenvalues are dropped. Raises NumericalError
-    unless each dropped one lies within KERNEL_TOL * lambda_max of zero and
-    the smallest kept one is positive and above all of them.
+    Each block drops exactly its smallest eigenvalue. Raises NumericalError
+    unless that one lies within KERNEL_TOL * the block's lambda_max of zero
+    and the block's next one is positive and above it. A connected G is one
+    block: one eigendecomposition of L_G itself.
     """
     labels = g.component_labels()
-    c = int(labels.max()) + 1 if g.n else 0
-    dec = _decompose(laplacian(g))
-    vals = dec.eigenvalues
-    noise = float(np.max(np.abs(vals[:c]))) if c else 0.0
-    lam_max = float(vals[-1]) if vals.size else 0.0
-    if noise > KERNEL_TOL * lam_max:
-        raise NumericalError(
-            f"Laplacian kernel eigenvalue of magnitude {noise:g} exceeds"
-            f" {KERNEL_TOL:g} * lambda_max = {KERNEL_TOL * lam_max:g} ({c} components)"
-        )
-    image = vals[c:]
-    if image.size and not float(image[0]) > noise:
-        raise NumericalError(
-            f"smallest image eigenvalue {float(image[0]):g} of the Laplacian is not above"
-            f" its kernel's rounding noise {noise:g}"
-        )
-    return LaplacianFactor(f=dec.eigenvectors[:, c:] / np.sqrt(image), labels=labels)
+    count = int(labels.max(initial=-1)) + 1
+    lap = laplacian(g)
+    blocks = []
+    for c in range(count):
+        vertices = np.flatnonzero(labels == c)
+        dec = _decompose(_diagonal_block(lap, vertices))
+        vals = dec.eigenvalues
+        noise, lam_max = abs(float(vals[0])), float(vals[-1])
+        if noise > KERNEL_TOL * lam_max:
+            raise NumericalError(
+                f"Laplacian kernel eigenvalue of magnitude {noise:g} exceeds"
+                f" {KERNEL_TOL:g} * lambda_max = {KERNEL_TOL * lam_max:g} (component {c} of {count})"
+            )
+        if vals.size > 1 and not float(vals[1]) > noise:
+            raise NumericalError(
+                f"smallest image eigenvalue {float(vals[1]):g} of the Laplacian is not above"
+                f" its kernel's rounding noise {noise:g}"
+            )
+        blocks.append(FactorBlock(vertices, dec.eigenvectors[:, 1:] / np.sqrt(vals[1:])))
+    return LaplacianFactor(n=g.n, blocks=tuple(blocks))
 
 
 def pencil_eigenvalues(a: np.ndarray, b: LaplacianFactor | np.ndarray) -> np.ndarray:
     """Generalized eigenvalues of the PSD pencil (A, B) on the image of B.
 
     B is a LaplacianFactor, whose image is exact, or a raw PSD matrix, whose
-    image is the span of its eigenvalues above REL_RANK_TOL * lambda_max.
-    With F a basis of im(B) scaled so that F^T B F = I, returns the
-    ascending eigenvalues of F^T A F: the stationary values of
-    x^T A x / x^T B x over x in im(B).
+    image is the span of its eigenvalues above REL_RANK_TOL * lambda_max and
+    which is then one block. With F_c a basis of block c of im(B) scaled so
+    that F_c^T B F_c = I, returns the ascending union over the blocks of the
+    eigenvalues of F_c^T A F_c: the stationary values of x^T A x / x^T B x
+    over x in im(B). Against a factor, A must have no entry between two
+    components (IncompatibleImagesError otherwise).
     """
-    a = check_symmetric(a)
-    if isinstance(b, LaplacianFactor):
-        f = b.f
-    else:
+    if not isinstance(b, LaplacianFactor):
         dec = _decompose(check_symmetric(b))
         keep = _rank_split(dec)
         f = dec.eigenvectors[:, keep] / np.sqrt(np.abs(dec.eigenvalues[keep]))
-    # F^T A F is symmetric up to rounding of size eps * |F|^2 |A|, which can
-    # exceed any tolerance relative to its own entries when B is badly
-    # conditioned: symmetrize the congruence instead of checking it.
-    return _spectrum(symmetrize(f.T @ a @ f))
+        b = LaplacianFactor(n=f.shape[0], blocks=(FactorBlock(np.arange(f.shape[0]), f),))
+    return np.sort(np.concatenate([np.zeros(0), *b.pencil_spectra(a)]))
 
 
 def pencil_range(h: WeightedGraph, g: WeightedGraph | LaplacianFactor) -> tuple[float, float]:
@@ -429,9 +464,9 @@ def pencil_range(h: WeightedGraph, g: WeightedGraph | LaplacianFactor) -> tuple[
     An empty image (a graph without edges) gives (1, 1).
     """
     factor = g if isinstance(g, LaplacianFactor) else factor_laplacian(g)
-    lh, lg = h.component_labels().tolist(), factor.labels.tolist()
-    # the partitions agree iff the labels biject: pairs (lh, lg) are as many as either
-    if len(lh) != len(lg) or not len(set(zip(lh, lg))) == len(set(lh)) == len(set(lg)):
+    # The pencil rejects an H edge between two of G's components, so H's
+    # components lie inside G's; as many of them means the same partition.
+    if h.n != factor.n or np.unique(h.component_labels()).size != len(factor.blocks):
         raise IncompatibleImagesError(
             "connected components differ between the two graphs; the pencil"
             " range is only defined on a common image"

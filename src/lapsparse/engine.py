@@ -227,20 +227,15 @@ class EngineResult:
     """Final weights and the certificate for M = X + sum w_i Y_i."""
 
     weights: np.ndarray
-    M: np.ndarray
-    theta_min: float
     theta_max: float
     lambda_min: float
     lambda_max: float
     lambda_star: float
-    lambda_min_mstar: float
-    certified_floor: float
     explicit_floor: float
     lambda_min_b_restricted: float
     total_cost: float
     cost_bound: float
     support: int
-    perturbation: float
     schedule: EngineSchedule
     trace: tuple
     max_potential_increase: float
@@ -405,7 +400,7 @@ def run_engine(problem: EngineProblem) -> EngineResult:
     k_eff = min(problem.k, problem.dim)
     # S: the span of X's k smallest eigenvectors, ties broken by the solver's order
     basis = dec_x.eigenvectors[:, :k_eff]
-    z, perturbation = compute_Z(problem.X, problem.Mstar, basis)
+    z, _ = compute_Z(problem.X, problem.Mstar, basis)
     schedule = init_schedule(problem.k, problem.N, problem.T)
     mx = max(problem.N, problem.T)
     state = initial_state(problem, schedule, dec_x, basis.T @ (z @ problem.vectors))
@@ -472,16 +467,13 @@ def run_engine(problem: EngineProblem) -> EngineResult:
                 f"running cost {cost_so_far!r} exceeds q/max(N,T) = {q / mx!r} at step {q}"
             )
 
-    return _certify(
-        problem, state, schedule, perturbation, dec_x, mstar_vals, tuple(trace), max_increase
-    )
+    return _certify(problem, state, schedule, dec_x, mstar_vals, tuple(trace), max_increase)
 
 
 def _certify(
     problem: EngineProblem,
     state: EngineState,
     schedule: EngineSchedule,
-    perturbation: float,
     dec_x: SpectralDecomposition,
     mstar_vals: np.ndarray,
     trace: tuple,
@@ -547,20 +539,15 @@ def _certify(
 
     return EngineResult(
         weights=state.weights.copy(),
-        M=state.A,
-        theta_min=theta_min,
         theta_max=theta_max,
         lambda_min=lam_min_m,
         lambda_max=lam_max_m,
         lambda_star=lam_star,
-        lambda_min_mstar=lam_min_mstar,
-        certified_floor=certified_floor,
         explicit_floor=explicit_floor,
         lambda_min_b_restricted=lam_min_b,
         total_cost=total_cost,
         cost_bound=cost_fraction,
         support=support,
-        perturbation=perturbation,
         schedule=schedule,
         trace=trace,
         max_potential_increase=max_increase,

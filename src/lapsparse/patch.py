@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import (
     BudgetTooSmallError,
+    FactorBlock,
     InvalidKError,
     LaplacianFactor,
     NumericalError,
@@ -22,7 +23,6 @@ from .core import (
     WeightedGraph,
     factor_laplacian,
     laplacian,
-    pencil_eigenvalues,
     pencil_range,
     symmetrize,
 )
@@ -80,25 +80,37 @@ def measure_sandwich(
     return lower, upper
 
 
-def verify_patch(
-    g: WeightedGraph, w: WeightedGraph, k: int, factor: LaplacianFactor | None = None
-) -> PatchParams:
+def verify_patch(g: WeightedGraph, w: WeightedGraph, k: int) -> PatchParams:
     """Measure (lambda_{k+1} of the (L_G, L_{G+W}) pencil, Tr(L_W L_{G+W}^+)).
 
     Both quantities live on the image of L_{G+W}; for disconnected G+W the
-    pencil spectrum is the union over components, sorted globally. `factor`
-    is the factor of L_{G+W}, built here when the caller holds none.
+    pencil spectrum is the union over components, sorted globally.
     """
-    if w.n != g.n:
-        raise PreconditionError(f"vertex count mismatch: G has {g.n}, W has {w.n}")
+    return _certificate(g, w, k, factor_laplacian(g.union(w)))[0]
+
+
+def _certificate(
+    g: WeightedGraph, w: WeightedGraph, k: int, factor: LaplacianFactor
+) -> tuple[PatchParams, list, list]:
+    """The certificate of W against G from one spectrum per component c of
+    G+W, that of X_c = F_c^T L_G F_c (block c of the (L_G, L_{G+W}) pencil),
+    `factor` being the factor of L_{G+W}.
+
+    Also returns, per component, its protected count (how many of the k
+    globally smallest values it holds) and its trace bound Tr(I - X_c).
+    """
     if k < 0:
         raise PreconditionError(f"k must be nonnegative, got {k}")
-    if factor is None:
-        factor = factor_laplacian(g.union(w))
-    vals = pencil_eigenvalues(laplacian(g), factor)
-    if k >= vals.size:
-        raise InvalidKError(f"k = {k} is at or above the image rank {vals.size}")
-    return PatchParams(k=k, T_patch=factor.trace_pinv(laplacian(w)), lambda_star=float(vals[k]))
+    spectra = factor.pencil_spectra(laplacian(g))
+    merged = sorted((val, c) for c, vals in enumerate(spectra) for val in vals)
+    if k >= len(merged):
+        raise InvalidKError(f"k = {k} is at or above the image rank {len(merged)}")
+    k_counts = [0] * len(spectra)
+    for _, c in merged[:k]:
+        k_counts[c] += 1
+    traces = [float(np.sum(np.clip(1.0 - vals, 0.0, None))) for vals in spectra]
+    t_patch = factor.trace_pinv(laplacian(w))
+    return PatchParams(k=k, T_patch=t_patch, lambda_star=float(merged[k][0])), k_counts, traces
 
 
 def build_patch_problem(
@@ -106,23 +118,23 @@ def build_patch_problem(
     w: WeightedGraph,
     k: int,
     n_budget: int,
-    factor: LaplacianFactor,
+    block: FactorBlock,
 ) -> EngineProblem:
-    """Engine instance for sparsifying W against G (G+W must be connected).
+    """Engine instance for sparsifying W against G, G+W connected.
 
-    Working space: im(L_{G+W}) in the eigenbasis of `factor`, the factor
-    F = Q diag(lambda)^(-1/2) of L_{G+W}. X = F^T L_G F is the pencil
-    matrix of L_G, edge e = (u, v) of W contributes the rank-one generator
-    sqrt(w_e) F^T b_e = sqrt(w_e) (F[u] - F[v]), costs are w_e / sum(w),
-    and M* is the identity on the working space.
+    Working space: im(L_{G+W}) in the eigenbasis of `block`, the one block
+    F = Q diag(lambda)^(-1/2) of the factor of L_{G+W}. X = F^T L_G F is the
+    pencil matrix of L_G, edge e = (u, v) of W contributes the rank-one
+    generator sqrt(w_e) F^T b_e = sqrt(w_e) (F[u] - F[v]), costs are
+    w_e / sum(w), and M* is the identity on the working space.
     """
     if w.n != g.n:
         raise PreconditionError(f"vertex count mismatch: G has {g.n}, W has {w.n}")
     if not w.edges:
         raise PreconditionError("W has no edges; nothing to sparsify")
-    if factor.components != 1:
+    f = block.f
+    if f.shape != (g.n, g.n - 1):
         raise PreconditionError("G+W must be connected here; split by component upstream")
-    f = factor.f
     x = symmetrize(f.T @ laplacian(g) @ f)
     u, v, we = (np.array(col) for col in zip(*w.edges))
     vectors = np.sqrt(we) * (f[u] - f[v]).T
@@ -134,14 +146,12 @@ def build_patch_problem(
 
 
 def _component_budgets(x_traces, k_bottom_counts, n_budget):
-    """Per-component step budgets: proportional to each trace bound, floored
-    at the engine minimum 8 k_c + 1."""
+    """Per-component step budgets: shares of n_budget proportional to each
+    trace bound (equal shares when every bound is 0), floored at the engine
+    minimum 8 k_c + 1. A single component's share is exactly n_budget."""
     total = sum(x_traces)
-    budgets = []
-    for t_c, k_c in zip(x_traces, k_bottom_counts):
-        share = int(n_budget * t_c / total) if total > 0 else 0
-        budgets.append(max(8 * k_c + 1, share))
-    return budgets
+    shares = [t_c / total if total > 0 else 1.0 / len(x_traces) for t_c in x_traces]
+    return [max(8 * k_c + 1, int(n_budget * s)) for s, k_c in zip(shares, k_bottom_counts)]
 
 
 def sparsify_patch(
@@ -149,12 +159,13 @@ def sparsify_patch(
 ) -> PatchSparsifier:
     """Select at most N reweighted edges of W so G+W_k sandwiches G+W.
 
-    N defaults to 8k+1; an explicit budget below that is rejected.
-    Disconnected G+W is split per component: each component gets the
-    protected count k_c of globally-smallest X eigenvalues landing in it
-    and a proportional share of the budget (floored at 8 k_c + 1, so the
-    combined edge count can exceed N on adversarial splits; the realized
-    budget is reported via n_budget).
+    N defaults to 8k+1; an explicit budget below that is rejected. Each
+    component of G+W is sparsified on its own block of the factor of
+    L_{G+W}: it gets the protected count k_c of globally-smallest X
+    eigenvalues landing in it and a proportional share of the budget
+    (floored at 8 k_c + 1, so the combined edge count can exceed N on
+    adversarial splits; the realized budget is reported via n_budget).
+    Connected G+W is the one-block case, with all of k and N.
     """
     if k < 0:
         raise PreconditionError(f"k must be nonnegative, got {k}")
@@ -182,56 +193,29 @@ def sparsify_patch(
             factor=factor_laplacian(g),
         )
 
-    # One factor of L_{G+W} serves the measured certificate, the connected
-    # problem, the final sandwich and, carried in the result, a re-check of
-    # W_k read back from a file. Connected G+W is a one-part partition.
+    # One factor of L_{G+W} serves the measured certificate, each
+    # component's problem, the final sandwich and, carried in the result, a
+    # re-check of W_k read back from a file. Each component's X spectrum is
+    # solved once, for the certificate, its protected count and its budget.
     factor = factor_laplacian(g.union(w))
-    params = verify_patch(g, w, k, factor)
-    if factor.components <= 1:
-        parts = [(g, w, np.arange(g.n), factor, k, n_eff)]
-    else:
-        # Per-component split. Protected counts follow the global bottom-k of
-        # the block-diagonal X; budgets follow the component trace bounds.
-        # Each component's factor gives its X spectrum as a pencil and then
-        # its problem, so the problem is built once.
-        comps = []
-        spectra = []
-        for c in range(factor.components):
-            verts = np.flatnonzero(factor.labels == c)
-            g_c, old_ids = g.subgraph(verts)
-            w_c, _ = w.subgraph(verts)
-            if w_c.edges:
-                factor_c = factor_laplacian(g_c.union(w_c))
-                spectra.append(pencil_eigenvalues(laplacian(g_c), factor_c))
-            else:
-                factor_c = None
-                spectra.append(np.ones(max(g_c.n - 1, 0)))
-            comps.append((g_c, w_c, old_ids, factor_c))
-        merged = sorted((val, ci) for ci, vals in enumerate(spectra) for val in vals)
-        k_counts = [0] * len(comps)
-        for _, ci in merged[:k]:
-            k_counts[ci] += 1
-        traces = [
-            float(np.sum(np.clip(1.0 - vals, 0.0, None))) if vals.size else 0.0
-            for vals in spectra
-        ]
-        budgets = _component_budgets(traces, k_counts, n_eff)
-        parts = [comp + (k_c, n_c) for comp, k_c, n_c in zip(comps, k_counts, budgets)]
-
+    params, k_counts, traces = _certificate(g, w, k, factor)
+    budgets = _component_budgets(traces, k_counts, n_eff)
     wk_edges = []
     engine_results = []
     realized_budget = 0
     weight_bound = 0.0
-    for g_c, w_c, old_ids, factor_c, k_c, n_c in parts:
+    for block, k_c, n_c in zip(factor.blocks, k_counts, budgets):
+        w_c, _ = w.subgraph(block.vertices)
         if not w_c.edges:
             continue
+        g_c, _ = g.subgraph(block.vertices)
         realized_budget += n_c
-        result = run_engine(build_patch_problem(g_c, w_c, k_c, n_c, factor_c))
+        result = run_engine(build_patch_problem(g_c, w_c, k_c, n_c, block))
         engine_results.append(result)
         weight_bound += result.cost_bound * w_c.weight_sum()
         for (u, v, we), rho in zip(w_c.edges, result.weights):
             if rho > 0:
-                wk_edges.append((int(old_ids[u]), int(old_ids[v]), rho * we))
+                wk_edges.append((int(block.vertices[u]), int(block.vertices[v]), rho * we))
     # every edge of W lies in one component, so at least one engine ran
     certified_lower = min(result.explicit_floor for result in engine_results)
     certified_upper = max(result.theta_max for result in engine_results)

@@ -1,7 +1,7 @@
 """Low-stretch spanning trees, stretch reports, and ultrasparsifiers.
 
 The pipeline: pick a spanning tree T with small total stretch from a
-candidate ensemble, scale W = G / (c3 * kappa) with kappa = c1 * st_T(G) / k,
+candidate ensemble, scale W = G / (C3 * kappa) with kappa = C1 * st_T(G) / k,
 sparsify W against T through the selection engine, and return U = T + W_k
 together with the measured generalized-eigenvalue sandwich of (L_G, L_U).
 """
@@ -28,6 +28,9 @@ from .patch import PatchSparsifier, sparsify_patch
 
 # Thresholds t at which sw_trace_check tests the tail bound #{lambda > t} <= st/t.
 TAIL_PROBES = (1.0, 2.0, 5.0, 10.0)
+# kappa_target = C1 * st_T(G) / k, and the patch W = G / (C3 * kappa_target).
+C1 = 4.0
+C3 = 1.0
 
 
 @dataclass(frozen=True)
@@ -260,7 +263,7 @@ class UltraResult:
 
     gen_lower/gen_upper bound the (L_G, L_U) pencil; kappa_measured is their
     ratio (the relative condition number); certified_lower is the engine-backed
-    floor 1 / (theta_max * (1 + 1/(c3 kappa_target))). A tree input has no
+    floor 1 / (theta_max * (1 + 1/(C3 kappa_target))). A tree input has no
     patch: U = G, and certified_lower is the measured gen_lower.
     """
 
@@ -277,29 +280,21 @@ class UltraResult:
     tree: SpanningTree
 
 
-def build_ultrasparsifier(
-    g: WeightedGraph, k: int, c1: float = 4.0, c3: float = 1.0, seed: int = 0
-) -> UltraResult:
+def build_ultrasparsifier(g: WeightedGraph, k: int, seed: int = 0) -> UltraResult:
     """Spanning tree plus at most 8k+1 reweighted edges approximating G.
 
-    kappa = c1 * st_T(G) / k, W = G / (c3 kappa), W_k = sparsify_patch(T, W,
+    kappa = C1 * st_T(G) / k, W = G / (C3 kappa), W_k = sparsify_patch(T, W,
     k, 8k+1), U = T + W_k. A tree is its own low-stretch tree, so a tree
-    input gives U = G with no patch.
+    input gives U = G with no patch. G must be connected with at least 2
+    vertices (`candidate_trees` checks).
     """
     if k < 1:
         raise PreconditionError(f"k must be at least 1, got {k}")
-    for name, c in (("c1", c1), ("c3", c3)):
-        if not (math.isfinite(c) and c > 0):
-            raise PreconditionError(f"{name} must be finite and positive, got {c!r}")
-    if not g.is_connected():
-        raise DisconnectedError("ultrasparsifier needs a connected input graph")
-    if g.n < 2:
-        raise PreconditionError("need at least 2 vertices")
 
     tree, report = low_stretch_tree(g, seed)
     trace = sw_trace_check(g, tree, report)
-    kappa_target = c1 * report.total / k
-    scale = 1.0 / (c3 * kappa_target)
+    kappa_target = C1 * report.total / k
+    scale = 1.0 / (C3 * kappa_target)
     t_graph = tree.graph()
     if g.num_edges == g.n - 1:  # G is a tree, so T = G and W_k is empty
         patch, u = None, g

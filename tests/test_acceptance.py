@@ -14,7 +14,7 @@ from conftest import make_engine_instance, random_connected_graph
 from lapsparse.core import WeightedGraph, laplacian, pencil_eigenvalues
 from lapsparse.engine import _upper_phi, run_engine
 from lapsparse.patch import verify_patch
-from lapsparse.ultra import TAIL_PROBES, build_ultrasparsifier, low_stretch_tree, sw_trace_check, tree_stretch
+from lapsparse.ultra import C1, C3, TAIL_PROBES, build_ultrasparsifier, low_stretch_tree, sw_trace_check, tree_stretch
 from lapsparse.connectivity import (
     ConnectivityInstance,
     brute_force_opt,
@@ -182,17 +182,16 @@ def test_04_tree_trace_identity_tails_and_cycle_exactness():
 
 
 def test_05_patch_certificates_for_scaled_inputs():
-    c1, c3 = 4.0, 1.0
     for seed, k in itertools.product((0, 1, 2), (1, 2, 4)):
         rng = np.random.default_rng(500 + seed)
         g = random_connected_graph(rng, 60, extra_edges=90, wmin=0.5, wmax=2.0)
         tree, report = low_stretch_tree(g)
         stretch = report.total
-        kappa = c1 * stretch / k
-        w = g.scale(1.0 / (c3 * kappa))
+        kappa = C1 * stretch / k
+        w = g.scale(1.0 / (C3 * kappa))
         params = verify_patch(tree.graph(), w, k)
         assert params.lambda_star >= 4.0 / 5.0 - 1e-6
-        assert params.T_patch <= k / (c1 * c3) + 1e-6
+        assert params.T_patch <= k / (C1 * C3) + 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import random_connected_graph
 from lapsparse import cli
@@ -351,6 +352,37 @@ def test_sparsify_patch_command_factors_the_patched_laplacian_once(tmp_path, mon
     assert shapes.count((g.n, g.n)) == 1
 
 
+def test_split_sparsify_patch_solves_nothing_wider_than_a_component(tmp_path, monkeypatch):
+    # G+W in components of 12, 9, 7 and 1 vertices on shuffled ids, the
+    # 7-vertex one without patch edges: every eigensolve of the command,
+    # library and re-check alike, is at most one component wide
+    rng = np.random.default_rng(76)
+    ids = rng.permutation(29)
+    g_edges, w_edges, off = [], [], 0
+    for size, patched in ((12, True), (9, True), (7, False), (1, False)):
+        comp = random_connected_graph(rng, size, extra_edges=3)
+        g_edges += [(int(ids[off + u]), int(ids[off + v]), w) for u, v, w in comp.edges]
+        if patched:
+            pool = sorted({(u, v) for u in range(size) for v in range(u + 1, size)} - comp.edge_pairs())
+            for j in rng.choice(len(pool), 2 * size, replace=False):
+                u, v = pool[int(j)]
+                w_edges.append((int(ids[off + u]), int(ids[off + v]), float(rng.uniform(0.05, 0.5))))
+        off += size
+    g, w = WeightedGraph(29, g_edges), WeightedGraph(29, w_edges)
+    assert len(set(g.union(w).component_labels().tolist())) == 4
+    widths = []
+    for owner in (np.linalg, scipy.linalg):
+        for name in ("eigh", "eigvalsh"):
+            def counting(a, *args, _original=getattr(owner, name), **kwargs):
+                widths.append(a.shape[0])
+                return _original(a, *args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+    assert main(["sparsify-patch", save_text(tmp_path, "G.txt", g), save_text(tmp_path, "W.txt", w),
+                 str(tmp_path / "Wk.txt"), "--k", "2", "--report", str(tmp_path / "rep.json")]) == 0
+    assert max(widths) == 12
+
+
 def test_re_check_measures_the_written_file(tmp_path, monkeypatch, capsys):
     # the heaviest written weight off by a relative 1e-6 must fail the
     # re-check, so the re-check reads the file rather than the in-memory result
@@ -438,14 +470,6 @@ def test_exit_code_three_on_violated_preconditions(tmp_path, capsys):
     # disconnected input to ultra
     disc = save_text(tmp_path, "disc.txt", WeightedGraph(5, [(0, 1, 1.0)]))
     assert main(["ultra", disc, str(out), "--k", "1"]) == 3
-
-    # NaN, infinite or nonpositive ultra constants, on a tree input and on G
-    tree = save_text(tmp_path, "tree.txt", random_connected_graph(rng, 6, extra_edges=0))
-    for graph in (tree, g_path):
-        for flag, value in (("--c1", "nan"), ("--c1", "inf"), ("--c3", "nan"), ("--c3", "0")):
-            capsys.readouterr()
-            assert main(["ultra", graph, str(out), "--k", "1", flag, value]) == 3
-            assert f"{flag[2:]} must be finite and positive" in capsys.readouterr().err
 
     # a negative k with an empty W
     empty = save_text(tmp_path, "empty.txt", WeightedGraph(8, []))

@@ -221,13 +221,27 @@ def test_eigh_orders_ascending_and_reconstructs():
 # Laplacian factor
 
 
+def embedded(factor):
+    """The n x r matrix F of a whole factor: each block's F_c on its
+    component's rows and its own columns, zero elsewhere, so L^+ = F F^T.
+    Also checks that the blocks' vertex sets partition the vertices."""
+    assert np.array_equal(np.sort(np.concatenate([b.vertices for b in factor.blocks])), np.arange(factor.n))
+    f = np.zeros((factor.n, sum(b.f.shape[1] for b in factor.blocks)))
+    col = 0
+    for b in factor.blocks:
+        assert b.f.shape == (b.vertices.size, b.vertices.size - 1)
+        f[b.vertices, col:col + b.f.shape[1]] = b.f
+        col += b.f.shape[1]
+    return f
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4), st.integers())
 def test_factor_pseudoinverse_is_an_involution_on_laplacians(sizes, seed):
     rng = np.random.default_rng(seed % (2**32))
     g = random_multicomponent_graph(rng, sizes)
     lap = laplacian(g)
-    f = factor_laplacian(g).f
+    f = embedded(factor_laplacian(g))
     ldag = f @ f.T
     assert np.allclose(np.linalg.pinv(ldag), lap, atol=1e-8)
     # Penrose identities
@@ -239,22 +253,30 @@ def test_factor_f_ft_is_the_laplacian_pseudoinverse():
     rng = np.random.default_rng(7)
     g = random_connected_graph(rng, 9, extra_edges=6)
     factor = factor_laplacian(g)
+    (block,) = factor.blocks
+    assert np.array_equal(block.vertices, np.arange(9))
     lap = laplacian(g)
-    assert np.allclose(factor.f @ factor.f.T, np.linalg.pinv(lap), atol=1e-9)
-    assert np.allclose(factor.f.T @ lap @ factor.f, np.eye(8), atol=1e-9)
+    assert np.allclose(block.f @ block.f.T, np.linalg.pinv(lap), atol=1e-9)
+    assert np.allclose(block.f.T @ lap @ block.f, np.eye(8), atol=1e-9)
     assert factor.trace_pinv(lap) == pytest.approx(8.0, rel=1e-12)
+    # split: Tr(L L^+) is the image rank, summed over the blocks
+    g = random_multicomponent_graph(rng, [4, 1, 6])
+    assert factor_laplacian(g).trace_pinv(laplacian(g)) == pytest.approx(8.0, rel=1e-12)
 
 
 def test_factor_image_is_orthogonal_to_component_indicators():
     g = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
     factor = factor_laplacian(g)
-    assert factor.f.shape == (4, 3) and factor.components == 1
-    assert np.allclose(factor.f.T @ np.ones(4), 0.0, atol=1e-9)
+    assert factor.blocks[0].f.shape == (4, 3) and len(factor.blocks) == 1
+    assert np.allclose(factor.blocks[0].f.T @ np.ones(4), 0.0, atol=1e-9)
     rng = np.random.default_rng(9)
     g = random_multicomponent_graph(rng, [3, 1, 5])
     factor = factor_laplacian(g)
-    assert factor.f.shape == (9, 6) and factor.components == 3
-    assert np.allclose(factor.f.T @ indicators(g), 0.0, atol=1e-9)
+    assert embedded(factor).shape == (9, 6) and len(factor.blocks) == 3
+    assert np.allclose(embedded(factor).T @ indicators(g), 0.0, atol=1e-9)
+    labels = g.component_labels()
+    for c, block in enumerate(factor.blocks):
+        assert np.array_equal(block.vertices, np.flatnonzero(labels == c))
 
 
 @settings(max_examples=40, deadline=None)
@@ -269,13 +291,14 @@ def test_factor_kernel_dimension_is_the_component_count(sizes, decades, seed):
     rng = np.random.default_rng(seed % (2**32))
     g = random_multicomponent_graph(rng, sizes, decades=decades)
     factor = factor_laplacian(g)
-    assert factor.components == len(sizes)
-    assert factor.f.shape == (g.n, g.n - len(sizes))
+    assert len(factor.blocks) == len(sizes)
+    f = embedded(factor)
+    assert f.shape == (g.n, g.n - len(sizes))
     # F = Q diag(lambda)^(-1/2) with orthonormal Q: column j has norm lambda_j^(-1/2)
-    image = 1.0 / np.sum(factor.f**2, axis=0)
+    image = 1.0 / np.sum(f**2, axis=0)
     assert np.all(image > 0)
     lap = laplacian(g)
-    recon = (factor.f * image**2) @ factor.f.T
+    recon = (f * image**2) @ f.T
     assert np.max(np.abs(recon - lap)) <= 1e-12 * g.n * np.max(np.abs(lap))
 
 
@@ -326,12 +349,31 @@ def test_relative_condition_number_identity_and_mismatch():
     assert relative_condition_number(two, swapped) == pytest.approx(5.0 * 2.0, rel=1e-12)
 
 
+def test_pencil_against_a_factor_rejects_a_matrix_coupling_two_components():
+    two = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 2.0)])
+    factor = factor_laplacian(two)
+    assert np.allclose(pencil_eigenvalues(laplacian(two.scale(3.0)), factor), 3.0, atol=1e-12)
+    path = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+    with pytest.raises(PreconditionError, match="between two components"):
+        pencil_eigenvalues(laplacian(path), factor)
+    with pytest.raises(PreconditionError, match="between two components"):
+        factor.pencil_spectra(laplacian(path))
+    # a raw PSD matrix is one block, so it has no components to keep apart
+    assert pencil_eigenvalues(laplacian(path), laplacian(two)).shape == (2,)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=3), st.integers())
 def test_pencil_spectra_are_invariant_under_vertex_relabeling(sizes, seed):
     rng = np.random.default_rng(seed % (2**32))
     b = random_multicomponent_graph(rng, sizes, decades=2.0)
-    a = random_connected_graph(rng, b.n, extra_edges=b.n)
+    # A has B's components: against a factor, a pencil splits over them
+    labels, edges = b.component_labels(), []
+    for c in range(len(sizes)):
+        vertices = np.flatnonzero(labels == c)
+        comp = random_connected_graph(rng, vertices.size, extra_edges=vertices.size)
+        edges += [(int(vertices[u]), int(vertices[v]), w) for u, v, w in comp.edges]
+    a = WeightedGraph(b.n, edges)
     perm = rng.permutation(b.n)
 
     def relabel(g):

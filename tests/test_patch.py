@@ -13,7 +13,7 @@ from lapsparse.core import (
     laplacian,
     pencil_eigenvalues,
 )
-from lapsparse.patch import build_patch_problem, sparsify_patch, verify_patch
+from lapsparse.patch import _component_budgets, build_patch_problem, sparsify_patch, verify_patch
 
 
 def test_verify_empty_patch_is_perfectly_conditioned():
@@ -47,7 +47,7 @@ def test_problem_construction_sums_to_identity():
     rng = np.random.default_rng(4)
     g = random_connected_graph(rng, 10, extra_edges=4)
     w = random_connected_graph(rng, 10, extra_edges=12, wmin=0.1, wmax=0.8)
-    problem = build_patch_problem(g, w, 2, 17, factor_laplacian(g.union(w)))
+    problem = build_patch_problem(g, w, 2, 17, factor_laplacian(g.union(w)).blocks[0])
     d = g.n - 1
     assert problem.X.shape == (d, d)
     recon = problem.X + problem.vectors @ problem.vectors.T
@@ -65,10 +65,28 @@ def test_problem_spectrum_matches_certificate():
     w = random_connected_graph(rng, 9, extra_edges=9, wmin=0.2, wmax=1.0)
     k = 2
     params = verify_patch(g, w, k)
-    problem = build_patch_problem(g, w, k, 8 * k + 1, factor_laplacian(g.union(w)))
+    problem = build_patch_problem(g, w, k, 8 * k + 1, factor_laplacian(g.union(w)).blocks[0])
     x_vals = np.linalg.eigvalsh(problem.X)
     assert params.lambda_star == pytest.approx(float(x_vals[k]), abs=1e-8)
     assert params.T_patch == pytest.approx(float(np.trace(np.eye(g.n - 1) - problem.X)), abs=1e-8)
+
+
+def test_problem_needs_the_block_of_a_connected_union():
+    g = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
+    w = WeightedGraph(4, [(0, 2, 0.5)])
+    factor = factor_laplacian(g)  # two blocks: L_G, not L_{G+W}
+    with pytest.raises(PreconditionError, match="connected"):
+        build_patch_problem(g, w, 0, 1, factor.blocks[0])
+
+
+def test_one_component_gets_the_whole_budget():
+    # n * t / t can round to just below n; a lone component's share is n
+    rng = np.random.default_rng(3)
+    for _ in range(2000):
+        t, n = float(rng.uniform(0.0, 50.0)), int(rng.integers(9, 200))
+        assert _component_budgets([t], [1], n) == [n]
+    assert _component_budgets([0.0], [1], 20) == [20]
+    assert _component_budgets([3.0, 1.0, 0.0], [1, 0, 0], 40) == [30, 10, 1]
 
 
 def test_sparsify_empty_patch_returns_empty_selection():

@@ -1,6 +1,4 @@
 """Spanning trees, stretch accounting, and the tree-plus-patch sparsifier."""
-import math
-
 import numpy as np
 import pytest
 import scipy.linalg
@@ -279,13 +277,6 @@ def test_build_rejects_bad_inputs():
     g = cycle(6)
     with pytest.raises(PreconditionError):
         build_ultrasparsifier(g, 0)
-    tree = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (1, 3, 2.0)])
-    for graph in (g, tree):
-        for bad in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(PreconditionError, match="c1 must be finite and positive"):
-                build_ultrasparsifier(graph, 1, c1=bad)
-            with pytest.raises(PreconditionError, match="c3 must be finite and positive"):
-                build_ultrasparsifier(graph, 1, c3=bad)
     with pytest.raises(DisconnectedError):
         build_ultrasparsifier(WeightedGraph(4, [(0, 1, 1.0)]), 1)
     with pytest.raises(PreconditionError):
