@@ -18,11 +18,14 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import hashlib
+import io
 import json
 import math
 import sys
 import time
+import warnings
 
 import numpy as np
 
@@ -54,8 +57,54 @@ COHERENCE_TOL = 1e-9
 # Graph file round-trip
 
 
+# Line breaks of str.splitlines, and so of the line scanner, that np.loadtxt
+# reads as field whitespace instead; a lone "\r" is one too.
+_SCANNER_ONLY_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+_EDGE_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
+
+
 def parse_graph_text(text: str, name: str) -> WeightedGraph:
-    """Parse the text edge-list format, reporting 1-based line numbers."""
+    """Parse the text edge-list format, reporting 1-based line numbers.
+
+    The body after the header is read by one np.loadtxt call. Wherever that
+    call could read the text otherwise than the line scanner does, and on
+    any error, the line scanner parses the text instead, and it names the
+    line at fault.
+    """
+    graph = _load_graph_text(text)
+    return graph if graph is not None else _scan_graph_text(text, name)
+
+
+def _load_graph_text(text: str) -> WeightedGraph | None:
+    """The graph, by one np.loadtxt call on the body; None when the line
+    scanner must decide."""
+    lone_cr = "\r" in text and text.count("\r") != text.count("\r\n")
+    if lone_cr or any(c in text for c in _SCANNER_ONLY_BREAKS):
+        return None
+    start = 0
+    while True:  # the header is the first line with content
+        end = text.find("\n", start)
+        fields = text[start : end if end >= 0 else len(text)].split("#", 1)[0].split()
+        if fields or end < 0:
+            break
+        start = end + 1
+    if len(fields) != 2 or fields[0] != "n" or end < 0:
+        return None
+    try:
+        n = int(fields[1])
+        with warnings.catch_warnings():
+            # numpy 1.x reads "1.0" into an integer column with only a
+            # DeprecationWarning, and an empty body warns as well
+            warnings.simplefilter("error")
+            rows = np.loadtxt(io.StringIO(text[end + 1 :]), dtype=_EDGE_ROW, comments="#", ndmin=1)
+        return WeightedGraph.from_arrays(n, rows["u"], rows["v"], rows["w"])
+    except (ValueError, OverflowError, Warning, PreconditionError):
+        return None
+
+
+def _scan_graph_text(text: str, name: str) -> WeightedGraph:
+    """Parse the text edge-list format line by line, as str.splitlines
+    breaks it, naming the line of any error."""
     n = None
     edges = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -135,14 +184,13 @@ def read_graph(path: str) -> WeightedGraph:
 
 
 def graph_to_text(g: WeightedGraph) -> str:
-    lines = [f"n {g.n}"]
-    for u, v, w in g.edges:
-        lines.append(f"{u} {v} {format_float(w)}")
-    return "\n".join(lines) + "\n"
+    rows = zip(g.u.tolist(), g.v.tolist(), map(format_float, g.w.tolist()))
+    return "\n".join([f"n {g.n}", *(f"{u} {v} {w}" for u, v, w in rows)]) + "\n"
 
 
 def graph_to_json(g: WeightedGraph) -> str:
-    return dumps_report({"n": g.n, "edges": [[u, v, w] for u, v, w in g.edges]}) + "\n"
+    edges = [list(row) for row in zip(g.u.tolist(), g.v.tolist(), g.w.tolist())]
+    return dumps_report({"n": g.n, "edges": edges}) + "\n"
 
 
 def write_graph(path: str, g: WeightedGraph) -> None:
@@ -171,47 +219,55 @@ def format_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _emit(obj, out: list, indent: int) -> None:
+# Report keys come from a small fixed set; each is encoded once.
+_key = functools.lru_cache(maxsize=1024)(json.dumps)
+
+
+def _scalar(obj) -> str:
+    """JSON text of one report value that holds no other."""
+    if type(obj) is float:  # most values; the checks below cover the rest
+        return format_float(obj)
+    if isinstance(obj, bool) or isinstance(obj, np.bool_):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return format_float(float(obj))
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    if obj is None:
+        return "null"
+    raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+
+
+def _dumps(obj, indent: int) -> str:
+    """Report JSON of obj at the given depth. Each dict or list is one join
+    of its members' texts, and a member that holds no other value is
+    formatted in place: a flat row, such as one potential-trace step, takes
+    no recursive call per value."""
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = list(obj.items())
-        for i, (key, val) in enumerate(items):
-            out.append(pad + "  " + json.dumps(str(key)) + ": ")
-            _emit(val, out, indent + 1)
-            out.append(",\n" if i < len(items) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if len(obj) == 0:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, val in enumerate(obj):
-            out.append(pad + "  ")
-            _emit(val, out, indent + 1)
-            out.append(",\n" if i < len(obj) - 1 else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, bool) or isinstance(obj, np.bool_):
-        out.append("true" if obj else "false")
-    elif isinstance(obj, (int, np.integer)):
-        out.append(str(int(obj)))
-    elif isinstance(obj, (float, np.floating)):
-        out.append(format_float(float(obj)))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif obj is None:
-        out.append("null")
-    else:
-        raise TypeError(f"cannot serialize {type(obj).__name__} into a report")
+            return "{}"
+        lines = [
+            f"{pad}  {_key(str(key))}: "
+            + (_dumps(val, indent + 1) if isinstance(val, (dict, list, tuple)) else _scalar(val))
+            for key, val in obj.items()
+        ]
+        return "{\n" + ",\n".join(lines) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        lines = [
+            f"{pad}  " + (_dumps(val, indent + 1) if isinstance(val, (dict, list, tuple)) else _scalar(val))
+            for val in obj
+        ]
+        return "[\n" + ",\n".join(lines) + f"\n{pad}]"
+    return _scalar(obj)
 
 
 def dumps_report(report: dict) -> str:
-    out: list = []
-    _emit(report, out, 0)
-    return "".join(out)
+    return _dumps(report, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -420,11 +476,13 @@ def cmd_algconn(
         raise PreconditionError(
             f"candidate file has {cand_graph.n} vertices, base has {base.n}"
         )
-    for u, v, w in cand_graph.edges:
-        if w != 1.0:
-            raise PreconditionError(
-                f"candidate edge ({u},{v}) has weight {w!r}; candidates must be unit-weight"
-            )
+    off_unit = np.flatnonzero(cand_graph.w != 1.0)
+    if off_unit.size:
+        i = off_unit[0]
+        raise PreconditionError(
+            f"candidate edge ({cand_graph.u[i]},{cand_graph.v[i]}) has weight"
+            f" {float(cand_graph.w[i])!r}; candidates must be unit-weight"
+        )
     inst = ConnectivityInstance(base, cand_graph.edge_pairs(), k)
     frac = solve_fractional(inst, tol=tol)
     rounded = round_solution(inst, frac)

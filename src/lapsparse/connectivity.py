@@ -263,7 +263,8 @@ def solve_fractional(inst: ConnectivityInstance, tol: float = 1e-4) -> Fractiona
     n = inst.base.n
     if n < 2:
         raise PreconditionError("lambda_2 needs at least 2 vertices")
-    full = inst.base.union(WeightedGraph(n, [(u, v, 1.0) for u, v in inst.candidates]))
+    u, v = np.array(inst.candidates, dtype=np.int64).T
+    full = inst.base.union(WeightedGraph.from_arrays(n, u, v, np.ones(m)))
     if not full.is_connected():
         # every feasible w leaves the same components apart: lambda_2 is 0 on
         # the whole feasible set, and 0 is a supergradient there
@@ -277,7 +278,6 @@ def solve_fractional(inst: ConnectivityInstance, tol: float = 1e-4) -> Fractiona
             converged=True,
         )
     lb = laplacian(inst.base)
-    u, v = np.array(inst.candidates, dtype=int).T
     entries = _edge_entries(n, u, v)
     k = min(inst.k, m)
     cap = float(k)

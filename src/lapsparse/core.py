@@ -16,6 +16,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,79 +116,158 @@ def check_symmetric(a: np.ndarray) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+def _integral(t: type) -> bool:
+    return issubclass(t, numbers.Integral) and not issubclass(t, bool)
+
+
+def _real(t: type) -> bool:
+    return issubclass(t, numbers.Real) and not issubclass(t, bool)
+
+
+def _canonical_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> tuple:
+    """Validate the edges (u[i], v[i], w[i]) and merge parallel ones.
+
+    Returns the canonical (u, v, w) arrays: u < v, sorted lexicographically,
+    each pair's weights summed by one bincount in input order, which gives
+    the floats of a left-to-right loop (np.sum and np.add.reduceat sum groups
+    of 8 or more pairwise, so they would not). Raises PreconditionError for
+    the first edge in input order that is out of range, a self-loop or not
+    positively and finitely weighted, or earlier, for the first one whose
+    pair's running sum leaves the finite floats.
+    """
+    if n < 0:
+        raise PreconditionError(f"vertex count must be nonnegative, got {n}")
+    bad = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v) | ~(w > 0) | ~np.isfinite(w)
+    stop = int(np.argmax(bad)) if bad.any() else u.size
+    lo, hi = np.minimum(u[:stop], v[:stop]), np.maximum(u[:stop], v[:stop])
+    keys, group = np.unique(lo * n + hi, return_inverse=True)
+    sums = np.bincount(group, weights=w[:stop], minlength=keys.size).astype(np.float64, copy=False)
+    if not np.isfinite(sums).all():
+        # positive weights: a pair's running sum, once infinite, stays so
+        firsts = []
+        for pair in np.flatnonzero(~np.isfinite(sums)):
+            members = np.flatnonzero(group == pair)
+            with np.errstate(over="ignore"):
+                running = np.cumsum(w[members])
+            firsts.append(members[np.argmax(~np.isfinite(running))])
+        key = int(keys[group[min(firsts)]])
+        raise PreconditionError(f"parallel edges ({key // n},{key % n}) merge to a non-finite weight")
+    if stop < u.size:
+        a, b, x = int(u[stop]), int(v[stop]), float(w[stop])
+        if not (0 <= a < n and 0 <= b < n):
+            raise PreconditionError(f"edge ({a},{b}) out of range for n={n}")
+        if a == b:
+            raise PreconditionError(f"self-loop at vertex {a} rejected")
+        raise PreconditionError(f"edge ({a},{b}) needs a positive finite weight, got {x}")
+    return (*np.divmod(keys, n), sums)
+
+
+@dataclass(frozen=True, eq=False)
 class WeightedGraph:
     """Undirected weighted graph on vertices 0..n-1.
 
-    Edges are stored canonically: u < v, sorted lexicographically, parallel
-    input edges merged by weight addition. Self-loops and non-positive
-    weights are rejected, and so are parallel edges whose weights sum past
-    the largest float. Instances are immutable.
+    The edges live in three read-only arrays: `u` and `v` (int64) with
+    u < v, sorted lexicographically, and `w` (float64). Parallel input edges
+    are merged by weight addition. Self-loops and non-positive weights are
+    rejected, and so are parallel edges whose weights sum past the largest
+    float. Instances are immutable and compare by value.
     """
 
     n: int
-    edges: tuple  # tuple of (u, v, w) with u < v
+    u: np.ndarray
+    v: np.ndarray
+    w: np.ndarray
 
     def __init__(self, n: int, edges):
-        if n < 0:
-            raise PreconditionError(f"vertex count must be nonnegative, got {n}")
-        merged: dict[tuple[int, int], float] = {}
-        for item in edges:
-            u, v, w = item
-            u, v = int(u), int(v)
-            w = float(w)
-            if not (0 <= u < n and 0 <= v < n):
-                raise PreconditionError(f"edge ({u},{v}) out of range for n={n}")
-            if u == v:
-                raise PreconditionError(f"self-loop at vertex {u} rejected")
-            if not (w > 0) or not math.isfinite(w):
-                raise PreconditionError(f"edge ({u},{v}) needs a positive finite weight, got {w}")
-            key = (u, v) if u < v else (v, u)
-            total = merged.get(key, 0.0) + w
-            if not math.isfinite(total):
-                raise PreconditionError(f"parallel edges ({key[0]},{key[1]}) merge to a non-finite weight")
-            merged[key] = total
-        canon = tuple((u, v, merged[(u, v)]) for (u, v) in sorted(merged))
-        object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "edges", canon)
+        """Graph from an iterable of (u, v, w) triples. Vertex ids must be
+        integers (numpy's included) and weights real numbers; bools are
+        neither."""
+        rows = list(edges)
+        u, v, w = zip(*rows, strict=True) if rows else ((), (), ())
+        for column, accepts in ((u, _integral), (v, _integral), (w, _real)):
+            rejected = {t for t in set(map(type, column)) if not accepts(t)}
+            if rejected:
+                i = next(i for i, x in enumerate(column) if type(x) in rejected)
+                raise PreconditionError(
+                    f"edge {tuple(rows[i])!r} needs integer vertex ids and a real weight (bools are neither)"
+                )
+        try:
+            ids = np.array((u, v), dtype=np.int64).reshape(2, -1)
+        except OverflowError:  # an id beyond int64 is out of range for any n
+            i = next(i for i, pair in enumerate(zip(u, v)) if not all(-(2**63) <= x < 2**63 for x in pair))
+            raise PreconditionError(f"edge ({u[i]},{v[i]}) out of range for n={n}") from None
+        self._store(n, ids[0], ids[1], np.array(w, dtype=np.float64))
+
+    @classmethod
+    def from_arrays(cls, n: int, u, v, w) -> "WeightedGraph":
+        """Graph from parallel arrays of endpoints (integer dtype) and
+        weights, validated and merged like the triples of the constructor."""
+        u, v, w = np.asarray(u), np.asarray(v), np.asarray(w)
+        if u.dtype.kind not in "iu" or v.dtype.kind not in "iu" or w.dtype.kind not in "iuf":
+            raise PreconditionError(
+                f"edge arrays need integer vertex ids and real weights, got {u.dtype}, {v.dtype}, {w.dtype}"
+            )
+        graph = cls.__new__(cls)
+        graph._store(n, u.astype(np.int64, copy=False), v.astype(np.int64, copy=False), w.astype(np.float64, copy=False))
+        return graph
+
+    def _store(self, n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
+        n = int(n)
+        arrays = _canonical_edges(n, u, v, w)
+        for name, array in zip("uvw", arrays):
+            array.flags.writeable = False
+            object.__setattr__(self, name, array)
+        object.__setattr__(self, "n", n)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, WeightedGraph):
+            return NotImplemented
+        return self.n == other.n and all(
+            np.array_equal(a, b) for a, b in ((self.u, other.u), (self.v, other.v), (self.w, other.w))
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.u.tobytes(), self.v.tobytes(), self.w.tobytes()))
+
+    @property
+    def edges(self) -> tuple:
+        """The edges as a tuple of Python (u, v, w) triples, in canonical
+        order; built from the arrays on every read."""
+        return tuple(zip(self.u.tolist(), self.v.tolist(), self.w.tolist()))
 
     @property
     def num_edges(self) -> int:
-        return len(self.edges)
+        return int(self.u.size)
 
     def edge_pairs(self) -> set:
-        return {(u, v) for u, v, _ in self.edges}
+        return set(zip(self.u.tolist(), self.v.tolist()))
 
     def weight_sum(self) -> float:
-        return float(sum(w for _, _, w in self.edges))
+        """Sum of the weights, left to right in canonical order."""
+        return float(sum(self.w.tolist()))
 
     def scale(self, c: float) -> "WeightedGraph":
         """Multiply every edge weight by c > 0."""
         if not (c > 0):
             raise PreconditionError(f"scale factor must be positive, got {c}")
-        return WeightedGraph(self.n, [(u, v, c * w) for u, v, w in self.edges])
+        return WeightedGraph.from_arrays(self.n, self.u, self.v, c * self.w)
 
     def union(self, other: "WeightedGraph") -> "WeightedGraph":
         """Edge-wise sum of two graphs on the same vertex set."""
         if other.n != self.n:
             raise PreconditionError(f"vertex count mismatch: {self.n} vs {other.n}")
-        return WeightedGraph(self.n, list(self.edges) + list(other.edges))
+        return WeightedGraph.from_arrays(
+            self.n, *(np.concatenate(pair) for pair in ((self.u, other.u), (self.v, other.v), (self.w, other.w)))
+        )
 
     def weighted_degrees(self) -> np.ndarray:
-        deg = np.zeros(self.n)
-        for u, v, w in self.edges:
-            deg[u] += w
-            deg[v] += w
-        return deg
+        """Weighted degree per vertex, each summed in edge order."""
+        ends = np.stack((self.u, self.v), axis=1).ravel()
+        return np.bincount(ends, np.repeat(self.w, 2), minlength=self.n).astype(np.float64, copy=False)
 
     def adjacency(self) -> scipy.sparse.csr_matrix:
-        if not self.edges:
-            return scipy.sparse.csr_matrix((self.n, self.n))
-        u = np.array([e[0] for e in self.edges])
-        v = np.array([e[1] for e in self.edges])
-        w = np.array([e[2] for e in self.edges])
         a = scipy.sparse.coo_matrix(
-            (np.concatenate([w, w]), (np.concatenate([u, v]), np.concatenate([v, u]))),
+            (np.concatenate([self.w, self.w]), (np.concatenate([self.u, self.v]), np.concatenate([self.v, self.u]))),
             shape=(self.n, self.n),
         )
         return a.tocsr()
@@ -204,12 +284,13 @@ class WeightedGraph:
 
     def subgraph(self, vertices) -> tuple["WeightedGraph", np.ndarray]:
         """Induced subgraph on `vertices` plus the old-id array (new -> old)."""
-        old_ids = np.asarray(sorted(int(v) for v in vertices), dtype=int)
-        pos = {int(o): i for i, o in enumerate(old_ids)}
-        sub_edges = [
-            (pos[u], pos[v], w) for u, v, w in self.edges if u in pos and v in pos
-        ]
-        return WeightedGraph(len(old_ids), sub_edges), old_ids
+        old_ids = np.sort(np.fromiter(vertices, dtype=np.int64))
+        pos = np.full(self.n, -1, dtype=np.int64)
+        inside = (old_ids >= 0) & (old_ids < self.n)
+        pos[old_ids[inside]] = np.flatnonzero(inside)
+        keep = (pos[self.u] >= 0) & (pos[self.v] >= 0)
+        sub = WeightedGraph.from_arrays(old_ids.size, pos[self.u[keep]], pos[self.v[keep]], self.w[keep])
+        return sub, old_ids
 
 
 @dataclass(frozen=True)
@@ -222,9 +303,7 @@ class SpectralDecomposition:
 
 def laplacian(g: WeightedGraph) -> np.ndarray:
     """Dense Laplacian: weighted degrees on the diagonal, -w off-diagonal."""
-    edges = np.array(g.edges, dtype=float).reshape(-1, 3)
-    u, v = edges[:, 0].astype(int), edges[:, 1].astype(int)
-    return _edge_laplacian(g.n, _edge_entries(g.n, u, v), edges[:, 2])
+    return _edge_laplacian(g.n, _edge_entries(g.n, g.u, g.v), g.w)
 
 
 def _edge_entries(n: int, u: np.ndarray, v: np.ndarray) -> tuple:

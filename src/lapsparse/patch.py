@@ -130,14 +130,14 @@ def build_patch_problem(
     """
     if w.n != g.n:
         raise PreconditionError(f"vertex count mismatch: G has {g.n}, W has {w.n}")
-    if not w.edges:
+    if not w.num_edges:
         raise PreconditionError("W has no edges; nothing to sparsify")
     f = block.f
     if f.shape != (g.n, g.n - 1):
         raise PreconditionError("G+W must be connected here; split by component upstream")
     x = symmetrize(f.T @ laplacian(g) @ f)
-    u, v, we = (np.array(col) for col in zip(*w.edges))
-    vectors = np.sqrt(we) * (f[u] - f[v]).T
+    we = w.w
+    vectors = np.sqrt(we) * (f[w.u] - f[w.v]).T
     total = w.weight_sum()
     costs = we / total
     costs[-1] = 1.0 - float(costs[:-1].sum())
@@ -152,6 +152,22 @@ def _component_budgets(x_traces, k_bottom_counts, n_budget):
     total = sum(x_traces)
     shares = [t_c / total if total > 0 else 1.0 / len(x_traces) for t_c in x_traces]
     return [max(8 * k_c + 1, int(n_budget * s)) for s, k_c in zip(shares, k_bottom_counts)]
+
+
+def _split_by_block(graph: WeightedGraph, factor: LaplacianFactor) -> list:
+    """The graph's edges grouped by the factor's blocks, every edge lying in
+    one: per block, its (u, v, w) arrays on the block's own vertex indices,
+    still in canonical order since each block's vertex ids ascend."""
+    labels = np.empty(factor.n, dtype=np.int64)
+    local = np.empty(factor.n, dtype=np.int64)
+    for c, block in enumerate(factor.blocks):
+        labels[block.vertices] = c
+        local[block.vertices] = np.arange(block.vertices.size)
+    block_of = labels[graph.u]
+    order = np.argsort(block_of, kind="stable")
+    bounds = np.searchsorted(block_of[order], np.arange(len(factor.blocks) + 1))
+    u, v, w = local[graph.u[order]], local[graph.v[order]], graph.w[order]
+    return [(u[a:b], v[a:b], w[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def sparsify_patch(
@@ -177,7 +193,7 @@ def sparsify_patch(
         )
     else:
         n_eff = int(n_budget)
-    if not w.edges:
+    if not w.num_edges:
         # nothing to select; the sandwich of L_G against itself is exactly 1
         return PatchSparsifier(
             wk=WeightedGraph(g.n, []),
@@ -200,27 +216,27 @@ def sparsify_patch(
     factor = factor_laplacian(g.union(w))
     params, k_counts, traces = _certificate(g, w, k, factor)
     budgets = _component_budgets(traces, k_counts, n_eff)
-    wk_edges = []
+    picked = []  # per component, the (u, v, rho * w) arrays of its W_k edges
     engine_results = []
     realized_budget = 0
     weight_bound = 0.0
-    for block, k_c, n_c in zip(factor.blocks, k_counts, budgets):
-        w_c, _ = w.subgraph(block.vertices)
-        if not w_c.edges:
+    parts = zip(factor.blocks, _split_by_block(g, factor), _split_by_block(w, factor), k_counts, budgets)
+    for block, g_part, w_part, k_c, n_c in parts:
+        if not w_part[0].size:
             continue
-        g_c, _ = g.subgraph(block.vertices)
+        size = block.vertices.size
+        w_c = WeightedGraph.from_arrays(size, *w_part)
         realized_budget += n_c
-        result = run_engine(build_patch_problem(g_c, w_c, k_c, n_c, block))
+        result = run_engine(build_patch_problem(WeightedGraph.from_arrays(size, *g_part), w_c, k_c, n_c, block))
         engine_results.append(result)
         weight_bound += result.cost_bound * w_c.weight_sum()
-        for (u, v, we), rho in zip(w_c.edges, result.weights):
-            if rho > 0:
-                wk_edges.append((int(block.vertices[u]), int(block.vertices[v]), rho * we))
+        keep = result.weights > 0
+        picked.append((block.vertices[w_c.u[keep]], block.vertices[w_c.v[keep]], result.weights[keep] * w_c.w[keep]))
     # every edge of W lies in one component, so at least one engine ran
     certified_lower = min(result.explicit_floor for result in engine_results)
     certified_upper = max(result.theta_max for result in engine_results)
 
-    wk = WeightedGraph(g.n, wk_edges)
+    wk = WeightedGraph.from_arrays(g.n, *(np.concatenate(column) for column in zip(*picked)))
     measured_lower, measured_upper = measure_sandwich(g, wk, factor, certified_lower, certified_upper)
     total_weight = wk.weight_sum()
     if total_weight > weight_bound + 1e-9 * max(1.0, weight_bound):

@@ -97,12 +97,8 @@ class SpanningTree:
         )
 
     def graph(self) -> WeightedGraph:
-        edges = [
-            (v, int(self.parent[v]), float(self.parent_weight[v]))
-            for v in range(self.n)
-            if self.parent[v] >= 0
-        ]
-        return WeightedGraph(self.n, edges)
+        child = np.flatnonzero(self.parent >= 0)
+        return WeightedGraph.from_arrays(self.n, child, self.parent[child], self.parent_weight[child])
 
     def lca(self, u, v):
         """Lowest common ancestors of the pairs (u[i], v[i]) by binary
@@ -133,40 +129,10 @@ class StretchReport:
     total: float
 
 
-def _spt_edges(g: WeightedGraph, root: int) -> list:
-    """Shortest-path tree edges from `root` with edge lengths 1/w."""
-    rows, cols, lens = [], [], []
-    for u, v, w in g.edges:
-        rows += [u, v]
-        cols += [v, u]
-        lens += [1.0 / w, 1.0 / w]
-    graph = scipy.sparse.csr_matrix((lens, (rows, cols)), shape=(g.n, g.n))
-    _, pred = scipy.sparse.csgraph.dijkstra(graph, indices=root, return_predecessors=True)
-    weight = {}
-    for u, v, w in g.edges:
-        weight[(u, v)] = w
-        weight[(v, u)] = w
-    edges = []
-    for v in range(g.n):
-        p = int(pred[v])
-        if p >= 0:
-            edges.append((p, v, weight[(p, v)]))
-    return edges
-
-
-def _max_weight_tree_edges(g: WeightedGraph) -> list:
-    """Maximum-weight spanning tree via the affine flip w -> w_max + 1 - w."""
-    wmax = max(w for _, _, w in g.edges)
-    rows = [u for u, v, _ in g.edges]
-    cols = [v for _, v, _ in g.edges]
-    flipped = [wmax + 1.0 - w for _, _, w in g.edges]
-    graph = scipy.sparse.csr_matrix((flipped, (rows, cols)), shape=(g.n, g.n))
-    mst = scipy.sparse.csgraph.minimum_spanning_tree(graph).tocoo()
-    weight = {}
-    for u, v, w in g.edges:
-        weight[(u, v)] = w
-        weight[(v, u)] = w
-    return [(int(u), int(v), weight[(int(u), int(v))]) for u, v in zip(mst.row, mst.col)]
+def _with_weights(rows: np.ndarray, cols: np.ndarray, weight: np.ndarray):
+    """(rows[i], cols[i], w) tree-edge triples, w looked up in `weight`, the
+    dense weight matrix of G."""
+    return zip(rows.tolist(), cols.tolist(), weight[rows, cols].tolist())
 
 
 def candidate_trees(g: WeightedGraph, seed: int = 0) -> list:
@@ -178,8 +144,18 @@ def candidate_trees(g: WeightedGraph, seed: int = 0) -> list:
         raise PreconditionError("need at least 2 vertices")
     rng = np.random.default_rng(seed)
     roots = rng.choice(g.n, size=min(g.n, 16), replace=False)
-    trees = [SpanningTree.build(g.n, _spt_edges(g, int(r))) for r in roots]
-    trees.append(SpanningTree.build(g.n, _max_weight_tree_edges(g)))
+    adjacency = g.adjacency()
+    weight = adjacency.toarray()
+    adjacency.data = 1.0 / adjacency.data  # shortest paths use lengths 1/w
+    _, pred = scipy.sparse.csgraph.dijkstra(adjacency, indices=roots, return_predecessors=True)
+    trees = []
+    for parent in pred.astype(np.int64):
+        child = np.flatnonzero(parent >= 0)
+        trees.append(SpanningTree.build(g.n, _with_weights(parent[child], child, weight)))
+    # the maximum-weight spanning tree, via the affine flip w -> w_max + 1 - w
+    flipped = scipy.sparse.csr_matrix((float(g.w.max()) + 1.0 - g.w, (g.u, g.v)), shape=(g.n, g.n))
+    mst = scipy.sparse.csgraph.minimum_spanning_tree(flipped).tocoo()
+    trees.append(SpanningTree.build(g.n, _with_weights(mst.row.astype(np.int64), mst.col.astype(np.int64), weight)))
     return trees
 
 
@@ -202,18 +178,15 @@ def tree_stretch(g: WeightedGraph, tree: SpanningTree) -> StretchReport:
     """
     if tree.n != g.n:
         raise PreconditionError(f"tree spans {tree.n} vertices, graph has {g.n}")
-    tree_pairs = {}
-    for v in range(tree.n):
-        p = int(tree.parent[v])
-        if p >= 0:
-            tree_pairs[(min(v, p), max(v, p))] = float(tree.parent_weight[v])
-    graph_pairs = g.edge_pairs()
-    for (u, v), w in tree_pairs.items():
-        if (u, v) not in graph_pairs:
-            raise PreconditionError(f"tree edge ({u},{v}) is not an edge of the graph")
-    if not g.edges:
+    child = np.flatnonzero(tree.parent >= 0)
+    lo, hi = np.minimum(child, tree.parent[child]), np.maximum(child, tree.parent[child])
+    outside = np.flatnonzero(~np.isin(lo * g.n + hi, g.u * g.n + g.v))
+    if outside.size:
+        i = outside[0]
+        raise PreconditionError(f"tree edge ({lo[i]},{hi[i]}) is not an edge of the graph")
+    if not g.num_edges:
         return StretchReport(per_edge=(), total=0.0)
-    u, v, w = (np.array(col) for col in zip(*g.edges))
+    u, v, w = g.u, g.v, g.w
     resistance = tree.resistance_to_root
     a = tree.lca(u, v)
     # w * path resistance; below 1 is possible when a light tree path

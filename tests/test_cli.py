@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_connected_graph
 from lapsparse import cli
@@ -78,6 +79,78 @@ def test_text_parser_errors_name_the_line():
     # a negative vertex count is the header's fault, not the first edge's
     with pytest.raises(ParseError, match=r"bad\.txt:1: vertex count must be nonnegative"):
         parse_graph_text("n -3\n0 1 1.0\n", "bad.txt")
+
+
+# Texts around the places where np.loadtxt and the line scanner could read a
+# file differently: str.splitlines breaks lines at "\x0b", "\x0c", "\x1c", a
+# lone "\r" and "\u2028", which loadtxt reads as field whitespace, and int()
+# and float() take "_" and non-ASCII digits. Each text is a valid file with
+# up to two of its pieces swapped for one of these.
+_PARSE_ALPHABET = "0123456789 \n\x0b\x0c\x1c\r\u2028_+-.einfa\u0663#"
+_ODD = st.one_of(
+    st.sampled_from(["\x0b", "\x0c", "\x1c", "\r", "\u2028", "1_0", "\u0663", "1.0", "1e0", "inf", "nan", "-1", "#"]),
+    st.text(alphabet=_PARSE_ALPHABET, min_size=1, max_size=3),
+)
+
+
+@st.composite
+def graph_texts(draw):
+    pieces = [draw(st.sampled_from(["n 6"] * 4 + ["n 6 # six", "# head\r\nn 6", "n 0", "n 1_0", "m 6"]))]
+    pieces.append(draw(st.sampled_from(["\n", "\r\n"])))
+    for _ in range(draw(st.integers(0, 6))):
+        u, v = draw(st.lists(st.integers(0, 5), min_size=2, max_size=2, unique=True))
+        weight = draw(st.sampled_from(["0.5", "2", ".5", "5.", "1e0", "+3", "007", "1.25e-3", "1e308"]))
+        gaps = [draw(st.sampled_from([" ", " ", "\t", "  ", "\xa0", "\x1f"])) for _ in range(2)]
+        comment = draw(st.one_of(st.just(""), st.text(alphabet=_PARSE_ALPHABET, max_size=5).map(" #".__add__)))
+        pieces += [str(u), gaps[0], str(v), gaps[1], weight, comment, draw(st.sampled_from(["\n", "\r\n", "\n\n"]))]
+    for _ in range(draw(st.integers(0, 2))):
+        pieces[draw(st.integers(0, len(pieces) - 1))] = draw(_ODD)
+    return "".join(pieces)
+
+
+def _parsed_or_error(parse, text):
+    try:
+        g = parse(text, "g.txt")
+    except ParseError as exc:
+        return "error", str(exc)
+    return g.n, g.u.tobytes(), g.v.tobytes(), g.w.tobytes()
+
+
+@settings(max_examples=400, deadline=None)
+@given(graph_texts())
+@example("n 6\n0 1 0.5 # c\r1 2 2\n")
+@example("n 6\n0 1 0.5 # c\x0c1 2 2\n")
+@example("n 6\n0 1 0.5\u20281 2 2\n")
+@example("n 6\n0 1\x0b2\n")
+@example("n 6\n0\x1c1 2\n")
+@example("n 6\n1.0 2 1\n")
+def test_loadtxt_parse_and_line_scanner_agree(text):
+    assert _parsed_or_error(parse_graph_text, text) == _parsed_or_error(cli._scan_graph_text, text)
+
+
+def test_plain_files_take_the_loadtxt_path_and_odd_ones_the_scanner():
+    g = random_connected_graph(np.random.default_rng(5), 30, extra_edges=40, wmin=1e-3, wmax=1e3)
+    text = graph_to_text(g)
+    assert cli._load_graph_text(text) == g
+    assert cli._load_graph_text("# note\r\nn 4\r\n0 1 1.5 # c\r\n\r\n1 2 2\r\n") == WeightedGraph(
+        4, [(0, 1, 1.5), (1, 2, 2.0)]
+    )
+    # line breaks only str.splitlines knows, "_" in numbers, a float id, no edges
+    for odd in ("n 3\n0 1 1\x0b1 2 1\n", "n 3\n# c\x0c0 1 1\n", "n 3\n0 1 1\r1 2 1\n",
+                "n 3\n0 1 1_0\n", "n 3\n1.0 2 1\n", "n 3\n", "n 3"):
+        assert cli._load_graph_text(odd) is None
+    assert parse_graph_text("n 3\n0 1 1\x0b1 2 1_0\n", "x").edges == ((0, 1, 1.0), (1, 2, 10.0))
+
+
+def test_merge_overflow_before_an_out_of_range_line_names_that_line(tmp_path, capsys):
+    # the merged weight overflows on line 3, but line 4 is bad on its own
+    path = tmp_path / "g.txt"
+    path.write_text("n 3\n0 1 1e308\n1 0 1e308\n0 5 1.0\n")
+    assert main(["verify", str(path), str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:4: edge (0,5) out of range for n=3\n"
+    path.write_text("n 3\n0 1 1e308\n1 0 1e308\n")
+    assert main(["verify", str(path), str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: parallel edges (0,1) merge to a non-finite weight\n"
 
 
 def test_json_parser_rejects_malformed_documents():

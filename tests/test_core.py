@@ -94,6 +94,38 @@ def test_graph_canonicalizes_orientation_and_merges_parallels():
     assert g.weight_sum() == pytest.approx(3.0)
 
 
+def test_graph_stores_read_only_arrays_and_builds_python_triples():
+    g = WeightedGraph(4, [(np.int64(3), np.int32(1), np.float32(0.5)), (2, 0, 1)])
+    assert g.u.dtype == np.int64 and g.v.dtype == np.int64 and g.w.dtype == np.float64
+    assert g.edges == ((0, 2, 1.0), (1, 3, 0.5))
+    assert all(type(x) is int for u, v, _ in g.edges for x in (u, v))
+    assert all(type(w) is float for _, _, w in g.edges)
+    with pytest.raises(ValueError):
+        g.w[0] = 2.0
+    assert g == WeightedGraph.from_arrays(4, g.u, g.v, g.w) and hash(g) == hash(g.scale(1.0))
+    assert g != g.scale(2.0)
+
+
+def test_parallel_copies_merge_to_the_left_to_right_sum():
+    rng = np.random.default_rng(11)
+    pairwise_differs = False
+    for copies in (8, 9, 16, 33, 128, 1000):
+        weights = 10.0 ** rng.uniform(-8, 8, size=copies)
+        rows = [(0, 1, float(x)) if rng.random() < 0.5 else (1, 0, float(x)) for x in weights]
+        rows += [(1, 2, 1.0), (0, 2, 3.0)]
+        rows = [rows[i] for i in rng.permutation(len(rows))]
+        want = 0.0
+        for u, v, x in rows:
+            if {u, v} == {0, 1}:
+                want += x
+        got = WeightedGraph(3, rows).edges[0]
+        assert got[:2] == (0, 1) and got[2].hex() == want.hex()
+        in_order = np.array([x for u, v, x in rows if {u, v} == {0, 1}])
+        pairwise_differs |= float(np.sum(in_order)) != want
+    # the sums above are ones a pairwise summation gets wrong
+    assert pairwise_differs
+
+
 def test_graph_rejects_bad_edges():
     with pytest.raises(PreconditionError):
         WeightedGraph(3, [(0, 0, 1.0)])
@@ -108,6 +140,26 @@ def test_graph_rejects_bad_edges():
     # each weight is finite, their merged sum is not
     with pytest.raises(PreconditionError, match="non-finite"):
         WeightedGraph(2, [(0, 1, 1e308), (1, 0, 1e308)])
+    # the first failure in input order wins
+    with pytest.raises(PreconditionError, match=r"parallel edges \(0,1\) merge"):
+        WeightedGraph(3, [(0, 1, 1e308), (1, 2, 1e308), (1, 0, 1e308), (0, 5, 1.0), (2, 1, 1e308)])
+    with pytest.raises(PreconditionError, match=r"edge \(0,5\) out of range"):
+        WeightedGraph(3, [(0, 1, 1e308), (0, 5, 1.0), (1, 0, 1e308)])
+    with pytest.raises(PreconditionError, match=r"edge \(0,1\) needs a positive finite weight, got nan"):
+        WeightedGraph(3, [(1, 2, 1.0), (0, 1, float("nan"))])
+
+
+def test_graph_rejects_non_integer_ids_and_bools():
+    # ids are not truncated, and bools are neither ids nor weights
+    for row in ((0.0, 1.9, 1.0), (0, 1.0, 1.0), (True, 2, 1.0), (0, 1, True), (0, 1, np.bool_(True)), (0, 1, "1.5")):
+        with pytest.raises(PreconditionError, match=r"edge \(.*\) needs integer vertex ids and a real weight"):
+            WeightedGraph(3, [(0, 2, 1.0), row])
+    with pytest.raises(PreconditionError, match="integer vertex ids"):
+        WeightedGraph.from_arrays(3, np.array([0.0]), np.array([1]), np.array([1.0]))
+    with pytest.raises(PreconditionError, match=r"edge \(0,\d+\) out of range for n=3"):
+        WeightedGraph(3, [(0, 2**70, 1.0)])
+    g = WeightedGraph(3, [(np.int64(0), np.uint8(2), 1), (np.int16(2), 1, 0.5)])
+    assert g.edges == ((0, 2, 1.0), (1, 2, 0.5))
 
 
 def test_graph_scale_union_degrees():

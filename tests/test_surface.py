@@ -83,3 +83,23 @@ def test_cli_calls_no_solver():
         alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names
     }
     assert not names & SOLVER_NAMES, f"cli references {sorted(names & SOLVER_NAMES)}"
+
+
+def _iterations(tree) -> list:
+    """The iterated expression of every for statement and comprehension."""
+    return [
+        node.iter
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.For, ast.AsyncFor, ast.comprehension))
+    ]
+
+
+def test_no_loop_iterates_graph_edges():
+    # graphs are arrays: WeightedGraph.edges builds Python triples for
+    # callers outside the package, and no per-edge Python loop may come back
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for expr in _iterations(ast.parse(path.read_text(encoding="utf-8"))):
+            if any(isinstance(sub, ast.Attribute) and sub.attr == "edges" for sub in ast.walk(expr)):
+                offenders.append(f"{path.name}:{expr.lineno}: {ast.unparse(expr)}")
+    assert not offenders, "loops over .edges: " + "; ".join(offenders)
