@@ -39,14 +39,11 @@ from .engine import (
     run_engine,
 )
 
+# The solver stops at the first iteration whose certified gap is within tol,
+# or at this cap. How soon the gap closes varies about fivefold between
+# random inputs of one size (700 to 3,600 iterations with 40 candidates,
+# 1,700 to 4,300 with 150), and so does the cost of a solve.
 SOLVER_ITERATION_CAP = 5000
-# The solver stops on the certified gap only after this many iterations per
-# candidate edge (or at the cap), so that a solve costs about the same on
-# every input of one size. How soon the gap closes varies about fivefold
-# between random inputs of one size (700 to 3,600 iterations with 40
-# candidates, 1,700 to 4,300 with 150), and so would the cost; the extra
-# iterations can only raise lambda_sdp and lower lambda_upper.
-SOLVER_ITERATIONS_PER_CANDIDATE = 50
 WEIGHT_DROP_REL = 1e-9
 # The solver's Lipschitz estimate shrinks by this factor after every step,
 # so that backtracking can find a smaller one again.
@@ -67,37 +64,35 @@ class ConnectivityInstance:
     def __init__(self, base: WeightedGraph, candidates, k: int):
         if k < 0:
             raise PreconditionError(f"budget k must be nonnegative, got {k}")
-        pairs = []
-        for u, v in candidates:
-            u, v = int(u), int(v)
-            if u == v:
-                raise PreconditionError(f"candidate self-loop at vertex {u}")
-            if not (0 <= u < base.n and 0 <= v < base.n):
-                raise PreconditionError(f"candidate ({u},{v}) outside vertex range 0..{base.n - 1}")
-            pairs.append((min(u, v), max(u, v)))
-        if len(set(pairs)) != len(pairs):
+        rows = list(candidates)
+        try:
+            ends = np.array(rows, dtype=np.int64).reshape(len(rows), 2)
+        except OverflowError:  # an id beyond int64 is out of range for any n, and clamped it still is
+            ends = np.array([[min(max(int(x), -1), base.n) for x in row] for row in rows], dtype=np.int64)
+        lo, hi = np.sort(ends, axis=1).T
+        bad = (lo == hi) | (lo < 0) | (hi >= base.n)
+        if bad.any():  # the first bad pair in input order, reported with its own ids
+            a, b = (int(x) for x in rows[int(np.argmax(bad))])
+            if a == b:
+                raise PreconditionError(f"candidate self-loop at vertex {a}")
+            raise PreconditionError(f"candidate ({a},{b}) outside vertex range 0..{base.n - 1}")
+        keys = np.unique(lo * base.n + hi)
+        if keys.size != len(rows):
             raise PreconditionError("duplicate candidate edges")
-        overlap = set(pairs) & set(base.edge_pairs())
-        if overlap:
-            raise PreconditionError(f"candidates overlap base edges: {sorted(overlap)}")
-        pairs = tuple(sorted(pairs))
+        lo, hi = np.divmod(keys, base.n)
+        overlap = np.isin(keys, base.u * base.n + base.v)
+        if overlap.any():
+            pairs = list(zip(lo[overlap].tolist(), hi[overlap].tolist()))
+            raise PreconditionError(f"candidates overlap base edges: {pairs}")
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "candidates", pairs)
+        object.__setattr__(self, "candidates", tuple(zip(lo.tolist(), hi.tolist())))
         object.__setattr__(self, "k", int(k))
-        object.__setattr__(self, "delta", _max_degree(base, pairs))
+        object.__setattr__(self, "delta", _max_degree(base, lo, hi))
 
 
-def _max_degree(base: WeightedGraph, pairs) -> float:
-    degrees = [0.0]
-    if base.num_edges:
-        degrees.append(float(np.max(base.weighted_degrees())))
-    if pairs:
-        counts = np.zeros(base.n)
-        for u, v in pairs:
-            counts[u] += 1.0
-            counts[v] += 1.0
-        degrees.append(float(np.max(counts)))
-    return max(degrees)
+def _max_degree(base: WeightedGraph, lo: np.ndarray, hi: np.ndarray) -> float:
+    counts = np.bincount(np.concatenate((lo, hi)), minlength=base.n)
+    return max(0.0, float(base.weighted_degrees().max(initial=0.0)), float(counts.max(initial=0)))
 
 
 @dataclass(frozen=True)
@@ -247,10 +242,11 @@ def solve_fractional(inst: ConnectivityInstance, tol: float = 1e-4) -> Fractiona
     The backtracking test at each trial point needs eigenvalues only, and
     they give its lambda_2 too. mu is halved (and the Lipschitz estimate,
     which scales as 1/mu, doubled) whenever mu log(n - 1) exceeds a quarter
-    of the gap. The ascent stops once lambda_upper - lambda_sdp <= tol, but
-    not before SOLVER_ITERATIONS_PER_CANDIDATE iterations per candidate
-    unless the gap is down to eigensolver rounding, or at
-    SOLVER_ITERATION_CAP. Deterministic. Returns the
+    of the gap. The ascent stops at the first iteration whose certified gap
+    lambda_upper - lambda_sdp is at most tol, or at SOLVER_ITERATION_CAP.
+    L_base is checked for symmetry once: every iterate adds an exactly
+    symmetric `core._edge_laplacian` to it, and a non-finite iterate shows
+    in its spectrum, which raises NumericalError. Deterministic. Returns the
     feasible point with the largest lambda_2 seen, the smallest upper bound
     found, the norm of the smoothed gradient there, and
     converged = (gap <= tol).
@@ -277,14 +273,19 @@ def solve_fractional(inst: ConnectivityInstance, tol: float = 1e-4) -> Fractiona
             gradient_norm=0.0,
             converged=True,
         )
-    lb = laplacian(inst.base)
+    lb = check_symmetric(laplacian(inst.base))
     entries = _edge_entries(n, u, v)
     k = min(inst.k, m)
     cap = float(k)
 
+    def nontrivial(vals):
+        if not np.isfinite(vals).all():
+            raise NumericalError("solver iterate has a non-finite spectrum")
+        return vals[1:]
+
     def decompose(w):
-        dec = _decompose(_laplacian_at(lb, entries, w))
-        return dec.eigenvalues[1:], dec.eigenvectors[:, 1:]
+        dec = _decompose(lb + _edge_laplacian(n, entries, w))
+        return nontrivial(dec.eigenvalues), dec.eigenvectors[:, 1:]
 
     def solution(w, lam, upper, iterations, grad):
         total_w = float(w.sum())
@@ -319,26 +320,21 @@ def solve_fractional(inst: ConnectivityInstance, tol: float = 1e-4) -> Fractiona
     mu = max(first - best_lam, tol) / (4.0 * log_dim)
     lip = 1.0 / mu
     eps = float(np.finfo(float).eps)
-    floor = min(SOLVER_ITERATION_CAP, SOLVER_ITERATIONS_PER_CANDIDATE * m)
     while True:
         f_y, p = _smoothed(vals, mu)
         bound, grad = _dual_bound(lb, u, v, vecs, p, k)
         upper = min(upper, bound)
         gap = upper - best_lam
-        # two eigensolves of one matrix can differ by this much; a gap that
-        # small cannot shrink further
-        noise = 64.0 * eps * float(vals[-1])
-        if iterations >= SOLVER_ITERATION_CAP or (
-            gap <= tol and (iterations >= floor or gap <= noise)
-        ):
+        if gap <= tol or iterations >= SOLVER_ITERATION_CAP:
             break
         if mu * log_dim > 0.25 * gap:
             mu, lip = 0.5 * mu, 2.0 * lip
             continue  # read the same decomposition again at the new mu
+        noise = 64.0 * eps * float(vals[-1])  # two eigensolves of one matrix can differ by this much
         while True:
             x_new = _project_capped_box(y + grad / lip, cap)
             step = x_new - y
-            vals_x = _spectrum(_laplacian_at(lb, entries, x_new))[1:]
+            vals_x = nontrivial(_spectrum(lb + _edge_laplacian(n, entries, x_new)))
             if float(vals_x[0]) > best_lam:
                 best_w, best_lam = x_new, float(vals_x[0])
             f_x, _ = _smoothed(vals_x, mu)

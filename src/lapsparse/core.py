@@ -212,6 +212,8 @@ class WeightedGraph:
         return graph
 
     def _store(self, n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
+        if not _integral(type(n)):
+            raise PreconditionError(f"vertex count must be an integer (bools are not), got {n!r}")
         n = int(n)
         arrays = _canonical_edges(n, u, v, w)
         for name, array in zip("uvw", arrays):

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_connected_graph
+from lapsparse import connectivity
 from lapsparse.core import (
+    NumericalError,
     PreconditionError,
     TooLargeError,
     WeightedGraph,
@@ -17,7 +19,6 @@ from lapsparse.core import (
 )
 from lapsparse.connectivity import (
     SOLVER_ITERATION_CAP,
-    SOLVER_ITERATIONS_PER_CANDIDATE,
     ConnectivityInstance,
     _dual_bound,
     _project_capped_box,
@@ -79,6 +80,73 @@ def test_instance_rejects_malformed_candidates():
         ConnectivityInstance(base, [(0, 1)], 1)  # already a base edge
     with pytest.raises(PreconditionError):
         ConnectivityInstance(base, [(0, 2)], -1)
+
+
+def _loop_instance(base: WeightedGraph, candidates):
+    """Candidates and delta by a loop over the pairs, the way the instance
+    computed them before it was vectorised."""
+    pairs = []
+    for u, v in candidates:
+        u, v = int(u), int(v)
+        if u == v:
+            raise PreconditionError(f"candidate self-loop at vertex {u}")
+        if not (0 <= u < base.n and 0 <= v < base.n):
+            raise PreconditionError(f"candidate ({u},{v}) outside vertex range 0..{base.n - 1}")
+        pairs.append((min(u, v), max(u, v)))
+    if len(set(pairs)) != len(pairs):
+        raise PreconditionError("duplicate candidate edges")
+    overlap = set(pairs) & base.edge_pairs()
+    if overlap:
+        raise PreconditionError(f"candidates overlap base edges: {sorted(overlap)}")
+    degrees = [0.0]
+    if base.num_edges:
+        degrees.append(float(np.max(base.weighted_degrees())))
+    if pairs:
+        counts = np.zeros(base.n)
+        for u, v in pairs:
+            counts[u] += 1.0
+            counts[v] += 1.0
+        degrees.append(float(np.max(counts)))
+    return tuple(sorted(pairs)), max(degrees)
+
+
+def _outcome(build):
+    try:
+        return build()
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def test_instance_matches_a_loop_over_the_pairs():
+    rng = np.random.default_rng(23)
+    cases = [
+        (path3(), []), (WeightedGraph(4, []), [(3, 1)]), (WeightedGraph(0, []), []),
+        (path3(), [(0, 2), (2, 0)]), (path3(), [(1, 0), (2, 1)]), (path3(), [(0, 2), (5, 5), (0, 7)]),
+        (path3(), [(0, -1)]), (path3(), [(2**70, 2**71)]), (path3(), [(0, 2**70), (1, 1)]),
+        (path3(), np.array([[2, 0]])), (path3(), [(np.int64(2), np.uint8(0))]),
+    ]
+    for _ in range(40):
+        n = int(rng.integers(2, 12))
+        base = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, 4)))
+        base = base.scale(float(rng.uniform(0.1, 10.0)))
+        low, high = (-1, n + 1) if rng.random() < 0.2 else (0, n)  # sometimes out of range
+        pairs = rng.integers(low, high, size=(int(rng.integers(0, 12)), 2)).tolist()
+        if rng.random() < 0.5:  # a valid set: no self-loops, duplicates or base edges, either orientation
+            valid = {(min(a, b), max(a, b)) for a, b in pairs if a != b} - base.edge_pairs()
+            pairs = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in sorted(valid)]
+        cases.append((base, pairs))
+    built = 0
+    for base, cand in cases:
+        want = _outcome(lambda: _loop_instance(base, cand))
+        got = _outcome(lambda: ConnectivityInstance(base, cand, 1))
+        if isinstance(want, str):
+            assert got == want
+            continue
+        built += 1
+        assert got.candidates == want[0]
+        assert all(type(x) is int for pair in got.candidates for x in pair)
+        assert got.delta.hex() == want[1].hex()
+    assert built >= 20
 
 
 # ---------------------------------------------------------------------------
@@ -283,22 +351,57 @@ def test_benchmark_sized_instance_certifies_before_the_cap():
     assert frac.lambda_sdp >= lambda2(inst.base)
 
 
-def test_a_gap_that_closes_early_still_runs_to_the_iteration_floor():
-    # A loose tolerance is met within a few iterations, the default one
-    # later but still before the iteration floor: both solves run to the
-    # floor, along the same path, and return the same point and bounds.
+def test_the_solve_stops_at_the_first_certified_gap():
+    # A loose tolerance is met within a few dozen iterations, the default
+    # one only after hundreds: each solve stops as soon as its own gap is
+    # certified, so the loose one stops far earlier.
     inst = benchmark_sized_instance()
     loose = solve_fractional(inst, tol=1e-1)
     default = solve_fractional(inst)
-    floor = min(SOLVER_ITERATION_CAP, SOLVER_ITERATIONS_PER_CANDIDATE * len(inst.candidates))
-    assert loose.iterations == default.iterations == floor
-    assert np.array_equal(loose.weights, default.weights)
-    assert (loose.lambda_sdp, loose.lambda_upper) == (default.lambda_sdp, default.lambda_upper)
-    # a gap that is down to rounding ends the solve before the floor: on the
-    # path 0-1-2 the one candidate (0,2) at full weight makes a triangle
+    for frac, tol in ((loose, 1e-1), (default, 1e-4)):
+        assert frac.converged and frac.gap <= tol
+    assert 10 * loose.iterations < default.iterations
+    # the brackets of both solves contain the same fractional optimum
+    assert loose.lambda_sdp <= default.lambda_upper and default.lambda_sdp <= loose.lambda_upper
+    # on the path 0-1-2 the one candidate (0,2) at full weight makes a
+    # triangle, whose gap closes within a few iterations
     frac = solve_fractional(ConnectivityInstance(path3(), [(0, 2)], 1))
-    assert frac.iterations < SOLVER_ITERATIONS_PER_CANDIDATE
+    assert frac.iterations <= 10
     assert frac.converged and frac.lambda_sdp == pytest.approx(3.0, rel=1e-12)
+
+
+def test_edge_laplacians_are_exactly_symmetric():
+    # the solver checks L_base once and adds these to it on every iterate
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        n = int(rng.integers(2, 40))
+        m = int(rng.integers(1, 200))
+        u = rng.integers(0, n, size=m)
+        v = (u + rng.integers(1, n, size=m)) % n
+        u, v = np.concatenate((u, v[: m // 2])), np.concatenate((v, u[: m // 2]))  # repeat pairs both ways
+        w = 10.0 ** rng.uniform(-6.0, 6.0, size=u.size)
+        lap = _edge_laplacian(n, _edge_entries(n, u, v), w)
+        assert np.array_equal(lap, lap.T)
+
+
+@pytest.mark.parametrize("bad_call", [1, 2, 3, 6])
+def test_a_non_finite_iterate_raises(monkeypatch, bad_call):
+    # one iterate's Laplacian gets a NaN: the full solves return NaN
+    # eigenvalues, which the solver checks; the values-only ones fail in LAPACK
+    calls = []
+    original = connectivity._edge_laplacian
+
+    def poisoned(n, entries, w):
+        lap = original(n, entries, w)
+        calls.append(None)
+        if len(calls) == bad_call:
+            lap[0, 1] = lap[1, 0] = np.nan
+        return lap
+
+    monkeypatch.setattr(connectivity, "_edge_laplacian", poisoned)
+    with pytest.raises(NumericalError, match="non-finite|did not converge"):
+        solve_fractional(benchmark_sized_instance())
+    assert len(calls) == bad_call
 
 
 @settings(max_examples=15, deadline=None)

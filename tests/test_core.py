@@ -162,6 +162,18 @@ def test_graph_rejects_non_integer_ids_and_bools():
     assert g.edges == ((0, 2, 1.0), (1, 2, 0.5))
 
 
+def test_graph_vertex_count_must_be_an_integer():
+    # n is not truncated either: numpy integers pass, bools and floats raise
+    for n in (2.9, 2.0, np.float64(3.0), True, np.bool_(True), "3"):
+        with pytest.raises(PreconditionError, match="vertex count must be an integer"):
+            WeightedGraph(n, [(0, 1, 1.0)])
+        with pytest.raises(PreconditionError, match="vertex count must be an integer"):
+            WeightedGraph.from_arrays(n, np.array([0]), np.array([1]), np.array([1.0]))
+    for n in (3, np.int64(3), np.uint8(3)):
+        g = WeightedGraph.from_arrays(n, np.array([0]), np.array([2]), np.array([1.0]))
+        assert g == WeightedGraph(n, [(0, 2, 1.0)]) and type(g.n) is int and g.n == 3
+
+
 def test_graph_scale_union_degrees():
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 2.0)])
     h = g.scale(2.0)

@@ -103,3 +103,31 @@ def test_no_loop_iterates_graph_edges():
             if any(isinstance(sub, ast.Attribute) and sub.attr == "edges" for sub in ast.walk(expr)):
                 offenders.append(f"{path.name}:{expr.lineno}: {ast.unparse(expr)}")
     assert not offenders, "loops over .edges: " + "; ".join(offenders)
+
+
+def test_no_symmetry_scan_inside_the_solver_loop():
+    # every iterate adds an exactly symmetric _edge_laplacian to an L_base
+    # that solve_fractional checks once, so its loops scan no n x n matrix:
+    # no check_symmetric or _laplacian_at call, also not through the functions
+    # defined in solve_fractional that a loop calls
+    tree = ast.parse((SRC / "connectivity.py").read_text(encoding="utf-8"))
+    solve = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "solve_fractional")
+    nested = {node.name: node for node in ast.walk(solve) if isinstance(node, ast.FunctionDef) and node is not solve}
+
+    def called(node) -> set:
+        return {
+            sub.func.id if isinstance(sub.func, ast.Name) else getattr(sub.func, "attr", "")
+            for sub in ast.walk(node)
+            if isinstance(sub, ast.Call)
+        }
+
+    loops = [node for node in ast.walk(solve) if isinstance(node, ast.While)]
+    assert loops, "solve_fractional has no while loop"
+    names = set().union(*map(called, loops))
+    expanded: set = set()
+    while names & nested.keys() - expanded:
+        name = min(names & nested.keys() - expanded)
+        expanded.add(name)
+        names |= called(nested[name])
+    offenders = names & {"check_symmetric", "_laplacian_at"}
+    assert not offenders, f"solve_fractional's loops call {sorted(offenders)}"
