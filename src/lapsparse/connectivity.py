@@ -1,14 +1,12 @@
 """Algebraic-connectivity maximization by adding k candidate edges.
 
-Three layers: a fractional solver maximizing the concave map
-w -> lambda_2(L_base + sum_e w_e L_e) over {0 <= w <= 1, sum w <= k}
-(accelerated gradient ascent on a smoothing of lambda_2 — a stand-in for
-the SDP relaxation — whose gradient is the load vector of a dual matrix
-that bounds the maximum from above),
+Three layers: a fractional solver for the SDP relaxation, which maximizes
+the concave map w -> lambda_2(L_base + sum_e w_e L_e) over
+{0 <= w <= 1, sum w <= k} by a primal-dual interior-point method and
+certifies the maximum from above with each iterate's dual matrix,
 a rounding step that funnels the fractional solution through the
 selection engine to get at most 8k+1 reweighted edges with a certified
-lambda_2 floor, and an exhaustive oracle for small instances.
-"""
+lambda_2 floor, and an exhaustive oracle for small instances."""
 
 from __future__ import annotations
 
@@ -39,15 +37,14 @@ from .engine import (
     run_engine,
 )
 
-# The solver stops at the first iteration whose certified gap is within tol,
-# or at this cap. How soon the gap closes varies about fivefold between
-# random inputs of one size (700 to 3,600 iterations with 40 candidates,
-# 1,700 to 4,300 with 150), and so does the cost of a solve.
-SOLVER_ITERATION_CAP = 5000
+# The solver stops at the first Newton step whose certified gap is within
+# tol, or after this many steps. A gap of 1e-4 takes 6 to 14 steps on the
+# benchmark's inputs and about 20 at (n, m) = (200, 2000); 1e-12 takes 30.
+SOLVER_ITERATION_CAP = 50
 WEIGHT_DROP_REL = 1e-9
-# The solver's Lipschitz estimate shrinks by this factor after every step,
-# so that backtracking can find a smaller one again.
-LIPSCHITZ_DECAY = 0.8
+# `_snap` moves a weight onto its bound when the affine-scaling step shrinks
+# its distance to that bound below this fraction.
+SNAP_RATIO = 0.1
 
 
 @dataclass(frozen=True)
@@ -145,66 +142,20 @@ def certify_lambda2(lap: np.ndarray, floor: float) -> float:
     return lam2
 
 
-def _laplacian_at(lb: np.ndarray, entries: tuple, w: np.ndarray) -> np.ndarray:
-    """L_base + sum_e w_e L_e, in O(m + n^2), for the edges located by
-    `core._edge_entries`. The added Laplacian is exactly symmetric, so the
-    sum is when L_base is."""
-    return check_symmetric(lb + _edge_laplacian(lb.shape[0], entries, w))
-
-
-def _project_capped_box(v: np.ndarray, cap: float) -> np.ndarray:
-    """Exact Euclidean projection onto {0 <= w <= 1, sum w <= cap}.
-
-    When clipping to the box overshoots the budget, the projection is
-    clip(v - tau, 0, 1) with s(tau) = sum clip(v - tau, 0, 1) = cap. s falls
-    piecewise linearly from m to 0, with breakpoints at v - 1 and v; tau is
-    solved for on the segment where s crosses cap (Wang & Lu, "Projection
-    onto the capped simplex", arXiv 1503.01002).
-    """
-    w = np.clip(v, 0.0, 1.0)
-    if float(w.sum()) <= cap + 1e-12:
-        return w
-    m = v.shape[0]
-    vs = np.sort(v)
-    prefix = np.concatenate(([0.0], np.cumsum(vs)))
-    t = np.sort(np.concatenate((vs - 1.0, vs)))
-    zero = np.searchsorted(vs, t, side="right")  # v_i <= tau: clipped to 0
-    free = np.searchsorted(vs, t + 1.0, side="left")  # v_i < tau + 1: below 1
-    s = (m - free) + (prefix[free] - prefix[zero]) - (free - zero) * t
-    j = max(int(np.argmax(s <= cap)), 1)  # s(t[j-1]) > cap >= s(t[j])
-    # No breakpoint lies strictly inside (t[j-1], t[j]), so its midpoint
-    # classifies every coordinate; tau comes from the coordinates themselves.
-    mid = 0.5 * (t[j - 1] + t[j])
-    inside = (v > mid) & (v < mid + 1.0)
-    count = int(np.count_nonzero(inside))
-    if count:
-        tau = (np.count_nonzero(v >= mid + 1.0) + float(v[inside].sum()) - cap) / count
-    else:  # s is flat at cap on the whole segment
-        tau = t[j]
-    w = np.clip(v - tau, 0.0, 1.0)
-    # tau is rounded: raising it by doubling steps restores sum w <= cap as computed
-    step = math.ulp(abs(tau) + cap / m)
-    while float(w.sum()) > cap:
-        tau += step
-        step *= 2.0
-        w = np.clip(v - tau, 0.0, 1.0)
-    return w
-
-
 def _dual_bound(
     lb: np.ndarray, u: np.ndarray, v: np.ndarray, vecs: np.ndarray, p: np.ndarray, k: int
 ):
     """Certified upper bound on max lambda_2 over {0 <= w <= 1, sum w <= k},
-    and the loads g_e = b_e^T Y b_e it is built from, for the candidate
-    edges e = (u[e], v[e]).
+    and the loads g_e = b_e^T Y b_e / tr Y it is built from, for the
+    candidate edges e = (u[e], v[e]).
 
     Y = sum_i p_i q_i q_i^T, with q_i the columns of `vecs` with 1 projected
     out and p >= 0, is PSD with Y 1 = 0, so lambda_2(L) tr Y <= tr(Y L) for
     every Laplacian L. For feasible w that gives lambda_2(L(w)) tr Y <=
     tr(Y L_base) + (sum of the k largest loads). The bound holds for any
-    columns and any p, however inaccurate the eigenvectors are. Projecting
-    out 1 changes neither the loads nor q^T L_base q, only tr Y. Columns of
-    weight 0, which a softmax at small mu gives most of, add nothing to Y.
+    columns and any p, however inaccurate they are. Projecting out 1
+    changes neither the loads nor q^T L_base q, only tr Y. Columns of weight
+    0 add nothing to Y.
     """
     keep = p > 0.0
     vecs, p = vecs[:, keep], p[keep]
@@ -216,39 +167,63 @@ def _dual_bound(
     trace = float(p @ sq)
     if not trace > 0.0:
         return math.inf, loads
-    return (float(p @ quad) + top) / trace, loads
+    return (float(p @ quad) + top) / trace, loads / trace
 
 
-def _smoothed(vals: np.ndarray, mu: float):
-    """f_mu = -mu log sum_i exp(-lambda_i / mu) over the nontrivial spectrum
-    `vals` (ascending), and the softmax density p it weights the eigenvectors
-    with. lambda_2 - mu log(n - 1) <= f_mu <= lambda_2."""
-    z = np.exp((vals[0] - vals) / mu)
-    total = float(z.sum())
-    return float(vals[0]) - mu * math.log(total), z / total
+def _step_to_boundary(inv_chol: np.ndarray, step: np.ndarray, x: np.ndarray, dx: np.ndarray) -> float:
+    """Largest alpha (infinite when none) keeping M + alpha step PSD and
+    x + alpha dx >= 0, for M = L L^T given inv_chol = L^-1."""
+    scaled = symmetrize(inv_chol @ step @ inv_chol.T)
+    lowest = min(float(_spectrum(scaled)[0]), float(np.min(dx / x)))
+    return -1.0 / lowest if lowest < 0.0 else math.inf
+
+
+def _snap(w: np.ndarray, target: np.ndarray, k: int) -> np.ndarray:
+    """A sparse feasible point next to the interior point w, given the
+    target w + dw of the affine-scaling step (the Newton step to mu = 0).
+
+    target / w is the indicator of El-Bakry, Tapia & Zhang (1994): near 1
+    for a weight that stays positive, near 0 for one whose bound is active.
+    Weights it shrinks below SNAP_RATIO go to 0, weights whose distance to 1
+    it shrinks as much go to 1, and the rest take their target, rescaled to
+    fill the budget left and capped at 1 (raising weights never lowers
+    lambda_2).
+    """
+    lo = target < SNAP_RATIO * w
+    hi = (1.0 - target < SNAP_RATIO * (1.0 - w)) & ~lo
+    if np.count_nonzero(hi) > k:  # more than k weights near 1: not yet settled
+        hi[:] = False
+    snapped = np.where(hi, 1.0, np.where(lo, 0.0, np.clip(target, 0.0, 1.0)))
+    free = ~(lo | hi)
+    total = float(snapped[free].sum())
+    if total > 0.0:
+        snapped[free] = np.minimum(1.0, snapped[free] * ((k - np.count_nonzero(hi)) / total))
+    return snapped
 
 
 def solve_fractional(inst: ConnectivityInstance, tol: float = 1e-4) -> FractionalSolution:
     """Maximize lambda_2(L_base + sum w_e L_e) over {0<=w<=1, sum w <= k}.
 
-    Accelerated projected gradient ascent (FISTA, Beck & Teboulle 2009) on
-    Nesterov's entropic smoothing f_mu of lambda_2 (Math. Program. 2005),
-    with a backtracking Lipschitz estimate and a function-value restart
-    (O'Donoghue & Candes, Found. Comput. Math. 2015). Each iteration takes
-    one eigendecomposition at the extrapolated point y. Its softmax density
-    p gives f_mu(y), the gradient g_e = sum_i p_i (b_e^T q_i)^2, which is
-    the load of the dual matrix Y = sum_i p_i q_i q_i^T, the exact
-    lambda_2(y), and with it the certified upper bound of `_dual_bound`.
-    The backtracking test at each trial point needs eigenvalues only, and
-    they give its lambda_2 too. mu is halved (and the Lipschitz estimate,
-    which scales as 1/mu, doubled) whenever mu log(n - 1) exceeds a quarter
-    of the gap. The ascent stops at the first iteration whose certified gap
-    lambda_upper - lambda_sdp is at most tol, or at SOLVER_ITERATION_CAP.
-    L_base is checked for symmetry once: every iterate adds an exactly
-    symmetric `core._edge_laplacian` to it, and a non-finite iterate shows
-    in its spectrum, which raises NumericalError. Deterministic. Returns the
-    feasible point with the largest lambda_2 seen, the smallest upper bound
-    found, the norm of the smoothed gradient there, and
+    This is the SDP max t subject to S = H (L_base + sum_e w_e L_e) H^T - t I
+    >= 0 and 2m + 1 linear inequalities on w, with H the (n-1) x n Helmert
+    basis of the complement of 1 (Ghosh & Boyd, "Growing well-connected
+    graphs", IEEE CDC 2006). A primal-dual path-following method solves it:
+    Mehrotra's predictor-corrector with the HKM direction (Helmberg, Rendl,
+    Vanderbei & Wolkowicz 1996; Kojima, Shindoh & Hara 1997; Monteiro 1997)
+    and an (m+1) x (m+1) Schur complement, solved by numpy's LAPACK. The
+    (w, t) iterates stay strictly feasible; the multipliers (Z, x) reach
+    feasibility as mu falls. Each Z gives the PSD matrix Y = H^T Z H with
+    Y 1 = 0, which `_dual_bound` turns into a certified upper bound, and
+    `_snap` gives a sparse feasible point. The solve stops at the first step
+    whose certified gap lambda_upper - lambda_sdp is at most tol,
+    lambda_sdp being the exact lambda_2 of the snapped point, or after
+    SOLVER_ITERATION_CAP steps, or when rounding leaves no step inside the
+    cone. L_base is checked for symmetry once; the snapped points add an
+    exactly symmetric `core._edge_laplacian` to it, and a non-finite
+    spectrum or Newton step raises NumericalError. With k = 0 or k >= m the
+    best point is known and Y on its lambda_2 eigenvector certifies it.
+    Deterministic. Returns the snapped point with the largest lambda_2, the
+    smallest upper bound, the norm of that bound's loads, and
     converged = (gap <= tol).
     """
     if not (math.isfinite(tol) and tol > 0.0):
@@ -260,34 +235,8 @@ def solve_fractional(inst: ConnectivityInstance, tol: float = 1e-4) -> Fractiona
     if n < 2:
         raise PreconditionError("lambda_2 needs at least 2 vertices")
     u, v = np.array(inst.candidates, dtype=np.int64).T
-    full = inst.base.union(WeightedGraph.from_arrays(n, u, v, np.ones(m)))
-    if not full.is_connected():
-        # every feasible w leaves the same components apart: lambda_2 is 0 on
-        # the whole feasible set, and 0 is a supergradient there
-        return FractionalSolution(
-            weights=np.zeros(m),
-            lambda_sdp=0.0,
-            lambda_upper=0.0,
-            gap=0.0,
-            iterations=0,
-            gradient_norm=0.0,
-            converged=True,
-        )
-    lb = check_symmetric(laplacian(inst.base))
-    entries = _edge_entries(n, u, v)
-    k = min(inst.k, m)
-    cap = float(k)
 
-    def nontrivial(vals):
-        if not np.isfinite(vals).all():
-            raise NumericalError("solver iterate has a non-finite spectrum")
-        return vals[1:]
-
-    def decompose(w):
-        dec = _decompose(lb + _edge_laplacian(n, entries, w))
-        return nontrivial(dec.eigenvalues), dec.eigenvectors[:, 1:]
-
-    def solution(w, lam, upper, iterations, grad):
+    def solution(w, lam, upper, iterations, loads):
         total_w = float(w.sum())
         if total_w > inst.k + 1e-8 or float(w.min()) < -1e-10 or float(w.max()) > 1.0 + 1e-10:
             raise NumericalError(f"solver left the feasible region: sum={total_w!r}")
@@ -300,66 +249,119 @@ def solve_fractional(inst: ConnectivityInstance, tol: float = 1e-4) -> Fractiona
             lambda_upper=upper,
             gap=upper - lam,
             iterations=iterations,
-            gradient_norm=float(np.linalg.norm(grad)),
+            gradient_norm=float(np.linalg.norm(loads)),
             converged=upper - lam <= tol,
         )
 
-    if inst.k == 0:
-        # w = 0 is the only feasible point; Y on lambda_2's eigenvector bounds it
-        w = np.zeros(m)
-        vals, vecs = decompose(w)
-        upper, grad = _dual_bound(lb, u, v, vecs[:, :1], np.ones(1), 0)
-        return solution(w, float(vals[0]), upper, 0, grad)
+    full = inst.base.union(WeightedGraph.from_arrays(n, u, v, np.ones(m)))
+    if not full.is_connected():
+        # every feasible w leaves the same components apart: lambda_2 is 0 on
+        # the whole feasible set, and 0 is a supergradient there
+        return solution(np.zeros(m), 0.0, 0.0, 0, np.zeros(m))
+    lb = check_symmetric(laplacian(inst.base))
+    entries = _edge_entries(n, u, v)
+    k = min(inst.k, m)
 
-    log_dim = math.log(max(n - 1, 2))
-    x = y = best_w = np.full(m, min(1.0, cap / m))
-    vals, vecs = decompose(y)
-    best_lam, upper, t, iterations, f_prev = float(vals[0]), math.inf, 1.0, 1, -math.inf
-    # the first mu comes from the gap of the uniform density's bound
-    first, _ = _dual_bound(lb, u, v, vecs, np.full(n - 1, 1.0 / (n - 1)), k)
-    mu = max(first - best_lam, tol) / (4.0 * log_dim)
-    lip = 1.0 / mu
-    eps = float(np.finfo(float).eps)
+    def lambda_2_at(w):
+        vals = _spectrum(lb + _edge_laplacian(n, entries, w))
+        if not np.isfinite(vals).all():
+            raise NumericalError("solver iterate has a non-finite spectrum")
+        return float(vals[1])
+
+    if k in (0, m):  # the best point is known: no weight, or every weight 1
+        w = np.full(m, float(k > 0))
+        dec = _decompose(lb + _edge_laplacian(n, entries, w))
+        upper, loads = _dual_bound(lb, u, v, dec.eigenvectors[:, 1:2], np.ones(1), k)
+        return solution(w, float(dec.eigenvalues[1]), upper, 0, loads)
+
+    d = n - 1
+    h = scipy.linalg.helmert(n)
+    a = h[:, u] - h[:, v]  # column e is H b_e, so H L_e H^T = a_e a_e^T
+    a0 = symmetrize(h @ lb @ h.T)
+    diag_d, diag_m = np.diag_indices(d), np.diag_indices(m)
+    objective = np.zeros(m + 1)
+    objective[m] = 1.0
+    # Cone coordinates: d for S and Z, and 2m + 1 for the linear slacks
+    # (w, 1 - w, k - sum w) and their multipliers x = (x_lo, x_hi, x_budget).
+    size = d + 2 * m + 1
+
+    def slacks(w, t):
+        s = symmetrize(a0 + (a * w) @ a.T)
+        s[diag_d] -= t
+        return s, np.concatenate((w, 1.0 - w, [k - float(w.sum())]))
+
+    def duality(zmat, smat, x, sl):  # mu, the mean complementarity product
+        return (float(np.sum(zmat * smat)) + float(x @ sl)) / size
+
+    def constraints(zmat, x):  # the multipliers' equality constraints; `objective` when met
+        loads = np.sum(a * (zmat @ a), axis=0)
+        return np.concatenate((x[m : 2 * m] - x[:m] + x[2 * m] - loads, [np.trace(zmat)]))
+
+    # Start on the central path at (w, t) = (k / 2m, lambda_min / 2):
+    # Z = mu S^-1 and x = mu / slacks, with mu making tr Z = 1.
+    w = np.full(m, 0.5 * k / m)
+    s, sl = slacks(w, 0.0)
+    t = 0.5 * float(_spectrum(s)[0])
+    s, sl = slacks(w, t)
+    inv_s = np.linalg.inv(np.linalg.cholesky(s))
+    z = inv_s.T @ inv_s
+    z, x = z / float(np.trace(z)), 1.0 / (float(np.trace(z)) * sl)
+    chol_z = np.linalg.cholesky(z)
+    best_w, best_lam, upper, loads, steps = w, -math.inf, math.inf, np.zeros(m), 0
     while True:
-        f_y, p = _smoothed(vals, mu)
-        bound, grad = _dual_bound(lb, u, v, vecs, p, k)
-        upper = min(upper, bound)
-        gap = upper - best_lam
-        if gap <= tol or iterations >= SOLVER_ITERATION_CAP:
-            break
-        if mu * log_dim > 0.25 * gap:
-            mu, lip = 0.5 * mu, 2.0 * lip
-            continue  # read the same decomposition again at the new mu
-        noise = 64.0 * eps * float(vals[-1])  # two eigensolves of one matrix can differ by this much
-        while True:
-            x_new = _project_capped_box(y + grad / lip, cap)
-            step = x_new - y
-            vals_x = nontrivial(_spectrum(lb + _edge_laplacian(n, entries, x_new)))
-            if float(vals_x[0]) > best_lam:
-                best_w, best_lam = x_new, float(vals_x[0])
-            f_x, _ = _smoothed(vals_x, mu)
-            if f_x >= f_y + float(grad @ step) - 0.5 * lip * float(step @ step) - noise:
-                break
-            lip *= 2.0
-        t_new = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
-        if f_x < f_prev:
-            y, t = x_new, 1.0  # the momentum overshot: restart from x_new
-        else:
-            y, t = x_new + ((t - 1.0) / t_new) * (x_new - x), t_new
-        x, f_prev = x_new, f_x
-        lip *= LIPSCHITZ_DECAY
-        iterations += 1
-        vals, vecs = decompose(y)
-        # an extrapolated y can leave the feasible set; only feasible points count
-        in_set = float(y.min()) >= 0.0 and float(y.max()) <= 1.0 and float(y.sum()) <= cap
-        if float(vals[0]) > best_lam and in_set:
-            best_w, best_lam = y, float(vals[0])
+        bound, bound_loads = _dual_bound(lb, u, v, h.T @ chol_z, np.ones(d), k)
+        if bound < upper:
+            upper, loads = bound, bound_loads
+        p = inv_s.T @ inv_s  # S^-1
+        inv_z = np.linalg.inv(chol_z)
+        ratio = x / sl
+        zp = z @ p
+        schur = np.empty((m + 1, m + 1))
+        schur[:m, :m] = (a.T @ z @ a) * (a.T @ p @ a) + ratio[2 * m]
+        schur[diag_m] += ratio[:m] + ratio[m : 2 * m]
+        schur[:m, m] = schur[m, :m] = -np.sum(a * (symmetrize(zp) @ a), axis=0)
+        schur[m, m] = np.trace(zp)
 
-    # One more solve gives the returned point's gradient. Its lambda_2 can
-    # round a few ulps below the value the loop certified the gap with.
-    vals, vecs = decompose(best_w)
-    bound, grad = _dual_bound(lb, u, v, vecs, _smoothed(vals, mu)[1], k)
-    return solution(best_w, max(best_lam, float(vals[0])), min(upper, bound), iterations, grad)
+        def direction(target_z, target_x):
+            # the HKM Newton step with Z + dZ + sym(Z dS S^-1) = target_z and
+            # x + dx + x dsl / sl = target_x, and the equality constraints met
+            dy = np.linalg.solve(schur, objective - constraints(target_z, target_x))
+            if not np.isfinite(dy).all():
+                raise NumericalError("solver Newton step is not finite")
+            ds = symmetrize((a * dy[:m]) @ a.T)
+            ds[diag_d] -= dy[m]
+            dsl = np.concatenate((dy[:m], -dy[:m], [-float(dy[:m].sum())]))
+            dz = target_z - z - symmetrize(z @ ds @ p)
+            dx = target_x - x - x * dsl / sl
+            return dy, ds, dsl, dz, dx
+
+        dy, ds, dsl, dz, dx = direction(np.zeros_like(z), np.zeros_like(x))  # affine scaling
+        snapped = _snap(w, w + dy[:m], k)
+        lam = lambda_2_at(snapped)
+        if lam > best_lam:
+            best_w, best_lam = snapped, lam
+        if upper - best_lam <= tol or steps >= SOLVER_ITERATION_CAP:
+            break
+        # Mehrotra's corrector: centre by sigma = (mu after the affine step / mu)^3
+        # and add the affine step's second-order term
+        mu = duality(z, s, x, sl)
+        alpha = min(1.0, _step_to_boundary(inv_z, dz, x, dx))
+        beta = min(1.0, _step_to_boundary(inv_s, ds, sl, dsl))
+        sigma = min(1.0, duality(z + alpha * dz, s + beta * ds, x + alpha * dx, sl + beta * dsl) / mu) ** 3
+        fraction = 0.9 + 0.09 * min(alpha, beta)  # of the way to the boundary
+        dy, ds, dsl, dz, dx = direction(sigma * mu * p - symmetrize(dz @ ds @ p), sigma * mu / sl - dx * dsl / sl)
+        alpha = min(1.0, fraction * _step_to_boundary(inv_z, dz, x, dx))
+        beta = min(1.0, fraction * _step_to_boundary(inv_s, ds, sl, dsl))
+        z, x = symmetrize(z + alpha * dz), x + alpha * dx
+        w, t = w + beta * dy[:m], t + beta * dy[m]
+        s, sl = slacks(w, t)
+        try:
+            chol_z = np.linalg.cholesky(z)
+            inv_s = np.linalg.inv(np.linalg.cholesky(s))
+        except np.linalg.LinAlgError:
+            break  # rounding put the new iterate on the cone's boundary
+        steps += 1
+    return solution(best_w, best_lam, upper, steps, loads)
 
 
 def lambda_k2_bound(g: WeightedGraph, k: int) -> float:
@@ -394,7 +396,7 @@ def round_solution(inst: ConnectivityInstance, frac: FractionalSolution) -> Roun
     else:
         floor = frac.lambda_sdp / LOWER_CONSTANT_DIVISOR
 
-    lb = laplacian(inst.base)
+    lb = check_symmetric(laplacian(inst.base))
     u, v = np.array(inst.candidates, dtype=int).reshape(-1, 2).T
     total_w = float(np.sum(frac.weights))
     kept = np.flatnonzero(frac.weights > WEIGHT_DROP_REL * max(total_w, 1e-300))
@@ -412,7 +414,7 @@ def round_solution(inst: ConnectivityInstance, frac: FractionalSolution) -> Roun
         kept_w = frac.weights[kept]
         x = symmetrize(h @ lb @ h.T / four_delta)
         vectors = np.sqrt(kept_w / four_delta) * (h[:, u[kept]] - h[:, v[kept]])
-        lap_frac = _laplacian_at(lb, _edge_entries(n, u[kept], v[kept]), kept_w)
+        lap_frac = lb + _edge_laplacian(n, _edge_entries(n, u[kept], v[kept]), kept_w)
         mstar = symmetrize(h @ lap_frac @ h.T / four_delta)
         costs = kept_w / float(kept_w.sum())
         costs[-1] = 1.0 - float(costs[:-1].sum())
@@ -424,7 +426,7 @@ def round_solution(inst: ConnectivityInstance, frac: FractionalSolution) -> Roun
 
     entries = _edge_entries(n, u[selected], v[selected])
     lam2_weighted = certify_lambda2(lb + _edge_laplacian(n, entries, weights), floor)
-    lam2_unweighted = _lambda2_of(_laplacian_at(lb, entries, np.ones(selected.size)))
+    lam2_unweighted = _lambda2_of(lb + _edge_laplacian(n, entries, np.ones(selected.size)))
     if engine is not None:
         agreement = abs(lam2_weighted - four_delta * engine.lambda_min)
         if agreement > 1e-6 * max(1.0, lam2_weighted):
@@ -453,7 +455,9 @@ def brute_force_opt(inst: ConnectivityInstance):
         raise TooLargeError(f"C({m},{k}) subsets exceed the 1e6 enumeration cap")
     if inst.base.n < 2:
         raise PreconditionError("lambda_2 needs at least 2 vertices")
-    lb = laplacian(inst.base)
+    # L_base is checked once; each subset adds an exactly symmetric
+    # `core._edge_laplacian` to it
+    lb = check_symmetric(laplacian(inst.base))
     u, v = np.array(inst.candidates, dtype=int).reshape(-1, 2).T
     entries = _edge_entries(inst.base.n, u, v)
     best_val = -math.inf
@@ -463,7 +467,7 @@ def brute_force_opt(inst: ConnectivityInstance):
         for subset in itertools.combinations(range(m), size):
             w[:] = 0.0
             w[list(subset)] = 1.0
-            val = _lambda2_of(_laplacian_at(lb, entries, w))
+            val = _lambda2_of(lb + _edge_laplacian(inst.base.n, entries, w))
             if val > best_val:
                 best_val = val
                 best_set = tuple(inst.candidates[i] for i in subset)

@@ -284,16 +284,6 @@ class WeightedGraph:
     def is_connected(self) -> bool:
         return self.n <= 1 or int(self.component_labels().max()) == 0
 
-    def subgraph(self, vertices) -> tuple["WeightedGraph", np.ndarray]:
-        """Induced subgraph on `vertices` plus the old-id array (new -> old)."""
-        old_ids = np.sort(np.fromiter(vertices, dtype=np.int64))
-        pos = np.full(self.n, -1, dtype=np.int64)
-        inside = (old_ids >= 0) & (old_ids < self.n)
-        pos[old_ids[inside]] = np.flatnonzero(inside)
-        keep = (pos[self.u] >= 0) & (pos[self.v] >= 0)
-        sub = WeightedGraph.from_arrays(old_ids.size, pos[self.u[keep]], pos[self.v[keep]], self.w[keep])
-        return sub, old_ids
-
 
 @dataclass(frozen=True)
 class SpectralDecomposition:

@@ -105,29 +105,51 @@ def test_no_loop_iterates_graph_edges():
     assert not offenders, "loops over .edges: " + "; ".join(offenders)
 
 
+def _calls(node) -> set:
+    return {
+        sub.func.id if isinstance(sub.func, ast.Name) else getattr(sub.func, "attr", "")
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Call)
+    }
+
+
 def test_no_symmetry_scan_inside_the_solver_loop():
-    # every iterate adds an exactly symmetric _edge_laplacian to an L_base
-    # that solve_fractional checks once, so its loops scan no n x n matrix:
-    # no check_symmetric or _laplacian_at call, also not through the functions
-    # defined in solve_fractional that a loop calls
+    # every iterate of solve_fractional and every subset of brute_force_opt
+    # adds an exactly symmetric _edge_laplacian to an L_base checked once, so
+    # their loops scan no n x n matrix: no check_symmetric call, also not
+    # through the module's or the solver's own functions that a loop calls
     tree = ast.parse((SRC / "connectivity.py").read_text(encoding="utf-8"))
-    solve = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "solve_fractional")
-    nested = {node.name: node for node in ast.walk(solve) if isinstance(node, ast.FunctionDef) and node is not solve}
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name, loop_type in (("solve_fractional", ast.While), ("brute_force_opt", ast.For)):
+        solver = functions[name]
+        nested = {node.name: node for node in ast.walk(solver) if isinstance(node, ast.FunctionDef) and node is not solver}
+        defined = {**functions, **nested}
+        loops = [node for node in ast.walk(solver) if isinstance(node, loop_type)]
+        assert loops, f"{name} has no {loop_type.__name__} loop"
+        names = set().union(*map(_calls, loops))
+        expanded: set = set()
+        while names & defined.keys() - expanded:
+            callee = min(names & defined.keys() - expanded)
+            expanded.add(callee)
+            names |= _calls(defined[callee])
+        offenders = names & {"check_symmetric"}
+        assert not offenders, f"{name}'s loops call {sorted(offenders)}"
 
-    def called(node) -> set:
-        return {
-            sub.func.id if isinstance(sub.func, ast.Name) else getattr(sub.func, "attr", "")
-            for sub in ast.walk(node)
-            if isinstance(sub, ast.Call)
-        }
 
-    loops = [node for node in ast.walk(solve) if isinstance(node, ast.While)]
-    assert loops, "solve_fractional has no while loop"
-    names = set().union(*map(called, loops))
-    expanded: set = set()
-    while names & nested.keys() - expanded:
-        name = min(names & nested.keys() - expanded)
-        expanded.add(name)
-        names |= called(nested[name])
-    offenders = names & {"check_symmetric", "_laplacian_at"}
-    assert not offenders, f"solve_fractional's loops call {sorted(offenders)}"
+def test_connectivity_solves_on_numpy_lapack_only():
+    # scipy.linalg's solvers and factorizations (solve, solve_triangular,
+    # cho_factor, cholesky, inv, eigh, ...) would start scipy's own OpenBLAS
+    # copy, with its own threads, next to numpy's; helmert only builds a matrix
+    tree = ast.parse((SRC / "connectivity.py").read_text(encoding="utf-8"))
+    used = {
+        node.attr
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and ast.unparse(node.value) == "scipy.linalg"
+    }
+    used |= {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module in ("scipy", "scipy.linalg")
+        for alias in node.names
+    }
+    assert used <= {"helmert"}, f"connectivity.py uses scipy.linalg's {sorted(used - {'helmert'})}"
