@@ -568,7 +568,10 @@ def cmd_verify(g_path: str, h_path: str) -> dict:
 # Argument parsing and dispatch
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared by every
+    later one: each parse_args call fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="lapsparse",
         description="Spectral sparsification toolkit: patch sparsifiers,"
@@ -631,8 +634,7 @@ def _dispatch(args: argparse.Namespace) -> dict:
 
 
 def main(argv: list | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         # Every solve and product here is at most a few hundred wide: a
         # second BLAS thread adds no speed there, only a spinning core whose

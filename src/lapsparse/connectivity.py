@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .core import (
     NumericalError,
@@ -125,6 +124,13 @@ class RoundedSolution:
     lambda_k2: float
     floor: float
     engine: EngineResult | None
+
+
+def _helmert(n: int) -> np.ndarray:
+    """The (n-1) x n Helmert matrix: orthonormal rows spanning the vectors
+    that sum to zero. scipy.linalg.helmert's formula, so the same floats."""
+    h = np.tril(np.ones((n, n)), -1) - np.diag(np.arange(n))
+    return h[1:] / np.sqrt(np.arange(1, n) * np.arange(2, n + 1))[:, np.newaxis]
 
 
 def _lambda2_of(lap: np.ndarray) -> float:
@@ -275,7 +281,7 @@ def solve_fractional(inst: ConnectivityInstance, tol: float = 1e-4) -> Fractiona
         return solution(w, float(dec.eigenvalues[1]), upper, 0, loads)
 
     d = n - 1
-    h = scipy.linalg.helmert(n)
+    h = _helmert(n)
     a = h[:, u] - h[:, v]  # column e is H b_e, so H L_e H^T = a_e a_e^T
     a0 = symmetrize(h @ lb @ h.T)
     diag_d, diag_m = np.diag_indices(d), np.diag_indices(m)
@@ -410,7 +416,7 @@ def round_solution(inst: ConnectivityInstance, frac: FractionalSolution) -> Roun
         # clears it.
         selected, weights = kept, frac.weights[kept]
     else:
-        h = scipy.linalg.helmert(n)
+        h = _helmert(n)
         kept_w = frac.weights[kept]
         x = symmetrize(h @ lb @ h.T / four_delta)
         vectors = np.sqrt(kept_w / four_delta) * (h[:, u[kept]] - h[:, v[kept]])

@@ -8,7 +8,8 @@ component), and generalized eigenvalues of PSD pencils.
 Solvers: Laplacian factors, pencils, the selection engine and the
 connectivity solver use numpy's LAPACK (`_decompose`, `_spectrum`). `eigh`
 and `eigvalsh` use scipy's; no command's solve path calls them, so they
-give an independent check.
+give an independent check, and import scipy only when called: the rest of
+the module, component labels included, runs on numpy alone.
 """
 
 from __future__ import annotations
@@ -20,9 +21,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
-import scipy.sparse
-import scipy.sparse.csgraph
 
 # Rank decisions for raw PSD matrices: eigenvalues below REL_RANK_TOL *
 # lambda_max count as zero. Laplacian factors take their rank from the graph.
@@ -267,19 +265,24 @@ class WeightedGraph:
         ends = np.stack((self.u, self.v), axis=1).ravel()
         return np.bincount(ends, np.repeat(self.w, 2), minlength=self.n).astype(np.float64, copy=False)
 
-    def adjacency(self) -> scipy.sparse.csr_matrix:
-        a = scipy.sparse.coo_matrix(
-            (np.concatenate([self.w, self.w]), (np.concatenate([self.u, self.v]), np.concatenate([self.v, self.u]))),
-            shape=(self.n, self.n),
-        )
-        return a.tocsr()
-
     def component_labels(self) -> np.ndarray:
-        """Connected-component label per vertex (deterministic scipy labeling)."""
-        if self.n == 0:
-            return np.zeros(0, dtype=int)
-        _, labels = scipy.sparse.csgraph.connected_components(self.adjacency(), directed=False)
-        return labels
+        """Connected-component label per vertex, the components numbered by
+        their smallest vertex, as scipy's connected_components numbers them.
+
+        Min-label propagation: each round hooks every edge's larger end label
+        onto its smaller one, then jumps pointers until each label is a root.
+        At the fixed point each vertex holds its component's smallest vertex.
+        """
+        labels = np.arange(self.n)
+        while True:
+            ends = labels[self.u], labels[self.v]
+            hooked = labels.copy()
+            np.minimum.at(hooked, np.maximum(*ends), np.minimum(*ends))
+            while not np.array_equal(jumped := hooked[hooked], hooked):
+                hooked = jumped
+            if np.array_equal(hooked, labels):
+                return np.unique(labels, return_inverse=True)[1]
+            labels = hooked
 
     def is_connected(self) -> bool:
         return self.n <= 1 or int(self.component_labels().max()) == 0
@@ -320,6 +323,8 @@ def _edge_laplacian(n: int, entries: tuple, w: np.ndarray) -> np.ndarray:
 
 def eigh(a: np.ndarray) -> SpectralDecomposition:
     """Full symmetric eigendecomposition by scipy, eigenvalues ascending."""
+    import scipy.linalg
+
     a = check_symmetric(a)
     if a.shape[0] == 0:
         return SpectralDecomposition(np.zeros(0), np.zeros((0, 0)))
@@ -332,6 +337,8 @@ def eigh(a: np.ndarray) -> SpectralDecomposition:
 
 def eigvalsh(a: np.ndarray) -> np.ndarray:
     """Eigenvalues only by scipy, ascending."""
+    import scipy.linalg
+
     a = check_symmetric(a)
     if a.shape[0] == 0:
         return np.zeros(0)

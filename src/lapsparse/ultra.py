@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.csgraph
 
 from .core import (
     DisconnectedError,
@@ -51,36 +50,30 @@ class SpanningTree:
     ancestors: np.ndarray
 
     @staticmethod
-    def build(n: int, edges) -> "SpanningTree":
-        """Root the given n-1 tree edges at vertex 0 and precompute tables."""
-        edges = [(int(u), int(v), float(w)) for u, v, w in edges]
-        if len(edges) != n - 1:
-            raise PreconditionError(f"a spanning tree on {n} vertices needs {n - 1} edges, got {len(edges)}")
-        adj: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        for u, v, w in edges:
-            adj[u].append((v, w))
-            adj[v].append((u, w))
-        parent = np.full(n, -1, dtype=int)
-        parent_weight = np.zeros(n)
-        depth = np.zeros(n, dtype=int)
-        resistance = np.zeros(n)
-        seen = np.zeros(n, dtype=bool)
-        seen[0] = True
-        stack = [0]
-        order = []
-        while stack:
-            x = stack.pop()
-            order.append(x)
-            for y, w in adj[x]:
-                if not seen[y]:
-                    seen[y] = True
-                    parent[y] = x
-                    parent_weight[y] = w
-                    depth[y] = depth[x] + 1
-                    resistance[y] = resistance[x] + 1.0 / w
-                    stack.append(y)
-        if not bool(seen.all()):
+    def build(n: int, u, v, w) -> "SpanningTree":
+        """Root the n-1 tree edges (u[i], v[i]) of weight w[i], in either
+        orientation, at vertex 0 and precompute tables."""
+        import scipy.sparse.csgraph
+
+        u, v, w = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64), np.asarray(w, dtype=float)
+        if u.size != n - 1:
+            raise PreconditionError(f"a spanning tree on {n} vertices needs {n - 1} edges, got {u.size}")
+        # a directed search over both orientations: an undirected one first
+        # transposes its input, which costs ten times the search
+        order, pred = scipy.sparse.csgraph.breadth_first_order(_both_ways(n, u, v, w), 0, return_predecessors=True)
+        if order.size < n:
             raise DisconnectedError("edge set does not span all vertices")
+        parent = pred.astype(int)
+        parent[0] = -1
+        parent_weight = np.zeros(n)
+        parent_weight[np.where(parent[u] == v, u, v)] = w  # each edge's child end
+        # breadth-first order lists every vertex after its parent, so each
+        # resistance is summed edge by edge from the root down
+        up, weight = parent.tolist(), parent_weight.tolist()
+        depth, resistance = [0] * n, [0.0] * n
+        for x in order[1:].tolist():
+            depth[x] = depth[up[x]] + 1
+            resistance[x] = resistance[up[x]] + 1.0 / weight[x]
         levels = max(1, int(math.ceil(math.log2(max(n, 2)))))
         anc = np.full((levels, n), -1, dtype=int)
         anc[0] = parent
@@ -91,8 +84,8 @@ class SpanningTree:
             n=n,
             parent=parent,
             parent_weight=parent_weight,
-            depth=depth,
-            resistance_to_root=resistance,
+            depth=np.array(depth),
+            resistance_to_root=np.array(resistance),
             ancestors=anc,
         )
 
@@ -129,10 +122,17 @@ class StretchReport:
     total: float
 
 
-def _with_weights(rows: np.ndarray, cols: np.ndarray, weight: np.ndarray):
-    """(rows[i], cols[i], w) tree-edge triples, w looked up in `weight`, the
-    dense weight matrix of G."""
-    return zip(rows.tolist(), cols.tolist(), weight[rows, cols].tolist())
+def _both_ways(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray):
+    """The n x n scipy CSR matrix with w[i] at (u[i], v[i]) and (v[i], u[i]),
+    columns sorted within each row. Built from the arrays directly: scipy's
+    (data, (row, col)) route costs ten times a tree's breadth-first search."""
+    import scipy.sparse
+
+    rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
+    by_row = np.argsort(rows * n + cols)
+    starts = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(rows, minlength=n), out=starts[1:])
+    return scipy.sparse.csr_matrix((np.concatenate([w, w])[by_row], cols[by_row], starts), shape=(n, n))
 
 
 def candidate_trees(g: WeightedGraph, seed: int = 0) -> list:
@@ -142,20 +142,22 @@ def candidate_trees(g: WeightedGraph, seed: int = 0) -> list:
         raise DisconnectedError("low-stretch tree needs a connected graph")
     if g.n < 2:
         raise PreconditionError("need at least 2 vertices")
+    import scipy.sparse.csgraph
+
     rng = np.random.default_rng(seed)
     roots = rng.choice(g.n, size=min(g.n, 16), replace=False)
-    adjacency = g.adjacency()
+    adjacency = _both_ways(g.n, g.u, g.v, g.w)
     weight = adjacency.toarray()
     adjacency.data = 1.0 / adjacency.data  # shortest paths use lengths 1/w
     _, pred = scipy.sparse.csgraph.dijkstra(adjacency, indices=roots, return_predecessors=True)
     trees = []
     for parent in pred.astype(np.int64):
         child = np.flatnonzero(parent >= 0)
-        trees.append(SpanningTree.build(g.n, _with_weights(parent[child], child, weight)))
+        trees.append(SpanningTree.build(g.n, child, parent[child], weight[parent[child], child]))
     # the maximum-weight spanning tree, via the affine flip w -> w_max + 1 - w
     flipped = scipy.sparse.csr_matrix((float(g.w.max()) + 1.0 - g.w, (g.u, g.v)), shape=(g.n, g.n))
     mst = scipy.sparse.csgraph.minimum_spanning_tree(flipped).tocoo()
-    trees.append(SpanningTree.build(g.n, _with_weights(mst.row.astype(np.int64), mst.col.astype(np.int64), weight)))
+    trees.append(SpanningTree.build(g.n, mst.row, mst.col, weight[mst.row, mst.col]))
     return trees
 
 

@@ -408,6 +408,33 @@ def test_verify_on_graphs_without_edges_reads_one(tmp_path):
     assert json.loads(rep.read_text())["measured"]["pencil_lower"] == 1.0
 
 
+def test_main_reuses_one_parser_and_each_call_gets_its_own_arguments(tmp_path, capsys):
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.build_parser().format_help() == cli.build_parser.__wrapped__().format_help()
+    rng = np.random.default_rng(85)
+    g = random_connected_graph(rng, 8, extra_edges=4)
+    g_path = save_text(tmp_path, "G.txt", g)
+    h_path = save_text(tmp_path, "H.txt", g.scale(3.0))
+    rep = tmp_path / "rep.json"
+
+    assert main(["verify", g_path, h_path, "--report", str(rep)]) == 0
+    assert capsys.readouterr().out == ""
+    # no --report this time: the report goes to stdout, the first file stays
+    assert main(["verify", g_path, g_path]) == 0
+    assert json.loads(capsys.readouterr().out)["measured"]["c"] == pytest.approx(1.0, abs=1e-9)
+    assert json.loads(rep.read_text())["measured"]["c"] == pytest.approx(3.0, abs=1e-9)
+
+    # usage errors and --help exit as before, and leave the parser usable
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", g_path])
+    assert exc.value.code == 2 and "usage: lapsparse verify" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: lapsparse")
+    assert main(["verify", h_path, h_path, "--report", str(rep)]) == 0
+    assert json.loads(rep.read_text())["measured"]["c"] == pytest.approx(1.0, abs=1e-9)
+
+
 def test_sparsify_patch_command_factors_the_patched_laplacian_once(tmp_path, monkeypatch):
     # the re-check measures the written W_k against the library's factor of
     # L_{G+W}; every other full-size solve is values-only or (n - 1)-wide

@@ -1,7 +1,9 @@
 """Graph container, spectral helpers, and the matrix identities they rely on."""
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+import scipy.sparse
+import scipy.sparse.csgraph
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_connected_graph, random_projection, random_psd
 from lapsparse.core import (
@@ -196,6 +198,37 @@ def test_graph_components():
     assert not g.is_connected()
     assert WeightedGraph(1, []).is_connected()
     assert WeightedGraph(0, []).is_connected()
+
+
+@st.composite
+def labelling_inputs(draw):
+    """(n, pairs): random pairs plus paths through a shuffled vertex order,
+    which take min-label propagation the most rounds; vertices on neither
+    stay isolated, and no pairs at all gives an edgeless graph."""
+    n = draw(st.integers(0, 60))
+    ids = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(ids, ids), max_size=n)) if n else []
+    order = draw(st.permutations(range(n)))
+    on_paths = draw(st.integers(0, n))
+    cuts = draw(st.sets(st.integers(1, max(n - 1, 1)), max_size=3))
+    pairs += [(order[i - 1], order[i]) for i in range(1, on_paths) if i not in cuts]
+    return n, [(a, b) for a, b in pairs if a != b]
+
+
+@settings(max_examples=300, deadline=None)
+@given(labelling_inputs())
+@example((0, []))
+@example((60, []))
+@example((60, [(i, i + 1) for i in range(59)][::-1]))
+@example((60, [(59 - i, 58 - i) for i in range(59)]))
+def test_component_labels_match_scipy_connected_components(case):
+    # numbered by smallest vertex, exactly as scipy numbers them, so the
+    # factor blocks and every report keep their order
+    n, pairs = case
+    g = WeightedGraph(n, [(a, b, 1.0) for a, b in pairs])
+    adjacency = scipy.sparse.coo_matrix((g.w, (g.u, g.v)), shape=(n, n))
+    want = scipy.sparse.csgraph.connected_components(adjacency, directed=False)[1] if n else np.zeros(0)
+    assert np.array_equal(g.component_labels(), want)
 
 
 def test_laplacian_quadratic_form_matches_edge_sum():

@@ -1,5 +1,6 @@
-"""The package exposes no public name that nothing uses, and the command
-line calls no solver of its own.
+"""The package exposes no public name that nothing uses, the command line
+calls no solver of its own, and neither importing the package nor a command
+that builds no spanning tree loads scipy.
 
 A public module-level function, class or constant of lapsparse must be
 referenced by other code in the package or be exported in
@@ -9,6 +10,10 @@ unreferenced, repeated until nothing changes. core.eigh and core.eigvalsh
 are exempt: they are the independent (scipy) reference solvers.
 """
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import lapsparse
@@ -139,7 +144,8 @@ def test_no_symmetry_scan_inside_the_solver_loop():
 def test_connectivity_solves_on_numpy_lapack_only():
     # scipy.linalg's solvers and factorizations (solve, solve_triangular,
     # cho_factor, cholesky, inv, eigh, ...) would start scipy's own OpenBLAS
-    # copy, with its own threads, next to numpy's; helmert only builds a matrix
+    # copy, with its own threads, next to numpy's; the Helmert basis is built
+    # by numpy too
     tree = ast.parse((SRC / "connectivity.py").read_text(encoding="utf-8"))
     used = {
         node.attr
@@ -152,4 +158,74 @@ def test_connectivity_solves_on_numpy_lapack_only():
         if isinstance(node, ast.ImportFrom) and node.module in ("scipy", "scipy.linalg")
         for alias in node.names
     }
-    assert used <= {"helmert"}, f"connectivity.py uses scipy.linalg's {sorted(used - {'helmert'})}"
+    assert not used, f"connectivity.py uses scipy.linalg's {sorted(used)}"
+
+
+def _import_time_imports(tree) -> list:
+    """Import statements that run when the module is imported: every one
+    outside a function body."""
+    found, stack = [], list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.append(node)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_no_module_imports_scipy_at_import_time():
+    # scipy costs a command line process about half a second to import; only
+    # the code that builds spanning trees (and the reference solvers) may
+    # load it, from inside the functions that use it
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in _import_time_imports(ast.parse(path.read_text(encoding="utf-8"))):
+            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else [node.module or ""]
+            if any(name == "scipy" or name.startswith("scipy.") for name in names):
+                offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not offenders, "module-level scipy imports: " + "; ".join(offenders)
+
+
+_RUN_COMMANDS = """
+import json, sys
+from lapsparse.cli import main
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+
+batches = json.loads(sys.argv[1])
+print(json.dumps([([main(argv) for argv in batch], scipy_modules()) for batch in batches]))
+"""
+
+
+def test_commands_without_a_spanning_tree_never_load_scipy(tmp_path):
+    from lapsparse.cli import write_graph
+    from lapsparse.core import WeightedGraph
+
+    def save(name, g):
+        write_graph(str(tmp_path / name), g)
+        return str(tmp_path / name)
+
+    ring = save("ring.txt", WeightedGraph(6, [(i, (i + 1) % 6, 1.0 + i / 10) for i in range(6)]))
+    chords = save("chords.txt", WeightedGraph(6, [(0, 2, 0.3), (1, 4, 0.2), (3, 5, 0.4), (0, 3, 0.1)]))
+    path = save("path.txt", WeightedGraph(6, [(i, i + 1, 1.0) for i in range(5)]))
+    candidates = save("candidates.txt", WeightedGraph(6, [(0, 5, 1.0), (1, 4, 1.0), (0, 3, 1.0)]))
+    report, out = str(tmp_path / "report.json"), str(tmp_path / "out.txt")
+    without_tree = [
+        ["verify", ring, ring, "--report", report],
+        ["sparsify-patch", ring, chords, out, "--k", "1", "--report", report],
+        ["algconn", path, candidates, out, "--k", "1", "--report", report],
+    ]
+    with_tree = [["ultra", ring, out, "--k", "1", "--report", report]]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-c", _RUN_COMMANDS, json.dumps([without_tree, with_tree])],
+        capture_output=True, text=True, env=env, check=True, timeout=120,
+    )
+    (codes, loaded), (tree_codes, tree_loaded) = json.loads(run.stdout)
+    assert codes == [0, 0, 0] and tree_codes == [0]
+    assert loaded == [], f"verify, sparsify-patch and algconn loaded {loaded}"
+    # the check sees scipy once the tree ensemble runs
+    assert "scipy.sparse.csgraph" in tree_loaded

@@ -2,6 +2,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_connected_graph
 from lapsparse.core import (
@@ -23,6 +24,12 @@ from lapsparse.ultra import (
 )
 
 
+def build_tree(n: int, edges) -> SpanningTree:
+    """SpanningTree from a list of (u, v, w) triples."""
+    u, v, w = zip(*edges)
+    return SpanningTree.build(n, u, v, w)
+
+
 def cycle(n: int) -> WeightedGraph:
     return WeightedGraph(n, [(i, (i + 1) % n, 1.0) for i in range(n)])
 
@@ -38,7 +45,7 @@ def test_tree_build_tables_on_a_branched_tree():
     #   / \
     #  3   4
     edges = [(0, 1, 1.0), (0, 2, 2.0), (1, 3, 1.0), (1, 4, 0.5)]
-    t = SpanningTree.build(5, edges)
+    t = build_tree(5, edges)
     assert t.parent[0] == -1
     assert t.parent[3] == 1 and t.parent[4] == 1
     assert t.depth[3] == 2 and t.depth[2] == 1
@@ -53,9 +60,34 @@ def test_tree_build_tables_on_a_branched_tree():
 
 def test_tree_build_rejects_wrong_edge_count_and_non_spanning_sets():
     with pytest.raises(PreconditionError):
-        SpanningTree.build(4, [(0, 1, 1.0), (1, 2, 1.0)])
+        build_tree(4, [(0, 1, 1.0), (1, 2, 1.0)])
     with pytest.raises(DisconnectedError):
-        SpanningTree.build(4, [(0, 1, 1.0), (0, 1, 1.0), (2, 3, 1.0)])
+        build_tree(4, [(0, 1, 1.0), (0, 1, 1.0), (2, 3, 1.0)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.integers(), st.booleans())
+def test_tree_tables_follow_each_root_path(n, seed, chain):
+    # vertex order[i] hangs off a random earlier vertex (or the previous one,
+    # for a path of depth n - 1); edges arrive shuffled and either way round
+    rng = np.random.default_rng(seed % (2**32))
+    order = np.concatenate([[0], 1 + rng.permutation(n - 1)])
+    up = {int(order[i]): int(order[i - 1] if chain else order[rng.integers(0, i)]) for i in range(1, n)}
+    weight = {x: float(10.0 ** rng.uniform(-3, 3)) for x in up}
+    edges = [(x, p, weight[x]) if rng.random() < 0.5 else (p, x, weight[x]) for x, p in up.items()]
+    t = build_tree(n, [edges[i] for i in rng.permutation(n - 1)])
+    assert t.parent[0] == -1 and t.depth[0] == 0 and t.resistance_to_root[0] == 0.0
+    for x in range(1, n):
+        path = [x]
+        while path[-1] != 0:
+            path.append(up[path[-1]])
+        resistance = 0.0
+        for y in reversed(path[:-1]):  # summed from the root down
+            resistance += 1.0 / weight[y]
+        assert (t.parent[x], t.parent_weight[x], t.depth[x]) == (up[x], weight[x], len(path) - 1)
+        assert t.resistance_to_root[x] == resistance
+        for j in range(t.ancestors.shape[0]):
+            assert t.ancestors[j, x] == (path[2**j] if 2**j < len(path) else -1)
 
 
 def test_candidate_trees_are_spanning_trees_of_the_graph():
@@ -95,14 +127,14 @@ def test_low_stretch_tree_of_a_tree_is_the_tree_itself():
 def test_tree_edges_have_unit_stretch():
     rng = np.random.default_rng(47)
     g = random_connected_graph(rng, 12, extra_edges=0, wmin=0.1, wmax=5.0)
-    t = SpanningTree.build(12, g.edges)
+    t = SpanningTree.build(g.n, g.u, g.v, g.w)
     report = tree_stretch(g, t)
     assert np.allclose(report.per_edge, 1.0, atol=1e-12)
 
 
 def test_stretch_of_a_heavy_chord_over_two_unit_edges():
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0), (0, 2, 2.0)])
-    t = SpanningTree.build(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    t = build_tree(3, [(0, 1, 1.0), (1, 2, 1.0)])
     report = tree_stretch(g, t)
     by_pair = dict(zip([(u, v) for u, v, _ in g.edges], report.per_edge))
     assert by_pair[(0, 2)] == pytest.approx(4.0, abs=1e-12)
@@ -130,7 +162,7 @@ def test_weighted_stretch_may_dip_below_one():
     # heavy path 0-1-2 (w = 5 each) with a light chord (0,2): the chord's
     # stretch is 0.2 * (1/5 + 1/5) = 0.08.
     g = WeightedGraph(3, [(0, 1, 5.0), (1, 2, 5.0), (0, 2, 0.2)])
-    t = SpanningTree.build(3, [(0, 1, 5.0), (1, 2, 5.0)])
+    t = build_tree(3, [(0, 1, 5.0), (1, 2, 5.0)])
     report = tree_stretch(g, t)
     by_pair = dict(zip([(u, v) for u, v, _ in g.edges], report.per_edge))
     assert by_pair[(0, 2)] == pytest.approx(0.08, abs=1e-12)
@@ -172,7 +204,7 @@ def test_vectorised_stretch_matches_the_scalar_loop_bit_for_bit():
             report = tree_stretch(g, tree)
             assert report.per_edge == tuple(per_edge)
             assert report.total == float(sum(per_edge))
-    t = SpanningTree.build(3, [(0, 1, 1.0), (1, 2, 1.0)])
+    t = build_tree(3, [(0, 1, 1.0), (1, 2, 1.0)])
     with pytest.raises(PreconditionError):
         t.lca(0, 3)
     with pytest.raises(PreconditionError):
@@ -181,7 +213,7 @@ def test_vectorised_stretch_matches_the_scalar_loop_bit_for_bit():
 
 def test_tree_stretch_rejects_a_foreign_tree():
     star = WeightedGraph(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)])
-    path = SpanningTree.build(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+    path = build_tree(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
     with pytest.raises(PreconditionError):
         tree_stretch(star, path)
 
@@ -193,7 +225,7 @@ def test_tree_stretch_rejects_a_foreign_tree():
 def test_trace_of_a_tree_against_itself_counts_edges():
     rng = np.random.default_rng(51)
     g = random_connected_graph(rng, 11, extra_edges=0, wmin=0.2, wmax=3.0)
-    t = SpanningTree.build(11, g.edges)
+    t = SpanningTree.build(g.n, g.u, g.v, g.w)
     report = tree_stretch(g, t)
     trace, stretch = sw_trace_check(g, t, report), report.total
     assert stretch == pytest.approx(10.0, abs=1e-9)
@@ -224,6 +256,27 @@ def test_trace_identity_and_tail_on_random_graphs():
 
 # ---------------------------------------------------------------------------
 # tree + patch
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(), st.floats(min_value=-9.0, max_value=8.0))
+@example(seed=-355, exponent=1.75)
+def test_ultrasparsifier_is_invariant_under_uniform_scaling(seed, exponent):
+    # Stretch, kappa_target and every pencil are unchanged when G is scaled
+    # by c, so the tree and the picks stay put and U(cG) = c U(G) up to
+    # rounding. Weights are continuous random draws, so exact ties between
+    # trees or in the engine's bottom-k spectrum have probability 0. The
+    # engine's rounding is relative to the largest weight: in the example,
+    # a weight about 1/140 of it moves by 1.5e-12 of itself.
+    rng = np.random.default_rng(seed % (2**32))
+    n = int(rng.integers(8, 25))
+    g = random_connected_graph(rng, n, extra_edges=int(rng.integers(1, 2 * n)))
+    k = int(rng.integers(1, 3))
+    c = 10.0**exponent
+    base, scaled = build_ultrasparsifier(g, k), build_ultrasparsifier(g.scale(c), k)
+    assert scaled.u.edge_pairs() == base.u.edge_pairs()
+    assert np.allclose(scaled.u.w / c, base.u.w, rtol=1e-12, atol=1e-12 * base.u.w.max())
+    assert scaled.kappa_measured == pytest.approx(base.kappa_measured, rel=1e-12)
 
 
 def test_build_on_a_tree_returns_the_graph_itself():
