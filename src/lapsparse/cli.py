@@ -633,8 +633,20 @@ def _dispatch(args: argparse.Namespace) -> dict:
     raise AssertionError(f"unknown subcommand {args.subcommand!r}")
 
 
+def _keep_arrays_on_the_heap() -> None:
+    """Free one 1 MiB array. glibc's malloc maps every array above its mmap
+    threshold (128 KiB at start) from the kernel and unmaps it on free, so
+    each such temporary faults in fresh zeroed pages; freeing a mapped block
+    raises the threshold to that block's size, and the heap-trim threshold
+    to twice it. Later arrays of up to 1 MiB (the engine's d x d and m x d
+    temporaries at n = 120) then stay on the heap. Other allocators only
+    free the array."""
+    np.empty(1 << 17)
+
+
 def main(argv: list | None = None) -> int:
     args = build_parser().parse_args(argv)
+    _keep_arrays_on_the_heap()
     try:
         # Every solve and product here is at most a few hundred wide: a
         # second BLAS thread adds no speed there, only a spinning core whose

@@ -8,8 +8,8 @@ component), and generalized eigenvalues of PSD pencils.
 Solvers: Laplacian factors, pencils, the selection engine and the
 connectivity solver use numpy's LAPACK (`_decompose`, `_spectrum`). `eigh`
 and `eigvalsh` use scipy's; no command's solve path calls them, so they
-give an independent check, and import scipy only when called: the rest of
-the module, component labels included, runs on numpy alone.
+give an independent check. They are the package's only use of scipy, which
+they import when called: scipy is a test dependency, not a runtime one.
 """
 
 from __future__ import annotations
@@ -322,7 +322,8 @@ def _edge_laplacian(n: int, entries: tuple, w: np.ndarray) -> np.ndarray:
 
 
 def eigh(a: np.ndarray) -> SpectralDecomposition:
-    """Full symmetric eigendecomposition by scipy, eigenvalues ascending."""
+    """Full symmetric eigendecomposition by scipy, eigenvalues ascending.
+    A reference solver: it needs scipy, which the package does not install."""
     import scipy.linalg
 
     a = check_symmetric(a)
@@ -336,7 +337,8 @@ def eigh(a: np.ndarray) -> SpectralDecomposition:
 
 
 def eigvalsh(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues only by scipy, ascending."""
+    """Eigenvalues only by scipy, ascending. A reference solver: it needs
+    scipy, which the package does not install."""
     import scipy.linalg
 
     a = check_symmetric(a)

@@ -4,6 +4,9 @@ The pipeline: pick a spanning tree T with small total stretch from a
 candidate ensemble, scale W = G / (C3 * kappa) with kappa = C1 * st_T(G) / k,
 sparsify W against T through the selection engine, and return U = T + W_k
 together with the measured generalized-eigenvalue sandwich of (L_G, L_U).
+
+The tree ensemble, its rooting and the stretch queries are numpy code: no
+routine here loads scipy.
 """
 
 from __future__ import annotations
@@ -52,28 +55,39 @@ class SpanningTree:
     @staticmethod
     def build(n: int, u, v, w) -> "SpanningTree":
         """Root the n-1 tree edges (u[i], v[i]) of weight w[i], in either
-        orientation, at vertex 0 and precompute tables."""
-        import scipy.sparse.csgraph
+        orientation, at vertex 0 and precompute tables.
 
+        Raises PreconditionError for a wrong edge count, an endpoint outside
+        0..n-1 or a weight that is not finite and positive, and
+        DisconnectedError when the edges do not span the n vertices.
+        """
         u, v, w = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64), np.asarray(w, dtype=float)
-        if u.size != n - 1:
+        if not u.size == v.size == w.size == n - 1:
             raise PreconditionError(f"a spanning tree on {n} vertices needs {n - 1} edges, got {u.size}")
-        # a directed search over both orientations: an undirected one first
-        # transposes its input, which costs ten times the search
-        order, pred = scipy.sparse.csgraph.breadth_first_order(_both_ways(n, u, v, w), 0, return_predecessors=True)
-        if order.size < n:
+        outside = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n))
+        if outside.size:
+            i = outside[0]
+            raise PreconditionError(f"tree edge ({u[i]},{v[i]}) out of range for n={n}")
+        unweighted = np.flatnonzero(~((w > 0) & np.isfinite(w)))
+        if unweighted.size:
+            i = unweighted[0]
+            raise PreconditionError(f"tree edge ({u[i]},{v[i]}) needs a positive finite weight, got {w[i]}")
+        # breadth-first from vertex 0; each vertex's depth and resistance are
+        # summed edge by edge from the root down, as it is reached
+        _, ends, weights, start = _arcs(n, u, v, w)
+        head, weight, first = ends.tolist(), weights.tolist(), start.tolist()
+        up, up_weight, depth, resistance = [-2] * n, [0.0] * n, [0] * n, [0.0] * n
+        up[0], order = -1, [0]
+        for x in order:  # grows as vertices are reached
+            for i in range(first[x], first[x + 1]):
+                y = head[i]
+                if up[y] == -2:
+                    up[y], up_weight[y] = x, weight[i]
+                    depth[y], resistance[y] = depth[x] + 1, resistance[x] + 1.0 / weight[i]
+                    order.append(y)
+        if len(order) < n:
             raise DisconnectedError("edge set does not span all vertices")
-        parent = pred.astype(int)
-        parent[0] = -1
-        parent_weight = np.zeros(n)
-        parent_weight[np.where(parent[u] == v, u, v)] = w  # each edge's child end
-        # breadth-first order lists every vertex after its parent, so each
-        # resistance is summed edge by edge from the root down
-        up, weight = parent.tolist(), parent_weight.tolist()
-        depth, resistance = [0] * n, [0.0] * n
-        for x in order[1:].tolist():
-            depth[x] = depth[up[x]] + 1
-            resistance[x] = resistance[up[x]] + 1.0 / weight[x]
+        parent = np.array(up)
         levels = max(1, int(math.ceil(math.log2(max(n, 2)))))
         anc = np.full((levels, n), -1, dtype=int)
         anc[0] = parent
@@ -83,7 +97,7 @@ class SpanningTree:
         return SpanningTree(
             n=n,
             parent=parent,
-            parent_weight=parent_weight,
+            parent_weight=np.array(up_weight),
             depth=np.array(depth),
             resistance_to_root=np.array(resistance),
             ancestors=anc,
@@ -122,42 +136,87 @@ class StretchReport:
     total: float
 
 
-def _both_ways(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray):
-    """The n x n scipy CSR matrix with w[i] at (u[i], v[i]) and (v[i], u[i]),
-    columns sorted within each row. Built from the arrays directly: scipy's
-    (data, (row, col)) route costs ten times a tree's breadth-first search."""
-    import scipy.sparse
+def _arcs(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> tuple:
+    """Both orientations (a, b) of every edge (u[i], v[i]) as arrays a, b
+    and their weights, sorted by a and then b, with start[x] the first arc
+    at a = x (start[n] is the arc count)."""
+    a, b = np.concatenate([u, v]), np.concatenate([v, u])
+    order = np.lexsort((b, a))
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(a, minlength=n), out=start[1:])
+    return a[order], b[order], np.concatenate([w, w])[order], start
 
-    rows, cols = np.concatenate([u, v]), np.concatenate([v, u])
-    by_row = np.argsort(rows * n + cols)
-    starts = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(rows, minlength=n), out=starts[1:])
-    return scipy.sparse.csr_matrix((np.concatenate([w, w])[by_row], cols[by_row], starts), shape=(n, n))
+
+def _shortest_path_trees(g: WeightedGraph, roots: np.ndarray) -> tuple:
+    """Parent and parent-edge weight of every vertex in the shortest-path
+    tree from each root of a connected g, edge lengths 1/w; one row per
+    root, with -1 as the root's parent (and an arbitrary weight).
+
+    A label-correcting search from all roots at once. Each sweep offers
+    every vertex the shortest dist[tail] + 1/w over its in-arcs, and the
+    vertex takes it only if it is strictly shorter than its label; sweeps
+    stop when no label improves. The labels end as the float sums Dijkstra's
+    method forms. Ties: among in-arcs tying within one sweep the lowest tail
+    index wins, and a tie found in a later sweep keeps the earlier parent.
+    """
+    heads, tails, weights, start = _arcs(g.n, g.u, g.v, g.w)
+    lengths, arcs, starts = 1.0 / weights, np.arange(heads.size), start[:-1]  # g connected: no vertex lacks arcs
+    rows = np.arange(roots.size)
+    dist = np.full((roots.size, g.n), np.inf)
+    dist[rows, roots] = 0.0
+    via = np.zeros((roots.size, g.n), dtype=np.int64)  # the in-arc each label came by
+    while True:
+        offered = dist[:, tails] + lengths
+        shortest = np.minimum.reduceat(offered, starts, axis=1)
+        better = shortest < dist
+        if not better.any():
+            break
+        first = np.minimum.reduceat(np.where(offered == shortest[:, heads], arcs, arcs.size), starts, axis=1)
+        dist[better], via[better] = shortest[better], first[better]
+    parent = tails[via]
+    parent[rows, roots] = -1
+    return parent, weights[via]
+
+
+def _maximum_spanning_tree(g: WeightedGraph) -> np.ndarray:
+    """Indices of the edges of a maximum-weight spanning tree of a connected
+    g: Kruskal's method, heaviest edge first and the lowest edge index first
+    among equal weights, over a union-find with path halving."""
+    root = list(range(g.n))
+    picked = []
+    order = np.argsort(-g.w, kind="stable")
+    for i, a, b in zip(order.tolist(), g.u[order].tolist(), g.v[order].tolist()):
+        while root[a] != a:
+            root[a] = root[root[a]]
+            a = root[a]
+        while root[b] != b:
+            root[b] = root[root[b]]
+            b = root[b]
+        if a != b:
+            root[a] = b
+            picked.append(i)
+            if len(picked) == g.n - 1:
+                break
+    return np.array(picked)
 
 
 def candidate_trees(g: WeightedGraph, seed: int = 0) -> list:
     """The spanning-tree ensemble: shortest-path trees (lengths 1/w) from
-    min(n, 16) seeded random roots, then the maximum-weight spanning tree."""
+    min(n, 16) seeded random roots, then the maximum-weight spanning tree.
+    Ties break toward the lowest vertex or edge index, as
+    `_shortest_path_trees` and `_maximum_spanning_tree` say."""
     if not g.is_connected():
         raise DisconnectedError("low-stretch tree needs a connected graph")
     if g.n < 2:
         raise PreconditionError("need at least 2 vertices")
-    import scipy.sparse.csgraph
-
     rng = np.random.default_rng(seed)
     roots = rng.choice(g.n, size=min(g.n, 16), replace=False)
-    adjacency = _both_ways(g.n, g.u, g.v, g.w)
-    weight = adjacency.toarray()
-    adjacency.data = 1.0 / adjacency.data  # shortest paths use lengths 1/w
-    _, pred = scipy.sparse.csgraph.dijkstra(adjacency, indices=roots, return_predecessors=True)
     trees = []
-    for parent in pred.astype(np.int64):
+    for parent, weight in zip(*_shortest_path_trees(g, roots)):
         child = np.flatnonzero(parent >= 0)
-        trees.append(SpanningTree.build(g.n, child, parent[child], weight[parent[child], child]))
-    # the maximum-weight spanning tree, via the affine flip w -> w_max + 1 - w
-    flipped = scipy.sparse.csr_matrix((float(g.w.max()) + 1.0 - g.w, (g.u, g.v)), shape=(g.n, g.n))
-    mst = scipy.sparse.csgraph.minimum_spanning_tree(flipped).tocoo()
-    trees.append(SpanningTree.build(g.n, mst.row, mst.col, weight[mst.row, mst.col]))
+        trees.append(SpanningTree.build(g.n, child, parent[child], weight[child]))
+    mst = _maximum_spanning_tree(g)
+    trees.append(SpanningTree.build(g.n, g.u[mst], g.v[mst], g.w[mst]))
     return trees
 
 

@@ -1,6 +1,6 @@
 """The package exposes no public name that nothing uses, the command line
-calls no solver of its own, and neither importing the package nor a command
-that builds no spanning tree loads scipy.
+calls no solver of its own, and no command loads scipy: only the reference
+solvers core.eigh and core.eigvalsh import it, when they are called.
 
 A public module-level function, class or constant of lapsparse must be
 referenced by other code in the package or be exported in
@@ -19,6 +19,8 @@ from pathlib import Path
 import lapsparse
 
 SRC = Path(lapsparse.__file__).parent
+# The reference solvers: exempt from the use check, and the only functions
+# that may import scipy.
 EXEMPT = {"core.eigh", "core.eigvalsh"}
 
 
@@ -161,46 +163,58 @@ def test_connectivity_solves_on_numpy_lapack_only():
     assert not used, f"connectivity.py uses scipy.linalg's {sorted(used)}"
 
 
-def _import_time_imports(tree) -> list:
-    """Import statements that run when the module is imported: every one
-    outside a function body."""
-    found, stack = [], list(tree.body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
-        if isinstance(node, (ast.Import, ast.ImportFrom)):
-            found.append(node)
-        stack.extend(ast.iter_child_nodes(node))
+def scipy_imports(src: Path = SRC) -> list:
+    """(module, enclosing top-level function or None, line) of every import
+    statement of scipy or a scipy submodule in the package, at module level
+    or inside any function body."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [node.module or ""]
+                else:
+                    continue
+                if any(name == "scipy" or name.startswith("scipy.") for name in names):
+                    found.append((path.stem, owner, node.lineno))
     return found
 
 
-def test_no_module_imports_scipy_at_import_time():
-    # scipy costs a command line process about half a second to import; only
-    # the code that builds spanning trees (and the reference solvers) may
-    # load it, from inside the functions that use it
-    offenders = []
-    for path in sorted(SRC.glob("*.py")):
-        for node in _import_time_imports(ast.parse(path.read_text(encoding="utf-8"))):
-            names = [alias.name for alias in node.names] if isinstance(node, ast.Import) else [node.module or ""]
-            if any(name == "scipy" or name.startswith("scipy.") for name in names):
-                offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
-    assert not offenders, "module-level scipy imports: " + "; ".join(offenders)
+def test_only_the_reference_solvers_import_scipy():
+    # scipy costs a command line process about half a second to import, and
+    # its linear algebra would start a second OpenBLAS; every command runs on
+    # numpy alone, and only core.eigh and core.eigvalsh, the independent
+    # reference solvers, import scipy, from inside their own bodies
+    found = scipy_imports()
+    offenders = [
+        f"{module}.py:{line} (in {owner or 'module body'})"
+        for module, owner, line in found
+        if f"{module}.{owner}" not in EXEMPT
+    ]
+    assert not offenders, "scipy imports outside the reference solvers: " + "; ".join(offenders)
+    assert {f"{module}.{owner}" for module, owner, _ in found} == EXEMPT  # the guard sees their imports
 
 
 _RUN_COMMANDS = """
 import json, sys
+import numpy as np
 from lapsparse.cli import main
+from lapsparse.core import eigvalsh
 
 def scipy_modules():
     return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
 
-batches = json.loads(sys.argv[1])
-print(json.dumps([([main(argv) for argv in batch], scipy_modules()) for batch in batches]))
+codes = [main(argv) for argv in json.loads(sys.argv[1])]
+before = scipy_modules()
+eigvalsh(np.eye(2))
+print(json.dumps([codes, before, scipy_modules()]))
 """
 
 
-def test_commands_without_a_spanning_tree_never_load_scipy(tmp_path):
+def test_no_command_loads_scipy(tmp_path):
     from lapsparse.cli import write_graph
     from lapsparse.core import WeightedGraph
 
@@ -213,19 +227,19 @@ def test_commands_without_a_spanning_tree_never_load_scipy(tmp_path):
     path = save("path.txt", WeightedGraph(6, [(i, i + 1, 1.0) for i in range(5)]))
     candidates = save("candidates.txt", WeightedGraph(6, [(0, 5, 1.0), (1, 4, 1.0), (0, 3, 1.0)]))
     report, out = str(tmp_path / "report.json"), str(tmp_path / "out.txt")
-    without_tree = [
+    commands = [
         ["verify", ring, ring, "--report", report],
         ["sparsify-patch", ring, chords, out, "--k", "1", "--report", report],
         ["algconn", path, candidates, out, "--k", "1", "--report", report],
+        ["ultra", ring, out, "--k", "1", "--report", report],
     ]
-    with_tree = [["ultra", ring, out, "--k", "1", "--report", report]]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
     run = subprocess.run(
-        [sys.executable, "-c", _RUN_COMMANDS, json.dumps([without_tree, with_tree])],
+        [sys.executable, "-c", _RUN_COMMANDS, json.dumps(commands)],
         capture_output=True, text=True, env=env, check=True, timeout=120,
     )
-    (codes, loaded), (tree_codes, tree_loaded) = json.loads(run.stdout)
-    assert codes == [0, 0, 0] and tree_codes == [0]
-    assert loaded == [], f"verify, sparsify-patch and algconn loaded {loaded}"
-    # the check sees scipy once the tree ensemble runs
-    assert "scipy.sparse.csgraph" in tree_loaded
+    codes, loaded, after_reference = json.loads(run.stdout)
+    assert codes == [0, 0, 0, 0]
+    assert loaded == [], f"verify, sparsify-patch, algconn and ultra loaded {loaded}"
+    # the check is live: the reference solver's scipy shows up once it runs
+    assert "scipy.linalg" in after_reference

@@ -1,7 +1,11 @@
 """Spanning trees, stretch accounting, and the tree-plus-patch sparsifier."""
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
+import scipy.sparse.csgraph
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_connected_graph
@@ -16,6 +20,8 @@ from lapsparse.patch import sparsify_patch
 from lapsparse.ultra import (
     TAIL_PROBES,
     SpanningTree,
+    _maximum_spanning_tree,
+    _shortest_path_trees,
     build_ultrasparsifier,
     candidate_trees,
     low_stretch_tree,
@@ -65,6 +71,29 @@ def test_tree_build_rejects_wrong_edge_count_and_non_spanning_sets():
         build_tree(4, [(0, 1, 1.0), (0, 1, 1.0), (2, 3, 1.0)])
 
 
+def test_tree_build_rejects_an_out_of_range_vertex():
+    with pytest.raises(PreconditionError, match="out of range") as caught:
+        SpanningTree.build(3, [0, 1], [1, 5], [1.0, 1.0])
+    assert type(caught.value) is PreconditionError
+    with pytest.raises(PreconditionError, match="out of range"):
+        SpanningTree.build(3, [-1, 1], [1, 2], [1.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_tree_build_rejects_a_weight_that_is_not_finite_and_positive(bad):
+    with pytest.raises(PreconditionError, match="positive finite weight") as caught:
+        SpanningTree.build(3, [0, 1], [1, 2], [1.0, bad])
+    assert type(caught.value) is PreconditionError
+
+
+def test_tree_build_rejects_an_edge_set_with_a_cycle():
+    # n - 1 edges that close a cycle leave a vertex out
+    with pytest.raises(DisconnectedError):
+        build_tree(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 0, 1.0)])
+    with pytest.raises(DisconnectedError):
+        build_tree(4, [(1, 2, 1.0), (2, 3, 1.0), (3, 1, 1.0)])
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(2, 40), st.integers(), st.booleans())
 def test_tree_tables_follow_each_root_path(n, seed, chain):
@@ -88,6 +117,123 @@ def test_tree_tables_follow_each_root_path(n, seed, chain):
         assert t.resistance_to_root[x] == resistance
         for j in range(t.ancestors.shape[0]):
             assert t.ancestors[j, x] == (path[2**j] if 2**j < len(path) else -1)
+
+
+# ---------------------------------------------------------------------------
+# the tree ensemble against scipy's graph routines
+
+
+def _shaped_graph(shape: str, n: int, rng, weight) -> WeightedGraph:
+    """A path, a star or a random connected graph on n relabelled vertices,
+    with edge weights weight(count)."""
+    if shape == "random":
+        g = random_connected_graph(rng, n, extra_edges=int(rng.integers(0, 3 * n)))
+        pairs = list(zip(g.u.tolist(), g.v.tolist()))
+    else:
+        label = rng.permutation(n).tolist()
+        pairs = [(label[0 if shape == "star" else i - 1], label[i]) for i in range(1, n)]
+    return WeightedGraph(n, [(a, b, x) for (a, b), x in zip(pairs, weight(len(pairs)).tolist())])
+
+
+def _stretch_test_graphs() -> list:
+    """Random connected graphs with weights over four decades, n = 2, 9, 40
+    and 130 (test_vectorised_stretch_matches_the_scalar_loop_bit_for_bit's)."""
+    rng = np.random.default_rng(53)
+    return [random_connected_graph(rng, n, extra_edges=2 * n, wmin=0.01, wmax=100.0) for n in (2, 9, 40, 130)]
+
+
+def _scipy_shortest_paths(g: WeightedGraph, roots):
+    both = (np.concatenate([g.u, g.v]), np.concatenate([g.v, g.u]))
+    lengths = scipy.sparse.csr_matrix((1.0 / np.concatenate([g.w, g.w]), both), shape=(g.n, g.n))
+    dist, pred = scipy.sparse.csgraph.dijkstra(lengths, indices=roots, return_predecessors=True)
+    return dist, np.where(pred < 0, -1, pred)
+
+
+def _scipy_maximum_spanning_tree(g: WeightedGraph):
+    flipped = scipy.sparse.csr_matrix((float(g.w.max()) + 1.0 - g.w, (g.u, g.v)), shape=(g.n, g.n))
+    tree = scipy.sparse.csgraph.minimum_spanning_tree(flipped).tocoo()
+    return {(min(a, b), max(a, b)) for a, b in zip(tree.row.tolist(), tree.col.tolist())}
+
+
+def _tree_distances(parent: np.ndarray, weight: np.ndarray) -> np.ndarray:
+    """Each vertex's distance to its root, summed from the root down along
+    the parent edges (lengths 1/w), the sums a shortest-path search forms."""
+    dist = np.where(parent < 0, 0.0, np.inf)
+    while True:
+        down = np.where(parent < 0, 0.0, dist[parent] + 1.0 / weight)
+        if np.array_equal(down, dist):
+            return dist
+        dist = down
+
+
+def _edge_weights(g: WeightedGraph, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """g's weights of the edges (a[i], b[i]), asserting each is an edge of g."""
+    keys, wanted = g.u * g.n + g.v, np.minimum(a, b) * g.n + np.maximum(a, b)
+    at = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+    assert np.array_equal(keys[at], wanted)
+    return g.w[at]
+
+
+def _assert_spanning_trees(g: WeightedGraph, trees) -> None:
+    for u, v, w in trees:
+        assert u.size == g.n - 1 and np.array_equal(w, _edge_weights(g, u, v))
+        assert WeightedGraph.from_arrays(g.n, u, v, w).is_connected()
+
+
+def _check_against_scipy(g: WeightedGraph, roots) -> None:
+    """Exact agreement with scipy: shortest-path distances and predecessors
+    from every root, and the maximum spanning tree's edge set."""
+    parent, weight = _shortest_path_trees(g, roots)
+    dist, pred = _scipy_shortest_paths(g, roots)
+    assert np.array_equal(parent, pred)
+    for row in range(roots.size):
+        assert np.array_equal(_tree_distances(parent[row], weight[row]), dist[row])
+        child = np.flatnonzero(parent[row] >= 0)
+        assert np.array_equal(weight[row, child], _edge_weights(g, child, parent[row, child]))
+    mst = _maximum_spanning_tree(g)
+    assert set(zip(g.u[mst].tolist(), g.v[mst].tolist())) == _scipy_maximum_spanning_tree(g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 60), st.integers(), st.sampled_from(("random", "path", "star")))
+def test_tree_ensemble_matches_scipy_on_random_weights(n, seed, shape):
+    # continuous weights over four decades: no two paths tie, so the
+    # trees are unique and the numpy search must reproduce scipy exactly
+    rng = np.random.default_rng(seed % (2**32))
+    g = _shaped_graph(shape, n, rng, lambda m: 10.0 ** rng.uniform(-2, 2, size=m))
+    _check_against_scipy(g, rng.choice(n, size=min(n, 16), replace=False))
+
+
+def test_tree_ensemble_matches_scipy_on_the_stretch_test_graphs():
+    for g in _stretch_test_graphs():
+        # candidate_trees(g, seed=n) draws its roots this way
+        _check_against_scipy(g, np.random.default_rng(g.n).choice(g.n, size=min(g.n, 16), replace=False))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 60), st.integers(), st.sampled_from(("random", "path", "star")), st.integers(1, 3))
+def test_tree_ensemble_on_tied_weights_is_shortest_and_maximal(n, seed, shape, levels):
+    # weights from {1, ..., levels} (levels = 1: unit weights) tie many
+    # paths and edges, so a tree may differ from scipy's; it must still be
+    # a shortest-path tree (every parent edge tight against scipy's
+    # distances) and a maximum spanning tree (scipy's total weight)
+    rng = np.random.default_rng(seed % (2**32))
+    g = _shaped_graph(shape, n, rng, lambda m: rng.integers(1, levels + 1, size=m).astype(float))
+    roots = rng.choice(n, size=min(n, 16), replace=False)
+    parent, weight = _shortest_path_trees(g, roots)
+    dist, _ = _scipy_shortest_paths(g, roots)
+    trees = []
+    for row, root in enumerate(roots):
+        assert parent[row, root] == -1
+        child = np.flatnonzero(parent[row] >= 0)
+        up = parent[row, child]
+        assert np.array_equal(dist[row, child], dist[row, up] + 1.0 / weight[row, child])
+        trees.append((child, up, weight[row, child]))
+    mst = _maximum_spanning_tree(g)
+    trees.append((g.u[mst], g.v[mst], g.w[mst]))
+    _assert_spanning_trees(g, trees)
+    chosen = _scipy_maximum_spanning_tree(g)
+    assert math.fsum(g.w[mst].tolist()) == math.fsum(x for a, b, x in g.edges if (a, b) in chosen)
 
 
 def test_candidate_trees_are_spanning_trees_of_the_graph():
@@ -189,9 +335,8 @@ def _reference_lca(tree, u, v):
 
 
 def test_vectorised_stretch_matches_the_scalar_loop_bit_for_bit():
-    rng = np.random.default_rng(53)
-    for n in (2, 9, 40, 130):
-        g = random_connected_graph(rng, n, extra_edges=2 * n, wmin=0.01, wmax=100.0)
+    for g in _stretch_test_graphs():
+        n = g.n
         for tree in candidate_trees(g, seed=n):
             pairs = [(u, v) for u in range(min(n, 40)) for v in range(n)]
             got = tree.lca([u for u, _ in pairs], [v for _, v in pairs])
