@@ -224,9 +224,9 @@ def solve_fractional(inst: ConnectivityInstance, tol: float = 1e-4) -> Fractiona
     whose certified gap lambda_upper - lambda_sdp is at most tol,
     lambda_sdp being the exact lambda_2 of the snapped point, or after
     SOLVER_ITERATION_CAP steps, or when rounding leaves no step inside the
-    cone. L_base is checked for symmetry once; the snapped points add an
-    exactly symmetric `core._edge_laplacian` to it, and a non-finite
-    spectrum or Newton step raises NumericalError. With k = 0 or k >= m the
+    cone. L_base and the snapped points' `core._edge_laplacian` are exactly
+    symmetric by construction, and a non-finite spectrum or Newton step
+    raises NumericalError. With k = 0 or k >= m the
     best point is known and Y on its lambda_2 eigenvector certifies it.
     Deterministic. Returns the snapped point with the largest lambda_2, the
     smallest upper bound, the norm of that bound's loads, and
@@ -264,7 +264,7 @@ def solve_fractional(inst: ConnectivityInstance, tol: float = 1e-4) -> Fractiona
         # every feasible w leaves the same components apart: lambda_2 is 0 on
         # the whole feasible set, and 0 is a supergradient there
         return solution(np.zeros(m), 0.0, 0.0, 0, np.zeros(m))
-    lb = check_symmetric(laplacian(inst.base))
+    lb = laplacian(inst.base)
     entries = _edge_entries(n, u, v)
     k = min(inst.k, m)
 
@@ -377,7 +377,7 @@ def lambda_k2_bound(g: WeightedGraph, k: int) -> float:
         raise PreconditionError(f"k must be nonnegative, got {k}")
     if k + 2 > g.n:
         return math.inf
-    return float(_spectrum(check_symmetric(laplacian(g)))[k + 1])
+    return float(_spectrum(laplacian(g))[k + 1])
 
 
 def round_solution(inst: ConnectivityInstance, frac: FractionalSolution) -> RoundedSolution:
@@ -402,7 +402,7 @@ def round_solution(inst: ConnectivityInstance, frac: FractionalSolution) -> Roun
     else:
         floor = frac.lambda_sdp / LOWER_CONSTANT_DIVISOR
 
-    lb = check_symmetric(laplacian(inst.base))
+    lb = laplacian(inst.base)
     u, v = np.array(inst.candidates, dtype=int).reshape(-1, 2).T
     total_w = float(np.sum(frac.weights))
     kept = np.flatnonzero(frac.weights > WEIGHT_DROP_REL * max(total_w, 1e-300))
@@ -461,9 +461,9 @@ def brute_force_opt(inst: ConnectivityInstance):
         raise TooLargeError(f"C({m},{k}) subsets exceed the 1e6 enumeration cap")
     if inst.base.n < 2:
         raise PreconditionError("lambda_2 needs at least 2 vertices")
-    # L_base is checked once; each subset adds an exactly symmetric
-    # `core._edge_laplacian` to it
-    lb = check_symmetric(laplacian(inst.base))
+    # each subset adds an exactly symmetric `core._edge_laplacian` to the
+    # exactly symmetric L_base
+    lb = laplacian(inst.base)
     u, v = np.array(inst.candidates, dtype=int).reshape(-1, 2).T
     entries = _edge_entries(inst.base.n, u, v)
     best_val = -math.inf

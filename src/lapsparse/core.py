@@ -6,10 +6,14 @@ few hundred): Laplacians, eigendecompositions, one factor per Laplacian
 component), and generalized eigenvalues of PSD pencils.
 
 Solvers: Laplacian factors, pencils, the selection engine and the
-connectivity solver use numpy's LAPACK (`_decompose`, `_spectrum`). `eigh`
-and `eigvalsh` use scipy's; no command's solve path calls them, so they
-give an independent check. They are the package's only use of scipy, which
-they import when called: scipy is a test dependency, not a runtime one.
+connectivity solver use numpy's LAPACK (`_decompose`, `_spectrum`).
+`eigvalsh` uses scipy's; no command's solve path calls it, so it gives an
+independent check. It is the package's only use of scipy, which it imports
+when called: scipy is a test dependency, not a runtime one.
+
+`_edge_laplacian` builds every Laplacian from a WeightedGraph, whose weighted
+degrees are finite: finite and exactly symmetric by construction, they need
+no symmetry check, which only matrices that callers pass in get.
 """
 
 from __future__ import annotations
@@ -168,7 +172,8 @@ class WeightedGraph:
     u < v, sorted lexicographically, and `w` (float64). Parallel input edges
     are merged by weight addition. Self-loops and non-positive weights are
     rejected, and so are parallel edges whose weights sum past the largest
-    float. Instances are immutable and compare by value.
+    float and edge sets whose weighted degree at some vertex does. Instances
+    are immutable and compare by value.
     """
 
     n: int
@@ -218,6 +223,10 @@ class WeightedGraph:
             array.flags.writeable = False
             object.__setattr__(self, name, array)
         object.__setattr__(self, "n", n)
+        # summed in the edge order of the Laplacian's diagonal
+        overflow = np.flatnonzero(~np.isfinite(self.weighted_degrees()))
+        if overflow.size:
+            raise PreconditionError(f"weighted degree of vertex {overflow[0]} overflows the largest float")
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, WeightedGraph):
@@ -321,19 +330,35 @@ def _edge_laplacian(n: int, entries: tuple, w: np.ndarray) -> np.ndarray:
     return sums.astype(float, copy=False).reshape(n, n)  # bincount of nothing is integer
 
 
-def eigh(a: np.ndarray) -> SpectralDecomposition:
-    """Full symmetric eigendecomposition by scipy, eigenvalues ascending.
-    A reference solver: it needs scipy, which the package does not install."""
-    import scipy.linalg
+def _split_edges(g: WeightedGraph, parts: list) -> list:
+    """g's edges grouped by `parts`, ascending vertex-id arrays that
+    partition g's vertices: per part, the (u, v, w) arrays of its edges on
+    its own vertex indices, still in canonical order since each part's ids
+    ascend. Raises IncompatibleImagesError for an edge between two parts.
+    """
+    if g.n != sum(vertices.size for vertices in parts):
+        raise PreconditionError(f"graph has {g.n} vertices, the factor {sum(p.size for p in parts)}")
+    part, local = np.empty(g.n, dtype=np.int64), np.empty(g.n, dtype=np.int64)
+    for c, vertices in enumerate(parts):
+        part[vertices] = c
+        local[vertices] = np.arange(vertices.size)
+    part_of = part[g.u]
+    if not np.array_equal(part_of, part[g.v]):
+        raise IncompatibleImagesError("graph has an edge between two components of the factored graph")
+    order = np.argsort(part_of, kind="stable")
+    bounds = np.searchsorted(part_of[order], np.arange(len(parts) + 1))
+    u, v, w = local[g.u[order]], local[g.v[order]], g.w[order]
+    return [(u[a:b], v[a:b], w[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
-    a = check_symmetric(a)
-    if a.shape[0] == 0:
-        return SpectralDecomposition(np.zeros(0), np.zeros((0, 0)))
-    try:
-        vals, vecs = scipy.linalg.eigh(a)
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise NumericalError(f"symmetric eigensolver failed to converge: {exc}") from exc
-    return SpectralDecomposition(vals, vecs)
+
+def _block_laplacians(g: WeightedGraph, parts: list) -> list:
+    """The diagonal blocks of L_g on `parts` (as `_split_edges` takes them),
+    each built from its own edges: an edge's entries sum in edge order, so
+    these are the floats of the blocks sliced out of L_g."""
+    return [
+        _edge_laplacian(vertices.size, _edge_entries(vertices.size, u, v), w)
+        for vertices, (u, v, w) in zip(parts, _split_edges(g, parts))
+    ]
 
 
 def eigvalsh(a: np.ndarray) -> np.ndarray:
@@ -437,11 +462,6 @@ class FactorBlock:
     f: np.ndarray
 
 
-def _diagonal_block(a: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-    """A's diagonal block on `vertices`; A itself, not a copy, when they are all of A's rows."""
-    return a if vertices.size == a.shape[0] else a[np.ix_(vertices, vertices)]
-
-
 @dataclass(frozen=True)
 class LaplacianFactor:
     """One eigendecomposition per connected component of a graph Laplacian
@@ -450,36 +470,30 @@ class LaplacianFactor:
     L is block-diagonal over the components, and so is L^+: `blocks` holds
     one FactorBlock per component, in component-label order, and
     L^+ = sum_c F_c F_c^T on each block's vertices. Build one with
-    `factor_laplacian`.
+    `factor_laplacian`. Its pencils and traces take a graph H: L_c below is
+    the block of L_H on component c, built from H's edges in it alone.
     """
 
     n: int
     blocks: tuple
 
-    def trace_pinv(self, a: np.ndarray) -> float:
-        """Tr(A L^+): the sum over blocks of the entries of F_c o (A_c F_c),
-        with no n x n pseudoinverse."""
-        return float(sum(np.sum(b.f * (_diagonal_block(a, b.vertices) @ b.f)) for b in self.blocks))
+    def trace_pinv(self, h: WeightedGraph) -> float:
+        """Tr(L_H L^+): the sum over blocks of the entries of F_c o (L_c F_c),
+        with no n x n pseudoinverse. Raises as `pencil_spectra` does."""
+        laps = _block_laplacians(h, [b.vertices for b in self.blocks])
+        return float(sum(np.sum(b.f * (lap @ b.f)) for b, lap in zip(self.blocks, laps)))
 
-    def pencil_spectra(self, a: np.ndarray) -> list:
-        """Ascending eigenvalues of F_c^T A_c F_c, one array per block.
+    def pencil_spectra(self, h: WeightedGraph) -> list:
+        """Ascending eigenvalues of F_c^T L_c F_c, one array per block.
 
-        Raises IncompatibleImagesError when A has an entry between two
+        Raises IncompatibleImagesError when H has an edge between two
         components: the pencil then does not split over the blocks.
         """
-        a = check_symmetric(a)
-        if a.shape[0] != self.n:
-            raise PreconditionError(f"matrix is {a.shape[0]} wide, the factor {self.n}")
-        parts = [_diagonal_block(a, b.vertices) for b in self.blocks]
-        if len(parts) > 1 and sum(map(np.count_nonzero, parts)) != np.count_nonzero(a):
-            raise IncompatibleImagesError(
-                "matrix has entries between two components of the factored graph,"
-                " so the pencil does not split over them"
-            )
-        # F^T A F is symmetric up to rounding of size eps * |F|^2 |A|, which can
-        # exceed any tolerance relative to its own entries when B is badly
-        # conditioned: symmetrize the congruence instead of checking it.
-        return [_spectrum(symmetrize(b.f.T @ part @ b.f)) for b, part in zip(self.blocks, parts)]
+        laps = _block_laplacians(h, [b.vertices for b in self.blocks])
+        # F^T L F is symmetric up to rounding of size eps * |F|^2 |L|, which can
+        # exceed any tolerance relative to its own entries when the factored
+        # Laplacian is badly conditioned: symmetrize instead of checking it.
+        return [_spectrum(symmetrize(b.f.T @ lap @ b.f)) for b, lap in zip(self.blocks, laps)]
 
 
 def factor_laplacian(g: WeightedGraph) -> LaplacianFactor:
@@ -494,11 +508,10 @@ def factor_laplacian(g: WeightedGraph) -> LaplacianFactor:
     """
     labels = g.component_labels()
     count = int(labels.max(initial=-1)) + 1
-    lap = laplacian(g)
+    parts = [np.flatnonzero(labels == c) for c in range(count)]
     blocks = []
-    for c in range(count):
-        vertices = np.flatnonzero(labels == c)
-        dec = _decompose(_diagonal_block(lap, vertices))
+    for c, (vertices, lap) in enumerate(zip(parts, _block_laplacians(g, parts))):
+        dec = _decompose(lap)
         vals = dec.eigenvalues
         noise, lam_max = abs(float(vals[0])), float(vals[-1])
         if noise > KERNEL_TOL * lam_max:
@@ -515,23 +528,21 @@ def factor_laplacian(g: WeightedGraph) -> LaplacianFactor:
     return LaplacianFactor(n=g.n, blocks=tuple(blocks))
 
 
-def pencil_eigenvalues(a: np.ndarray, b: LaplacianFactor | np.ndarray) -> np.ndarray:
-    """Generalized eigenvalues of the PSD pencil (A, B) on the image of B.
-
-    B is a LaplacianFactor, whose image is exact, or a raw PSD matrix, whose
-    image is the span of its eigenvalues above REL_RANK_TOL * lambda_max and
-    which is then one block. With F_c a basis of block c of im(B) scaled so
-    that F_c^T B F_c = I, returns the ascending union over the blocks of the
-    eigenvalues of F_c^T A F_c: the stationary values of x^T A x / x^T B x
-    over x in im(B). Against a factor, A must have no entry between two
-    components (IncompatibleImagesError otherwise).
+def pencil_eigenvalues(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Generalized eigenvalues, ascending, of the PSD pencil (A, B) of two
+    raw matrices on the image of B: the span of B's eigenvalues above
+    REL_RANK_TOL * lambda_max. With F a basis of im(B) scaled so that
+    F^T B F = I, they are the eigenvalues of F^T A F, the stationary values
+    of x^T A x / x^T B x over x in im(B). Pencils of graph Laplacians go
+    through `LaplacianFactor.pencil_spectra`, whose image is exact.
     """
-    if not isinstance(b, LaplacianFactor):
-        dec = _decompose(check_symmetric(b))
-        keep = _rank_split(dec)
-        f = dec.eigenvectors[:, keep] / np.sqrt(np.abs(dec.eigenvalues[keep]))
-        b = LaplacianFactor(n=f.shape[0], blocks=(FactorBlock(np.arange(f.shape[0]), f),))
-    return np.sort(np.concatenate([np.zeros(0), *b.pencil_spectra(a)]))
+    a, b = check_symmetric(a), check_symmetric(b)
+    if a.shape != b.shape:
+        raise PreconditionError(f"matrix is {a.shape[0]} wide, B {b.shape[0]}")
+    dec = _decompose(b)
+    keep = _rank_split(dec)
+    f = dec.eigenvectors[:, keep] / np.sqrt(np.abs(dec.eigenvalues[keep]))
+    return _spectrum(symmetrize(f.T @ a @ f))
 
 
 def pencil_range(h: WeightedGraph, g: WeightedGraph | LaplacianFactor) -> tuple[float, float]:
@@ -551,8 +562,8 @@ def pencil_range(h: WeightedGraph, g: WeightedGraph | LaplacianFactor) -> tuple[
             "connected components differ between the two graphs; the pencil"
             " range is only defined on a common image"
         )
-    vals = pencil_eigenvalues(laplacian(h), factor)
-    return (float(vals[0]), float(vals[-1])) if vals.size else (1.0, 1.0)
+    vals = np.concatenate([np.zeros(0), *factor.pencil_spectra(h)])
+    return (float(vals.min()), float(vals.max())) if vals.size else (1.0, 1.0)
 
 
 def relative_condition_number(g: WeightedGraph, h: WeightedGraph) -> float:

@@ -21,6 +21,7 @@ from .core import (
     NumericalError,
     PreconditionError,
     WeightedGraph,
+    _split_edges,
     factor_laplacian,
     laplacian,
     pencil_range,
@@ -101,7 +102,7 @@ def _certificate(
     """
     if k < 0:
         raise PreconditionError(f"k must be nonnegative, got {k}")
-    spectra = factor.pencil_spectra(laplacian(g))
+    spectra = factor.pencil_spectra(g)
     merged = sorted((val, c) for c, vals in enumerate(spectra) for val in vals)
     if k >= len(merged):
         raise InvalidKError(f"k = {k} is at or above the image rank {len(merged)}")
@@ -109,7 +110,7 @@ def _certificate(
     for _, c in merged[:k]:
         k_counts[c] += 1
     traces = [float(np.sum(np.clip(1.0 - vals, 0.0, None))) for vals in spectra]
-    t_patch = factor.trace_pinv(laplacian(w))
+    t_patch = factor.trace_pinv(w)
     return PatchParams(k=k, T_patch=t_patch, lambda_star=float(merged[k][0])), k_counts, traces
 
 
@@ -152,22 +153,6 @@ def _component_budgets(x_traces, k_bottom_counts, n_budget):
     total = sum(x_traces)
     shares = [t_c / total if total > 0 else 1.0 / len(x_traces) for t_c in x_traces]
     return [max(8 * k_c + 1, int(n_budget * s)) for s, k_c in zip(shares, k_bottom_counts)]
-
-
-def _split_by_block(graph: WeightedGraph, factor: LaplacianFactor) -> list:
-    """The graph's edges grouped by the factor's blocks, every edge lying in
-    one: per block, its (u, v, w) arrays on the block's own vertex indices,
-    still in canonical order since each block's vertex ids ascend."""
-    labels = np.empty(factor.n, dtype=np.int64)
-    local = np.empty(factor.n, dtype=np.int64)
-    for c, block in enumerate(factor.blocks):
-        labels[block.vertices] = c
-        local[block.vertices] = np.arange(block.vertices.size)
-    block_of = labels[graph.u]
-    order = np.argsort(block_of, kind="stable")
-    bounds = np.searchsorted(block_of[order], np.arange(len(factor.blocks) + 1))
-    u, v, w = local[graph.u[order]], local[graph.v[order]], graph.w[order]
-    return [(u[a:b], v[a:b], w[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def sparsify_patch(
@@ -220,7 +205,8 @@ def sparsify_patch(
     engine_results = []
     realized_budget = 0
     weight_bound = 0.0
-    parts = zip(factor.blocks, _split_by_block(g, factor), _split_by_block(w, factor), k_counts, budgets)
+    vertex_sets = [block.vertices for block in factor.blocks]
+    parts = zip(factor.blocks, _split_edges(g, vertex_sets), _split_edges(w, vertex_sets), k_counts, budgets)
     for block, g_part, w_part, k_c, n_c in parts:
         if not w_part[0].size:
             continue

@@ -22,8 +22,6 @@ from .core import (
     PreconditionError,
     WeightedGraph,
     factor_laplacian,
-    laplacian,
-    pencil_eigenvalues,
     pencil_range,
 )
 from .patch import PatchSparsifier, sparsify_patch
@@ -57,11 +55,15 @@ class SpanningTree:
         """Root the n-1 tree edges (u[i], v[i]) of weight w[i], in either
         orientation, at vertex 0 and precompute tables.
 
-        Raises PreconditionError for a wrong edge count, an endpoint outside
-        0..n-1 or a weight that is not finite and positive, and
-        DisconnectedError when the edges do not span the n vertices.
+        Raises PreconditionError for endpoints that are not integers, a
+        wrong edge count, an endpoint outside 0..n-1 or a weight that is not
+        finite and positive, and DisconnectedError when the edges do not
+        span the n vertices.
         """
-        u, v, w = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64), np.asarray(w, dtype=float)
+        u, v = np.asarray(u), np.asarray(v)
+        if u.dtype.kind not in "iu" or v.dtype.kind not in "iu":
+            raise PreconditionError(f"tree edge endpoints need integer vertex ids, got {u.dtype}, {v.dtype}")
+        u, v, w = u.astype(np.int64, copy=False), v.astype(np.int64, copy=False), np.asarray(w, dtype=float)
         if not u.size == v.size == w.size == n - 1:
             raise PreconditionError(f"a spanning tree on {n} vertices needs {n - 1} edges, got {u.size}")
         outside = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n))
@@ -263,15 +265,14 @@ def sw_trace_check(g: WeightedGraph, tree: SpanningTree, report: StretchReport) 
     it agrees with st_T(G) within 1e-7 * stretch and the tail counts
     #{lambda > t} stay below st/t for every t in TAIL_PROBES.
     """
-    l_g = laplacian(g)
     factor = factor_laplacian(tree.graph())
-    trace = factor.trace_pinv(l_g)
+    trace = factor.trace_pinv(g)
     stretch = report.total
     if abs(trace - stretch) > 1e-7 * stretch:
         raise NumericalError(
             f"trace {trace!r} and total stretch {stretch!r} disagree beyond 1e-7 relative"
         )
-    vals = pencil_eigenvalues(l_g, factor)
+    (vals,) = factor.pencil_spectra(g)  # a spanning tree is one block
     for t in TAIL_PROBES:
         count = int(np.sum(vals > t))
         if count > stretch / t + 1e-9:

@@ -1,4 +1,4 @@
-"""Shared random builders used across the test modules.
+"""Shared random builders and the reference eigensolver used across the test modules.
 
 Everything here is deterministic given a seed so failures reproduce exactly.
 """
@@ -7,9 +7,19 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.linalg
 
-from lapsparse.core import WeightedGraph
+from lapsparse.core import SpectralDecomposition, WeightedGraph, check_symmetric
 from lapsparse.engine import EngineProblem
+
+
+def eigh(a: np.ndarray) -> SpectralDecomposition:
+    """Full symmetric eigendecomposition by scipy, eigenvalues ascending: a
+    reference solver independent of the package's numpy LAPACK path."""
+    a = check_symmetric(a)
+    if a.shape[0] == 0:
+        return SpectralDecomposition(np.zeros(0), np.zeros((0, 0)))
+    return SpectralDecomposition(*scipy.linalg.eigh(a))
 
 
 def random_connected_graph(

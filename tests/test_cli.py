@@ -9,7 +9,7 @@ import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_connected_graph
-from lapsparse import cli
+from lapsparse import cli, core
 from lapsparse.core import ParseError, WeightedGraph, _numpy_openblas, eigvalsh, laplacian
 from lapsparse.cli import (
     dumps_report,
@@ -455,7 +455,8 @@ def test_sparsify_patch_command_factors_the_patched_laplacian_once(tmp_path, mon
 def test_split_sparsify_patch_solves_nothing_wider_than_a_component(tmp_path, monkeypatch):
     # G+W in components of 12, 9, 7 and 1 vertices on shuffled ids, the
     # 7-vertex one without patch edges: every eigensolve of the command,
-    # library and re-check alike, is at most one component wide
+    # library and re-check alike, and every Laplacian it builds, is at most
+    # one component wide
     rng = np.random.default_rng(76)
     ids = rng.permutation(29)
     g_edges, w_edges, off = [], [], 0
@@ -478,9 +479,17 @@ def test_split_sparsify_patch_solves_nothing_wider_than_a_component(tmp_path, mo
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(owner, name, counting)
+    built = []
+
+    def building(n, *args, _original=core._edge_laplacian):
+        built.append(n)
+        return _original(n, *args)
+
+    monkeypatch.setattr(core, "_edge_laplacian", building)
     assert main(["sparsify-patch", save_text(tmp_path, "G.txt", g), save_text(tmp_path, "W.txt", w),
                  str(tmp_path / "Wk.txt"), "--k", "2", "--report", str(tmp_path / "rep.json")]) == 0
     assert max(widths) == 12
+    assert max(built) == 12
 
 
 def test_re_check_measures_the_written_file(tmp_path, monkeypatch, capsys):
@@ -552,6 +561,27 @@ def test_exit_code_two_on_malformed_input(tmp_path, capsys):
     huge.write_text("n 2\n0 1 1e308\n1 0 1e308\n")
     assert main(["verify", str(huge), str(huge)]) == 2
     assert "huge.txt: parallel edges (0,1) merge to a non-finite weight" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ultra", "{bad}", "{out}", "--k", "1"],
+        ["sparsify-patch", "{bad}", "{ok}", "{out}", "--k", "0"],
+        ["sparsify-patch", "{ok}", "{bad}", "{out}", "--k", "0"],
+        ["algconn", "{bad}", "{ok}", "{out}", "--k", "1"],
+        ["verify", "{bad}", "{ok}"],
+        ["verify", "{ok}", "{bad}"],
+    ],
+)
+def test_exit_code_two_on_a_weighted_degree_that_overflows(tmp_path, capsys, argv):
+    # every edge weight is finite, but vertex 1's weighted degree is not
+    bad, ok, out = tmp_path / "bad.txt", tmp_path / "ok.txt", tmp_path / "out.txt"
+    bad.write_text("n 3\n0 1 1e308\n1 2 1e308\n")
+    ok.write_text("n 3\n0 1 1\n1 2 1\n")
+    argv = [a.format(bad=bad, ok=ok, out=out) for a in argv]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"error: {bad}: weighted degree of vertex 1 overflows the largest float\n"
 
 
 def test_exit_code_three_on_violated_preconditions(tmp_path, capsys):

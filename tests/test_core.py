@@ -5,16 +5,17 @@ import scipy.sparse
 import scipy.sparse.csgraph
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_connected_graph, random_projection, random_psd
+from conftest import eigh, random_connected_graph, random_projection, random_psd
+from lapsparse import core
 from lapsparse.core import (
     IncompatibleImagesError,
     NumericalError,
     PreconditionError,
     WeightedGraph,
     check_symmetric,
-    eigh,
     eigvalsh,
     factor_laplacian,
+    _block_laplacians,
     _edge_entries,
     _edge_laplacian,
     _numpy_openblas,
@@ -126,6 +127,20 @@ def test_parallel_copies_merge_to_the_left_to_right_sum():
         pairwise_differs |= float(np.sum(in_order)) != want
     # the sums above are ones a pairwise summation gets wrong
     assert pairwise_differs
+
+
+def test_graph_rejects_a_weighted_degree_that_overflows():
+    with pytest.raises(PreconditionError, match="weighted degree of vertex 1 overflows"):
+        WeightedGraph(3, [(0, 1, 1e308), (1, 2, 1e308)])
+    with pytest.raises(PreconditionError, match="weighted degree of vertex 1 overflows"):
+        WeightedGraph.from_arrays(3, [0, 1], [1, 2], [1e308, 1e308])
+    with pytest.raises(PreconditionError, match="weighted degree of vertex 1 overflows"):
+        WeightedGraph(3, [(0, 1, 1e308)]).union(WeightedGraph(3, [(1, 2, 1e308)]))
+    # up to the largest float the degrees, the Laplacian's diagonal, pass
+    half = float(np.finfo(float).max) / 2
+    g = WeightedGraph(3, [(0, 1, half), (1, 2, half)])
+    assert np.array_equal(np.diag(laplacian(g)), g.weighted_degrees())
+    assert np.isfinite(laplacian(g)).all()
 
 
 def test_graph_rejects_bad_edges():
@@ -352,10 +367,28 @@ def test_factor_f_ft_is_the_laplacian_pseudoinverse():
     lap = laplacian(g)
     assert np.allclose(block.f @ block.f.T, np.linalg.pinv(lap), atol=1e-9)
     assert np.allclose(block.f.T @ lap @ block.f, np.eye(8), atol=1e-9)
-    assert factor.trace_pinv(lap) == pytest.approx(8.0, rel=1e-12)
+    assert factor.trace_pinv(g) == pytest.approx(8.0, rel=1e-12)
+    # Tr(L_H L^+) is the sum of the (L_H, L) pencil's eigenvalues
+    h = random_connected_graph(rng, 9, extra_edges=2)
+    assert factor.trace_pinv(h) == pytest.approx(float(np.sum(factor.pencil_spectra(h)[0])), rel=1e-12)
     # split: Tr(L L^+) is the image rank, summed over the blocks
     g = random_multicomponent_graph(rng, [4, 1, 6])
-    assert factor_laplacian(g).trace_pinv(laplacian(g)) == pytest.approx(8.0, rel=1e-12)
+    assert factor_laplacian(g).trace_pinv(g) == pytest.approx(8.0, rel=1e-12)
+    with pytest.raises(PreconditionError, match="vertices"):
+        factor_laplacian(g).trace_pinv(h)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=4), st.integers())
+def test_block_laplacians_are_the_slices_of_the_laplacian(sizes, seed):
+    # each block is built from its own edges, to the floats of the slice
+    rng = np.random.default_rng(seed % (2**32))
+    g = random_multicomponent_graph(rng, sizes, decades=6.0)
+    labels = g.component_labels()
+    parts = [np.flatnonzero(labels == c) for c in range(len(sizes))]
+    lap = laplacian(g)
+    for vertices, block in zip(parts, _block_laplacians(g, parts)):
+        assert np.array_equal(block, lap[np.ix_(vertices, vertices)])
 
 
 def test_factor_image_is_orthogonal_to_component_indicators():
@@ -398,9 +431,15 @@ def test_factor_kernel_dimension_is_the_component_count(sizes, decades, seed):
 
 def test_factor_rejects_a_kernel_eigenvalue_off_zero(monkeypatch):
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    # claim three components for a connected graph: two dropped eigenvalues are 1 and 3
-    monkeypatch.setattr(WeightedGraph, "component_labels", lambda self: np.arange(self.n))
+    # shift the block by I: its smallest eigenvalue is 1, of 4, not a kernel one
+    original = core._block_laplacians
+    monkeypatch.setattr(core, "_block_laplacians", lambda *a: [lap + np.eye(len(lap)) for lap in original(*a)])
     with pytest.raises(NumericalError, match="kernel eigenvalue"):
+        factor_laplacian(g)
+    # claiming three components for a connected graph: its edges join them
+    monkeypatch.setattr(core, "_block_laplacians", original)
+    monkeypatch.setattr(WeightedGraph, "component_labels", lambda self: np.arange(self.n))
+    with pytest.raises(IncompatibleImagesError, match="between two components"):
         factor_laplacian(g)
 
 
@@ -443,17 +482,21 @@ def test_relative_condition_number_identity_and_mismatch():
     assert relative_condition_number(two, swapped) == pytest.approx(5.0 * 2.0, rel=1e-12)
 
 
-def test_pencil_against_a_factor_rejects_a_matrix_coupling_two_components():
+def test_pencil_against_a_factor_rejects_a_graph_coupling_two_components():
     two = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 2.0)])
     factor = factor_laplacian(two)
-    assert np.allclose(pencil_eigenvalues(laplacian(two.scale(3.0)), factor), 3.0, atol=1e-12)
+    assert np.allclose(np.concatenate(factor.pencil_spectra(two.scale(3.0))), 3.0, atol=1e-12)
     path = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
-    with pytest.raises(PreconditionError, match="between two components"):
-        pencil_eigenvalues(laplacian(path), factor)
-    with pytest.raises(PreconditionError, match="between two components"):
-        factor.pencil_spectra(laplacian(path))
+    with pytest.raises(IncompatibleImagesError, match="between two components"):
+        factor.pencil_spectra(path)
+    with pytest.raises(IncompatibleImagesError, match="between two components"):
+        factor.trace_pinv(path)
+    with pytest.raises(PreconditionError, match="vertices"):
+        factor.pencil_spectra(WeightedGraph(5, [(0, 1, 1.0)]))
     # a raw PSD matrix is one block, so it has no components to keep apart
     assert pencil_eigenvalues(laplacian(path), laplacian(two)).shape == (2,)
+    with pytest.raises(PreconditionError, match="wide"):
+        pencil_eigenvalues(laplacian(path), np.eye(3))
 
 
 @settings(max_examples=30, deadline=None)
@@ -473,8 +516,8 @@ def test_pencil_spectra_are_invariant_under_vertex_relabeling(sizes, seed):
     def relabel(g):
         return WeightedGraph(g.n, [(int(perm[u]), int(perm[v]), w) for u, v, w in g.edges])
 
-    vals = pencil_eigenvalues(laplacian(a), factor_laplacian(b))
-    moved = pencil_eigenvalues(laplacian(relabel(a)), factor_laplacian(relabel(b)))
+    vals = np.sort(np.concatenate(factor_laplacian(b).pencil_spectra(a)))
+    moved = np.sort(np.concatenate(factor_laplacian(relabel(b)).pencil_spectra(relabel(a))))
     assert vals.shape == (b.n - len(sizes),)
     scale = max(1.0, float(np.max(np.abs(vals)))) if vals.size else 1.0
     assert np.max(np.abs(moved - vals), initial=0.0) <= 1e-9 * scale

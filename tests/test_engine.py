@@ -4,14 +4,13 @@ import pytest
 
 import lapsparse.engine as engine
 
-from conftest import make_engine_instance, random_psd
+from conftest import eigh, make_engine_instance, random_psd
 from lapsparse.core import (
     BarrierViolationError,
     BudgetTooSmallError,
     InfeasibleStepError,
     PreconditionError,
     SpectralDecomposition,
-    eigh,
     eigvalsh,
     symmetrize,
 )

@@ -1,13 +1,13 @@
 """The package exposes no public name that nothing uses, the command line
 calls no solver of its own, and no command loads scipy: only the reference
-solvers core.eigh and core.eigvalsh import it, when they are called.
+solver core.eigvalsh imports it, when it is called.
 
 A public module-level function, class or constant of lapsparse must be
 referenced by other code in the package or be exported in
 lapsparse.__all__. References are name loads and attribute reads; a name
 referenced only from definitions that are themselves unreferenced counts as
-unreferenced, repeated until nothing changes. core.eigh and core.eigvalsh
-are exempt: they are the independent (scipy) reference solvers.
+unreferenced, repeated until nothing changes. core.eigvalsh is exempt: it
+is the independent (scipy) reference solver.
 """
 import ast
 import json
@@ -19,9 +19,9 @@ from pathlib import Path
 import lapsparse
 
 SRC = Path(lapsparse.__file__).parent
-# The reference solvers: exempt from the use check, and the only functions
+# The reference solver: exempt from the use check, and the only function
 # that may import scipy.
-EXEMPT = {"core.eigh", "core.eigvalsh"}
+EXEMPT = {"core.eigvalsh"}
 
 
 def _defined_names(stmt) -> list:
@@ -112,12 +112,12 @@ def test_no_loop_iterates_graph_edges():
     assert not offenders, "loops over .edges: " + "; ".join(offenders)
 
 
+def _callee(call) -> str:
+    return call.func.id if isinstance(call.func, ast.Name) else getattr(call.func, "attr", "")
+
+
 def _calls(node) -> set:
-    return {
-        sub.func.id if isinstance(sub.func, ast.Name) else getattr(sub.func, "attr", "")
-        for sub in ast.walk(node)
-        if isinstance(sub, ast.Call)
-    }
+    return {_callee(sub) for sub in ast.walk(node) if isinstance(sub, ast.Call)}
 
 
 def test_no_symmetry_scan_inside_the_solver_loop():
@@ -141,6 +141,36 @@ def test_no_symmetry_scan_inside_the_solver_loop():
             names |= _calls(defined[callee])
         offenders = names & {"check_symmetric"}
         assert not offenders, f"{name}'s loops call {sorted(offenders)}"
+
+
+def test_no_symmetry_scan_of_a_built_laplacian():
+    # a Laplacian built from a WeightedGraph is finite and exactly symmetric
+    # by construction, so check_symmetric only sees matrices that callers
+    # pass in; and factors split graphs by their edges, so core slices no
+    # n x n matrix into blocks
+    builders = {"laplacian", "_edge_laplacian"}
+    offenders = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for function in (node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)):
+            built = {  # names the function binds to a built Laplacian
+                target.id
+                for node in ast.walk(function)
+                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Call) and _callee(node.value) in builders
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            for node in ast.walk(function):
+                if isinstance(node, ast.Call) and _callee(node) == "check_symmetric" and any(
+                    (isinstance(arg, ast.Call) and _callee(arg) in builders)
+                    or (isinstance(arg, ast.Name) and arg.id in built)
+                    for arg in node.args
+                ):
+                    offenders.add(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not offenders, "symmetry scans of built Laplacians: " + "; ".join(sorted(offenders))
+    core = ast.parse((SRC / "core.py").read_text(encoding="utf-8"))
+    slices = [node.lineno for node in ast.walk(core) if isinstance(node, ast.Attribute) and node.attr == "ix_"]
+    assert not slices, f"core.py uses np.ix_ at lines {slices}"
 
 
 def test_connectivity_solves_on_numpy_lapack_only():
@@ -186,8 +216,8 @@ def scipy_imports(src: Path = SRC) -> list:
 def test_only_the_reference_solvers_import_scipy():
     # scipy costs a command line process about half a second to import, and
     # its linear algebra would start a second OpenBLAS; every command runs on
-    # numpy alone, and only core.eigh and core.eigvalsh, the independent
-    # reference solvers, import scipy, from inside their own bodies
+    # numpy alone, and only core.eigvalsh, the independent reference
+    # solver, imports scipy, from inside its own body
     found = scipy_imports()
     offenders = [
         f"{module}.py:{line} (in {owner or 'module body'})"

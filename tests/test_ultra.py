@@ -77,6 +77,11 @@ def test_tree_build_rejects_an_out_of_range_vertex():
     assert type(caught.value) is PreconditionError
     with pytest.raises(PreconditionError, match="out of range"):
         SpanningTree.build(3, [-1, 1], [1, 2], [1.0, 1.0])
+    # a non-integer id is no vertex at all, not the one it truncates to
+    with pytest.raises(PreconditionError, match="integer vertex ids"):
+        SpanningTree.build(2, [0.7], [1.2], [1.0])
+    with pytest.raises(PreconditionError, match="integer vertex ids"):
+        SpanningTree.build(2, [0], [True], [1.0])
 
 
 @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
