@@ -9,7 +9,7 @@ Modules:
   cli          command-line front end
 """
 
-from .core import WeightedGraph, laplacian, pencil_eigenvalues, relative_condition_number
+from .core import WeightedGraph, laplacian, pencil_eigenvalues
 from .engine import EngineProblem, EngineResult, run_engine
 from .patch import PatchSparsifier, sparsify_patch, verify_patch
 from .ultra import UltraResult, build_ultrasparsifier, low_stretch_tree, tree_stretch
@@ -24,7 +24,6 @@ __all__ = [
     "WeightedGraph",
     "laplacian",
     "pencil_eigenvalues",
-    "relative_condition_number",
     "EngineProblem",
     "EngineResult",
     "run_engine",

@@ -423,7 +423,6 @@ def round_solution(inst: ConnectivityInstance, frac: FractionalSolution) -> Roun
         lap_frac = lb + _edge_laplacian(n, _edge_entries(n, u[kept], v[kept]), kept_w)
         mstar = symmetrize(h @ lap_frac @ h.T / four_delta)
         costs = kept_w / float(kept_w.sum())
-        costs[-1] = 1.0 - float(costs[:-1].sum())
         engine = run_engine(
             EngineProblem(X=x, vectors=vectors, costs=costs, Mstar=mstar, k=inst.k, N=8 * inst.k + 1)
         )

@@ -3,7 +3,9 @@
 Everything downstream works on dense numpy arrays at desk scale (n up to a
 few hundred): Laplacians, eigendecompositions, one factor per Laplacian
 (its pseudoinverse square root on the image, one block per connected
-component), and generalized eigenvalues of PSD pencils.
+component), and PSD pencils. A factor turns a graph H into one pencil
+matrix per component (`LaplacianFactor.pencil_matrices`), whose spectra,
+extremes and traces are everything a command measures of H.
 
 Solvers: Laplacian factors, pencils, the selection engine and the
 connectivity solver use numpy's LAPACK (`_decompose`, `_spectrum`).
@@ -470,21 +472,19 @@ class LaplacianFactor:
     L is block-diagonal over the components, and so is L^+: `blocks` holds
     one FactorBlock per component, in component-label order, and
     L^+ = sum_c F_c F_c^T on each block's vertices. Build one with
-    `factor_laplacian`. Its pencils and traces take a graph H: L_c below is
-    the block of L_H on component c, built from H's edges in it alone.
+    `factor_laplacian`. Its pencils take a graph H: per block, the pencil
+    matrix X_c = F_c^T L_c F_c, with L_c the block of L_H on component c,
+    built from H's edges in it alone. Tr(L_H L^+) is the sum of their
+    traces, so no trace needs a routine of its own.
     """
 
     n: int
     blocks: tuple
 
-    def trace_pinv(self, h: WeightedGraph) -> float:
-        """Tr(L_H L^+): the sum over blocks of the entries of F_c o (L_c F_c),
-        with no n x n pseudoinverse. Raises as `pencil_spectra` does."""
-        laps = _block_laplacians(h, [b.vertices for b in self.blocks])
-        return float(sum(np.sum(b.f * (lap @ b.f)) for b, lap in zip(self.blocks, laps)))
-
-    def pencil_spectra(self, h: WeightedGraph) -> list:
-        """Ascending eigenvalues of F_c^T L_c F_c, one array per block.
+    def pencil_matrices(self, h: WeightedGraph) -> list:
+        """F_c^T L_c F_c, symmetrized, one matrix per block: the (L_H, L)
+        pencil on the image, restricted to component c. Its trace is
+        Tr(L_H L^+) on the block, and its eigenvalues are `pencil_spectra`.
 
         Raises IncompatibleImagesError when H has an edge between two
         components: the pencil then does not split over the blocks.
@@ -493,7 +493,12 @@ class LaplacianFactor:
         # F^T L F is symmetric up to rounding of size eps * |F|^2 |L|, which can
         # exceed any tolerance relative to its own entries when the factored
         # Laplacian is badly conditioned: symmetrize instead of checking it.
-        return [_spectrum(symmetrize(b.f.T @ lap @ b.f)) for b, lap in zip(self.blocks, laps)]
+        return [symmetrize(b.f.T @ lap @ b.f) for b, lap in zip(self.blocks, laps)]
+
+    def pencil_spectra(self, h: WeightedGraph) -> list:
+        """Ascending eigenvalues of each of `pencil_matrices(h)`; raises as
+        that does."""
+        return [_spectrum(x) for x in self.pencil_matrices(h)]
 
 
 def factor_laplacian(g: WeightedGraph) -> LaplacianFactor:
@@ -564,16 +569,3 @@ def pencil_range(h: WeightedGraph, g: WeightedGraph | LaplacianFactor) -> tuple[
         )
     vals = np.concatenate([np.zeros(0), *factor.pencil_spectra(h)])
     return (float(vals.min()), float(vals.max())) if vals.size else (1.0, 1.0)
-
-
-def relative_condition_number(g: WeightedGraph, h: WeightedGraph) -> float:
-    """max x^T L_G x / x^T L_H x times max x^T L_H x / x^T L_G x over the
-    shared image of the two Laplacians, from `pencil_range`.
-
-    Raises IncompatibleImagesError unless G and H have the same connected
-    components, which is exactly when im(L_G) = im(L_H).
-    """
-    lam_min, lam_max = pencil_range(g, h)
-    if lam_min <= 0:
-        raise NumericalError(f"pencil eigenvalue {lam_min:g} <= 0 despite matching images")
-    return lam_max / lam_min

@@ -3,8 +3,9 @@
 Given PSD X, rank-one candidates Y_i = v_i v_i^T with costs summing to one,
 and M* = X + sum_i Y_i with lambda_max(M*) <= 1, pick N weighted updates so
 that M = X + sum_i w_i Y_i keeps its whole spectrum below a fixed ceiling
-while the restriction to S — the span of X's k smallest eigenvectors — is
-lifted towards lambda_min(M*). Two potential functions steer the choice: a
+while the restriction to S — the span of X's k smallest eigenvectors, or
+of fewer where the k-th ties the next (`_protected_count`) — is lifted
+towards lambda_min(M*). Two potential functions steer the choice: a
 floating upper barrier u over the T largest eigenvalues of A, and a lower
 barrier l under the spectrum of B = Z(A - X)Z restricted to S, where
 Z = ((P_S (M* - X) P_S)^+)^(1/2) normalizes the reachable mass on S.
@@ -49,6 +50,18 @@ def integer_trace_bound(trace: float) -> int:
     """ceil(trace) with a 1e-9 guard against float noise at integer boundaries,
     floored at 1 so schedules stay defined for sub-unit update mass."""
     return max(1, int(math.ceil(trace - 1e-9)))
+
+
+def _protected_count(vals: np.ndarray, k: int) -> int:
+    """min(k, d) for the ascending spectrum `vals` of size d, shrunk to the
+    start of a tied cluster: while 0 < k_eff < d and
+    vals[k_eff] - vals[k_eff - 1] <= 1e-9 * max(1, lambda_max), k_eff drops
+    by one. The protected directions then never split a tie, so they are a
+    function of the matrix, not of the solver's order within a tie."""
+    k_eff, tol = min(k, vals.size), 1e-9 * float(np.max(vals, initial=1.0))
+    while 0 < k_eff < vals.size and vals[k_eff] - vals[k_eff - 1] <= tol:
+        k_eff -= 1
+    return k_eff
 
 
 @dataclass(frozen=True)
@@ -397,8 +410,9 @@ def run_engine(problem: EngineProblem) -> EngineResult:
     is checked before returning.
     """
     dec_x, mstar_vals = problem.validate()
-    k_eff = min(problem.k, problem.dim)
-    # S: the span of X's k smallest eigenvectors, ties broken by the solver's order
+    # S: the span of X's k smallest eigenvectors, or fewer where the k-th
+    # ties the next; theta_min stays computed from problem.k
+    k_eff = _protected_count(dec_x.eigenvalues, problem.k)
     basis = dec_x.eigenvectors[:, :k_eff]
     z, _ = compute_Z(problem.X, problem.Mstar, basis)
     schedule = init_schedule(problem.k, problem.N, problem.T)

@@ -2,8 +2,10 @@
 few-edge patch sparsifiers.
 
 A graph W is measured against a base G through the pencil of L_G with
-L_{G+W}: lambda_star is the (k+1)-th smallest pencil eigenvalue on the image
-and T_patch the trace of L_W L_{G+W}^+. Sparsification re-weights at most N
+L_{G+W}, one component c of G+W at a time: X_c = F_c^T L_G F_c, built once
+from the factor of L_{G+W}, gives lambda_star (the (k+1)-th smallest
+eigenvalue over all c) and T_patch = Tr(L_W L_{G+W}^+) = sum_c Tr(I - X_c).
+Sparsification runs the engine on the same X_c and re-weights at most N
 edges of W so that G + W_k spectrally sandwiches G + W.
 """
 
@@ -15,19 +17,17 @@ import numpy as np
 
 from .core import (
     BudgetTooSmallError,
-    FactorBlock,
     InvalidKError,
     LaplacianFactor,
     NumericalError,
     PreconditionError,
     WeightedGraph,
+    _spectrum,
     _split_edges,
     factor_laplacian,
-    laplacian,
     pencil_range,
-    symmetrize,
 )
-from .engine import EngineProblem, run_engine
+from .engine import EngineProblem, _protected_count, run_engine
 
 
 @dataclass(frozen=True)
@@ -87,63 +87,54 @@ def verify_patch(g: WeightedGraph, w: WeightedGraph, k: int) -> PatchParams:
     Both quantities live on the image of L_{G+W}; for disconnected G+W the
     pencil spectrum is the union over components, sorted globally.
     """
-    return _certificate(g, w, k, factor_laplacian(g.union(w)))[0]
+    return _certificate(g, k, factor_laplacian(g.union(w)))[0]
 
 
-def _certificate(
-    g: WeightedGraph, w: WeightedGraph, k: int, factor: LaplacianFactor
-) -> tuple[PatchParams, list, list]:
-    """The certificate of W against G from one spectrum per component c of
-    G+W, that of X_c = F_c^T L_G F_c (block c of the (L_G, L_{G+W}) pencil),
-    `factor` being the factor of L_{G+W}.
+def _certificate(g: WeightedGraph, k: int, factor: LaplacianFactor) -> tuple[PatchParams, list, list, list]:
+    """The certificate of W against G from the pencil matrix
+    X_c = F_c^T L_G F_c of each component c of G+W (block c of the
+    (L_G, L_{G+W}) pencil), `factor` being the factor of L_{G+W}.
 
-    Also returns, per component, its protected count (how many of the k
-    globally smallest values it holds) and its trace bound Tr(I - X_c).
+    Since L_W = L_{G+W} - L_G, F_c^T L_W F_c = I - X_c, so T_patch is the
+    sum of the trace bounds Tr(I - X_c). Also returns, per component, X_c,
+    its protected count (how many of the globally smallest values it holds,
+    the k of them shrunk to the start of a tied cluster) and Tr(I - X_c).
     """
     if k < 0:
         raise PreconditionError(f"k must be nonnegative, got {k}")
-    spectra = factor.pencil_spectra(g)
-    merged = sorted((val, c) for c, vals in enumerate(spectra) for val in vals)
-    if k >= len(merged):
-        raise InvalidKError(f"k = {k} is at or above the image rank {len(merged)}")
-    k_counts = [0] * len(spectra)
-    for _, c in merged[:k]:
-        k_counts[c] += 1
-    traces = [float(np.sum(np.clip(1.0 - vals, 0.0, None))) for vals in spectra]
-    t_patch = factor.trace_pinv(w)
-    return PatchParams(k=k, T_patch=t_patch, lambda_star=float(merged[k][0])), k_counts, traces
+    xs = factor.pencil_matrices(g)
+    spectra = [_spectrum(x) for x in xs]
+    vals = np.concatenate([np.zeros(0), *spectra])
+    owner = np.repeat(np.arange(len(spectra)), [s.size for s in spectra])
+    order = np.lexsort((owner, vals))  # by value, then by component
+    if k >= vals.size:
+        raise InvalidKError(f"k = {k} is at or above the image rank {vals.size}")
+    protected = owner[order[: _protected_count(vals[order], k)]]
+    k_counts = np.bincount(protected, minlength=len(spectra)).tolist()
+    traces = [float(np.sum(np.clip(1.0 - s, 0.0, None))) for s in spectra]
+    params = PatchParams(k=k, T_patch=float(sum(traces)), lambda_star=float(vals[order[k]]))
+    return params, xs, k_counts, traces
 
 
 def build_patch_problem(
-    g: WeightedGraph,
-    w: WeightedGraph,
-    k: int,
-    n_budget: int,
-    block: FactorBlock,
+    x: np.ndarray, f: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray, k: int, n_budget: int
 ) -> EngineProblem:
-    """Engine instance for sparsifying W against G, G+W connected.
+    """Engine instance for sparsifying W against G on one component of G+W.
 
-    Working space: im(L_{G+W}) in the eigenbasis of `block`, the one block
-    F = Q diag(lambda)^(-1/2) of the factor of L_{G+W}. X = F^T L_G F is the
-    pencil matrix of L_G, edge e = (u, v) of W contributes the rank-one
+    Working space: the component's share of im(L_{G+W}) in the eigenbasis
+    of its factor block F = Q diag(lambda)^(-1/2), and X = F^T L_G F its
+    pencil matrix of L_G. W's edges there are (u[i], v[i]) of weight w[i],
+    on the block's vertex indices: edge e = (u, v) contributes the rank-one
     generator sqrt(w_e) F^T b_e = sqrt(w_e) (F[u] - F[v]), costs are
     w_e / sum(w), and M* is the identity on the working space.
     """
-    if w.n != g.n:
-        raise PreconditionError(f"vertex count mismatch: G has {g.n}, W has {w.n}")
-    if not w.num_edges:
+    if not w.size:
         raise PreconditionError("W has no edges; nothing to sparsify")
-    f = block.f
-    if f.shape != (g.n, g.n - 1):
-        raise PreconditionError("G+W must be connected here; split by component upstream")
-    x = symmetrize(f.T @ laplacian(g) @ f)
-    we = w.w
-    vectors = np.sqrt(we) * (f[w.u] - f[w.v]).T
-    total = w.weight_sum()
-    costs = we / total
-    costs[-1] = 1.0 - float(costs[:-1].sum())
-    d = f.shape[1]
-    return EngineProblem(X=x, vectors=vectors, costs=costs, Mstar=np.eye(d), k=k, N=n_budget)
+    if max(u.max(), v.max()) >= f.shape[0]:
+        raise PreconditionError("W has an edge off the block: G+W must be connected here, split it upstream")
+    vectors = np.sqrt(w) * (f[u] - f[v]).T
+    costs = w / float(sum(w.tolist()))
+    return EngineProblem(X=x, vectors=vectors, costs=costs, Mstar=np.eye(f.shape[1]), k=k, N=n_budget)
 
 
 def _component_budgets(x_traces, k_bottom_counts, n_budget):
@@ -196,28 +187,26 @@ def sparsify_patch(
 
     # One factor of L_{G+W} serves the measured certificate, each
     # component's problem, the final sandwich and, carried in the result, a
-    # re-check of W_k read back from a file. Each component's X spectrum is
-    # solved once, for the certificate, its protected count and its budget.
+    # re-check of W_k read back from a file. Each component's X is built
+    # once, and its spectrum solved once, for the certificate, its protected
+    # count and its budget; the engine takes the same X.
     factor = factor_laplacian(g.union(w))
-    params, k_counts, traces = _certificate(g, w, k, factor)
+    params, xs, k_counts, traces = _certificate(g, k, factor)
     budgets = _component_budgets(traces, k_counts, n_eff)
     picked = []  # per component, the (u, v, rho * w) arrays of its W_k edges
     engine_results = []
     realized_budget = 0
     weight_bound = 0.0
-    vertex_sets = [block.vertices for block in factor.blocks]
-    parts = zip(factor.blocks, _split_edges(g, vertex_sets), _split_edges(w, vertex_sets), k_counts, budgets)
-    for block, g_part, w_part, k_c, n_c in parts:
-        if not w_part[0].size:
+    w_parts = _split_edges(w, [block.vertices for block in factor.blocks])
+    for block, x, (u, v, we), k_c, n_c in zip(factor.blocks, xs, w_parts, k_counts, budgets):
+        if not we.size:
             continue
-        size = block.vertices.size
-        w_c = WeightedGraph.from_arrays(size, *w_part)
         realized_budget += n_c
-        result = run_engine(build_patch_problem(WeightedGraph.from_arrays(size, *g_part), w_c, k_c, n_c, block))
+        result = run_engine(build_patch_problem(x, block.f, u, v, we, k_c, n_c))
         engine_results.append(result)
-        weight_bound += result.cost_bound * w_c.weight_sum()
+        weight_bound += result.cost_bound * float(sum(we.tolist()))
         keep = result.weights > 0
-        picked.append((block.vertices[w_c.u[keep]], block.vertices[w_c.v[keep]], result.weights[keep] * w_c.w[keep]))
+        picked.append((block.vertices[u[keep]], block.vertices[v[keep]], result.weights[keep] * we[keep]))
     # every edge of W lies in one component, so at least one engine ran
     certified_lower = min(result.explicit_floor for result in engine_results)
     certified_upper = max(result.theta_max for result in engine_results)

@@ -1,7 +1,7 @@
 """Low-stretch spanning trees, stretch reports, and ultrasparsifiers.
 
 The pipeline: pick a spanning tree T with small total stretch from a
-candidate ensemble, scale W = G / (C3 * kappa) with kappa = C1 * st_T(G) / k,
+candidate ensemble, scale W = G / kappa with kappa = C1 * st_T(G) / k,
 sparsify W against T through the selection engine, and return U = T + W_k
 together with the measured generalized-eigenvalue sandwich of (L_G, L_U).
 
@@ -28,9 +28,8 @@ from .patch import PatchSparsifier, sparsify_patch
 
 # Thresholds t at which sw_trace_check tests the tail bound #{lambda > t} <= st/t.
 TAIL_PROBES = (1.0, 2.0, 5.0, 10.0)
-# kappa_target = C1 * st_T(G) / k, and the patch W = G / (C3 * kappa_target).
+# kappa_target = C1 * st_T(G) / k, and the patch W = G / kappa_target.
 C1 = 4.0
-C3 = 1.0
 
 
 @dataclass(frozen=True)
@@ -261,18 +260,18 @@ def tree_stretch(g: WeightedGraph, tree: SpanningTree) -> StretchReport:
 def sw_trace_check(g: WeightedGraph, tree: SpanningTree, report: StretchReport) -> float:
     """Trace identity and eigenvalue tail of the (L_G, L_T) pencil.
 
-    `report` is `tree_stretch(g, tree)`. Returns Tr(L_G L_T^+); raises unless
-    it agrees with st_T(G) within 1e-7 * stretch and the tail counts
-    #{lambda > t} stay below st/t for every t in TAIL_PROBES.
+    `report` is `tree_stretch(g, tree)`. Returns Tr(L_G L_T^+), the sum of
+    the pencil's eigenvalues; raises unless it agrees with st_T(G) within
+    1e-7 * stretch and the tail counts #{lambda > t} stay below st/t for
+    every t in TAIL_PROBES.
     """
-    factor = factor_laplacian(tree.graph())
-    trace = factor.trace_pinv(g)
+    (vals,) = factor_laplacian(tree.graph()).pencil_spectra(g)  # a spanning tree is one block
+    trace = float(np.sum(vals))
     stretch = report.total
     if abs(trace - stretch) > 1e-7 * stretch:
         raise NumericalError(
             f"trace {trace!r} and total stretch {stretch!r} disagree beyond 1e-7 relative"
         )
-    (vals,) = factor.pencil_spectra(g)  # a spanning tree is one block
     for t in TAIL_PROBES:
         count = int(np.sum(vals > t))
         if count > stretch / t + 1e-9:
@@ -298,7 +297,7 @@ class UltraResult:
 
     gen_lower/gen_upper bound the (L_G, L_U) pencil; kappa_measured is their
     ratio (the relative condition number); certified_lower is the engine-backed
-    floor 1 / (theta_max * (1 + 1/(C3 kappa_target))). A tree input has no
+    floor 1 / (theta_max * (1 + 1/kappa_target)). A tree input has no
     patch: U = G, and certified_lower is the measured gen_lower.
     """
 
@@ -318,7 +317,7 @@ class UltraResult:
 def build_ultrasparsifier(g: WeightedGraph, k: int, seed: int = 0) -> UltraResult:
     """Spanning tree plus at most 8k+1 reweighted edges approximating G.
 
-    kappa = C1 * st_T(G) / k, W = G / (C3 kappa), W_k = sparsify_patch(T, W,
+    kappa = C1 * st_T(G) / k, W = G / kappa, W_k = sparsify_patch(T, W,
     k, 8k+1), U = T + W_k. A tree is its own low-stretch tree, so a tree
     input gives U = G with no patch. G must be connected with at least 2
     vertices (`candidate_trees` checks).
@@ -329,7 +328,7 @@ def build_ultrasparsifier(g: WeightedGraph, k: int, seed: int = 0) -> UltraResul
     tree, report = low_stretch_tree(g, seed)
     trace = sw_trace_check(g, tree, report)
     kappa_target = C1 * report.total / k
-    scale = 1.0 / (C3 * kappa_target)
+    scale = 1.0 / kappa_target
     t_graph = tree.graph()
     if g.num_edges == g.n - 1:  # G is a tree, so T = G and W_k is empty
         patch, u = None, g

@@ -14,7 +14,7 @@ from conftest import make_engine_instance, random_connected_graph
 from lapsparse.core import WeightedGraph, laplacian, pencil_eigenvalues
 from lapsparse.engine import _upper_phi, run_engine
 from lapsparse.patch import verify_patch
-from lapsparse.ultra import C1, C3, TAIL_PROBES, build_ultrasparsifier, low_stretch_tree, sw_trace_check, tree_stretch
+from lapsparse.ultra import C1, TAIL_PROBES, build_ultrasparsifier, low_stretch_tree, sw_trace_check, tree_stretch
 from lapsparse.connectivity import (
     ConnectivityInstance,
     brute_force_opt,
@@ -188,10 +188,10 @@ def test_05_patch_certificates_for_scaled_inputs():
         tree, report = low_stretch_tree(g)
         stretch = report.total
         kappa = C1 * stretch / k
-        w = g.scale(1.0 / (C3 * kappa))
+        w = g.scale(1.0 / kappa)
         params = verify_patch(tree.graph(), w, k)
         assert params.lambda_star >= 4.0 / 5.0 - 1e-6
-        assert params.T_patch <= k / (C1 * C3) + 1e-6
+        assert params.T_patch <= k / C1 + 1e-6
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,6 @@ from lapsparse.core import (
     numpy_blas_threads,
     pencil_eigenvalues,
     pencil_range,
-    relative_condition_number,
     symmetrize,
 )
 
@@ -367,15 +366,22 @@ def test_factor_f_ft_is_the_laplacian_pseudoinverse():
     lap = laplacian(g)
     assert np.allclose(block.f @ block.f.T, np.linalg.pinv(lap), atol=1e-9)
     assert np.allclose(block.f.T @ lap @ block.f, np.eye(8), atol=1e-9)
-    assert factor.trace_pinv(g) == pytest.approx(8.0, rel=1e-12)
-    # Tr(L_H L^+) is the sum of the (L_H, L) pencil's eigenvalues
+    (x,) = factor.pencil_matrices(g)
+    assert np.trace(x) == pytest.approx(8.0, rel=1e-12)
+    # Tr(L_H L^+) is the trace of the pencil matrix F^T L_H F, which is the
+    # sum of the (L_H, L) pencil's eigenvalues
     h = random_connected_graph(rng, 9, extra_edges=2)
-    assert factor.trace_pinv(h) == pytest.approx(float(np.sum(factor.pencil_spectra(h)[0])), rel=1e-12)
+    (x,) = factor.pencil_matrices(h)
+    assert np.array_equal(x, x.T)
+    assert np.trace(x) == pytest.approx(float(np.trace(laplacian(h) @ np.linalg.pinv(lap))), rel=1e-9)
+    assert np.trace(x) == pytest.approx(float(np.sum(factor.pencil_spectra(h)[0])), rel=1e-12)
     # split: Tr(L L^+) is the image rank, summed over the blocks
     g = random_multicomponent_graph(rng, [4, 1, 6])
-    assert factor_laplacian(g).trace_pinv(g) == pytest.approx(8.0, rel=1e-12)
+    xs = factor_laplacian(g).pencil_matrices(g)
+    assert sorted(x.shape for x in xs) == [(0, 0), (3, 3), (5, 5)]
+    assert sum(np.trace(x) for x in xs) == pytest.approx(8.0, rel=1e-12)
     with pytest.raises(PreconditionError, match="vertices"):
-        factor_laplacian(g).trace_pinv(h)
+        factor_laplacian(g).pencil_matrices(h)
 
 
 @settings(max_examples=30, deadline=None)
@@ -465,6 +471,12 @@ def test_pencil_of_doubled_graph_is_constant_two():
     assert np.allclose(vals, 2.0, atol=1e-9)
 
 
+def relative_condition_number(g, h):
+    """kappa / c of the (L_G, L_H) pencil range."""
+    c, kappa = pencil_range(g, h)
+    return kappa / c
+
+
 def test_relative_condition_number_identity_and_mismatch():
     rng = np.random.default_rng(19)
     g = random_connected_graph(rng, 8, extra_edges=4)
@@ -473,6 +485,8 @@ def test_relative_condition_number_identity_and_mismatch():
     disconnected = WeightedGraph(8, [(0, 1, 1.0)])
     with pytest.raises(IncompatibleImagesError):
         relative_condition_number(g, disconnected)
+    with pytest.raises(IncompatibleImagesError):
+        relative_condition_number(disconnected, g)
     # same components under different labels share one image
     two = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 2.0)])
     swapped = WeightedGraph(4, [(2, 3, 1.0), (0, 1, 5.0)])
@@ -490,7 +504,7 @@ def test_pencil_against_a_factor_rejects_a_graph_coupling_two_components():
     with pytest.raises(IncompatibleImagesError, match="between two components"):
         factor.pencil_spectra(path)
     with pytest.raises(IncompatibleImagesError, match="between two components"):
-        factor.trace_pinv(path)
+        factor.pencil_matrices(path)
     with pytest.raises(PreconditionError, match="vertices"):
         factor.pencil_spectra(WeightedGraph(5, [(0, 1, 1.0)]))
     # a raw PSD matrix is one block, so it has no components to keep apart

@@ -17,6 +17,7 @@ from lapsparse.core import (
 from lapsparse.engine import (
     EngineProblem,
     _lower_gradient_diag,
+    _protected_count,
     _lower_phi,
     _select,
     _selection_scores,
@@ -376,6 +377,28 @@ def test_run_engine_identity_scaling_with_no_protected_directions():
     assert res.support <= 4
     assert res.total_cost <= res.cost_bound + 1e-9
     assert res.max_potential_increase <= 1e-9
+
+
+def test_protected_count_stops_at_the_start_of_a_tie():
+    vals = np.array([0.1, 0.5, 0.5 + 1e-12, 0.5 + 2e-12, 0.9])
+    assert [_protected_count(vals, k) for k in range(7)] == [0, 1, 1, 1, 4, 5, 5]
+    assert _protected_count(np.full(3, 0.7), 2) == 0
+    assert _protected_count(np.zeros(0), 3) == 0
+    # ties are judged relative to lambda_max once it exceeds one
+    assert _protected_count(np.array([1.0, 1.0 + 1e-7, 1e3]), 1) == 0
+    assert _protected_count(np.array([1.0, 1.0 + 1e-7, 1.0 + 1e-6]), 1) == 1
+
+
+def test_run_engine_protects_no_direction_of_a_tied_cluster():
+    # X = I/2 ties all of its eigenvalues, so no k-dimensional bottom
+    # eigenspace exists: k = 1 protects nothing and picks what k = 0 picks
+    d = 4
+    x, vectors, costs = np.eye(d) / 2.0, np.eye(d) / np.sqrt(2.0), np.full(d, 0.25)
+    tied = run_engine(EngineProblem(X=x, vectors=vectors, costs=costs, Mstar=np.eye(d), k=1, N=9))
+    free = run_engine(EngineProblem(X=x, vectors=vectors, costs=costs, Mstar=np.eye(d), k=0, N=9))
+    assert np.array_equal(tied.weights, free.weights)
+    assert tied.lambda_min_b_restricted == np.inf
+    assert tied.lambda_star == pytest.approx(0.5, abs=1e-12)
 
 
 def test_run_engine_is_deterministic():

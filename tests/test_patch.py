@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import random_connected_graph
+from lapsparse import core, patch
 from lapsparse.core import (
     BudgetTooSmallError,
     InvalidKError,
@@ -43,11 +44,18 @@ def test_verify_patch_rejects_bad_inputs():
         verify_patch(g, WeightedGraph(4, []), 3)  # image rank is 3, k must be < 3
 
 
+def connected_problem(g, w, k, n_budget):
+    """The engine instance of a connected G+W, from its one pencil matrix."""
+    factor = factor_laplacian(g.union(w))
+    ((x,), (block,)) = factor.pencil_matrices(g), factor.blocks
+    return build_patch_problem(x, block.f, w.u, w.v, w.w, k, n_budget)
+
+
 def test_problem_construction_sums_to_identity():
     rng = np.random.default_rng(4)
     g = random_connected_graph(rng, 10, extra_edges=4)
     w = random_connected_graph(rng, 10, extra_edges=12, wmin=0.1, wmax=0.8)
-    problem = build_patch_problem(g, w, 2, 17, factor_laplacian(g.union(w)).blocks[0])
+    problem = connected_problem(g, w, 2, 17)
     d = g.n - 1
     assert problem.X.shape == (d, d)
     recon = problem.X + problem.vectors @ problem.vectors.T
@@ -65,7 +73,7 @@ def test_problem_spectrum_matches_certificate():
     w = random_connected_graph(rng, 9, extra_edges=9, wmin=0.2, wmax=1.0)
     k = 2
     params = verify_patch(g, w, k)
-    problem = build_patch_problem(g, w, k, 8 * k + 1, factor_laplacian(g.union(w)).blocks[0])
+    problem = connected_problem(g, w, k, 8 * k + 1)
     x_vals = np.linalg.eigvalsh(problem.X)
     assert params.lambda_star == pytest.approx(float(x_vals[k]), abs=1e-8)
     assert params.T_patch == pytest.approx(float(np.trace(np.eye(g.n - 1) - problem.X)), abs=1e-8)
@@ -75,8 +83,25 @@ def test_problem_needs_the_block_of_a_connected_union():
     g = WeightedGraph(4, [(0, 1, 1.0), (2, 3, 1.0)])
     w = WeightedGraph(4, [(0, 2, 0.5)])
     factor = factor_laplacian(g)  # two blocks: L_G, not L_{G+W}
+    x = factor.pencil_matrices(g)[0]
     with pytest.raises(PreconditionError, match="connected"):
-        build_patch_problem(g, w, 0, 1, factor.blocks[0])
+        build_patch_problem(x, factor.blocks[0].f, w.u, w.v, w.w, 0, 1)
+
+
+def test_certificate_splits_no_tie_between_components():
+    # two copies of one component: every pencil eigenvalue ties its twin,
+    # so the protected count stops at the start of the tie instead of
+    # handing the lone smallest value to the component of lower index
+    rng = np.random.default_rng(18)
+    g1 = random_connected_graph(rng, 6, extra_edges=2)
+    w1 = WeightedGraph(6, [(0, 3, 0.3), (1, 4, 0.2), (2, 5, 0.4)])
+    g, w = (WeightedGraph(12, list(h.edges) + [(u + 6, v + 6, x) for u, v, x in h.edges]) for h in (g1, w1))
+    factor = factor_laplacian(g.union(w))
+    (a, b), lambda_star = factor.pencil_spectra(g), verify_patch(g, w, 1).lambda_star
+    assert np.array_equal(a, b) and lambda_star == a[0]
+    assert patch._certificate(g, 1, factor)[2] == [0, 0]
+    assert patch._certificate(g, 2, factor)[2] == [1, 1]
+    assert patch._certificate(g, 3, factor)[2] == [1, 1]
 
 
 def test_one_component_gets_the_whole_budget():
@@ -202,3 +227,66 @@ def test_measured_sandwich_is_invariant_under_uniform_scaling(seed, exponent, sp
     assert scaled.wk.edge_pairs() == base.wk.edge_pairs()
     assert scaled.measured_lower == pytest.approx(base.measured_lower, rel=1e-9)
     assert scaled.measured_upper == pytest.approx(base.measured_upper, rel=1e-9)
+
+
+def test_a_light_last_edge_keeps_every_cost_nonnegative():
+    # costs are w / sum(w) as they are: fixing the last one up as
+    # 1 - sum(the others) cancels below zero when that edge is light
+    n = 8
+    g = WeightedGraph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+    pairs = [(u, v) for u in range(n) for v in range(u + 2, n)]
+    weights = np.random.default_rng(5).uniform(0.1, 1.0, size=len(pairs))
+    w = WeightedGraph(n, [(u, v, 1e-18 if (u, v) == (5, 7) else float(x)) for (u, v), x in zip(pairs, weights)])
+    assert (int(w.u[-1]), int(w.v[-1])) == (5, 7)  # the light edge is the last one
+    problem = connected_problem(g, w, 1, 9)
+    assert np.all(problem.costs >= 0) and problem.costs[-1] > 0
+    assert abs(float(problem.costs.sum()) - 1.0) <= 1e-9
+    for k in (0, 1, 2):
+        result = sparsify_patch(g, w, k)
+        assert result.wk.edge_pairs() <= w.edge_pairs()
+        assert result.measured_lower >= result.certified_lower - 1e-9
+
+
+def split_patch_input(rng, components, size=8, chords=10):
+    """G a random spanning tree on each of `components` blocks of `size`
+    vertices, on shuffled ids; W `chords` random pairs inside each block."""
+    n = components * size
+    ids = rng.permutation(n)
+    g_edges, w_edges = [], []
+    for c in range(components):
+        block = ids[c * size:(c + 1) * size]
+        tree = random_connected_graph(rng, size, extra_edges=0)
+        g_edges += [(int(block[u]), int(block[v]), w) for u, v, w in tree.edges]
+        pool = [(u, v) for u in range(size) for v in range(u + 1, size)]
+        for j in rng.choice(len(pool), size=chords, replace=False):
+            u, v = pool[int(j)]
+            w_edges.append((int(block[u]), int(block[v]), float(rng.uniform(0.05, 0.5))))
+    return WeightedGraph(n, g_edges), WeightedGraph(n, w_edges)
+
+
+@pytest.mark.parametrize("components", [12, 5])
+def test_split_sparsify_builds_each_pencil_matrix_once(monkeypatch, components):
+    # one pass over the components of G+W: three graphs (G+W, W_k and
+    # G+W_k), four edge splits (the factor of L_{G+W}, the X_c of L_G, W's
+    # candidates and the measured sandwich) and three Laplacian blocks per
+    # component (the factor, X_c and the sandwich)
+    g, w = split_patch_input(np.random.default_rng(23), components)
+    assert len(set(g.union(w).component_labels().tolist())) == components
+    counts = {"from_arrays": 0, "split": 0, "laplacian": 0}
+
+    def counted(key, original):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    from_arrays = counted("from_arrays", WeightedGraph.from_arrays.__func__)
+    monkeypatch.setattr(WeightedGraph, "from_arrays", classmethod(from_arrays))
+    split = counted("split", core._split_edges)
+    monkeypatch.setattr(core, "_split_edges", split)
+    monkeypatch.setattr(patch, "_split_edges", split)
+    monkeypatch.setattr(core, "_edge_laplacian", counted("laplacian", core._edge_laplacian))
+    result = sparsify_patch(g, w, 6)
+    assert len(result.engine_results) == components
+    assert counts == {"from_arrays": 3, "split": 4, "laplacian": 3 * components}

@@ -75,6 +75,14 @@ def test_every_public_name_is_used_or_exported():
     assert not dead, f"public names that no lapsparse code uses and __all__ omits: {', '.join(dead)}"
 
 
+def _referenced_or_imported(module: str) -> set:
+    """Every name a module of the package loads, reads as an attribute or imports."""
+    tree = ast.parse((SRC / f"{module}.py").read_text(encoding="utf-8"))
+    return _referenced(tree) | {
+        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names
+    }
+
+
 # Solvers and checks that only the library's measurement routines call.
 SOLVER_NAMES = {
     "pencil_eigenvalues", "factor_laplacian", "_decompose", "_spectrum",
@@ -85,10 +93,7 @@ SOLVER_NAMES = {
 def test_cli_calls_no_solver():
     # the command line re-checks its written output through the library's
     # own measurement routines, so it references no solver directly
-    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
-    names = _referenced(tree) | {
-        alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names
-    }
+    names = _referenced_or_imported("cli")
     assert not names & SOLVER_NAMES, f"cli references {sorted(names & SOLVER_NAMES)}"
 
 
@@ -171,6 +176,15 @@ def test_no_symmetry_scan_of_a_built_laplacian():
     core = ast.parse((SRC / "core.py").read_text(encoding="utf-8"))
     slices = [node.lineno for node in ast.walk(core) if isinstance(node, ast.Attribute) and node.attr == "ix_"]
     assert not slices, f"core.py uses np.ix_ at lines {slices}"
+
+
+def test_patch_builds_no_laplacian_of_its_own():
+    # the factor of L_{G+W} hands patch one pencil matrix X_c per component,
+    # whose traces are T_patch and on which the engine runs, so patch builds
+    # no Laplacian and takes no trace by another route
+    names = _referenced_or_imported("patch")
+    banned = {"laplacian", "_edge_laplacian", "_block_laplacians", "trace_pinv"}
+    assert not names & banned, f"patch references {sorted(names & banned)}"
 
 
 def test_connectivity_solves_on_numpy_lapack_only():

@@ -411,13 +411,17 @@ def test_trace_identity_and_tail_on_random_graphs():
 @settings(max_examples=20, deadline=None)
 @given(st.integers(), st.floats(min_value=-9.0, max_value=8.0))
 @example(seed=-355, exponent=1.75)
+@example(seed=798192675, exponent=1.0)
 def test_ultrasparsifier_is_invariant_under_uniform_scaling(seed, exponent):
     # Stretch, kappa_target and every pencil are unchanged when G is scaled
     # by c, so the tree and the picks stay put and U(cG) = c U(G) up to
     # rounding. Weights are continuous random draws, so exact ties between
-    # trees or in the engine's bottom-k spectrum have probability 0. The
-    # engine's rounding is relative to the largest weight: in the example,
-    # a weight about 1/140 of it moves by 1.5e-12 of itself.
+    # trees have probability 0. Ties in the engine's bottom-k spectrum do
+    # not: with one chord (the second example: 13 vertices, k = 2), W shares
+    # T's directions and n - 2 eigenvalues of X tie, so the engine protects
+    # only the directions below the tie. The engine's rounding is relative
+    # to the largest weight: in the first example, a weight about 1/140 of
+    # it moves by 1.5e-12 of itself.
     rng = np.random.default_rng(seed % (2**32))
     n = int(rng.integers(8, 25))
     g = random_connected_graph(rng, n, extra_edges=int(rng.integers(1, 2 * n)))
