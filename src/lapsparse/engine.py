@@ -10,15 +10,20 @@ floating upper barrier u over the T largest eigenvalues of A, and a lower
 barrier l under the spectrum of B = Z(A - X)Z restricted to S, where
 Z = ((P_S (M* - X) P_S)^+)^(1/2) normalizes the reachable mass on S.
 
-Cost per step, for d = dim X, m candidates and k = dim S: one d x d
-eigendecomposition of A, one k x k eigendecomposition of B_S = S^T B S, and
-the scoring GEMMs Q^T V (d x d x m) and R^T (S^T Z V) (k x k x m) in the
-carried eigenbases Q of A and R of B_S. Each decomposition serves the
-barrier check and potential after the update and the next step's scores;
-the last one serves the certificate. B itself is never formed: only its
-k x k restriction is carried. Once per run come the spectra of X and M*
-(validate), of M* - X and of its k x k restriction (compute_Z), and the
-d x d x m product Z V.
+Cost per step, for d = dim X, m candidates and k = dim S: one values-only
+d x d eigensolve of A (a full decomposition every REFRESH_EVERY steps), one
+k x k eigendecomposition of B_S = S^T B S, and the scores. A's spectrum
+serves the barrier check and potential after the update, the next step's
+normalization and, after the last step, the certificate. The upper scores
+read the resolvent (u'I - A)^-1 off the last full decomposition
+Q_0 diag(lambda_0) Q_0^T, with W_0 = Q_0^T V (d x d x m) formed at each
+refresh, plus a Woodbury term in O(r d m) for the r updates made since
+(`_pending_resolvent_forms`). The lower scores are R^T (S^T Z V) (k x k x m)
+in the eigenbasis R of B_S; B itself is never formed. Once per run come
+X's decomposition and M*'s spectrum (validate; the first is not solved
+when the caller passes it in, the second when M* = I), the spectrum of
+M* - X (compute_Z; 1 - lambda(X) when M* = I), the decomposition of its
+k x k restriction, and the d x d x m product Z V.
 """
 
 from __future__ import annotations
@@ -44,6 +49,14 @@ from .core import (
 
 # Certified explicit constant: the lambda_min floor divisor.
 LOWER_CONSTANT_DIVISOR = 72.0
+# Steps between full eigendecompositions of A; the steps between take its
+# spectrum only and score through `_pending_resolvent_forms`. Engine CPU
+# over the 12 `ultra` runs of benchmark corpus seeds 2-3 (d = 119, m = 360,
+# N = 65; one OpenBLAS thread, median of 6 rounds on a 2-core x86 machine)
+# read 1.35 s at 8, 1.37 s at 10, 1.39 s at 12 and 1.44 s at 16, against
+# 1.58 s at 4 and about 2.4 s with a full decomposition every step; the
+# smallest of the flat range keeps the fewest updates in the Woodbury term.
+REFRESH_EVERY = 8
 
 
 def integer_trace_bound(trace: float) -> int:
@@ -71,7 +84,9 @@ class EngineProblem:
     X: (d, d) PSD matrix; vectors: (d, m) with column i generating
     Y_i = v_i v_i^T; costs: (m,) nonnegative, summing to one; Mstar = X + sum Y_i
     with lambda_max <= 1; k: size of the protected bottom eigenspace of X;
-    N: number of selection steps; T: ceil(Tr(Mstar - X)), computed here.
+    N: number of selection steps; dec_x: X's eigendecomposition, when the
+    caller has already solved it; T: ceil(Tr(Mstar - X)) and unit_mstar:
+    whether Mstar is exactly the identity, both computed here.
     """
 
     X: np.ndarray
@@ -80,7 +95,9 @@ class EngineProblem:
     Mstar: np.ndarray
     k: int
     N: int
+    dec_x: SpectralDecomposition | None = field(default=None, repr=False)
     T: int = field(init=False)
+    unit_mstar: bool = field(init=False)
 
     def __post_init__(self):
         object.__setattr__(self, "X", check_symmetric(np.asarray(self.X, dtype=float)))
@@ -89,6 +106,7 @@ class EngineProblem:
         object.__setattr__(self, "costs", np.asarray(self.costs, dtype=float))
         tr = float(np.trace(self.Mstar - self.X))
         object.__setattr__(self, "T", integer_trace_bound(tr))
+        object.__setattr__(self, "unit_mstar", np.array_equal(self.Mstar, np.eye(self.dim)))
 
     @property
     def dim(self) -> int:
@@ -100,7 +118,9 @@ class EngineProblem:
 
     def validate(self) -> tuple[SpectralDecomposition, np.ndarray]:
         """Check every precondition; return the eigendecomposition of X and
-        the ascending spectrum of Mstar that the spectral checks used."""
+        the ascending spectrum of Mstar that the spectral checks used. X is
+        decomposed here unless the caller passed dec_x, and the spectrum of
+        Mstar = I is known without a solve."""
         d, m = self.dim, self.num_updates
         if self.vectors.shape != (d, m):
             raise PreconditionError(f"vectors must be (d, m) = ({d}, {m}), got {self.vectors.shape}")
@@ -124,11 +144,13 @@ class EngineProblem:
         dev = float(np.max(np.abs(recon - self.Mstar)))
         if dev > 1e-8:
             raise PreconditionError(f"X + sum Y_i must equal Mstar entrywise within 1e-8, got {dev:g}")
-        mstar_vals = _spectrum(self.Mstar)
+        mstar_vals = np.ones(d) if self.unit_mstar else _spectrum(self.Mstar)
         lam_max = float(mstar_vals[-1]) if d else 0.0
         if lam_max > 1.0 + 1e-9:
             raise PreconditionError(f"lambda_max(Mstar) = {lam_max!r} exceeds 1 + 1e-9")
-        dec_x = _decompose(self.X)
+        dec_x = _decompose(self.X) if self.dec_x is None else self.dec_x
+        if dec_x.eigenvectors.shape != (d, d):
+            raise PreconditionError(f"dec_x must decompose the ({d}, {d}) X, got {dec_x.eigenvectors.shape}")
         x_min = float(dec_x.eigenvalues[0]) if d else 0.0
         if x_min < -1e-9:
             raise PreconditionError(f"X must be PSD, got lambda_min = {x_min:g}")
@@ -172,16 +194,21 @@ def init_schedule(k: int, n_budget: int, t_bound: int) -> EngineSchedule:
 class EngineState:
     """Mutable iteration state.
 
-    A = X + sum_i w_i Y_i with its eigendecomposition dec_a; b_s = S^T B S,
-    the k x k restriction of B = Z(A - X)Z to S, with its eigendecomposition
-    dec_b; the barriers l, u; and the fixed k x m matrix szv = S^T Z V whose
-    column i generates the restriction of Z Y_i Z.
+    A = X + sum_i w_i Y_i with a_vals, its ascending spectrum; dec_ref =
+    (lambda_0, Q_0), the last full eigendecomposition of A, with w_ref =
+    Q_0^T V and the (index, t) of each update made since (`pending`); b_s =
+    S^T B S, the k x k restriction of B = Z(A - X)Z to S, with its
+    eigendecomposition dec_b; the barriers l, u; and the fixed k x m matrix
+    szv = S^T Z V whose column i generates the restriction of Z Y_i Z.
     """
 
     q: int
     weights: np.ndarray
     A: np.ndarray
-    dec_a: SpectralDecomposition
+    a_vals: np.ndarray
+    dec_ref: SpectralDecomposition
+    w_ref: np.ndarray
+    pending: list
     b_s: np.ndarray
     dec_b: SpectralDecomposition
     l: float
@@ -191,6 +218,11 @@ class EngineState:
     @property
     def k_eff(self) -> int:
         return self.szv.shape[0]
+
+    def refresh(self, dec: SpectralDecomposition, vectors: np.ndarray) -> None:
+        """Take `dec` as the full decomposition of the current A."""
+        self.a_vals, self.dec_ref, self.pending = dec.eigenvalues, dec, []
+        self.w_ref = dec.eigenvectors.T @ vectors
 
 
 def initial_state(
@@ -202,7 +234,10 @@ def initial_state(
         q=0,
         weights=np.zeros(problem.num_updates),
         A=problem.X.copy(),
-        dec_a=dec_x,
+        a_vals=dec_x.eigenvalues,
+        dec_ref=dec_x,
+        w_ref=dec_x.eigenvectors.T @ problem.vectors,
+        pending=[],
         b_s=np.zeros((k_eff, k_eff)),
         dec_b=SpectralDecomposition(np.zeros(k_eff), np.eye(k_eff)),
         l=schedule.l0,
@@ -258,9 +293,13 @@ class EngineResult:
         return np.flatnonzero(self.weights > 0)
 
 
-def compute_Z(x: np.ndarray, mstar: np.ndarray, basis: np.ndarray) -> tuple[np.ndarray, float]:
+def compute_Z(
+    x: np.ndarray, mstar: np.ndarray, basis: np.ndarray, gap_vals: np.ndarray | None = None
+) -> tuple[np.ndarray, float]:
     """Z = ((P_S (M* - X) P_S)^+)^(1/2) as an ambient symmetric matrix, for
     S spanned by the orthonormal columns of the d x k array `basis`.
+    `gap_vals` is the ascending spectrum of M* - X when the caller knows
+    it; it is solved here otherwise.
 
     If the restriction of M* - X to S is numerically singular, a perturbation
     eps * P_S with eps = 1e-8 * lambda_max(M* - X) is added first; the second
@@ -268,13 +307,14 @@ def compute_Z(x: np.ndarray, mstar: np.ndarray, basis: np.ndarray) -> tuple[np.n
     Z Z (P_S (M*-X) P_S) equals P_S for the (possibly perturbed) operator.
     """
     d = check_symmetric(mstar - x)
-    dvals = _spectrum(d)
+    dvals = _spectrum(d) if gap_vals is None else gap_vals
     if dvals.size and float(dvals[0]) < -1e-8 * max(1.0, float(dvals[-1])):
         raise PreconditionError(f"Mstar - X must be PSD, got lambda_min = {float(dvals[0]):g}")
     if basis.shape[1] == 0:
         return np.zeros_like(d), 0.0
     r = symmetrize(basis.T @ d @ basis)
-    rvals, rvecs = np.linalg.eigh(r)
+    dec_r = _decompose(r)
+    rvals, rvecs = dec_r.eigenvalues, dec_r.eigenvectors
     lam_scale = float(dvals[-1]) if dvals.size else 0.0
     perturbation = 0.0
     if float(rvals[0]) <= 1e-12 * max(lam_scale, 1e-300):
@@ -310,12 +350,18 @@ def _lower_phi(vals: np.ndarray, l: float) -> float:
     return float(np.sum(1.0 / (vals - l)))
 
 
-def _upper_gradient_diag(vals: np.ndarray, u: float, delta_u: float, t_bound: int) -> np.ndarray:
-    """Eigenvalues of U_A, in the order of A's ascending eigenvalues `vals`."""
-    gap = (u + delta_u) - vals
+def _upper_dphi(vals: np.ndarray, u: float, delta_u: float, t_bound: int) -> float:
+    """Drop of the upper potential of A, ascending spectrum `vals`, as u
+    moves to u + delta_u; raises if it is too small to normalize by."""
     dphi = _upper_phi(vals, u, t_bound) - _upper_phi(vals, u + delta_u, t_bound)
     if dphi <= 1e-14:
         raise DegenerateGradientError(f"upper potential difference {dphi:g} too small to normalize")
+    return dphi
+
+
+def _upper_gradient_diag(gap: np.ndarray, dphi: float) -> np.ndarray:
+    """Eigenvalues 1/(gap^2 dphi) + 1/gap of U_A, for the barrier gaps
+    gap = u + delta_u - lambda of A's eigenvalues lambda."""
     return (1.0 / gap**2) / dphi + 1.0 / gap
 
 
@@ -339,26 +385,63 @@ def _selection_scores(
     """Quadratic forms of every candidate against both gradients.
 
     Returns (upper side U_A.Y_i + max(N,T) cost_i, lower side L_B.(Z Y_i Z)).
-    With A = Q diag(a) Q^T, U_A.Y_i = sum_j g_u(a_j) (q_j^T v_i)^2, so the
-    upper side is one GEMM Q^T V and one GEMV. The lower side is the same
-    in k coordinates: L_B.(Z Y_i Z) = sum_j g_l(b_j) (r_j^T S^T Z v_i)^2
+    U_A.Y_i = v_i^T R^2 v_i / dphi + v_i^T R v_i, for the resolvent
+    R = (u'I - A)^-1 at u' = u + delta_u. With A = Q_0 diag(lambda_0) Q_0^T
+    (the last full decomposition) and no update pending, it is
+    sum_j g_u(lambda_0j) (q_j^T v_i)^2: one GEMV of the carried W_0 = Q_0^T V.
+    Updates made since add `_pending_resolvent_forms`. The lower side is the
+    same in k coordinates: L_B.(Z Y_i Z) = sum_j g_l(b_j) (r_j^T S^T Z v_i)^2
     with B_S = R diag(b) R^T.
     """
     mx = max(problem.N, problem.T)
-    vals = state.dec_a.eigenvalues
+    vals = state.a_vals
     if float(vals[-1]) >= state.u:
         raise BarrierViolationError(
             f"upper barrier crossed before selection: lambda_max = {float(vals[-1])!r}"
             f" >= u = {state.u!r}"
         )
-    w = state.dec_a.eigenvectors.T @ problem.vectors
-    quad_u = _upper_gradient_diag(vals, state.u, schedule.delta_u, problem.T) @ (w * w)
+    gap = (state.u + schedule.delta_u) - state.dec_ref.eigenvalues
+    dphi = _upper_dphi(vals, state.u, schedule.delta_u, problem.T)
+    w = state.w_ref
+    quad_u = _upper_gradient_diag(gap, dphi) @ (w * w)
+    if state.pending:
+        r_forms, r2_forms = _pending_resolvent_forms(state, gap)
+        quad_u += r2_forms / dphi + r_forms
     if state.k_eff > 0:
         r = state.dec_b.eigenvectors.T @ state.szv
         quad_l = _lower_gradient_diag(state.dec_b.eigenvalues, state.l, schedule.delta_l) @ (r * r)
     else:
         quad_l = np.zeros(problem.num_updates)
     return quad_u + mx * problem.costs, quad_l
+
+
+def _pending_resolvent_forms(state: EngineState, gap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """What the pending updates add to every candidate's v_i^T R v_i and
+    v_i^T R^2 v_i, by the Woodbury identity on the last full decomposition.
+
+    With D = diag(1/gap), W_0 = Q_0^T V and P = Q_0^T [v_j] the pending
+    updates of step sizes t_j: R = Q_0 (D + D P K P^T D) Q_0^T for the r x r
+    K = (diag(1/t) - P^T D P)^-1. K^-1 = L L^T is positive definite exactly
+    while u' > lambda_max(A); a failed Cholesky factorization raises.
+    With B = D P L^-T and F = B^T W_0, v_i^T R v_i gains |f_i|^2 and
+    v_i^T R^2 v_i = |D w_i + B f_i|^2 gains 2 (D B)^T w_i . f_i + f_i^T B^T B f_i.
+    Cost O(r d m) for the r pending updates.
+    """
+    idx, t = zip(*state.pending)
+    r = len(idx)
+    p = state.w_ref[:, idx]
+    dp = p / gap[:, None]
+    try:
+        chol = np.linalg.cholesky(np.diag(1.0 / np.array(t)) - p.T @ dp)
+    except np.linalg.LinAlgError:
+        raise BarrierViolationError(
+            f"upper barrier crossed: u + delta_u is not above lambda_max(A), {r} updates"
+            " after its last full decomposition"
+        ) from None
+    b = np.linalg.solve(chol, dp.T).T
+    f = np.concatenate([b, b / gap[:, None]], axis=1).T @ state.w_ref
+    f1, f2 = f[:r], f[r:]
+    return np.sum(f1 * f1, axis=0), np.sum((2.0 * f2 + (b.T @ b) @ f1) * f1, axis=0)
 
 
 def _select(
@@ -390,7 +473,7 @@ def _select(
             {
                 "q": state.q,
                 "max_slack": float(slack[idx]),
-                "upper_potential": _upper_phi(state.dec_a.eigenvalues, state.u, problem.T),
+                "upper_potential": _upper_phi(state.a_vals, state.u, problem.T),
                 "lower_potential": _lower_phi(state.dec_b.eigenvalues, state.l),
                 "sum_lhs": float(lhs.sum()),
                 "sum_rhs": float(rhs.sum()),
@@ -404,22 +487,25 @@ def run_engine(problem: EngineProblem) -> EngineResult:
 
     Each step picks (i, t) via _select, adds t Y_i to A (and
     t (S^T Z v_i)(S^T Z v_i)^T to B_S), then shifts both barriers:
-    l += delta_l, u += delta_u. A and B_S are then each decomposed once; the
-    decompositions give the barrier checks and potentials, which must not
-    increase beyond 1e-9, and the next step's scores. The final certificate
-    is checked before returning.
+    l += delta_l, u += delta_u. Then A gets one LAPACK solve, its spectrum
+    (a full decomposition every REFRESH_EVERY updates), and B_S one
+    decomposition; they give the barrier checks and potentials, which must
+    not increase beyond 1e-9, and the next step's scores. The final
+    certificate is checked before returning, on A's last spectrum.
     """
     dec_x, mstar_vals = problem.validate()
     # S: the span of X's k smallest eigenvectors, or fewer where the k-th
     # ties the next; theta_min stays computed from problem.k
     k_eff = _protected_count(dec_x.eigenvalues, problem.k)
     basis = dec_x.eigenvectors[:, :k_eff]
-    z, _ = compute_Z(problem.X, problem.Mstar, basis)
+    # with M* = I (every patch run) M* - X has the spectrum 1 - lambda(X)
+    gap_vals = 1.0 - dec_x.eigenvalues[::-1] if problem.unit_mstar else None
+    z, _ = compute_Z(problem.X, problem.Mstar, basis, gap_vals)
     schedule = init_schedule(problem.k, problem.N, problem.T)
     mx = max(problem.N, problem.T)
     state = initial_state(problem, schedule, dec_x, basis.T @ (z @ problem.vectors))
 
-    phi_u = _upper_phi(state.dec_a.eigenvalues, state.u, problem.T)
+    phi_u = _upper_phi(state.a_vals, state.u, problem.T)
     phi_l = _lower_phi(state.dec_b.eigenvalues, state.l)
     if phi_u > schedule.eps_u + 1e-9:
         raise NumericalError(
@@ -443,9 +529,13 @@ def run_engine(problem: EngineProblem) -> EngineResult:
         state.l += schedule.delta_l
         state.u += schedule.delta_u
 
-        state.dec_a = _decompose(state.A)
+        state.pending.append((idx, t))
+        if len(state.pending) == REFRESH_EVERY and q < problem.N:
+            state.refresh(_decompose(state.A), problem.vectors)
+        else:
+            state.a_vals = _spectrum(state.A)
         state.dec_b = _decompose(state.b_s)
-        new_phi_u = _upper_phi(state.dec_a.eigenvalues, state.u, problem.T)
+        new_phi_u = _upper_phi(state.a_vals, state.u, problem.T)
         new_phi_l = _lower_phi(state.dec_b.eigenvalues, state.l)
         upper_inc = new_phi_u - phi_u
         lower_inc = new_phi_l - phi_l
@@ -466,7 +556,7 @@ def run_engine(problem: EngineProblem) -> EngineResult:
                 upper_potential=new_phi_u,
                 lower_increase=lower_inc,
                 upper_increase=upper_inc,
-                upper_gap=state.u - float(state.dec_a.eigenvalues[-1]),
+                upper_gap=state.u - float(state.a_vals[-1]),
                 lower_gap=(
                     float(state.dec_b.eigenvalues[0]) - state.l if k_eff else math.inf
                 ),
@@ -504,7 +594,7 @@ def _certify(
     dev = float(np.max(np.abs(m_final - state.A)))
     if dev > 1e-8:
         raise NumericalError(f"A drifted from X + sum w_i Y_i by {dev:g}")
-    mvals = state.dec_a.eigenvalues
+    mvals = state.a_vals
     lam_min_m, lam_max_m = float(mvals[0]), float(mvals[-1])
 
     if lam_max_m > theta_max + 1e-9:

@@ -21,8 +21,9 @@ from .core import (
     LaplacianFactor,
     NumericalError,
     PreconditionError,
+    SpectralDecomposition,
     WeightedGraph,
-    _spectrum,
+    _decompose,
     _split_edges,
     factor_laplacian,
     pencil_range,
@@ -87,23 +88,21 @@ def verify_patch(g: WeightedGraph, w: WeightedGraph, k: int) -> PatchParams:
     Both quantities live on the image of L_{G+W}; for disconnected G+W the
     pencil spectrum is the union over components, sorted globally.
     """
-    return _certificate(g, k, factor_laplacian(g.union(w)))[0]
+    return _certificate(k, factor_laplacian(g.union(w)).pencil_spectra(g))[0]
 
 
-def _certificate(g: WeightedGraph, k: int, factor: LaplacianFactor) -> tuple[PatchParams, list, list, list]:
-    """The certificate of W against G from the pencil matrix
-    X_c = F_c^T L_G F_c of each component c of G+W (block c of the
-    (L_G, L_{G+W}) pencil), `factor` being the factor of L_{G+W}.
+def _certificate(k: int, spectra: list) -> tuple[PatchParams, list, list]:
+    """The certificate of W against G from the ascending spectrum of the
+    pencil matrix X_c = F_c^T L_G F_c of each component c of G+W (block c
+    of the (L_G, L_{G+W}) pencil, F the factor of L_{G+W}).
 
     Since L_W = L_{G+W} - L_G, F_c^T L_W F_c = I - X_c, so T_patch is the
-    sum of the trace bounds Tr(I - X_c). Also returns, per component, X_c,
-    its protected count (how many of the globally smallest values it holds,
-    the k of them shrunk to the start of a tied cluster) and Tr(I - X_c).
+    sum of the trace bounds Tr(I - X_c). Also returns, per component, its
+    protected count (how many of the globally smallest values it holds, the
+    k of them shrunk to the start of a tied cluster) and Tr(I - X_c).
     """
     if k < 0:
         raise PreconditionError(f"k must be nonnegative, got {k}")
-    xs = factor.pencil_matrices(g)
-    spectra = [_spectrum(x) for x in xs]
     vals = np.concatenate([np.zeros(0), *spectra])
     owner = np.repeat(np.arange(len(spectra)), [s.size for s in spectra])
     order = np.lexsort((owner, vals))  # by value, then by component
@@ -113,17 +112,25 @@ def _certificate(g: WeightedGraph, k: int, factor: LaplacianFactor) -> tuple[Pat
     k_counts = np.bincount(protected, minlength=len(spectra)).tolist()
     traces = [float(np.sum(np.clip(1.0 - s, 0.0, None))) for s in spectra]
     params = PatchParams(k=k, T_patch=float(sum(traces)), lambda_star=float(vals[order[k]]))
-    return params, xs, k_counts, traces
+    return params, k_counts, traces
 
 
 def build_patch_problem(
-    x: np.ndarray, f: np.ndarray, u: np.ndarray, v: np.ndarray, w: np.ndarray, k: int, n_budget: int
+    x: np.ndarray,
+    f: np.ndarray,
+    u: np.ndarray,
+    v: np.ndarray,
+    w: np.ndarray,
+    k: int,
+    n_budget: int,
+    dec_x: SpectralDecomposition | None = None,
 ) -> EngineProblem:
     """Engine instance for sparsifying W against G on one component of G+W.
 
     Working space: the component's share of im(L_{G+W}) in the eigenbasis
     of its factor block F = Q diag(lambda)^(-1/2), and X = F^T L_G F its
-    pencil matrix of L_G. W's edges there are (u[i], v[i]) of weight w[i],
+    pencil matrix of L_G, with dec_x its eigendecomposition when already
+    solved. W's edges there are (u[i], v[i]) of weight w[i],
     on the block's vertex indices: edge e = (u, v) contributes the rank-one
     generator sqrt(w_e) F^T b_e = sqrt(w_e) (F[u] - F[v]), costs are
     w_e / sum(w), and M* is the identity on the working space.
@@ -134,7 +141,9 @@ def build_patch_problem(
         raise PreconditionError("W has an edge off the block: G+W must be connected here, split it upstream")
     vectors = np.sqrt(w) * (f[u] - f[v]).T
     costs = w / float(sum(w.tolist()))
-    return EngineProblem(X=x, vectors=vectors, costs=costs, Mstar=np.eye(f.shape[1]), k=k, N=n_budget)
+    return EngineProblem(
+        X=x, vectors=vectors, costs=costs, Mstar=np.eye(f.shape[1]), k=k, N=n_budget, dec_x=dec_x
+    )
 
 
 def _component_budgets(x_traces, k_bottom_counts, n_budget):
@@ -188,21 +197,23 @@ def sparsify_patch(
     # One factor of L_{G+W} serves the measured certificate, each
     # component's problem, the final sandwich and, carried in the result, a
     # re-check of W_k read back from a file. Each component's X is built
-    # once, and its spectrum solved once, for the certificate, its protected
-    # count and its budget; the engine takes the same X.
+    # and decomposed once, for the certificate, its protected count, its
+    # budget and its engine run.
     factor = factor_laplacian(g.union(w))
-    params, xs, k_counts, traces = _certificate(g, k, factor)
+    xs = factor.pencil_matrices(g)
+    decs = [_decompose(x) for x in xs]
+    params, k_counts, traces = _certificate(k, [dec.eigenvalues for dec in decs])
     budgets = _component_budgets(traces, k_counts, n_eff)
     picked = []  # per component, the (u, v, rho * w) arrays of its W_k edges
     engine_results = []
     realized_budget = 0
     weight_bound = 0.0
     w_parts = _split_edges(w, [block.vertices for block in factor.blocks])
-    for block, x, (u, v, we), k_c, n_c in zip(factor.blocks, xs, w_parts, k_counts, budgets):
+    for block, x, dec, (u, v, we), k_c, n_c in zip(factor.blocks, xs, decs, w_parts, k_counts, budgets):
         if not we.size:
             continue
         realized_budget += n_c
-        result = run_engine(build_patch_problem(x, block.f, u, v, we, k_c, n_c))
+        result = run_engine(build_patch_problem(x, block.f, u, v, we, k_c, n_c, dec))
         engine_results.append(result)
         weight_bound += result.cost_bound * float(sum(we.tolist()))
         keep = result.weights > 0

@@ -1,4 +1,6 @@
 """Barrier schedule, potentials, gradients, and the full selection loop."""
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from lapsparse.core import (
     BarrierViolationError,
     BudgetTooSmallError,
     InfeasibleStepError,
+    NumericalError,
     PreconditionError,
     SpectralDecomposition,
     eigvalsh,
@@ -21,6 +24,7 @@ from lapsparse.engine import (
     _lower_phi,
     _select,
     _selection_scores,
+    _upper_dphi,
     _upper_gradient_diag,
     _upper_phi,
     compute_Z,
@@ -60,7 +64,8 @@ def dense_lower_gradient(b, l, delta_l, basis):
 def engine_upper_gradient(a, u, delta_u, t_bound):
     """U_A with the eigenvalues the engine scores with."""
     vals, vecs = np.linalg.eigh(a)
-    return symmetrize((vecs * _upper_gradient_diag(vals, u, delta_u, t_bound)) @ vecs.T)
+    diag = _upper_gradient_diag(u + delta_u - vals, _upper_dphi(vals, u, delta_u, t_bound))
+    return symmetrize((vecs * diag) @ vecs.T)
 
 
 def engine_lower_gradient(b, l, delta_l, basis):
@@ -139,6 +144,17 @@ def test_normalizer_inverts_the_restricted_gap():
 def test_normalizer_rejects_indefinite_gap():
     with pytest.raises(PreconditionError):
         compute_Z(np.eye(3), np.zeros((3, 3)), np.eye(3)[:, :1])
+
+
+def test_normalizer_reports_a_lapack_failure_as_a_numerical_error(monkeypatch):
+    # NumericalError exits 4 with the JSON failure line; LinAlgError would
+    # escape as a traceback
+    def failing(a):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", failing)
+    with pytest.raises(NumericalError, match="failed to converge"):
+        compute_Z(np.zeros((3, 3)), np.eye(3), np.eye(3)[:, :1])
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +349,39 @@ def test_selection_scores_match_einsum_against_the_gradients(seed, n, m, k):
         assert not np.any(lower) and not np.any(want_lower)
     else:
         assert np.max(np.abs(lower - want_lower)) <= 1e-12 * np.max(np.abs(want_lower))
+
+
+@pytest.mark.parametrize("seed,d", [(51, 5), (52, 12), (53, 30), (54, 60)])
+@pytest.mark.parametrize("gap", [1e-2, 1.0])
+def test_low_rank_scores_match_a_fresh_decomposition(seed, d, gap):
+    # Between refreshes the upper scores come from the last full
+    # decomposition of A plus a Woodbury term for the pending updates. They
+    # must equal the scores of a fresh decomposition of the same A, with
+    # u' = u + delta_u at `gap` above lambda_max(A): 1e-2 is the closest the
+    # barrier allows for max(N,T) up to 400 (u' - lambda_max >= 4/max(N,T)).
+    problem = make_engine_instance(seed, n=d, m=4 * d, k=1)
+    state, schedule, _, _ = _start_state(problem)
+    rng = np.random.default_rng(seed)
+    for pending in range(engine.REFRESH_EVERY):
+        if pending:
+            i = int(rng.integers(problem.num_updates))
+            v = problem.vectors[:, i]
+            t = float(rng.uniform(0.05, 0.2)) / float(v @ v)
+            state.A = symmetrize(state.A + t * np.outer(v, v))
+            state.pending.append((i, t))
+        assert len(state.pending) == pending
+        fresh = eigh(state.A)
+        state.a_vals = fresh.eigenvalues
+        state.u = float(fresh.eigenvalues[-1]) + gap / 2
+        at_gap = dataclasses.replace(schedule, delta_u=gap / 2)
+
+        upper, lower = _selection_scores(problem, state, at_gap)
+
+        reference = initial_state(problem, at_gap, fresh, state.szv)
+        reference.u = state.u
+        want_upper, want_lower = _selection_scores(problem, reference, at_gap)
+        assert np.max(np.abs(upper - want_upper)) <= 1e-12 * np.max(np.abs(want_upper))
+        assert np.array_equal(lower, want_lower)
 
 
 def test_infeasible_step_carries_the_potentials_of_the_failing_state(monkeypatch):

@@ -99,9 +99,9 @@ def test_certificate_splits_no_tie_between_components():
     factor = factor_laplacian(g.union(w))
     (a, b), lambda_star = factor.pencil_spectra(g), verify_patch(g, w, 1).lambda_star
     assert np.array_equal(a, b) and lambda_star == a[0]
-    assert patch._certificate(g, 1, factor)[2] == [0, 0]
-    assert patch._certificate(g, 2, factor)[2] == [1, 1]
-    assert patch._certificate(g, 3, factor)[2] == [1, 1]
+    assert patch._certificate(1, factor.pencil_spectra(g))[1] == [0, 0]
+    assert patch._certificate(2, factor.pencil_spectra(g))[1] == [1, 1]
+    assert patch._certificate(3, factor.pencil_spectra(g))[1] == [1, 1]
 
 
 def test_one_component_gets_the_whole_budget():

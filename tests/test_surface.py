@@ -187,6 +187,32 @@ def test_patch_builds_no_laplacian_of_its_own():
     assert not names & banned, f"patch references {sorted(names & banned)}"
 
 
+def test_every_numpy_eigensolve_goes_through_core():
+    # core._decompose and core._spectrum turn a LAPACK failure into
+    # NumericalError (exit 4, with its JSON failure line); a numpy eigh or
+    # eigvalsh called anywhere else would let LinAlgError escape as a
+    # traceback (exit 1)
+    solvers = {"eigh", "eigvalsh"}
+    offenders = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        wrappers = [
+            node for node in tree.body
+            if path.stem == "core" and isinstance(node, ast.FunctionDef) and node.name in ("_decompose", "_spectrum")
+        ]
+        allowed = {id(sub) for wrapper in wrappers for sub in ast.walk(wrapper)}
+        for node in ast.walk(tree):
+            direct = (
+                isinstance(node, ast.Attribute)
+                and node.attr in solvers
+                and ast.unparse(node.value) in ("np.linalg", "numpy.linalg")
+            )
+            imported = isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+            if (direct or imported) and id(node) not in allowed:
+                offenders.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert not offenders, "numpy eigensolves outside core._decompose/_spectrum: " + "; ".join(offenders)
+
+
 def test_connectivity_solves_on_numpy_lapack_only():
     # scipy.linalg's solvers and factorizations (solve, solve_triangular,
     # cho_factor, cholesky, inv, eigh, ...) would start scipy's own OpenBLAS

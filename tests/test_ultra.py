@@ -9,6 +9,7 @@ import scipy.sparse.csgraph
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_connected_graph
+from lapsparse import engine
 from lapsparse.core import (
     DisconnectedError,
     PreconditionError,
@@ -492,15 +493,16 @@ def test_build_rejects_bad_inputs():
 
 def test_solve_budget_of_the_patch_and_ultra_pipelines(monkeypatch):
     # Every eigensolve goes through numpy: one factor per Laplacian, one
-    # spectrum per pencil, and the engine's N + 3 solves of the d x d
-    # working space, d = n - 1.
+    # spectrum per pencil, one decomposition of X, and per engine step one
+    # values-only solve of the d x d working space, d = n - 1, with a full
+    # decomposition instead every REFRESH_EVERY steps.
     solves = []
 
     def counting(owner, name):
         original = getattr(owner, name)
 
         def wrapper(a, *args, **kwargs):
-            solves.append((owner.__name__, a.shape[0]))
+            solves.append((f"{owner.__name__}.{name}", a.shape[0]))
             return original(a, *args, **kwargs)
 
         monkeypatch.setattr(owner, name, wrapper)
@@ -513,21 +515,31 @@ def test_solve_budget_of_the_patch_and_ultra_pipelines(monkeypatch):
     n, k = 30, 2
     g = random_connected_graph(rng, n, extra_edges=2 * n)
     n_steps = 8 * k + 1
+    refreshes = (n_steps - 1) // engine.REFRESH_EVERY  # none after the last step
+    assert refreshes >= 1
 
-    def big():
-        return sum(1 for _, d in solves if d >= n - 1)
+    def count(name, sizes):
+        return sum(1 for owner, d in solves if owner == f"numpy.linalg.{name}" and d in sizes)
 
     result = build_ultrasparsifier(g, k)
     assert result.patch is not None and len(result.patch.engine_results) == 1
-    assert all(owner == "numpy.linalg" for owner, _ in solves)
-    # sw_trace_check: factor of L_T + pencil; patch: factor of L_{T+W},
-    # verify pencil, validate (X, M*), compute_Z, N steps, final sandwich;
-    # ultra: factor of L_U + pencil.
-    assert big() == n_steps + 10
-    assert sum(1 for _, d in solves if d == k) == n_steps + 1  # B_S per step, Z's restriction
+    assert all(owner.startswith("numpy.linalg.") for owner, _ in solves)
+    # n x n factors: of L_T (trace check), of L_{T+W} (patch), of L_U (final)
+    assert count("eigh", {n}) == 3
+    # d x d with vectors: X (the patch certificate's, which the engine
+    # reuses), then the engine's refreshes
+    assert count("eigh", {n - 1}) == 1 + refreshes <= math.ceil(n_steps / engine.REFRESH_EVERY) + 1
+    # d x d values only: the (G, T) pencil of the trace check, the engine's
+    # other steps, the final sandwich of the patch, the (G, U) pencil
+    assert count("eigvalsh", {n - 1}) == 1 + (n_steps - refreshes) + 1 + 1
+    # k x k: B_S per step, and Z's restriction
+    assert count("eigh", {k}) == n_steps + 1 and count("eigvalsh", {k}) == 0
 
     solves.clear()
     tree, _ = low_stretch_tree(g)
     sparsify_patch(tree.graph(), g.scale(0.01), k)
-    assert all(owner == "numpy.linalg" for owner, _ in solves)
-    assert big() == n_steps + 6
+    assert all(owner.startswith("numpy.linalg.") for owner, _ in solves)
+    # the factor of L_{G+W}; X; the engine's refreshes
+    assert count("eigh", {n, n - 1}) == 2 + refreshes
+    # the engine's other steps and the final sandwich
+    assert count("eigvalsh", {n, n - 1}) == n_steps - refreshes + 1
