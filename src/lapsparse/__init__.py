@@ -11,7 +11,7 @@ Modules:
 
 from .core import WeightedGraph, laplacian, pencil_eigenvalues
 from .engine import EngineProblem, EngineResult, run_engine
-from .patch import PatchSparsifier, sparsify_patch, verify_patch
+from .patch import PatchSparsifier, sparsify_patch
 from .ultra import UltraResult, build_ultrasparsifier, low_stretch_tree, tree_stretch
 from .connectivity import (
     ConnectivityInstance,
@@ -29,7 +29,6 @@ __all__ = [
     "run_engine",
     "PatchSparsifier",
     "sparsify_patch",
-    "verify_patch",
     "UltraResult",
     "build_ultrasparsifier",
     "low_stretch_tree",

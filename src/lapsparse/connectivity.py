@@ -24,6 +24,7 @@ from .core import (
     _decompose,
     _edge_entries,
     _edge_laplacian,
+    _integral,
     _spectrum,
     check_symmetric,
     laplacian,
@@ -58,8 +59,8 @@ class ConnectivityInstance:
     delta: float
 
     def __init__(self, base: WeightedGraph, candidates, k: int):
-        if k < 0:
-            raise PreconditionError(f"budget k must be nonnegative, got {k}")
+        if not _integral(type(k)) or k < 0:
+            raise PreconditionError(f"budget k must be nonnegative and an integer (bools are not), got {k!r}")
         rows = list(candidates)
         try:
             ends = np.array(rows, dtype=np.int64).reshape(len(rows), 2)

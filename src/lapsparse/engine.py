@@ -42,6 +42,7 @@ from .core import (
     PreconditionError,
     SpectralDecomposition,
     _decompose,
+    _integral,
     _spectrum,
     check_symmetric,
     symmetrize,
@@ -128,8 +129,10 @@ class EngineProblem:
             raise PreconditionError(f"costs must have shape ({m},), got {self.costs.shape}")
         if m == 0:
             raise PreconditionError("need at least one candidate update")
-        if self.k < 0:
-            raise PreconditionError(f"k must be nonnegative, got {self.k}")
+        if not _integral(type(self.k)) or self.k < 0:
+            raise PreconditionError(f"k must be nonnegative and an integer (bools are not), got {self.k!r}")
+        if not _integral(type(self.N)):
+            raise PreconditionError(f"budget N must be an integer (bools are not), got {self.N!r}")
         if self.N <= 8 * self.k:
             raise BudgetTooSmallError(f"budget N = {self.N} must exceed 8k = {8 * self.k}")
         if np.any(self.costs < 0):
@@ -196,24 +199,26 @@ class EngineState:
 
     A = X + sum_i w_i Y_i with a_vals, its ascending spectrum; dec_ref =
     (lambda_0, Q_0), the last full eigendecomposition of A, with w_ref =
-    Q_0^T V and the (index, t) of each update made since (`pending`); b_s =
-    S^T B S, the k x k restriction of B = Z(A - X)Z to S, with its
-    eigendecomposition dec_b; the barriers l, u; and the fixed k x m matrix
-    szv = S^T Z V whose column i generates the restriction of Z Y_i Z.
+    Q_0^T V, its entrywise square w_ref_sq and the (index, t) of each update
+    made since (`pending`), all four set by `refresh`; b_s = S^T B S, the
+    k x k restriction of B = Z(A - X)Z to S, with its eigendecomposition
+    dec_b; the barriers l, u; and the fixed k x m matrix szv = S^T Z V whose
+    column i generates the restriction of Z Y_i Z.
     """
 
     q: int
     weights: np.ndarray
     A: np.ndarray
-    a_vals: np.ndarray
-    dec_ref: SpectralDecomposition
-    w_ref: np.ndarray
-    pending: list
     b_s: np.ndarray
     dec_b: SpectralDecomposition
     l: float
     u: float
     szv: np.ndarray
+    a_vals: np.ndarray = field(init=False)
+    dec_ref: SpectralDecomposition = field(init=False)
+    w_ref: np.ndarray = field(init=False)
+    w_ref_sq: np.ndarray = field(init=False)
+    pending: list = field(init=False)
 
     @property
     def k_eff(self) -> int:
@@ -223,6 +228,7 @@ class EngineState:
         """Take `dec` as the full decomposition of the current A."""
         self.a_vals, self.dec_ref, self.pending = dec.eigenvalues, dec, []
         self.w_ref = dec.eigenvectors.T @ vectors
+        self.w_ref_sq = self.w_ref * self.w_ref
 
 
 def initial_state(
@@ -230,20 +236,18 @@ def initial_state(
 ) -> EngineState:
     """State before step 1: A = X (decomposed as dec_x), B_S = 0, barriers at l0, u0."""
     k_eff = szv.shape[0]
-    return EngineState(
+    state = EngineState(
         q=0,
         weights=np.zeros(problem.num_updates),
         A=problem.X.copy(),
-        a_vals=dec_x.eigenvalues,
-        dec_ref=dec_x,
-        w_ref=dec_x.eigenvectors.T @ problem.vectors,
-        pending=[],
         b_s=np.zeros((k_eff, k_eff)),
         dec_b=SpectralDecomposition(np.zeros(k_eff), np.eye(k_eff)),
         l=schedule.l0,
         u=schedule.u0,
         szv=szv,
     )
+    state.refresh(dec_x, problem.vectors)
+    return state
 
 
 @dataclass(frozen=True)
@@ -388,7 +392,8 @@ def _selection_scores(
     U_A.Y_i = v_i^T R^2 v_i / dphi + v_i^T R v_i, for the resolvent
     R = (u'I - A)^-1 at u' = u + delta_u. With A = Q_0 diag(lambda_0) Q_0^T
     (the last full decomposition) and no update pending, it is
-    sum_j g_u(lambda_0j) (q_j^T v_i)^2: one GEMV of the carried W_0 = Q_0^T V.
+    sum_j g_u(lambda_0j) (q_j^T v_i)^2: one GEMV of the entrywise square of
+    W_0 = Q_0^T V, carried from the last refresh.
     Updates made since add `_pending_resolvent_forms`. The lower side is the
     same in k coordinates: L_B.(Z Y_i Z) = sum_j g_l(b_j) (r_j^T S^T Z v_i)^2
     with B_S = R diag(b) R^T.
@@ -402,8 +407,7 @@ def _selection_scores(
         )
     gap = (state.u + schedule.delta_u) - state.dec_ref.eigenvalues
     dphi = _upper_dphi(vals, state.u, schedule.delta_u, problem.T)
-    w = state.w_ref
-    quad_u = _upper_gradient_diag(gap, dphi) @ (w * w)
+    quad_u = _upper_gradient_diag(gap, dphi) @ state.w_ref_sq
     if state.pending:
         r_forms, r2_forms = _pending_resolvent_forms(state, gap)
         quad_u += r2_forms / dphi + r_forms

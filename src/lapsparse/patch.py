@@ -24,6 +24,7 @@ from .core import (
     SpectralDecomposition,
     WeightedGraph,
     _decompose,
+    _integral,
     _split_edges,
     factor_laplacian,
     pencil_range,
@@ -64,31 +65,19 @@ class PatchSparsifier:
 
 
 def measure_sandwich(
-    g: WeightedGraph,
-    wk: WeightedGraph,
-    factor: LaplacianFactor,
-    certified_lower: float,
-    certified_upper: float,
+    h: WeightedGraph, factor: LaplacianFactor, certified_lower: float, certified_upper: float
 ) -> tuple[float, float]:
-    """Extremes of the (L_{G+W_k}, L_{G+W}) pencil, `factor` being the factor
-    of L_{G+W}; raises NumericalError unless they lie inside the certified
+    """Extremes of the pencil of L_H against the Laplacian that `factor`
+    factors (L_{G+W} for a patch G + W_k, L_G for an ultrasparsifier U);
+    raises NumericalError unless they lie inside the certified
     [certified_lower, certified_upper] within 1e-9."""
-    lower, upper = pencil_range(g.union(wk), factor)
+    lower, upper = pencil_range(h, factor)
     if lower < certified_lower - 1e-9 or upper > certified_upper + 1e-9:
         raise NumericalError(
             f"measured sandwich [{lower!r}, {upper!r}] leaves the certified"
             f" [{certified_lower!r}, {certified_upper!r}]"
         )
     return lower, upper
-
-
-def verify_patch(g: WeightedGraph, w: WeightedGraph, k: int) -> PatchParams:
-    """Measure (lambda_{k+1} of the (L_G, L_{G+W}) pencil, Tr(L_W L_{G+W}^+)).
-
-    Both quantities live on the image of L_{G+W}; for disconnected G+W the
-    pencil spectrum is the union over components, sorted globally.
-    """
-    return _certificate(k, factor_laplacian(g.union(w)).pencil_spectra(g))[0]
 
 
 def _certificate(k: int, spectra: list) -> tuple[PatchParams, list, list]:
@@ -168,10 +157,12 @@ def sparsify_patch(
     adversarial splits; the realized budget is reported via n_budget).
     Connected G+W is the one-block case, with all of k and N.
     """
-    if k < 0:
-        raise PreconditionError(f"k must be nonnegative, got {k}")
+    if not _integral(type(k)) or k < 0:
+        raise PreconditionError(f"k must be nonnegative and an integer (bools are not), got {k!r}")
     if n_budget is None:
         n_eff = 8 * k + 1
+    elif not _integral(type(n_budget)):
+        raise PreconditionError(f"edge budget N must be an integer (bools are not), got {n_budget!r}")
     elif n_budget < 8 * k + 1:
         raise BudgetTooSmallError(
             f"edge budget N = {n_budget} must be at least 8k+1 = {8 * k + 1} selection steps"
@@ -223,7 +214,7 @@ def sparsify_patch(
     certified_upper = max(result.theta_max for result in engine_results)
 
     wk = WeightedGraph.from_arrays(g.n, *(np.concatenate(column) for column in zip(*picked)))
-    measured_lower, measured_upper = measure_sandwich(g, wk, factor, certified_lower, certified_upper)
+    measured_lower, measured_upper = measure_sandwich(g.union(wk), factor, certified_lower, certified_upper)
     total_weight = wk.weight_sum()
     if total_weight > weight_bound + 1e-9 * max(1.0, weight_bound):
         raise NumericalError(

@@ -3,7 +3,8 @@
 The pipeline: pick a spanning tree T with small total stretch from a
 candidate ensemble, scale W = G / kappa with kappa = C1 * st_T(G) / k,
 sparsify W against T through the selection engine, and return U = T + W_k
-together with the measured generalized-eigenvalue sandwich of (L_G, L_U).
+together with the measured generalized-eigenvalue sandwich c L_G <= L_U <=
+kappa L_G, the (L_U, L_G) pencil against the factor of L_G.
 
 The tree ensemble, its rooting and the stretch queries are numpy code: no
 routine here loads scipy.
@@ -18,13 +19,14 @@ import numpy as np
 
 from .core import (
     DisconnectedError,
+    LaplacianFactor,
     NumericalError,
     PreconditionError,
     WeightedGraph,
+    _integral,
     factor_laplacian,
-    pencil_range,
 )
-from .patch import PatchSparsifier, sparsify_patch
+from .patch import PatchSparsifier, measure_sandwich, sparsify_patch
 
 # Thresholds t at which sw_trace_check tests the tail bound #{lambda > t} <= st/t.
 TAIL_PROBES = (1.0, 2.0, 5.0, 10.0)
@@ -282,36 +284,35 @@ def sw_trace_check(g: WeightedGraph, tree: SpanningTree, report: StretchReport) 
     return trace
 
 
-def measure_ultra(g: WeightedGraph, u: WeightedGraph, certified_lower: float) -> tuple[float, float]:
-    """Extremes of the (L_G, L_U) pencil; raises NumericalError when the
-    lower one falls more than 1e-9 below `certified_lower`."""
-    lower, upper = pencil_range(g, u)
-    if lower < certified_lower - 1e-9:
-        raise NumericalError(f"measured sandwich lower {lower!r} fell below certified {certified_lower!r}")
-    return lower, upper
-
-
 @dataclass(frozen=True)
 class UltraResult:
     """Ultrasparsifier U = T + W_k with its measured and certified sandwich.
 
-    gen_lower/gen_upper bound the (L_G, L_U) pencil; kappa_measured is their
-    ratio (the relative condition number); certified_lower is the engine-backed
-    floor 1 / (theta_max * (1 + 1/kappa_target)). A tree input has no
-    patch: U = G, and certified_lower is the measured gen_lower.
+    c and kappa are the extremes of the (L_U, L_G) pencil, c L_G <= L_U <=
+    kappa L_G, measured by `measure_sandwich` against `factor`, the factor
+    of L_G; kappa_measured = kappa / c is the relative condition number,
+    and gen_lower = 1/kappa, gen_upper = 1/c bound the (L_G, L_U) pencil.
+    certified_upper = theta_max (1 + 1/kappa_target) is the engine-backed
+    ceiling on kappa, and certified_lower = 1 / certified_upper the floor
+    on gen_lower. A tree input has no patch: U = G, certified_upper is
+    inf and certified_lower is the measured gen_lower.
     """
 
     u: WeightedGraph
     kappa_target: float
+    c: float
+    kappa: float
     gen_lower: float
     gen_upper: float
     kappa_measured: float
     certified_lower: float
+    certified_upper: float
     edge_count: int
     stretch: StretchReport
     trace_residual: float
     patch: PatchSparsifier | None
     tree: SpanningTree
+    factor: LaplacianFactor
 
 
 def build_ultrasparsifier(g: WeightedGraph, k: int, seed: int = 0) -> UltraResult:
@@ -322,8 +323,8 @@ def build_ultrasparsifier(g: WeightedGraph, k: int, seed: int = 0) -> UltraResul
     input gives U = G with no patch. G must be connected with at least 2
     vertices (`candidate_trees` checks).
     """
-    if k < 1:
-        raise PreconditionError(f"k must be at least 1, got {k}")
+    if not _integral(type(k)) or k < 1:
+        raise PreconditionError(f"k must be an integer of at least 1 (bools are not), got {k!r}")
 
     tree, report = low_stretch_tree(g, seed)
     trace = sw_trace_check(g, tree, report)
@@ -336,19 +337,25 @@ def build_ultrasparsifier(g: WeightedGraph, k: int, seed: int = 0) -> UltraResul
         patch = sparsify_patch(t_graph, g.scale(scale), k, 8 * k + 1)
         u = t_graph.union(patch.wk)
 
-    # a tree has no engine floor: its certified constant is the measured one
-    floor = 0.0 if patch is None else 1.0 / (patch.certified_upper * (1.0 + scale))
-    gen_lower, gen_upper = measure_ultra(g, u, floor)
+    # the engine's floor 1 / ceiling on the (L_G, L_U) pencil caps kappa; a
+    # tree has no engine floor: its certified constant is the measured one
+    ceiling = math.inf if patch is None else patch.certified_upper * (1.0 + scale)
+    factor = factor_laplacian(g)
+    c, kappa = measure_sandwich(u, factor, 0.0, ceiling)
     return UltraResult(
         u=u,
         kappa_target=kappa_target,
-        gen_lower=gen_lower,
-        gen_upper=gen_upper,
-        kappa_measured=gen_upper / gen_lower,
-        certified_lower=gen_lower if patch is None else floor,
+        c=c,
+        kappa=kappa,
+        gen_lower=1.0 / kappa,
+        gen_upper=1.0 / c,
+        kappa_measured=kappa / c,
+        certified_lower=1.0 / kappa if patch is None else 1.0 / ceiling,
+        certified_upper=ceiling,
         edge_count=u.num_edges,
         stretch=report,
         trace_residual=abs(trace - report.total),
         patch=patch,
         tree=tree,
+        factor=factor,
     )

@@ -9,8 +9,9 @@ import math
 import numpy as np
 import scipy.linalg
 
-from lapsparse.core import SpectralDecomposition, WeightedGraph, check_symmetric
+from lapsparse.core import SpectralDecomposition, WeightedGraph, check_symmetric, factor_laplacian
 from lapsparse.engine import EngineProblem
+from lapsparse.patch import PatchParams, _certificate
 
 
 def eigh(a: np.ndarray) -> SpectralDecomposition:
@@ -20,6 +21,14 @@ def eigh(a: np.ndarray) -> SpectralDecomposition:
     if a.shape[0] == 0:
         return SpectralDecomposition(np.zeros(0), np.zeros((0, 0)))
     return SpectralDecomposition(*scipy.linalg.eigh(a))
+
+
+def verify_patch(g: WeightedGraph, w: WeightedGraph, k: int) -> PatchParams:
+    """The measured certificate of W against G: lambda_{k+1} of the (L_G,
+    L_{G+W}) pencil and Tr(L_W L_{G+W}^+), from the pencil spectra of L_G
+    against the factor of L_{G+W}, the ones `sparsify_patch` certifies from.
+    For disconnected G+W the spectrum is the union over components."""
+    return _certificate(k, factor_laplacian(g.union(w)).pencil_spectra(g))[0]
 
 
 def random_connected_graph(

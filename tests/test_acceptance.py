@@ -10,10 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_engine_instance, random_connected_graph
+from conftest import make_engine_instance, random_connected_graph, verify_patch
 from lapsparse.core import WeightedGraph, laplacian, pencil_eigenvalues
 from lapsparse.engine import _upper_phi, run_engine
-from lapsparse.patch import verify_patch
 from lapsparse.ultra import C1, TAIL_PROBES, build_ultrasparsifier, low_stretch_tree, sw_trace_check, tree_stretch
 from lapsparse.connectivity import (
     ConnectivityInstance,

@@ -289,6 +289,45 @@ def test_ultra_command_reports_a_verifiable_sandwich(tmp_path):
     assert verified["kappa"] == pytest.approx(measured["kappa"], rel=1e-7)
 
 
+def test_ultra_command_measures_u_against_the_factor_of_g_as_verify_does(tmp_path, monkeypatch):
+    # The library measures the (L_U, L_G) pencil against its one factor of
+    # L_G, and the re-check measures the written U against that same factor:
+    # c and kappa equal verify G U's bit for bit, and the coherence
+    # deviation is exactly 0. The command's n x n decompositions are the
+    # factors of L_T (trace check), L_{T+W} (patch) and L_G; the re-check is
+    # one (n - 1)-wide values-only pencil and factors nothing.
+    rng = np.random.default_rng(77)
+    g = random_connected_graph(rng, 18, extra_edges=24)
+    g_path = save_text(tmp_path, "G.txt", g)
+    out, rep, rep_v = tmp_path / "U.txt", tmp_path / "ultra.json", tmp_path / "verify.json"
+    solves, written_at = [], []
+    for name in ("eigh", "eigvalsh"):
+        def counting(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            solves.append((_name, a.shape[0]))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counting)
+
+    def marking(*args, _original=cli.write_graph):
+        written_at.append(len(solves))
+        return _original(*args)
+
+    monkeypatch.setattr(cli, "write_graph", marking)
+    assert main(["ultra", g_path, str(out), "--k", "2", "--report", str(rep)]) == 0
+    assert solves.count(("eigh", g.n)) == 3
+    assert solves[written_at[0]:] == [("eigvalsh", g.n - 1)]
+
+    report = json.loads(rep.read_text())
+    assert report["coherence"]["max_relative_deviation"] == 0.0
+    assert main(["verify", g_path, str(out), "--report", str(rep_v)]) == 0
+    measured, verified = report["measured"], json.loads(rep_v.read_text())["measured"]
+    assert (measured["c"], measured["kappa"]) == (verified["c"], verified["kappa"])
+    assert measured["relative_condition_number"] == verified["relative_condition_number"]
+    assert (measured["pencil_g_over_u_lower"], measured["pencil_g_over_u_upper"]) == (
+        1.0 / verified["kappa"], 1.0 / verified["c"]
+    )
+
+
 def test_ultra_command_on_a_tree_returns_the_tree(tmp_path):
     rng = np.random.default_rng(79)
     g = random_connected_graph(rng, 9, extra_edges=0)

@@ -81,6 +81,14 @@ def test_instance_rejects_malformed_candidates():
         ConnectivityInstance(base, [(0, 2)], -1)
 
 
+@pytest.mark.parametrize("k", [1.5, 2.0, np.float64(1.0), True, False])
+def test_instance_rejects_a_budget_that_is_not_an_integer(k):
+    # 1.5 and True were stored as k = 1
+    with pytest.raises(PreconditionError, match="integer"):
+        ConnectivityInstance(path3(), [(0, 2)], k)
+    assert ConnectivityInstance(path3(), [(0, 2)], np.int64(1)).k == 1
+
+
 def _loop_instance(base: WeightedGraph, candidates):
     """Candidates and delta by a loop over the pairs, the way the instance
     computed them before it was vectorised."""

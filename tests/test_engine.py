@@ -511,6 +511,18 @@ def test_problem_validation_rejects_bad_costs_and_budget():
         )
 
 
+@pytest.mark.parametrize("k,n_budget", [(0.5, 9), (True, 9), (np.float64(1.0), 9), (0, 4.5), (0, np.float64(9.0)), (0, True)])
+def test_problem_validation_rejects_a_k_or_budget_that_is_not_an_integer(k, n_budget):
+    # numpy integers are integers; bools and integral floats are not, and
+    # neither reaches an index or a step count as one
+    problem = make_engine_instance(61, n=6, m=30, k=1)
+    fields = dict(X=problem.X, vectors=problem.vectors, costs=problem.costs, Mstar=problem.Mstar)
+    with pytest.raises(PreconditionError, match="integer"):
+        run_engine(EngineProblem(**fields, k=k, N=n_budget))
+    result = run_engine(EngineProblem(**fields, k=np.int64(1), N=np.int32(9)))
+    assert result.weights.shape == (30,)
+
+
 # Reference picks recorded with the dense formulation of the loop (d x d B,
 # ambient gradients, einsum scores, fresh eigensolves for every potential):
 # (make_engine_instance arguments (seed, n, m, k, n_budget), the index

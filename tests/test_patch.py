@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, verify_patch
 from lapsparse import core, patch
 from lapsparse.core import (
     BudgetTooSmallError,
@@ -14,7 +14,7 @@ from lapsparse.core import (
     laplacian,
     pencil_eigenvalues,
 )
-from lapsparse.patch import _component_budgets, build_patch_problem, sparsify_patch, verify_patch
+from lapsparse.patch import _component_budgets, build_patch_problem, sparsify_patch
 
 
 def test_verify_empty_patch_is_perfectly_conditioned():
@@ -129,6 +129,18 @@ def test_sparsify_rejects_undersized_budget():
     w = random_connected_graph(rng, 7, extra_edges=5, wmin=0.2, wmax=0.6)
     with pytest.raises(BudgetTooSmallError):
         sparsify_patch(g, w, 1, n_budget=8)
+
+
+@pytest.mark.parametrize("k,n_budget", [(1.5, None), (True, None), (np.float64(1.0), 9), (1, 9.7), (1, np.float64(9.0)), (0, True)])
+def test_sparsify_rejects_a_k_or_budget_that_is_not_an_integer(k, n_budget):
+    # a float budget was truncated (9.7 ran as 9) and a float k failed as
+    # an IndexError; numpy integers pass
+    rng = np.random.default_rng(10)
+    g = random_connected_graph(rng, 7, extra_edges=3)
+    w = random_connected_graph(rng, 7, extra_edges=5, wmin=0.2, wmax=0.6)
+    with pytest.raises(PreconditionError, match="integer"):
+        sparsify_patch(g, w, k, n_budget)
+    assert sparsify_patch(g, w, np.int64(1), np.int32(9)).n_budget == 9
 
 
 def test_sparsify_selects_subset_within_budget_and_bounds():

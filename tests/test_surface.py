@@ -7,7 +7,9 @@ referenced by other code in the package or be exported in
 lapsparse.__all__. References are name loads and attribute reads; a name
 referenced only from definitions that are themselves unreferenced counts as
 unreferenced, repeated until nothing changes. core.eigvalsh is exempt: it
-is the independent (scipy) reference solver.
+is the independent (scipy) reference solver. An exported name must also be
+referenced by package code besides its definition and the re-export, so no
+public helper exists that only tests call.
 """
 import ast
 import json
@@ -73,6 +75,25 @@ def unreferenced_public_names(src: Path = SRC) -> list:
 def test_every_public_name_is_used_or_exported():
     dead = unreferenced_public_names()
     assert not dead, f"public names that no lapsparse code uses and __all__ omits: {', '.join(dead)}"
+
+
+# Exported names that no package code calls. pencil_eigenvalues stays while
+# the benchmark's output checks (perfbench/checks.py) read it.
+EXPORTED_FOR_OUTSIDE_READERS = {"pencil_eigenvalues"}
+
+
+def test_every_exported_name_is_used_by_the_package():
+    # no public helper exists that only tests call: each name in __all__ is
+    # referenced by package code other than its own definition and
+    # __init__'s re-export
+    used = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            used |= _referenced(stmt) - set(_defined_names(stmt))
+    unused = sorted(set(lapsparse.__all__) - used - EXPORTED_FOR_OUTSIDE_READERS)
+    assert not unused, f"exported names that no other lapsparse code uses: {', '.join(unused)}"
 
 
 def _referenced_or_imported(module: str) -> set:

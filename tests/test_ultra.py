@@ -491,6 +491,13 @@ def test_build_rejects_bad_inputs():
         build_ultrasparsifier(WeightedGraph(1, []), 1)
 
 
+@pytest.mark.parametrize("k", [1.5, 2.0, np.float64(1.0), True])
+def test_build_rejects_a_k_that_is_not_an_integer(k):
+    with pytest.raises(PreconditionError, match="integer"):
+        build_ultrasparsifier(cycle(6), k)
+    assert build_ultrasparsifier(cycle(6), np.int64(1)).edge_count <= 5 + 9
+
+
 def test_solve_budget_of_the_patch_and_ultra_pipelines(monkeypatch):
     # Every eigensolve goes through numpy: one factor per Laplacian, one
     # spectrum per pencil, one decomposition of X, and per engine step one
@@ -524,13 +531,14 @@ def test_solve_budget_of_the_patch_and_ultra_pipelines(monkeypatch):
     result = build_ultrasparsifier(g, k)
     assert result.patch is not None and len(result.patch.engine_results) == 1
     assert all(owner.startswith("numpy.linalg.") for owner, _ in solves)
-    # n x n factors: of L_T (trace check), of L_{T+W} (patch), of L_U (final)
+    # n x n factors: of L_T (trace check), of L_{T+W} (patch), of L_G (the
+    # final sandwich, which the CLI re-check reuses); nothing factors L_U
     assert count("eigh", {n}) == 3
     # d x d with vectors: X (the patch certificate's, which the engine
     # reuses), then the engine's refreshes
     assert count("eigh", {n - 1}) == 1 + refreshes <= math.ceil(n_steps / engine.REFRESH_EVERY) + 1
     # d x d values only: the (G, T) pencil of the trace check, the engine's
-    # other steps, the final sandwich of the patch, the (G, U) pencil
+    # other steps, the final sandwich of the patch, the (U, G) pencil
     assert count("eigvalsh", {n - 1}) == 1 + (n_steps - refreshes) + 1 + 1
     # k x k: B_S per step, and Z's restriction
     assert count("eigh", {k}) == n_steps + 1 and count("eigvalsh", {k}) == 0
