@@ -11,12 +11,16 @@ actually written before the report is emitted. Exit codes: 0 success,
 prints one JSON line on stderr with the error's name and message, the
 failing engine step q and the exception's diagnostics (null and {} when the
 error carries none).
+
+At import this module loads only core. Each command imports its pipeline
+when it is called: patch for sparsify-patch, ultra and patch for ultra,
+connectivity for algconn, each of them with the engine; verify needs only
+core.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import functools
 import hashlib
@@ -39,16 +43,6 @@ from .core import (
     numpy_blas_threads,
     pencil_range,
 )
-from .connectivity import (
-    ConnectivityInstance,
-    brute_force_opt,
-    certify_lambda2,
-    round_solution,
-    solve_fractional,
-)
-from .engine import StepRecord
-from .patch import measure_sandwich, sparsify_patch
-from .ultra import build_ultrasparsifier
 
 COHERENCE_TOL = 1e-9
 
@@ -280,18 +274,25 @@ def _input_block(**paths: str) -> dict:
     }
 
 
-# Per-step engine trace fields, in report and CSV column order.
-TRACE_FIELDS = tuple(f.name for f in dataclasses.fields(StepRecord))
+@functools.cache
+def _trace_fields() -> tuple:
+    """Per-step engine trace fields, in report and CSV column order."""
+    from .engine import StepRecord
+
+    return tuple(f.name for f in dataclasses.fields(StepRecord))
 
 
 def _engine_trace_rows(result) -> list:
-    return [{name: getattr(rec, name) for name in TRACE_FIELDS} for rec in result.trace]
+    fields = _trace_fields()
+    return [{name: getattr(rec, name) for name in fields} for rec in result.trace]
 
 
 def _write_trace_csv(path: str, engine_results) -> None:
+    import csv
+
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)
-        writer.writerow(("engine",) + TRACE_FIELDS)
+        writer.writerow(("engine",) + _trace_fields())
         for engine_idx, result in enumerate(engine_results):
             for row in _engine_trace_rows(result):
                 writer.writerow(
@@ -324,8 +325,13 @@ def _report_tail(engine_results, trace_csv, worst: float, t_start: float, t_solv
 
 
 def _relative_deviation(a: float, b: float) -> float:
-    if math.isinf(a) and math.isinf(b):
+    """0 for equal values, two infinities of one sign included; inf when
+    either is not finite otherwise, so that no NaN or infinity passes a
+    coherence check."""
+    if a == b:
         return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
     return abs(a - b) / max(1.0, abs(a), abs(b))
 
 
@@ -355,6 +361,8 @@ def cmd_sparsify_patch(
     n_budget: int | None = None,
     trace_csv: str | None = None,
 ) -> dict:
+    from .patch import measure_sandwich, sparsify_patch
+
     t_start = time.perf_counter()
     g = read_graph(g_path)
     w = read_graph(w_path)
@@ -406,6 +414,9 @@ def cmd_ultra(
     seed: int = 0,
     trace_csv: str | None = None,
 ) -> dict:
+    from .patch import measure_sandwich
+    from .ultra import build_ultrasparsifier
+
     t_start = time.perf_counter()
     g = read_graph(g_path)
     result = build_ultrasparsifier(g, k, seed=seed)
@@ -466,6 +477,14 @@ def cmd_algconn(
     oracle: bool = False,
     trace_csv: str | None = None,
 ) -> dict:
+    from .connectivity import (
+        ConnectivityInstance,
+        brute_force_opt,
+        certify_lambda2,
+        round_solution,
+        solve_fractional,
+    )
+
     t_start = time.perf_counter()
     base = read_graph(base_path)
     cand_graph = read_graph(cand_path)

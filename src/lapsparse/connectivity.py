@@ -73,8 +73,10 @@ class ConnectivityInstance:
             if a == b:
                 raise PreconditionError(f"candidate self-loop at vertex {a}")
             raise PreconditionError(f"candidate ({a},{b}) outside vertex range 0..{base.n - 1}")
-        keys = np.unique(lo * base.n + hi)
-        if keys.size != len(rows):
+        # sorted, not np.unique: on numpy 2.x a first plain np.unique call
+        # imports numpy.ma, about 13 ms of the command's start-up
+        keys = np.sort(lo * base.n + hi)
+        if (keys[1:] == keys[:-1]).any():
             raise PreconditionError("duplicate candidate edges")
         lo, hi = np.divmod(keys, base.n)
         overlap = np.isin(keys, base.u * base.n + base.v)

@@ -562,7 +562,8 @@ def pencil_range(h: WeightedGraph, g: WeightedGraph | LaplacianFactor) -> tuple[
     factor = g if isinstance(g, LaplacianFactor) else factor_laplacian(g)
     # The pencil rejects an H edge between two of G's components, so H's
     # components lie inside G's; as many of them means the same partition.
-    if h.n != factor.n or np.unique(h.component_labels()).size != len(factor.blocks):
+    # The labels number H's components 0..c-1.
+    if h.n != factor.n or int(h.component_labels().max(initial=-1)) + 1 != len(factor.blocks):
         raise IncompatibleImagesError(
             "connected components differ between the two graphs; the pencil"
             " range is only defined on a common image"

@@ -563,6 +563,35 @@ def test_re_check_measures_the_written_file(tmp_path, monkeypatch, capsys):
         assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "NumericalError"
 
 
+@pytest.mark.parametrize(
+    "a, b, deviation",
+    [
+        (2.0, 2.0, 0.0),
+        (0.5, 0.25, 0.25),
+        (-4.0, 2.0, 1.5),
+        (math.inf, math.inf, 0.0),
+        (-math.inf, -math.inf, 0.0),
+        (math.inf, -math.inf, math.inf),
+        (math.inf, 5.0, math.inf),
+        (5.0, -math.inf, math.inf),
+        (math.nan, 1.0, math.inf),
+        (1.0, math.nan, math.inf),
+        (math.nan, math.nan, math.inf),
+        (math.nan, math.inf, math.inf),
+    ],
+)
+def test_coherence_check_fails_values_that_are_not_finite_unless_equal(a, b, deviation):
+    # a NaN or a lone infinity would read NaN, which no tolerance test
+    # catches: every pair that is not equal and not finite deviates by inf
+    assert cli._relative_deviation(a, b) == deviation
+    claims = [("first", 1.0, 1.0), ("x", a, b)]
+    if deviation <= cli.COHERENCE_TOL:
+        assert cli._check_coherent(claims) == deviation
+    else:
+        with pytest.raises(core.NumericalError, match="coherence broken for x"):
+            cli._check_coherent(claims)
+
+
 def test_commands_run_on_one_numpy_blas_thread_and_restore_it(tmp_path, monkeypatch):
     blas = _numpy_openblas()
     if blas is None:

@@ -1,6 +1,7 @@
 """The package exposes no public name that nothing uses, the command line
 calls no solver of its own, and no command loads scipy: only the reference
-solver core.eigvalsh imports it, when it is called.
+solver core.eigvalsh imports it, when it is called. Each command loads only
+the modules of the package that it runs, and no command loads numpy.ma.
 
 A public module-level function, class or constant of lapsparse must be
 referenced by other code in the package or be exported in
@@ -12,11 +13,14 @@ referenced by package code besides its definition and the re-export, so no
 public helper exists that only tests call.
 """
 import ast
+import importlib
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import lapsparse
 
@@ -305,7 +309,8 @@ print(json.dumps([codes, before, scipy_modules()]))
 """
 
 
-def test_no_command_loads_scipy(tmp_path):
+def _small_commands(tmp_path) -> list:
+    """One small argv of each subcommand, on input files written to tmp_path."""
     from lapsparse.cli import write_graph
     from lapsparse.core import WeightedGraph
 
@@ -318,19 +323,91 @@ def test_no_command_loads_scipy(tmp_path):
     path = save("path.txt", WeightedGraph(6, [(i, i + 1, 1.0) for i in range(5)]))
     candidates = save("candidates.txt", WeightedGraph(6, [(0, 5, 1.0), (1, 4, 1.0), (0, 3, 1.0)]))
     report, out = str(tmp_path / "report.json"), str(tmp_path / "out.txt")
-    commands = [
+    return [
         ["verify", ring, ring, "--report", report],
         ["sparsify-patch", ring, chords, out, "--k", "1", "--report", report],
         ["algconn", path, candidates, out, "--k", "1", "--report", report],
         ["ultra", ring, out, "--k", "1", "--report", report],
     ]
+
+
+def _run_fresh(script: str, *args: str) -> list:
+    """Run script in a new interpreter that imports lapsparse from SRC; its
+    last output line, parsed as JSON."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")])))
     run = subprocess.run(
-        [sys.executable, "-c", _RUN_COMMANDS, json.dumps(commands)],
+        [sys.executable, "-c", script, *args],
         capture_output=True, text=True, env=env, check=True, timeout=120,
     )
-    codes, loaded, after_reference = json.loads(run.stdout)
+    return json.loads(run.stdout.splitlines()[-1])
+
+
+def test_no_command_loads_scipy(tmp_path):
+    codes, loaded, after_reference = _run_fresh(_RUN_COMMANDS, json.dumps(_small_commands(tmp_path)))
     assert codes == [0, 0, 0, 0]
     assert loaded == [], f"verify, sparsify-patch, algconn and ultra loaded {loaded}"
     # the check is live: the reference solver's scipy shows up once it runs
     assert "scipy.linalg" in after_reference
+
+
+_RUN_ONE_COMMAND = """
+import json, sys
+
+def loaded(prefixes):
+    return sorted(name for name in sys.modules if any(name == p or name.startswith(p + ".") for p in prefixes))
+
+import lapsparse
+bare = loaded(["lapsparse"])
+from lapsparse.cli import main
+code = main(json.loads(sys.argv[1]))
+print(json.dumps([bare, code, loaded(["lapsparse"]), loaded(["numpy.ma", "scipy"])]))
+"""
+
+# The modules of the package that each subcommand loads besides lapsparse,
+# lapsparse.cli and lapsparse.core.
+PIPELINE_MODULES = {
+    "verify": set(),
+    "sparsify-patch": {"engine", "patch"},
+    "ultra": {"engine", "patch", "ultra"},
+    "algconn": {"engine", "connectivity"},
+}
+
+
+def test_each_command_loads_only_its_own_pipeline(tmp_path):
+    # a command line process pays for every module it imports: compiling
+    # it (there may be no bytecode cache) and running its body. Each
+    # subcommand imports only the modules it calls, and none loads
+    # numpy.ma, which a plain np.unique call imports on numpy 2.x, or scipy
+    commands = _small_commands(tmp_path)
+    assert {argv[0] for argv in commands} == PIPELINE_MODULES.keys()
+    for argv in commands:
+        bare, code, package, unwanted = _run_fresh(_RUN_ONE_COMMAND, json.dumps(argv))
+        assert bare == ["lapsparse"], f"import lapsparse loaded {bare}"
+        assert code == 0, argv[0]
+        want = {"lapsparse", "lapsparse.cli", "lapsparse.core"}
+        want |= {f"lapsparse.{module}" for module in PIPELINE_MODULES[argv[0]]}
+        assert set(package) == want, f"{argv[0]} loaded {package}"
+        assert unwanted == [], f"{argv[0]} loaded {unwanted}"
+
+
+def test_every_exported_name_resolves_to_its_own_definition():
+    # the package resolves each exported name on first access; whatever the
+    # mechanism, `from lapsparse import name` gives the object that the
+    # module defining the name holds, and dir() lists every exported name
+    defined_in = {}
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body:
+            for name in _defined_names(stmt):
+                defined_in.setdefault(name, []).append(path.stem)
+    for name in lapsparse.__all__:
+        assert len(defined_in.get(name, [])) == 1, f"{name} is defined in {defined_in.get(name)}"
+        namespace: dict = {}
+        exec(f"from lapsparse import {name}", namespace)
+        module = importlib.import_module(f"lapsparse.{defined_in[name][0]}")
+        assert namespace[name] is getattr(module, name), name
+    assert set(lapsparse.__all__) <= set(dir(lapsparse))
+    assert "__version__" in dir(lapsparse)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        lapsparse.no_such_name
+    with pytest.raises(ImportError):
+        exec("from lapsparse import no_such_name", {})
