@@ -7,10 +7,10 @@ chosen by file extension. Every command can emit a structured JSON report
 (stdout by default, --report writes a file); all reals carry 17 significant
 digits, and every certified claim in a report is recomputed from the files
 actually written before the report is emitted. Exit codes: 0 success,
-2 parse error, 3 precondition violation, 4 numerical failure; exit 4 also
-prints one JSON line on stderr with the error's name and message, the
-failing engine step q and the exception's diagnostics (null and {} when the
-error carries none).
+2 parse error or a file that cannot be read or written, 3 precondition
+violation, 4 numerical failure; exit 4 also prints one JSON line on stderr
+with the error's name and message, the failing engine step q and the
+exception's diagnostics (null and {} when the error carries none).
 
 At import this module loads only core. Each command imports its pipeline
 when it is called: patch for sparsify-patch, ultra and patch for ultra,
@@ -187,10 +187,18 @@ def graph_to_json(g: WeightedGraph) -> str:
     return dumps_report({"n": g.n, "edges": edges}) + "\n"
 
 
+def _write_text(path: str, text: str) -> None:
+    """Write `text` to `path` as it is; a path that cannot be written raises
+    ParseError (exit 2), as an unreadable input does."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="") as handle:
+            handle.write(text)
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot write: {exc}") from None
+
+
 def write_graph(path: str, g: WeightedGraph) -> None:
-    text = graph_to_json(g) if path.endswith(".json") else graph_to_text(g)
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+    _write_text(path, graph_to_json(g) if path.endswith(".json") else graph_to_text(g))
 
 
 def sha256_file(path: str) -> str:
@@ -288,17 +296,14 @@ def _engine_trace_rows(result) -> list:
 
 
 def _write_trace_csv(path: str, engine_results) -> None:
-    import csv
-
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(("engine",) + _trace_fields())
-        for engine_idx, result in enumerate(engine_results):
-            for row in _engine_trace_rows(result):
-                writer.writerow(
-                    [engine_idx]
-                    + [val if isinstance(val, int) else format_float(val) for val in row.values()]
-                )
+    """The trace as csv.writer writes it, one CRLF-terminated row per engine
+    step: every field is a number or a plain name, so none needs quoting."""
+    lines = [",".join(("engine",) + _trace_fields())]
+    for engine_idx, result in enumerate(engine_results):
+        for row in _engine_trace_rows(result):
+            fields = (str(val) if isinstance(val, int) else format_float(val) for val in row.values())
+            lines.append(",".join((str(engine_idx), *fields)))
+    _write_text(path, "".join(line + "\r\n" for line in lines))
 
 
 def _report_tail(engine_results, trace_csv, worst: float, t_start: float, t_solve: float) -> dict:
@@ -669,6 +674,11 @@ def main(argv: list | None = None) -> int:
         # availability the command's time then depends on.
         with numpy_blas_threads(1):
             report = _dispatch(args)
+        text = dumps_report(report) + "\n"
+        if getattr(args, "report", None):
+            _write_text(args.report, text)
+        else:
+            sys.stdout.write(text)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -686,12 +696,6 @@ def main(argv: list | None = None) -> int:
         }
         print(json.dumps(failure), file=sys.stderr)
         return 4
-    text = dumps_report(report) + "\n"
-    if getattr(args, "report", None):
-        with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

@@ -30,12 +30,7 @@ from .core import (
     laplacian,
     symmetrize,
 )
-from .engine import (
-    LOWER_CONSTANT_DIVISOR,
-    EngineProblem,
-    EngineResult,
-    run_engine,
-)
+from .engine import EngineProblem, EngineResult, run_engine
 
 # The solver stops at the first Newton step whose certified gap is within
 # tol, or after this many steps. A gap of 1e-4 takes 6 to 14 steps on the
@@ -45,6 +40,9 @@ WEIGHT_DROP_REL = 1e-9
 # `_snap` moves a weight onto its bound when the affine-scaling step shrinks
 # its distance to that bound below this fraction.
 SNAP_RATIO = 0.1
+# The 72 of the rounding floor lambda_{k+2} lambda_sdp / (72 (4 Delta)^2): the
+# engine's certified floor implies it (`engine._certify`).
+FLOOR_DIVISOR = 72.0
 
 
 @dataclass(frozen=True)
@@ -401,9 +399,9 @@ def round_solution(inst: ConnectivityInstance, frac: FractionalSolution) -> Roun
     if four_delta <= 0.0:
         raise PreconditionError("Delta must be positive to round (no edges anywhere)")
     if math.isfinite(lam_k2):
-        floor = lam_k2 * frac.lambda_sdp / (LOWER_CONSTANT_DIVISOR * four_delta**2)
+        floor = lam_k2 * frac.lambda_sdp / (FLOOR_DIVISOR * four_delta**2)
     else:
-        floor = frac.lambda_sdp / LOWER_CONSTANT_DIVISOR
+        floor = frac.lambda_sdp / FLOOR_DIVISOR
 
     lb = laplacian(inst.base)
     u, v = np.array(inst.candidates, dtype=int).reshape(-1, 2).T

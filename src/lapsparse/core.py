@@ -43,7 +43,7 @@ class ToolkitError(Exception):
 
 
 class ParseError(ToolkitError):
-    """Malformed input file or value."""
+    """Malformed input file or value, or a file that cannot be read or written."""
 
 
 class PreconditionError(ToolkitError):

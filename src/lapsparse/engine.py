@@ -9,6 +9,7 @@ towards lambda_min(M*). Two potential functions steer the choice: a
 floating upper barrier u over the T largest eigenvalues of A, and a lower
 barrier l under the spectrum of B = Z(A - X)Z restricted to S, where
 Z = ((P_S (M* - X) P_S)^+)^(1/2) normalizes the reachable mass on S.
+The result certifies lambda_max(M) <= theta_max and one lambda_min(M) floor (`_certify`).
 
 Cost per step, for d = dim X, m candidates and k = dim S: one values-only
 d x d eigensolve of A (a full decomposition every REFRESH_EVERY steps), one
@@ -48,8 +49,6 @@ from .core import (
     symmetrize,
 )
 
-# Certified explicit constant: the lambda_min floor divisor.
-LOWER_CONSTANT_DIVISOR = 72.0
 # Steps between full eigendecompositions of A; the steps between take its
 # spectrum only and score through `_pending_resolvent_forms`. Engine CPU
 # over the 12 `ultra` runs of benchmark corpus seeds 2-3 (d = 119, m = 360,
@@ -276,14 +275,14 @@ class StepRecord:
 
 @dataclass(frozen=True)
 class EngineResult:
-    """Final weights and the certificate for M = X + sum w_i Y_i."""
+    """Final weights and the certificate for M = X + sum w_i Y_i (`_certify`)."""
 
     weights: np.ndarray
     theta_max: float
     lambda_min: float
     lambda_max: float
     lambda_star: float
-    explicit_floor: float
+    floor: float
     lambda_min_b_restricted: float
     total_cost: float
     cost_bound: float
@@ -587,7 +586,20 @@ def _certify(
     trace: tuple,
     max_increase: float,
 ) -> EngineResult:
-    """Check the certificate from the decompositions the loop carried out."""
+    """Check the certificate from the decompositions the loop carried out.
+
+    The barriers (Batson, Spielman and Srivastava's, "Twice-Ramanujan
+    Sparsifiers", STOC 2009, here on two sides) give lambda_max(M) <=
+    theta_max = 2(N+T)/max(N,T) + 1, lambda_min(B|S) >= theta_min =
+    (N/2 - 2k)/max(N,T) and one floor lambda_min(M) >= theta_min lambda*
+    lambda_min(M*) / (sqrt lambda* + sqrt theta_max + sqrt(theta_min
+    lambda_min(M*)))^2, lambda* the smallest eigenvalue of X off S. The
+    floor implies the paper's explicit min(1, N/T) lambda* lambda_min(M*)/72:
+    N > 8k gives theta_min > min(1, N/T)/4, and as lambda*, lambda_min(M*)
+    <= lambda_max(M*) <= 1, theta_max <= 5 and theta_min <= 1/2, the
+    denominator (at least theta_max >= 3) is at most (1 + sqrt 5 +
+    sqrt 0.5)^2 < 15.55, so the floor is over 72/62.2 = 1.157 times it.
+    """
     d = problem.dim
     k_eff = state.k_eff
     mx = max(problem.N, problem.T)
@@ -604,41 +616,23 @@ def _certify(
     if lam_max_m > theta_max + 1e-9:
         raise NumericalError(f"lambda_max(M) = {lam_max_m!r} exceeds theta_max = {theta_max!r}")
 
-    if k_eff > 0:
-        lam_min_b = float(state.dec_b.eigenvalues[0])
-        if lam_min_b < theta_min - 1e-9:
-            raise NumericalError(
-                f"lambda_min(B|S) = {lam_min_b!r} below theta_min = {theta_min!r}"
-            )
-    else:
-        lam_min_b = float("inf")
+    lam_min_b = float(state.dec_b.eigenvalues[0]) if k_eff > 0 else math.inf
+    if lam_min_b < theta_min - 1e-9:
+        raise NumericalError(f"lambda_min(B|S) = {lam_min_b!r} below theta_min = {theta_min!r}")
 
     lam_min_mstar = float(mstar_vals[0])
-    lam_star = float(dec_x.eigenvalues[k_eff]) if k_eff < d else float("inf")
-
-    cost_fraction = min(1.0, problem.N / problem.T)
     if k_eff < d:
-        denom = (
-            math.sqrt(max(lam_star, 0.0))
-            + math.sqrt(theta_max)
-            + math.sqrt(max(theta_min * lam_min_mstar, 0.0))
-        ) ** 2
-        certified_floor = theta_min * lam_star * lam_min_mstar / denom if denom > 0 else 0.0
-        explicit_floor = cost_fraction * lam_star * lam_min_mstar / LOWER_CONSTANT_DIVISOR
+        lam_star = float(dec_x.eigenvalues[k_eff])
+        root = math.sqrt(max(lam_star, 0.0)) + math.sqrt(theta_max) + math.sqrt(max(theta_min * lam_min_mstar, 0.0))
+        floor = theta_min * lam_star * lam_min_mstar / root**2
     else:
         # S is the whole working space: M >= X + theta_min (M* - X) >= theta_min M*.
-        certified_floor = theta_min * lam_min_mstar
-        explicit_floor = cost_fraction * lam_min_mstar / LOWER_CONSTANT_DIVISOR
-    if lam_min_m < certified_floor - 1e-9:
-        raise NumericalError(
-            f"lambda_min(M) = {lam_min_m!r} below certified floor {certified_floor!r}"
-        )
-    if lam_min_m < explicit_floor - 1e-9:
-        raise NumericalError(
-            f"lambda_min(M) = {lam_min_m!r} below explicit floor {explicit_floor!r}"
-        )
+        lam_star, floor = math.inf, theta_min * lam_min_mstar
+    if lam_min_m < floor - 1e-9:
+        raise NumericalError(f"lambda_min(M) = {lam_min_m!r} below certified floor {floor!r}")
 
     total_cost = float(state.weights @ problem.costs)
+    cost_fraction = min(1.0, problem.N / problem.T)
     if total_cost > cost_fraction + 1e-9:
         raise NumericalError(f"total cost {total_cost!r} exceeds min(1, N/T) = {cost_fraction!r}")
     support = int(np.count_nonzero(state.weights))
@@ -651,7 +645,7 @@ def _certify(
         lambda_min=lam_min_m,
         lambda_max=lam_max_m,
         lambda_star=lam_star,
-        explicit_floor=explicit_floor,
+        floor=floor,
         lambda_min_b_restricted=lam_min_b,
         total_cost=total_cost,
         cost_bound=cost_fraction,

@@ -210,7 +210,7 @@ def sparsify_patch(
         keep = result.weights > 0
         picked.append((block.vertices[u[keep]], block.vertices[v[keep]], result.weights[keep] * we[keep]))
     # every edge of W lies in one component, so at least one engine ran
-    certified_lower = min(result.explicit_floor for result in engine_results)
+    certified_lower = min(result.floor for result in engine_results)
     certified_upper = max(result.theta_max for result in engine_results)
 
     wk = WeightedGraph.from_arrays(g.n, *(np.concatenate(column) for column in zip(*picked)))

@@ -207,7 +207,10 @@ def candidate_trees(g: WeightedGraph, seed: int = 0) -> list:
     """The spanning-tree ensemble: shortest-path trees (lengths 1/w) from
     min(n, 16) seeded random roots, then the maximum-weight spanning tree.
     Ties break toward the lowest vertex or edge index, as
-    `_shortest_path_trees` and `_maximum_spanning_tree` say."""
+    `_shortest_path_trees` and `_maximum_spanning_tree` say. The seed must
+    be a nonnegative integer."""
+    if not _integral(type(seed)) or seed < 0:
+        raise PreconditionError(f"seed must be a nonnegative integer (bools are not), got {seed!r}")
     if not g.is_connected():
         raise DisconnectedError("low-stretch tree needs a connected graph")
     if g.n < 2:

@@ -56,6 +56,9 @@ def test_01_engine_certificate_on_fifty_random_instances(engine_runs):
             / 72.0
         )
         assert result.lambda_min >= floor
+        # the certified floor the engine returns holds and implies the /72 one
+        assert result.lambda_min >= result.floor - 1e-9
+        assert result.floor >= (72 / 62.2) * floor
         assert result.support <= problem.N
         assert result.total_cost <= min(1.0, problem.N / problem.T)
 

@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import random_connected_graph
 from lapsparse import cli, core
 from lapsparse.core import ParseError, WeightedGraph, _numpy_openblas, eigvalsh, laplacian
+from lapsparse.patch import sparsify_patch
 from lapsparse.cli import (
     dumps_report,
     format_float,
@@ -530,6 +531,14 @@ def test_split_sparsify_patch_solves_nothing_wider_than_a_component(tmp_path, mo
     assert max(widths) == 12
     assert max(built) == 12
 
+    # the report's certified floor is the weakest engine floor over the
+    # components, and the measured sandwich of the split G+W clears it
+    report = json.loads((tmp_path / "rep.json").read_text())
+    engine_results = sparsify_patch(g, w, 2).engine_results
+    assert len(engine_results) == 2
+    assert report["certified"]["pencil_lower"] == min(r.floor for r in engine_results)
+    assert report["measured"]["pencil_lower"] >= report["certified"]["pencil_lower"]
+
 
 def test_re_check_measures_the_written_file(tmp_path, monkeypatch, capsys):
     # the heaviest written weight off by a relative 1e-6 must fail the
@@ -652,6 +661,24 @@ def test_exit_code_two_on_a_weighted_degree_that_overflows(tmp_path, capsys, arg
     assert capsys.readouterr().err == f"error: {bad}: weighted degree of vertex 1 overflows the largest float\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "{g}", "{g}", "--report", "{bad}"],
+        ["sparsify-patch", "{g}", "{g}", "{bad}", "--k", "0"],
+        ["ultra", "{g}", "{out}", "--k", "1", "--trace-csv", "{bad}"],
+    ],
+)
+def test_exit_code_two_on_an_unwritable_output_path(tmp_path, capsys, argv):
+    g = save_text(tmp_path, "G.txt", random_connected_graph(np.random.default_rng(84), 6, extra_edges=4))
+    bad = tmp_path / "missing" / "file"
+    argv = [a.format(g=g, bad=bad, out=tmp_path / "out.txt") for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: cannot write: ")
+    assert err.count("\n") == 1  # one message, no traceback
+
+
 def test_exit_code_three_on_violated_preconditions(tmp_path, capsys):
     rng = np.random.default_rng(83)
     g = random_connected_graph(rng, 8, extra_edges=4)
@@ -682,6 +709,10 @@ def test_exit_code_three_on_violated_preconditions(tmp_path, capsys):
     base = save_text(tmp_path, "base.txt", WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)]))
     heavy = save_text(tmp_path, "heavy.txt", WeightedGraph(3, [(0, 2, 2.0)]))
     assert main(["algconn", base, heavy, str(out), "--k", "1"]) == 3
+
+    # a negative tree-ensemble seed
+    assert main(["ultra", g_path, str(out), "--k", "1", "--seed", "-1"]) == 3
+    assert "seed must be a nonnegative integer" in capsys.readouterr().err
 
     # a gap tolerance that is not a positive number
     cand = save_text(tmp_path, "cand.txt", WeightedGraph(3, [(0, 2, 1.0)]))

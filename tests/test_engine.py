@@ -422,7 +422,7 @@ def test_run_engine_identity_scaling_with_no_protected_directions():
     assert res.lambda_max <= res.theta_max + 1e-9
     assert res.theta_max == pytest.approx(4.0)
     assert res.lambda_star == pytest.approx(0.5, abs=1e-12)
-    assert res.lambda_min >= res.explicit_floor - 1e-12
+    assert res.lambda_min >= res.floor - 1e-12
     assert res.support <= 4
     assert res.total_cost <= res.cost_bound + 1e-9
     assert res.max_potential_increase <= 1e-9

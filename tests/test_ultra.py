@@ -498,6 +498,16 @@ def test_build_rejects_a_k_that_is_not_an_integer(k):
     assert build_ultrasparsifier(cycle(6), np.int64(1)).edge_count <= 5 + 9
 
 
+@pytest.mark.parametrize("seed", [-1, 1.0, np.float64(2.0), True, None])
+def test_build_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
+    # numpy's default_rng would take None as "fresh entropy" and fail on -1
+    with pytest.raises(PreconditionError, match="seed must be a nonnegative integer"):
+        build_ultrasparsifier(cycle(6), 1, seed=seed)
+    with pytest.raises(PreconditionError, match="seed must be a nonnegative integer"):
+        candidate_trees(cycle(6), seed)
+    assert build_ultrasparsifier(cycle(6), 1, seed=np.int64(3)).edge_count <= 5 + 9
+
+
 def test_solve_budget_of_the_patch_and_ultra_pipelines(monkeypatch):
     # Every eigensolve goes through numpy: one factor per Laplacian, one
     # spectrum per pencil, one decomposition of X, and per engine step one
