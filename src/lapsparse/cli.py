@@ -1,16 +1,18 @@
 """Command-line front end: parse graphs, run the pipelines, emit reports.
 
-Four subcommands: sparsify-patch, ultra, algconn, verify. Graphs travel as
-text edge lists (header "n <count>", lines "u v w", blank lines and #
-comments allowed) or as JSON documents {"n": ..., "edges": [[u, v, w], ...]}
-chosen by file extension. Every command can emit a structured JSON report
-(stdout by default, --report writes a file); all reals carry 17 significant
-digits, and every certified claim in a report is recomputed from the files
-actually written before the report is emitted. Exit codes: 0 success,
-2 parse error or a file that cannot be read or written, 3 precondition
-violation, 4 numerical failure; exit 4 also prints one JSON line on stderr
-with the error's name and message, the failing engine step q and the
-exception's diagnostics (null and {} when the error carries none).
+Four subcommands, each defined once in build_parser: sparsify-patch, ultra,
+algconn, verify. Graphs travel as UTF-8 text edge lists, in lines as
+str.splitlines breaks them (header "n <count>", lines "u v w", blank lines
+and # comments allowed), or as JSON documents {"n": ..., "edges": [[u, v, w],
+...]} chosen by file extension. Every command can emit a structured JSON
+report (stdout by default; --report writes a file, checked before the
+command runs and removed again if the command fails); all reals carry 17
+significant digits, and every certified claim in a report is recomputed from
+the files actually written before the report is emitted. Exit codes:
+0 success, 2 parse error or a file that cannot be read, decoded or written,
+3 precondition violation, 4 numerical failure; exit 4 also prints one JSON
+line on stderr with the error's name and message, the failing engine step q
+and the exception's diagnostics (null and {} when the error carries none).
 
 At import this module loads only core. Each command imports its pipeline
 when it is called: patch for sparsify-patch, ultra and patch for ultra,
@@ -24,7 +26,6 @@ import argparse
 import dataclasses
 import functools
 import hashlib
-import io
 import json
 import math
 import sys
@@ -51,70 +52,50 @@ COHERENCE_TOL = 1e-9
 # Graph file round-trip
 
 
-# Line breaks of str.splitlines, and so of the line scanner, that np.loadtxt
-# reads as field whitespace instead; a lone "\r" is one too.
-_SCANNER_ONLY_BREAKS = ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
 _EDGE_ROW = np.dtype([("u", np.int64), ("v", np.int64), ("w", np.float64)])
 
 
 def parse_graph_text(text: str, name: str) -> WeightedGraph:
     """Parse the text edge-list format, reporting 1-based line numbers.
 
-    The body after the header is read by one np.loadtxt call. Wherever that
-    call could read the text otherwise than the line scanner does, and on
-    any error, the line scanner parses the text instead, and it names the
-    line at fault.
-    """
-    graph = _load_graph_text(text)
-    return graph if graph is not None else _scan_graph_text(text, name)
-
-
-def _load_graph_text(text: str) -> WeightedGraph | None:
-    """The graph, by one np.loadtxt call on the body; None when the line
-    scanner must decide."""
-    lone_cr = "\r" in text and text.count("\r") != text.count("\r\n")
-    if lone_cr or any(c in text for c in _SCANNER_ONLY_BREAKS):
-        return None
-    start = 0
-    while True:  # the header is the first line with content
-        end = text.find("\n", start)
-        fields = text[start : end if end >= 0 else len(text)].split("#", 1)[0].split()
-        if fields or end < 0:
+    str.splitlines breaks the text into lines, once. The header is the first
+    line with content; one np.loadtxt call reads the lines after it, and if
+    that call errors or warns, or its edges fail validation, the line scanner
+    reads the same lines and names the one at fault."""
+    lines = text.splitlines()
+    for start, raw in enumerate(lines, 1):
+        parts = raw.split("#", 1)[0].split()
+        if parts:
             break
-        start = end + 1
-    if len(fields) != 2 or fields[0] != "n" or end < 0:
-        return None
+    else:
+        raise ParseError(f"{name}: missing 'n <count>' header")
+    if len(parts) != 2 or parts[0] != "n":
+        raise ParseError(f"{name}:{start}: expected header 'n <count>', got {raw.strip()!r}")
     try:
-        n = int(fields[1])
+        n = int(parts[1])
+    except ValueError:
+        raise ParseError(f"{name}:{start}: vertex count {parts[1]!r} is not an integer") from None
+    if n < 0:
+        raise ParseError(f"{name}:{start}: vertex count must be nonnegative, got {n}")
+    body = lines[start:]
+    try:
         with warnings.catch_warnings():
             # numpy 1.x reads "1.0" into an integer column with only a
             # DeprecationWarning, and an empty body warns as well
             warnings.simplefilter("error")
-            rows = np.loadtxt(io.StringIO(text[end + 1 :]), dtype=_EDGE_ROW, comments="#", ndmin=1)
+            rows = np.loadtxt(body, dtype=_EDGE_ROW, comments="#", ndmin=1)
         return WeightedGraph.from_arrays(n, rows["u"], rows["v"], rows["w"])
     except (ValueError, OverflowError, Warning, PreconditionError):
-        return None
+        return _scan_edges(n, body, start, name)
 
 
-def _scan_graph_text(text: str, name: str) -> WeightedGraph:
-    """Parse the text edge-list format line by line, as str.splitlines
-    breaks it, naming the line of any error."""
-    n = None
+def _scan_edges(n: int, body: list, start: int, name: str) -> WeightedGraph:
+    """The graph on n vertices whose edges are the lines `body` after the
+    header on line `start`, read one line at a time to name a bad one."""
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
-        if n is None:
-            if len(parts) != 2 or parts[0] != "n":
-                raise ParseError(f"{name}:{lineno}: expected header 'n <count>', got {raw.strip()!r}")
-            try:
-                n = int(parts[1])
-            except ValueError:
-                raise ParseError(f"{name}:{lineno}: vertex count {parts[1]!r} is not an integer") from None
-            if n < 0:
-                raise ParseError(f"{name}:{lineno}: vertex count must be nonnegative, got {n}")
+    for lineno, raw in enumerate(body, start + 1):
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
         if len(parts) != 3:
             raise ParseError(f"{name}:{lineno}: expected 'u v w', got {raw.strip()!r}")
@@ -123,8 +104,6 @@ def _scan_graph_text(text: str, name: str) -> WeightedGraph:
         except ValueError:
             raise ParseError(f"{name}:{lineno}: cannot parse edge line {raw.strip()!r}") from None
         edges.append((u, v, w, lineno))
-    if n is None:
-        raise ParseError(f"{name}: missing 'n <count>' header")
     try:
         return WeightedGraph(n, [(u, v, w) for u, v, w, _ in edges])
     except PreconditionError as exc:
@@ -170,7 +149,7 @@ def read_graph(path: str) -> WeightedGraph:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: cannot read: {exc}") from None
     if path.endswith(".json"):
         return parse_graph_json(text, path)
@@ -202,10 +181,8 @@ def write_graph(path: str, g: WeightedGraph) -> None:
 
 
 def sha256_file(path: str) -> str:
-    digest = hashlib.sha256()
     with open(path, "rb") as handle:
-        digest.update(handle.read())
-    return digest.hexdigest()
+        return hashlib.sha256(handle.read()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -276,10 +253,11 @@ def dumps_report(report: dict) -> str:
 # Shared report plumbing
 
 
-def _input_block(**paths: str) -> dict:
-    return {
-        name: {"path": path, "sha256": sha256_file(path)} for name, path in paths.items()
-    }
+def _read_inputs(**paths: str) -> tuple:
+    """The graph in each file, then the report's inputs block, hashed before
+    the command writes anything (an output may overwrite an input)."""
+    graphs = [read_graph(path) for path in paths.values()]
+    return (*graphs, {name: {"path": path, "sha256": sha256_file(path)} for name, path in paths.items()})
 
 
 @functools.cache
@@ -369,8 +347,7 @@ def cmd_sparsify_patch(
     from .patch import measure_sandwich, sparsify_patch
 
     t_start = time.perf_counter()
-    g = read_graph(g_path)
-    w = read_graph(w_path)
+    g, w, inputs = _read_inputs(g=g_path, w=w_path)
     result = sparsify_patch(g, w, k, n_budget)
     t_solve = time.perf_counter()
     write_graph(out_path, result.wk)
@@ -389,7 +366,7 @@ def cmd_sparsify_patch(
 
     return {
         "command": "sparsify-patch",
-        "inputs": _input_block(g=g_path, w=w_path),
+        "inputs": inputs,
         "output": {"path": out_path, "edges": wk_back.num_edges},
         "parameters": {"k": k, "n_budget": result.n_budget},
         "patch": {
@@ -423,7 +400,7 @@ def cmd_ultra(
     from .ultra import build_ultrasparsifier
 
     t_start = time.perf_counter()
-    g = read_graph(g_path)
+    g, inputs = _read_inputs(g=g_path)
     result = build_ultrasparsifier(g, k, seed=seed)
     t_solve = time.perf_counter()
     write_graph(out_path, result.u)
@@ -442,7 +419,7 @@ def cmd_ultra(
 
     report = {
         "command": "ultra",
-        "inputs": _input_block(g=g_path),
+        "inputs": inputs,
         "output": {"path": out_path, "edges": u_back.num_edges},
         "parameters": {"k": k, "seed": seed},
         "stretch": {
@@ -491,12 +468,9 @@ def cmd_algconn(
     )
 
     t_start = time.perf_counter()
-    base = read_graph(base_path)
-    cand_graph = read_graph(cand_path)
+    base, cand_graph, inputs = _read_inputs(base=base_path, candidates=cand_path)
     if cand_graph.n != base.n:
-        raise PreconditionError(
-            f"candidate file has {cand_graph.n} vertices, base has {base.n}"
-        )
+        raise PreconditionError(f"candidate file has {cand_graph.n} vertices, base has {base.n}")
     off_unit = np.flatnonzero(cand_graph.w != 1.0)
     if off_unit.size:
         i = off_unit[0]
@@ -508,9 +482,7 @@ def cmd_algconn(
     frac = solve_fractional(inst, tol=tol)
     rounded = round_solution(inst, frac)
     t_solve = time.perf_counter()
-    selection = WeightedGraph(
-        base.n, [(u, v, w) for (u, v), w in zip(rounded.selected, rounded.weights)]
-    )
+    selection = WeightedGraph(base.n, [(u, v, w) for (u, v), w in zip(rounded.selected, rounded.weights)])
     write_graph(out_path, selection)
     engine_results = (rounded.engine,) if rounded.engine is not None else ()
 
@@ -525,7 +497,7 @@ def cmd_algconn(
 
     report = {
         "command": "algconn",
-        "inputs": _input_block(base=base_path, candidates=cand_path),
+        "inputs": inputs,
         "output": {"path": out_path, "edges": sel_back.num_edges},
         "parameters": {"k": k, "tol": tol, "delta": inst.delta},
         "fractional": {
@@ -560,15 +532,14 @@ def cmd_algconn(
 
 def cmd_verify(g_path: str, h_path: str) -> dict:
     t_start = time.perf_counter()
-    g = read_graph(g_path)
-    h = read_graph(h_path)
+    g, h, inputs = _read_inputs(g=g_path, h=h_path)
     if g.n != h.n:
         raise PreconditionError(f"vertex counts differ: {g.n} vs {h.n}")
     c, kappa = pencil_range(h, g)
     t_end = time.perf_counter()
     return {
         "command": "verify",
-        "inputs": _input_block(g=g_path, h=h_path),
+        "inputs": inputs,
         "parameters": {},
         "measured": {
             "c": c,
@@ -586,13 +557,14 @@ def cmd_verify(g_path: str, h_path: str) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Argument parsing and dispatch
+# Argument parsing
 
 
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared by every
-    later one: each parse_args call fills a fresh namespace."""
+    later one: each parse_args call fills a fresh namespace. Each subcommand
+    sets `run`, which calls its cmd_* function by name at call time."""
     parser = argparse.ArgumentParser(
         prog="lapsparse",
         description="Spectral sparsification toolkit: patch sparsifiers,"
@@ -606,16 +578,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out", help="output file for the selected edges")
     p.add_argument("--k", type=int, required=True, help="protected eigenvalue count")
     p.add_argument("--n-budget", type=int, default=None, help="edge budget N (default 8k+1)")
-    p.add_argument("--report", default=None, help="write the JSON report here instead of stdout")
-    p.add_argument("--trace-csv", default=None, help="write the per-step potential trace as CSV")
+    p.set_defaults(run=lambda a: cmd_sparsify_patch(a.g, a.w, a.k, a.out, a.n_budget, a.trace_csv))
 
     p = sub.add_parser("ultra", help="build a spanning-tree-plus-few-edges approximation")
     p.add_argument("g", help="input graph file")
     p.add_argument("out", help="output file for the sparsifier")
     p.add_argument("--k", type=int, required=True, help="extra-edge budget parameter")
     p.add_argument("--seed", type=int, default=0, help="seed for the spanning-tree ensemble")
-    p.add_argument("--report", default=None, help="write the JSON report here instead of stdout")
-    p.add_argument("--trace-csv", default=None, help="write the per-step potential trace as CSV")
+    p.set_defaults(run=lambda a: cmd_ultra(a.g, a.k, a.out, a.seed, a.trace_csv))
 
     p = sub.add_parser("algconn", help="maximize lambda_2 by adding at most k candidate edges")
     p.add_argument("base", help="base graph file")
@@ -624,34 +594,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="edge budget")
     p.add_argument("--tol", type=float, default=1e-4, help="certified gap at which the fractional solver stops")
     p.add_argument("--oracle", action="store_true", help="also run the exhaustive oracle")
-    p.add_argument("--report", default=None, help="write the JSON report here instead of stdout")
-    p.add_argument("--trace-csv", default=None, help="write the per-step potential trace as CSV")
+    p.set_defaults(run=lambda a: cmd_algconn(a.base, a.candidates, a.k, a.out, a.tol, a.oracle, a.trace_csv))
 
     p = sub.add_parser("verify", help="measure the tightest c L_G <= L_H <= kappa L_G")
     p.add_argument("g", help="reference graph file")
     p.add_argument("h", help="graph to compare against the reference")
-    p.add_argument("--report", default=None, help="write the JSON report here instead of stdout")
+    p.set_defaults(run=lambda a: cmd_verify(a.g, a.h))
 
+    for name, p in sub.choices.items():
+        p.add_argument("--report", default=None, help="write the JSON report here instead of stdout")
+        if name != "verify":
+            p.add_argument("--trace-csv", default=None, help="write the per-step potential trace as CSV")
     return parser
-
-
-def _dispatch(args: argparse.Namespace) -> dict:
-    if args.subcommand == "sparsify-patch":
-        return cmd_sparsify_patch(
-            args.g, args.w, args.k, args.out, n_budget=args.n_budget, trace_csv=args.trace_csv
-        )
-    if args.subcommand == "ultra":
-        return cmd_ultra(
-            args.g, args.k, args.out, seed=args.seed, trace_csv=args.trace_csv
-        )
-    if args.subcommand == "algconn":
-        return cmd_algconn(
-            args.base, args.candidates, args.k, args.out, tol=args.tol,
-            oracle=args.oracle, trace_csv=args.trace_csv,
-        )
-    if args.subcommand == "verify":
-        return cmd_verify(args.g, args.h)
-    raise AssertionError(f"unknown subcommand {args.subcommand!r}")
 
 
 def _keep_arrays_on_the_heap() -> None:
@@ -665,37 +619,47 @@ def _keep_arrays_on_the_heap() -> None:
     np.empty(1 << 17)
 
 
+def _claim_report(path: str) -> bool:
+    """Check before the command runs that the report can be written, by
+    creating the file or opening it to append nothing; True if created."""
+    try:
+        try:
+            open(path, "x").close()
+            return True
+        except FileExistsError:
+            open(path, "a").close()
+            return False
+    except OSError as exc:
+        raise ParseError(f"{path}: cannot write: {exc}") from None
+
+
 def main(argv: list | None = None) -> int:
     args = build_parser().parse_args(argv)
     _keep_arrays_on_the_heap()
+    created = False
     try:
+        created = bool(args.report) and _claim_report(args.report)
         # Every solve and product here is at most a few hundred wide: a
         # second BLAS thread adds no speed there, only a spinning core whose
         # availability the command's time then depends on.
         with numpy_blas_threads(1):
-            report = _dispatch(args)
+            report = args.run(args)
         text = dumps_report(report) + "\n"
-        if getattr(args, "report", None):
+        if args.report:
             _write_text(args.report, text)
         else:
             sys.stdout.write(text)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
     except ToolkitError as exc:
+        if created:  # a failed command leaves no report file behind
+            import os
+            os.remove(args.report)
         print(f"error: {exc}", file=sys.stderr)
-        diagnostics = getattr(exc, "diagnostics", {})
-        failure = {
-            "error": type(exc).__name__,
-            "message": str(exc),
-            "q": diagnostics.get("q"),
-            "diagnostics": diagnostics,
-        }
-        print(json.dumps(failure), file=sys.stderr)
-        return 4
+        code = 2 if isinstance(exc, ParseError) else 3 if isinstance(exc, PreconditionError) else 4
+        if code == 4:
+            diags = getattr(exc, "diagnostics", {})
+            failure = {"error": type(exc).__name__, "message": str(exc), "q": diags.get("q"), "diagnostics": diags}
+            print(json.dumps(failure), file=sys.stderr)
+        return code
     return 0
 
 

@@ -1,7 +1,9 @@
 """File formats, report plumbing, and the four subcommands end to end."""
 import csv
+import hashlib
 import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -117,6 +119,13 @@ def _parsed_or_error(parse, text):
     return g.n, g.u.tobytes(), g.v.tobytes(), g.w.tobytes()
 
 
+def _scanned(text, name):
+    """parse_graph_text with its np.loadtxt call failing, so that the line
+    scanner reads every line after the header."""
+    with mock.patch.object(np, "loadtxt", side_effect=ValueError("scanner only")):
+        return parse_graph_text(text, name)
+
+
 @settings(max_examples=400, deadline=None)
 @given(graph_texts())
 @example("n 6\n0 1 0.5 # c\r1 2 2\n")
@@ -125,21 +134,32 @@ def _parsed_or_error(parse, text):
 @example("n 6\n0 1\x0b2\n")
 @example("n 6\n0\x1c1 2\n")
 @example("n 6\n1.0 2 1\n")
+@example("n 6\n0 1 2 3\n")
 def test_loadtxt_parse_and_line_scanner_agree(text):
-    assert _parsed_or_error(parse_graph_text, text) == _parsed_or_error(cli._scan_graph_text, text)
+    assert _parsed_or_error(parse_graph_text, text) == _parsed_or_error(_scanned, text)
 
 
-def test_plain_files_take_the_loadtxt_path_and_odd_ones_the_scanner():
+def test_plain_files_take_the_loadtxt_path_and_odd_ones_the_scanner(monkeypatch):
+    scans = []
+    scan = cli._scan_edges
+
+    def recording_scan(n, body, start, name):
+        scans.append(start)
+        return scan(n, body, start, name)
+
+    monkeypatch.setattr(cli, "_scan_edges", recording_scan)
     g = random_connected_graph(np.random.default_rng(5), 30, extra_edges=40, wmin=1e-3, wmax=1e3)
-    text = graph_to_text(g)
-    assert cli._load_graph_text(text) == g
-    assert cli._load_graph_text("# note\r\nn 4\r\n0 1 1.5 # c\r\n\r\n1 2 2\r\n") == WeightedGraph(
+    assert parse_graph_text(graph_to_text(g), "g") == g
+    assert parse_graph_text("# note\r\nn 4\r\n0 1 1.5 # c\r\n\r\n1 2 2\r\n", "x") == WeightedGraph(
         4, [(0, 1, 1.5), (1, 2, 2.0)]
     )
-    # line breaks only str.splitlines knows, "_" in numbers, a float id, no edges
-    for odd in ("n 3\n0 1 1\x0b1 2 1\n", "n 3\n# c\x0c0 1 1\n", "n 3\n0 1 1\r1 2 1\n",
-                "n 3\n0 1 1_0\n", "n 3\n1.0 2 1\n", "n 3\n", "n 3"):
-        assert cli._load_graph_text(odd) is None
+    # every line break of str.splitlines ends a line on both paths
+    assert parse_graph_text("n 3\r0 1 1\x0b1 2 1\u20282 0 1\n", "x").num_edges == 3
+    assert scans == []
+    # "_" in numbers, a float id, no edges, an out-of-range vertex
+    for odd in ("n 3\n0 1 1_0\n", "n 3\n1.0 2 1\n", "n 3\n", "n 3", "n 3\n# c\n", "n 3\n0 5 1\n"):
+        _parsed_or_error(parse_graph_text, odd)
+    assert scans == [1, 1, 1, 1, 1, 1]
     assert parse_graph_text("n 3\n0 1 1\x0b1 2 1_0\n", "x").edges == ((0, 1, 1.0), (1, 2, 10.0))
 
 
@@ -608,13 +628,13 @@ def test_commands_run_on_one_numpy_blas_thread_and_restore_it(tmp_path, monkeypa
     count = blas[1]
     before = count()
     seen = []
-    dispatch = cli._dispatch
+    verify = cli.cmd_verify
 
-    def recording_dispatch(args):
+    def recording_verify(g_path, h_path):
         seen.append(count())
-        return dispatch(args)
+        return verify(g_path, h_path)
 
-    monkeypatch.setattr(cli, "_dispatch", recording_dispatch)
+    monkeypatch.setattr(cli, "cmd_verify", recording_verify)
     g_path = save_text(tmp_path, "G.txt", random_connected_graph(np.random.default_rng(83), 8, extra_edges=4))
     assert main(["verify", g_path, g_path, "--report", str(tmp_path / "rep.json")]) == 0
     assert seen == [1]
@@ -677,6 +697,52 @@ def test_exit_code_two_on_an_unwritable_output_path(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: cannot write: ")
     assert err.count("\n") == 1  # one message, no traceback
+
+
+@pytest.mark.parametrize("name", ["bad.txt", "bad.json"])
+def test_exit_code_two_on_a_graph_file_that_is_not_utf8(tmp_path, capsys, name):
+    bad = tmp_path / name
+    bad.write_bytes(b"n 2\n0 1 \xff\n" if name.endswith(".txt") else b'{"n": 2, "edges": [], "\xff": 1}')
+    assert main(["verify", str(bad), str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: cannot read: ")
+    assert err.count("\n") == 1  # one message, no traceback
+
+
+def test_input_hashes_are_taken_before_the_output_overwrites_an_input(tmp_path):
+    rng = np.random.default_rng(86)
+    g = random_connected_graph(rng, 10, extra_edges=6)
+    g_path = save_text(tmp_path, "G.txt", g)
+    w_path = save_text(tmp_path, "W.txt", random_connected_graph(rng, 10, extra_edges=20))
+    before = hashlib.sha256((tmp_path / "W.txt").read_bytes()).hexdigest()
+    rep = tmp_path / "rep.json"
+    assert main(["sparsify-patch", g_path, w_path, w_path, "--k", "1", "--report", str(rep)]) == 0
+    assert json.loads(rep.read_text())["inputs"]["w"]["sha256"] == before
+    assert hashlib.sha256((tmp_path / "W.txt").read_bytes()).hexdigest() != before
+
+
+def test_report_path_is_checked_before_the_command_and_a_failure_leaves_no_report(tmp_path, capsys):
+    g_path = save_text(tmp_path, "G.txt", random_connected_graph(np.random.default_rng(87), 6, extra_edges=4))
+    out, bad = tmp_path / "out.txt", tmp_path / "missing" / "r.json"
+    assert main(["sparsify-patch", g_path, g_path, str(out), "--k", "0", "--report", str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}: cannot write: ")
+    assert not out.exists()
+
+    # exit 3 (a disconnected input) and exit 4 (a coherence check that fails)
+    # remove the report file they created ...
+    disc = save_text(tmp_path, "disc.txt", WeightedGraph(5, [(0, 1, 1.0)]))
+    rep = tmp_path / "rep.json"
+    assert main(["ultra", disc, str(out), "--k", "1", "--report", str(rep)]) == 3
+    assert not rep.exists()
+    with mock.patch.object(cli, "_relative_deviation", return_value=math.inf):
+        assert main(["ultra", g_path, str(out), "--k", "1", "--report", str(rep)]) == 4
+    assert not rep.exists()
+    # ... and leave a file that was there before as it was
+    rep.write_text("earlier report\n")
+    assert main(["ultra", disc, str(out), "--k", "1", "--report", str(rep)]) == 3
+    assert rep.read_text() == "earlier report\n"
+    assert main(["ultra", g_path, str(out), "--k", "1", "--report", str(rep)]) == 0
+    assert json.loads(rep.read_text())["command"] == "ultra"
 
 
 def test_exit_code_three_on_violated_preconditions(tmp_path, capsys):
