@@ -2,13 +2,14 @@
 
 Everything downstream works on dense numpy arrays at desk scale (n up to a
 few hundred): Laplacians, eigendecompositions, one factor per Laplacian
-(its pseudoinverse square root on the image, one block per connected
-component), and PSD pencils. A factor turns a graph H into one pencil
-matrix per component (`LaplacianFactor.pencil_matrices`), whose spectra,
-extremes and traces are everything a command measures of H.
+(F with F F^T its pseudoinverse, one block per connected component), and
+PSD pencils. A factor turns a graph H into one pencil matrix per component
+(`LaplacianFactor.pencil_matrices`), whose spectra, extremes and traces
+are everything a command measures of H.
 
-Solvers: Laplacian factors, pencils, the selection engine and the
-connectivity solver use numpy's LAPACK (`_decompose`, `_spectrum`).
+Solvers: a Laplacian factor takes one numpy Cholesky factorization per
+component and no eigensolve. Pencils, the selection engine and the
+connectivity solver use numpy's LAPACK eigensolvers (`_decompose`, `_spectrum`).
 `eigvalsh` uses scipy's; no command's solve path calls it, so it gives an
 independent check. It is the package's only use of scipy, which it imports
 when called: scipy is a test dependency, not a runtime one.
@@ -31,8 +32,8 @@ import numpy as np
 # Rank decisions for raw PSD matrices: eigenvalues below REL_RANK_TOL *
 # lambda_max count as zero. Laplacian factors take their rank from the graph.
 REL_RANK_TOL = 1e-10
-# A Laplacian's computed kernel eigenvalues must lie within KERNEL_TOL *
-# lambda_max of zero; rounding puts them near n * 1e-16 * lambda_max.
+# A Laplacian block's row sums must lie within KERNEL_TOL * its largest
+# diagonal entry of zero; rounding leaves them near n * 1e-16 times that.
 KERNEL_TOL = 1e-10
 # Inputs claiming symmetry must satisfy max |A - A^T| <= SYMMETRY_TOL * max |A|.
 SYMMETRY_TOL = 1e-12
@@ -333,10 +334,11 @@ def _edge_laplacian(n: int, entries: tuple, w: np.ndarray) -> np.ndarray:
 
 
 def _split_edges(g: WeightedGraph, parts: list) -> list:
-    """g's edges grouped by `parts`, ascending vertex-id arrays that
-    partition g's vertices: per part, the (u, v, w) arrays of its edges on
-    its own vertex indices, still in canonical order since each part's ids
-    ascend. Raises IncompatibleImagesError for an edge between two parts.
+    """g's edges grouped by `parts`, vertex-id arrays that partition g's
+    vertices: per part, the (u, v, w) arrays of its edges on its own vertex
+    indices (a vertex's index is its position in the part), in g's edge
+    order, which is canonical where the part's ids ascend. Raises
+    IncompatibleImagesError for an edge between two parts.
     """
     if g.n != sum(vertices.size for vertices in parts):
         raise PreconditionError(f"graph has {g.n} vertices, the factor {sum(p.size for p in parts)}")
@@ -379,9 +381,9 @@ def eigvalsh(a: np.ndarray) -> np.ndarray:
 
 def _decompose(a: np.ndarray) -> SpectralDecomposition:
     """Eigendecomposition of a symmetric matrix, eigenvalues ascending, by
-    numpy's LAPACK. Laplacian factors, pencils and the engine all solve
-    through here and `_spectrum`, on the same LAPACK copy whose BLAS threads
-    run their matrix products. An empty matrix costs no solve.
+    numpy's LAPACK. Pencils and the engine solve through here and
+    `_spectrum`, on the LAPACK copy that also factors Laplacians and whose
+    BLAS threads run their matrix products. An empty matrix costs no solve.
     """
     if a.shape[0] == 0:
         return SpectralDecomposition(np.zeros(0), np.zeros((0, 0)))
@@ -457,8 +459,8 @@ def _rank_split(dec: SpectralDecomposition) -> np.ndarray:
 @dataclass(frozen=True)
 class FactorBlock:
     """One connected component's share of a LaplacianFactor: its vertex ids,
-    ascending, and F_c = Q_c diag(lambda_c)^(-1/2) over the n_c - 1 image
-    eigenpairs of its Laplacian block L_c, so L_c^+ = F_c F_c^T."""
+    ascending, and F_c, n_c x (n_c - 1), with F_c^T L_c F_c = I and
+    F_c^T 1 = 0 for its Laplacian block L_c, so L_c^+ = F_c F_c^T."""
 
     vertices: np.ndarray
     f: np.ndarray
@@ -466,8 +468,8 @@ class FactorBlock:
 
 @dataclass(frozen=True)
 class LaplacianFactor:
-    """One eigendecomposition per connected component of a graph Laplacian
-    L on n vertices, restricted to the image.
+    """One factor per connected component of a graph Laplacian L on n
+    vertices, restricted to the image.
 
     L is block-diagonal over the components, and so is L^+: `blocks` holds
     one FactorBlock per component, in component-label order, and
@@ -501,35 +503,54 @@ class LaplacianFactor:
         return [_spectrum(x) for x in self.pencil_matrices(h)]
 
 
-def factor_laplacian(g: WeightedGraph) -> LaplacianFactor:
-    """Factor L_G with one eigendecomposition per connected component of G;
-    each block's kernel is its component's indicator, not a numerical-rank
-    guess.
+def _invert_lower(c: np.ndarray) -> np.ndarray:
+    """Invert a nonsingular lower-triangular matrix in place by blocked
+    recursion (stable; Du Croz and Higham, IMA J. Numer. Anal. 12, 1992):
+    [[A, 0], [B, D]]^-1 = [[A^-1, 0], [-D^-1 B A^-1, D^-1]], two products
+    per level, `np.linalg.inv` on blocks of at most 48 rows. numpy has no
+    triangular solve, and `inv` of the whole factor costs four times more."""
+    n = c.shape[0]
+    if n <= 48:
+        c[...] = np.linalg.inv(c)
+        return c
+    h = n // 2
+    top, bottom = _invert_lower(c[:h, :h]), _invert_lower(c[h:, h:])
+    c[h:, :h] = -(bottom @ c[h:, :h]) @ top
+    return c
 
-    Each block drops exactly its smallest eigenvalue. Raises NumericalError
-    unless that one lies within KERNEL_TOL * the block's lambda_max of zero
-    and the block's next one is positive and above it. A connected G is one
-    block: one eigendecomposition of L_G itself.
+
+def factor_laplacian(g: WeightedGraph) -> LaplacianFactor:
+    """Factor L_G with one Cholesky factorization per connected component of
+    G and no eigensolve; each block's kernel is its component's indicator.
+
+    Each block L_c is built from its component's edges with the vertices in
+    descending weighted degree (ties to the lower id), an order that keeps
+    the factor accurate over weights spread across many decades. The first
+    vertex is grounded, the rest give L~ = C C^T, and F_c = P [0; C^-T],
+    with P subtracting each column's mean and rows back in vertex order:
+    F_c^T L_c F_c = I, F_c^T 1 = 0 and F_c F_c^T = L_c^+. Raises
+    NumericalError when a row sum of L_c exceeds KERNEL_TOL * its largest
+    diagonal entry, or when the grounded block is not positive definite.
     """
-    labels = g.component_labels()
+    labels, degrees = g.component_labels(), g.weighted_degrees()
     count = int(labels.max(initial=-1)) + 1
     parts = [np.flatnonzero(labels == c) for c in range(count)]
+    orders = [vertices[np.argsort(-degrees[vertices], kind="stable")] for vertices in parts]
     blocks = []
-    for c, (vertices, lap) in enumerate(zip(parts, _block_laplacians(g, parts))):
-        dec = _decompose(lap)
-        vals = dec.eigenvalues
-        noise, lam_max = abs(float(vals[0])), float(vals[-1])
-        if noise > KERNEL_TOL * lam_max:
+    for c, (vertices, order, lap) in enumerate(zip(parts, orders, _block_laplacians(g, orders))):
+        drift, top = float(np.max(np.abs(lap.sum(axis=1)))), float(np.max(np.diag(lap)))
+        if drift > KERNEL_TOL * top:
             raise NumericalError(
-                f"Laplacian kernel eigenvalue of magnitude {noise:g} exceeds"
-                f" {KERNEL_TOL:g} * lambda_max = {KERNEL_TOL * lam_max:g} (component {c} of {count})"
+                f"Laplacian row sum of magnitude {drift:g} exceeds {KERNEL_TOL:g} * its largest"
+                f" diagonal entry = {KERNEL_TOL * top:g} (component {c} of {count})"
             )
-        if vals.size > 1 and not float(vals[1]) > noise:
-            raise NumericalError(
-                f"smallest image eigenvalue {float(vals[1]):g} of the Laplacian is not above"
-                f" its kernel's rounding noise {noise:g}"
-            )
-        blocks.append(FactorBlock(vertices, dec.eigenvectors[:, 1:] / np.sqrt(vals[1:])))
+        try:
+            chol = np.linalg.cholesky(lap[1:, 1:])
+        except np.linalg.LinAlgError:
+            raise NumericalError(f"grounded Laplacian of component {c} of {count} is not positive definite") from None
+        f = np.zeros((vertices.size, vertices.size - 1))
+        f[np.searchsorted(vertices, order[1:])] = _invert_lower(chol).T
+        blocks.append(FactorBlock(vertices, f - f.mean(axis=0)))
     return LaplacianFactor(n=g.n, blocks=tuple(blocks))
 
 
@@ -554,16 +575,19 @@ def pencil_range(h: WeightedGraph, g: WeightedGraph | LaplacianFactor) -> tuple[
     """The tightest (c, kappa) with c L_G <= L_H <= kappa L_G over the common
     image: the extreme generalized eigenvalues of the (L_H, L_G) pencil.
 
-    G is a graph or the factor of its Laplacian. Raises
-    IncompatibleImagesError unless H and G have the same connected
-    components, which is exactly when the two Laplacians share their image.
-    An empty image (a graph without edges) gives (1, 1).
+    G is a graph or the factor of its Laplacian. Raises PreconditionError
+    when their vertex counts differ, and IncompatibleImagesError unless H
+    and G have the same connected components, which is exactly when the two
+    Laplacians share their image. An empty image (a graph without edges)
+    gives (1, 1).
     """
+    if h.n != g.n:
+        raise PreconditionError(f"vertex counts differ: {g.n} vs {h.n}")
     factor = g if isinstance(g, LaplacianFactor) else factor_laplacian(g)
     # The pencil rejects an H edge between two of G's components, so H's
     # components lie inside G's; as many of them means the same partition.
     # The labels number H's components 0..c-1.
-    if h.n != factor.n or int(h.component_labels().max(initial=-1)) + 1 != len(factor.blocks):
+    if int(h.component_labels().max(initial=-1)) + 1 != len(factor.blocks):
         raise IncompatibleImagesError(
             "connected components differ between the two graphs; the pencil"
             " range is only defined on a common image"

@@ -5,10 +5,12 @@ Everything here is deterministic given a seed so failures reproduce exactly.
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 import scipy.linalg
 
+from lapsparse import core
 from lapsparse.core import SpectralDecomposition, WeightedGraph, check_symmetric, factor_laplacian
 from lapsparse.engine import EngineProblem
 from lapsparse.patch import PatchParams, _certificate
@@ -21,6 +23,22 @@ def eigh(a: np.ndarray) -> SpectralDecomposition:
     if a.shape[0] == 0:
         return SpectralDecomposition(np.zeros(0), np.zeros((0, 0)))
     return SpectralDecomposition(*scipy.linalg.eigh(a))
+
+
+def record_laplacian_factors(monkeypatch) -> list:
+    """Patch numpy's Cholesky routine to record the width of every matrix
+    that `core.factor_laplacian` factors, one grounded block per component,
+    in call order; the list it returns fills as the patched code runs. The
+    engine's own small factorizations pass unrecorded."""
+    widths = []
+
+    def recording(a, *args, _original=np.linalg.cholesky, **kwargs):
+        if sys._getframe(1).f_code is core.factor_laplacian.__code__:
+            widths.append(a.shape[0])
+        return _original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "cholesky", recording)
+    return widths
 
 
 def verify_patch(g: WeightedGraph, w: WeightedGraph, k: int) -> PatchParams:

@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, record_laplacian_factors
 from lapsparse import cli, core
 from lapsparse.core import ParseError, WeightedGraph, _numpy_openblas, eigvalsh, laplacian
 from lapsparse.patch import sparsify_patch
@@ -314,9 +314,10 @@ def test_ultra_command_measures_u_against_the_factor_of_g_as_verify_does(tmp_pat
     # The library measures the (L_U, L_G) pencil against its one factor of
     # L_G, and the re-check measures the written U against that same factor:
     # c and kappa equal verify G U's bit for bit, and the coherence
-    # deviation is exactly 0. The command's n x n decompositions are the
-    # factors of L_T (trace check), L_{T+W} (patch) and L_G; the re-check is
-    # one (n - 1)-wide values-only pencil and factors nothing.
+    # deviation is exactly 0. The command's Cholesky factorizations are the
+    # factors of L_T (trace check), L_{T+W} (patch) and L_G, each of its
+    # grounded (n - 1)-wide block, and it decomposes nothing n wide; the
+    # re-check is one (n - 1)-wide values-only pencil and factors nothing.
     rng = np.random.default_rng(77)
     g = random_connected_graph(rng, 18, extra_edges=24)
     g_path = save_text(tmp_path, "G.txt", g)
@@ -328,6 +329,7 @@ def test_ultra_command_measures_u_against_the_factor_of_g_as_verify_does(tmp_pat
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, counting)
+    factored = record_laplacian_factors(monkeypatch)
 
     def marking(*args, _original=cli.write_graph):
         written_at.append(len(solves))
@@ -335,12 +337,16 @@ def test_ultra_command_measures_u_against_the_factor_of_g_as_verify_does(tmp_pat
 
     monkeypatch.setattr(cli, "write_graph", marking)
     assert main(["ultra", g_path, str(out), "--k", "2", "--report", str(rep)]) == 0
-    assert solves.count(("eigh", g.n)) == 3
+    assert factored == [g.n - 1] * 3
+    assert max(width for _, width in solves) == g.n - 1
     assert solves[written_at[0]:] == [("eigvalsh", g.n - 1)]
 
     report = json.loads(rep.read_text())
     assert report["coherence"]["max_relative_deviation"] == 0.0
+    del solves[:], factored[:]
+    # verify: one factor of L_G, of order n - 1, and one values-only pencil
     assert main(["verify", g_path, str(out), "--report", str(rep_v)]) == 0
+    assert (factored, solves) == ([g.n - 1], [("eigvalsh", g.n - 1)])
     measured, verified = report["measured"], json.loads(rep_v.read_text())["measured"]
     assert (measured["c"], measured["kappa"]) == (verified["c"], verified["kappa"])
     assert measured["relative_condition_number"] == verified["relative_condition_number"]
@@ -497,26 +503,29 @@ def test_main_reuses_one_parser_and_each_call_gets_its_own_arguments(tmp_path, c
 
 def test_sparsify_patch_command_factors_the_patched_laplacian_once(tmp_path, monkeypatch):
     # the re-check measures the written W_k against the library's factor of
-    # L_{G+W}; every other full-size solve is values-only or (n - 1)-wide
+    # L_{G+W}, one Cholesky factorization of its grounded block; no solve is
+    # n wide
     g, _, g_path, w_path = patch_inputs(tmp_path)
-    shapes = []
-    original = np.linalg.eigh
+    widths = []
+    for name in ("eigh", "eigvalsh"):
+        def counting(a, *args, _original=getattr(np.linalg, name), **kwargs):
+            widths.append(a.shape[0])
+            return _original(a, *args, **kwargs)
 
-    def counting(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "eigh", counting)
+        monkeypatch.setattr(np.linalg, name, counting)
+    factored = record_laplacian_factors(monkeypatch)
     assert main(["sparsify-patch", g_path, w_path, str(tmp_path / "Wk.txt"), "--k", "1",
                  "--report", str(tmp_path / "rep.json")]) == 0
-    assert shapes.count((g.n, g.n)) == 1
+    assert factored == [g.n - 1]
+    assert max(widths) == g.n - 1
 
 
 def test_split_sparsify_patch_solves_nothing_wider_than_a_component(tmp_path, monkeypatch):
     # G+W in components of 12, 9, 7 and 1 vertices on shuffled ids, the
-    # 7-vertex one without patch edges: every eigensolve of the command,
-    # library and re-check alike, and every Laplacian it builds, is at most
-    # one component wide
+    # 7-vertex one without patch edges: every Laplacian the command builds,
+    # library and re-check alike, is at most one component wide, and every
+    # factorization and eigensolve at most one component less one vertex;
+    # each component's Laplacian is factored once
     rng = np.random.default_rng(76)
     ids = rng.permutation(29)
     g_edges, w_edges, off = [], [], 0
@@ -539,6 +548,7 @@ def test_split_sparsify_patch_solves_nothing_wider_than_a_component(tmp_path, mo
                 return _original(a, *args, **kwargs)
 
             monkeypatch.setattr(owner, name, counting)
+    factored = record_laplacian_factors(monkeypatch)
     built = []
 
     def building(n, *args, _original=core._edge_laplacian):
@@ -548,7 +558,8 @@ def test_split_sparsify_patch_solves_nothing_wider_than_a_component(tmp_path, mo
     monkeypatch.setattr(core, "_edge_laplacian", building)
     assert main(["sparsify-patch", save_text(tmp_path, "G.txt", g), save_text(tmp_path, "W.txt", w),
                  str(tmp_path / "Wk.txt"), "--k", "2", "--report", str(tmp_path / "rep.json")]) == 0
-    assert max(widths) == 12
+    assert max(widths) == 11
+    assert sorted(factored) == [0, 6, 8, 11]
     assert max(built) == 12
 
     # the report's certified floor is the weakest engine floor over the
@@ -770,6 +781,7 @@ def test_exit_code_three_on_violated_preconditions(tmp_path, capsys):
     # vertex-count mismatch in verify
     small = save_text(tmp_path, "small.txt", WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)]))
     assert main(["verify", g_path, small]) == 3
+    assert "vertex counts differ: 8 vs 3" in capsys.readouterr().err
 
     # non-unit candidate weights in algconn
     base = save_text(tmp_path, "base.txt", WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)]))
@@ -858,11 +870,14 @@ def test_trace_rows_and_csv_carry_barrier_distances_and_feasible_counts(tmp_path
         assert int(row["feasible_candidates"]) == step["feasible_candidates"]
 
 
-@pytest.mark.parametrize("seed", [0, 5])
+@pytest.mark.parametrize("seed", [0, 5, 7])
 def test_ultra_accepts_weights_spread_over_ten_decades(tmp_path, seed):
     # Laplacian entries near 1e10 carry rounding asymmetry above 1e-12, and
     # the pencil congruence of a badly conditioned pair carries more; both
-    # used to be rejected as "matrix not symmetric" (exit 3).
+    # used to be rejected as "matrix not symmetric" (exit 3). Seed 7 failed
+    # the engine's entrywise X + sum Y_i = M* check (exit 3) under an
+    # eigendecomposed factor of L_{T+W}; seed 0 fails it when the factor
+    # grounds vertex 0 instead of eliminating vertices by descending degree.
     rng = np.random.default_rng(seed)
     g0 = random_connected_graph(rng, 40, extra_edges=80)
     w = 10.0 ** rng.uniform(0, 10, size=g0.num_edges)

@@ -1,12 +1,14 @@
 """Graph container, spectral helpers, and the matrix identities they rely on."""
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 import scipy.sparse.csgraph
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import eigh, random_connected_graph, random_projection, random_psd
 from lapsparse import core
+from lapsparse.cli import main
 from lapsparse.core import (
     IncompatibleImagesError,
     NumericalError,
@@ -420,33 +422,62 @@ def test_factor_image_is_orthogonal_to_component_indicators():
 )
 def test_factor_kernel_dimension_is_the_component_count(sizes, decades, seed):
     # Weights spread over up to twelve decades: the kernel comes from the
-    # component labels, and the factor still reproduces L from its image.
+    # component labels, and each block keeps the factor's contract to the
+    # rounding of the products that check it: F^T L F = I, F^T 1 = 0, and
+    # F F^T is L^+, so L F F^T L reproduces L.
     rng = np.random.default_rng(seed % (2**32))
     g = random_multicomponent_graph(rng, sizes, decades=decades)
     factor = factor_laplacian(g)
     assert len(factor.blocks) == len(sizes)
     f = embedded(factor)
     assert f.shape == (g.n, g.n - len(sizes))
-    # F = Q diag(lambda)^(-1/2) with orthonormal Q: column j has norm lambda_j^(-1/2)
-    image = 1.0 / np.sum(f**2, axis=0)
-    assert np.all(image > 0)
     lap = laplacian(g)
-    recon = (f * image**2) @ f.T
-    assert np.max(np.abs(recon - lap)) <= 1e-12 * g.n * np.max(np.abs(lap))
+    tol = 1e-12 * g.n
+    assert np.all(np.abs(f.T @ lap @ f - np.eye(f.shape[1])) <= tol * (np.abs(f).T @ np.abs(lap) @ np.abs(f)))
+    assert np.all(np.abs(f.T @ indicators(g)) <= tol * (np.abs(f).T @ indicators(g)))
+    lf = lap @ f
+    assert np.max(np.abs(lf @ lf.T - lap)) <= tol * np.max(np.abs(lap))
 
 
-def test_factor_rejects_a_kernel_eigenvalue_off_zero(monkeypatch):
+def test_factor_rejects_a_kernel_eigenvalue_off_zero(monkeypatch, tmp_path, capsys):
     g = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    # shift the block by I: its smallest eigenvalue is 1, of 4, not a kernel one
+    # shift the block by I: its smallest eigenvalue is 1, of 4, not a kernel
+    # one, and its row sums are 1, not zero
     original = core._block_laplacians
     monkeypatch.setattr(core, "_block_laplacians", lambda *a: [lap + np.eye(len(lap)) for lap in original(*a)])
-    with pytest.raises(NumericalError, match="kernel eigenvalue"):
+    with pytest.raises(NumericalError, match="row sum of magnitude 1 exceeds"):
         factor_laplacian(g)
+    # zero row sums and a positive diagonal, but a negative edge weight: every
+    # grounded block has determinant 0.1 * 0.1 - 0.9 * 0.9 < 0
+    indefinite = np.array([[0.1, -1.0, 0.9], [-1.0, 2.0, -1.0], [0.9, -1.0, 0.1]])
+    monkeypatch.setattr(core, "_block_laplacians", lambda *a: [indefinite.copy()])
+    with pytest.raises(NumericalError, match="component 0 of 1 is not positive definite"):
+        factor_laplacian(g)
+    path = tmp_path / "G.txt"
+    path.write_text("n 3\n0 1 1\n1 2 1\n")
+    assert main(["verify", str(path), str(path)]) == 4
+    assert "is not positive definite" in capsys.readouterr().err
     # claiming three components for a connected graph: its edges join them
     monkeypatch.setattr(core, "_block_laplacians", original)
     monkeypatch.setattr(WeightedGraph, "component_labels", lambda self: np.arange(self.n))
     with pytest.raises(IncompatibleImagesError, match="between two components"):
         factor_laplacian(g)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=2, max_value=24), st.floats(min_value=0.0, max_value=6.0), st.integers())
+def test_pencil_spectra_match_scipy_on_the_grounded_pair(n, decades, seed):
+    # Grounding any one vertex of a connected G keeps the (L_H, L_G) pencil's
+    # spectrum on the image: scipy's generalized solver on the grounded pair
+    # is an independent reference for the Cholesky factor.
+    rng = np.random.default_rng(seed % (2**32))
+    g, h = (random_multicomponent_graph(rng, [n], decades=decades, extra=n) for _ in range(2))
+    ground = int(rng.integers(n))
+    keep = np.arange(n) != ground
+    a, b = (laplacian(x)[np.ix_(keep, keep)] for x in (h, g))
+    expected = scipy.linalg.eigh(a, b, eigvals_only=True)
+    (vals,) = factor_laplacian(g).pencil_spectra(h)
+    assert np.max(np.abs(vals - expected)) <= 1e-9 * np.max(expected)
 
 
 def test_numpy_blas_threads_sets_and_restores_the_count():
@@ -494,6 +525,13 @@ def test_relative_condition_number_identity_and_mismatch():
     with pytest.raises(IncompatibleImagesError):
         pencil_range(two, WeightedGraph(4, [(0, 2, 1.0), (1, 3, 1.0)]))
     assert relative_condition_number(two, swapped) == pytest.approx(5.0 * 2.0, rel=1e-12)
+    # H on 5 vertices against G on 4 is a wrong input pair, not two images
+    # that differ, against G or against its factor alike
+    five = WeightedGraph(5, [(0, 1, 1.0), (2, 3, 2.0), (3, 4, 1.0)])
+    for against in (two, factor_laplacian(two)):
+        with pytest.raises(PreconditionError, match=r"^vertex counts differ: 4 vs 5$") as info:
+            pencil_range(five, against)
+        assert type(info.value) is PreconditionError
 
 
 def test_pencil_against_a_factor_rejects_a_graph_coupling_two_components():

@@ -8,7 +8,7 @@ import scipy.sparse
 import scipy.sparse.csgraph
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, record_laplacian_factors
 from lapsparse import engine
 from lapsparse.core import (
     DisconnectedError,
@@ -509,8 +509,9 @@ def test_build_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
 
 
 def test_solve_budget_of_the_patch_and_ultra_pipelines(monkeypatch):
-    # Every eigensolve goes through numpy: one factor per Laplacian, one
-    # spectrum per pencil, one decomposition of X, and per engine step one
+    # Every solve goes through numpy: one Cholesky factorization of the
+    # grounded block per Laplacian, one spectrum per pencil, one
+    # decomposition of X, and per engine step one
     # values-only solve of the d x d working space, d = n - 1, with a full
     # decomposition instead every REFRESH_EVERY steps.
     solves = []
@@ -527,6 +528,7 @@ def test_solve_budget_of_the_patch_and_ultra_pipelines(monkeypatch):
     for owner in (np.linalg, scipy.linalg):
         counting(owner, "eigh")
         counting(owner, "eigvalsh")
+    factored = record_laplacian_factors(monkeypatch)
 
     rng = np.random.default_rng(55)
     n, k = 30, 2
@@ -541,9 +543,11 @@ def test_solve_budget_of_the_patch_and_ultra_pipelines(monkeypatch):
     result = build_ultrasparsifier(g, k)
     assert result.patch is not None and len(result.patch.engine_results) == 1
     assert all(owner.startswith("numpy.linalg.") for owner, _ in solves)
-    # n x n factors: of L_T (trace check), of L_{T+W} (patch), of L_G (the
-    # final sandwich, which the CLI re-check reuses); nothing factors L_U
-    assert count("eigh", {n}) == 3
+    # factors, each of its (n - 1)-wide grounded block: of L_T (trace check),
+    # of L_{T+W} (patch), of L_G (the final sandwich, which the CLI re-check
+    # reuses); nothing factors L_U, and nothing is n wide
+    assert factored == [n - 1] * 3
+    assert max(d for _, d in solves) == n - 1
     # d x d with vectors: X (the patch certificate's, which the engine
     # reuses), then the engine's refreshes
     assert count("eigh", {n - 1}) == 1 + refreshes <= math.ceil(n_steps / engine.REFRESH_EVERY) + 1
@@ -554,10 +558,13 @@ def test_solve_budget_of_the_patch_and_ultra_pipelines(monkeypatch):
     assert count("eigh", {k}) == n_steps + 1 and count("eigvalsh", {k}) == 0
 
     solves.clear()
+    factored.clear()
     tree, _ = low_stretch_tree(g)
     sparsify_patch(tree.graph(), g.scale(0.01), k)
     assert all(owner.startswith("numpy.linalg.") for owner, _ in solves)
-    # the factor of L_{G+W}; X; the engine's refreshes
-    assert count("eigh", {n, n - 1}) == 2 + refreshes
+    # the factor of L_{G+W}, of its grounded block; X; the engine's
+    # refreshes; nothing is n wide
+    assert factored == [n - 1] and max(d for _, d in solves) == n - 1
+    assert count("eigh", {n - 1}) == 1 + refreshes
     # the engine's other steps and the final sandwich
-    assert count("eigvalsh", {n, n - 1}) == n_steps - refreshes + 1
+    assert count("eigvalsh", {n - 1}) == n_steps - refreshes + 1
