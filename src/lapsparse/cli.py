@@ -10,9 +10,10 @@ command runs and removed again if the command fails); all reals carry 17
 significant digits, and every certified claim in a report is recomputed from
 the files actually written before the report is emitted. Exit codes:
 0 success, 2 parse error or a file that cannot be read, decoded or written,
-3 precondition violation, 4 numerical failure; exit 4 also prints one JSON
-line on stderr with the error's name and message, the failing engine step q
-and the exception's diagnostics (null and {} when the error carries none).
+3 precondition violation, 4 numerical failure or running out of memory;
+exit 4 also prints one JSON line on stderr with the error's name and
+message, the failing engine step q and the exception's diagnostics (null
+and {} when the error carries none).
 
 At import this module loads only core. Each command imports its pipeline
 when it is called: patch for sparsify-patch, ultra and patch for ultra,
@@ -40,6 +41,7 @@ from .core import (
     PreconditionError,
     ToolkitError,
     WeightedGraph,
+    _check_vertex_count,
     laplacian,
     numpy_blas_threads,
     pencil_range,
@@ -75,8 +77,10 @@ def parse_graph_text(text: str, name: str) -> WeightedGraph:
         n = int(parts[1])
     except ValueError:
         raise ParseError(f"{name}:{start}: vertex count {parts[1]!r} is not an integer") from None
-    if n < 0:
-        raise ParseError(f"{name}:{start}: vertex count must be nonnegative, got {n}")
+    try:
+        _check_vertex_count(n)
+    except PreconditionError as exc:
+        raise ParseError(f"{name}:{start}: {exc}") from None
     body = lines[start:]
     try:
         with warnings.catch_warnings():
@@ -647,7 +651,7 @@ def main(argv: list | None = None) -> int:
             _write_text(args.report, text)
         else:
             sys.stdout.write(text)
-    except ToolkitError as exc:
+    except (ToolkitError, MemoryError) as exc:
         if created:  # a failed command leaves no report file behind
             import os
             os.remove(args.report)
@@ -655,7 +659,9 @@ def main(argv: list | None = None) -> int:
         code = 2 if isinstance(exc, ParseError) else 3 if isinstance(exc, PreconditionError) else 4
         if code == 4:
             diags = getattr(exc, "diagnostics", {})
-            failure = {"error": type(exc).__name__, "message": str(exc), "q": diags.get("q"), "diagnostics": diags}
+            # numpy raises a private subclass of MemoryError
+            error = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+            failure = {"error": error, "message": str(exc), "q": diags.get("q"), "diagnostics": diags}
             print(json.dumps(failure), file=sys.stderr)
         return code
     return 0

@@ -129,6 +129,15 @@ def _real(t: type) -> bool:
     return issubclass(t, numbers.Real) and not issubclass(t, bool)
 
 
+def _check_vertex_count(n: int) -> None:
+    """Raise unless 0 <= n and n * n fits in int64: edges are keyed by u * n + v."""
+    if n < 0:
+        raise PreconditionError(f"vertex count must be nonnegative, got {n}")
+    limit = math.isqrt(np.iinfo(np.int64).max)
+    if n > limit:
+        raise PreconditionError(f"vertex count {n} exceeds {limit}: edge keys u * n + v must fit in 64 bits")
+
+
 def _canonical_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> tuple:
     """Validate the edges (u[i], v[i], w[i]) and merge parallel ones.
 
@@ -140,8 +149,7 @@ def _canonical_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> tup
     positively and finitely weighted, or earlier, for the first one whose
     pair's running sum leaves the finite floats.
     """
-    if n < 0:
-        raise PreconditionError(f"vertex count must be nonnegative, got {n}")
+    _check_vertex_count(n)
     bad = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v) | ~(w > 0) | ~np.isfinite(w)
     stop = int(np.argmax(bad)) if bad.any() else u.size
     lo, hi = np.minimum(u[:stop], v[:stop]), np.maximum(u[:stop], v[:stop])
@@ -173,10 +181,11 @@ class WeightedGraph:
 
     The edges live in three read-only arrays: `u` and `v` (int64) with
     u < v, sorted lexicographically, and `w` (float64). Parallel input edges
-    are merged by weight addition. Self-loops and non-positive weights are
-    rejected, and so are parallel edges whose weights sum past the largest
-    float and edge sets whose weighted degree at some vertex does. Instances
-    are immutable and compare by value.
+    are merged by weight addition. Self-loops, non-positive weights and n
+    past 3,037,000,499 (`_check_vertex_count`) are rejected, and so are
+    parallel edges whose weights sum past the largest float and edge sets
+    whose weighted degree at some vertex does. Instances are immutable and
+    compare by value.
     """
 
     n: int

@@ -238,7 +238,7 @@ def initial_state(
     state = EngineState(
         q=0,
         weights=np.zeros(problem.num_updates),
-        A=problem.X.copy(),
+        A=symmetrize(problem.X),
         b_s=np.zeros((k_eff, k_eff)),
         dec_b=SpectralDecomposition(np.zeros(k_eff), np.eye(k_eff)),
         l=schedule.l0,
@@ -308,8 +308,9 @@ def compute_Z(
     eps * P_S with eps = 1e-8 * lambda_max(M* - X) is added first; the second
     return value is the eps actually applied (0.0 when none was needed).
     Z Z (P_S (M*-X) P_S) equals P_S for the (possibly perturbed) operator.
+    M* - X is symmetrized, not checked: X and M* each passed `check_symmetric`.
     """
-    d = check_symmetric(mstar - x)
+    d = symmetrize(mstar - x)
     dvals = _spectrum(d) if gap_vals is None else gap_vals
     if dvals.size and float(dvals[0]) < -1e-8 * max(1.0, float(dvals[-1])):
         raise PreconditionError(f"Mstar - X must be PSD, got lambda_min = {float(dvals[0]):g}")
@@ -353,66 +354,56 @@ def _lower_phi(vals: np.ndarray, l: float) -> float:
     return float(np.sum(1.0 / (vals - l)))
 
 
-def _upper_dphi(vals: np.ndarray, u: float, delta_u: float, t_bound: int) -> float:
-    """Drop of the upper potential of A, ascending spectrum `vals`, as u
-    moves to u + delta_u; raises if it is too small to normalize by."""
-    dphi = _upper_phi(vals, u, t_bound) - _upper_phi(vals, u + delta_u, t_bound)
-    if dphi <= 1e-14:
-        raise DegenerateGradientError(f"upper potential difference {dphi:g} too small to normalize")
-    return dphi
-
-
 def _upper_gradient_diag(gap: np.ndarray, dphi: float) -> np.ndarray:
     """Eigenvalues 1/(gap^2 dphi) + 1/gap of U_A, for the barrier gaps
     gap = u + delta_u - lambda of A's eigenvalues lambda."""
     return (1.0 / gap**2) / dphi + 1.0 / gap
 
 
-def _lower_gradient_diag(rvals: np.ndarray, l: float, delta_l: float) -> np.ndarray:
-    """Eigenvalues of L_B on S, in the order of B_S's ascending eigenvalues `rvals`."""
+def _lower_gradient_diag(rvals: np.ndarray, l: float, delta_l: float, phi_l: float) -> np.ndarray:
+    """Eigenvalues of L_B on S, in the order of B_S's ascending eigenvalues
+    `rvals`, whose lower potential at l is phi_l."""
     mu = rvals - (l + delta_l)
     if float(mu.min()) <= 0:
         raise BarrierViolationError(
             f"lower barrier too close: min restricted eigenvalue {float(rvals.min())!r}"
             f" <= l + delta_l = {l + delta_l!r}"
         )
-    dphi = float(np.sum(1.0 / mu) - np.sum(1.0 / (rvals - l)))
+    dphi = float(np.sum(1.0 / mu)) - phi_l
     if dphi <= 1e-14:
         raise DegenerateGradientError(f"lower potential difference {dphi:g} too small to normalize")
     return (1.0 / mu**2) / dphi - 1.0 / mu
 
 
 def _selection_scores(
-    problem: EngineProblem, state: EngineState, schedule: EngineSchedule
+    problem: EngineProblem, state: EngineState, schedule: EngineSchedule, phi_u: float, phi_l: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Quadratic forms of every candidate against both gradients.
+    """Quadratic forms of every candidate against both gradients, given the
+    state's potentials phi_u = Phi^u(A) and phi_l = Phi_l(B).
 
     Returns (upper side U_A.Y_i + max(N,T) cost_i, lower side L_B.(Z Y_i Z)).
     U_A.Y_i = v_i^T R^2 v_i / dphi + v_i^T R v_i, for the resolvent
-    R = (u'I - A)^-1 at u' = u + delta_u. With A = Q_0 diag(lambda_0) Q_0^T
-    (the last full decomposition) and no update pending, it is
-    sum_j g_u(lambda_0j) (q_j^T v_i)^2: one GEMV of the entrywise square of
-    W_0 = Q_0^T V, carried from the last refresh.
+    R = (u'I - A)^-1 at u' = u + delta_u and dphi = phi_u - Phi^u'(A). With
+    A = Q_0 diag(lambda_0) Q_0^T (the last full decomposition) and no update
+    pending, it is sum_j g_u(lambda_0j) (q_j^T v_i)^2: one GEMV of the
+    entrywise square of W_0 = Q_0^T V, carried from the last refresh.
     Updates made since add `_pending_resolvent_forms`. The lower side is the
     same in k coordinates: L_B.(Z Y_i Z) = sum_j g_l(b_j) (r_j^T S^T Z v_i)^2
     with B_S = R diag(b) R^T.
     """
     mx = max(problem.N, problem.T)
-    vals = state.a_vals
-    if float(vals[-1]) >= state.u:
-        raise BarrierViolationError(
-            f"upper barrier crossed before selection: lambda_max = {float(vals[-1])!r}"
-            f" >= u = {state.u!r}"
-        )
-    gap = (state.u + schedule.delta_u) - state.dec_ref.eigenvalues
-    dphi = _upper_dphi(vals, state.u, schedule.delta_u, problem.T)
+    u_next = state.u + schedule.delta_u
+    dphi = phi_u - _upper_phi(state.a_vals, u_next, problem.T)
+    if dphi <= 1e-14:
+        raise DegenerateGradientError(f"upper potential difference {dphi:g} too small to normalize")
+    gap = u_next - state.dec_ref.eigenvalues
     quad_u = _upper_gradient_diag(gap, dphi) @ state.w_ref_sq
     if state.pending:
         r_forms, r2_forms = _pending_resolvent_forms(state, gap)
         quad_u += r2_forms / dphi + r_forms
     if state.k_eff > 0:
         r = state.dec_b.eigenvectors.T @ state.szv
-        quad_l = _lower_gradient_diag(state.dec_b.eigenvalues, state.l, schedule.delta_l) @ (r * r)
+        quad_l = _lower_gradient_diag(state.dec_b.eigenvalues, state.l, schedule.delta_l, phi_l) @ (r * r)
     else:
         quad_l = np.zeros(problem.num_updates)
     return quad_u + mx * problem.costs, quad_l
@@ -448,10 +439,10 @@ def _pending_resolvent_forms(state: EngineState, gap: np.ndarray) -> tuple[np.nd
 
 
 def _select(
-    problem: EngineProblem, state: EngineState, schedule: EngineSchedule
+    problem: EngineProblem, state: EngineState, schedule: EngineSchedule, phi_u: float, phi_l: float
 ) -> tuple[int, float, float, int]:
-    """Pick the update index and step size for the current state; return
-    them with the selection slack and the feasible-candidate count.
+    """Pick the update index and step size for the current state (potentials
+    phi_u, phi_l); return them with the selection slack and feasible count.
 
     Feasible indices satisfy U_A.Y_i + max(N,T) cost_i <= L_B.(Z Y_i Z); among
     them the one with maximum slack (lowest index on ties) is chosen, with
@@ -459,7 +450,7 @@ def _select(
     and the step becomes t = 1/(U_A.Y_i + max(N,T) cost_i) at the index
     minimizing that quantity. Either way cost_i * t <= 1/max(N,T).
     """
-    lhs, rhs = _selection_scores(problem, state, schedule)
+    lhs, rhs = _selection_scores(problem, state, schedule, phi_u, phi_l)
     if state.k_eff == 0:
         idx = int(np.argmin(lhs))
         if lhs[idx] <= 0:
@@ -476,8 +467,8 @@ def _select(
             {
                 "q": state.q,
                 "max_slack": float(slack[idx]),
-                "upper_potential": _upper_phi(state.a_vals, state.u, problem.T),
-                "lower_potential": _lower_phi(state.dec_b.eigenvalues, state.l),
+                "upper_potential": phi_u,
+                "lower_potential": phi_l,
                 "sum_lhs": float(lhs.sum()),
                 "sum_rhs": float(rhs.sum()),
             },
@@ -493,8 +484,8 @@ def run_engine(problem: EngineProblem) -> EngineResult:
     l += delta_l, u += delta_u. Then A gets one LAPACK solve, its spectrum
     (a full decomposition every REFRESH_EVERY updates), and B_S one
     decomposition; they give the barrier checks and potentials, which must
-    not increase beyond 1e-9, and the next step's scores. The final
-    certificate is checked before returning, on A's last spectrum.
+    not increase beyond 1e-9, and the next step's scores, which take those
+    potentials. The final certificate is checked on A's last spectrum.
     """
     dec_x, mstar_vals = problem.validate()
     # S: the span of X's k smallest eigenvectors, or fewer where the k-th
@@ -511,24 +502,20 @@ def run_engine(problem: EngineProblem) -> EngineResult:
     phi_u = _upper_phi(state.a_vals, state.u, problem.T)
     phi_l = _lower_phi(state.dec_b.eigenvalues, state.l)
     if phi_u > schedule.eps_u + 1e-9:
-        raise NumericalError(
-            f"starting upper potential {phi_u!r} exceeds eps_u = {schedule.eps_u!r}"
-        )
+        raise NumericalError(f"starting upper potential {phi_u!r} exceeds eps_u = {schedule.eps_u!r}")
     if phi_l > schedule.eps_l + 1e-9:
-        raise NumericalError(
-            f"starting lower potential {phi_l!r} exceeds eps_l = {schedule.eps_l!r}"
-        )
+        raise NumericalError(f"starting lower potential {phi_l!r} exceeds eps_l = {schedule.eps_l!r}")
 
     trace = []
     max_increase = 0.0
     for q in range(1, problem.N + 1):
         state.q = q
-        idx, t, slack, feasible = _select(problem, state, schedule)
-        v = problem.vectors[:, idx]
+        idx, t, slack, feasible = _select(problem, state, schedule, phi_u, phi_l)
+        v, s_i = problem.vectors[:, idx], state.szv[:, idx]
         state.weights[idx] += t
-        state.A = symmetrize(state.A + t * np.outer(v, v))
-        s_i = state.szv[:, idx]
-        state.b_s = symmetrize(state.b_s + t * np.outer(s_i, s_i))
+        # t v_i v_j and t v_j v_i are the same float: A and B_S stay exactly symmetric
+        state.A += t * np.outer(v, v)
+        state.b_s += t * np.outer(s_i, s_i)
         state.l += schedule.delta_l
         state.u += schedule.delta_u
 

@@ -324,7 +324,8 @@ def build_ultrasparsifier(g: WeightedGraph, k: int, seed: int = 0) -> UltraResul
     kappa = C1 * st_T(G) / k, W = G / kappa, W_k = sparsify_patch(T, W,
     k, 8k+1), U = T + W_k. A tree is its own low-stretch tree, so a tree
     input gives U = G with no patch. G must be connected with at least 2
-    vertices (`candidate_trees` checks).
+    vertices (`candidate_trees` checks). A weight that W's scaling takes to
+    zero or infinity raises NumericalError.
     """
     if not _integral(type(k)) or k < 1:
         raise PreconditionError(f"k must be an integer of at least 1 (bools are not), got {k!r}")
@@ -337,6 +338,15 @@ def build_ultrasparsifier(g: WeightedGraph, k: int, seed: int = 0) -> UltraResul
     if g.num_edges == g.n - 1:  # G is a tree, so T = G and W_k is empty
         patch, u = None, g
     else:
+        # a valid weight can still leave the floats when scaled: that is not the input's fault
+        scaled = scale * g.w
+        lost = np.flatnonzero(~((scaled > 0) & np.isfinite(scaled)))
+        if lost.size:
+            i = lost[0]
+            raise NumericalError(
+                f"scaling by 1/kappa_target, kappa_target = {kappa_target!r}, takes the weight"
+                f" {float(g.w[i])!r} of edge ({g.u[i]},{g.v[i]}) to {float(scaled[i])!r}"
+            )
         patch = sparsify_patch(t_graph, g.scale(scale), k, 8 * k + 1)
         u = t_graph.union(patch.wk)
 

@@ -82,6 +82,10 @@ def test_text_parser_errors_name_the_line():
     # a negative vertex count is the header's fault, not the first edge's
     with pytest.raises(ParseError, match=r"bad\.txt:1: vertex count must be nonnegative"):
         parse_graph_text("n -3\n0 1 1.0\n", "bad.txt")
+    # and so is one whose square overflows the int64 edge keys u * n + v
+    for n in ("99999999999999999999999", "3037000500"):
+        with pytest.raises(ParseError, match=rf"bad\.txt:1: vertex count {n} exceeds 3037000499"):
+            parse_graph_text(f"n {n}\n0 1 1.0\n", "bad.txt")
 
 
 # Texts around the places where np.loadtxt and the line scanner could read a
@@ -191,6 +195,9 @@ def test_json_parser_rejects_malformed_documents():
     # an integer weight too large for a float
     with pytest.raises(ParseError, match=r"edges\[0\]"):
         parse_graph_json('{"n": 2, "edges": [[0, 1, ' + "9" * 400 + ']]}', "x.json")
+    # a vertex count whose square overflows the int64 edge keys
+    with pytest.raises(ParseError, match=r"x\.json: vertex count 100000000000000000000000 exceeds"):
+        parse_graph_json('{"n": 100000000000000000000000, "edges": []}', "x.json")
 
 
 def test_read_and_write_dispatch_on_extension(tmp_path):
@@ -670,6 +677,14 @@ def test_exit_code_two_on_malformed_input(tmp_path, capsys):
     assert main(["verify", str(huge), str(huge)]) == 2
     assert "huge.txt: parallel edges (0,1) merge to a non-finite weight" in capsys.readouterr().err
 
+    # a vertex count beyond 64-bit edge keys, in either format
+    big_txt, big_json = tmp_path / "big.txt", tmp_path / "big.json"
+    big_txt.write_text("n 99999999999999999999999\n")
+    big_json.write_text('{"n": 100000000000000000000000, "edges": []}')
+    for path, where in ((big_txt, f"{big_txt}:1"), (big_json, f"{big_json}")):
+        assert main(["verify", str(path), str(path)]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {where}: vertex count ")
+
 
 @pytest.mark.parametrize(
     "argv",
@@ -788,6 +803,12 @@ def test_exit_code_three_on_violated_preconditions(tmp_path, capsys):
     heavy = save_text(tmp_path, "heavy.txt", WeightedGraph(3, [(0, 2, 2.0)]))
     assert main(["algconn", base, heavy, str(out), "--k", "1"]) == 3
 
+    # algconn candidates on another vertex count than the base
+    capsys.readouterr()
+    wide = save_text(tmp_path, "wide.txt", WeightedGraph(4, [(0, 3, 1.0)]))
+    assert main(["algconn", base, wide, str(out), "--k", "1"]) == 3
+    assert "candidate file has 4 vertices, base has 3" in capsys.readouterr().err
+
     # a negative tree-ensemble seed
     assert main(["ultra", g_path, str(out), "--k", "1", "--seed", "-1"]) == 3
     assert "seed must be a nonnegative integer" in capsys.readouterr().err
@@ -805,8 +826,8 @@ def test_exit_code_four_prints_the_infeasible_step_as_json(tmp_path, capsys, mon
 
     real_scores = engine._selection_scores
 
-    def no_feasible_candidate(problem, state, schedule):
-        lhs, rhs = real_scores(problem, state, schedule)
+    def no_feasible_candidate(problem, state, schedule, phi_u, phi_l):
+        lhs, rhs = real_scores(problem, state, schedule, phi_u, phi_l)
         return lhs + np.max(rhs - lhs) + 1.0, rhs
 
     monkeypatch.setattr(engine, "_selection_scores", no_feasible_candidate)
@@ -821,6 +842,35 @@ def test_exit_code_four_prints_the_infeasible_step_as_json(tmp_path, capsys, mon
     diag = failure["diagnostics"]
     assert diag["q"] == 1 and diag["max_slack"] < 0
     assert diag["upper_potential"] > 0 and diag["lower_potential"] > 0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+def test_exit_code_four_when_ultra_scaling_underflows_a_valid_weight(tmp_path, capsys):
+    g = tmp_path / "g.txt"
+    g.write_text("n 4\n0 1 5e-324\n1 2 1\n2 3 1\n0 3 1\n0 2 1\n")
+    assert main(["ultra", str(g), str(tmp_path / "u.txt"), "--k", "1"]) == 4
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert "kappa_target" in lines[0] and "edge (0,1)" in lines[0]
+    assert json.loads(lines[-1])["error"] == "NumericalError"
+
+
+def test_exit_code_four_when_memory_runs_out_and_no_report_is_left(tmp_path, capsys, monkeypatch):
+    class _ArrayMemoryError(MemoryError):  # numpy raises a private subclass too
+        pass
+
+    message = "Unable to allocate 2.98 GiB for an array with shape (400000000,) and data type float64"
+
+    def out_of_memory(*args):
+        raise _ArrayMemoryError(message)
+
+    monkeypatch.setattr(core, "_edge_laplacian", out_of_memory)
+    g_path = save_text(tmp_path, "G.txt", random_connected_graph(np.random.default_rng(88), 6, extra_edges=4))
+    rep = tmp_path / "rep.json"
+    assert main(["verify", g_path, g_path, "--report", str(rep)]) == 4
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert lines[0] == f"error: {message}"
+    assert json.loads(lines[-1]) == {"error": "MemoryError", "message": message, "q": None, "diagnostics": {}}
+    assert not rep.exists()
 
 
 def test_exit_code_four_prints_a_json_line_for_errors_without_diagnostics(tmp_path, capsys, monkeypatch):

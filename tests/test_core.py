@@ -155,6 +155,14 @@ def test_graph_rejects_bad_edges():
         WeightedGraph(3, [(0, 1, -2.0)])
     with pytest.raises(PreconditionError):
         WeightedGraph(-1, [])
+    # edges are keyed by u * n + v in int64, so n * n must fit in it
+    for n in (2**63, 3_037_000_500):
+        with pytest.raises(PreconditionError, match=f"vertex count {n} exceeds 3037000499"):
+            WeightedGraph(n, [])
+    with pytest.raises(PreconditionError, match="exceeds 3037000499"):
+        WeightedGraph.from_arrays(10**23, np.array([0]), np.array([1]), np.array([1.0]))
+    empty = np.zeros(0, dtype=np.int64)
+    assert all(a.size == 0 for a in core._canonical_edges(3_037_000_499, empty, empty, np.zeros(0)))
     # each weight is finite, their merged sum is not
     with pytest.raises(PreconditionError, match="non-finite"):
         WeightedGraph(2, [(0, 1, 1e308), (1, 0, 1e308)])

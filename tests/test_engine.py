@@ -24,7 +24,6 @@ from lapsparse.engine import (
     _lower_phi,
     _select,
     _selection_scores,
-    _upper_dphi,
     _upper_gradient_diag,
     _upper_phi,
     compute_Z,
@@ -62,17 +61,23 @@ def dense_lower_gradient(b, l, delta_l, basis):
 
 
 def engine_upper_gradient(a, u, delta_u, t_bound):
-    """U_A with the eigenvalues the engine scores with."""
+    """U_A with the eigenvalues and the normalizer the engine scores with."""
     vals, vecs = np.linalg.eigh(a)
-    diag = _upper_gradient_diag(u + delta_u - vals, _upper_dphi(vals, u, delta_u, t_bound))
+    dphi = _upper_phi(vals, u, t_bound) - _upper_phi(vals, u + delta_u, t_bound)
+    diag = _upper_gradient_diag(u + delta_u - vals, dphi)
     return symmetrize((vecs * diag) @ vecs.T)
 
 
 def engine_lower_gradient(b, l, delta_l, basis):
     """L_B with the eigenvalues the engine scores with, on B_S = S^T B S."""
     rvals, rvecs = np.linalg.eigh(symmetrize(basis.T @ b @ basis))
-    g_s = (rvecs * _lower_gradient_diag(rvals, l, delta_l)) @ rvecs.T
+    g_s = (rvecs * _lower_gradient_diag(rvals, l, delta_l, _lower_phi(rvals, l))) @ rvecs.T
     return symmetrize(basis @ g_s @ basis.T)
+
+
+def potentials(problem, state):
+    """(Phi^u(A), Phi_l(B)) of the state, as run_engine hands them to the scoring."""
+    return _upper_phi(state.a_vals, state.u, problem.T), _lower_phi(state.dec_b.eigenvalues, state.l)
 
 
 def upper_potential(a, u, t_bound):
@@ -295,7 +300,7 @@ def test_select_update_single_candidate_gets_index_zero():
     p = _single_update_problem()
     schedule = init_schedule(p.k, p.N, p.T)
     state = initial_state(p, schedule, eigh(p.X), np.zeros((0, 1)))
-    idx, t, _, _ = _select(p, state, schedule)
+    idx, t, _, _ = _select(p, state, schedule, *potentials(p, state))
     assert idx == 0
     assert t > 0
     assert p.costs[0] * t <= 1.0 / max(p.N, p.T) + 1e-12
@@ -317,7 +322,7 @@ def test_selection_scores_balance_on_covered_instances():
     # upper-side score cannot exceed the total lower-side score.
     problem = make_engine_instance(3, n=12, m=60, k=1)
     state, schedule, _, _ = _start_state(problem)
-    upper_scores, lower_scores = _selection_scores(problem, state, schedule)
+    upper_scores, lower_scores = _selection_scores(problem, state, schedule, *potentials(problem, state))
     assert float(upper_scores.sum()) <= float(lower_scores.sum()) + 1e-8
 
 
@@ -337,7 +342,7 @@ def test_selection_scores_match_einsum_against_the_gradients(seed, n, m, k):
     state.A, state.b_s = a, b_s
     state.dec_b = SpectralDecomposition(*np.linalg.eigh(b_s))
 
-    upper, lower = _selection_scores(problem, state, schedule)
+    upper, lower = _selection_scores(problem, state, schedule, *potentials(problem, state))
 
     mx = max(problem.N, problem.T)
     u_a = dense_upper_gradient(a, state.u, schedule.delta_u, problem.T)
@@ -375,11 +380,11 @@ def test_low_rank_scores_match_a_fresh_decomposition(seed, d, gap):
         state.u = float(fresh.eigenvalues[-1]) + gap / 2
         at_gap = dataclasses.replace(schedule, delta_u=gap / 2)
 
-        upper, lower = _selection_scores(problem, state, at_gap)
+        upper, lower = _selection_scores(problem, state, at_gap, *potentials(problem, state))
 
         reference = initial_state(problem, at_gap, fresh, state.szv)
         reference.u = state.u
-        want_upper, want_lower = _selection_scores(problem, reference, at_gap)
+        want_upper, want_lower = _selection_scores(problem, reference, at_gap, *potentials(problem, reference))
         assert np.max(np.abs(upper - want_upper)) <= 1e-12 * np.max(np.abs(want_upper))
         assert np.array_equal(lower, want_lower)
 
@@ -389,8 +394,8 @@ def test_infeasible_step_carries_the_potentials_of_the_failing_state(monkeypatch
     clean = run_engine(problem)
     real_scores = engine._selection_scores
 
-    def no_feasible_candidate_at_step_three(problem, state, schedule):
-        lhs, rhs = real_scores(problem, state, schedule)
+    def no_feasible_candidate_at_step_three(problem, state, schedule, phi_u, phi_l):
+        lhs, rhs = real_scores(problem, state, schedule, phi_u, phi_l)
         if state.q == 3:
             lhs = lhs + np.max(rhs - lhs) + 1.0
         return lhs, rhs
@@ -426,6 +431,82 @@ def test_run_engine_identity_scaling_with_no_protected_directions():
     assert res.support <= 4
     assert res.total_cost <= res.cost_bound + 1e-9
     assert res.max_potential_increase <= 1e-9
+
+
+def _slightly_asymmetric_problem():
+    """d = 6: X and M* each pass check_symmetric, with 1e-13 asymmetries in
+    different entries, while M* - X is only about 1e-5 in size, so their
+    difference is far from symmetric relative to itself."""
+    rng = np.random.default_rng(0)
+    d, m = 6, 12
+    x = symmetrize(random_psd(rng, d, lo=0.2, hi=0.8))
+    v = rng.standard_normal((d, m)) * np.sqrt(1e-5 / m)
+    mstar = x + v @ v.T
+    x[0, 1] += 1e-13
+    mstar[2, 3] += 1e-13
+    return EngineProblem(X=x, vectors=v, costs=np.full(m, 1 / m), Mstar=mstar, k=1, N=9)
+
+
+def test_run_engine_accepts_inputs_that_each_pass_the_symmetry_check():
+    p = _slightly_asymmetric_problem()
+    assert not np.array_equal(p.X, p.X.T) and not np.array_equal(p.Mstar, p.Mstar.T)
+    assert 1e-6 < np.max(np.abs(p.Mstar - p.X)) < 1e-4
+    res = run_engine(p)
+    assert len(res.trace) == p.N
+    assert res.floor - 1e-12 <= res.lambda_min <= res.lambda_max <= res.theta_max
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: make_engine_instance(8, n=20, m=120, k=2), _slightly_asymmetric_problem],
+    ids=["random", "asymmetric_inputs"],
+)
+def test_a_and_b_s_stay_exactly_symmetric_after_every_step(monkeypatch, build):
+    # each step adds t v v^T in place, with no re-symmetrization
+    checked = []
+    real_select, real_certify = engine._select, engine._certify
+
+    def check(state):
+        checked.append(state.q)
+        assert np.array_equal(state.A, state.A.T)
+        assert np.array_equal(state.b_s, state.b_s.T)
+
+    def select(problem, state, *args):
+        if state.q > 1:  # the state after step q - 1
+            check(state)
+        return real_select(problem, state, *args)
+
+    def certify(problem, state, *args):
+        check(state)  # the state after the last step
+        return real_certify(problem, state, *args)
+
+    monkeypatch.setattr(engine, "_select", select)
+    monkeypatch.setattr(engine, "_certify", certify)
+    p = build()
+    run_engine(p)
+    assert checked == [*range(2, p.N + 1), p.N]
+
+
+def test_each_step_evaluates_each_potential_once(monkeypatch):
+    # Phi^u(A) and Phi_l(B) are evaluated, with their barrier checks, once
+    # at the start and once after every update, and handed to the next
+    # step's scoring, which adds only Phi^u'(A) at u' = u + delta_u
+    calls = {"upper": 0, "lower": 0}
+    real_upper, real_lower = engine._upper_phi, engine._lower_phi
+
+    def upper(*args):
+        calls["upper"] += 1
+        return real_upper(*args)
+
+    def lower(*args):
+        calls["lower"] += 1
+        return real_lower(*args)
+
+    monkeypatch.setattr(engine, "_upper_phi", upper)
+    monkeypatch.setattr(engine, "_lower_phi", lower)
+    p = make_engine_instance(12, n=16, m=90, k=2)
+    run_engine(p)
+    assert calls == {"upper": 2 * p.N + 1, "lower": p.N + 1}
 
 
 def test_protected_count_stops_at_the_start_of_a_tie():

@@ -12,6 +12,7 @@ from conftest import random_connected_graph, record_laplacian_factors
 from lapsparse import engine
 from lapsparse.core import (
     DisconnectedError,
+    NumericalError,
     PreconditionError,
     WeightedGraph,
     laplacian,
@@ -489,6 +490,15 @@ def test_build_rejects_bad_inputs():
         build_ultrasparsifier(WeightedGraph(4, [(0, 1, 1.0)]), 1)
     with pytest.raises(PreconditionError):
         build_ultrasparsifier(WeightedGraph(1, []), 1)
+
+
+# the tree search reads the subnormal weight's length 1/w as infinite
+@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
+def test_build_blames_its_own_scaling_for_a_weight_it_underflows():
+    # 5e-324 is a valid weight; W = G / kappa_target rounds it to zero
+    g = WeightedGraph(4, [(0, 1, 5e-324), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0), (0, 2, 1.0)])
+    with pytest.raises(NumericalError, match=r"kappa_target = 20\.0, takes the weight 5e-324 of edge \(0,1\) to 0\.0"):
+        build_ultrasparsifier(g, 1)
 
 
 @pytest.mark.parametrize("k", [1.5, 2.0, np.float64(1.0), True])
