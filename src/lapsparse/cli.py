@@ -24,7 +24,6 @@ core.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import json
@@ -149,15 +148,23 @@ def parse_graph_json(text: str, name: str) -> WeightedGraph:
         raise ParseError(f"{name}: {exc}") from None
 
 
-def read_graph(path: str) -> WeightedGraph:
+def _read_graph_bytes(path: str) -> tuple[WeightedGraph, bytes]:
+    """The graph in `path` and the bytes it was parsed from, read once and
+    decoded as UTF-8 with CRLF and lone CR read as LF, as text mode reads."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            text = handle.read()
+        with open(path, "rb") as handle:
+            data = handle.read()
+        text = data.decode("utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"{path}: cannot read: {exc}") from None
-    if path.endswith(".json"):
-        return parse_graph_json(text, path)
-    return parse_graph_text(text, path)
+    if "\r" in text:  # on a 250 KB input, a search for the two-character CRLF costs 100x this test
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    parse = parse_graph_json if path.endswith(".json") else parse_graph_text
+    return parse(text, path), data
+
+
+def read_graph(path: str) -> WeightedGraph:
+    return _read_graph_bytes(path)[0]
 
 
 def graph_to_text(g: WeightedGraph) -> str:
@@ -182,11 +189,6 @@ def _write_text(path: str, text: str) -> None:
 
 def write_graph(path: str, g: WeightedGraph) -> None:
     _write_text(path, graph_to_json(g) if path.endswith(".json") else graph_to_text(g))
-
-
-def sha256_file(path: str) -> str:
-    with open(path, "rb") as handle:
-        return hashlib.sha256(handle.read()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -258,32 +260,23 @@ def dumps_report(report: dict) -> str:
 
 
 def _read_inputs(**paths: str) -> tuple:
-    """The graph in each file, then the report's inputs block, hashed before
-    the command writes anything (an output may overwrite an input)."""
-    graphs = [read_graph(path) for path in paths.values()]
-    return (*graphs, {name: {"path": path, "sha256": sha256_file(path)} for name, path in paths.items()})
-
-
-@functools.cache
-def _trace_fields() -> tuple:
-    """Per-step engine trace fields, in report and CSV column order."""
-    from .engine import StepRecord
-
-    return tuple(f.name for f in dataclasses.fields(StepRecord))
-
-
-def _engine_trace_rows(result) -> list:
-    fields = _trace_fields()
-    return [{name: getattr(rec, name) for name in fields} for rec in result.trace]
+    """The graph in each file, then the report's inputs block: each file is
+    read once, before the command writes anything (an output may overwrite
+    an input), and its hash is of the bytes parsed."""
+    read = {name: _read_graph_bytes(path) for name, path in paths.items()}
+    inputs = {name: {"path": paths[name], "sha256": hashlib.sha256(data).hexdigest()} for name, (_, data) in read.items()}
+    return (*(graph for graph, _ in read.values()), inputs)
 
 
 def _write_trace_csv(path: str, engine_results) -> None:
     """The trace as csv.writer writes it, one CRLF-terminated row per engine
     step: every field is a number or a plain name, so none needs quoting."""
-    lines = [",".join(("engine",) + _trace_fields())]
+    from .engine import StepRecord
+
+    lines = [",".join(("engine", *StepRecord._fields))]
     for engine_idx, result in enumerate(engine_results):
-        for row in _engine_trace_rows(result):
-            fields = (str(val) if isinstance(val, int) else format_float(val) for val in row.values())
+        for rec in result.trace:
+            fields = (str(val) if isinstance(val, int) else format_float(val) for val in rec)
             lines.append(",".join((str(engine_idx), *fields)))
     _write_text(path, "".join(line + "\r\n" for line in lines))
 
@@ -297,7 +290,7 @@ def _report_tail(engine_results, trace_csv, worst: float, t_start: float, t_solv
     t_end = time.perf_counter()
     return {
         "potential_trace": [
-            {"engine": i, "steps": _engine_trace_rows(res)}
+            {"engine": i, "steps": [rec._asdict() for rec in res.trace]}
             for i, res in enumerate(engine_results)
         ],
         "coherence": {

@@ -24,13 +24,14 @@ in the eigenbasis R of B_S; B itself is never formed. Once per run come
 X's decomposition and M*'s spectrum (validate; the first is not solved
 when the caller passes it in, the second when M* = I), the spectrum of
 M* - X (compute_Z; 1 - lambda(X) when M* = I), the decomposition of its
-k x k restriction, and the d x d x m product Z V.
+k x k restriction, and the k x d x m product S^T V.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -161,34 +162,33 @@ class EngineProblem:
 
 @dataclass(frozen=True)
 class EngineSchedule:
-    """Barrier shift sizes, potential caps, and starting barrier positions."""
+    """Barrier shift sizes, the cap eps on both starting potentials, the
+    starting barrier positions, and mx = max(N, T), which scales the costs."""
 
     delta_l: float
     delta_u: float
-    eps_l: float
-    eps_u: float
+    eps: float
     l0: float
     u0: float
+    mx: int
 
 
 def init_schedule(k: int, n_budget: int, t_bound: int) -> EngineSchedule:
     """Schedule from (k, N, T): delta_l = 1/(2 max(N,T)), delta_u = 4 delta_l,
-    eps_l = eps_u = 1/(4 delta_l), l0 = -4k delta_l, u0 = 4T delta_l + 1."""
+    eps = 1/(4 delta_l), l0 = -4k delta_l, u0 = 4T delta_l + 1."""
     if n_budget <= 8 * k:
         raise BudgetTooSmallError(f"budget N = {n_budget} must exceed 8k = {8 * k}")
     if t_bound < 1:
         raise PreconditionError(f"trace bound T must be >= 1, got {t_bound}")
     mx = max(n_budget, t_bound)
     delta_l = 1.0 / (2.0 * mx)
-    delta_u = 4.0 * delta_l
-    eps = 1.0 / (4.0 * delta_l)
     return EngineSchedule(
         delta_l=delta_l,
-        delta_u=delta_u,
-        eps_l=eps,
-        eps_u=eps,
+        delta_u=4.0 * delta_l,
+        eps=1.0 / (4.0 * delta_l),
         l0=-4.0 * k * delta_l,
         u0=4.0 * t_bound * delta_l + 1.0,
+        mx=mx,
     )
 
 
@@ -201,8 +201,9 @@ class EngineState:
     Q_0^T V, its entrywise square w_ref_sq and the (index, t) of each update
     made since (`pending`), all four set by `refresh`; b_s = S^T B S, the
     k x k restriction of B = Z(A - X)Z to S, with its eigendecomposition
-    dec_b; the barriers l, u; and the fixed k x m matrix szv = S^T Z V whose
-    column i generates the restriction of Z Y_i Z.
+    dec_b; the barriers l, u; and the fixed k x m matrix szv = S^T Z V =
+    Z_S S^T V, in S's own coordinates, whose column i generates the
+    restriction of Z Y_i Z.
     """
 
     q: int
@@ -249,9 +250,9 @@ def initial_state(
     return state
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """Per-step trace row (values after the update and barrier shift).
+class StepRecord(NamedTuple):
+    """Per-step trace row (values after the update and barrier shift), in
+    report and CSV column order.
 
     upper_gap = u - lambda_max(A) and lower_gap = lambda_min(B|S) - l (inf
     for an empty S) are the barrier distances; feasible_candidates counts
@@ -299,34 +300,32 @@ class EngineResult:
 def compute_Z(
     x: np.ndarray, mstar: np.ndarray, basis: np.ndarray, gap_vals: np.ndarray | None = None
 ) -> tuple[np.ndarray, float]:
-    """Z = ((P_S (M* - X) P_S)^+)^(1/2) as an ambient symmetric matrix, for
-    S spanned by the orthonormal columns of the d x k array `basis`.
-    `gap_vals` is the ascending spectrum of M* - X when the caller knows
-    it; it is solved here otherwise.
+    """Z_S = (S^T (M* - X) S + eps I)^(-1/2), the k x k operator on S in the
+    coordinates of the orthonormal columns S of the d x k array `basis`, and
+    the eps applied. Z = S Z_S S^T, ((P_S (M* - X) P_S)^+)^(1/2) when eps = 0,
+    is the ambient normalizer; it is not formed. `gap_vals` is the ascending
+    spectrum of M* - X when the caller knows it; it is solved here otherwise.
 
-    If the restriction of M* - X to S is numerically singular, a perturbation
-    eps * P_S with eps = 1e-8 * lambda_max(M* - X) is added first; the second
-    return value is the eps actually applied (0.0 when none was needed).
-    Z Z (P_S (M*-X) P_S) equals P_S for the (possibly perturbed) operator.
-    M* - X is symmetrized, not checked: X and M* each passed `check_symmetric`.
+    eps is 0.0 unless S^T (M* - X) S is numerically singular; then it is
+    1e-8 * lambda_max(M* - X). An empty S gives a 0 x 0 Z_S before M* - X is
+    formed. M* - X is symmetrized, not checked: X and M* each passed
+    `check_symmetric`.
     """
+    if basis.shape[1] == 0:
+        return np.zeros((0, 0)), 0.0
     d = symmetrize(mstar - x)
     dvals = _spectrum(d) if gap_vals is None else gap_vals
-    if dvals.size and float(dvals[0]) < -1e-8 * max(1.0, float(dvals[-1])):
+    if float(dvals[0]) < -1e-8 * max(1.0, float(dvals[-1])):
         raise PreconditionError(f"Mstar - X must be PSD, got lambda_min = {float(dvals[0]):g}")
-    if basis.shape[1] == 0:
-        return np.zeros_like(d), 0.0
     r = symmetrize(basis.T @ d @ basis)
     dec_r = _decompose(r)
     rvals, rvecs = dec_r.eigenvalues, dec_r.eigenvectors
-    lam_scale = float(dvals[-1]) if dvals.size else 0.0
+    lam_scale = float(dvals[-1])
     perturbation = 0.0
     if float(rvals[0]) <= 1e-12 * max(lam_scale, 1e-300):
         perturbation = 1e-8 * lam_scale if lam_scale > 0 else 1e-8
         rvals = rvals + perturbation
-    inv_rt = 1.0 / np.sqrt(rvals)
-    z_s = (rvecs * inv_rt) @ rvecs.T
-    return symmetrize(basis @ z_s @ basis.T), perturbation
+    return (rvecs * (1.0 / np.sqrt(rvals))) @ rvecs.T, perturbation
 
 
 def _upper_phi(vals: np.ndarray, u: float, t_bound: int) -> float:
@@ -391,7 +390,6 @@ def _selection_scores(
     same in k coordinates: L_B.(Z Y_i Z) = sum_j g_l(b_j) (r_j^T S^T Z v_i)^2
     with B_S = R diag(b) R^T.
     """
-    mx = max(problem.N, problem.T)
     u_next = state.u + schedule.delta_u
     dphi = phi_u - _upper_phi(state.a_vals, u_next, problem.T)
     if dphi <= 1e-14:
@@ -406,7 +404,7 @@ def _selection_scores(
         quad_l = _lower_gradient_diag(state.dec_b.eigenvalues, state.l, schedule.delta_l, phi_l) @ (r * r)
     else:
         quad_l = np.zeros(problem.num_updates)
-    return quad_u + mx * problem.costs, quad_l
+    return quad_u + schedule.mx * problem.costs, quad_l
 
 
 def _pending_resolvent_forms(state: EngineState, gap: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -494,17 +492,16 @@ def run_engine(problem: EngineProblem) -> EngineResult:
     basis = dec_x.eigenvectors[:, :k_eff]
     # with M* = I (every patch run) M* - X has the spectrum 1 - lambda(X)
     gap_vals = 1.0 - dec_x.eigenvalues[::-1] if problem.unit_mstar else None
-    z, _ = compute_Z(problem.X, problem.Mstar, basis, gap_vals)
+    z_s, _ = compute_Z(problem.X, problem.Mstar, basis, gap_vals)
     schedule = init_schedule(problem.k, problem.N, problem.T)
-    mx = max(problem.N, problem.T)
-    state = initial_state(problem, schedule, dec_x, basis.T @ (z @ problem.vectors))
+    state = initial_state(problem, schedule, dec_x, z_s @ (basis.T @ problem.vectors))
 
     phi_u = _upper_phi(state.a_vals, state.u, problem.T)
     phi_l = _lower_phi(state.dec_b.eigenvalues, state.l)
-    if phi_u > schedule.eps_u + 1e-9:
-        raise NumericalError(f"starting upper potential {phi_u!r} exceeds eps_u = {schedule.eps_u!r}")
-    if phi_l > schedule.eps_l + 1e-9:
-        raise NumericalError(f"starting lower potential {phi_l!r} exceeds eps_l = {schedule.eps_l!r}")
+    if phi_u > schedule.eps + 1e-9:
+        raise NumericalError(f"starting upper potential {phi_u!r} exceeds eps = {schedule.eps!r}")
+    if phi_l > schedule.eps + 1e-9:
+        raise NumericalError(f"starting lower potential {phi_l!r} exceeds eps = {schedule.eps!r}")
 
     trace = []
     max_increase = 0.0
@@ -547,18 +544,16 @@ def run_engine(problem: EngineProblem) -> EngineResult:
                 lower_increase=lower_inc,
                 upper_increase=upper_inc,
                 upper_gap=state.u - float(state.a_vals[-1]),
-                lower_gap=(
-                    float(state.dec_b.eigenvalues[0]) - state.l if k_eff else math.inf
-                ),
+                lower_gap=float(state.dec_b.eigenvalues[0]) - state.l if k_eff else math.inf,
                 feasible_candidates=feasible,
             )
         )
         phi_u, phi_l = new_phi_u, new_phi_l
 
         cost_so_far = float(state.weights @ problem.costs)
-        if cost_so_far > q / mx + 1e-9:
+        if cost_so_far > q / schedule.mx + 1e-9:
             raise NumericalError(
-                f"running cost {cost_so_far!r} exceeds q/max(N,T) = {q / mx!r} at step {q}"
+                f"running cost {cost_so_far!r} exceeds q/max(N,T) = {q / schedule.mx!r} at step {q}"
             )
 
     return _certify(problem, state, schedule, dec_x, mstar_vals, tuple(trace), max_increase)
@@ -589,9 +584,8 @@ def _certify(
     """
     d = problem.dim
     k_eff = state.k_eff
-    mx = max(problem.N, problem.T)
-    theta_max = 2.0 * (problem.N + problem.T) / mx + 1.0
-    theta_min = (problem.N / 2.0 - 2.0 * problem.k) / mx
+    theta_max = 2.0 * (problem.N + problem.T) / schedule.mx + 1.0
+    theta_min = (problem.N / 2.0 - 2.0 * problem.k) / schedule.mx
 
     m_final = symmetrize(problem.X + (problem.vectors * state.weights) @ problem.vectors.T)
     dev = float(np.max(np.abs(m_final - state.A)))

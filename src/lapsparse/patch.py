@@ -17,6 +17,7 @@ import numpy as np
 
 from .core import (
     BudgetTooSmallError,
+    FactorBlock,
     InvalidKError,
     LaplacianFactor,
     NumericalError,
@@ -106,7 +107,7 @@ def _certificate(k: int, spectra: list) -> tuple[PatchParams, list, list]:
 
 def build_patch_problem(
     x: np.ndarray,
-    f: np.ndarray,
+    block: FactorBlock,
     u: np.ndarray,
     v: np.ndarray,
     w: np.ndarray,
@@ -116,22 +117,29 @@ def build_patch_problem(
 ) -> EngineProblem:
     """Engine instance for sparsifying W against G on one component of G+W.
 
-    Working space: the component's share of im(L_{G+W}) in the eigenbasis
-    of its factor block F = Q diag(lambda)^(-1/2), and X = F^T L_G F its
-    pencil matrix of L_G, with dec_x its eigendecomposition when already
-    solved. W's edges there are (u[i], v[i]) of weight w[i],
-    on the block's vertex indices: edge e = (u, v) contributes the rank-one
-    generator sqrt(w_e) F^T b_e = sqrt(w_e) (F[u] - F[v]), costs are
-    w_e / sum(w), and M* is the identity on the working space.
+    Working space: the component's share of im(L_{G+W}) in the basis of its
+    factor block F = block.f, and X = F^T L_G F its pencil matrix of L_G,
+    with dec_x its eigendecomposition when already solved. W's edges there
+    are (u[i], v[i]) of weight w[i], on the block's vertex indices: edge e =
+    (u, v) contributes the rank-one generator sqrt(w_e) (F[u] - F[v]); one
+    whose squares all underflow raises NumericalError. Costs are w_e /
+    sum(w), and M* is the identity on the working space.
     """
     if not w.size:
         raise PreconditionError("W has no edges; nothing to sparsify")
-    if max(u.max(), v.max()) >= f.shape[0]:
+    if max(u.max(), v.max()) >= block.f.shape[0]:
         raise PreconditionError("W has an edge off the block: G+W must be connected here, split it upstream")
-    vectors = np.sqrt(w) * (f[u] - f[v]).T
+    vectors = np.sqrt(w) * (block.f[u] - block.f[v]).T
+    lost = np.flatnonzero(np.linalg.norm(vectors, axis=0) == 0.0)
+    if lost.size:  # a valid edge that the engine would reject as a zero update
+        i = lost[0]
+        raise NumericalError(
+            f"edge ({block.vertices[u[i]]},{block.vertices[v[i]]}) of W, weight {float(w[i])!r}:"
+            " the squares of its update vector's entries underflow to 0"
+        )
     costs = w / float(sum(w.tolist()))
     return EngineProblem(
-        X=x, vectors=vectors, costs=costs, Mstar=np.eye(f.shape[1]), k=k, N=n_budget, dec_x=dec_x
+        X=x, vectors=vectors, costs=costs, Mstar=np.eye(block.f.shape[1]), k=k, N=n_budget, dec_x=dec_x
     )
 
 
@@ -204,7 +212,7 @@ def sparsify_patch(
         if not we.size:
             continue
         realized_budget += n_c
-        result = run_engine(build_patch_problem(x, block.f, u, v, we, k_c, n_c, dec))
+        result = run_engine(build_patch_problem(x, block, u, v, we, k_c, n_c, dec))
         engine_results.append(result)
         weight_bound += result.cost_bound * float(sum(we.tolist()))
         keep = result.weights > 0

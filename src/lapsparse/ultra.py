@@ -163,7 +163,9 @@ def _shortest_path_trees(g: WeightedGraph, roots: np.ndarray) -> tuple:
     index wins, and a tie found in a later sweep keeps the earlier parent.
     """
     heads, tails, weights, start = _arcs(g.n, g.u, g.v, g.w)
-    lengths, arcs, starts = 1.0 / weights, np.arange(heads.size), start[:-1]  # g connected: no vertex lacks arcs
+    with np.errstate(over="ignore"):  # a subnormal weight's arc is meant to be infinitely long
+        lengths = 1.0 / weights
+    arcs, starts = np.arange(heads.size), start[:-1]  # g connected: no vertex lacks arcs
     rows = np.arange(roots.size)
     dist = np.full((roots.size, g.n), np.inf)
     dist[rows, roots] = 0.0

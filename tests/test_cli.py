@@ -3,6 +3,9 @@ import csv
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from unittest import mock
 
 import numpy as np
@@ -747,6 +750,45 @@ def test_input_hashes_are_taken_before_the_output_overwrites_an_input(tmp_path):
     assert hashlib.sha256((tmp_path / "W.txt").read_bytes()).hexdigest() != before
 
 
+def test_each_input_is_read_once_and_hashed_as_parsed(tmp_path, monkeypatch):
+    rng = np.random.default_rng(89)
+    g_path = save_text(tmp_path, "G.txt", random_connected_graph(rng, 8, extra_edges=5))
+    h_path = str(tmp_path / "H.json")
+    write_graph(h_path, random_connected_graph(rng, 8, extra_edges=9))
+    opened = []
+    real_open = open
+
+    def recording_open(file, *args, **kwargs):
+        opened.append(str(file))
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", recording_open)
+    report = cli.cmd_verify(g_path, h_path)
+    monkeypatch.undo()
+    assert [opened.count(path) for path in (g_path, h_path)] == [1, 1]
+    for name, path in (("g", g_path), ("h", h_path)):
+        with open(path, "rb") as handle:
+            assert report["inputs"][name]["sha256"] == hashlib.sha256(handle.read()).hexdigest()
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+def test_inputs_read_line_breaks_as_text_mode_does(tmp_path, capsys, newline):
+    # a JSON error's line, column and char offset are those of the text with
+    # every CRLF or lone CR read as one LF, as a file opened in text mode reads
+    doc = '{"n": 3,\n "edges": [[0, 1, 1.0],\n [1, 2, ]]}\n'
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(doc.replace("\n", newline).encode())
+    assert main(["verify", str(bad), str(bad)]) == 2
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(doc)
+    assert capsys.readouterr().err == f"error: {bad}: invalid JSON: {want.value}\n"
+
+    text = tmp_path / "g.txt"
+    text.write_bytes("n 3\n0 1 1\n1 2 x\n".replace("\n", newline).encode())
+    assert main(["verify", str(text), str(text)]) == 2
+    assert capsys.readouterr().err == f"error: {text}:3: cannot parse edge line '1 2 x'\n"
+
+
 def test_report_path_is_checked_before_the_command_and_a_failure_leaves_no_report(tmp_path, capsys):
     g_path = save_text(tmp_path, "G.txt", random_connected_graph(np.random.default_rng(87), 6, extra_edges=4))
     out, bad = tmp_path / "out.txt", tmp_path / "missing" / "r.json"
@@ -844,7 +886,6 @@ def test_exit_code_four_prints_the_infeasible_step_as_json(tmp_path, capsys, mon
     assert diag["upper_potential"] > 0 and diag["lower_potential"] > 0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
 def test_exit_code_four_when_ultra_scaling_underflows_a_valid_weight(tmp_path, capsys):
     g = tmp_path / "g.txt"
     g.write_text("n 4\n0 1 5e-324\n1 2 1\n2 3 1\n0 3 1\n0 2 1\n")
@@ -852,6 +893,36 @@ def test_exit_code_four_when_ultra_scaling_underflows_a_valid_weight(tmp_path, c
     lines = capsys.readouterr().err.strip().splitlines()
     assert "kappa_target" in lines[0] and "edge (0,1)" in lines[0]
     assert json.loads(lines[-1])["error"] == "NumericalError"
+
+
+def test_ultra_on_a_subnormal_weight_writes_only_its_error_to_stderr(tmp_path):
+    # in a fresh interpreter, where numpy's RuntimeWarning would print itself
+    # and its source line before the error
+    g = tmp_path / "g.txt"
+    g.write_text("n 4\n0 1 5e-324\n1 2 1\n2 3 1\n0 3 1\n0 2 1\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run(
+        [sys.executable, "-m", "lapsparse.cli", "ultra", str(g), str(tmp_path / "u.txt"), "--k", "1"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert run.returncode == 4
+    lines = run.stderr.splitlines()
+    assert len(lines) == 2 and lines[0].startswith("error: scaling by 1/kappa_target")
+    assert json.loads(lines[1])["error"] == "NumericalError"
+
+
+def test_exit_code_four_when_ultra_update_vectors_underflow(tmp_path, capsys):
+    # W = G / kappa_target takes the chords (0,11) and (3,9) to about
+    # 1.6e-302; their update vectors' entries, near 3.6e-301, square to 0
+    edges = [(i, i + 1, 1e300) for i in range(11)] + [(0, 11, 1e-300), (3, 9, 1e-300), (2, 7, 1e300), (1, 5, 1.0)]
+    g_path = save_text(tmp_path, "G.txt", WeightedGraph(12, edges))
+    assert main(["ultra", g_path, str(tmp_path / "u.txt"), "--k", "1"]) == 4
+    err = capsys.readouterr().err
+    lines = err.strip().splitlines()
+    assert len(lines) == 2 and "Traceback" not in err
+    assert lines[0].startswith("error: edge (0,11) of W, weight 1.56") and "underflow" in lines[0]
+    assert json.loads(lines[1])["error"] == "NumericalError"
 
 
 def test_exit_code_four_when_memory_runs_out_and_no_report_is_left(tmp_path, capsys, monkeypatch):

@@ -96,10 +96,10 @@ def test_schedule_values_for_budget_nine_trace_four():
     s = init_schedule(1, 9, 4)
     assert s.delta_l == pytest.approx(1.0 / 18.0, rel=1e-15)
     assert s.delta_u == pytest.approx(2.0 / 9.0, rel=1e-15)
-    assert s.eps_l == pytest.approx(4.5, rel=1e-15)
-    assert s.eps_u == pytest.approx(4.5, rel=1e-15)
+    assert s.eps == pytest.approx(4.5, rel=1e-15)
     assert s.l0 == pytest.approx(-2.0 / 9.0, rel=1e-15)
     assert s.u0 == pytest.approx(17.0 / 9.0, rel=1e-15)
+    assert s.mx == 9
 
 
 def test_schedule_uses_larger_of_budget_and_trace():
@@ -125,6 +125,7 @@ def test_integer_trace_bound_rounds_up_and_floors_at_one():
 
 
 def test_normalizer_inverts_the_restricted_gap():
+    # Z_S is the k x k operator in the coordinates of S's basis
     rng = np.random.default_rng(9)
     d = 6
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))
@@ -133,17 +134,41 @@ def test_normalizer_inverts_the_restricted_gap():
     x = np.zeros((d, d))
 
     z, eps = compute_Z(x, p, s)  # M* - X = P_S
-    assert eps == 0.0
-    assert np.allclose(z, p, atol=1e-9)
+    assert eps == 0.0 and z.shape == (2, 2)
+    assert np.allclose(z, np.eye(2), atol=1e-9)
 
     z4, eps4 = compute_Z(x, 4.0 * p, s)  # M* - X = 4 P_S
     assert eps4 == 0.0
-    assert np.allclose(z4, p / 2.0, atol=1e-9)
+    assert np.allclose(z4, np.eye(2) / 2.0, atol=1e-9)
 
     gap = random_psd(rng, d, lo=0.5, hi=2.0)
     zg, _ = compute_Z(x, symmetrize(p @ gap @ p), s)
-    ident = zg @ symmetrize(p @ gap @ p) @ zg
-    assert np.allclose(ident, p, atol=1e-7)
+    ident = zg @ (s.T @ gap @ s) @ zg
+    assert np.allclose(ident, np.eye(2), atol=1e-7)
+
+
+@pytest.mark.parametrize("singular", [False, True])
+def test_normalizer_is_the_inverse_root_of_the_perturbed_restriction(singular):
+    # Z_S (S^T (M* - X) S + eps I) Z_S = I, with eps = 0 for a regular
+    # restriction and eps = 1e-8 lambda_max(M* - X) for a singular one
+    rng = np.random.default_rng(10)
+    d, k = 7, 3
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    s = q[:, :k]
+    gap_vals = np.array([0.0 if singular else 0.3, 0.7, 1.1, 1.3, 1.6, 1.9, 2.5])
+    gap = symmetrize((q * gap_vals) @ q.T)  # S holds the eigenvector of the 0 when singular
+    x = random_psd(rng, d, lo=0.0, hi=1.0)
+    z_s, eps = compute_Z(x, symmetrize(x + gap), s)
+    assert z_s.shape == (k, k)
+    assert eps == (pytest.approx(1e-8 * 2.5, rel=1e-6) if singular else 0.0)
+    restricted = s.T @ (symmetrize(x + gap) - x) @ s + eps * np.eye(k)
+    assert np.allclose(z_s @ restricted @ z_s, np.eye(k), atol=1e-8 if singular else 1e-12)
+
+
+def test_normalizer_on_an_empty_subspace_is_zero_by_zero():
+    # returned before M* - X is formed, so even an indefinite one is not read
+    z_s, eps = compute_Z(np.eye(3), np.zeros((3, 3)), np.zeros((3, 0)))
+    assert z_s.shape == (0, 0) and eps == 0.0
 
 
 def test_normalizer_rejects_indefinite_gap():
@@ -170,7 +195,7 @@ def test_lower_potential_at_start_equals_its_budget():
     for k, n_budget, t_bound in [(1, 9, 4), (2, 17, 6), (3, 25, 25)]:
         s = init_schedule(k, n_budget, t_bound)
         phi = _lower_phi(np.zeros(k), s.l0)
-        assert phi == pytest.approx(s.eps_l, rel=1e-12)
+        assert phi == pytest.approx(s.eps, rel=1e-12)
 
 
 def test_lower_potential_identity_block_is_dimension():
@@ -197,7 +222,7 @@ def test_upper_potential_at_start_stays_within_budget():
     for k, n_budget, t_bound in [(1, 9, 4), (2, 17, 17)]:
         s = init_schedule(k, n_budget, t_bound)
         phi = _upper_phi(np.zeros(6), s.u0, t_bound)
-        assert phi <= s.eps_u + 1e-12
+        assert phi <= s.eps + 1e-12
 
 
 def test_upper_potential_counts_trace_slots():
@@ -308,13 +333,13 @@ def test_select_update_single_candidate_gets_index_zero():
 
 def _start_state(problem):
     """Initial state built the way run_engine builds it: S from X's k smallest
-    eigenvectors, Z, and S^T Z V."""
+    eigenvectors, Z_S, and S^T Z V = Z_S S^T V; also the ambient Z = S Z_S S^T."""
     schedule = init_schedule(problem.k, problem.N, problem.T)
     dec_x = eigh(problem.X)
     s = dec_x.eigenvectors[:, : min(problem.k, problem.dim)]
-    z, _ = compute_Z(problem.X, problem.Mstar, s)
-    state = initial_state(problem, schedule, dec_x, s.T @ z @ problem.vectors)
-    return state, schedule, s, z
+    z_s, _ = compute_Z(problem.X, problem.Mstar, s)
+    state = initial_state(problem, schedule, dec_x, z_s @ (s.T @ problem.vectors))
+    return state, schedule, s, s @ z_s @ s.T
 
 
 def test_selection_scores_balance_on_covered_instances():

@@ -48,7 +48,7 @@ def connected_problem(g, w, k, n_budget):
     """The engine instance of a connected G+W, from its one pencil matrix."""
     factor = factor_laplacian(g.union(w))
     ((x,), (block,)) = factor.pencil_matrices(g), factor.blocks
-    return build_patch_problem(x, block.f, w.u, w.v, w.w, k, n_budget)
+    return build_patch_problem(x, block, w.u, w.v, w.w, k, n_budget)
 
 
 def test_problem_construction_sums_to_identity():
@@ -85,7 +85,7 @@ def test_problem_needs_the_block_of_a_connected_union():
     factor = factor_laplacian(g)  # two blocks: L_G, not L_{G+W}
     x = factor.pencil_matrices(g)[0]
     with pytest.raises(PreconditionError, match="connected"):
-        build_patch_problem(x, factor.blocks[0].f, w.u, w.v, w.w, 0, 1)
+        build_patch_problem(x, factor.blocks[0], w.u, w.v, w.w, 0, 1)
 
 
 def test_certificate_splits_no_tie_between_components():

@@ -492,13 +492,21 @@ def test_build_rejects_bad_inputs():
         build_ultrasparsifier(WeightedGraph(1, []), 1)
 
 
-# the tree search reads the subnormal weight's length 1/w as infinite
-@pytest.mark.filterwarnings("ignore:overflow encountered in divide:RuntimeWarning")
 def test_build_blames_its_own_scaling_for_a_weight_it_underflows():
-    # 5e-324 is a valid weight; W = G / kappa_target rounds it to zero
+    # 5e-324 is a valid weight; W = G / kappa_target rounds it to zero. The
+    # tree search reads its length 1/w as infinite, without a warning.
     g = WeightedGraph(4, [(0, 1, 5e-324), (1, 2, 1.0), (2, 3, 1.0), (0, 3, 1.0), (0, 2, 1.0)])
     with pytest.raises(NumericalError, match=r"kappa_target = 20\.0, takes the weight 5e-324 of edge \(0,1\) to 0\.0"):
         build_ultrasparsifier(g, 1)
+
+
+def test_build_blames_its_own_scaling_for_update_vectors_that_underflow():
+    # W's chords (0,11) and (3,9) keep nonzero weights near 1.6e-302, but
+    # their update vectors' squares underflow: the engine would read them as
+    # zero updates and blame the input
+    edges = [(i, i + 1, 1e300) for i in range(11)] + [(0, 11, 1e-300), (3, 9, 1e-300), (2, 7, 1e300), (1, 5, 1.0)]
+    with pytest.raises(NumericalError, match=r"edge \(0,11\) of W, weight 1\.56\d*e-302: .* underflow"):
+        build_ultrasparsifier(WeightedGraph(12, edges), 1)
 
 
 @pytest.mark.parametrize("k", [1.5, 2.0, np.float64(1.0), True])
