@@ -4,8 +4,8 @@ Three layers: a fractional solver for the SDP relaxation, which maximizes
 the concave map w -> lambda_2(L_base + sum_e w_e L_e) over
 {0 <= w <= 1, sum w <= k} by a primal-dual interior-point method and
 certifies the maximum from above with each iterate's dual matrix,
-a rounding step that funnels the fractional solution through the
-selection engine to get at most 8k+1 reweighted edges with a certified
+a rounding step that sparsifies the fractional edges against the base
+(`patch.sparsify_patch`) to at most 8k+1 reweighted edges with a certified
 lambda_2 floor, and an exhaustive oracle for small instances."""
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from .core import (
     laplacian,
     symmetrize,
 )
-from .engine import EngineProblem, EngineResult, run_engine
+from .engine import EngineResult
+from .patch import sparsify_patch
 
 # The solver stops at the first Newton step whose certified gap is within
 # tol, or after this many steps. A gap of 1e-4 takes 6 to 14 steps on the
@@ -40,9 +41,6 @@ WEIGHT_DROP_REL = 1e-9
 # `_snap` moves a weight onto its bound when the affine-scaling step shrinks
 # its distance to that bound below this fraction.
 SNAP_RATIO = 0.1
-# The 72 of the rounding floor lambda_{k+2} lambda_sdp / (72 (4 Delta)^2): the
-# engine's certified floor implies it (`engine._certify`).
-FLOOR_DIVISOR = 72.0
 
 
 @dataclass(frozen=True)
@@ -114,8 +112,9 @@ class RoundedSolution:
     lambda2_weighted is lambda_2 of base plus the reweighted selection
     (the certified quantity); lambda2_unweighted is lambda_2 of base plus
     the selected edges at unit weight (reported, not certified). The
-    certificate is floor = lambda_k2 * lambda_sdp / (72 (4 Delta)^2),
-    or lambda_sdp / 72 when k + 2 > n.
+    certificate is floor = c * lambda_2(base + W*), c the certified lower
+    factor of the patch sparsifier whose engine run is `engine` (c = 1 and
+    no engine when W* is kept as it is).
     """
 
     selected: tuple
@@ -382,63 +381,48 @@ def lambda_k2_bound(g: WeightedGraph, k: int) -> float:
 
 
 def round_solution(inst: ConnectivityInstance, frac: FractionalSolution) -> RoundedSolution:
-    """Sparsify the fractional solution to at most 8k+1 reweighted edges.
+    """Sparsify the fractional edges W* against the base G to at most 8k+1
+    reweighted edges W_k, with a certified floor on lambda_2(G + W_k).
 
-    The engine runs on X = H L_base H^T / (4 Delta) with H an orthonormal
-    basis of the all-ones complement, vectors sqrt(w_e/(4 Delta)) H b_e, and
-    certifies lambda_2 of the reweighted solution against the floor
-    lambda_{k+2}(L_base) * lambda_sdp / (72 (4 Delta)^2) (lambda_sdp / 72
-    when k + 2 > n).
+    When more than 8k+1 weights survive and G + W* is connected, W_k is
+    `patch.sparsify_patch(G, W*, min(k, n - 2), 8k + 1)`, whose certified
+    c L_{G+W*} <= L_{G+W_k} gives floor = c lambda_2(G + W*). A support that
+    fits is kept (c = 1), and a disconnected G + W* keeps its 8k+1 heaviest
+    weights with floor 0.
     """
     n = inst.base.n
     m = len(inst.candidates)
     if len(frac.weights) != m:
         raise PreconditionError(f"fractional solution has {len(frac.weights)} weights for {m} candidates")
     lam_k2 = lambda_k2_bound(inst.base, inst.k)
-    four_delta = 4.0 * inst.delta
-    if four_delta <= 0.0:
-        raise PreconditionError("Delta must be positive to round (no edges anywhere)")
-    if math.isfinite(lam_k2):
-        floor = lam_k2 * frac.lambda_sdp / (FLOOR_DIVISOR * four_delta**2)
-    else:
-        floor = frac.lambda_sdp / FLOOR_DIVISOR
-
     lb = laplacian(inst.base)
     u, v = np.array(inst.candidates, dtype=int).reshape(-1, 2).T
-    total_w = float(np.sum(frac.weights))
-    kept = np.flatnonzero(frac.weights > WEIGHT_DROP_REL * max(total_w, 1e-300))
+    kept = np.flatnonzero(frac.weights > WEIGHT_DROP_REL * max(float(np.sum(frac.weights)), 1e-300))
     if inst.k == 0:
         kept = kept[:0]  # no edge fits a zero budget, whatever the weights
-    engine = None
-    if kept.size <= 8 * inst.k + 1:
-        # Nothing kept, or already within the support budget: keep the
-        # fractional weights as they are. The floor holds outright because
-        # lambda_{k+2} <= 2 Delta << 72 (4 Delta)^2, so lambda_sdp itself
-        # clears it.
-        selected, weights = kept, frac.weights[kept]
+    budget = 8 * inst.k + 1
+    engine, floor = None, None
+    if kept.size <= budget:
+        selected, weights = kept, frac.weights[kept]  # nothing kept, or already within budget
     else:
-        h = _helmert(n)
-        kept_w = frac.weights[kept]
-        x = symmetrize(h @ lb @ h.T / four_delta)
-        vectors = np.sqrt(kept_w / four_delta) * (h[:, u[kept]] - h[:, v[kept]])
-        lap_frac = lb + _edge_laplacian(n, _edge_entries(n, u[kept], v[kept]), kept_w)
-        mstar = symmetrize(h @ lap_frac @ h.T / four_delta)
-        costs = kept_w / float(kept_w.sum())
-        engine = run_engine(
-            EngineProblem(X=x, vectors=vectors, costs=costs, Mstar=mstar, k=inst.k, N=8 * inst.k + 1)
-        )
-        support = engine.support_indices
-        selected, weights = kept[support], engine.weights[support] * kept_w[support]
+        w_star = WeightedGraph.from_arrays(n, u[kept], v[kept], frac.weights[kept])
+        full = inst.base.union(w_star)
+        if full.is_connected():
+            patch = sparsify_patch(inst.base, w_star, min(inst.k, n - 2), budget)
+            (engine,) = patch.engine_results
+            selected = kept[np.searchsorted(u[kept] * n + v[kept], patch.wk.u * n + patch.wk.v)]
+            weights, floor = patch.wk.w, patch.certified_lower * _lambda2_of(laplacian(full))
+        else:  # lambda_2(G + W*) = 0, and a patch's per-component budgets could exceed 8k+1 edges
+            selected = np.sort(kept[np.argsort(-frac.weights[kept], kind="stable")[:budget]])
+            weights, floor = frac.weights[selected], 0.0
 
     entries = _edge_entries(n, u[selected], v[selected])
-    lam2_weighted = certify_lambda2(lb + _edge_laplacian(n, entries, weights), floor)
+    lap = lb + _edge_laplacian(n, entries, weights)
+    if floor is None:  # W_k = W*, so c = 1
+        floor = lam2_weighted = _lambda2_of(lap)
+    else:
+        lam2_weighted = certify_lambda2(lap, floor)
     lam2_unweighted = _lambda2_of(lb + _edge_laplacian(n, entries, np.ones(selected.size)))
-    if engine is not None:
-        agreement = abs(lam2_weighted - four_delta * engine.lambda_min)
-        if agreement > 1e-6 * max(1.0, lam2_weighted):
-            raise NumericalError(
-                f"graph-level lambda_2 {lam2_weighted!r} and engine lambda_min disagree by {agreement!r}"
-            )
     return RoundedSolution(
         selected=tuple(inst.candidates[i] for i in selected),
         weights=tuple(weights.tolist()),

@@ -581,25 +581,19 @@ def pencil_eigenvalues(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def pencil_range(h: WeightedGraph, g: WeightedGraph | LaplacianFactor) -> tuple[float, float]:
-    """The tightest (c, kappa) with c L_G <= L_H <= kappa L_G over the common
+    """The tightest (c, kappa) with c L_G <= L_H <= kappa L_G over G's
     image: the extreme generalized eigenvalues of the (L_H, L_G) pencil.
 
     G is a graph or the factor of its Laplacian. Raises PreconditionError
-    when their vertex counts differ, and IncompatibleImagesError unless H
-    and G have the same connected components, which is exactly when the two
-    Laplacians share their image. An empty image (a graph without edges)
-    gives (1, 1).
+    when their vertex counts differ, and IncompatibleImagesError when H has
+    an edge between two of G's components; an H whose components refine
+    G's gets c = 0 exactly. An empty image (no edges) gives (1, 1).
     """
     if h.n != g.n:
         raise PreconditionError(f"vertex counts differ: {g.n} vs {h.n}")
     factor = g if isinstance(g, LaplacianFactor) else factor_laplacian(g)
-    # The pencil rejects an H edge between two of G's components, so H's
-    # components lie inside G's; as many of them means the same partition.
-    # The labels number H's components 0..c-1.
-    if int(h.component_labels().max(initial=-1)) + 1 != len(factor.blocks):
-        raise IncompatibleImagesError(
-            "connected components differ between the two graphs; the pencil"
-            " range is only defined on a common image"
-        )
     vals = np.concatenate([np.zeros(0), *factor.pencil_spectra(h)])
-    return (float(vals.min()), float(vals.max())) if vals.size else (1.0, 1.0)
+    # the pencil rejected any H edge between two of G's components, so more
+    # components in H (labelled 0..c-1) mean a finer partition
+    finer = int(h.component_labels().max(initial=-1)) + 1 > len(factor.blocks)
+    return (0.0 if finer else float(vals.min()), float(vals.max())) if vals.size else (1.0, 1.0)

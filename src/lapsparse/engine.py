@@ -604,8 +604,9 @@ def _certify(
     lam_min_mstar = float(mstar_vals[0])
     if k_eff < d:
         lam_star = float(dec_x.eigenvalues[k_eff])
-        root = math.sqrt(max(lam_star, 0.0)) + math.sqrt(theta_max) + math.sqrt(max(theta_min * lam_min_mstar, 0.0))
-        floor = theta_min * lam_star * lam_min_mstar / root**2
+        lam_pos = max(lam_star, 0.0)  # LAPACK can put lambda* of a PSD X with a kernel a few ulps below 0
+        root = math.sqrt(lam_pos) + math.sqrt(theta_max) + math.sqrt(max(theta_min * lam_min_mstar, 0.0))
+        floor = theta_min * lam_pos * lam_min_mstar / root**2
     else:
         # S is the whole working space: M >= X + theta_min (M* - X) >= theta_min M*.
         lam_star, floor = math.inf, theta_min * lam_min_mstar

@@ -484,6 +484,28 @@ def test_verify_on_graphs_without_edges_reads_one(tmp_path):
     assert json.loads(rep.read_text())["measured"]["pencil_lower"] == 1.0
 
 
+def test_an_h_finer_than_g_reads_c_zero_and_a_crossing_edge_exits_three(tmp_path):
+    # G splits G + W into more than k + 1 pieces, so the engine certifies a
+    # floor of 0, and the five edges of W_k leave G + W_k finer than G + W
+    g_path = save_text(tmp_path, "G.txt", WeightedGraph(8, [(2 * i, 2 * i + 1, 1.0) for i in range(4)]))
+    w = WeightedGraph(8, [(i, (i + j) % 8, 1.0) for i in range(8) for j in (1, 2)])
+    w_path = save_text(tmp_path, "W.txt", w)
+    out, rep = tmp_path / "wk.txt", tmp_path / "rep.json"
+    assert main(["sparsify-patch", g_path, w_path, str(out), "--k", "1", "--report", str(rep)]) == 0
+    report = json.loads(rep.read_text())
+    assert report["certified"]["pencil_lower"] == 0.0
+    assert report["measured"]["pencil_lower"] == 0.0
+    assert report["coherence"] == {"recomputed_from_output": True, "max_relative_deviation": 0.0}
+    # verify of a refining H reports c = 0 and an infinite condition number;
+    # an H edge between two of G's components is still a precondition error
+    finer = save_text(tmp_path, "finer.txt", WeightedGraph(8, [(0, 1, 1.0), (2, 3, 1.0)]))
+    assert main(["verify", w_path, finer, "--report", str(rep)]) == 0
+    measured = json.loads(rep.read_text())["measured"]
+    assert measured["c"] == 0.0 and measured["kappa"] > 0.0
+    assert measured["relative_condition_number"] == math.inf
+    assert main(["verify", finer, w_path]) == 3
+
+
 def test_main_reuses_one_parser_and_each_call_gets_its_own_arguments(tmp_path, capsys):
     assert cli.build_parser() is cli.build_parser()
     assert cli.build_parser().format_help() == cli.build_parser.__wrapped__().format_help()

@@ -26,6 +26,7 @@ from lapsparse.connectivity import (
     round_solution,
     solve_fractional,
 )
+from lapsparse.patch import sparsify_patch
 
 
 def path3() -> WeightedGraph:
@@ -493,10 +494,11 @@ def test_rounding_runs_the_selection_engine_on_wide_supports():
     assert kept > 8 * inst.k + 1 and rounded.engine is not None
 
 
-def test_rounding_takes_three_values_only_solves_on_every_exit(monkeypatch):
+def test_rounding_takes_three_values_only_solves_or_four_with_the_engine(monkeypatch):
     # lambda_{k+2} of the base, then lambda_2 of the base plus the selection,
     # weighted and unweighted, whichever way the selection was made; the
-    # engine's own solves are of the (n - 1)-dimensional working space
+    # engine exit adds lambda_2(G + W*) for its floor, and the patch's own
+    # solves are of the (n - 1)-dimensional image
     wide = circulant_instance()
     solves = []
     for name in ("eigh", "eigvalsh"):
@@ -513,9 +515,80 @@ def test_rounding_takes_three_values_only_solves_on_every_exit(monkeypatch):
         solves.clear()
         rounded = round_solution(inst, frac)
         n = inst.base.n
-        assert [s for s in solves if s[1] == n] == [("eigvalsh", n)] * 3
         engines.append(rounded.engine is not None)
+        assert [s for s in solves if s[1] == n] == [("eigvalsh", n)] * (3 + engines[-1])
     assert engines == [False, False, True]
+
+
+def fractional(weights) -> connectivity.FractionalSolution:
+    """A fractional solution with the given weights; rounding reads only those."""
+    w = np.asarray(weights, dtype=float)
+    return connectivity.FractionalSolution(w, 0.0, 0.0, 0.0, 0, 0.0, True)
+
+
+def test_rounding_keeps_a_fitting_support_and_certifies_its_own_lambda_2():
+    inst = ConnectivityInstance(path3(), [(0, 2)], 1)
+    rounded = round_solution(inst, fractional([0.5]))
+    assert rounded.selected == ((0, 2),) and rounded.weights == (0.5,)
+    assert rounded.floor == rounded.lambda2_weighted and rounded.engine is None
+
+
+def patch_of_support(inst: ConnectivityInstance, weights: np.ndarray, k: int):
+    """`sparsify_patch` of the positive weights against the base, with budget 8k+1."""
+    kept = weights > 1e-9 * float(np.sum(weights))
+    u, v = np.array(inst.candidates).T
+    w_star = WeightedGraph.from_arrays(inst.base.n, u[kept], v[kept], weights[kept])
+    return w_star, sparsify_patch(inst.base, w_star, k, 8 * inst.k + 1)
+
+
+def test_rounding_the_circulant_support_sparsifies_it_against_the_base():
+    # the engine exit is `sparsify_patch` of W* against the base: the same
+    # edges, weights and engine run. An empty base has X = 0, so the floor
+    # c lambda_2(G + W*) is 0 here.
+    inst = circulant_instance()
+    frac = solve_fractional(inst)
+    rounded = round_solution(inst, frac)
+    _, patch = patch_of_support(inst, frac.weights, inst.k)
+    assert [(u, v, w) for (u, v), w in zip(rounded.selected, rounded.weights)] == list(patch.wk.edges)
+    assert rounded.engine.weights.tolist() == patch.engine_results[0].weights.tolist()
+    assert rounded.floor == patch.certified_lower == 0.0
+
+
+def test_rounding_a_disconnected_wide_support_keeps_its_heaviest_weights():
+    # two 12-vertex paths and 30 candidates inside the first: G + W* stays
+    # disconnected, so lambda_2(G + W*) = 0 and no engine runs
+    path = [(i, i + 1, 1.0) for i in range(11)]
+    base = WeightedGraph(24, path + [(u + 12, v + 12, w) for u, v, w in path])
+    cand = [(u, v) for u in range(12) for v in range(u + 2, 12)][:30]
+    inst = ConnectivityInstance(base, cand, 1)
+    weights = np.full(30, 1.0 / 30)
+    weights[[4, 17]] = 0.05  # the two heaviest stay whatever the tie-breaking
+    rounded = round_solution(inst, fractional(weights))
+    assert len(rounded.selected) == 9 and rounded.engine is None
+    assert {cand[4], cand[17]} <= set(rounded.selected)
+    assert rounded.floor == 0.0
+    assert rounded.lambda2_weighted == pytest.approx(0.0, abs=1e-12)
+
+
+def test_rounding_caps_k_below_the_image_rank():
+    # k = n - 1 is at the image rank, which `sparsify_patch` rejects: the
+    # rounding protects n - 2 directions and keeps the 8k+1 budget
+    n = 20
+    base = WeightedGraph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+    cand = sorted({(u, v) for u in range(n) for v in range(u + 1, n)} - base.edge_pairs())
+    k = n - 1
+    inst = ConnectivityInstance(base, cand, k)
+    weights = np.full(len(cand), k / len(cand))
+    rounded = round_solution(inst, fractional(weights))
+    assert rounded.engine is not None
+    assert len(cand) > len(rounded.selected) > 0 and len(rounded.selected) <= 8 * k + 1
+    assert sum(rounded.weights) <= k * (1 + 1e-9)
+    # the floor is the patch's certified factor times lambda_2(G + W*)
+    w_star, patch = patch_of_support(inst, weights, n - 2)
+    assert [(u, v, w) for (u, v), w in zip(rounded.selected, rounded.weights)] == list(patch.wk.edges)
+    assert rounded.floor == pytest.approx(patch.certified_lower * lambda2(base.union(w_star)), rel=1e-12)
+    assert rounded.floor > 0.0
+    assert rounded.lambda2_weighted >= rounded.floor * (1 - 1e-6) - 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 calls no solver of its own, and no command loads scipy: only the reference
 solver core.eigvalsh imports it, when it is called. Each command loads only
 the modules of the package that it runs, and no command loads numpy.ma.
+Only the patch module builds an engine instance.
 
 A public module-level function, class or constant of lapsparse must be
 referenced by other code in the package or be exported in
@@ -212,6 +213,22 @@ def test_patch_builds_no_laplacian_of_its_own():
     assert not names & banned, f"patch references {sorted(names & banned)}"
 
 
+def test_only_patch_builds_an_engine_instance():
+    # one module turns a graph pair into an engine instance: the patch
+    # sparsifier's pencil of L_G against L_{G+W}, which ultrasparsifiers and
+    # the rounding of algconn reach through sparsify_patch. An import of the
+    # class counts too, so a renamed import cannot hide a call.
+    sites = sorted(
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.stem != "engine"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Call) and _callee(node) == "EngineProblem")
+        or (isinstance(node, ast.ImportFrom) and any(alias.name == "EngineProblem" for alias in node.names))
+    )
+    assert sites and all(site.startswith("patch.py:") for site in sites), sites
+
+
 def test_every_numpy_eigensolve_goes_through_core():
     # core._decompose and core._spectrum turn a LAPACK failure into
     # NumericalError (exit 4, with its JSON failure line); a numpy eigh or
@@ -369,7 +386,7 @@ PIPELINE_MODULES = {
     "verify": set(),
     "sparsify-patch": {"engine", "patch"},
     "ultra": {"engine", "patch", "ultra"},
-    "algconn": {"engine", "connectivity"},
+    "algconn": {"engine", "patch", "connectivity"},
 }
 
 
