@@ -112,9 +112,9 @@ class RoundedSolution:
     lambda2_weighted is lambda_2 of base plus the reweighted selection
     (the certified quantity); lambda2_unweighted is lambda_2 of base plus
     the selected edges at unit weight (reported, not certified). The
-    certificate is floor = c * lambda_2(base + W*), c the certified lower
-    factor of the patch sparsifier whose engine run is `engine` (c = 1 and
-    no engine when W* is kept as it is).
+    certificate is floor = max(c * lambda_2(base + W*), lambda_2(base)), c
+    the certified lower factor of the patch sparsifier whose engine run is
+    `engine` (floor = lambda2_weighted and no engine when W* is kept).
     """
 
     selected: tuple
@@ -385,10 +385,10 @@ def round_solution(inst: ConnectivityInstance, frac: FractionalSolution) -> Roun
     reweighted edges W_k, with a certified floor on lambda_2(G + W_k).
 
     When more than 8k+1 weights survive and G + W* is connected, W_k is
-    `patch.sparsify_patch(G, W*, min(k, n - 2), 8k + 1)`, whose certified
-    c L_{G+W*} <= L_{G+W_k} gives floor = c lambda_2(G + W*). A support that
-    fits is kept (c = 1), and a disconnected G + W* keeps its 8k+1 heaviest
-    weights with floor 0.
+    `patch.sparsify_patch(G, W*, min(k, n - 2), 8k + 1)`: c L_{G+W*} <= L_{G+W_k}
+    and L_G <= L_{G+W_k} give floor = max(c lambda_2(G + W*), lambda_2(G)), 0
+    if G splits G + W* into over k + 1 pieces. A fitting support is kept (c = 1);
+    a disconnected G + W* keeps its 8k+1 heaviest weights with floor 0.
     """
     n = inst.base.n
     m = len(inst.candidates)
@@ -411,7 +411,7 @@ def round_solution(inst: ConnectivityInstance, frac: FractionalSolution) -> Roun
             patch = sparsify_patch(inst.base, w_star, min(inst.k, n - 2), budget)
             (engine,) = patch.engine_results
             selected = kept[np.searchsorted(u[kept] * n + v[kept], patch.wk.u * n + patch.wk.v)]
-            weights, floor = patch.wk.w, patch.certified_lower * _lambda2_of(laplacian(full))
+            weights, floor = patch.wk.w, max(patch.certified_lower * _lambda2_of(laplacian(full)), _lambda2_of(lb))
         else:  # lambda_2(G + W*) = 0, and a patch's per-component budgets could exceed 8k+1 edges
             selected = np.sort(kept[np.argsort(-frac.weights[kept], kind="stable")[:budget]])
             weights, floor = frac.weights[selected], 0.0

@@ -2,8 +2,8 @@
 
 Everything downstream works on dense numpy arrays at desk scale (n up to a
 few hundred): Laplacians, eigendecompositions, one factor per Laplacian
-(F with F F^T its pseudoinverse, one block per connected component), and
-PSD pencils. A factor turns a graph H into one pencil matrix per component
+(F^T L F = I, one block per connected component), and PSD pencils. A
+factor turns a graph H into one pencil matrix per component
 (`LaplacianFactor.pencil_matrices`), whose spectra, extremes and traces
 are everything a command measures of H.
 
@@ -468,8 +468,9 @@ def _rank_split(dec: SpectralDecomposition) -> np.ndarray:
 @dataclass(frozen=True)
 class FactorBlock:
     """One connected component's share of a LaplacianFactor: its vertex ids,
-    ascending, and F_c, n_c x (n_c - 1), with F_c^T L_c F_c = I and
-    F_c^T 1 = 0 for its Laplacian block L_c, so L_c^+ = F_c F_c^T."""
+    ascending, and F_c = [0; C^-T] (n_c x (n_c - 1), C the grounded block's
+    Cholesky factor, rows in vertex order): F_c^T L_c F_c = I, and
+    G = F_c F_c^T has L_c G L_c = L_c, G L_c G = G and P G P = L_c^+ (P = I - 11^T/n_c)."""
 
     vertices: np.ndarray
     f: np.ndarray
@@ -480,13 +481,12 @@ class LaplacianFactor:
     """One factor per connected component of a graph Laplacian L on n
     vertices, restricted to the image.
 
-    L is block-diagonal over the components, and so is L^+: `blocks` holds
-    one FactorBlock per component, in component-label order, and
-    L^+ = sum_c F_c F_c^T on each block's vertices. Build one with
+    L is block-diagonal over the components: `blocks` holds one
+    FactorBlock per component, in component-label order. Build one with
     `factor_laplacian`. Its pencils take a graph H: per block, the pencil
     matrix X_c = F_c^T L_c F_c, with L_c the block of L_H on component c,
-    built from H's edges in it alone. Tr(L_H L^+) is the sum of their
-    traces, so no trace needs a routine of its own.
+    built from H's edges in it alone. L_c annihilates 1, so X_c and its
+    trace, a share of Tr(L_H L^+), are those of L_c^+ = P F_c F_c^T P.
     """
 
     n: int
@@ -535,9 +535,9 @@ def factor_laplacian(g: WeightedGraph) -> LaplacianFactor:
     Each block L_c is built from its component's edges with the vertices in
     descending weighted degree (ties to the lower id), an order that keeps
     the factor accurate over weights spread across many decades. The first
-    vertex is grounded, the rest give L~ = C C^T, and F_c = P [0; C^-T],
-    with P subtracting each column's mean and rows back in vertex order:
-    F_c^T L_c F_c = I, F_c^T 1 = 0 and F_c F_c^T = L_c^+. Raises
+    vertex is grounded, the rest give L~ = C C^T, and F_c = [0; C^-T] with
+    rows back in vertex order: no column mean is subtracted, since every
+    consumer's L_c or edge difference annihilates it. Raises
     NumericalError when a row sum of L_c exceeds KERNEL_TOL * its largest
     diagonal entry, or when the grounded block is not positive definite.
     """
@@ -559,7 +559,7 @@ def factor_laplacian(g: WeightedGraph) -> LaplacianFactor:
             raise NumericalError(f"grounded Laplacian of component {c} of {count} is not positive definite") from None
         f = np.zeros((vertices.size, vertices.size - 1))
         f[np.searchsorted(vertices, order[1:])] = _invert_lower(chol).T
-        blocks.append(FactorBlock(vertices, f - f.mean(axis=0)))
+        blocks.append(FactorBlock(vertices, f))
     return LaplacianFactor(n=g.n, blocks=tuple(blocks))
 
 

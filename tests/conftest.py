@@ -77,6 +77,26 @@ def random_connected_graph(
     return WeightedGraph(n, edges)
 
 
+def spread_graph(decades: int, i: int) -> WeightedGraph:
+    """The conditioning sweep's graph i at spread D = `decades`, seeded by
+    (D, i): a random spanning tree on n in [12, 40) vertices plus n to 3n
+    distinct chords, weights 10^U(0, D)."""
+    rng = np.random.default_rng([decades, i])
+    n = int(rng.integers(12, 40))
+    order = rng.permutation(n)
+    edges = {}
+    for j in range(1, n):
+        a, b = int(order[j]), int(order[rng.integers(0, j)])
+        edges[(min(a, b), max(a, b))] = 1
+    extra = int(rng.integers(n, 3 * n))
+    while len(edges) < n - 1 + extra:
+        a, b = (int(x) for x in rng.integers(0, n, 2))
+        if a != b:
+            edges[(min(a, b), max(a, b))] = 1
+    w = 10.0 ** rng.uniform(0, decades, size=len(edges))
+    return WeightedGraph(n, [(a, b, float(x)) for (a, b), x in zip(edges, w)])
+
+
 def random_psd(rng: np.random.Generator, d: int, lo: float = 0.5, hi: float = 2.0) -> np.ndarray:
     """Random PSD matrix with eigenvalues uniform in [lo, hi]."""
     q, _ = np.linalg.qr(rng.standard_normal((d, d)))

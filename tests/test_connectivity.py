@@ -1,5 +1,6 @@
 """Fractional edge-addition solver, rounding, and the brute-force reference."""
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -494,11 +495,11 @@ def test_rounding_runs_the_selection_engine_on_wide_supports():
     assert kept > 8 * inst.k + 1 and rounded.engine is not None
 
 
-def test_rounding_takes_three_values_only_solves_or_four_with_the_engine(monkeypatch):
+def test_rounding_takes_three_values_only_solves_or_five_with_the_engine(monkeypatch):
     # lambda_{k+2} of the base, then lambda_2 of the base plus the selection,
     # weighted and unweighted, whichever way the selection was made; the
-    # engine exit adds lambda_2(G + W*) for its floor, and the patch's own
-    # solves are of the (n - 1)-dimensional image
+    # engine exit adds lambda_2(G + W*) and lambda_2(G) for its floor, and
+    # the patch's own solves are of the (n - 1)-dimensional image
     wide = circulant_instance()
     solves = []
     for name in ("eigh", "eigvalsh"):
@@ -516,8 +517,33 @@ def test_rounding_takes_three_values_only_solves_or_four_with_the_engine(monkeyp
         rounded = round_solution(inst, frac)
         n = inst.base.n
         engines.append(rounded.engine is not None)
-        assert [s for s in solves if s[1] == n] == [("eigvalsh", n)] * (3 + engines[-1])
+        assert [s for s in solves if s[1] == n] == [("eigvalsh", n)] * (3 + 2 * engines[-1])
     assert engines == [False, False, True]
+
+
+def test_rounding_floor_is_at_least_the_connected_base_lambda_2(tmp_path):
+    # L_{G+W_k} >= L_G, so lambda_2(G) is a floor too; on this connected base
+    # it is about eight times c lambda_2(G + W*)
+    from lapsparse.cli import graph_to_text, main
+
+    inst = random_sized_instance(41, 24, 60, 2)
+    frac = solve_fractional(inst)
+    rounded = round_solution(inst, frac)
+    assert rounded.engine is not None
+    base_l2 = float(np.linalg.eigvalsh(laplacian(inst.base))[1])
+    assert rounded.floor >= base_l2 > 0.0
+    w_star, patch = patch_of_support(inst, frac.weights, inst.k)
+    assert rounded.floor > 2.0 * patch.certified_lower * lambda2(inst.base.union(w_star))
+    sel = WeightedGraph(inst.base.n, [(u, v, w) for (u, v), w in zip(rounded.selected, rounded.weights)])
+    assert connectivity.certify_lambda2(laplacian(inst.base.union(sel)), rounded.floor) == pytest.approx(
+        rounded.lambda2_weighted, rel=1e-12
+    )
+    # the command line re-reads its output and re-certifies it against the floor
+    paths = [tmp_path / name for name in ("base.txt", "cand.txt", "sel.txt", "rep.json")]
+    paths[0].write_text(graph_to_text(inst.base))
+    paths[1].write_text(graph_to_text(WeightedGraph(inst.base.n, [(u, v, 1.0) for u, v in inst.candidates])))
+    assert main(["algconn", *map(str, paths[:3]), "--k", "2", "--report", str(paths[3])]) == 0
+    assert json.loads(paths[3].read_text())["rounded"]["floor"] >= base_l2
 
 
 def fractional(weights) -> connectivity.FractionalSolution:

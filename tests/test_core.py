@@ -6,7 +6,7 @@ import scipy.sparse
 import scipy.sparse.csgraph
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import eigh, random_connected_graph, random_projection, random_psd
+from conftest import eigh, random_connected_graph, random_projection, random_psd, spread_graph
 from lapsparse import core
 from lapsparse.cli import main
 from lapsparse.core import (
@@ -341,7 +341,8 @@ def test_eigh_orders_ascending_and_reconstructs():
 
 def embedded(factor):
     """The n x r matrix F of a whole factor: each block's F_c on its
-    component's rows and its own columns, zero elsewhere, so L^+ = F F^T.
+    component's rows and its own columns, zero elsewhere, so F^T L F = I and
+    G = F F^T is a reflexive generalized inverse of L with P G P = L^+.
     Also checks that the blocks' vertex sets partition the vertices."""
     assert np.array_equal(np.sort(np.concatenate([b.vertices for b in factor.blocks])), np.arange(factor.n))
     f = np.zeros((factor.n, sum(b.f.shape[1] for b in factor.blocks)))
@@ -353,6 +354,21 @@ def embedded(factor):
     return f
 
 
+def centring(g):
+    """P: the orthogonal projection onto the vectors that sum to zero on
+    each component of g, so P G P = L^+ for G = F F^T."""
+    ind = indicators(g)
+    return np.eye(g.n) - (ind / ind.sum(axis=0)) @ ind.T
+
+
+def grounded_vertices(g):
+    """Per component, the vertex the factor grounds: the first in
+    descending weighted degree, ties to the lower id."""
+    labels, degrees = g.component_labels(), g.weighted_degrees()
+    parts = [np.flatnonzero(labels == c) for c in range(int(labels.max()) + 1)]
+    return [int(vertices[np.argmax(degrees[vertices])]) for vertices in parts]
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4), st.integers())
 def test_factor_pseudoinverse_is_an_involution_on_laplacians(sizes, seed):
@@ -360,26 +376,29 @@ def test_factor_pseudoinverse_is_an_involution_on_laplacians(sizes, seed):
     g = random_multicomponent_graph(rng, sizes)
     lap = laplacian(g)
     f = embedded(factor_laplacian(g))
-    ldag = f @ f.T
-    assert np.allclose(np.linalg.pinv(ldag), lap, atol=1e-8)
-    # Penrose identities
-    assert np.allclose(lap @ ldag @ lap, lap, atol=1e-9)
-    assert np.allclose(ldag @ lap @ ldag, ldag, atol=1e-9)
+    ginv = f @ f.T
+    p = centring(g)
+    assert np.allclose(np.linalg.pinv(p @ ginv @ p), lap, atol=1e-8)
+    # a symmetric reflexive generalized inverse, not the pseudoinverse itself
+    assert np.allclose(lap @ ginv @ lap, lap, atol=1e-9)
+    assert np.allclose(ginv @ lap @ ginv, ginv, atol=1e-9)
 
 
-def test_factor_f_ft_is_the_laplacian_pseudoinverse():
+def test_factor_f_ft_centred_is_the_laplacian_pseudoinverse():
     rng = np.random.default_rng(7)
     g = random_connected_graph(rng, 9, extra_edges=6)
     factor = factor_laplacian(g)
     (block,) = factor.blocks
     assert np.array_equal(block.vertices, np.arange(9))
     lap = laplacian(g)
-    assert np.allclose(block.f @ block.f.T, np.linalg.pinv(lap), atol=1e-9)
+    p = centring(g)
+    assert np.allclose(p @ block.f @ block.f.T @ p, np.linalg.pinv(lap), atol=1e-9)
     assert np.allclose(block.f.T @ lap @ block.f, np.eye(8), atol=1e-9)
     (x,) = factor.pencil_matrices(g)
     assert np.trace(x) == pytest.approx(8.0, rel=1e-12)
     # Tr(L_H L^+) is the trace of the pencil matrix F^T L_H F, which is the
-    # sum of the (L_H, L) pencil's eigenvalues
+    # sum of the (L_H, L) pencil's eigenvalues: L_H annihilates 1, so the
+    # grounded F reads it as the centred one would
     h = random_connected_graph(rng, 9, extra_edges=2)
     (x,) = factor.pencil_matrices(h)
     assert np.array_equal(x, x.T)
@@ -407,16 +426,19 @@ def test_block_laplacians_are_the_slices_of_the_laplacian(sizes, seed):
         assert np.array_equal(block, lap[np.ix_(vertices, vertices)])
 
 
-def test_factor_image_is_orthogonal_to_component_indicators():
+def test_factor_is_zero_on_each_blocks_grounded_vertex_alone():
+    # the path's heaviest vertices are 1 and 2, so vertex 1 is grounded
     g = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
     factor = factor_laplacian(g)
     assert factor.blocks[0].f.shape == (4, 3) and len(factor.blocks) == 1
-    assert np.allclose(factor.blocks[0].f.T @ np.ones(4), 0.0, atol=1e-9)
+    assert grounded_vertices(g) == [1]
+    assert np.array_equal(np.flatnonzero(~factor.blocks[0].f.any(axis=1)), [1])
     rng = np.random.default_rng(9)
     g = random_multicomponent_graph(rng, [3, 1, 5])
     factor = factor_laplacian(g)
-    assert embedded(factor).shape == (9, 6) and len(factor.blocks) == 3
-    assert np.allclose(embedded(factor).T @ indicators(g), 0.0, atol=1e-9)
+    f = embedded(factor)
+    assert f.shape == (9, 6) and len(factor.blocks) == 3
+    assert np.array_equal(np.flatnonzero(~f.any(axis=1)), sorted(grounded_vertices(g)))
     labels = g.component_labels()
     for c, block in enumerate(factor.blocks):
         assert np.array_equal(block.vertices, np.flatnonzero(labels == c))
@@ -431,20 +453,24 @@ def test_factor_image_is_orthogonal_to_component_indicators():
 def test_factor_kernel_dimension_is_the_component_count(sizes, decades, seed):
     # Weights spread over up to twelve decades: the kernel comes from the
     # component labels, and each block keeps the factor's contract to the
-    # rounding of the products that check it: F^T L F = I, F^T 1 = 0, and
-    # F F^T is L^+, so L F F^T L reproduces L.
+    # rounding of the products that check it: F^T L F = I, one zero row per
+    # block at its grounded vertex, and G = F F^T has L G L = L and G L G = G.
     rng = np.random.default_rng(seed % (2**32))
     g = random_multicomponent_graph(rng, sizes, decades=decades)
     factor = factor_laplacian(g)
     assert len(factor.blocks) == len(sizes)
     f = embedded(factor)
     assert f.shape == (g.n, g.n - len(sizes))
+    assert np.array_equal(np.flatnonzero(~f.any(axis=1)), sorted(grounded_vertices(g)))
     lap = laplacian(g)
     tol = 1e-12 * g.n
-    assert np.all(np.abs(f.T @ lap @ f - np.eye(f.shape[1])) <= tol * (np.abs(f).T @ np.abs(lap) @ np.abs(f)))
-    assert np.all(np.abs(f.T @ indicators(g)) <= tol * (np.abs(f).T @ indicators(g)))
+    bound = np.abs(f).T @ np.abs(lap) @ np.abs(f)
+    assert np.all(np.abs(f.T @ lap @ f - np.eye(f.shape[1])) <= tol * bound)
     lf = lap @ f
     assert np.max(np.abs(lf @ lf.T - lap)) <= tol * np.max(np.abs(lap))
+    # G L G - G = F (F^T L F - I) F^T
+    ginv = f @ f.T
+    assert np.all(np.abs(ginv @ lap @ ginv - ginv) <= tol * (np.abs(f) @ bound @ np.abs(f).T))
 
 
 def test_factor_rejects_a_kernel_eigenvalue_off_zero(monkeypatch, tmp_path, capsys):
@@ -514,6 +540,16 @@ def relative_condition_number(g, h):
     """kappa / c of the (L_G, L_H) pencil range."""
     c, kappa = pencil_range(g, h)
     return kappa / c
+
+
+def test_pencil_of_a_graph_against_itself_is_one_over_sixteen_decades():
+    # (L_G, L_G) is exactly (1, 1), so each pencil matrix F^T L F shows the
+    # factor's own rounding; a column mean in F would add its product with
+    # the block's row sums to every entry
+    for i in range(40):
+        g = spread_graph(16, i)
+        c, kappa = pencil_range(g, g)
+        assert abs(c - 1.0) <= 1e-6 and abs(kappa - 1.0) <= 1e-6, (i, c, kappa)
 
 
 def test_relative_condition_number_identity_and_mismatch():

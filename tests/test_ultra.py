@@ -8,7 +8,7 @@ import scipy.sparse
 import scipy.sparse.csgraph
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_connected_graph, record_laplacian_factors
+from conftest import random_connected_graph, record_laplacian_factors, spread_graph
 from lapsparse import engine
 from lapsparse.core import (
     DisconnectedError,
@@ -507,6 +507,19 @@ def test_build_blames_its_own_scaling_for_update_vectors_that_underflow():
     edges = [(i, i + 1, 1e300) for i in range(11)] + [(0, 11, 1e-300), (3, 9, 1e-300), (2, 7, 1e300), (1, 5, 1.0)]
     with pytest.raises(NumericalError, match=r"edge \(0,11\) of W, weight 1\.56\d*e-302: .* underflow"):
         build_ultrasparsifier(WeightedGraph(12, edges), 1)
+
+
+@pytest.mark.parametrize(
+    "decades, i", [(12, 18), (12, 50)] + [(14, i) for i in (6, 17, 30, 31, 32, 40, 45, 46, 47, 60, 73, 75)]
+)
+def test_build_certifies_weights_spread_over_many_decades(decades, i):
+    # Weights over 12 and 14 decades: the engine's check of X + sum_i Y_i =
+    # M* sees the factor's rounding, which stays below it only while no
+    # column mean is subtracted from F
+    g = spread_graph(decades, i)
+    r = build_ultrasparsifier(g, 2)
+    assert r.edge_count <= (g.n - 1) + 8 * 2 + 1
+    assert r.gen_lower >= r.certified_lower * (1.0 - 1e-9)
 
 
 @pytest.mark.parametrize("k", [1.5, 2.0, np.float64(1.0), True])
