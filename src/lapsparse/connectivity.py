@@ -115,6 +115,8 @@ class RoundedSolution:
     certificate is floor = max(c * lambda_2(base + W*), lambda_2(base)), c
     the certified lower factor of the patch sparsifier whose engine run is
     `engine` (floor = lambda2_weighted and no engine when W* is kept).
+    lambda_k2 is lambda_{k+2}(base), the ceiling no k-edge addition can
+    beat; +infinity when k + 2 > n (the ceiling is vacuous there).
     """
 
     selected: tuple
@@ -370,16 +372,6 @@ def solve_fractional(inst: ConnectivityInstance, tol: float = 1e-4) -> Fractiona
     return solution(best_w, best_lam, upper, steps, loads)
 
 
-def lambda_k2_bound(g: WeightedGraph, k: int) -> float:
-    """lambda_{k+2}(L_G), the ceiling no k-edge addition can beat;
-    +infinity when k + 2 > n (the ceiling is vacuous there)."""
-    if k < 0:
-        raise PreconditionError(f"k must be nonnegative, got {k}")
-    if k + 2 > g.n:
-        return math.inf
-    return float(_spectrum(laplacian(g))[k + 1])
-
-
 def round_solution(inst: ConnectivityInstance, frac: FractionalSolution) -> RoundedSolution:
     """Sparsify the fractional edges W* against the base G to at most 8k+1
     reweighted edges W_k, with a certified floor on lambda_2(G + W_k).
@@ -394,8 +386,10 @@ def round_solution(inst: ConnectivityInstance, frac: FractionalSolution) -> Roun
     m = len(inst.candidates)
     if len(frac.weights) != m:
         raise PreconditionError(f"fractional solution has {len(frac.weights)} weights for {m} candidates")
-    lam_k2 = lambda_k2_bound(inst.base, inst.k)
     lb = laplacian(inst.base)
+    # one spectrum of L_G gives lambda_{k+2} and the floor's lambda_2(G)
+    base_vals = _spectrum(lb)
+    lam_k2 = float(base_vals[inst.k + 1]) if inst.k + 2 <= n else math.inf
     u, v = np.array(inst.candidates, dtype=int).reshape(-1, 2).T
     kept = np.flatnonzero(frac.weights > WEIGHT_DROP_REL * max(float(np.sum(frac.weights)), 1e-300))
     if inst.k == 0:
@@ -411,7 +405,7 @@ def round_solution(inst: ConnectivityInstance, frac: FractionalSolution) -> Roun
             patch = sparsify_patch(inst.base, w_star, min(inst.k, n - 2), budget)
             (engine,) = patch.engine_results
             selected = kept[np.searchsorted(u[kept] * n + v[kept], patch.wk.u * n + patch.wk.v)]
-            weights, floor = patch.wk.w, max(patch.certified_lower * _lambda2_of(laplacian(full)), _lambda2_of(lb))
+            weights, floor = patch.wk.w, max(patch.certified_lower * _lambda2_of(laplacian(full)), float(base_vals[1]))
         else:  # lambda_2(G + W*) = 0, and a patch's per-component budgets could exceed 8k+1 edges
             selected = np.sort(kept[np.argsort(-frac.weights[kept], kind="stable")[:budget]])
             weights, floor = frac.weights[selected], 0.0

@@ -48,8 +48,8 @@ class PatchSparsifier:
 
     Factors refer to the pencil of L_{G+W_k} against L_{G+W}: certified
     bounds come from the engine certificate, measured ones from
-    `measure_sandwich` with `factor`, the factor of L_{G+W} (of L_G when W
-    has no edges).
+    `measure_sandwich` against the factor of L_{G+W} (exactly 1 when W has
+    no edges).
     """
 
     wk: WeightedGraph
@@ -62,7 +62,6 @@ class PatchSparsifier:
     params: PatchParams
     n_budget: int
     engine_results: tuple
-    factor: LaplacianFactor
 
 
 def measure_sandwich(
@@ -190,14 +189,12 @@ def sparsify_patch(
             params=PatchParams(k=k, T_patch=0.0, lambda_star=1.0),
             n_budget=n_eff,
             engine_results=(),
-            factor=factor_laplacian(g),
         )
 
     # One factor of L_{G+W} serves the measured certificate, each
-    # component's problem, the final sandwich and, carried in the result, a
-    # re-check of W_k read back from a file. Each component's X is built
-    # and decomposed once, for the certificate, its protected count, its
-    # budget and its engine run.
+    # component's problem and the final sandwich. Each component's X is
+    # built and decomposed once, for the certificate, its protected count,
+    # its budget and its engine run.
     factor = factor_laplacian(g.union(w))
     xs = factor.pencil_matrices(g)
     decs = [_decompose(x) for x in xs]
@@ -239,5 +236,4 @@ def sparsify_patch(
         params=params,
         n_budget=realized_budget,
         engine_results=tuple(engine_results),
-        factor=factor,
     )

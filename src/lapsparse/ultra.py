@@ -19,7 +19,6 @@ import numpy as np
 
 from .core import (
     DisconnectedError,
-    LaplacianFactor,
     NumericalError,
     PreconditionError,
     WeightedGraph,
@@ -294,9 +293,10 @@ class UltraResult:
     """Ultrasparsifier U = T + W_k with its measured and certified sandwich.
 
     c and kappa are the extremes of the (L_U, L_G) pencil, c L_G <= L_U <=
-    kappa L_G, measured by `measure_sandwich` against `factor`, the factor
-    of L_G; kappa_measured = kappa / c is the relative condition number,
-    and gen_lower = 1/kappa, gen_upper = 1/c bound the (L_G, L_U) pencil.
+    kappa L_G, measured by `measure_sandwich` against the factor of L_G as
+    `verify G U` measures them; kappa_measured = kappa / c is the relative
+    condition number, and gen_lower = 1/kappa, gen_upper = 1/c bound the
+    (L_G, L_U) pencil.
     certified_upper = theta_max (1 + 1/kappa_target) is the engine-backed
     ceiling on kappa, and certified_lower = 1 / certified_upper the floor
     on gen_lower. A tree input has no patch: U = G, certified_upper is
@@ -317,7 +317,6 @@ class UltraResult:
     trace_residual: float
     patch: PatchSparsifier | None
     tree: SpanningTree
-    factor: LaplacianFactor
 
 
 def build_ultrasparsifier(g: WeightedGraph, k: int, seed: int = 0) -> UltraResult:
@@ -355,8 +354,7 @@ def build_ultrasparsifier(g: WeightedGraph, k: int, seed: int = 0) -> UltraResul
     # the engine's floor 1 / ceiling on the (L_G, L_U) pencil caps kappa; a
     # tree has no engine floor: its certified constant is the measured one
     ceiling = math.inf if patch is None else patch.certified_upper * (1.0 + scale)
-    factor = factor_laplacian(g)
-    c, kappa = measure_sandwich(u, factor, 0.0, ceiling)
+    c, kappa = measure_sandwich(u, factor_laplacian(g), 0.0, ceiling)
     return UltraResult(
         u=u,
         kappa_target=kappa_target,
@@ -372,5 +370,4 @@ def build_ultrasparsifier(g: WeightedGraph, k: int, seed: int = 0) -> UltraResul
         trace_residual=abs(trace - report.total),
         patch=patch,
         tree=tree,
-        factor=factor,
     )

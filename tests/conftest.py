@@ -4,6 +4,7 @@ Everything here is deterministic given a seed so failures reproduce exactly.
 """
 from __future__ import annotations
 
+import hashlib
 import math
 import sys
 
@@ -39,6 +40,21 @@ def record_laplacian_factors(monkeypatch) -> list:
 
     monkeypatch.setattr(np.linalg, "cholesky", recording)
     return widths
+
+
+def record_eigensolves(monkeypatch) -> list:
+    """Patch numpy's symmetric eigensolvers to record (routine, width, sha1
+    of the matrix bytes) for every np.linalg.eigh and eigvalsh call, in call
+    order; the list it returns fills as the patched code runs. Two records
+    with one hash solved the same matrix."""
+    solves = []
+    for name in ("eigh", "eigvalsh"):
+        def recording(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            solves.append((_name, a.shape[0], hashlib.sha1(np.asarray(a).tobytes()).hexdigest()))
+            return _original(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recording)
+    return solves
 
 
 def verify_patch(g: WeightedGraph, w: WeightedGraph, k: int) -> PatchParams:

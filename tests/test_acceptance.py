@@ -17,7 +17,6 @@ from lapsparse.ultra import C1, TAIL_PROBES, build_ultrasparsifier, low_stretch_
 from lapsparse.connectivity import (
     ConnectivityInstance,
     brute_force_opt,
-    lambda_k2_bound,
     round_solution,
     solve_fractional,
 )
@@ -255,8 +254,8 @@ def test_07_exhaustive_oracle_brackets_solver_and_rounding():
         done += 1
         frac = solve_fractional(inst, tol=1e-4)
         brute_val, _ = brute_force_opt(inst)
-        lam_k2 = lambda_k2_bound(inst.base, inst.k)
         rounded = round_solution(inst, frac)
+        lam_k2 = rounded.lambda_k2
 
         assert frac.lambda_sdp <= frac.lambda_upper
         assert brute_val <= min(frac.lambda_upper + 1e-9, lam_k2 + 1e-9)

@@ -1,4 +1,5 @@
 """File formats, report plumbing, and the four subcommands end to end."""
+import collections
 import csv
 import hashlib
 import json
@@ -13,7 +14,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_connected_graph, record_laplacian_factors
+from conftest import random_connected_graph, record_eigensolves, record_laplacian_factors
 from lapsparse import cli, core
 from lapsparse.core import ParseError, WeightedGraph, _numpy_openblas, eigvalsh, laplacian
 from lapsparse.patch import sparsify_patch
@@ -264,6 +265,47 @@ def patch_inputs(tmp_path):
     return g, w, save_text(tmp_path, "G.txt", g), save_text(tmp_path, "W.txt", w)
 
 
+def split_patch_graphs():
+    """G and W on 29 shuffled vertex ids whose G+W splits into components of
+    12, 9, 7 and 1 vertices, the 7-vertex one without patch edges."""
+    rng = np.random.default_rng(76)
+    ids = rng.permutation(29)
+    g_edges, w_edges, off = [], [], 0
+    for size, patched in ((12, True), (9, True), (7, False), (1, False)):
+        comp = random_connected_graph(rng, size, extra_edges=3)
+        g_edges += [(int(ids[off + u]), int(ids[off + v]), w) for u, v, w in comp.edges]
+        if patched:
+            pool = sorted({(u, v) for u in range(size) for v in range(u + 1, size)} - comp.edge_pairs())
+            for j in rng.choice(len(pool), 2 * size, replace=False):
+                u, v = pool[int(j)]
+                w_edges.append((int(ids[off + u]), int(ids[off + v]), float(rng.uniform(0.05, 0.5))))
+        off += size
+    return WeightedGraph(29, g_edges), WeightedGraph(29, w_edges)
+
+
+def algconn_inputs(tmp_path) -> list:
+    """Base and candidate files of an 8-vertex instance whose k = 1 rounding
+    selects more than one edge."""
+    rng = np.random.default_rng(38)
+    base = random_connected_graph(rng, 8, extra_edges=2)
+    pool = sorted({(u, v) for u in range(8) for v in range(u + 1, 8)} - base.edge_pairs())
+    cand = WeightedGraph(8, [pool[int(j)] + (1.0,) for j in rng.choice(len(pool), size=6, replace=False)])
+    return [save_text(tmp_path, "base.txt", base), save_text(tmp_path, "cand.txt", cand)]
+
+
+def mark_writes(monkeypatch, *records) -> list:
+    """Patch cli.write_graph to note, at each call, the length of each list
+    in `records`; the list it returns fills as the patched code runs."""
+    marks = []
+
+    def marking(*args, _original=cli.write_graph):
+        marks.append(tuple(len(r) for r in records))
+        return _original(*args)
+
+    monkeypatch.setattr(cli, "write_graph", marking)
+    return marks
+
+
 def test_sparsify_patch_command_writes_selection_report_and_trace(tmp_path, capsys):
     k = 1
     g, w, g_path, w_path = patch_inputs(tmp_path)
@@ -322,41 +364,29 @@ def test_ultra_command_reports_a_verifiable_sandwich(tmp_path):
 
 def test_ultra_command_measures_u_against_the_factor_of_g_as_verify_does(tmp_path, monkeypatch):
     # The library measures the (L_U, L_G) pencil against its one factor of
-    # L_G, and the re-check measures the written U against that same factor:
-    # c and kappa equal verify G U's bit for bit, and the coherence
-    # deviation is exactly 0. The command's Cholesky factorizations are the
-    # factors of L_T (trace check), L_{T+W} (patch) and L_G, each of its
-    # grounded (n - 1)-wide block, and it decomposes nothing n wide; the
-    # re-check is one (n - 1)-wide values-only pencil and factors nothing.
+    # L_G, as verify G U does: c and kappa equal verify's bit for bit. The
+    # command's Cholesky factorizations are the factors of L_T (trace
+    # check), L_{T+W} (patch) and L_G, each of its grounded (n - 1)-wide
+    # block, and it decomposes nothing n wide. The written U reads back as
+    # the measured one, so nothing is solved or factored after the write.
     rng = np.random.default_rng(77)
     g = random_connected_graph(rng, 18, extra_edges=24)
     g_path = save_text(tmp_path, "G.txt", g)
     out, rep, rep_v = tmp_path / "U.txt", tmp_path / "ultra.json", tmp_path / "verify.json"
-    solves, written_at = [], []
-    for name in ("eigh", "eigvalsh"):
-        def counting(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
-            solves.append((_name, a.shape[0]))
-            return _original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counting)
+    solves = record_eigensolves(monkeypatch)
     factored = record_laplacian_factors(monkeypatch)
-
-    def marking(*args, _original=cli.write_graph):
-        written_at.append(len(solves))
-        return _original(*args)
-
-    monkeypatch.setattr(cli, "write_graph", marking)
+    marks = mark_writes(monkeypatch, solves, factored)
     assert main(["ultra", g_path, str(out), "--k", "2", "--report", str(rep)]) == 0
     assert factored == [g.n - 1] * 3
-    assert max(width for _, width in solves) == g.n - 1
-    assert solves[written_at[0]:] == [("eigvalsh", g.n - 1)]
+    assert max(width for _, width, _ in solves) == g.n - 1
+    assert marks == [(len(solves), len(factored))]
 
     report = json.loads(rep.read_text())
     assert report["coherence"]["max_relative_deviation"] == 0.0
     del solves[:], factored[:]
     # verify: one factor of L_G, of order n - 1, and one values-only pencil
     assert main(["verify", g_path, str(out), "--report", str(rep_v)]) == 0
-    assert (factored, solves) == ([g.n - 1], [("eigvalsh", g.n - 1)])
+    assert (factored, [solve[:2] for solve in solves]) == ([g.n - 1], [("eigvalsh", g.n - 1)])
     measured, verified = report["measured"], json.loads(rep_v.read_text())["measured"]
     assert (measured["c"], measured["kappa"]) == (verified["c"], verified["kappa"])
     assert measured["relative_condition_number"] == verified["relative_condition_number"]
@@ -378,19 +408,10 @@ def test_ultra_command_on_a_tree_returns_the_tree(tmp_path):
 
 
 def test_algconn_command_with_oracle_block(tmp_path, monkeypatch):
-    import lapsparse.connectivity as connectivity
-
-    # the oracle block reads lambda_{k+2} off the rounding, which solved for it once
-    calls = []
-    original = connectivity.lambda_k2_bound
-
-    def counting(*args):
-        calls.append(args)
-        return original(*args)
-
-    monkeypatch.setattr(connectivity, "lambda_k2_bound", counting)
-    # and in the command line, should it import its own reference again
-    monkeypatch.setattr(cli, "lambda_k2_bound", counting, raising=False)
+    # the oracle block reads lambda_{k+2} off the rounding, which read it
+    # and lambda_2(base) off one spectrum of L_base
+    solves = record_eigensolves(monkeypatch)
+    marks = mark_writes(monkeypatch, solves)
     base = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
     cand = WeightedGraph(3, [(0, 2, 1.0)])
     b_path = save_text(tmp_path, "base.txt", base)
@@ -413,7 +434,8 @@ def test_algconn_command_with_oracle_block(tmp_path, monkeypatch):
     assert report["oracle"]["edges"] == [[0, 2]]
     assert report["oracle"]["within_sdp_upper"] is True
     assert report["oracle"]["within_lambda_k2_upper"] is True
-    assert len(calls) == 1
+    l_base = hashlib.sha1(laplacian(base).tobytes()).hexdigest()
+    assert [solve[2] for solve in solves[: marks[0][0]]].count(l_base) == 1
     sel = read_graph(str(out))
     assert sel.edge_pairs() == {(0, 2)}
 
@@ -433,18 +455,16 @@ def test_algconn_command_zero_budget_selects_nothing(tmp_path):
     assert read_graph(str(out)).num_edges == 0
 
 
-def test_algconn_report_recomputes_its_lambda_2_exactly(tmp_path):
-    # the re-check rebuilds L_base + L_sel from the written files as the
-    # library built it, so the two lambda_2 values are the same float
-    rng = np.random.default_rng(38)
-    n = 8
-    base = random_connected_graph(rng, n, extra_edges=2)
-    pool = sorted({(u, v) for u in range(n) for v in range(u + 1, n)} - base.edge_pairs())
-    cand = WeightedGraph(n, [pool[int(j)] + (1.0,) for j in rng.choice(len(pool), size=6, replace=False)])
+def test_algconn_command_solves_nothing_after_writing_its_selection(tmp_path, monkeypatch):
+    # the written selection reads back as the one the library certified, so
+    # no lambda_2 is solved again and the coherence deviation reads 0
+    solves = record_eigensolves(monkeypatch)
+    factored = record_laplacian_factors(monkeypatch)
+    marks = mark_writes(monkeypatch, solves, factored)
     rep = tmp_path / "rep.json"
-    argv = ["algconn", save_text(tmp_path, "base.txt", base), save_text(tmp_path, "cand.txt", cand),
-            str(tmp_path / "sel.txt"), "--k", "1", "--report", str(rep)]
+    argv = ["algconn", *algconn_inputs(tmp_path), str(tmp_path / "sel.txt"), "--k", "1", "--report", str(rep)]
     assert main(argv) == 0
+    assert marks == [(len(solves), len(factored))]
     report = json.loads(rep.read_text())
     assert len(report["rounded"]["selected"]) > 1
     assert report["coherence"]["max_relative_deviation"] == 0.0
@@ -477,7 +497,7 @@ def test_verify_on_graphs_without_edges_reads_one(tmp_path):
         assert main(["verify", path, path, "--report", str(rep)]) == 0
         measured = json.loads(rep.read_text())["measured"]
         assert measured == {"c": 1.0, "kappa": 1.0, "relative_condition_number": 1.0}
-    # the same convention lets sparsify-patch re-check an empty W on an edgeless G
+    # the same convention gives sparsify-patch its sandwich of an empty W on an edgeless G
     empty = save_text(tmp_path, "empty3.txt", WeightedGraph(3, []))
     assert main(["sparsify-patch", empty, empty, str(tmp_path / "wk.txt"), "--k", "0",
                  "--report", str(rep)]) == 0
@@ -534,43 +554,48 @@ def test_main_reuses_one_parser_and_each_call_gets_its_own_arguments(tmp_path, c
 
 
 def test_sparsify_patch_command_factors_the_patched_laplacian_once(tmp_path, monkeypatch):
-    # the re-check measures the written W_k against the library's factor of
-    # L_{G+W}, one Cholesky factorization of its grounded block; no solve is
-    # n wide
+    # one Cholesky factorization of the grounded block of L_{G+W}; no solve
+    # is n wide, and nothing is solved or factored after the write
     g, _, g_path, w_path = patch_inputs(tmp_path)
-    widths = []
-    for name in ("eigh", "eigvalsh"):
-        def counting(a, *args, _original=getattr(np.linalg, name), **kwargs):
-            widths.append(a.shape[0])
-            return _original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counting)
+    solves = record_eigensolves(monkeypatch)
     factored = record_laplacian_factors(monkeypatch)
+    marks = mark_writes(monkeypatch, solves, factored)
     assert main(["sparsify-patch", g_path, w_path, str(tmp_path / "Wk.txt"), "--k", "1",
                  "--report", str(tmp_path / "rep.json")]) == 0
     assert factored == [g.n - 1]
-    assert max(widths) == g.n - 1
+    assert max(width for _, width, _ in solves) == g.n - 1
+    assert marks == [(len(solves), len(factored))]
+
+
+def test_ultra_and_split_sparsify_patch_solve_no_matrix_twice(tmp_path, monkeypatch):
+    # every eigensolve wider than the protected count k = 2 is of a matrix
+    # that no other solve of the command saw (the engine's k x k solves of
+    # its protected block may repeat), but one: split G+W's 7-vertex
+    # component has no patch edges, so W_k adds nothing there and the final
+    # sandwich solves that block's pencil X_c again, 6 wide, after the
+    # certificate decomposed it
+    solves = record_eigensolves(monkeypatch)
+    g_path = save_text(tmp_path, "G.txt", random_connected_graph(np.random.default_rng(77), 18, extra_edges=24))
+    g, w = split_patch_graphs()
+    commands = [
+        (["ultra", g_path, str(tmp_path / "U.txt"), "--k", "2"], []),
+        (["sparsify-patch", save_text(tmp_path, "Gs.txt", g), save_text(tmp_path, "Ws.txt", w),
+          str(tmp_path / "Wk.txt"), "--k", "2"], [6]),
+    ]
+    for argv, repeated_widths in commands:
+        solves.clear()
+        assert main(argv + ["--report", str(tmp_path / "rep.json")]) == 0
+        wide = [(width, digest) for _, width, digest in solves if width > 2]
+        repeated = [width for (width, _), count in collections.Counter(wide).items() if count > 1]
+        assert len(wide) > 10 and repeated == repeated_widths, argv[0]
 
 
 def test_split_sparsify_patch_solves_nothing_wider_than_a_component(tmp_path, monkeypatch):
-    # G+W in components of 12, 9, 7 and 1 vertices on shuffled ids, the
-    # 7-vertex one without patch edges: every Laplacian the command builds,
-    # library and re-check alike, is at most one component wide, and every
-    # factorization and eigensolve at most one component less one vertex;
-    # each component's Laplacian is factored once
-    rng = np.random.default_rng(76)
-    ids = rng.permutation(29)
-    g_edges, w_edges, off = [], [], 0
-    for size, patched in ((12, True), (9, True), (7, False), (1, False)):
-        comp = random_connected_graph(rng, size, extra_edges=3)
-        g_edges += [(int(ids[off + u]), int(ids[off + v]), w) for u, v, w in comp.edges]
-        if patched:
-            pool = sorted({(u, v) for u in range(size) for v in range(u + 1, size)} - comp.edge_pairs())
-            for j in rng.choice(len(pool), 2 * size, replace=False):
-                u, v = pool[int(j)]
-                w_edges.append((int(ids[off + u]), int(ids[off + v]), float(rng.uniform(0.05, 0.5))))
-        off += size
-    g, w = WeightedGraph(29, g_edges), WeightedGraph(29, w_edges)
+    # G+W in components of 12, 9, 7 and 1 vertices: every Laplacian the
+    # command builds is at most one component wide, and every factorization
+    # and eigensolve at most one component less one vertex; each
+    # component's Laplacian is factored once
+    g, w = split_patch_graphs()
     assert len(set(g.union(w).component_labels().tolist())) == 4
     widths = []
     for owner in (np.linalg, scipy.linalg):
@@ -603,36 +628,42 @@ def test_split_sparsify_patch_solves_nothing_wider_than_a_component(tmp_path, mo
     assert report["measured"]["pencil_lower"] >= report["certified"]["pencil_lower"]
 
 
+def one_ulp_off_write(path, graph, _write=cli.write_graph):
+    """write_graph with the heaviest weight moved up by one ulp."""
+    w = graph.w.copy()
+    heavy = int(np.argmax(w))
+    w[heavy] = np.nextafter(w[heavy], math.inf)
+    _write(path, WeightedGraph.from_arrays(graph.n, graph.u, graph.v, w))
+
+
 def test_re_check_measures_the_written_file(tmp_path, monkeypatch, capsys):
-    # the heaviest written weight off by a relative 1e-6 must fail the
-    # re-check, so the re-check reads the file rather than the in-memory result
-    real_write = cli.write_graph
-
-    def tampered_write(path, graph):
-        heavy = max(range(graph.num_edges), key=lambda i: graph.edges[i][2])
-        edges = [(u, v, w * (1.0 + 1e-6) if i == heavy else w) for i, (u, v, w) in enumerate(graph.edges)]
-        real_write(path, WeightedGraph(graph.n, edges))
-
+    # a written file whose heaviest weight reads back one ulp off the
+    # measured graph's fails the command, in either file format: the check
+    # reads the file rather than the in-memory result, names it, and leaves
+    # no report behind
     _, _, g_path, w_path = patch_inputs(tmp_path)
     ultra_path = save_text(tmp_path, "U.txt", random_connected_graph(np.random.default_rng(77), 18, extra_edges=24))
-    rng = np.random.default_rng(38)
-    base = random_connected_graph(rng, 8, extra_edges=2)
-    pool = sorted({(u, v) for u in range(8) for v in range(u + 1, 8)} - base.edge_pairs())
-    cand = WeightedGraph(8, [pool[int(j)] + (1.0,) for j in rng.choice(len(pool), size=6, replace=False)])
-    out = str(tmp_path / "out.txt")
-    commands = [
-        ["sparsify-patch", g_path, w_path, out, "--k", "1"],
-        ["ultra", ultra_path, out, "--k", "2"],
-        ["algconn", save_text(tmp_path, "base.txt", base), save_text(tmp_path, "cand.txt", cand),
-         out, "--k", "1"],
-    ]
-    for argv in commands:
-        assert main(argv) == 0
-    monkeypatch.setattr(cli, "write_graph", tampered_write)
-    for argv in commands:
-        capsys.readouterr()
-        assert main(argv) == 4, argv[0]
-        assert json.loads(capsys.readouterr().err.strip().splitlines()[-1])["error"] == "NumericalError"
+    base_path, cand_path = algconn_inputs(tmp_path)
+    rep = tmp_path / "rep.json"
+    for suffix in (".txt", ".json"):
+        out = str(tmp_path / f"out{suffix}")
+        commands = [
+            ["sparsify-patch", g_path, w_path, out, "--k", "1", "--report", str(rep)],
+            ["ultra", ultra_path, out, "--k", "2", "--report", str(rep)],
+            ["algconn", base_path, cand_path, out, "--k", "1", "--report", str(rep)],
+        ]
+        for argv in commands:
+            assert main(argv) == 0
+            os.remove(rep)
+        with monkeypatch.context() as patched:
+            patched.setattr(cli, "write_graph", one_ulp_off_write)
+            for argv in commands:
+                capsys.readouterr()
+                assert main(argv) == 4, argv[0]
+                lines = capsys.readouterr().err.strip().splitlines()
+                assert lines[0].startswith(f"error: {out}: ") and "reads back" in lines[0], argv[0]
+                assert json.loads(lines[-1])["error"] == "NumericalError"
+                assert not rep.exists()
 
 
 @pytest.mark.parametrize(
@@ -967,15 +998,14 @@ def test_exit_code_four_when_memory_runs_out_and_no_report_is_left(tmp_path, cap
 
 
 def test_exit_code_four_prints_a_json_line_for_errors_without_diagnostics(tmp_path, capsys, monkeypatch):
-    import lapsparse.connectivity as connectivity
-
-    # a certificate failure: the kept support's lambda_2 reads as far below the floor
-    monkeypatch.setattr(connectivity, "_lambda2_of", lambda lap: -1.0)
+    # a written selection that reads back as a graph other than the measured one
+    monkeypatch.setattr(cli, "write_graph", one_ulp_off_write)
     base = save_text(tmp_path, "base.txt", WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)]))
     cand = save_text(tmp_path, "cand.txt", WeightedGraph(3, [(0, 2, 1.0)]))
-    assert main(["algconn", base, cand, str(tmp_path / "sel.txt"), "--k", "1"]) == 4
+    sel = tmp_path / "sel.txt"
+    assert main(["algconn", base, cand, str(sel), "--k", "1"]) == 4
     lines = capsys.readouterr().err.strip().splitlines()
-    assert lines[0].startswith("error: rounded lambda_2 -1.0 fell below the certified floor")
+    assert lines[0].startswith(f"error: {sel}: the written graph reads back as a graph other")
     failure = json.loads(lines[-1])
     assert failure == {
         "error": "NumericalError",

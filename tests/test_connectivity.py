@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_connected_graph
+from conftest import random_connected_graph, record_eigensolves
 from lapsparse import connectivity
 from lapsparse.core import (
     NumericalError,
@@ -23,7 +23,6 @@ from lapsparse.connectivity import (
     ConnectivityInstance,
     _dual_bound,
     brute_force_opt,
-    lambda_k2_bound,
     round_solution,
     solve_fractional,
 )
@@ -411,14 +410,19 @@ def test_relabeled_instances_certify_overlapping_brackets(seed):
 # spectral ceiling
 
 
+def ceiling(base: WeightedGraph, k: int) -> float:
+    """The rounding's lambda_{k+2} of the base, with no candidate edges."""
+    return round_solution(ConnectivityInstance(base, [], k), fractional([])).lambda_k2
+
+
 def test_ceiling_is_the_k_plus_second_base_eigenvalue():
     n = 6
     complete = WeightedGraph(n, [(u, v, 1.0) for u in range(n) for v in range(u + 1, n)])
     for k in range(0, n - 1):
-        assert lambda_k2_bound(complete, k) == pytest.approx(float(n), abs=1e-9)
+        assert ceiling(complete, k) == pytest.approx(float(n), abs=1e-9)
     empty = WeightedGraph(5, [])
-    assert lambda_k2_bound(empty, 1) == pytest.approx(0.0, abs=1e-12)
-    assert lambda_k2_bound(empty, 4) == np.inf  # k+2 exceeds the dimension
+    assert ceiling(empty, 1) == pytest.approx(0.0, abs=1e-12)
+    assert ceiling(empty, 4) == np.inf  # k+2 exceeds the dimension
 
 
 # ---------------------------------------------------------------------------
@@ -495,21 +499,14 @@ def test_rounding_runs_the_selection_engine_on_wide_supports():
     assert kept > 8 * inst.k + 1 and rounded.engine is not None
 
 
-def test_rounding_takes_three_values_only_solves_or_five_with_the_engine(monkeypatch):
-    # lambda_{k+2} of the base, then lambda_2 of the base plus the selection,
+def test_rounding_takes_three_values_only_solves_or_four_with_the_engine(monkeypatch):
+    # the spectrum of the base (its lambda_{k+2}, and lambda_2(G) for the
+    # engine exit's floor), then lambda_2 of the base plus the selection,
     # weighted and unweighted, whichever way the selection was made; the
-    # engine exit adds lambda_2(G + W*) and lambda_2(G) for its floor, and
-    # the patch's own solves are of the (n - 1)-dimensional image
+    # engine exit adds lambda_2(G + W*) for its floor, and the patch's own
+    # solves are of the (n - 1)-dimensional image
     wide = circulant_instance()
-    solves = []
-    for name in ("eigh", "eigvalsh"):
-        original = getattr(np.linalg, name)
-
-        def counting(a, *args, _name=name, _original=original, **kwargs):
-            solves.append((_name, a.shape[0]))
-            return _original(a, *args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counting)
+    solves = record_eigensolves(monkeypatch)
     engines = []
     for inst in (ConnectivityInstance(path3(), [(0, 2)], 0), ConnectivityInstance(path3(), [(0, 2)], 1), wide):
         frac = solve_fractional(inst)
@@ -517,7 +514,7 @@ def test_rounding_takes_three_values_only_solves_or_five_with_the_engine(monkeyp
         rounded = round_solution(inst, frac)
         n = inst.base.n
         engines.append(rounded.engine is not None)
-        assert [s for s in solves if s[1] == n] == [("eigvalsh", n)] * (3 + 2 * engines[-1])
+        assert [s[:2] for s in solves if s[1] == n] == [("eigvalsh", n)] * (3 + engines[-1])
     assert engines == [False, False, True]
 
 
@@ -538,7 +535,7 @@ def test_rounding_floor_is_at_least_the_connected_base_lambda_2(tmp_path):
     assert connectivity.certify_lambda2(laplacian(inst.base.union(sel)), rounded.floor) == pytest.approx(
         rounded.lambda2_weighted, rel=1e-12
     )
-    # the command line re-reads its output and re-certifies it against the floor
+    # so does the floor the command line reports
     paths = [tmp_path / name for name in ("base.txt", "cand.txt", "sel.txt", "rep.json")]
     paths[0].write_text(graph_to_text(inst.base))
     paths[1].write_text(graph_to_text(WeightedGraph(inst.base.n, [(u, v, 1.0) for u, v in inst.candidates])))

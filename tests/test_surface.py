@@ -117,8 +117,9 @@ SOLVER_NAMES = {
 
 
 def test_cli_calls_no_solver():
-    # the command line re-checks its written output through the library's
-    # own measurement routines, so it references no solver directly
+    # the library measures every output; the command line only checks that
+    # the written file reads back as the measured graph, and references no
+    # solver
     names = _referenced_or_imported("cli")
     assert not names & SOLVER_NAMES, f"cli references {sorted(names & SOLVER_NAMES)}"
 

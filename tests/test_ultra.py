@@ -575,8 +575,8 @@ def test_solve_budget_of_the_patch_and_ultra_pipelines(monkeypatch):
     assert result.patch is not None and len(result.patch.engine_results) == 1
     assert all(owner.startswith("numpy.linalg.") for owner, _ in solves)
     # factors, each of its (n - 1)-wide grounded block: of L_T (trace check),
-    # of L_{T+W} (patch), of L_G (the final sandwich, which the CLI re-check
-    # reuses); nothing factors L_U, and nothing is n wide
+    # of L_{T+W} (patch), of L_G (the final sandwich); nothing factors L_U,
+    # and nothing is n wide
     assert factored == [n - 1] * 3
     assert max(d for _, d in solves) == n - 1
     # d x d with vectors: X (the patch certificate's, which the engine
