@@ -8,9 +8,9 @@ and # comments allowed), or as JSON documents {"n": ..., "edges": [[u, v, w],
 report (stdout by default; --report writes a file, checked before the
 command runs and removed again if the command fails); all reals carry 17
 significant digits. Each command that writes a graph reads the file back
-once and fails unless it reads back as exactly the graph the library
+once and exits 4 unless it reads back as exactly the graph the library
 measured, so every measured and certified claim in the report holds for the
-file as written. Exit codes:
+file as written and the report's coherence deviation is 0. Exit codes:
 0 success, 2 parse error or a file that cannot be read, decoded or written,
 3 precondition violation, 4 numerical failure or running out of memory;
 exit 4 also prints one JSON line on stderr with the error's name and
@@ -46,8 +46,6 @@ from .core import (
     numpy_blas_threads,
     pencil_range,
 )
-
-COHERENCE_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -192,15 +190,12 @@ def write_graph(path: str, g: WeightedGraph) -> None:
     _write_text(path, graph_to_json(g) if path.endswith(".json") else graph_to_text(g))
 
 
-def _write_measured(path: str, g: WeightedGraph) -> WeightedGraph:
-    """Write `g`, the graph the library measured, to `path` and return the
-    graph read back from it; raises NumericalError unless that is `g`
-    exactly, so the library's measurements of `g` hold for the file."""
-    write_graph(path, g)
-    back = read_graph(path)
-    if back != g:
+def _check_coherent(path: str, g: WeightedGraph) -> None:
+    """Read back the file written at `path` from `g`, the graph the library
+    measured; raises NumericalError unless it is `g` exactly, so every
+    measurement of `g` in the report holds for the file."""
+    if read_graph(path) != g:
         raise NumericalError(f"{path}: the written graph reads back as a graph other than the one measured")
-    return back
 
 
 # ---------------------------------------------------------------------------
@@ -293,10 +288,11 @@ def _write_trace_csv(path: str, engine_results) -> None:
     _write_text(path, "".join(line + "\r\n" for line in lines))
 
 
-def _report_tail(engine_results, trace_csv, worst: float, t_start: float, t_solve: float) -> dict:
+def _report_tail(engine_results, trace_csv, t_start: float, t_solve: float) -> dict:
     """The closing blocks of an engine command's report: the potential
     trace, the coherence verdict and the timings. Writes the trace CSV first
-    when one is asked for, so total_seconds includes it."""
+    when one is asked for, so total_seconds includes it. The deviation is 0:
+    the output read back as the measured graph (`_check_coherent`)."""
     if trace_csv is not None:
         _write_trace_csv(trace_csv, engine_results)
     t_end = time.perf_counter()
@@ -307,38 +303,13 @@ def _report_tail(engine_results, trace_csv, worst: float, t_start: float, t_solv
         ],
         "coherence": {
             "recomputed_from_output": True,
-            "max_relative_deviation": worst,
+            "max_relative_deviation": 0.0,
         },
         "timings": {
             "solve_seconds": t_solve - t_start,
             "total_seconds": t_end - t_start,
         },
     }
-
-
-def _relative_deviation(a: float, b: float) -> float:
-    """0 for equal values, two infinities of one sign included; inf when
-    either is not finite otherwise, so that no NaN or infinity passes a
-    coherence check."""
-    if a == b:
-        return 0.0
-    if not (math.isfinite(a) and math.isfinite(b)):
-        return math.inf
-    return abs(a - b) / max(1.0, abs(a), abs(b))
-
-
-def _check_coherent(claims: list) -> float:
-    """claims: (label, reported, recomputed) triples; raise if any disagree."""
-    worst = 0.0
-    for label, reported, recomputed in claims:
-        dev = _relative_deviation(float(reported), float(recomputed))
-        worst = max(worst, dev)
-        if dev > COHERENCE_TOL:
-            raise NumericalError(
-                f"report-output coherence broken for {label}: reported {reported!r},"
-                f" recomputed from the written output {recomputed!r}"
-            )
-    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -359,13 +330,13 @@ def cmd_sparsify_patch(
     g, w, inputs = _read_inputs(g=g_path, w=w_path)
     result = sparsify_patch(g, w, k, n_budget)
     t_solve = time.perf_counter()
-    wk_back = _write_measured(out_path, result.wk)
-    worst = _check_coherent([("total selected weight", result.total_weight, wk_back.weight_sum())])
+    write_graph(out_path, result.wk)
+    _check_coherent(out_path, result.wk)
 
     return {
         "command": "sparsify-patch",
         "inputs": inputs,
-        "output": {"path": out_path, "edges": wk_back.num_edges},
+        "output": {"path": out_path, "edges": result.wk.num_edges},
         "parameters": {"k": k, "n_budget": result.n_budget},
         "patch": {
             "k": result.params.k,
@@ -380,10 +351,10 @@ def cmd_sparsify_patch(
         "measured": {
             "pencil_lower": result.measured_lower,
             "pencil_upper": result.measured_upper,
-            "total_weight": result.total_weight,
+            "total_weight": result.wk.weight_sum(),
             "support": result.wk.num_edges,
         },
-        **_report_tail(result.engine_results, trace_csv, worst, t_start, t_solve),
+        **_report_tail(result.engine_results, trace_csv, t_start, t_solve),
     }
 
 
@@ -400,14 +371,14 @@ def cmd_ultra(
     g, inputs = _read_inputs(g=g_path)
     result = build_ultrasparsifier(g, k, seed=seed)
     t_solve = time.perf_counter()
-    u_back = _write_measured(out_path, result.u)
+    write_graph(out_path, result.u)
+    _check_coherent(out_path, result.u)
     engine_results = result.patch.engine_results if result.patch is not None else ()
-    worst = _check_coherent([("edge count", result.edge_count, u_back.num_edges)])
 
     report = {
         "command": "ultra",
         "inputs": inputs,
-        "output": {"path": out_path, "edges": u_back.num_edges},
+        "output": {"path": out_path, "edges": result.u.num_edges},
         "parameters": {"k": k, "seed": seed},
         "stretch": {
             "total": result.stretch.total,
@@ -420,11 +391,11 @@ def cmd_ultra(
         "measured": {
             "c": result.c,
             "kappa": result.kappa,
-            "pencil_g_over_u_lower": result.gen_lower,
-            "pencil_g_over_u_upper": result.gen_upper,
-            "relative_condition_number": result.kappa_measured,
+            "pencil_g_over_u_lower": 1.0 / result.kappa,
+            "pencil_g_over_u_upper": 1.0 / result.c,
+            "relative_condition_number": result.kappa / result.c,
         },
-        **_report_tail(engine_results, trace_csv, worst, t_start, t_solve),
+        **_report_tail(engine_results, trace_csv, t_start, t_solve),
     }
     if result.patch is not None:
         report["patch"] = {
@@ -469,14 +440,14 @@ def cmd_algconn(
     rounded = round_solution(inst, frac)
     t_solve = time.perf_counter()
     selection = WeightedGraph(base.n, [(u, v, w) for (u, v), w in zip(rounded.selected, rounded.weights)])
-    sel_back = _write_measured(out_path, selection)
+    write_graph(out_path, selection)
+    _check_coherent(out_path, selection)
     engine_results = (rounded.engine,) if rounded.engine is not None else ()
-    worst = _check_coherent([("selected support", len(rounded.selected), sel_back.num_edges)])
 
     report = {
         "command": "algconn",
         "inputs": inputs,
-        "output": {"path": out_path, "edges": sel_back.num_edges},
+        "output": {"path": out_path, "edges": selection.num_edges},
         "parameters": {"k": k, "tol": tol, "delta": inst.delta},
         "fractional": {
             "lambda_sdp": frac.lambda_sdp,
@@ -495,7 +466,7 @@ def cmd_algconn(
             "lambda_k2": rounded.lambda_k2,
             "floor": rounded.floor,
         },
-        **_report_tail(engine_results, trace_csv, worst, t_start, t_solve),
+        **_report_tail(engine_results, trace_csv, t_start, t_solve),
     }
     if oracle:
         value, edges = brute_force_opt(inst)

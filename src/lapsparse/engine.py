@@ -276,7 +276,8 @@ class StepRecord(NamedTuple):
 
 @dataclass(frozen=True)
 class EngineResult:
-    """Final weights and the certificate for M = X + sum w_i Y_i (`_certify`)."""
+    """Final weights and the certificate for M = X + sum w_i Y_i (`_certify`).
+    The trace holds each step's potential increases, none above 1e-9."""
 
     weights: np.ndarray
     theta_max: float
@@ -290,11 +291,6 @@ class EngineResult:
     support: int
     schedule: EngineSchedule
     trace: tuple
-    max_potential_increase: float
-
-    @property
-    def support_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.weights > 0)
 
 
 def compute_Z(
@@ -504,7 +500,6 @@ def run_engine(problem: EngineProblem) -> EngineResult:
         raise NumericalError(f"starting lower potential {phi_l!r} exceeds eps = {schedule.eps!r}")
 
     trace = []
-    max_increase = 0.0
     for q in range(1, problem.N + 1):
         state.q = q
         idx, t, slack, feasible = _select(problem, state, schedule, phi_u, phi_l)
@@ -526,7 +521,6 @@ def run_engine(problem: EngineProblem) -> EngineResult:
         new_phi_l = _lower_phi(state.dec_b.eigenvalues, state.l)
         upper_inc = new_phi_u - phi_u
         lower_inc = new_phi_l - phi_l
-        max_increase = max(max_increase, upper_inc, lower_inc)
         if upper_inc > 1e-9 or lower_inc > 1e-9:
             raise NumericalError(
                 f"potential increased at step {q}: upper by {upper_inc:g}, lower by {lower_inc:g}"
@@ -556,7 +550,7 @@ def run_engine(problem: EngineProblem) -> EngineResult:
                 f"running cost {cost_so_far!r} exceeds q/max(N,T) = {q / schedule.mx!r} at step {q}"
             )
 
-    return _certify(problem, state, schedule, dec_x, mstar_vals, tuple(trace), max_increase)
+    return _certify(problem, state, schedule, dec_x, mstar_vals, tuple(trace))
 
 
 def _certify(
@@ -566,7 +560,6 @@ def _certify(
     dec_x: SpectralDecomposition,
     mstar_vals: np.ndarray,
     trace: tuple,
-    max_increase: float,
 ) -> EngineResult:
     """Check the certificate from the decompositions the loop carried out.
 
@@ -634,5 +627,4 @@ def _certify(
         support=support,
         schedule=schedule,
         trace=trace,
-        max_potential_increase=max_increase,
     )

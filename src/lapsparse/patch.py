@@ -49,7 +49,7 @@ class PatchSparsifier:
     Factors refer to the pencil of L_{G+W_k} against L_{G+W}: certified
     bounds come from the engine certificate, measured ones from
     `measure_sandwich` against the factor of L_{G+W} (exactly 1 when W has
-    no edges).
+    no edges). W_k's total weight, wk.weight_sum(), is at most weight_bound.
     """
 
     wk: WeightedGraph
@@ -57,7 +57,6 @@ class PatchSparsifier:
     certified_upper: float
     measured_lower: float
     measured_upper: float
-    total_weight: float
     weight_bound: float
     params: PatchParams
     n_budget: int
@@ -184,7 +183,6 @@ def sparsify_patch(
             certified_upper=1.0,
             measured_lower=1.0,
             measured_upper=1.0,
-            total_weight=0.0,
             weight_bound=0.0,
             params=PatchParams(k=k, T_patch=0.0, lambda_star=1.0),
             n_budget=n_eff,
@@ -231,7 +229,6 @@ def sparsify_patch(
         certified_upper=certified_upper,
         measured_lower=measured_lower,
         measured_upper=measured_upper,
-        total_weight=total_weight,
         weight_bound=weight_bound,
         params=params,
         n_budget=realized_budget,

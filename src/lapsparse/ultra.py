@@ -294,25 +294,20 @@ class UltraResult:
 
     c and kappa are the extremes of the (L_U, L_G) pencil, c L_G <= L_U <=
     kappa L_G, measured by `measure_sandwich` against the factor of L_G as
-    `verify G U` measures them; kappa_measured = kappa / c is the relative
-    condition number, and gen_lower = 1/kappa, gen_upper = 1/c bound the
-    (L_G, L_U) pencil.
+    `verify G U` measures them: kappa / c is the relative condition number,
+    and 1/kappa, 1/c bound the (L_G, L_U) pencil.
     certified_upper = theta_max (1 + 1/kappa_target) is the engine-backed
     ceiling on kappa, and certified_lower = 1 / certified_upper the floor
-    on gen_lower. A tree input has no patch: U = G, certified_upper is
-    inf and certified_lower is the measured gen_lower.
+    on 1/kappa. A tree input has no patch: U = G, certified_upper is inf
+    and certified_lower is the measured 1/kappa.
     """
 
     u: WeightedGraph
     kappa_target: float
     c: float
     kappa: float
-    gen_lower: float
-    gen_upper: float
-    kappa_measured: float
     certified_lower: float
     certified_upper: float
-    edge_count: int
     stretch: StretchReport
     trace_residual: float
     patch: PatchSparsifier | None
@@ -360,12 +355,8 @@ def build_ultrasparsifier(g: WeightedGraph, k: int, seed: int = 0) -> UltraResul
         kappa_target=kappa_target,
         c=c,
         kappa=kappa,
-        gen_lower=1.0 / kappa,
-        gen_upper=1.0 / c,
-        kappa_measured=kappa / c,
         certified_lower=1.0 / kappa if patch is None else 1.0 / ceiling,
         certified_upper=ceiling,
-        edge_count=u.num_edges,
         stretch=report,
         trace_residual=abs(trace - report.total),
         patch=patch,

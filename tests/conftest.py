@@ -10,11 +10,16 @@ import sys
 
 import numpy as np
 import scipy.linalg
+from hypothesis import settings
 
 from lapsparse import core
 from lapsparse.core import SpectralDecomposition, WeightedGraph, check_symmetric, factor_laplacian
 from lapsparse.engine import EngineProblem
 from lapsparse.patch import PatchParams, _certificate
+
+# A failing draw prints the @reproduce_failure blob that replays it.
+settings.register_profile("lapsparse", print_blob=True)
+settings.load_profile("lapsparse")
 
 
 def eigh(a: np.ndarray) -> SpectralDecomposition:

@@ -212,10 +212,10 @@ def test_06_sparsifier_pipeline_on_three_regular_graphs():
             r = build_ultrasparsifier(g, k)
             elapsed = time.perf_counter() - t0
             assert elapsed < 60.0
-            assert r.edge_count <= (n - 1) + 8 * k + 1
-            assert r.gen_lower >= r.certified_lower - 1e-9
-            assert r.gen_upper <= r.kappa_target + 1e-9
-            kappas.append(r.kappa_measured)
+            assert r.u.num_edges <= (n - 1) + 8 * k + 1
+            assert 1.0 / r.kappa >= r.certified_lower - 1e-9
+            assert 1.0 / r.c <= r.kappa_target + 1e-9
+            kappas.append(r.kappa / r.c)
         assert kappas[0] >= kappas[1] - 1e-9
         assert kappas[1] >= kappas[2] - 1e-9
 

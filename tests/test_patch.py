@@ -163,7 +163,7 @@ def test_sparsify_selects_subset_within_budget_and_bounds():
 
     t_cap = max(result.params.T_patch, 1.0)
     weight_cap = min(1.0, result.n_budget / t_cap) * w.weight_sum()
-    assert result.total_weight <= result.weight_bound + 1e-9
+    assert result.wk.weight_sum() <= result.weight_bound + 1e-9
     assert result.weight_bound <= weight_cap * (1.0 + 1e-9)
 
     # measured sandwich sits inside the certified one

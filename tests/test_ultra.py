@@ -432,7 +432,7 @@ def test_ultrasparsifier_is_invariant_under_uniform_scaling(seed, exponent):
     base, scaled = build_ultrasparsifier(g, k), build_ultrasparsifier(g.scale(c), k)
     assert scaled.u.edge_pairs() == base.u.edge_pairs()
     assert np.allclose(scaled.u.w / c, base.u.w, rtol=1e-12, atol=1e-12 * base.u.w.max())
-    assert scaled.kappa_measured == pytest.approx(base.kappa_measured, rel=1e-12)
+    assert scaled.kappa / scaled.c == pytest.approx(base.kappa / base.c, rel=1e-12)
 
 
 def test_build_on_a_tree_returns_the_graph_itself():
@@ -440,18 +440,18 @@ def test_build_on_a_tree_returns_the_graph_itself():
     g = random_connected_graph(rng, 9, extra_edges=0)
     r = build_ultrasparsifier(g, 1)
     assert r.u.edges == g.edges
-    assert r.kappa_measured == pytest.approx(1.0, abs=1e-9)
-    assert r.gen_lower == pytest.approx(1.0, abs=1e-9)
-    assert r.gen_upper == pytest.approx(1.0, abs=1e-9)
+    assert r.kappa / r.c == pytest.approx(1.0, abs=1e-9)
+    assert r.c == pytest.approx(1.0, abs=1e-9)
+    assert r.kappa == pytest.approx(1.0, abs=1e-9)
     assert r.patch is None
 
 
 def test_build_on_a_cycle_meets_budget_and_sandwich():
     g = cycle(10)
     r = build_ultrasparsifier(g, 1)
-    assert r.edge_count <= 9 + 9
-    assert r.gen_upper <= r.kappa_target + 1e-9
-    assert r.gen_lower >= r.certified_lower - 1e-9
+    assert r.u.num_edges <= 9 + 9
+    assert 1.0 / r.c <= r.kappa_target + 1e-9
+    assert 1.0 / r.kappa >= r.certified_lower - 1e-9
     assert r.stretch.total == 18.0
     assert r.trace_residual <= 1e-7 * r.stretch.total
     assert r.patch is not None
@@ -466,11 +466,10 @@ def test_build_keeps_the_tree_and_respects_the_edge_budget():
     r = build_ultrasparsifier(g, k)
     assert r.tree.graph().edge_pairs() <= r.u.edge_pairs()
     assert r.u.edge_pairs() <= g.edge_pairs()
-    assert r.edge_count <= (n - 1) + 8 * k + 1
+    assert r.u.num_edges <= (n - 1) + 8 * k + 1
     vals = pencil_eigenvalues(laplacian(g), laplacian(r.u))
-    assert float(vals[0]) == pytest.approx(r.gen_lower, rel=1e-9)
-    assert float(vals[-1]) == pytest.approx(r.gen_upper, rel=1e-9)
-    assert r.kappa_measured == pytest.approx(r.gen_upper / r.gen_lower, rel=1e-12)
+    assert float(vals[0]) == pytest.approx(1.0 / r.kappa, rel=1e-9)
+    assert float(vals[-1]) == pytest.approx(1.0 / r.c, rel=1e-9)
 
 
 def test_build_is_deterministic_for_a_fixed_seed():
@@ -479,7 +478,7 @@ def test_build_is_deterministic_for_a_fixed_seed():
     r1 = build_ultrasparsifier(g, 2, seed=7)
     r2 = build_ultrasparsifier(g, 2, seed=7)
     assert r1.u.edges == r2.u.edges
-    assert r1.gen_upper == r2.gen_upper
+    assert r1.c == r2.c
 
 
 def test_build_rejects_bad_inputs():
@@ -518,15 +517,15 @@ def test_build_certifies_weights_spread_over_many_decades(decades, i):
     # column mean is subtracted from F
     g = spread_graph(decades, i)
     r = build_ultrasparsifier(g, 2)
-    assert r.edge_count <= (g.n - 1) + 8 * 2 + 1
-    assert r.gen_lower >= r.certified_lower * (1.0 - 1e-9)
+    assert r.u.num_edges <= (g.n - 1) + 8 * 2 + 1
+    assert 1.0 / r.kappa >= r.certified_lower * (1.0 - 1e-9)
 
 
 @pytest.mark.parametrize("k", [1.5, 2.0, np.float64(1.0), True])
 def test_build_rejects_a_k_that_is_not_an_integer(k):
     with pytest.raises(PreconditionError, match="integer"):
         build_ultrasparsifier(cycle(6), k)
-    assert build_ultrasparsifier(cycle(6), np.int64(1)).edge_count <= 5 + 9
+    assert build_ultrasparsifier(cycle(6), np.int64(1)).u.num_edges <= 5 + 9
 
 
 @pytest.mark.parametrize("seed", [-1, 1.0, np.float64(2.0), True, None])
@@ -536,7 +535,7 @@ def test_build_rejects_a_seed_that_is_not_a_nonnegative_integer(seed):
         build_ultrasparsifier(cycle(6), 1, seed=seed)
     with pytest.raises(PreconditionError, match="seed must be a nonnegative integer"):
         candidate_trees(cycle(6), seed)
-    assert build_ultrasparsifier(cycle(6), 1, seed=np.int64(3)).edge_count <= 5 + 9
+    assert build_ultrasparsifier(cycle(6), 1, seed=np.int64(3)).u.num_edges <= 5 + 9
 
 
 def test_solve_budget_of_the_patch_and_ultra_pipelines(monkeypatch):
