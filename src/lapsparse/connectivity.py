@@ -410,16 +410,13 @@ def round_solution(inst: ConnectivityInstance, frac: FractionalSolution) -> Roun
             selected = np.sort(kept[np.argsort(-frac.weights[kept], kind="stable")[:budget]])
             weights, floor = frac.weights[selected], 0.0
 
-    if not selected.size:  # L_G + L(W_k) is L_G (x + 0.0 = x), whose spectrum is base_vals
-        floor = lam2_weighted = lam2_unweighted = float(base_vals[1])
+    entries = _edge_entries(n, u[selected], v[selected])
+    lap = lb + _edge_laplacian(n, entries, weights)
+    if floor is None:  # W_k = W*, so c = 1
+        floor = lam2_weighted = _lambda2_of(lap)
     else:
-        entries = _edge_entries(n, u[selected], v[selected])
-        lap = lb + _edge_laplacian(n, entries, weights)
-        if floor is None:  # W_k = W*, so c = 1
-            floor = lam2_weighted = _lambda2_of(lap)
-        else:
-            lam2_weighted = certify_lambda2(lap, floor)
-        lam2_unweighted = _lambda2_of(lb + _edge_laplacian(n, entries, np.ones(selected.size)))
+        lam2_weighted = certify_lambda2(lap, floor)
+    lam2_unweighted = _lambda2_of(lb + _edge_laplacian(n, entries, np.ones(selected.size)))
     return RoundedSolution(
         selected=tuple(inst.candidates[i] for i in selected),
         weights=tuple(weights.tolist()),

@@ -501,21 +501,21 @@ def test_rounding_runs_the_selection_engine_on_wide_supports():
 
 def test_rounding_takes_three_values_only_solves_or_four_with_the_engine(monkeypatch):
     # the spectrum of the base (its lambda_{k+2}, and lambda_2(G) for the
-    # engine exit's floor), then lambda_2 of the base plus a nonempty
-    # selection, weighted and unweighted, whichever way the selection was
-    # made; the engine exit adds lambda_2(G + W*) for its floor, and the
-    # patch's own solves are of the (n - 1)-dimensional image
+    # engine exit's floor), then lambda_2 of the base plus the selection,
+    # weighted and unweighted, whichever way the selection was made; the
+    # engine exit adds lambda_2(G + W*) for its floor, and the patch's own
+    # solves are of the (n - 1)-dimensional image
     wide = circulant_instance()
     solves = record_eigensolves(monkeypatch)
     engines = []
-    for inst in (ConnectivityInstance(path3(), [(0, 2)], 1), wide):
+    for inst in (ConnectivityInstance(path3(), [(0, 2)], 0), ConnectivityInstance(path3(), [(0, 2)], 1), wide):
         frac = solve_fractional(inst)
         solves.clear()
         rounded = round_solution(inst, frac)
         n = inst.base.n
         engines.append(rounded.engine is not None)
         assert [s[:2] for s in solves if s[1] == n] == [("eigvalsh", n)] * (3 + engines[-1])
-    assert engines == [False, True]
+    assert engines == [False, False, True]
 
 
 def test_rounding_floor_is_at_least_the_connected_base_lambda_2(tmp_path):
@@ -554,18 +554,6 @@ def test_rounding_keeps_a_fitting_support_and_certifies_its_own_lambda_2():
     rounded = round_solution(inst, fractional([0.5]))
     assert rounded.selected == ((0, 2),) and rounded.weights == (0.5,)
     assert rounded.floor == rounded.lambda2_weighted and rounded.engine is None
-
-
-@pytest.mark.parametrize("k, weights", [(0, [0.5]), (1, [0.0])])
-def test_rounding_an_empty_selection_solves_the_base_once(monkeypatch, k, weights):
-    # a zero budget, or no weight kept: L_G + L(W_k) is L_G, so the one
-    # spectrum of L_G gives lambda_{k+2}, the floor and both lambda_2 values
-    inst = ConnectivityInstance(path3(), [(0, 2)], k)
-    solves = record_eigensolves(monkeypatch)
-    rounded = round_solution(inst, fractional(weights))
-    assert rounded.selected == () and rounded.engine is None
-    assert [s[:2] for s in solves] == [("eigvalsh", 3)]
-    assert rounded.floor == rounded.lambda2_weighted == rounded.lambda2_unweighted == lambda2(path3())
 
 
 def patch_of_support(inst: ConnectivityInstance, weights: np.ndarray, k: int):
