@@ -30,6 +30,7 @@ import functools
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 import warnings
@@ -580,11 +581,27 @@ def _claim_report(path: str) -> bool:
         raise ParseError(f"{path}: cannot write: {exc}") from None
 
 
+def _check_written_paths(args) -> None:
+    """Raise ParseError when two of the files a command writes (its output,
+    --report, --trace-csv) resolve to one path: the later write would
+    replace a file the command already wrote and checked. An output may
+    still overwrite an input, which is read before anything is written."""
+    seen = {}
+    for flag, attr in (("out", "out"), ("--report", "report"), ("--trace-csv", "trace_csv")):
+        path = getattr(args, attr, None)
+        if path is not None:
+            real = os.path.realpath(path)
+            if real in seen:
+                raise ParseError(f"{seen[real]} and {flag} both name {real}: each written file needs its own path")
+            seen[real] = flag
+
+
 def main(argv: list | None = None) -> int:
     args = build_parser().parse_args(argv)
     _keep_arrays_on_the_heap()
     created = False
     try:
+        _check_written_paths(args)
         created = bool(args.report) and _claim_report(args.report)
         # Every solve and product here is at most a few hundred wide: a
         # second BLAS thread adds no speed there, only a spinning core whose
@@ -598,7 +615,6 @@ def main(argv: list | None = None) -> int:
             sys.stdout.write(text)
     except (ToolkitError, MemoryError) as exc:
         if created:  # a failed command leaves no report file behind
-            import os
             os.remove(args.report)
         print(f"error: {exc}", file=sys.stderr)
         code = 2 if isinstance(exc, ParseError) else 3 if isinstance(exc, PreconditionError) else 4

@@ -10,6 +10,8 @@ are everything a command measures of H.
 Solvers: a Laplacian factor takes one numpy Cholesky factorization per
 component and no eigensolve. Pencils, the selection engine and the
 connectivity solver use numpy's LAPACK eigensolvers (`_decompose`, `_spectrum`).
+`pencil_range` takes the extremes of a block wider than REDUCTION_WIDTH from
+the LAPACK of numpy's OpenBLAS directly (`_reduced_extremes`).
 `eigvalsh` uses scipy's; no command's solve path calls it, so it gives an
 independent check. It is the package's only use of scipy, which it imports
 when called: scipy is a test dependency, not a runtime one.
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 import contextlib
 import ctypes
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -37,6 +40,12 @@ REL_RANK_TOL = 1e-10
 KERNEL_TOL = 1e-10
 # Inputs claiming symmetry must satisfy max |A - A^T| <= SYMMETRY_TOL * max |A|.
 SYMMETRY_TOL = 1e-12
+# `pencil_range` reduces pencil blocks wider than this with LAPACK
+# (`_reduced_extremes`) and solves narrower ones as F^T L F. Per block, F^T L F
+# with F's inversion against the reduction took 350-535 against 362-451 us at
+# width 59, 633-664 against 575-670 us at 89 and 962-1007 against 769-878 us
+# at 119 (one OpenBLAS thread, 2-core x86 VM).
+REDUCTION_WIDTH = 89
 
 
 class ToolkitError(Exception):
@@ -421,15 +430,22 @@ _OPENBLAS_THREAD_SYMBOLS = (
 )
 
 
-def _numpy_openblas():
-    """(set, get) thread-count functions of numpy's OpenBLAS, or None where
-    numpy's BLAS is another library. They are looked up through numpy's
-    linalg extension, so they belong to numpy's BLAS, never to scipy's copy.
-    """
+@functools.cache
+def _numpy_linalg_library():
+    """numpy's linalg extension as a ctypes library, loaded once per
+    process, or None. Symbols looked up through it belong to the BLAS and
+    LAPACK that numpy links, never to scipy's copy."""
     try:
-        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+        return ctypes.CDLL(np.linalg._umath_linalg.__file__)
     except (OSError, AttributeError):
         return None
+
+
+@functools.cache
+def _numpy_openblas():
+    """(set, get) thread-count functions of numpy's OpenBLAS, or None where
+    numpy's BLAS is another library; looked up once per process."""
+    lib = _numpy_linalg_library()
     for set_name, get_name in _OPENBLAS_THREAD_SYMBOLS:
         setter, getter = getattr(lib, set_name, None), getattr(lib, get_name, None)
         if setter is not None and getter is not None:
@@ -437,6 +453,88 @@ def _numpy_openblas():
             getter.argtypes, getter.restype = [], ctypes.c_int
             return setter, getter
     return None
+
+
+_INT, _REAL, _PTR, _LEN = ctypes.c_int64, ctypes.c_double, ctypes.c_void_p, ctypes.c_size_t
+_IN, _DN = ctypes.POINTER(_INT), ctypes.POINTER(_REAL)
+# Argument types of the LAPACK routines `_reduced_extremes` calls, by their
+# ILP64 names in the OpenBLAS numpy wheels bundle: scalars by reference,
+# arrays as addresses and, last, gfortran's hidden CHARACTER lengths.
+_PENCIL_LAPACK = {
+    "scipy_dsygst_64_": [_IN, ctypes.c_char_p, _IN, _PTR, _IN, _PTR, _IN, _IN, _LEN],
+    "scipy_dsytrd_64_": [ctypes.c_char_p, _IN, _PTR, _IN, _PTR, _PTR, _PTR, _PTR, _IN, _IN, _LEN],
+    "scipy_dstebz_64_": [
+        ctypes.c_char_p, ctypes.c_char_p, _IN, _DN, _DN, _IN, _IN, _DN, _PTR, _PTR, _IN, _IN,
+        _PTR, _PTR, _PTR, _PTR, _PTR, _IN, _LEN, _LEN,
+    ],
+    "scipy_dsterf_64_": [_IN, _PTR, _PTR, _IN],
+}
+
+
+@functools.cache
+def _pencil_lapack():
+    """(dsygst, dsytrd, dstebz, dsterf) of numpy's LAPACK, or None where numpy's
+    LAPACK lacks one of them; looked up once per process."""
+    lib = _numpy_linalg_library()
+    routines = tuple(getattr(lib, name, None) for name in _PENCIL_LAPACK)
+    if None in routines:
+        return None
+    for routine, argtypes in zip(routines, _PENCIL_LAPACK.values()):
+        routine.argtypes, routine.restype = argtypes, None
+    return routines
+
+
+def _reduced_extremes(a: np.ndarray, chol: np.ndarray) -> np.ndarray:
+    """The smallest and the largest eigenvalue of C^-1 A C^-T, A = `a`
+    symmetric and C = `chol` lower triangular, by LAPACK's reduction of the definite pencil (A, C C^T): dsygst
+    forms C^-1 A C^-T in place of `a`, dsytrd reduces it to a tridiagonal
+    T, and two dstebz bisections find T's extremes to full accuracy (ABSTOL
+    twice the underflow threshold). To Fortran, C's buffer is the upper
+    factor U = C^T of C C^T = U^T U, so it passes as 'U' uncopied, and
+    inv(U^T) A inv(U) = C^-1 A C^-T fills the triangle that dsytrd then
+    reads as 'U'. Overwrites `a`; raises PreconditionError unless both are
+    nonempty, square, float64 and C-contiguous and `a` is writable, and
+    NumericalError when LAPACK reports a failure.
+
+    dstebz's search by index fails (INFO 2, no eigenvalue found) when the
+    extreme sits in a cluster of equal eigenvalues spread over several
+    diagonal blocks of T, as an H that equals G off a few edges gives. T's
+    whole spectrum by dsterf, the solve `np.linalg.eigvalsh` ends with,
+    then gives the extremes. That failure path sets IBLOCK(0), one element
+    before the array, so IBLOCK is passed one element into its buffer.
+    """
+    n = a.shape[0]
+    if not (a.shape == chol.shape == (n, n) and n and a.dtype == chol.dtype == np.float64
+            and a.flags.c_contiguous and a.flags.writeable and chol.flags.c_contiguous):
+        raise PreconditionError("the pencil reduction takes nonempty square float64 C-contiguous arrays")
+    sygst, sytrd, stebz, sterf = _pencil_lapack()
+    width, info, found, splits = _INT(n), _INT(0), _INT(0), _INT(0)
+
+    def check(routine: str) -> None:
+        if info.value:
+            raise NumericalError(f"LAPACK {routine} failed on a {n}-wide pencil block (info {info.value})")
+
+    sygst(_INT(1), b"U", width, a.ctypes.data, width, chol.ctypes.data, width, info, 1)
+    check("dsygst")
+    diag, off, tau, work = np.empty(n), np.empty(n), np.empty(n), np.empty(64 * n)  # >= n * block size
+    sytrd(b"U", width, a.ctypes.data, width, diag.ctypes.data, off.ctypes.data, tau.ctypes.data,
+          work.ctypes.data, _INT(work.size), info, 1)
+    check("dsytrd")
+    ends, vals = np.empty(2), np.empty(n)
+    block_of, split_at, iwork = (np.empty(size, dtype=np.int64) for size in (n + 1, n, 3 * n))
+    for i, index in enumerate((1, n)):
+        stebz(b"I", b"E", width, _REAL(0.0), _REAL(0.0), _INT(index), _INT(index),
+              _REAL(2 * np.finfo(float).tiny), diag.ctypes.data, off.ctypes.data, found, splits,
+              vals.ctypes.data, block_of[1:].ctypes.data, split_at.ctypes.data, work.ctypes.data,
+              iwork.ctypes.data, info, 1, 1)
+        if info.value or found.value != 1:
+            break
+        ends[i] = vals[0]
+    else:
+        return ends
+    sterf(width, diag.ctypes.data, off.ctypes.data, info)
+    check("dsterf")
+    return diag[[0, -1]]
 
 
 @contextlib.contextmanager
@@ -468,12 +566,23 @@ def _rank_split(dec: SpectralDecomposition) -> np.ndarray:
 @dataclass(frozen=True)
 class FactorBlock:
     """One connected component's share of a LaplacianFactor: its vertex ids,
-    ascending, and F_c = [0; C^-T] (n_c x (n_c - 1), C the grounded block's
-    Cholesky factor, rows in vertex order): F_c^T L_c F_c = I, and
-    G = F_c F_c^T has L_c G L_c = L_c, G L_c G = G and P G P = L_c^+ (P = I - 11^T/n_c)."""
+    ascending; `order`, the same ids in elimination order, whose first
+    vertex is grounded; and `chol`, the lower Cholesky factor C of the
+    grounded block (L_c in `order`, less its first row and column, is C C^T).
+
+    `f` is F_c = [0; C^-T] (n_c x (n_c - 1), rows in vertex order), built
+    from C on first read and kept: F_c^T L_c F_c = I, and G = F_c F_c^T has
+    L_c G L_c = L_c, G L_c G = G and P G P = L_c^+ (P = I - 11^T/n_c)."""
 
     vertices: np.ndarray
-    f: np.ndarray
+    order: np.ndarray
+    chol: np.ndarray
+
+    @functools.cached_property
+    def f(self) -> np.ndarray:
+        f = np.zeros((self.vertices.size, self.vertices.size - 1))
+        f[np.searchsorted(self.vertices, self.order[1:])] = _invert_lower(self.chol.copy()).T
+        return f
 
 
 @dataclass(frozen=True)
@@ -504,12 +613,18 @@ class LaplacianFactor:
         # F^T L F is symmetric up to rounding of size eps * |F|^2 |L|, which can
         # exceed any tolerance relative to its own entries when the factored
         # Laplacian is badly conditioned: symmetrize instead of checking it.
-        return [symmetrize(b.f.T @ lap @ b.f) for b, lap in zip(self.blocks, laps)]
+        return [_pencil_matrix(b, lap) for b, lap in zip(self.blocks, laps)]
 
     def pencil_spectra(self, h: WeightedGraph) -> list:
         """Ascending eigenvalues of each of `pencil_matrices(h)`; raises as
         that does."""
         return [_spectrum(x) for x in self.pencil_matrices(h)]
+
+
+def _pencil_matrix(block: FactorBlock, lap: np.ndarray) -> np.ndarray:
+    """F_c^T L_c F_c, symmetrized, for `block` and its Laplacian block L_c
+    in vertex order."""
+    return symmetrize(block.f.T @ lap @ block.f)
 
 
 def _invert_lower(c: np.ndarray) -> np.ndarray:
@@ -535,9 +650,10 @@ def factor_laplacian(g: WeightedGraph) -> LaplacianFactor:
     Each block L_c is built from its component's edges with the vertices in
     descending weighted degree (ties to the lower id), an order that keeps
     the factor accurate over weights spread across many decades. The first
-    vertex is grounded, the rest give L~ = C C^T, and F_c = [0; C^-T] with
-    rows back in vertex order: no column mean is subtracted, since every
-    consumer's L_c or edge difference annihilates it. Raises
+    vertex is grounded, the rest give L~ = C C^T, and the block keeps the
+    order and C; its F_c = [0; C^-T], rows back in vertex order, is formed
+    when first read. No column mean is subtracted, since every consumer's
+    L_c or edge difference annihilates it. Raises
     NumericalError when a row sum of L_c exceeds KERNEL_TOL * its largest
     diagonal entry, or when the grounded block is not positive definite.
     """
@@ -557,9 +673,7 @@ def factor_laplacian(g: WeightedGraph) -> LaplacianFactor:
             chol = np.linalg.cholesky(lap[1:, 1:])
         except np.linalg.LinAlgError:
             raise NumericalError(f"grounded Laplacian of component {c} of {count} is not positive definite") from None
-        f = np.zeros((vertices.size, vertices.size - 1))
-        f[np.searchsorted(vertices, order[1:])] = _invert_lower(chol).T
-        blocks.append(FactorBlock(vertices, f))
+        blocks.append(FactorBlock(vertices, order, chol))
     return LaplacianFactor(n=g.n, blocks=tuple(blocks))
 
 
@@ -584,7 +698,11 @@ def pencil_range(h: WeightedGraph, g: WeightedGraph | LaplacianFactor) -> tuple[
     """The tightest (c, kappa) with c L_G <= L_H <= kappa L_G over G's
     image: the extreme generalized eigenvalues of the (L_H, L_G) pencil.
 
-    G is a graph or the factor of its Laplacian. Raises PreconditionError
+    G is a graph or the factor of its Laplacian. A block wider than
+    REDUCTION_WIDTH gives its extremes by LAPACK's definite-pencil
+    reduction (`_reduced_extremes`), a narrower one, or any block where
+    numpy's LAPACK lacks the routines, by the spectrum of its pencil matrix;
+    the two agree to rounding. Raises PreconditionError
     when their vertex counts differ, and IncompatibleImagesError when H has
     an edge between two of G's components; an H whose components refine
     G's gets c = 0 exactly. An empty image (no edges) gives (1, 1).
@@ -592,7 +710,14 @@ def pencil_range(h: WeightedGraph, g: WeightedGraph | LaplacianFactor) -> tuple[
     if h.n != g.n:
         raise PreconditionError(f"vertex counts differ: {g.n} vs {h.n}")
     factor = g if isinstance(g, LaplacianFactor) else factor_laplacian(g)
-    vals = np.concatenate([np.zeros(0), *factor.pencil_spectra(h)])
+    # a wide block's Laplacian is built in elimination order, C's order
+    reduced = [b.chol.shape[0] > REDUCTION_WIDTH and _pencil_lapack() is not None for b in factor.blocks]
+    laps = _block_laplacians(h, [b.order if r else b.vertices for b, r in zip(factor.blocks, reduced)])
+    vals = np.concatenate([
+        np.zeros(0),
+        *(_reduced_extremes(lap[1:, 1:].copy(), b.chol) if r else _spectrum(_pencil_matrix(b, lap))
+          for b, lap, r in zip(factor.blocks, laps, reduced)),
+    ])
     # the pencil rejected any H edge between two of G's components, so more
     # components in H (labelled 0..c-1) mean a finer partition
     finer = int(h.component_labels().max(initial=-1)) + 1 > len(factor.blocks)

@@ -48,10 +48,12 @@ def record_laplacian_factors(monkeypatch) -> list:
 
 
 def record_eigensolves(monkeypatch) -> list:
-    """Patch numpy's symmetric eigensolvers to record (routine, width, sha1
-    of the matrix bytes) for every np.linalg.eigh and eigvalsh call, in call
-    order; the list it returns fills as the patched code runs. Two records
-    with one hash solved the same matrix."""
+    """Patch numpy's symmetric eigensolvers and core's reduced-block solve
+    to record (routine, width, sha1 of the matrix bytes) for every
+    np.linalg.eigh and eigvalsh call, and ("reduced", width, sha1 of the
+    block's and its factor's bytes) for every `core._reduced_extremes` call,
+    in call order; the list it returns fills as the patched code runs. Two
+    records with one hash solved the same matrix."""
     solves = []
     for name in ("eigh", "eigvalsh"):
         def recording(a, *args, _name=name, _original=getattr(np.linalg, name), **kwargs):
@@ -59,7 +61,28 @@ def record_eigensolves(monkeypatch) -> list:
             return _original(a, *args, **kwargs)
 
         monkeypatch.setattr(np.linalg, name, recording)
+
+    def reducing(a, chol, _original=core._reduced_extremes):
+        solves.append(("reduced", a.shape[0], hashlib.sha1(a.tobytes() + chol.tobytes()).hexdigest()))
+        return _original(a, chol)
+
+    monkeypatch.setattr(core, "_reduced_extremes", reducing)
     return solves
+
+
+def record_inversions(monkeypatch) -> list:
+    """Patch core._invert_lower to record the width of every Cholesky factor
+    that a FactorBlock inverts to form its F, in call order (the inversion's
+    own recursive calls pass unrecorded)."""
+    widths = []
+
+    def recording(c, _original=core._invert_lower):
+        if sys._getframe(1).f_code is core.FactorBlock.f.func.__code__:
+            widths.append(c.shape[0])
+        return _original(c)
+
+    monkeypatch.setattr(core, "_invert_lower", recording)
+    return widths
 
 
 def verify_patch(g: WeightedGraph, w: WeightedGraph, k: int) -> PatchParams:

@@ -14,7 +14,7 @@ import pytest
 import scipy.linalg
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import random_connected_graph, record_eigensolves, record_laplacian_factors
+from conftest import random_connected_graph, record_eigensolves, record_inversions, record_laplacian_factors
 from lapsparse import cli, core
 from lapsparse.core import ParseError, WeightedGraph, _numpy_openblas, eigvalsh, laplacian
 from lapsparse.patch import sparsify_patch
@@ -393,6 +393,42 @@ def test_ultra_command_measures_u_against_the_factor_of_g_as_verify_does(tmp_pat
     assert (measured["pencil_g_over_u_lower"], measured["pencil_g_over_u_upper"]) == (
         1.0 / verified["kappa"], 1.0 / verified["c"]
     )
+
+
+def test_verify_reduces_a_wide_pencil_without_inverting_its_factor(tmp_path, monkeypatch):
+    # n - 1 > REDUCTION_WIDTH: verify factors L_G once and reduces its one
+    # block, with no inverse of the factor and no eigensolve; ultra's final
+    # (U, G) measure takes the same path, so its c and kappa still equal
+    # verify's bit for bit. A narrow verify inverts its factor once and
+    # solves its pencil matrix; sparsify-patch inverts each block's factor
+    # once, for the pencil matrices that its certificate and engine read.
+    n = core.REDUCTION_WIDTH + 11
+    rng = np.random.default_rng(89)
+    g_path = save_text(tmp_path, "G.txt", random_connected_graph(rng, n, extra_edges=2 * n))
+    h_path = save_text(tmp_path, "H.txt", random_connected_graph(rng, n, extra_edges=n))
+    small_path = save_text(tmp_path, "small.txt", random_connected_graph(rng, 18, extra_edges=24))
+    rep_u, rep_v = tmp_path / "ultra.json", tmp_path / "verify.json"
+    solves = record_eigensolves(monkeypatch)
+    factored = record_laplacian_factors(monkeypatch)
+    inverted = record_inversions(monkeypatch)
+    assert main(["verify", g_path, h_path, "--report", str(rep_v)]) == 0
+    assert (factored, [solve[:2] for solve in solves], inverted) == ([n - 1], [("reduced", n - 1)], [])
+    del solves[:], factored[:]
+    assert main(["verify", small_path, small_path, "--report", str(rep_v)]) == 0
+    assert (factored, [solve[:2] for solve in solves], inverted) == ([17], [("eigvalsh", 17)], [17])
+    del inverted[:]
+    g, w = split_patch_graphs()
+    assert main(["sparsify-patch", save_text(tmp_path, "Gs.txt", g), save_text(tmp_path, "Ws.txt", w),
+                 str(tmp_path / "Wk.txt"), "--k", "2", "--report", str(rep_v)]) == 0
+    assert sorted(inverted) == [0, 6, 8, 11]
+
+    out = tmp_path / "U.txt"
+    assert main(["ultra", g_path, str(out), "--k", "2", "--report", str(rep_u)]) == 0
+    del solves[:]
+    assert main(["verify", g_path, str(out), "--report", str(rep_v)]) == 0
+    assert [solve[:2] for solve in solves] == [("reduced", n - 1)]
+    measured, verified = (json.loads(p.read_text())["measured"] for p in (rep_u, rep_v))
+    assert (measured["c"], measured["kappa"]) == (verified["c"], verified["kappa"])
 
 
 def test_ultra_command_on_a_tree_returns_the_tree(tmp_path):
@@ -835,6 +871,37 @@ def test_report_path_is_checked_before_the_command_and_a_failure_leaves_no_repor
     assert rep.read_text() == "earlier report\n"
     assert main(["ultra", g_path, str(out), "--k", "1", "--report", str(rep)]) == 0
     assert json.loads(rep.read_text())["command"] == "ultra"
+
+
+def test_two_written_files_on_one_path_exit_two_before_any_work(tmp_path, capsys):
+    # the output, --report and --trace-csv must be three files: two that
+    # resolve to one path (here also through a "sub/.." spelling) stop the
+    # command before it reads, writes or claims anything
+    _, _, g_path, w_path = patch_inputs(tmp_path)
+    ultra_path = save_text(tmp_path, "U.txt", random_connected_graph(np.random.default_rng(77), 12, extra_edges=12))
+    (tmp_path / "sub").mkdir()
+    first, same = str(tmp_path / "o.txt"), str(tmp_path / "sub" / ".." / "o.txt")
+    commands = [
+        ["sparsify-patch", g_path, w_path],
+        ["ultra", ultra_path],
+        ["algconn", *algconn_inputs(tmp_path)],
+    ]
+    pairs = [("out", "--report"), ("out", "--trace-csv"), ("--report", "--trace-csv")]
+    inputs = set(tmp_path.iterdir())
+    for command in commands:
+        for a, b in pairs:
+            paths = {"out": str(tmp_path / "out.txt"), "--report": str(tmp_path / "rep.json"),
+                     "--trace-csv": str(tmp_path / "trace.csv")}
+            paths[a], paths[b] = first, same
+            argv = [*command, paths["out"], "--k", "1", "--report", paths["--report"],
+                    "--trace-csv", paths["--trace-csv"]]
+            assert main(argv) == 2, (command[0], a, b)
+            assert capsys.readouterr().err.startswith(f"error: {a} and {b} both name {tmp_path / 'o.txt'}: ")
+            assert set(tmp_path.iterdir()) == inputs, (command[0], a, b)
+    # an output may still overwrite its input, which is read first
+    copy = save_text(tmp_path, "copy.txt", read_graph(ultra_path))
+    assert main(["ultra", copy, copy, "--k", "1", "--report", str(tmp_path / "rep.json")]) == 0
+    assert json.loads((tmp_path / "rep.json").read_text())["output"]["path"] == copy
 
 
 def test_exit_code_three_on_violated_preconditions(tmp_path, capsys):

@@ -6,7 +6,7 @@ import scipy.sparse
 import scipy.sparse.csgraph
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import eigh, random_connected_graph, random_projection, random_psd, spread_graph
+from conftest import eigh, random_connected_graph, random_projection, random_psd, record_eigensolves, spread_graph
 from lapsparse import core
 from lapsparse.cli import main
 from lapsparse.core import (
@@ -534,6 +534,20 @@ def test_numpy_blas_threads_sets_and_restores_the_count():
     assert count() == before
 
 
+def test_numpys_blas_and_lapack_are_looked_up_once_per_process(monkeypatch):
+    # the thread control and the reduction's routines come from one handle
+    # on numpy's linalg extension, opened and searched on first use only
+    core._numpy_openblas(), core._pencil_lapack()
+
+    def no_reload(*args, **kwargs):
+        raise AssertionError("numpy's linalg extension was loaded again")
+
+    monkeypatch.setattr(core.ctypes, "CDLL", no_reload)
+    with numpy_blas_threads(1):
+        assert core._numpy_openblas() is core._numpy_openblas()
+        assert core._pencil_lapack() is core._pencil_lapack()
+
+
 def test_pencil_of_doubled_graph_is_constant_two():
     rng = np.random.default_rng(17)
     g = random_connected_graph(rng, 10, extra_edges=8)
@@ -556,6 +570,120 @@ def test_pencil_of_a_graph_against_itself_is_one_over_sixteen_decades():
         g = spread_graph(16, i)
         c, kappa = pencil_range(g, g)
         assert abs(c - 1.0) <= 1e-6 and abs(kappa - 1.0) <= 1e-6, (i, c, kappa)
+
+
+def spectra_range(h, factor):
+    """pencil_range as the extremes of the pencil spectra, F^T L F per block."""
+    vals = np.concatenate([np.zeros(0), *factor.pencil_spectra(h)])
+    finer = int(h.component_labels().max()) + 1 > len(factor.blocks)
+    return 0.0 if finer else float(vals.min()), float(vals.max())
+
+
+def reductions(solves) -> list:
+    """The widths of the reduced blocks among `record_eigensolves`' records."""
+    return [width for routine, width, _ in solves if routine == "reduced"]
+
+
+@pytest.mark.parametrize("decades", [0, 6, 12])
+def test_reduced_extremes_agree_with_the_pencil_spectra_over_the_conditioning_sweep(decades, monkeypatch):
+    # every block reduced, against F^T L F, for H = G (a pencil of ones) and
+    # H = G with its weights moved by up to a decade. Either path rounds the
+    # pencil matrix by about n eps |s|^2, s = |F|^T sqrt(diag L_H) (a
+    # Laplacian has |L_ij| <= sqrt(L_ii L_jj)): within 1e-12 of the extremes
+    # while that is smaller, as it is up to 6 decades; at 12 it is not, and
+    # both paths then sit up to 5e-9 off a 60-digit reference
+    solves = record_eigensolves(monkeypatch)
+    monkeypatch.setattr(core, "REDUCTION_WIDTH", 0)
+    eps = np.finfo(float).eps
+    for i in range(20):
+        g = spread_graph(decades, i)
+        rng = np.random.default_rng(i)
+        factor = factor_laplacian(g)
+        (block,) = factor.blocks
+        for h in (g, WeightedGraph.from_arrays(g.n, g.u, g.v, g.w * 10.0 ** rng.uniform(-1, 1, g.num_edges))):
+            s = np.abs(block.f).T @ np.sqrt(np.diag(laplacian(h)))
+            slack = g.n * eps * float(s @ s)
+            for got, want in zip(pencil_range(h, factor), spectra_range(h, factor)):
+                assert abs(got - want) <= 1e-12 * abs(want) + slack, (i, got, want)
+                if decades <= 6:
+                    assert abs(got - want) <= 1e-12 * abs(want), (i, got, want)
+    assert reductions(solves) == [g.n - 1 for g in (spread_graph(decades, i) for i in range(20)) for _ in range(2)]
+
+
+def test_pencil_range_reduces_the_blocks_wider_than_the_reduction_width(monkeypatch):
+    # components of 1, 30, W + 1 and W + 2 vertices: only the last block,
+    # W + 1 wide, is reduced; the single vertex has an empty block. The
+    # extremes agree with the pencil spectra within 1e-12, also when H's
+    # components refine G's (c = 0 exactly)
+    solves = record_eigensolves(monkeypatch)
+    width = core.REDUCTION_WIDTH
+    rng = np.random.default_rng(31)
+    sizes = [1, 30, width + 1, width + 2]
+    g = random_multicomponent_graph(rng, sizes, decades=3.0, extra=60)
+    h = WeightedGraph.from_arrays(g.n, g.u, g.v, g.w * 10.0 ** rng.uniform(-1, 1, g.num_edges))
+    factor = factor_laplacian(g)
+    assert sorted(b.chol.shape[0] for b in factor.blocks) == [0, 29, width, width + 1]
+    for graph in (h, g.scale(2.0)):
+        got, want = pencil_range(graph, factor), spectra_range(graph, factor)
+        assert got == pytest.approx(want, rel=1e-12, abs=0)
+    assert reductions(solves) == [width + 1, width + 1]
+    # H without the edges of one vertex of the widest component, which it
+    # leaves on its own
+    lone = next(b for b in factor.blocks if b.vertices.size == width + 2).vertices[0]
+    keep = (h.u != lone) & (h.v != lone)
+    finer = WeightedGraph.from_arrays(h.n, h.u[keep], h.v[keep], h.w[keep])
+    c, kappa = pencil_range(finer, factor)
+    assert c == 0.0 and kappa == pytest.approx(spectra_range(finer, factor)[1], rel=1e-12, abs=0)
+    # LAPACK is handed no array that it cannot take as it is
+    for a, chol in ((np.eye(3)[::-1], np.eye(3)), (np.eye(3), np.eye(3, dtype=np.float32)), (np.eye(3), np.eye(2)),
+                    (np.zeros((0, 0)), np.zeros((0, 0)))):
+        with pytest.raises(PreconditionError, match="pencil reduction"):
+            core._reduced_extremes(a, chol)
+
+
+@pytest.mark.parametrize("bisection_fails", [False, True])
+def test_reduced_extremes_at_a_cluster_of_ones_agree_with_the_pencil_spectra(bisection_fails, monkeypatch):
+    # H = G with one to ten edges halved: the pencil's top eigenvalue, 1, is
+    # shared by most of its eigenvalues, a cluster that dstebz's search by
+    # index can fail on; dsterf then gives T's spectrum. Forcing every
+    # bisection to fail runs that path on each instance.
+    sygst, sytrd, stebz, sterf = core._pencil_lapack()
+    spectra = []
+
+    def failing(*args):
+        stebz(*args)
+        args[17].value = 2  # INFO: not every eigenvalue asked for was found
+
+    def recording(*args):
+        spectra.append(1)
+        sterf(*args)
+
+    monkeypatch.setattr(core, "_pencil_lapack", lambda: (sygst, sytrd, failing if bisection_fails else stebz, recording))
+    for seed in range(6):
+        rng = np.random.default_rng(seed)
+        g = random_connected_graph(rng, core.REDUCTION_WIDTH + 31, extra_edges=60)
+        for drop in (1, 3, 10):
+            w = g.w.copy()
+            w[rng.choice(g.num_edges, drop, replace=False)] *= 0.5
+            factor = factor_laplacian(g)
+            h = WeightedGraph.from_arrays(g.n, g.u, g.v, w)
+            assert pencil_range(h, factor) == pytest.approx(spectra_range(h, factor), rel=1e-12, abs=0)
+    assert (len(spectra) == 18) if bisection_fails else (len(spectra) < 18)
+
+
+def test_pencil_range_without_numpys_lapack_routines_is_the_pencil_spectra_bit_for_bit(monkeypatch):
+    # where numpy's LAPACK lacks the reduction's routines every block keeps
+    # the F^T L F path, whose extremes pencil_range then returns exactly
+    monkeypatch.setattr(core, "_pencil_lapack", lambda: None)
+    solves = record_eigensolves(monkeypatch)
+    rng = np.random.default_rng(37)
+    for sizes in ([core.REDUCTION_WIDTH + 30], [1, 12, core.REDUCTION_WIDTH + 5]):
+        g = random_multicomponent_graph(rng, sizes, decades=4.0, extra=200)
+        h = WeightedGraph.from_arrays(g.n, g.u, g.v, g.w * 10.0 ** rng.uniform(-1, 1, g.num_edges))
+        factor = factor_laplacian(g)
+        assert pencil_range(h, factor) == spectra_range(h, factor)
+        assert pencil_range(h, g) == spectra_range(h, factor)
+    assert reductions(solves) == []
 
 
 def test_relative_condition_number_identity_and_mismatch():
