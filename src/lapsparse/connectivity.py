@@ -58,36 +58,19 @@ class ConnectivityInstance:
         if not _integral(type(k)) or k < 0:
             raise PreconditionError(f"budget k must be nonnegative and an integer (bools are not), got {k!r}")
         rows = list(candidates)
-        try:
-            ends = np.array(rows, dtype=np.int64).reshape(len(rows), 2)
-        except OverflowError:  # an id beyond int64 is out of range for any n, and clamped it still is
-            ends = np.array([[min(max(int(x), -1), base.n) for x in row] for row in rows], dtype=np.int64)
-        lo, hi = np.sort(ends, axis=1).T
-        bad = (lo == hi) | (lo < 0) | (hi >= base.n)
-        if bad.any():  # the first bad pair in input order, reported with its own ids
-            a, b = (int(x) for x in rows[int(np.argmax(bad))])
-            if a == b:
-                raise PreconditionError(f"candidate self-loop at vertex {a}")
-            raise PreconditionError(f"candidate ({a},{b}) outside vertex range 0..{base.n - 1}")
-        # sorted, not np.unique: on numpy 2.x a first plain np.unique call
-        # imports numpy.ma, about 13 ms of the command's start-up
-        keys = np.sort(lo * base.n + hi)
-        if (keys[1:] == keys[:-1]).any():
-            raise PreconditionError("duplicate candidate edges")
-        lo, hi = np.divmod(keys, base.n)
-        overlap = np.isin(keys, base.u * base.n + base.v)
-        if overlap.any():
-            pairs = list(zip(lo[overlap].tolist(), hi[overlap].tolist()))
-            raise PreconditionError(f"candidates overlap base edges: {pairs}")
+        try:  # a row that is not a pair makes no (u, v, 1) triple, which WeightedGraph rejects
+            graph = WeightedGraph(base.n, [(*row, 1) if np.iterable(row) else (row,) for row in rows])
+        except PreconditionError as exc:
+            raise PreconditionError(f"candidate {rows[exc.edge]!r}: {exc}", edge=exc.edge) from None
+        overlap = np.isin(graph.u * base.n + graph.v, base.u * base.n + base.v)
+        for bad, what in ((graph.w != 1, "duplicate candidate edges"), (overlap, "candidates overlap base edges")):
+            if bad.any():
+                raise PreconditionError(f"{what}: {list(zip(graph.u[bad].tolist(), graph.v[bad].tolist()))}")
+        degrees = (float(g.weighted_degrees().max(initial=0.0)) for g in (base, graph))
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "candidates", tuple(zip(lo.tolist(), hi.tolist())))
+        object.__setattr__(self, "candidates", tuple(zip(graph.u.tolist(), graph.v.tolist())))
         object.__setattr__(self, "k", int(k))
-        object.__setattr__(self, "delta", _max_degree(base, lo, hi))
-
-
-def _max_degree(base: WeightedGraph, lo: np.ndarray, hi: np.ndarray) -> float:
-    counts = np.bincount(np.concatenate((lo, hi)), minlength=base.n)
-    return max(0.0, float(base.weighted_degrees().max(initial=0.0)), float(counts.max(initial=0)))
+        object.__setattr__(self, "delta", max(0.0, *degrees))
 
 
 @dataclass(frozen=True)
@@ -237,11 +220,9 @@ def solve_fractional(inst: ConnectivityInstance, tol: float = 1e-4) -> Fractiona
     if not (math.isfinite(tol) and tol > 0.0):
         raise PreconditionError(f"tol must be finite and positive, got {tol!r}")
     m = len(inst.candidates)
-    if m < 1:
+    if m < 1:  # a candidate joins two vertices, so then n >= 2
         raise PreconditionError("need at least one candidate edge")
     n = inst.base.n
-    if n < 2:
-        raise PreconditionError("lambda_2 needs at least 2 vertices")
     u, v = np.array(inst.candidates, dtype=np.int64).T
 
     def solution(w, lam, upper, iterations, loads):

@@ -57,7 +57,12 @@ class ParseError(ToolkitError):
 
 
 class PreconditionError(ToolkitError):
-    """An operation's documented precondition does not hold."""
+    """An operation's documented precondition does not hold; `edge` is the
+    input position of the edge at fault, when one edge is (WeightedGraph)."""
+
+    def __init__(self, message: str, edge: int | None = None):
+        super().__init__(message)
+        self.edge = edge
 
 
 class NumericalError(ToolkitError):
@@ -139,7 +144,9 @@ def _real(t: type) -> bool:
 
 
 def _check_vertex_count(n: int) -> None:
-    """Raise unless 0 <= n and n * n fits in int64: edges are keyed by u * n + v."""
+    """Raise unless n is an integer (not a bool), 0 <= n and n * n fits in int64 (edge keys u * n + v)."""
+    if not _integral(type(n)):
+        raise PreconditionError(f"vertex count must be an integer (bools are not), got {n!r}")
     if n < 0:
         raise PreconditionError(f"vertex count must be nonnegative, got {n}")
     limit = math.isqrt(np.iinfo(np.int64).max)
@@ -153,12 +160,13 @@ def _canonical_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> tup
     Returns the canonical (u, v, w) arrays: u < v, sorted lexicographically,
     each pair's weights summed by one bincount in input order, which gives
     the floats of a left-to-right loop (np.sum and np.add.reduceat sum groups
-    of 8 or more pairwise, so they would not). Raises PreconditionError for
-    the first edge in input order that is out of range, a self-loop or not
-    positively and finitely weighted, or earlier, for the first one whose
-    pair's running sum leaves the finite floats.
+    of 8 or more pairwise, so they would not). Raises PreconditionError, with
+    the edge's position, for the first edge in input order that is out of
+    range, a self-loop or not positively and finitely weighted, or earlier,
+    for the first one whose pair's running sum leaves the finite floats.
     """
     _check_vertex_count(n)
+    n = int(n)
     bad = (u < 0) | (u >= n) | (v < 0) | (v >= n) | (u == v) | ~(w > 0) | ~np.isfinite(w)
     stop = int(np.argmax(bad)) if bad.any() else u.size
     lo, hi = np.minimum(u[:stop], v[:stop]), np.maximum(u[:stop], v[:stop])
@@ -172,16 +180,46 @@ def _canonical_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> tup
             with np.errstate(over="ignore"):
                 running = np.cumsum(w[members])
             firsts.append(members[np.argmax(~np.isfinite(running))])
-        key = int(keys[group[min(firsts)]])
-        raise PreconditionError(f"parallel edges ({key // n},{key % n}) merge to a non-finite weight")
+        first = int(min(firsts))
+        key = int(keys[group[first]])
+        raise PreconditionError(f"parallel edges ({key // n},{key % n}) merge to a non-finite weight", edge=first)
     if stop < u.size:
         a, b, x = int(u[stop]), int(v[stop]), float(w[stop])
         if not (0 <= a < n and 0 <= b < n):
-            raise PreconditionError(f"edge ({a},{b}) out of range for n={n}")
+            raise PreconditionError(f"edge ({a},{b}) out of range for n={n}", edge=stop)
         if a == b:
-            raise PreconditionError(f"self-loop at vertex {a} rejected")
-        raise PreconditionError(f"edge ({a},{b}) needs a positive finite weight, got {x}")
+            raise PreconditionError(f"self-loop at vertex {a} rejected", edge=stop)
+        raise PreconditionError(f"edge ({a},{b}) needs a positive finite weight, got {x}", edge=stop)
     return (*np.divmod(keys, n), sums)
+
+
+def _edge_arrays(rows: list) -> tuple | None:
+    """int64 ids u, v and float64 weights w of the (u, v, w) triples `rows`, or
+    None unless each row is two integers and a real number (no bools) that fit."""
+    try:
+        u, v, w = zip(*rows, strict=True) if rows else ((), (), ())
+        if not (all(map(_integral, {*map(type, u), *map(type, v)})) and all(map(_real, set(map(type, w))))):
+            return None
+        return (*np.array((u, v), dtype=np.int64).reshape(2, -1), np.array(w, dtype=np.float64))
+    except (TypeError, ValueError, OverflowError):
+        return None
+
+
+def _edge_fault(row, n: int) -> str | None:
+    """Why `_edge_arrays` cannot read `row`, or None when it can."""
+    try:
+        a, b, x = row
+    except (TypeError, ValueError):
+        return f"edge {row!r} is not a (u, v, w) triple"
+    if not (_integral(type(a)) and _integral(type(b)) and _real(type(x))):
+        return f"edge {(a, b, x)!r} needs integer vertex ids and a real weight (bools are neither)"
+    if not all(-(2**63) <= int(i) < 2**63 for i in (a, b)):  # out of range for any n
+        return f"edge ({a},{b}) out of range for n={n}"
+    try:
+        float(x)
+    except OverflowError:
+        return f"edge ({a},{b}) needs a positive finite weight, got an integer too large for a float"
+    return None
 
 
 @dataclass(frozen=True, eq=False)
@@ -204,23 +242,17 @@ class WeightedGraph:
 
     def __init__(self, n: int, edges):
         """Graph from an iterable of (u, v, w) triples. Vertex ids must be
-        integers (numpy's included) and weights real numbers; bools are
-        neither."""
+        integers (numpy's included) within int64 and weights real numbers
+        within the floats; bools are neither. PreconditionError's `edge` is
+        the position of the first edge in input order that fails a check or
+        overflows its pair's merged weight; a degree overflow has none."""
         rows = list(edges)
-        u, v, w = zip(*rows, strict=True) if rows else ((), (), ())
-        for column, accepts in ((u, _integral), (v, _integral), (w, _real)):
-            rejected = {t for t in set(map(type, column)) if not accepts(t)}
-            if rejected:
-                i = next(i for i, x in enumerate(column) if type(x) in rejected)
-                raise PreconditionError(
-                    f"edge {tuple(rows[i])!r} needs integer vertex ids and a real weight (bools are neither)"
-                )
-        try:
-            ids = np.array((u, v), dtype=np.int64).reshape(2, -1)
-        except OverflowError:  # an id beyond int64 is out of range for any n
-            i = next(i for i, pair in enumerate(zip(u, v)) if not all(-(2**63) <= x < 2**63 for x in pair))
-            raise PreconditionError(f"edge ({u[i]},{v[i]}) out of range for n={n}") from None
-        self._store(n, ids[0], ids[1], np.array(w, dtype=np.float64))
+        arrays = _edge_arrays(rows)
+        if arrays is None:
+            stop, fault = next((i, fault) for i, row in enumerate(rows) if (fault := _edge_fault(row, n)))
+            _canonical_edges(n, *_edge_arrays(rows[:stop]))  # a failure before `stop` is the first
+            raise PreconditionError(fault, edge=stop)
+        self._store(n, *arrays)
 
     @classmethod
     def from_arrays(cls, n: int, u, v, w) -> "WeightedGraph":
@@ -236,14 +268,10 @@ class WeightedGraph:
         return graph
 
     def _store(self, n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> None:
-        if not _integral(type(n)):
-            raise PreconditionError(f"vertex count must be an integer (bools are not), got {n!r}")
-        n = int(n)
-        arrays = _canonical_edges(n, u, v, w)
-        for name, array in zip("uvw", arrays):
+        for name, array in zip("uvw", _canonical_edges(n, u, v, w)):
             array.flags.writeable = False
             object.__setattr__(self, name, array)
-        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "n", int(n))
         # summed in the edge order of the Laplacian's diagonal
         overflow = np.flatnonzero(~np.isfinite(self.weighted_degrees()))
         if overflow.size:

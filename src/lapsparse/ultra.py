@@ -111,8 +111,11 @@ class SpanningTree:
 
     def lca(self, u, v):
         """Lowest common ancestors of the pairs (u[i], v[i]) by binary
-        lifting, all pairs at once; scalar u and v give an int."""
-        u, v = np.asarray(u, dtype=int), np.asarray(v, dtype=int)
+        lifting, all pairs at once; scalar u and v give an int. Vertex ids
+        must be integers (numpy's included; bools are not)."""
+        u, v = np.asarray(u), np.asarray(v)
+        if u.dtype.kind not in "iu" or v.dtype.kind not in "iu":
+            raise PreconditionError(f"lca needs integer vertex ids, got {u.dtype}, {v.dtype}")
         if np.any((u < 0) | (u >= self.n) | (v < 0) | (v >= self.n)):
             raise PreconditionError(f"vertex pair outside the tree on {self.n} vertices")
         du, dv = self.depth[u], self.depth[v]

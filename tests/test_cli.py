@@ -172,14 +172,34 @@ def test_plain_files_take_the_loadtxt_path_and_odd_ones_the_scanner(monkeypatch)
 
 
 def test_merge_overflow_before_an_out_of_range_line_names_that_line(tmp_path, capsys):
-    # the merged weight overflows on line 3, but line 4 is bad on its own
+    # the merged weight overflows on line 3, before line 4's bad vertex
     path = tmp_path / "g.txt"
     path.write_text("n 3\n0 1 1e308\n1 0 1e308\n0 5 1.0\n")
     assert main(["verify", str(path), str(path)]) == 2
-    assert capsys.readouterr().err == f"error: {path}:4: edge (0,5) out of range for n=3\n"
+    assert capsys.readouterr().err == f"error: {path}:3: parallel edges (0,1) merge to a non-finite weight\n"
     path.write_text("n 3\n0 1 1e308\n1 0 1e308\n")
     assert main(["verify", str(path), str(path)]) == 2
-    assert capsys.readouterr().err == f"error: {path}: parallel edges (0,1) merge to a non-finite weight\n"
+    assert capsys.readouterr().err == f"error: {path}:3: parallel edges (0,1) merge to a non-finite weight\n"
+
+
+def test_the_line_scanner_builds_one_graph_and_names_the_line_at_its_edge_position(monkeypatch):
+    built = []
+
+    class CountingGraph(WeightedGraph):
+        def __init__(self, n, edges):
+            built.append(n)
+            super().__init__(n, edges)
+
+    monkeypatch.setattr(cli, "WeightedGraph", CountingGraph)
+    body = ["0 1 1.0", "# note", "", *(f"{i} {i + 1} 1.0" for i in range(1, 200)), "5 5 1.0", "0 2 1.0"]
+    with pytest.raises(ParseError, match=r"^g\.txt:204: self-loop at vertex 5 rejected$"):
+        cli._scan_edges(300, body, 1, "g.txt")
+    assert built == [300]
+    # a degree overflow belongs to no one line
+    with pytest.raises(ParseError, match=r"^g\.txt: weighted degree of vertex 1 overflows"):
+        cli._scan_edges(3, ["0 1 1e308", "1 2 1e308"], 1, "g.txt")
+    assert cli._scan_edges(3, ["0 1 1.0", "", "2 1 0.5"], 1, "g.txt") == WeightedGraph(3, [(0, 1, 1.0), (1, 2, 0.5)])
+    assert built == [300, 3, 3]
 
 
 def test_json_parser_rejects_malformed_documents():
@@ -187,18 +207,28 @@ def test_json_parser_rejects_malformed_documents():
         parse_graph_json("{not json", "x.json")
     with pytest.raises(ParseError):
         parse_graph_json('{"edges": []}', "x.json")
-    with pytest.raises(ParseError):
-        parse_graph_json('{"n": 3, "edges": [[0, 1]]}', "x.json")
+    for item in ("[0, 1]", "[0, 1, 1.0, 2]", '"012"', '{"u": 0, "v": 1, "w": 1}', "3"):
+        with pytest.raises(ParseError, match=r"^x\.json: edges\[1\]: edge "):
+            parse_graph_json('{"n": 3, "edges": [[1, 2, 1.0], ' + item + "]}", "x.json")
     with pytest.raises(ParseError):
         parse_graph_json('{"n": 3, "edges": [[0, 3, 1.0]]}', "x.json")
     # JSON booleans are not numbers
-    for doc in ('{"n": 3, "edges": [[0, 1, true]]}', '{"n": 3, "edges": [[false, 1, 1.0]]}',
-                '{"n": true, "edges": []}'):
-        with pytest.raises(ParseError, match="must be"):
+    for doc in ('{"n": 3, "edges": [[0, 1, true]]}', '{"n": 3, "edges": [[1, 2, 1.0], [false, 1, 1.0]]}'):
+        with pytest.raises(ParseError, match=r"edges\[\d\]: edge \(.*\) needs integer vertex ids and a real weight"):
             parse_graph_json(doc, "x.json")
+    with pytest.raises(ParseError, match="vertex count must be an integer"):
+        parse_graph_json('{"n": true, "edges": []}', "x.json")
+    # the first bad edge in input order is named by its index
+    with pytest.raises(ParseError, match=r"^x\.json: edges\[1\]: edge \(2,2\) out of range for n=2$"):
+        parse_graph_json('{"n": 2, "edges": [[0, 1, 1], [2, 2, 1], [0, 1, "x"]]}', "x.json")
     # an integer weight too large for a float
-    with pytest.raises(ParseError, match=r"edges\[0\]"):
-        parse_graph_json('{"n": 2, "edges": [[0, 1, ' + "9" * 400 + ']]}', "x.json")
+    with pytest.raises(ParseError, match=r"edges\[1\]: edge \(0,1\) needs a positive finite weight, got an integer"):
+        parse_graph_json('{"n": 2, "edges": [[0, 1, 2], [0, 1, ' + "9" * 400 + ']]}', "x.json")
+    # an integer past Python's 4300-digit string limit is no JSON number
+    with pytest.raises(ParseError, match=r"x\.json: invalid JSON: Exceeds the limit"):
+        parse_graph_json('{"n": 2, "edges": [[0, 1, ' + "9" * 5000 + "]]}", "x.json")
+    with pytest.raises(ParseError, match=r"x\.json: 'edges' must be a list"):
+        parse_graph_json('{"n": 2, "edges": {"0": [0, 1, 1.0]}}', "x.json")
     # a vertex count whose square overflows the int64 edge keys
     with pytest.raises(ParseError, match=r"x\.json: vertex count 100000000000000000000000 exceeds"):
         parse_graph_json('{"n": 100000000000000000000000, "edges": []}', "x.json")
@@ -738,7 +768,7 @@ def test_exit_code_two_on_malformed_input(tmp_path, capsys):
     huge = tmp_path / "huge.txt"
     huge.write_text("n 2\n0 1 1e308\n1 0 1e308\n")
     assert main(["verify", str(huge), str(huge)]) == 2
-    assert "huge.txt: parallel edges (0,1) merge to a non-finite weight" in capsys.readouterr().err
+    assert "huge.txt:3: parallel edges (0,1) merge to a non-finite weight" in capsys.readouterr().err
 
     # a vertex count beyond 64-bit edge keys, in either format
     big_txt, big_json = tmp_path / "big.txt", tmp_path / "big.json"
@@ -831,22 +861,33 @@ def test_each_input_is_read_once_and_hashed_as_parsed(tmp_path, monkeypatch):
             assert report["inputs"][name]["sha256"] == hashlib.sha256(handle.read()).hexdigest()
 
 
-@pytest.mark.parametrize("newline", ["\r\n", "\r"])
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
 def test_inputs_read_line_breaks_as_text_mode_does(tmp_path, capsys, newline):
-    # a JSON error's line, column and char offset are those of the text with
-    # every CRLF or lone CR read as one LF, as a file opened in text mode reads
-    doc = '{"n": 3,\n "edges": [[0, 1, 1.0],\n [1, 2, ]]}\n'
-    bad = tmp_path / "bad.json"
-    bad.write_bytes(doc.replace("\n", newline).encode())
-    assert main(["verify", str(bad), str(bad)]) == 2
-    with pytest.raises(json.JSONDecodeError) as want:
-        json.loads(doc)
-    assert capsys.readouterr().err == f"error: {bad}: invalid JSON: {want.value}\n"
+    # str.splitlines ends a text line at LF, CRLF and a lone CR alike, so the
+    # three copies of a file parse to one graph and name one line for a bad edge
+    def write(path, text):
+        path.write_bytes(text.replace("\n", newline).encode())
+        return str(path)
 
-    text = tmp_path / "g.txt"
-    text.write_bytes("n 3\n0 1 1\n1 2 x\n".replace("\n", newline).encode())
-    assert main(["verify", str(text), str(text)]) == 2
-    assert capsys.readouterr().err == f"error: {text}:3: cannot parse edge line '1 2 x'\n"
+    good = write(tmp_path / "g.txt", "# head\nn 3\n0 1 1\n\n1 2 2.5 # c\n")
+    assert read_graph(good) == WeightedGraph(3, [(0, 1, 1.0), (1, 2, 2.5)])
+    with open(good, "rb") as handle:  # the hash is of the bytes as read
+        assert cli.cmd_verify(good, good)["inputs"]["g"]["sha256"] == hashlib.sha256(handle.read()).hexdigest()
+    for body, message in (("0 1 1\n1 2 x\n", "3: cannot parse edge line '1 2 x'"),
+                          ("0 1 1\n\n2 2 1\n", "4: self-loop at vertex 2 rejected")):
+        bad = write(tmp_path / "bad.txt", "n 3\n" + body)
+        assert main(["verify", bad, bad]) == 2
+        assert capsys.readouterr().err == f"error: {bad}:{message}\n"
+
+    # json.loads reads CR as whitespace; a decode error gives json's position
+    # in the file's own text, whose lines it counts by LF alone
+    doc = '{"n": 3,\n "edges": [[0, 1, 1.0],\n [1, 2, 2.5]]}\n'
+    assert read_graph(write(tmp_path / "g.json", doc)) == WeightedGraph(3, [(0, 1, 1.0), (1, 2, 2.5)])
+    bad = write(tmp_path / "bad.json", doc.replace("2.5", ""))
+    assert main(["verify", bad, bad]) == 2
+    with pytest.raises(json.JSONDecodeError) as want:
+        json.loads(doc.replace("2.5", "").replace("\n", newline))
+    assert capsys.readouterr().err == f"error: {bad}: invalid JSON: {want.value}\n"
 
 
 def test_report_path_is_checked_before_the_command_and_a_failure_leaves_no_report(tmp_path, capsys):

@@ -1,6 +1,8 @@
 """Fractional edge-addition solver, rounding, and the brute-force reference."""
+import dataclasses
 import itertools
 import json
+import numbers
 
 import numpy as np
 import pytest
@@ -80,6 +82,14 @@ def test_instance_rejects_malformed_candidates():
         ConnectivityInstance(base, [(0, 1)], 1)  # already a base edge
     with pytest.raises(PreconditionError):
         ConnectivityInstance(base, [(0, 2)], -1)
+    # ids are not truncated or parsed: 3.7, "0", 0.0 and True read as vertex 3, 0, 0 and 1
+    for bad in ((0, 3.7), ("0", 2), (0.0, 2), (True, 2), (0, np.float64(2.0))):
+        with pytest.raises(PreconditionError, match="needs integer vertex ids"):
+            ConnectivityInstance(base, [bad], 1)
+    # a row that is not a pair is not read as one
+    for bad in ((0, 2, 9), (2,), 2, ()):
+        with pytest.raises(PreconditionError, match=r"is not a \(u, v, w\) triple"):
+            ConnectivityInstance(base, [bad], 1)
 
 
 @pytest.mark.parametrize("k", [1.5, 2.0, np.float64(1.0), True, False])
@@ -91,18 +101,28 @@ def test_instance_rejects_a_budget_that_is_not_an_integer(k):
 
 
 def _loop_instance(base: WeightedGraph, candidates):
-    """Candidates and delta by a loop over the pairs, the way the instance
-    computed them before it was vectorised."""
+    """Candidates and delta by a loop over the pairs: each checked in input
+    order as WeightedGraph checks a unit-weight edge, then duplicates and
+    overlaps with the base."""
     pairs = []
-    for u, v in candidates:
-        u, v = int(u), int(v)
-        if u == v:
-            raise PreconditionError(f"candidate self-loop at vertex {u}")
+    for row in candidates:
+        try:
+            u, v = row
+        except (TypeError, ValueError):
+            edge = (*row, 1) if np.iterable(row) else (row,)
+            raise PreconditionError(f"candidate {row!r}: edge {edge!r} is not a (u, v, w) triple") from None
+        if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in (u, v)):
+            raise PreconditionError(
+                f"candidate {row!r}: edge {(u, v, 1)!r} needs integer vertex ids and a real weight (bools are neither)"
+            )
         if not (0 <= u < base.n and 0 <= v < base.n):
-            raise PreconditionError(f"candidate ({u},{v}) outside vertex range 0..{base.n - 1}")
-        pairs.append((min(u, v), max(u, v)))
-    if len(set(pairs)) != len(pairs):
-        raise PreconditionError("duplicate candidate edges")
+            raise PreconditionError(f"candidate {row!r}: edge ({u},{v}) out of range for n={base.n}")
+        if u == v:
+            raise PreconditionError(f"candidate {row!r}: self-loop at vertex {u} rejected")
+        pairs.append((int(min(u, v)), int(max(u, v))))
+    repeated = sorted({pair for pair in pairs if pairs.count(pair) > 1})
+    if repeated:
+        raise PreconditionError(f"duplicate candidate edges: {repeated}")
     overlap = set(pairs) & base.edge_pairs()
     if overlap:
         raise PreconditionError(f"candidates overlap base edges: {sorted(overlap)}")
@@ -132,6 +152,9 @@ def test_instance_matches_a_loop_over_the_pairs():
         (path3(), [(0, 2), (2, 0)]), (path3(), [(1, 0), (2, 1)]), (path3(), [(0, 2), (5, 5), (0, 7)]),
         (path3(), [(0, -1)]), (path3(), [(2**70, 2**71)]), (path3(), [(0, 2**70), (1, 1)]),
         (path3(), np.array([[2, 0]])), (path3(), [(np.int64(2), np.uint8(0))]),
+        (path3(), [(0, 2), (0, 2.5)]), (path3(), [(0, 2.0)]), (path3(), [(True, 2)]), (path3(), [("0", 2)]),
+        (path3(), [(0, 2, 9)]), (path3(), [(0, 2), 7]), (path3(), [(0, 9), (0, 2.5)]), (path3(), [(0, 2.5), (0, 9)]),
+        (path3(), np.array([[2.0, 0.0]])), (path3(), [(0, np.bool_(True))]), (path3(), [(1, 0), (0, 2), (1, 0)]),
     ]
     for _ in range(40):
         n = int(rng.integers(2, 12))
@@ -155,6 +178,30 @@ def test_instance_matches_a_loop_over_the_pairs():
         assert all(type(x) is int for pair in got.candidates for x in pair)
         assert got.delta.hex() == want[1].hex()
     assert built >= 20
+
+
+def _round_two_weights_for_one_candidate():
+    inst = ConnectivityInstance(path3(), [(0, 2)], 1)
+    return round_solution(inst, dataclasses.replace(solve_fractional(inst), weights=np.ones(2)))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: solve_fractional(ConnectivityInstance(path3(), [], 1)), PreconditionError, "at least one candidate"),
+        (_round_two_weights_for_one_candidate, PreconditionError, "has 2 weights for 1 candidates"),
+        (lambda: brute_force_opt(ConnectivityInstance(WeightedGraph(1, []), [], 1)), PreconditionError,
+         "at least 2 vertices"),
+        # lambda_2 of the path 0-1-2 is 1
+        (lambda: connectivity.certify_lambda2(laplacian(path3()), 1.5), NumericalError,
+         "fell below the certified floor"),
+    ],
+    ids=["no-candidates", "weight-count", "one-vertex-oracle", "below-floor"],
+)
+def test_solver_rounding_and_oracle_check_their_inputs_and_certificate(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+    assert connectivity.certify_lambda2(laplacian(path3()), 1.0) == pytest.approx(1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -188,6 +188,37 @@ def test_graph_rejects_non_integer_ids_and_bools():
     assert g.edges == ((0, 2, 1.0), (1, 2, 0.5))
 
 
+@pytest.mark.parametrize(
+    "edges, position, message",
+    [
+        # the type screen names the first bad row in input order, not column by column
+        ([(0, 1, 1.0), (1, 2, "x"), (2, True, 1.0)], 1, r"edge \(1, 2, 'x'\) needs integer vertex ids"),
+        ([(0, 1, 1.0), (0, 1), (1, 2, 1.0)], 1, r"edge \(0, 1\) is not a \(u, v, w\) triple"),
+        ([(0, 1, 1.0), 7], 1, r"edge 7 is not a \(u, v, w\) triple"),
+        ([(0, 1, 1.0), (1, 2, 10**400)], 1, r"edge \(1,2\) needs a positive finite weight, got an integer too large"),
+        ([(0, 1, 1.0), (1, 2**64, 1.0)], 1, r"edge \(1,18446744073709551616\) out of range for n=3"),
+        # a value failure before a row that cannot be read is the first
+        ([(0, 5, 1.0), (1, 2, "x")], 0, r"edge \(0,5\) out of range"),
+        ([(1, 2, 1.0), (1, 1, 1.0), (0, 1, 10**400)], 1, "self-loop at vertex 1"),
+        ([(0, 1, 1e308), (1, 0, 1e308), (0, 2), (1, 2, -1.0)], 1, r"parallel edges \(0,1\) merge"),
+        ([(0, 1, 1.0), (1, 2, 0.0), (0, 9, 1.0)], 1, "needs a positive finite weight, got 0.0"),
+    ],
+    ids=["types-in-row-order", "short-row", "scalar-row", "weight-beyond-float", "id-beyond-int64",
+         "range-before-type", "self-loop-before-huge-weight", "merge-before-short-row", "zero-weight-before-range"],
+)
+def test_graph_errors_carry_the_position_of_the_first_bad_edge(edges, position, message):
+    with pytest.raises(PreconditionError, match=message) as caught:
+        WeightedGraph(3, edges)
+    assert caught.value.edge == position
+
+
+def test_graph_errors_without_a_bad_edge_carry_no_position():
+    for build in (lambda: WeightedGraph(3, [(0, 1, 1e308), (1, 2, 1e308)]), lambda: WeightedGraph(-1, [(0, 1, "x")])):
+        with pytest.raises(PreconditionError) as caught:
+            build()
+        assert caught.value.edge is None
+
+
 def test_graph_vertex_count_must_be_an_integer():
     # n is not truncated either: numpy integers pass, bools and floats raise
     for n in (2.9, 2.0, np.float64(3.0), True, np.bool_(True), "3"):

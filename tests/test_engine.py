@@ -617,6 +617,32 @@ def test_problem_validation_rejects_bad_costs_and_budget():
         )
 
 
+_HALF = np.eye(4) / np.sqrt(2.0)
+
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        (dict(vectors=_HALF[:3]), r"vectors must be \(d, m\)"),
+        (dict(costs=np.full(3, 1 / 3)), r"costs must have shape \(4,\)"),
+        (dict(X=np.eye(4), vectors=np.zeros((4, 0)), costs=np.zeros(0)), "at least one candidate update"),
+        (dict(costs=np.array([0.5, 0.5, 0.5, -0.5])), "costs must be nonnegative"),
+        (dict(X=np.diag([0.5, 0.5, 0.5, 1.0]), vectors=_HALF * [1, 1, 1, 0]), "zero update vectors"),
+        (dict(X=np.eye(4) * 1.5, Mstar=np.eye(4) * 2.0), r"lambda_max\(Mstar\) = 2.0 exceeds 1"),
+        (dict(dec_x=SpectralDecomposition(np.ones(3), np.eye(3))), r"dec_x must decompose the \(4, 4\) X"),
+        (dict(X=np.diag([-0.5, 0.5, 0.5, 0.5]), vectors=np.diag(np.sqrt([1.5, 0.5, 0.5, 0.5]))), "X must be PSD"),
+    ],
+    ids=["vectors-shape", "costs-shape", "no-updates", "negative-cost", "zero-vector", "mstar-above-one", "dec-x-shape",
+         "x-not-psd"],
+)
+def test_problem_validation_names_each_broken_precondition(fields, message):
+    # X + V V^T = M* = I on d = 4 with k = 0 is valid; each case breaks one precondition
+    valid = dict(X=np.eye(4) / 2.0, vectors=_HALF, costs=np.full(4, 0.25), Mstar=np.eye(4), k=0, N=9)
+    run_engine(EngineProblem(**valid))
+    with pytest.raises(PreconditionError, match=message):
+        EngineProblem(**{**valid, **fields}).validate()
+
+
 @pytest.mark.parametrize("k,n_budget", [(0.5, 9), (True, 9), (np.float64(1.0), 9), (0, 4.5), (0, np.float64(9.0)), (0, True)])
 def test_problem_validation_rejects_a_k_or_budget_that_is_not_an_integer(k, n_budget):
     # numpy integers are integers; bools and integral floats are not, and

@@ -8,6 +8,7 @@ from lapsparse import core, patch
 from lapsparse.core import (
     BudgetTooSmallError,
     InvalidKError,
+    NumericalError,
     PreconditionError,
     WeightedGraph,
     factor_laplacian,
@@ -86,6 +87,28 @@ def test_problem_needs_the_block_of_a_connected_union():
     x = factor.pencil_matrices(g)[0]
     with pytest.raises(PreconditionError, match="connected"):
         build_patch_problem(x, factor.blocks[0], w.u, w.v, w.w, 0, 1)
+
+
+_EMPTY = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda g, f: build_patch_problem(f.pencil_matrices(g)[0], f.blocks[0], *_EMPTY, 0, 1), PreconditionError,
+         "W has no edges"),
+        # the pencil of G against its own factor is [1, 1] up to rounding
+        (lambda g, f: patch.measure_sandwich(g, f, 1.5, 2.0), NumericalError, r"leaves the certified \[1\.5, 2\.0\]"),
+        (lambda g, f: patch.measure_sandwich(g.scale(2.0), f, 1.0, 1.5), NumericalError, "leaves the certified"),
+    ],
+    ids=["no-w-edges", "below-lower", "above-upper"],
+)
+def test_patch_problem_and_sandwich_check_their_inputs_and_certificate(call, error, message):
+    g = WeightedGraph(4, [(0, 1, 1.0), (1, 2, 2.0), (2, 3, 1.0)])
+    factor = factor_laplacian(g)
+    with pytest.raises(error, match=message):
+        call(g, factor)
+    assert patch.measure_sandwich(g, factor, 1.0, 1.0) == pytest.approx((1.0, 1.0))
 
 
 def test_certificate_splits_no_tie_between_components():

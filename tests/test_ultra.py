@@ -363,11 +363,29 @@ def test_vectorised_stretch_matches_the_scalar_loop_bit_for_bit():
         t.lca([0, -1], [1, 2])
 
 
+def test_lca_rejects_vertex_ids_that_are_not_integers():
+    # 1.7 and True were read as vertex 1
+    path = build_tree(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+    for u, v in ((1.7, 3), (True, 3), (3, np.float64(1.0)), ([0, 1.5], [1, 2]), ([0, 1], np.array([True, False]))):
+        with pytest.raises(PreconditionError, match="integer vertex ids"):
+            path.lca(u, v)
+    assert path.lca(np.int64(1), np.uint8(3)) == 1
+    assert path.lca([3, 2], [0, 3]).tolist() == [0, 2]
+
+
 def test_tree_stretch_rejects_a_foreign_tree():
     star = WeightedGraph(4, [(0, 1, 1.0), (0, 2, 1.0), (0, 3, 1.0)])
     path = build_tree(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
     with pytest.raises(PreconditionError):
         tree_stretch(star, path)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_tree_stretch_needs_a_tree_on_the_graphs_vertex_count(n):
+    path = build_tree(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
+    g = WeightedGraph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
+    with pytest.raises(PreconditionError, match=f"tree spans 4 vertices, graph has {n}"):
+        tree_stretch(g, path)
 
 
 # ---------------------------------------------------------------------------
