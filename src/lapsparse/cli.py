@@ -408,29 +408,19 @@ def cmd_algconn(
     )
 
     t_start = time.perf_counter()
-    base, cand_graph, inputs = _read_inputs(base=base_path, candidates=cand_path)
-    if cand_graph.n != base.n:
-        raise PreconditionError(f"candidate file has {cand_graph.n} vertices, base has {base.n}")
-    off_unit = np.flatnonzero(cand_graph.w != 1.0)
-    if off_unit.size:
-        i = off_unit[0]
-        raise PreconditionError(
-            f"candidate edge ({cand_graph.u[i]},{cand_graph.v[i]}) has weight"
-            f" {float(cand_graph.w[i])!r}; candidates must be unit-weight"
-        )
-    inst = ConnectivityInstance(base, cand_graph.edge_pairs(), k)
+    base, candidates, inputs = _read_inputs(base=base_path, candidates=cand_path)
+    inst = ConnectivityInstance(base, candidates, k)
     frac = solve_fractional(inst, tol=tol)
     rounded = round_solution(inst, frac)
     t_solve = time.perf_counter()
-    selection = WeightedGraph(base.n, [(u, v, w) for (u, v), w in zip(rounded.selected, rounded.weights)])
-    write_graph(out_path, selection)
-    _check_coherent(out_path, selection)
+    write_graph(out_path, rounded.selection)
+    _check_coherent(out_path, rounded.selection)
     engine_results = (rounded.engine,) if rounded.engine is not None else ()
 
     report = {
         "command": "algconn",
         "inputs": inputs,
-        "output": {"path": out_path, "edges": selection.num_edges},
+        "output": {"path": out_path, "edges": rounded.selection.num_edges},
         "parameters": {"k": k, "tol": tol, "delta": inst.delta},
         "fractional": {
             "lambda_sdp": frac.lambda_sdp,
@@ -442,8 +432,8 @@ def cmd_algconn(
             "weights": [float(x) for x in frac.weights],
         },
         "rounded": {
-            "selected": [[u, v] for u, v in rounded.selected],
-            "weights": [float(x) for x in rounded.weights],
+            "selected": np.stack((rounded.selection.u, rounded.selection.v), axis=1).tolist(),
+            "weights": rounded.selection.w.tolist(),
             "lambda2_weighted": rounded.lambda2_weighted,
             "lambda2_unweighted": rounded.lambda2_unweighted,
             "lambda_k2": rounded.lambda_k2,
@@ -455,7 +445,7 @@ def cmd_algconn(
         value, edges = brute_force_opt(inst)
         report["oracle"] = {
             "value": value,
-            "edges": [[u, v] for u, v in edges],
+            "edges": np.stack((edges.u, edges.v), axis=1).tolist(),
             "within_sdp_upper": bool(value <= frac.lambda_upper + 1e-9),
             "within_lambda_k2_upper": bool(value <= rounded.lambda_k2 + 1e-9),
         }

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,32 +45,27 @@ SNAP_RATIO = 0.1
 
 @dataclass(frozen=True)
 class ConnectivityInstance:
-    """Base graph, disjoint unit-weight candidate edges, budget k, and the
-    degree scale Delta = max degree over the base and candidate graphs
-    (weighted degrees for the base, edge counts for the candidates)."""
+    """Base graph, a unit-weight candidate graph on its vertices that shares no
+    edge with it, budget k, and Delta, the largest weighted degree of the two."""
 
     base: WeightedGraph
-    candidates: tuple
+    candidates: WeightedGraph
     k: int
-    delta: float
+    delta: float = field(init=False)
 
-    def __init__(self, base: WeightedGraph, candidates, k: int):
+    def __post_init__(self):
+        base, cand, k = self.base, self.candidates, self.k
         if not _integral(type(k)) or k < 0:
             raise PreconditionError(f"budget k must be nonnegative and an integer (bools are not), got {k!r}")
-        rows = list(candidates)
-        try:  # a row that is not a pair makes no (u, v, 1) triple, which WeightedGraph rejects
-            graph = WeightedGraph(base.n, [(*row, 1) if np.iterable(row) else (row,) for row in rows])
-        except PreconditionError as exc:
-            raise PreconditionError(f"candidate {rows[exc.edge]!r}: {exc}", edge=exc.edge) from None
-        overlap = np.isin(graph.u * base.n + graph.v, base.u * base.n + base.v)
-        for bad, what in ((graph.w != 1, "duplicate candidate edges"), (overlap, "candidates overlap base edges")):
+        if cand.n != base.n:
+            raise PreconditionError(f"candidate graph has {cand.n} vertices, base has {base.n}")
+        overlap = np.isin(cand.u * base.n + cand.v, base.u * base.n + base.v)
+        for bad, what in ((cand.w != 1, "candidates must have weight 1 (a pair listed twice has 2)"),
+                          (overlap, "candidates overlap base edges")):
             if bad.any():
-                raise PreconditionError(f"{what}: {list(zip(graph.u[bad].tolist(), graph.v[bad].tolist()))}")
-        degrees = (float(g.weighted_degrees().max(initial=0.0)) for g in (base, graph))
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "candidates", tuple(zip(graph.u.tolist(), graph.v.tolist())))
+                raise PreconditionError(f"{what}: {list(zip(cand.u[bad].tolist(), cand.v[bad].tolist()))}")
         object.__setattr__(self, "k", int(k))
-        object.__setattr__(self, "delta", max(0.0, *degrees))
+        object.__setattr__(self, "delta", max(float(g.weighted_degrees().max(initial=0.0)) for g in (base, cand)))
 
 
 @dataclass(frozen=True)
@@ -90,7 +85,7 @@ class FractionalSolution:
 
 @dataclass(frozen=True)
 class RoundedSolution:
-    """At most 8k+1 reweighted candidate edges with a certified floor.
+    """`selection`: W_k, at most 8k+1 reweighted candidate edges, with a certified floor.
 
     lambda2_weighted is lambda_2 of base plus the reweighted selection
     (the certified quantity); lambda2_unweighted is lambda_2 of base plus
@@ -102,8 +97,7 @@ class RoundedSolution:
     beat; +infinity when k + 2 > n (the ceiling is vacuous there).
     """
 
-    selected: tuple
-    weights: tuple
+    selection: WeightedGraph
     lambda2_weighted: float
     lambda2_unweighted: float
     lambda_k2: float
@@ -219,11 +213,10 @@ def solve_fractional(inst: ConnectivityInstance, tol: float = 1e-4) -> Fractiona
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise PreconditionError(f"tol must be finite and positive, got {tol!r}")
-    m = len(inst.candidates)
+    m = inst.candidates.num_edges
     if m < 1:  # a candidate joins two vertices, so then n >= 2
         raise PreconditionError("need at least one candidate edge")
-    n = inst.base.n
-    u, v = np.array(inst.candidates, dtype=np.int64).T
+    n, u, v = inst.base.n, inst.candidates.u, inst.candidates.v
 
     def solution(w, lam, upper, iterations, loads):
         total_w = float(w.sum())
@@ -242,8 +235,7 @@ def solve_fractional(inst: ConnectivityInstance, tol: float = 1e-4) -> Fractiona
             converged=upper - lam <= tol,
         )
 
-    full = inst.base.union(WeightedGraph.from_arrays(n, u, v, np.ones(m)))
-    if not full.is_connected():
+    if not inst.base.union(inst.candidates).is_connected():
         # every feasible w leaves the same components apart: lambda_2 is 0 on
         # the whole feasible set, and 0 is a supergradient there
         return solution(np.zeros(m), 0.0, 0.0, 0, np.zeros(m))
@@ -363,44 +355,38 @@ def round_solution(inst: ConnectivityInstance, frac: FractionalSolution) -> Roun
     if G splits G + W* into over k + 1 pieces. A fitting support is kept (c = 1);
     a disconnected G + W* keeps its 8k+1 heaviest weights with floor 0.
     """
-    n = inst.base.n
-    m = len(inst.candidates)
-    if len(frac.weights) != m:
-        raise PreconditionError(f"fractional solution has {len(frac.weights)} weights for {m} candidates")
+    n, cand = inst.base.n, inst.candidates
+    if len(frac.weights) != cand.num_edges:
+        raise PreconditionError(f"fractional solution has {len(frac.weights)} weights for {cand.num_edges} candidates")
     lb = laplacian(inst.base)
     # one spectrum of L_G gives lambda_{k+2} and the floor's lambda_2(G)
     base_vals = _spectrum(lb)
     lam_k2 = float(base_vals[inst.k + 1]) if inst.k + 2 <= n else math.inf
-    u, v = np.array(inst.candidates, dtype=int).reshape(-1, 2).T
     kept = np.flatnonzero(frac.weights > WEIGHT_DROP_REL * max(float(np.sum(frac.weights)), 1e-300))
     if inst.k == 0:
         kept = kept[:0]  # no edge fits a zero budget, whatever the weights
     budget = 8 * inst.k + 1
     engine, floor = None, None
-    if kept.size <= budget:
-        selected, weights = kept, frac.weights[kept]  # nothing kept, or already within budget
-    else:
-        w_star = WeightedGraph.from_arrays(n, u[kept], v[kept], frac.weights[kept])
+    selection = w_star = WeightedGraph.from_arrays(n, cand.u[kept], cand.v[kept], frac.weights[kept])
+    if kept.size > budget:
         full = inst.base.union(w_star)
         if full.is_connected():
             patch = sparsify_patch(inst.base, w_star, min(inst.k, n - 2), budget)
             (engine,) = patch.engine_results
-            selected = kept[np.searchsorted(u[kept] * n + v[kept], patch.wk.u * n + patch.wk.v)]
-            weights, floor = patch.wk.w, max(patch.certified_lower * _lambda2_of(laplacian(full)), float(base_vals[1]))
+            selection, floor = patch.wk, max(patch.certified_lower * _lambda2_of(laplacian(full)), float(base_vals[1]))
         else:  # lambda_2(G + W*) = 0, and a patch's per-component budgets could exceed 8k+1 edges
-            selected = np.sort(kept[np.argsort(-frac.weights[kept], kind="stable")[:budget]])
-            weights, floor = frac.weights[selected], 0.0
+            top = np.sort(np.argsort(-w_star.w, kind="stable")[:budget])
+            selection, floor = WeightedGraph.from_arrays(n, w_star.u[top], w_star.v[top], w_star.w[top]), 0.0
 
-    entries = _edge_entries(n, u[selected], v[selected])
-    lap = lb + _edge_laplacian(n, entries, weights)
+    entries = _edge_entries(n, selection.u, selection.v)
+    lap = lb + _edge_laplacian(n, entries, selection.w)
     if floor is None:  # W_k = W*, so c = 1
         floor = lam2_weighted = _lambda2_of(lap)
     else:
         lam2_weighted = certify_lambda2(lap, floor)
-    lam2_unweighted = _lambda2_of(lb + _edge_laplacian(n, entries, np.ones(selected.size)))
+    lam2_unweighted = _lambda2_of(lb + _edge_laplacian(n, entries, np.ones(selection.num_edges)))
     return RoundedSolution(
-        selected=tuple(inst.candidates[i] for i in selected),
-        weights=tuple(weights.tolist()),
+        selection=selection,
         lambda2_weighted=lam2_weighted,
         lambda2_unweighted=lam2_unweighted,
         lambda_k2=lam_k2,
@@ -412,9 +398,9 @@ def round_solution(inst: ConnectivityInstance, frac: FractionalSolution) -> Roun
 def brute_force_opt(inst: ConnectivityInstance):
     """Exact maximum of lambda_2 over all <=k-subsets of the candidates.
 
-    Returns (best lambda_2, best edge set); ties keep the first subset in
-    size-ascending, index-lexicographic order."""
-    m = len(inst.candidates)
+    Returns (best lambda_2, best subset as a unit-weight graph); ties keep
+    the first subset in size-ascending, index-lexicographic order."""
+    cand, m = inst.candidates, inst.candidates.num_edges
     k = min(inst.k, m)
     if math.comb(m, k) > 10**6:
         raise TooLargeError(f"C({m},{k}) subsets exceed the 1e6 enumeration cap")
@@ -423,10 +409,8 @@ def brute_force_opt(inst: ConnectivityInstance):
     # each subset adds an exactly symmetric `core._edge_laplacian` to the
     # exactly symmetric L_base
     lb = laplacian(inst.base)
-    u, v = np.array(inst.candidates, dtype=int).reshape(-1, 2).T
-    entries = _edge_entries(inst.base.n, u, v)
-    best_val = -math.inf
-    best_set: tuple = ()
+    entries = _edge_entries(inst.base.n, cand.u, cand.v)
+    best_val, best = -math.inf, []
     w = np.zeros(m)
     for size in range(0, k + 1):
         for subset in itertools.combinations(range(m), size):
@@ -434,6 +418,5 @@ def brute_force_opt(inst: ConnectivityInstance):
             w[list(subset)] = 1.0
             val = _lambda2_of(lb + _edge_laplacian(inst.base.n, entries, w))
             if val > best_val:
-                best_val = val
-                best_set = tuple(inst.candidates[i] for i in subset)
-    return best_val, best_set
+                best_val, best = val, list(subset)
+    return best_val, WeightedGraph.from_arrays(inst.base.n, cand.u[best], cand.v[best], np.ones(len(best)))

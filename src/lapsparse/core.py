@@ -28,6 +28,7 @@ import ctypes
 import functools
 import math
 import numbers
+from collections.abc import Mapping, Set
 from dataclasses import dataclass
 
 import numpy as np
@@ -148,10 +149,10 @@ def _check_vertex_count(n: int) -> None:
     if not _integral(type(n)):
         raise PreconditionError(f"vertex count must be an integer (bools are not), got {n!r}")
     if n < 0:
-        raise PreconditionError(f"vertex count must be nonnegative, got {n}")
+        raise PreconditionError(f"vertex count must be nonnegative, got {_shown(n, str)}")
     limit = math.isqrt(np.iinfo(np.int64).max)
     if n > limit:
-        raise PreconditionError(f"vertex count {n} exceeds {limit}: edge keys u * n + v must fit in 64 bits")
+        raise PreconditionError(f"vertex count {_shown(n, str)} exceeds {limit}: edge keys u * n + v must fit in 64 bits")
 
 
 def _canonical_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> tuple:
@@ -193,10 +194,20 @@ def _canonical_edges(n: int, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> tup
     return (*np.divmod(keys, n), sums)
 
 
-def _edge_arrays(rows: list) -> tuple | None:
-    """int64 ids u, v and float64 weights w of the (u, v, w) triples `rows`, or
-    None unless each row is two integers and a real number (no bools) that fit."""
+def _shown(x, show=repr) -> str:
+    """show(x), or a stand-in where x holds an int past Python's int-to-str digit limit."""
     try:
+        return show(x)
+    except ValueError:
+        return f"<{type(x).__name__} too long to print>"
+
+
+def _edge_arrays(rows: list) -> tuple | None:
+    """int64 ids u, v and float64 weights w of the (u, v, w) triples `rows`, or None unless
+    each row is two integers and a real number (no bools) that fit, and no str, bytes, mapping or set."""
+    try:
+        if any(issubclass(t, (str, bytes, Mapping, Set)) for t in {*map(type, rows)}):
+            return None
         u, v, w = zip(*rows, strict=True) if rows else ((), (), ())
         if not (all(map(_integral, {*map(type, u), *map(type, v)})) and all(map(_real, set(map(type, w))))):
             return None
@@ -208,13 +219,13 @@ def _edge_arrays(rows: list) -> tuple | None:
 def _edge_fault(row, n: int) -> str | None:
     """Why `_edge_arrays` cannot read `row`, or None when it can."""
     try:
-        a, b, x = row
+        a, b, x = () if isinstance(row, (str, bytes, Mapping, Set)) else row  # no ordered row of values
     except (TypeError, ValueError):
-        return f"edge {row!r} is not a (u, v, w) triple"
+        return f"edge {_shown(row)} is not a (u, v, w) triple"
     if not (_integral(type(a)) and _integral(type(b)) and _real(type(x))):
-        return f"edge {(a, b, x)!r} needs integer vertex ids and a real weight (bools are neither)"
+        return f"edge {_shown((a, b, x))} needs integer vertex ids and a real weight (bools are neither)"
     if not all(-(2**63) <= int(i) < 2**63 for i in (a, b)):  # out of range for any n
-        return f"edge ({a},{b}) out of range for n={n}"
+        return f"edge ({_shown(a, str)},{_shown(b, str)}) out of range for n={n}"
     try:
         float(x)
     except OverflowError:

@@ -121,6 +121,12 @@ def random_connected_graph(
     return WeightedGraph(n, edges)
 
 
+def unit_graph(n: int, pairs) -> WeightedGraph:
+    """The graph on n vertices with a unit-weight edge per (u, v) pair, as
+    `algconn` reads a candidate file: a pair listed twice merges to weight 2."""
+    return WeightedGraph(n, [(u, v, 1.0) for u, v in pairs])
+
+
 def spread_graph(decades: int, i: int) -> WeightedGraph:
     """The conditioning sweep's graph i at spread D = `decades`, seeded by
     (D, i): a random spanning tree on n in [12, 40) vertices plus n to 3n

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import make_engine_instance, random_connected_graph, verify_patch
+from conftest import make_engine_instance, random_connected_graph, unit_graph, verify_patch
 from lapsparse.core import WeightedGraph, laplacian, pencil_eigenvalues
 from lapsparse.engine import _upper_phi, run_engine
 from lapsparse.ultra import C1, TAIL_PROBES, build_ultrasparsifier, low_stretch_tree, sw_trace_check, tree_stretch
@@ -244,7 +244,7 @@ def test_07_exhaustive_oracle_brackets_solver_and_rounding():
         if not cand:
             return None
         k = int(rng.integers(1, 4))
-        return ConnectivityInstance(g, cand, k)
+        return ConnectivityInstance(g, unit_graph(n, cand), k)
 
     done = 0
     while done < 25:
@@ -260,7 +260,7 @@ def test_07_exhaustive_oracle_brackets_solver_and_rounding():
         assert frac.lambda_sdp <= frac.lambda_upper
         assert brute_val <= min(frac.lambda_upper + 1e-9, lam_k2 + 1e-9)
         assert frac.lambda_sdp >= brute_val - 1e-3
-        assert len(rounded.selected) <= 8 * inst.k + 1
+        assert rounded.selection.num_edges <= 8 * inst.k + 1
         if math.isfinite(lam_k2):
             floor = lam_k2 * frac.lambda_sdp / (72.0 * (4.0 * inst.delta) ** 2)
             assert rounded.lambda2_weighted >= floor * (1.0 - 1e-6) - 1e-12
@@ -268,11 +268,11 @@ def test_07_exhaustive_oracle_brackets_solver_and_rounding():
 
 def test_08_path_triangle_fixture():
     base = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
-    inst = ConnectivityInstance(base, [(0, 2)], 1)
+    inst = ConnectivityInstance(base, unit_graph(3, [(0, 2)]), 1)
     frac = solve_fractional(inst)
     assert frac.lambda_sdp == pytest.approx(3.0, abs=1e-3)
     rounded = round_solution(inst, frac)
-    assert rounded.selected == ((0, 2),)
+    assert rounded.selection.edge_pairs() == {(0, 2)}
     assert rounded.lambda2_unweighted == pytest.approx(3.0, abs=1e-9)
 
 

@@ -207,8 +207,9 @@ def test_json_parser_rejects_malformed_documents():
         parse_graph_json("{not json", "x.json")
     with pytest.raises(ParseError):
         parse_graph_json('{"edges": []}', "x.json")
+    # a three-character string or a three-key object is no triple either
     for item in ("[0, 1]", "[0, 1, 1.0, 2]", '"012"', '{"u": 0, "v": 1, "w": 1}', "3"):
-        with pytest.raises(ParseError, match=r"^x\.json: edges\[1\]: edge "):
+        with pytest.raises(ParseError, match=r"^x\.json: edges\[1\]: edge .* is not a \(u, v, w\) triple$"):
             parse_graph_json('{"n": 3, "edges": [[1, 2, 1.0], ' + item + "]}", "x.json")
     with pytest.raises(ParseError):
         parse_graph_json('{"n": 3, "edges": [[0, 3, 1.0]]}', "x.json")
@@ -975,13 +976,14 @@ def test_exit_code_three_on_violated_preconditions(tmp_path, capsys):
     # non-unit candidate weights in algconn
     base = save_text(tmp_path, "base.txt", WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)]))
     heavy = save_text(tmp_path, "heavy.txt", WeightedGraph(3, [(0, 2, 2.0)]))
+    capsys.readouterr()
     assert main(["algconn", base, heavy, str(out), "--k", "1"]) == 3
+    assert "candidates must have weight 1 (a pair listed twice has 2): [(0, 2)]" in capsys.readouterr().err
 
     # algconn candidates on another vertex count than the base
-    capsys.readouterr()
     wide = save_text(tmp_path, "wide.txt", WeightedGraph(4, [(0, 3, 1.0)]))
     assert main(["algconn", base, wide, str(out), "--k", "1"]) == 3
-    assert "candidate file has 4 vertices, base has 3" in capsys.readouterr().err
+    assert "candidate graph has 4 vertices, base has 3" in capsys.readouterr().err
 
     # a negative tree-ensemble seed
     assert main(["ultra", g_path, str(out), "--k", "1", "--seed", "-1"]) == 3

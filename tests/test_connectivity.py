@@ -2,13 +2,12 @@
 import dataclasses
 import itertools
 import json
-import numbers
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import random_connected_graph, record_eigensolves
+from conftest import random_connected_graph, record_eigensolves, unit_graph
 from lapsparse import connectivity
 from lapsparse.core import (
     NumericalError,
@@ -39,9 +38,10 @@ def lambda2(g: WeightedGraph) -> float:
     return float(eigvalsh(laplacian(g))[1])
 
 
-def lambda2_with(base: WeightedGraph, pairs, weights) -> float:
+def lambda2_with(base: WeightedGraph, cand: WeightedGraph, weights) -> float:
+    """lambda_2 of the base plus cand's edges at the given weights, by a loop."""
     lap = laplacian(base)
-    for (u, v), w in zip(pairs, weights):
+    for u, v, w in zip(cand.u.tolist(), cand.v.tolist(), weights):
         lap[u, u] += w
         lap[v, v] += w
         lap[u, v] -= w
@@ -55,7 +55,7 @@ def random_instance(rng, n: int, m_max: int, k_max: int, extra_edges: int = 2):
     pool = sorted({(u, v) for u in range(n) for v in range(u + 1, n)} - base.edge_pairs())
     m = int(rng.integers(1, min(len(pool), m_max) + 1))
     cand = [pool[int(j)] for j in rng.choice(len(pool), size=m, replace=False)]
-    return ConnectivityInstance(base, cand, int(rng.integers(1, k_max + 1)))
+    return ConnectivityInstance(base, unit_graph(n, cand), int(rng.integers(1, k_max + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -64,65 +64,47 @@ def random_instance(rng, n: int, m_max: int, k_max: int, extra_edges: int = 2):
 
 def test_instance_canonicalizes_candidates_and_measures_delta():
     base = path3()
-    inst = ConnectivityInstance(base, [(2, 0)], 1)
-    assert inst.candidates == ((0, 2),)
+    inst = ConnectivityInstance(base, unit_graph(3, [(2, 0)]), 1)
+    assert inst.candidates == WeightedGraph(3, [(0, 2, 1.0)])
     # max degree: vertex 1 has weighted degree 2 in the base; candidates give count 1
     assert inst.delta == pytest.approx(2.0)
 
 
 def test_instance_rejects_malformed_candidates():
+    # the instance checks the candidate graph as a whole: WeightedGraph has
+    # already checked each row (test_core's rejection tests)
     base = path3()
-    with pytest.raises(PreconditionError):
-        ConnectivityInstance(base, [(0, 0)], 1)
-    with pytest.raises(PreconditionError):
-        ConnectivityInstance(base, [(0, 3)], 1)
-    with pytest.raises(PreconditionError):
-        ConnectivityInstance(base, [(0, 2), (2, 0)], 1)
-    with pytest.raises(PreconditionError):
-        ConnectivityInstance(base, [(0, 1)], 1)  # already a base edge
-    with pytest.raises(PreconditionError):
-        ConnectivityInstance(base, [(0, 2)], -1)
-    # ids are not truncated or parsed: 3.7, "0", 0.0 and True read as vertex 3, 0, 0 and 1
-    for bad in ((0, 3.7), ("0", 2), (0.0, 2), (True, 2), (0, np.float64(2.0))):
-        with pytest.raises(PreconditionError, match="needs integer vertex ids"):
-            ConnectivityInstance(base, [bad], 1)
-    # a row that is not a pair is not read as one
-    for bad in ((0, 2, 9), (2,), 2, ()):
-        with pytest.raises(PreconditionError, match=r"is not a \(u, v, w\) triple"):
-            ConnectivityInstance(base, [bad], 1)
+    cases = [
+        (unit_graph(4, [(0, 3)]), 1, "candidate graph has 4 vertices, base has 3"),
+        (unit_graph(2, [(0, 1)]), 1, "candidate graph has 2 vertices, base has 3"),
+        # a pair listed twice merges to weight 2, in either orientation
+        (unit_graph(3, [(0, 2), (2, 0)]), 1, r"must have weight 1 \(a pair listed twice has 2\): \[\(0, 2\)\]"),
+        (WeightedGraph(3, [(0, 2, 0.5)]), 1, r"must have weight 1 .*: \[\(0, 2\)\]"),
+        (unit_graph(3, [(0, 2), (1, 0)]), 1, r"candidates overlap base edges: \[\(0, 1\)\]"),
+        (unit_graph(3, [(0, 2)]), -1, "budget k must be nonnegative"),
+        (unit_graph(3, [(0, 2)]), True, "bools are not"),
+        (unit_graph(3, [(0, 2)]), False, "bools are not"),
+    ]
+    for cand, k, message in cases:
+        with pytest.raises(PreconditionError, match=message):
+            ConnectivityInstance(base, cand, k)
 
 
 @pytest.mark.parametrize("k", [1.5, 2.0, np.float64(1.0), True, False])
 def test_instance_rejects_a_budget_that_is_not_an_integer(k):
     # 1.5 and True were stored as k = 1
     with pytest.raises(PreconditionError, match="integer"):
-        ConnectivityInstance(path3(), [(0, 2)], k)
-    assert ConnectivityInstance(path3(), [(0, 2)], np.int64(1)).k == 1
+        ConnectivityInstance(path3(), unit_graph(3, [(0, 2)]), k)
+    assert ConnectivityInstance(path3(), unit_graph(3, [(0, 2)]), np.int64(1)).k == 1
 
 
-def _loop_instance(base: WeightedGraph, candidates):
-    """Candidates and delta by a loop over the pairs: each checked in input
-    order as WeightedGraph checks a unit-weight edge, then duplicates and
-    overlaps with the base."""
-    pairs = []
-    for row in candidates:
-        try:
-            u, v = row
-        except (TypeError, ValueError):
-            edge = (*row, 1) if np.iterable(row) else (row,)
-            raise PreconditionError(f"candidate {row!r}: edge {edge!r} is not a (u, v, w) triple") from None
-        if not all(isinstance(x, numbers.Integral) and not isinstance(x, bool) for x in (u, v)):
-            raise PreconditionError(
-                f"candidate {row!r}: edge {(u, v, 1)!r} needs integer vertex ids and a real weight (bools are neither)"
-            )
-        if not (0 <= u < base.n and 0 <= v < base.n):
-            raise PreconditionError(f"candidate {row!r}: edge ({u},{v}) out of range for n={base.n}")
-        if u == v:
-            raise PreconditionError(f"candidate {row!r}: self-loop at vertex {u} rejected")
-        pairs.append((int(min(u, v)), int(max(u, v))))
+def _loop_instance(base: WeightedGraph, pairs):
+    """Candidate pairs and delta by a loop over (u, v) pairs of distinct
+    vertices in range: duplicates first, then overlaps with the base."""
+    pairs = [(int(min(u, v)), int(max(u, v))) for u, v in pairs]
     repeated = sorted({pair for pair in pairs if pairs.count(pair) > 1})
     if repeated:
-        raise PreconditionError(f"duplicate candidate edges: {repeated}")
+        raise PreconditionError(f"candidates must have weight 1 (a pair listed twice has 2): {repeated}")
     overlap = set(pairs) & base.edge_pairs()
     if overlap:
         raise PreconditionError(f"candidates overlap base edges: {sorted(overlap)}")
@@ -146,15 +128,14 @@ def _outcome(build):
 
 
 def test_instance_matches_a_loop_over_the_pairs():
+    # pairs that WeightedGraph rejects as rows (ids out of range or of
+    # another type, self-loops, rows that are not pairs) are test_core's
     rng = np.random.default_rng(23)
     cases = [
         (path3(), []), (WeightedGraph(4, []), [(3, 1)]), (WeightedGraph(0, []), []),
-        (path3(), [(0, 2), (2, 0)]), (path3(), [(1, 0), (2, 1)]), (path3(), [(0, 2), (5, 5), (0, 7)]),
-        (path3(), [(0, -1)]), (path3(), [(2**70, 2**71)]), (path3(), [(0, 2**70), (1, 1)]),
-        (path3(), np.array([[2, 0]])), (path3(), [(np.int64(2), np.uint8(0))]),
-        (path3(), [(0, 2), (0, 2.5)]), (path3(), [(0, 2.0)]), (path3(), [(True, 2)]), (path3(), [("0", 2)]),
-        (path3(), [(0, 2, 9)]), (path3(), [(0, 2), 7]), (path3(), [(0, 9), (0, 2.5)]), (path3(), [(0, 2.5), (0, 9)]),
-        (path3(), np.array([[2.0, 0.0]])), (path3(), [(0, np.bool_(True))]), (path3(), [(1, 0), (0, 2), (1, 0)]),
+        (path3(), [(0, 2), (2, 0)]), (path3(), [(1, 0), (2, 1)]), (path3(), np.array([[2, 0]])),
+        (path3(), [(np.int64(2), np.uint8(0))]), (path3(), [(1, 0), (0, 2), (1, 0)]),
+        (path3(), [(0, 2), (2, 0), (0, 2)]),
     ]
     for _ in range(40):
         n = int(rng.integers(2, 12))
@@ -165,32 +146,33 @@ def test_instance_matches_a_loop_over_the_pairs():
         if rng.random() < 0.5:  # a valid set: no self-loops, duplicates or base edges, either orientation
             valid = {(min(a, b), max(a, b)) for a, b in pairs if a != b} - base.edge_pairs()
             pairs = [(b, a) if rng.random() < 0.5 else (a, b) for a, b in sorted(valid)]
-        cases.append((base, pairs))
+        cases.append((base, [(a, b) for a, b in pairs if a != b and 0 <= min(a, b) and max(a, b) < n]))
     built = 0
     for base, cand in cases:
         want = _outcome(lambda: _loop_instance(base, cand))
-        got = _outcome(lambda: ConnectivityInstance(base, cand, 1))
+        got = _outcome(lambda: ConnectivityInstance(base, unit_graph(base.n, cand), 1))
         if isinstance(want, str):
             assert got == want
             continue
         built += 1
-        assert got.candidates == want[0]
-        assert all(type(x) is int for pair in got.candidates for x in pair)
+        assert tuple(zip(got.candidates.u.tolist(), got.candidates.v.tolist())) == want[0]
+        assert got.candidates.w.tolist() == [1.0] * len(want[0])
         assert got.delta.hex() == want[1].hex()
     assert built >= 20
 
 
 def _round_two_weights_for_one_candidate():
-    inst = ConnectivityInstance(path3(), [(0, 2)], 1)
+    inst = ConnectivityInstance(path3(), unit_graph(3, [(0, 2)]), 1)
     return round_solution(inst, dataclasses.replace(solve_fractional(inst), weights=np.ones(2)))
 
 
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: solve_fractional(ConnectivityInstance(path3(), [], 1)), PreconditionError, "at least one candidate"),
+        (lambda: solve_fractional(ConnectivityInstance(path3(), unit_graph(3, []), 1)), PreconditionError,
+         "need at least one candidate edge"),
         (_round_two_weights_for_one_candidate, PreconditionError, "has 2 weights for 1 candidates"),
-        (lambda: brute_force_opt(ConnectivityInstance(WeightedGraph(1, []), [], 1)), PreconditionError,
+        (lambda: brute_force_opt(ConnectivityInstance(WeightedGraph(1, []), unit_graph(1, []), 1)), PreconditionError,
          "at least 2 vertices"),
         # lambda_2 of the path 0-1-2 is 1
         (lambda: connectivity.certify_lambda2(laplacian(path3()), 1.5), NumericalError,
@@ -209,14 +191,14 @@ def test_solver_rounding_and_oracle_check_their_inputs_and_certificate(call, err
 
 
 def test_single_candidate_takes_full_weight():
-    inst = ConnectivityInstance(path3(), [(0, 2)], 1)
+    inst = ConnectivityInstance(path3(), unit_graph(3, [(0, 2)]), 1)
     frac = solve_fractional(inst)
     assert frac.weights == pytest.approx([1.0], abs=1e-9)
     assert frac.lambda_sdp == pytest.approx(3.0, abs=1e-3)
 
 
 def test_zero_budget_keeps_the_base_value():
-    inst = ConnectivityInstance(path3(), [(0, 2)], 0)
+    inst = ConnectivityInstance(path3(), unit_graph(3, [(0, 2)]), 0)
     frac = solve_fractional(inst)
     assert frac.weights == pytest.approx([0.0], abs=0.0)
     assert frac.lambda_sdp == pytest.approx(lambda2(path3()), abs=1e-9)
@@ -228,13 +210,13 @@ def test_zero_budget_keeps_the_base_value():
 def test_disconnected_base_and_candidates_certify_zero_without_iterating():
     # vertices {0,1,2} and {3,4} stay apart whatever the weights
     base = WeightedGraph(5, [(0, 1, 1.0), (3, 4, 2.0)])
-    inst = ConnectivityInstance(base, [(1, 2), (0, 2)], 1)
+    inst = ConnectivityInstance(base, unit_graph(5, [(1, 2), (0, 2)]), 1)
     frac = solve_fractional(inst)
     assert frac.lambda_sdp == 0.0 and frac.lambda_upper == 0.0 and frac.gap == 0.0
     assert frac.iterations == 0 and frac.converged
     assert brute_force_opt(inst)[0] == pytest.approx(0.0, abs=1e-12)
     rounded = round_solution(inst, frac)
-    assert rounded.selected == ()
+    assert rounded.selection == WeightedGraph(5, [])
     assert rounded.lambda2_weighted == pytest.approx(0.0, abs=1e-12)
 
 
@@ -250,7 +232,7 @@ def test_fractional_value_never_falls_below_the_base():
             continue
         m = min(len(pool), 6)
         cand = [pool[int(j)] for j in rng.choice(len(pool), size=m, replace=False)]
-        inst = ConnectivityInstance(base, cand, 2)
+        inst = ConnectivityInstance(base, unit_graph(n, cand), 2)
         frac = solve_fractional(inst)
         assert frac.lambda_sdp >= lambda2(base) - 1e-9
         assert float(np.sum(frac.weights)) <= inst.k + 1e-8
@@ -263,7 +245,7 @@ def test_objective_is_concave_along_weight_averages():
     base = random_connected_graph(rng, 7, extra_edges=3)
     pool = sorted({(u, v) for u in range(7) for v in range(u + 1, 7)} - base.edge_pairs())
     cand = pool[:5]
-    inst = ConnectivityInstance(base, cand, 2)
+    inst = ConnectivityInstance(base, unit_graph(7, cand), 2)
 
     def value(w):
         lap = laplacian(base).copy()
@@ -291,7 +273,7 @@ def test_expander_candidates_reach_the_uniform_value():
     h = nx.random_regular_graph(4, n, seed=11)
     cand = sorted(tuple(sorted(e)) for e in h.edges())
     base = WeightedGraph(n, [])
-    inst = ConnectivityInstance(base, cand, k)
+    inst = ConnectivityInstance(base, unit_graph(n, cand), k)
     uniform = k / len(cand)
     lap = np.zeros((n, n))
     for u, v in cand:
@@ -313,8 +295,8 @@ def test_certificate_bounds_lambda2_for_any_basis_and_feasible_weights():
         inst = random_instance(rng, int(rng.integers(4, 12)), m_max=10, k_max=3)
         n = inst.base.n
         lb = laplacian(inst.base)
-        u, v = np.array(inst.candidates).T
-        m, k = len(inst.candidates), min(inst.k, len(inst.candidates))
+        u, v, m = inst.candidates.u, inst.candidates.v, inst.candidates.num_edges
+        k = min(inst.k, m)
         weights = [rng.uniform(0.0, 1.0, size=m) for _ in range(20)]
         weights = [w * min(1.0, k / float(w.sum())) for w in weights]
         weights += [np.array([1.0 if i in s else 0.0 for i in range(m)]) for s in itertools.combinations(range(m), k)]
@@ -344,7 +326,7 @@ def test_certificate_bounds_the_solver_and_the_brute_force_optimum():
         assert frac.gap == pytest.approx(frac.lambda_upper - frac.lambda_sdp, abs=0.0)
         assert frac.converged == (frac.gap <= 1e-4)
         assert brute_val <= frac.lambda_upper + 1e-12
-        w = rng.uniform(0.0, 1.0, size=len(inst.candidates))
+        w = rng.uniform(0.0, 1.0, size=inst.candidates.num_edges)
         w *= min(1.0, inst.k / float(w.sum()))
         assert lambda2_with(inst.base, inst.candidates, w) <= frac.lambda_upper + 1e-12
 
@@ -356,7 +338,7 @@ def random_sized_instance(seed: int, n: int, m: int, k: int) -> ConnectivityInst
     base = random_connected_graph(rng, n, extra_edges=n // 5)
     pool = sorted({(u, v) for u in range(n) for v in range(u + 1, n)} - base.edge_pairs())
     cand = [pool[int(j)] for j in rng.choice(len(pool), size=m, replace=False)]
-    return ConnectivityInstance(base, cand, k)
+    return ConnectivityInstance(base, unit_graph(n, cand), k)
 
 
 def benchmark_sized_instance() -> ConnectivityInstance:
@@ -396,7 +378,7 @@ def test_the_solve_stops_at_the_first_certified_gap():
     assert loose.lambda_sdp <= default.lambda_upper and default.lambda_sdp <= loose.lambda_upper
     # on the path 0-1-2 the one candidate (0,2) at full weight makes a
     # triangle; a budget for every candidate needs no Newton step
-    frac = solve_fractional(ConnectivityInstance(path3(), [(0, 2)], 1))
+    frac = solve_fractional(ConnectivityInstance(path3(), unit_graph(3, [(0, 2)]), 1))
     assert frac.iterations == 0
     assert frac.converged and frac.lambda_sdp == pytest.approx(3.0, rel=1e-12)
 
@@ -445,7 +427,7 @@ def test_relabeled_instances_certify_overlapping_brackets(seed):
     n = inst.base.n
     perm = rng.permutation(n)
     base = WeightedGraph(n, [(int(perm[u]), int(perm[v]), w) for u, v, w in inst.base.edges])
-    cand = [(int(perm[u]), int(perm[v])) for u, v in inst.candidates]
+    cand = WeightedGraph.from_arrays(n, perm[inst.candidates.u], perm[inst.candidates.v], inst.candidates.w)
     a = solve_fractional(inst)
     b = solve_fractional(ConnectivityInstance(base, cand, inst.k))
     slack = 1e-12 * max(1.0, a.lambda_upper, b.lambda_upper)
@@ -459,7 +441,7 @@ def test_relabeled_instances_certify_overlapping_brackets(seed):
 
 def ceiling(base: WeightedGraph, k: int) -> float:
     """The rounding's lambda_{k+2} of the base, with no candidate edges."""
-    return round_solution(ConnectivityInstance(base, [], k), fractional([])).lambda_k2
+    return round_solution(ConnectivityInstance(base, unit_graph(base.n, []), k), fractional([])).lambda_k2
 
 
 def test_ceiling_is_the_k_plus_second_base_eigenvalue():
@@ -477,18 +459,18 @@ def test_ceiling_is_the_k_plus_second_base_eigenvalue():
 
 
 def test_rounding_the_triangle_closure():
-    inst = ConnectivityInstance(path3(), [(0, 2)], 1)
+    inst = ConnectivityInstance(path3(), unit_graph(3, [(0, 2)]), 1)
     frac = solve_fractional(inst)
     rounded = round_solution(inst, frac)
-    assert rounded.selected == ((0, 2),)
+    assert rounded.selection.edge_pairs() == {(0, 2)}
     assert rounded.lambda2_unweighted == pytest.approx(3.0, abs=1e-9)
     assert rounded.lambda2_weighted >= rounded.floor - 1e-12
 
 
 def test_rounding_zero_budget_selects_nothing():
-    inst = ConnectivityInstance(path3(), [(0, 2)], 0)
+    inst = ConnectivityInstance(path3(), unit_graph(3, [(0, 2)]), 0)
     rounded = round_solution(inst, solve_fractional(inst))
-    assert rounded.selected == ()
+    assert rounded.selection == WeightedGraph(3, [])
     assert rounded.lambda2_weighted == pytest.approx(lambda2(path3()), abs=1e-9)
 
 
@@ -505,24 +487,17 @@ def test_rounding_respects_support_weight_and_floor_bounds():
         m = min(len(pool), 8)
         cand = [pool[int(j)] for j in rng.choice(len(pool), size=m, replace=False)]
         k = int(rng.integers(1, 4))
-        inst = ConnectivityInstance(base, cand, k)
+        inst = ConnectivityInstance(base, unit_graph(n, cand), k)
         frac = solve_fractional(inst)
         rounded = round_solution(inst, frac)
-        assert len(rounded.selected) <= 8 * k + 1
-        assert set(rounded.selected) <= set(cand)
-        for w in rounded.weights:
+        sel = rounded.selection
+        assert sel.num_edges <= 8 * k + 1
+        assert sel.edge_pairs() <= set(cand)
+        for w in sel.w:
             assert 0 < w <= 5.0 * 4.0 * inst.delta + 1e-9
         assert rounded.lambda2_weighted >= rounded.floor * (1 - 1e-6) - 1e-12
         # the reported weighted value matches a from-scratch eigensolve
-        lap = laplacian(base).copy()
-        for (u, v), w in zip(rounded.selected, rounded.weights):
-            lap[u, u] += w
-            lap[v, v] += w
-            lap[u, v] -= w
-            lap[v, u] -= w
-        assert float(np.linalg.eigvalsh(lap)[1]) == pytest.approx(
-            rounded.lambda2_weighted, rel=1e-9, abs=1e-12
-        )
+        assert lambda2_with(base, sel, sel.w) == pytest.approx(rounded.lambda2_weighted, rel=1e-9, abs=1e-12)
 
 
 def circulant_instance() -> ConnectivityInstance:
@@ -532,7 +507,7 @@ def circulant_instance() -> ConnectivityInstance:
     # positive weights, whatever the solver.
     n = 12
     cand = [(i, (i + j) % n) for j in (1, 2, 3) for i in range(n)]
-    return ConnectivityInstance(WeightedGraph(n, []), cand, 1)
+    return ConnectivityInstance(WeightedGraph(n, []), unit_graph(n, cand), 1)
 
 
 def test_rounding_runs_the_selection_engine_on_wide_supports():
@@ -541,7 +516,7 @@ def test_rounding_runs_the_selection_engine_on_wide_supports():
     assert frac.converged and frac.lambda_sdp > 0.0
     kept = int(np.sum(frac.weights > 1e-9 * max(float(np.sum(frac.weights)), 1e-300)))
     rounded = round_solution(inst, frac)
-    assert len(rounded.selected) <= 8 * inst.k + 1
+    assert rounded.selection.num_edges <= 8 * inst.k + 1
     assert rounded.lambda2_weighted >= rounded.floor * (1 - 1e-6) - 1e-12
     assert kept > 8 * inst.k + 1 and rounded.engine is not None
 
@@ -555,7 +530,7 @@ def test_rounding_takes_three_values_only_solves_or_four_with_the_engine(monkeyp
     wide = circulant_instance()
     solves = record_eigensolves(monkeypatch)
     engines = []
-    for inst in (ConnectivityInstance(path3(), [(0, 2)], 0), ConnectivityInstance(path3(), [(0, 2)], 1), wide):
+    for inst in (ConnectivityInstance(path3(), unit_graph(3, [(0, 2)]), 0), ConnectivityInstance(path3(), unit_graph(3, [(0, 2)]), 1), wide):
         frac = solve_fractional(inst)
         solves.clear()
         rounded = round_solution(inst, frac)
@@ -578,14 +553,13 @@ def test_rounding_floor_is_at_least_the_connected_base_lambda_2(tmp_path):
     assert rounded.floor >= base_l2 > 0.0
     w_star, patch = patch_of_support(inst, frac.weights, inst.k)
     assert rounded.floor > 2.0 * patch.certified_lower * lambda2(inst.base.union(w_star))
-    sel = WeightedGraph(inst.base.n, [(u, v, w) for (u, v), w in zip(rounded.selected, rounded.weights)])
-    assert connectivity.certify_lambda2(laplacian(inst.base.union(sel)), rounded.floor) == pytest.approx(
+    assert connectivity.certify_lambda2(laplacian(inst.base.union(rounded.selection)), rounded.floor) == pytest.approx(
         rounded.lambda2_weighted, rel=1e-12
     )
     # so does the floor the command line reports
     paths = [tmp_path / name for name in ("base.txt", "cand.txt", "sel.txt", "rep.json")]
     paths[0].write_text(graph_to_text(inst.base))
-    paths[1].write_text(graph_to_text(WeightedGraph(inst.base.n, [(u, v, 1.0) for u, v in inst.candidates])))
+    paths[1].write_text(graph_to_text(inst.candidates))
     assert main(["algconn", *map(str, paths[:3]), "--k", "2", "--report", str(paths[3])]) == 0
     assert json.loads(paths[3].read_text())["rounded"]["floor"] >= base_l2
 
@@ -597,17 +571,16 @@ def fractional(weights) -> connectivity.FractionalSolution:
 
 
 def test_rounding_keeps_a_fitting_support_and_certifies_its_own_lambda_2():
-    inst = ConnectivityInstance(path3(), [(0, 2)], 1)
+    inst = ConnectivityInstance(path3(), unit_graph(3, [(0, 2)]), 1)
     rounded = round_solution(inst, fractional([0.5]))
-    assert rounded.selected == ((0, 2),) and rounded.weights == (0.5,)
+    assert rounded.selection == WeightedGraph(3, [(0, 2, 0.5)])
     assert rounded.floor == rounded.lambda2_weighted and rounded.engine is None
 
 
 def patch_of_support(inst: ConnectivityInstance, weights: np.ndarray, k: int):
     """`sparsify_patch` of the positive weights against the base, with budget 8k+1."""
     kept = weights > 1e-9 * float(np.sum(weights))
-    u, v = np.array(inst.candidates).T
-    w_star = WeightedGraph.from_arrays(inst.base.n, u[kept], v[kept], weights[kept])
+    w_star = WeightedGraph.from_arrays(inst.base.n, inst.candidates.u[kept], inst.candidates.v[kept], weights[kept])
     return w_star, sparsify_patch(inst.base, w_star, k, 8 * inst.k + 1)
 
 
@@ -619,9 +592,28 @@ def test_rounding_the_circulant_support_sparsifies_it_against_the_base():
     frac = solve_fractional(inst)
     rounded = round_solution(inst, frac)
     _, patch = patch_of_support(inst, frac.weights, inst.k)
-    assert [(u, v, w) for (u, v), w in zip(rounded.selected, rounded.weights)] == list(patch.wk.edges)
+    assert rounded.selection == patch.wk
     assert rounded.engine.weights.tolist() == patch.engine_results[0].weights.tolist()
     assert rounded.floor == patch.certified_lower == 0.0
+
+
+def test_the_engine_exit_returns_the_patch_selection_itself(monkeypatch):
+    # round_solution hands back sparsify_patch's W_k as it is, with no remap
+    # to candidate indices, and an independent patch call gives the same graph
+    inst = random_sized_instance(41, 24, 60, 2)
+    frac = solve_fractional(inst)
+    patches = []
+
+    def recording(*args, _original=connectivity.sparsify_patch):
+        patches.append(_original(*args))
+        return patches[-1]
+
+    monkeypatch.setattr(connectivity, "sparsify_patch", recording)
+    rounded = round_solution(inst, frac)
+    (patch,) = patches
+    assert rounded.engine is patch.engine_results[0]
+    assert rounded.selection is patch.wk
+    assert rounded.selection == patch_of_support(inst, frac.weights, inst.k)[1].wk
 
 
 def test_rounding_a_disconnected_wide_support_keeps_its_heaviest_weights():
@@ -630,12 +622,12 @@ def test_rounding_a_disconnected_wide_support_keeps_its_heaviest_weights():
     path = [(i, i + 1, 1.0) for i in range(11)]
     base = WeightedGraph(24, path + [(u + 12, v + 12, w) for u, v, w in path])
     cand = [(u, v) for u in range(12) for v in range(u + 2, 12)][:30]
-    inst = ConnectivityInstance(base, cand, 1)
+    inst = ConnectivityInstance(base, unit_graph(24, cand), 1)
     weights = np.full(30, 1.0 / 30)
     weights[[4, 17]] = 0.05  # the two heaviest stay whatever the tie-breaking
     rounded = round_solution(inst, fractional(weights))
-    assert len(rounded.selected) == 9 and rounded.engine is None
-    assert {cand[4], cand[17]} <= set(rounded.selected)
+    assert rounded.selection.num_edges == 9 and rounded.engine is None
+    assert {cand[4], cand[17]} <= rounded.selection.edge_pairs()
     assert rounded.floor == 0.0
     assert rounded.lambda2_weighted == pytest.approx(0.0, abs=1e-12)
 
@@ -647,15 +639,15 @@ def test_rounding_caps_k_below_the_image_rank():
     base = WeightedGraph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
     cand = sorted({(u, v) for u in range(n) for v in range(u + 1, n)} - base.edge_pairs())
     k = n - 1
-    inst = ConnectivityInstance(base, cand, k)
+    inst = ConnectivityInstance(base, unit_graph(n, cand), k)
     weights = np.full(len(cand), k / len(cand))
     rounded = round_solution(inst, fractional(weights))
     assert rounded.engine is not None
-    assert len(cand) > len(rounded.selected) > 0 and len(rounded.selected) <= 8 * k + 1
-    assert sum(rounded.weights) <= k * (1 + 1e-9)
+    assert len(cand) > rounded.selection.num_edges > 0 and rounded.selection.num_edges <= 8 * k + 1
+    assert rounded.selection.weight_sum() <= k * (1 + 1e-9)
     # the floor is the patch's certified factor times lambda_2(G + W*)
     w_star, patch = patch_of_support(inst, weights, n - 2)
-    assert [(u, v, w) for (u, v), w in zip(rounded.selected, rounded.weights)] == list(patch.wk.edges)
+    assert rounded.selection == patch.wk
     assert rounded.floor == pytest.approx(patch.certified_lower * lambda2(base.union(w_star)), rel=1e-12)
     assert rounded.floor > 0.0
     assert rounded.lambda2_weighted >= rounded.floor * (1 - 1e-6) - 1e-12
@@ -667,24 +659,24 @@ def test_rounding_caps_k_below_the_image_rank():
 
 def test_brute_force_on_empty_and_saturated_budgets():
     base = path3()
-    val, chosen = brute_force_opt(ConnectivityInstance(base, [], 2))
-    assert chosen == ()
+    val, chosen = brute_force_opt(ConnectivityInstance(base, unit_graph(3, []), 2))
+    assert chosen == WeightedGraph(3, [])
     assert val == pytest.approx(lambda2(base), abs=1e-12)
-    val_full, chosen_full = brute_force_opt(ConnectivityInstance(base, [(0, 2)], 5))
-    assert chosen_full == ((0, 2),)
+    val_full, chosen_full = brute_force_opt(ConnectivityInstance(base, unit_graph(3, [(0, 2)]), 5))
+    assert chosen_full == unit_graph(3, [(0, 2)])
     assert val_full == pytest.approx(3.0, abs=1e-9)
 
 
 def test_brute_force_triangle():
-    val, chosen = brute_force_opt(ConnectivityInstance(path3(), [(0, 2)], 1))
+    val, chosen = brute_force_opt(ConnectivityInstance(path3(), unit_graph(3, [(0, 2)]), 1))
     assert val == pytest.approx(3.0, abs=1e-9)
-    assert chosen == ((0, 2),)
+    assert chosen == unit_graph(3, [(0, 2)])
 
 
 def test_brute_force_refuses_oversized_searches():
     n = 40
     base = WeightedGraph(n, [(i, i + 1, 1.0) for i in range(n - 1)])
     pool = sorted({(u, v) for u in range(n) for v in range(u + 1, n)} - base.edge_pairs())
-    inst = ConnectivityInstance(base, pool[:60], 10)
+    inst = ConnectivityInstance(base, unit_graph(n, pool[:60]), 10)
     with pytest.raises(TooLargeError):
         brute_force_opt(inst)

@@ -159,6 +159,11 @@ def test_graph_rejects_bad_edges():
     for n in (2**63, 3_037_000_500):
         with pytest.raises(PreconditionError, match=f"vertex count {n} exceeds 3037000499"):
             WeightedGraph(n, [])
+    # a count past Python's int-to-str digit limit is named, not written out
+    with pytest.raises(PreconditionError, match=r"^vertex count <int too long to print> exceeds 3037000499"):
+        WeightedGraph(10**5000, [])
+    with pytest.raises(PreconditionError, match="^vertex count must be nonnegative, got <int too long to print>$"):
+        WeightedGraph(-(10**5000), [])
     with pytest.raises(PreconditionError, match="exceeds 3037000499"):
         WeightedGraph.from_arrays(10**23, np.array([0]), np.array([1]), np.array([1.0]))
     empty = np.zeros(0, dtype=np.int64)
@@ -177,13 +182,16 @@ def test_graph_rejects_bad_edges():
 
 def test_graph_rejects_non_integer_ids_and_bools():
     # ids are not truncated, and bools are neither ids nor weights
-    for row in ((0.0, 1.9, 1.0), (0, 1.0, 1.0), (True, 2, 1.0), (0, 1, True), (0, 1, np.bool_(True)), (0, 1, "1.5")):
+    for row in ((0.0, 1.9, 1.0), (0, 1.0, 1.0), (True, 2, 1.0), (0, 1, True), (0, 1, np.bool_(True)), (0, 1, "1.5"),
+                ("0", 2, 1.0), (0, np.bool_(True), 1.0), (0, np.float64(2.0), 1.0)):
         with pytest.raises(PreconditionError, match=r"edge \(.*\) needs integer vertex ids and a real weight"):
             WeightedGraph(3, [(0, 2, 1.0), row])
     with pytest.raises(PreconditionError, match="integer vertex ids"):
         WeightedGraph.from_arrays(3, np.array([0.0]), np.array([1]), np.array([1.0]))
     with pytest.raises(PreconditionError, match=r"edge \(0,\d+\) out of range for n=3"):
         WeightedGraph(3, [(0, 2**70, 1.0)])
+    with pytest.raises(PreconditionError, match=r"edge \(0,-1\) out of range for n=3"):
+        WeightedGraph(3, [(0, -1, 1.0)])
     g = WeightedGraph(3, [(np.int64(0), np.uint8(2), 1), (np.int16(2), 1, 0.5)])
     assert g.edges == ((0, 2, 1.0), (1, 2, 0.5))
 
@@ -195,6 +203,15 @@ def test_graph_rejects_non_integer_ids_and_bools():
         ([(0, 1, 1.0), (1, 2, "x"), (2, True, 1.0)], 1, r"edge \(1, 2, 'x'\) needs integer vertex ids"),
         ([(0, 1, 1.0), (0, 1), (1, 2, 1.0)], 1, r"edge \(0, 1\) is not a \(u, v, w\) triple"),
         ([(0, 1, 1.0), 7], 1, r"edge 7 is not a \(u, v, w\) triple"),
+        # text and mappings iterate as characters or keys, bytes as small ints
+        # and sets in hash order: none is read as a triple, whatever its members
+        ([(0, 1, 1.0), "uvw"], 1, r"^edge 'uvw' is not a \(u, v, w\) triple$"),
+        ([(0, 1, 1.0), b"\x00\x02\x01"], 1, r"^edge b'\\x00\\x02\\x01' is not a \(u, v, w\) triple$"),
+        ([(0, 1, 1.0), {0: "u", 2: "v", 1: "w"}], 1, r"^edge \{0: 'u', 2: 'v', 1: 'w'\} is not a \(u, v, w\) triple$"),
+        ([(0, 1, 1.0), frozenset((0, 2, 5.0))], 1, r"^edge frozenset\(.*\) is not a \(u, v, w\) triple$"),
+        # an id past Python's int-to-str digit limit is named, not written out
+        ([(0, 10**5000, 1.0)], 0, r"^edge \(0,<int too long to print>\) out of range for n=3$"),
+        ([(1, 2, 1.0), (10**5000,)], 1, r"^edge <tuple too long to print> is not a \(u, v, w\) triple$"),
         ([(0, 1, 1.0), (1, 2, 10**400)], 1, r"edge \(1,2\) needs a positive finite weight, got an integer too large"),
         ([(0, 1, 1.0), (1, 2**64, 1.0)], 1, r"edge \(1,18446744073709551616\) out of range for n=3"),
         # a value failure before a row that cannot be read is the first
@@ -203,7 +220,9 @@ def test_graph_rejects_non_integer_ids_and_bools():
         ([(0, 1, 1e308), (1, 0, 1e308), (0, 2), (1, 2, -1.0)], 1, r"parallel edges \(0,1\) merge"),
         ([(0, 1, 1.0), (1, 2, 0.0), (0, 9, 1.0)], 1, "needs a positive finite weight, got 0.0"),
     ],
-    ids=["types-in-row-order", "short-row", "scalar-row", "weight-beyond-float", "id-beyond-int64",
+    ids=["types-in-row-order", "short-row", "scalar-row", "str-row", "bytes-row", "mapping-row", "set-row",
+         "id-past-digit-limit",
+         "row-past-digit-limit", "weight-beyond-float", "id-beyond-int64",
          "range-before-type", "self-loop-before-huge-weight", "merge-before-short-row", "zero-weight-before-range"],
 )
 def test_graph_errors_carry_the_position_of_the_first_bad_edge(edges, position, message):

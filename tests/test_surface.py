@@ -2,7 +2,9 @@
 calls no solver of its own, and no command loads scipy: only the reference
 solver core.eigvalsh imports it, when it is called. Each command loads only
 the modules of the package that it runs, and no command loads numpy.ma.
-Only the patch module builds an engine instance.
+Only the patch module builds an engine instance. Graphs stay arrays inside
+the package: no loop iterates WeightedGraph.edges, and nothing reads
+WeightedGraph.edge_pairs.
 
 A public module-level function, class or constant of lapsparse must be
 referenced by other code in the package or be exported in
@@ -142,6 +144,20 @@ def test_no_loop_iterates_graph_edges():
             if any(isinstance(sub, ast.Attribute) and sub.attr == "edges" for sub in ast.walk(expr)):
                 offenders.append(f"{path.name}:{expr.lineno}: {ast.unparse(expr)}")
     assert not offenders, "loops over .edges: " + "; ".join(offenders)
+
+
+def test_no_module_reads_graphs_as_pair_sets():
+    # WeightedGraph.edge_pairs builds a set of Python pairs for callers
+    # outside the package, as .edges builds triples; inside it, candidates,
+    # selections and their checks stay arrays
+    offenders = [
+        f"{path.name}:{node.lineno}: {ast.unparse(node)}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "edge_pairs"
+        or isinstance(node, ast.Name) and node.id == "edge_pairs"
+    ]
+    assert not offenders, "references to edge_pairs: " + "; ".join(offenders)
 
 
 def _callee(call) -> str:
