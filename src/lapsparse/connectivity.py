@@ -55,6 +55,9 @@ class ConnectivityInstance:
 
     def __post_init__(self):
         base, cand, k = self.base, self.candidates, self.k
+        if not (isinstance(base, WeightedGraph) and isinstance(cand, WeightedGraph)):
+            kinds = f"{type(base).__name__}, {type(cand).__name__}"
+            raise PreconditionError(f"base and candidates must be WeightedGraphs, got {kinds}")
         if not _integral(type(k)) or k < 0:
             raise PreconditionError(f"budget k must be nonnegative and an integer (bools are not), got {k!r}")
         if cand.n != base.n:

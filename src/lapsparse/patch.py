@@ -175,6 +175,8 @@ def sparsify_patch(
         )
     else:
         n_eff = int(n_budget)
+    if w.n != g.n:
+        raise PreconditionError(f"vertex count mismatch: {g.n} vs {w.n}")
     if not w.num_edges:
         # nothing to select; the sandwich of L_G against itself is exactly 1
         return PatchSparsifier(

@@ -35,57 +35,46 @@ C1 = 4.0
 
 @dataclass(frozen=True)
 class SpanningTree:
-    """Rooted spanning tree with the structures stretch queries need.
+    """Spanning tree `graph`, rooted, with the structures stretch queries need.
 
-    parent[v] is v's parent (-1 at the root, vertex 0); parent_weight[v] the
-    weight of the edge to the parent; depth[v] the edge count to the root;
-    resistance_to_root[v] the sum of 1/w along the root path. ancestors is
-    the binary-lifting table for lowest-common-ancestor queries.
+    parent[v] is v's parent (-1 at the root, vertex 0); depth[v] the edge
+    count to the root; resistance_to_root[v] the sum of 1/w along the root
+    path. ancestors is the binary-lifting table for lowest-common-ancestor
+    queries.
     """
 
-    n: int
+    graph: WeightedGraph
     parent: np.ndarray
-    parent_weight: np.ndarray
     depth: np.ndarray
     resistance_to_root: np.ndarray
     ancestors: np.ndarray
 
-    @staticmethod
-    def build(n: int, u, v, w) -> "SpanningTree":
-        """Root the n-1 tree edges (u[i], v[i]) of weight w[i], in either
-        orientation, at vertex 0 and precompute tables.
+    @property
+    def n(self) -> int:
+        return self.graph.n
 
-        Raises PreconditionError for endpoints that are not integers, a
-        wrong edge count, an endpoint outside 0..n-1 or a weight that is not
-        finite and positive, and DisconnectedError when the edges do not
-        span the n vertices.
+    @staticmethod
+    def build(tree: WeightedGraph) -> "SpanningTree":
+        """Root the tree graph at vertex 0 and precompute tables.
+
+        `WeightedGraph` has checked every edge; raises PreconditionError
+        unless the tree has n - 1 edges, and DisconnectedError when they do
+        not span the n vertices.
         """
-        u, v = np.asarray(u), np.asarray(v)
-        if u.dtype.kind not in "iu" or v.dtype.kind not in "iu":
-            raise PreconditionError(f"tree edge endpoints need integer vertex ids, got {u.dtype}, {v.dtype}")
-        u, v, w = u.astype(np.int64, copy=False), v.astype(np.int64, copy=False), np.asarray(w, dtype=float)
-        if not u.size == v.size == w.size == n - 1:
-            raise PreconditionError(f"a spanning tree on {n} vertices needs {n - 1} edges, got {u.size}")
-        outside = np.flatnonzero((u < 0) | (u >= n) | (v < 0) | (v >= n))
-        if outside.size:
-            i = outside[0]
-            raise PreconditionError(f"tree edge ({u[i]},{v[i]}) out of range for n={n}")
-        unweighted = np.flatnonzero(~((w > 0) & np.isfinite(w)))
-        if unweighted.size:
-            i = unweighted[0]
-            raise PreconditionError(f"tree edge ({u[i]},{v[i]}) needs a positive finite weight, got {w[i]}")
+        n = tree.n
+        if tree.num_edges != n - 1:
+            raise PreconditionError(f"a spanning tree on {n} vertices needs {n - 1} edges, got {tree.num_edges}")
         # breadth-first from vertex 0; each vertex's depth and resistance are
         # summed edge by edge from the root down, as it is reached
-        _, ends, weights, start = _arcs(n, u, v, w)
+        _, ends, weights, start = _arcs(n, tree.u, tree.v, tree.w)
         head, weight, first = ends.tolist(), weights.tolist(), start.tolist()
-        up, up_weight, depth, resistance = [-2] * n, [0.0] * n, [0] * n, [0.0] * n
+        up, depth, resistance = [-2] * n, [0] * n, [0.0] * n
         up[0], order = -1, [0]
         for x in order:  # grows as vertices are reached
             for i in range(first[x], first[x + 1]):
                 y = head[i]
                 if up[y] == -2:
-                    up[y], up_weight[y] = x, weight[i]
-                    depth[y], resistance[y] = depth[x] + 1, resistance[x] + 1.0 / weight[i]
+                    up[y], depth[y], resistance[y] = x, depth[x] + 1, resistance[x] + 1.0 / weight[i]
                     order.append(y)
         if len(order) < n:
             raise DisconnectedError("edge set does not span all vertices")
@@ -97,17 +86,12 @@ class SpanningTree:
             prev = anc[j - 1]
             anc[j] = np.where(prev >= 0, prev[prev], -1)
         return SpanningTree(
-            n=n,
+            graph=tree,
             parent=parent,
-            parent_weight=np.array(up_weight),
             depth=np.array(depth),
             resistance_to_root=np.array(resistance),
             ancestors=anc,
         )
-
-    def graph(self) -> WeightedGraph:
-        child = np.flatnonzero(self.parent >= 0)
-        return WeightedGraph.from_arrays(self.n, child, self.parent[child], self.parent_weight[child])
 
     def lca(self, u, v):
         """Lowest common ancestors of the pairs (u[i], v[i]) by binary
@@ -224,9 +208,9 @@ def candidate_trees(g: WeightedGraph, seed: int = 0) -> list:
     trees = []
     for parent, weight in zip(*_shortest_path_trees(g, roots)):
         child = np.flatnonzero(parent >= 0)
-        trees.append(SpanningTree.build(g.n, child, parent[child], weight[child]))
+        trees.append(SpanningTree.build(WeightedGraph.from_arrays(g.n, child, parent[child], weight[child])))
     mst = _maximum_spanning_tree(g)
-    trees.append(SpanningTree.build(g.n, g.u[mst], g.v[mst], g.w[mst]))
+    trees.append(SpanningTree.build(WeightedGraph.from_arrays(g.n, g.u[mst], g.v[mst], g.w[mst])))
     return trees
 
 
@@ -249,14 +233,11 @@ def tree_stretch(g: WeightedGraph, tree: SpanningTree) -> StretchReport:
     """
     if tree.n != g.n:
         raise PreconditionError(f"tree spans {tree.n} vertices, graph has {g.n}")
-    child = np.flatnonzero(tree.parent >= 0)
-    lo, hi = np.minimum(child, tree.parent[child]), np.maximum(child, tree.parent[child])
-    outside = np.flatnonzero(~np.isin(lo * g.n + hi, g.u * g.n + g.v))
+    t = tree.graph
+    outside = np.flatnonzero(~np.isin(t.u * g.n + t.v, g.u * g.n + g.v))
     if outside.size:
         i = outside[0]
-        raise PreconditionError(f"tree edge ({lo[i]},{hi[i]}) is not an edge of the graph")
-    if not g.num_edges:
-        return StretchReport(per_edge=(), total=0.0)
+        raise PreconditionError(f"tree edge ({t.u[i]},{t.v[i]}) is not an edge of the graph")
     u, v, w = g.u, g.v, g.w
     resistance = tree.resistance_to_root
     a = tree.lca(u, v)
@@ -274,7 +255,7 @@ def sw_trace_check(g: WeightedGraph, tree: SpanningTree, report: StretchReport) 
     1e-7 * stretch and the tail counts #{lambda > t} stay below st/t for
     every t in TAIL_PROBES.
     """
-    (vals,) = factor_laplacian(tree.graph()).pencil_spectra(g)  # a spanning tree is one block
+    (vals,) = factor_laplacian(tree.graph).pencil_spectra(g)  # a spanning tree is one block
     trace = float(np.sum(vals))
     stretch = report.total
     if abs(trace - stretch) > 1e-7 * stretch:
@@ -333,7 +314,6 @@ def build_ultrasparsifier(g: WeightedGraph, k: int, seed: int = 0) -> UltraResul
     trace = sw_trace_check(g, tree, report)
     kappa_target = C1 * report.total / k
     scale = 1.0 / kappa_target
-    t_graph = tree.graph()
     if g.num_edges == g.n - 1:  # G is a tree, so T = G and W_k is empty
         patch, u = None, g
     else:
@@ -346,8 +326,8 @@ def build_ultrasparsifier(g: WeightedGraph, k: int, seed: int = 0) -> UltraResul
                 f"scaling by 1/kappa_target, kappa_target = {kappa_target!r}, takes the weight"
                 f" {float(g.w[i])!r} of edge ({g.u[i]},{g.v[i]}) to {float(scaled[i])!r}"
             )
-        patch = sparsify_patch(t_graph, g.scale(scale), k, 8 * k + 1)
-        u = t_graph.union(patch.wk)
+        patch = sparsify_patch(tree.graph, g.scale(scale), k, 8 * k + 1)
+        u = tree.graph.union(patch.wk)
 
     # the engine's floor 1 / ceiling on the (L_G, L_U) pencil caps kappa; a
     # tree has no engine floor: its certified constant is the measured one

@@ -168,7 +168,7 @@ def test_04_tree_trace_identity_tails_and_cycle_exactness():
         assert report == tree_stretch(g, tree)
         trace, stretch = sw_trace_check(g, tree, report), report.total
         assert abs(trace - stretch) <= 1e-7 * stretch
-        vals = pencil_eigenvalues(laplacian(g), laplacian(tree.graph()))
+        vals = pencil_eigenvalues(laplacian(g), laplacian(tree.graph))
         for t in TAIL_PROBES:
             assert int(np.sum(vals > t)) <= stretch / t
 
@@ -190,7 +190,7 @@ def test_05_patch_certificates_for_scaled_inputs():
         stretch = report.total
         kappa = C1 * stretch / k
         w = g.scale(1.0 / kappa)
-        params = verify_patch(tree.graph(), w, k)
+        params = verify_patch(tree.graph, w, k)
         assert params.lambda_star >= 4.0 / 5.0 - 1e-6
         assert params.T_patch <= k / C1 + 1e-6
 

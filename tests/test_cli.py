@@ -968,6 +968,12 @@ def test_exit_code_three_on_violated_preconditions(tmp_path, capsys):
     assert main(["sparsify-patch", g_path, empty, str(out), "--k", "-1"]) == 3
     assert "k must be nonnegative" in capsys.readouterr().err
 
+    # vertex-count mismatch in sparsify-patch, with W empty or not
+    for w_n, edges in ((9, []), (9, [(0, 8, 1.0)])):
+        other = save_text(tmp_path, "other.txt", WeightedGraph(w_n, edges))
+        assert main(["sparsify-patch", g_path, other, str(out), "--k", "0"]) == 3
+        assert "vertex count mismatch: 8 vs 9" in capsys.readouterr().err
+
     # vertex-count mismatch in verify
     small = save_text(tmp_path, "small.txt", WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)]))
     assert main(["verify", g_path, small]) == 3

@@ -90,6 +90,15 @@ def test_instance_rejects_malformed_candidates():
             ConnectivityInstance(base, cand, k)
 
 
+@pytest.mark.parametrize("which", ["base", "candidates"])
+def test_instance_rejects_a_base_or_candidates_that_is_not_a_graph(which):
+    # a list of (u, v) pairs is not a graph: the instance names the type it needs
+    graphs = {"base": path3(), "candidates": unit_graph(3, [(0, 2)])}
+    graphs[which] = [(0, 2)]
+    with pytest.raises(PreconditionError, match=r"base and candidates must be WeightedGraphs, got .*list"):
+        ConnectivityInstance(graphs["base"], graphs["candidates"], 1)
+
+
 @pytest.mark.parametrize("k", [1.5, 2.0, np.float64(1.0), True, False])
 def test_instance_rejects_a_budget_that_is_not_an_integer(k):
     # 1.5 and True were stored as k = 1

@@ -178,6 +178,17 @@ def test_graph_rejects_bad_edges():
         WeightedGraph(3, [(0, 1, 1e308), (0, 5, 1.0), (1, 0, 1e308)])
     with pytest.raises(PreconditionError, match=r"edge \(0,1\) needs a positive finite weight, got nan"):
         WeightedGraph(3, [(1, 2, 1.0), (0, 1, float("nan"))])
+    for u, v, bad in (([0, 1], [1, 5], "1,5"), ([0, 1], [1, -1], "1,-1")):
+        with pytest.raises(PreconditionError, match=rf"edge \({bad}\) out of range for n=3") as caught:
+            WeightedGraph.from_arrays(3, u, v, [1.0, 1.0])
+        assert caught.value.edge == 1
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
+def test_graph_from_arrays_rejects_a_weight_that_is_not_finite_and_positive(bad):
+    with pytest.raises(PreconditionError, match=r"edge \(1,2\) needs a positive finite weight") as caught:
+        WeightedGraph.from_arrays(3, [0, 1], [1, 2], [1.0, bad])
+    assert type(caught.value) is PreconditionError and caught.value.edge == 1
 
 
 def test_graph_rejects_non_integer_ids_and_bools():
@@ -186,8 +197,10 @@ def test_graph_rejects_non_integer_ids_and_bools():
                 ("0", 2, 1.0), (0, np.bool_(True), 1.0), (0, np.float64(2.0), 1.0)):
         with pytest.raises(PreconditionError, match=r"edge \(.*\) needs integer vertex ids and a real weight"):
             WeightedGraph(3, [(0, 2, 1.0), row])
-    with pytest.raises(PreconditionError, match="integer vertex ids"):
-        WeightedGraph.from_arrays(3, np.array([0.0]), np.array([1]), np.array([1.0]))
+    # a non-integer or bool id is no vertex at all, not the one it truncates to
+    for u, v in ((np.array([0.7]), np.array([1])), (np.array([0]), np.array([True]))):
+        with pytest.raises(PreconditionError, match="integer vertex ids"):
+            WeightedGraph.from_arrays(3, u, v, np.array([1.0]))
     with pytest.raises(PreconditionError, match=r"edge \(0,\d+\) out of range for n=3"):
         WeightedGraph(3, [(0, 2**70, 1.0)])
     with pytest.raises(PreconditionError, match=r"edge \(0,-1\) out of range for n=3"):

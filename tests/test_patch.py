@@ -146,6 +146,14 @@ def test_sparsify_empty_patch_returns_empty_selection():
     assert result.measured_upper == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("n", [5, 9])
+def test_sparsify_rejects_an_empty_patch_on_another_vertex_count(n):
+    # an empty W skips the union that checks the vertex counts
+    g = random_connected_graph(np.random.default_rng(8), 7, extra_edges=3)
+    with pytest.raises(PreconditionError, match=f"vertex count mismatch: 7 vs {n}"):
+        sparsify_patch(g, WeightedGraph(n, []), 0)
+
+
 def test_sparsify_rejects_undersized_budget():
     rng = np.random.default_rng(10)
     g = random_connected_graph(rng, 7, extra_edges=3)

@@ -4,7 +4,7 @@ solver core.eigvalsh imports it, when it is called. Each command loads only
 the modules of the package that it runs, and no command loads numpy.ma.
 Only the patch module builds an engine instance. Graphs stay arrays inside
 the package: no loop iterates WeightedGraph.edges, and nothing reads
-WeightedGraph.edge_pairs.
+WeightedGraph.edge_pairs. Only WeightedGraph checks edges.
 
 A public module-level function, class or constant of lapsparse must be
 referenced by other code in the package or be exported in
@@ -158,6 +158,35 @@ def test_no_module_reads_graphs_as_pair_sets():
         or isinstance(node, ast.Name) and node.id == "edge_pairs"
     ]
     assert not offenders, "references to edge_pairs: " + "; ".join(offenders)
+
+
+# The messages of WeightedGraph's edge checks, the one edge validator.
+EDGE_FAULTS = ("out of range for n=", "positive finite weight")
+
+
+def edge_fault_raises(src: Path = SRC) -> list:
+    """"module.py:line" of every raise statement in the package whose
+    message text names an edge fault of EDGE_FAULTS."""
+    return [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Raise)
+        and any(
+            isinstance(sub, ast.Constant) and isinstance(sub.value, str) and fault in sub.value
+            for sub in ast.walk(node)
+            for fault in EDGE_FAULTS
+        )
+    ]
+
+
+def test_only_weighted_graph_checks_edges():
+    # graphs are built by WeightedGraph, which checks every edge and names
+    # the first bad one; no module checks edges of its own again
+    sites = edge_fault_raises()
+    offenders = [site for site in sites if not site.startswith("core.py:")]
+    assert not offenders, "edge checks outside core.py: " + "; ".join(offenders)
+    assert sites  # the guard sees core's own checks
 
 
 def _callee(call) -> str:

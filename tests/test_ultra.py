@@ -9,7 +9,7 @@ import scipy.sparse.csgraph
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import random_connected_graph, record_laplacian_factors, spread_graph
-from lapsparse import engine
+from lapsparse import engine, ultra
 from lapsparse.core import (
     DisconnectedError,
     NumericalError,
@@ -22,6 +22,7 @@ from lapsparse.patch import sparsify_patch
 from lapsparse.ultra import (
     TAIL_PROBES,
     SpanningTree,
+    StretchReport,
     _maximum_spanning_tree,
     _shortest_path_trees,
     build_ultrasparsifier,
@@ -33,9 +34,8 @@ from lapsparse.ultra import (
 
 
 def build_tree(n: int, edges) -> SpanningTree:
-    """SpanningTree from a list of (u, v, w) triples."""
-    u, v, w = zip(*edges)
-    return SpanningTree.build(n, u, v, w)
+    """SpanningTree of the graph on n vertices with the (u, v, w) triples `edges`."""
+    return SpanningTree.build(WeightedGraph(n, edges))
 
 
 def cycle(n: int) -> WeightedGraph:
@@ -62,34 +62,15 @@ def test_tree_build_tables_on_a_branched_tree():
     assert t.lca(3, 2) == 0
     assert t.lca(1, 3) == 1
     assert t.lca(0, 4) == 0
-    back = t.graph()
-    assert back.edges == WeightedGraph(5, edges).edges
+    assert t.graph == WeightedGraph(5, edges) and t.n == 5
 
 
 def test_tree_build_rejects_wrong_edge_count_and_non_spanning_sets():
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError, match="needs 3 edges, got 2"):
         build_tree(4, [(0, 1, 1.0), (1, 2, 1.0)])
-    with pytest.raises(DisconnectedError):
+    # a repeated edge merges in the graph, which then has too few edges
+    with pytest.raises(PreconditionError, match="needs 3 edges, got 2") as caught:
         build_tree(4, [(0, 1, 1.0), (0, 1, 1.0), (2, 3, 1.0)])
-
-
-def test_tree_build_rejects_an_out_of_range_vertex():
-    with pytest.raises(PreconditionError, match="out of range") as caught:
-        SpanningTree.build(3, [0, 1], [1, 5], [1.0, 1.0])
-    assert type(caught.value) is PreconditionError
-    with pytest.raises(PreconditionError, match="out of range"):
-        SpanningTree.build(3, [-1, 1], [1, 2], [1.0, 1.0])
-    # a non-integer id is no vertex at all, not the one it truncates to
-    with pytest.raises(PreconditionError, match="integer vertex ids"):
-        SpanningTree.build(2, [0.7], [1.2], [1.0])
-    with pytest.raises(PreconditionError, match="integer vertex ids"):
-        SpanningTree.build(2, [0], [True], [1.0])
-
-
-@pytest.mark.parametrize("bad", [0.0, -1.0, float("nan"), float("inf")])
-def test_tree_build_rejects_a_weight_that_is_not_finite_and_positive(bad):
-    with pytest.raises(PreconditionError, match="positive finite weight") as caught:
-        SpanningTree.build(3, [0, 1], [1, 2], [1.0, bad])
     assert type(caught.value) is PreconditionError
 
 
@@ -120,7 +101,7 @@ def test_tree_tables_follow_each_root_path(n, seed, chain):
         resistance = 0.0
         for y in reversed(path[:-1]):  # summed from the root down
             resistance += 1.0 / weight[y]
-        assert (t.parent[x], t.parent_weight[x], t.depth[x]) == (up[x], weight[x], len(path) - 1)
+        assert (t.parent[x], t.depth[x]) == (up[x], len(path) - 1)
         assert t.resistance_to_root[x] == resistance
         for j in range(t.ancestors.shape[0]):
             assert t.ancestors[j, x] == (path[2**j] if 2**j < len(path) else -1)
@@ -249,7 +230,7 @@ def test_candidate_trees_are_spanning_trees_of_the_graph():
     trees = candidate_trees(g)
     assert trees
     for t in trees:
-        tg = t.graph()
+        tg = t.graph
         assert tg.num_edges == g.n - 1
         assert tg.edge_pairs() <= g.edge_pairs()
         assert tg.is_connected()
@@ -269,7 +250,7 @@ def test_low_stretch_tree_of_a_tree_is_the_tree_itself():
     rng = np.random.default_rng(45)
     g = random_connected_graph(rng, 10, extra_edges=0)
     t, report = low_stretch_tree(g)
-    assert t.graph().edges == g.edges
+    assert t.graph == g
     assert report.total == pytest.approx(9.0, abs=1e-12)
 
 
@@ -280,7 +261,7 @@ def test_low_stretch_tree_of_a_tree_is_the_tree_itself():
 def test_tree_edges_have_unit_stretch():
     rng = np.random.default_rng(47)
     g = random_connected_graph(rng, 12, extra_edges=0, wmin=0.1, wmax=5.0)
-    t = SpanningTree.build(g.n, g.u, g.v, g.w)
+    t = SpanningTree.build(g)
     report = tree_stretch(g, t)
     assert np.allclose(report.per_edge, 1.0, atol=1e-12)
 
@@ -380,6 +361,11 @@ def test_tree_stretch_rejects_a_foreign_tree():
         tree_stretch(star, path)
 
 
+def test_tree_stretch_of_a_one_vertex_graph_is_empty():
+    g = WeightedGraph(1, [])
+    assert tree_stretch(g, SpanningTree.build(g)) == StretchReport(per_edge=(), total=0.0)
+
+
 @pytest.mark.parametrize("n", [3, 5])
 def test_tree_stretch_needs_a_tree_on_the_graphs_vertex_count(n):
     path = build_tree(4, [(0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0)])
@@ -395,7 +381,7 @@ def test_tree_stretch_needs_a_tree_on_the_graphs_vertex_count(n):
 def test_trace_of_a_tree_against_itself_counts_edges():
     rng = np.random.default_rng(51)
     g = random_connected_graph(rng, 11, extra_edges=0, wmin=0.2, wmax=3.0)
-    t = SpanningTree.build(g.n, g.u, g.v, g.w)
+    t = SpanningTree.build(g)
     report = tree_stretch(g, t)
     trace, stretch = sw_trace_check(g, t, report), report.total
     assert stretch == pytest.approx(10.0, abs=1e-9)
@@ -419,7 +405,7 @@ def test_trace_identity_and_tail_on_random_graphs():
         t, report = low_stretch_tree(g)
         trace, stretch = sw_trace_check(g, t, report), report.total
         assert abs(trace - stretch) <= 1e-7 * stretch
-        vals = pencil_eigenvalues(laplacian(g), laplacian(t.graph()))
+        vals = pencil_eigenvalues(laplacian(g), laplacian(t.graph))
         for p in TAIL_PROBES:
             assert int(np.sum(vals > p)) <= stretch / p + 1e-9
 
@@ -482,12 +468,35 @@ def test_build_keeps_the_tree_and_respects_the_edge_budget():
     n, k = 40, 2
     g = random_connected_graph(rng, n, extra_edges=60)
     r = build_ultrasparsifier(g, k)
-    assert r.tree.graph().edge_pairs() <= r.u.edge_pairs()
+    assert r.tree.graph.edge_pairs() <= r.u.edge_pairs()
     assert r.u.edge_pairs() <= g.edge_pairs()
     assert r.u.num_edges <= (n - 1) + 8 * k + 1
     vals = pencil_eigenvalues(laplacian(g), laplacian(r.u))
     assert float(vals[0]) == pytest.approx(1.0 / r.kappa, rel=1e-9)
     assert float(vals[-1]) == pytest.approx(1.0 / r.c, rel=1e-9)
+
+
+def test_build_patches_and_checks_the_chosen_trees_own_graph(monkeypatch):
+    # the tree's graph is built once, with the tree: the trace check
+    # factors it and the patch runs on it, with no rebuild in between
+    factored, patched = [], []
+
+    def factor(graph):
+        factored.append(graph)
+        return original_factor(graph)
+
+    def patch(g, w, k, n_budget):
+        patched.append(g)
+        return original_patch(g, w, k, n_budget)
+
+    original_factor, original_patch = ultra.factor_laplacian, ultra.sparsify_patch
+    monkeypatch.setattr(ultra, "factor_laplacian", factor)
+    monkeypatch.setattr(ultra, "sparsify_patch", patch)
+    g = random_connected_graph(np.random.default_rng(61), 20, extra_edges=30)
+    r = build_ultrasparsifier(g, 2)
+    assert len(patched) == 1 and patched[0] is r.tree.graph
+    assert factored[0] is r.tree.graph  # then L_G, for the final sandwich
+    assert factored[1:] == [g]
 
 
 def test_build_is_deterministic_for_a_fixed_seed():
@@ -608,7 +617,7 @@ def test_solve_budget_of_the_patch_and_ultra_pipelines(monkeypatch):
     solves.clear()
     factored.clear()
     tree, _ = low_stretch_tree(g)
-    sparsify_patch(tree.graph(), g.scale(0.01), k)
+    sparsify_patch(tree.graph, g.scale(0.01), k)
     assert all(owner.startswith("numpy.linalg.") for owner, _ in solves)
     # the factor of L_{G+W}, of its grounded block; X; the engine's
     # refreshes; nothing is n wide
