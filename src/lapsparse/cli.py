@@ -1,21 +1,23 @@
 """Command-line front end: parse graphs, run the pipelines, emit reports.
 
-Four subcommands, each defined once in build_parser: sparsify-patch, ultra,
-algconn, verify. Graphs travel as UTF-8 text edge lists, in lines as
-str.splitlines breaks them (header "n <count>", lines "u v w", blank lines
-and # comments allowed), or as JSON documents {"n": ..., "edges": [[u, v, w],
-...]} chosen by file extension. Every command can emit a structured JSON
-report (stdout by default; --report writes a file, checked before the
-command runs and removed again if the command fails); all reals carry 17
-significant digits. Each command that writes a graph reads the file back
-once and exits 4 unless it reads back as exactly the graph the library
-measured, so every measured and certified claim in the report holds for the
-file as written and the report's coherence deviation is 0. Exit codes:
-0 success, 2 parse error or a file that cannot be read, decoded or written,
-3 precondition violation, 4 numerical failure or running out of memory;
-exit 4 also prints one JSON line on stderr with the error's name and
-message, the failing engine step q and the exception's diagnostics (null
-and {} when the error carries none).
+Four subcommands, each defined once in build_parser and run by a cmd_*
+function that takes the parsed arguments: sparsify-patch, ultra, algconn,
+verify. Graphs travel as UTF-8 text edge lists, in lines as str.splitlines
+breaks them (header "n <count>", lines "u v w", blank lines and # comments
+allowed), or as JSON documents {"n": ..., "edges": [[u, v, w], ...]} chosen
+by file extension. Every command can emit a structured JSON report (stdout
+by default; --report writes a file); all reals carry 17 significant digits.
+Every file a command writes (its output, --report, --trace-csv) is checked
+before the command runs, and a command that fails removes each of them that
+it created. Each command that writes a graph reads the file back once and
+exits 4 unless it reads back as exactly the graph the library measured, so
+every measured and certified claim in the report holds for the file as
+written and the report's coherence deviation is 0. Exit codes: 0 success,
+2 parse error or a file that cannot be read, decoded or written, 3
+precondition violation, 4 numerical failure or running out of memory; exit
+4 also prints one JSON line on stderr with the error's name and message, the
+failing engine step q and the exception's diagnostics (null and {} when the
+error carries none).
 
 At import this module loads only core. Each command imports its pipeline
 when it is called: patch for sparsify-patch, ultra and patch for ultra,
@@ -299,28 +301,21 @@ def _report_tail(engine_results, trace_csv, t_start: float, t_solve: float) -> d
 # Commands
 
 
-def cmd_sparsify_patch(
-    g_path: str,
-    w_path: str,
-    k: int,
-    out_path: str,
-    n_budget: int | None = None,
-    trace_csv: str | None = None,
-) -> dict:
+def cmd_sparsify_patch(args) -> dict:
     from .patch import sparsify_patch
 
     t_start = time.perf_counter()
-    g, w, inputs = _read_inputs(g=g_path, w=w_path)
-    result = sparsify_patch(g, w, k, n_budget)
+    g, w, inputs = _read_inputs(g=args.g, w=args.w)
+    result = sparsify_patch(g, w, args.k, args.n_budget)
     t_solve = time.perf_counter()
-    write_graph(out_path, result.wk)
-    _check_coherent(out_path, result.wk)
+    write_graph(args.out, result.wk)
+    _check_coherent(args.out, result.wk)
 
     return {
         "command": "sparsify-patch",
         "inputs": inputs,
-        "output": {"path": out_path, "edges": result.wk.num_edges},
-        "parameters": {"k": k, "n_budget": result.n_budget},
+        "output": {"path": args.out, "edges": result.wk.num_edges},
+        "parameters": {"k": args.k, "n_budget": result.n_budget},
         "patch": {
             "k": result.params.k,
             "t_patch": result.params.T_patch,
@@ -337,32 +332,26 @@ def cmd_sparsify_patch(
             "total_weight": result.wk.weight_sum(),
             "support": result.wk.num_edges,
         },
-        **_report_tail(result.engine_results, trace_csv, t_start, t_solve),
+        **_report_tail(result.engine_results, args.trace_csv, t_start, t_solve),
     }
 
 
-def cmd_ultra(
-    g_path: str,
-    k: int,
-    out_path: str,
-    seed: int = 0,
-    trace_csv: str | None = None,
-) -> dict:
+def cmd_ultra(args) -> dict:
     from .ultra import build_ultrasparsifier
 
     t_start = time.perf_counter()
-    g, inputs = _read_inputs(g=g_path)
-    result = build_ultrasparsifier(g, k, seed=seed)
+    g, inputs = _read_inputs(g=args.g)
+    result = build_ultrasparsifier(g, args.k, seed=args.seed)
     t_solve = time.perf_counter()
-    write_graph(out_path, result.u)
-    _check_coherent(out_path, result.u)
+    write_graph(args.out, result.u)
+    _check_coherent(args.out, result.u)
     engine_results = result.patch.engine_results if result.patch is not None else ()
 
     report = {
         "command": "ultra",
         "inputs": inputs,
-        "output": {"path": out_path, "edges": result.u.num_edges},
-        "parameters": {"k": k, "seed": seed},
+        "output": {"path": args.out, "edges": result.u.num_edges},
+        "parameters": {"k": args.k, "seed": args.seed},
         "stretch": {
             "total": result.stretch.total,
             "trace_residual": result.trace_residual,
@@ -378,7 +367,7 @@ def cmd_ultra(
             "pencil_g_over_u_upper": 1.0 / result.c,
             "relative_condition_number": result.kappa / result.c,
         },
-        **_report_tail(engine_results, trace_csv, t_start, t_solve),
+        **_report_tail(engine_results, args.trace_csv, t_start, t_solve),
     }
     if result.patch is not None:
         report["patch"] = {
@@ -391,15 +380,7 @@ def cmd_ultra(
     return report
 
 
-def cmd_algconn(
-    base_path: str,
-    cand_path: str,
-    k: int,
-    out_path: str,
-    tol: float = 1e-4,
-    oracle: bool = False,
-    trace_csv: str | None = None,
-) -> dict:
+def cmd_algconn(args) -> dict:
     from .connectivity import (
         ConnectivityInstance,
         brute_force_opt,
@@ -408,20 +389,23 @@ def cmd_algconn(
     )
 
     t_start = time.perf_counter()
-    base, candidates, inputs = _read_inputs(base=base_path, candidates=cand_path)
-    inst = ConnectivityInstance(base, candidates, k)
-    frac = solve_fractional(inst, tol=tol)
+    base, candidates, inputs = _read_inputs(base=args.base, candidates=args.candidates)
+    inst = ConnectivityInstance(base, candidates, args.k)
+    # the oracle runs first, so an instance past its enumeration cap fails
+    # before anything is solved or written
+    oracle = brute_force_opt(inst) if args.oracle else None
+    frac = solve_fractional(inst, tol=args.tol)
     rounded = round_solution(inst, frac)
     t_solve = time.perf_counter()
-    write_graph(out_path, rounded.selection)
-    _check_coherent(out_path, rounded.selection)
+    write_graph(args.out, rounded.selection)
+    _check_coherent(args.out, rounded.selection)
     engine_results = (rounded.engine,) if rounded.engine is not None else ()
 
     report = {
         "command": "algconn",
         "inputs": inputs,
-        "output": {"path": out_path, "edges": rounded.selection.num_edges},
-        "parameters": {"k": k, "tol": tol, "delta": inst.delta},
+        "output": {"path": args.out, "edges": rounded.selection.num_edges},
+        "parameters": {"k": args.k, "tol": args.tol, "delta": inst.delta},
         "fractional": {
             "lambda_sdp": frac.lambda_sdp,
             "lambda_upper": frac.lambda_upper,
@@ -439,10 +423,10 @@ def cmd_algconn(
             "lambda_k2": rounded.lambda_k2,
             "floor": rounded.floor,
         },
-        **_report_tail(engine_results, trace_csv, t_start, t_solve),
+        **_report_tail(engine_results, args.trace_csv, t_start, t_solve),
     }
-    if oracle:
-        value, edges = brute_force_opt(inst)
+    if oracle is not None:
+        value, edges = oracle
         report["oracle"] = {
             "value": value,
             "edges": np.stack((edges.u, edges.v), axis=1).tolist(),
@@ -452,9 +436,9 @@ def cmd_algconn(
     return report
 
 
-def cmd_verify(g_path: str, h_path: str) -> dict:
+def cmd_verify(args) -> dict:
     t_start = time.perf_counter()
-    g, h, inputs = _read_inputs(g=g_path, h=h_path)
+    g, h, inputs = _read_inputs(g=args.g, h=args.h)
     c, kappa = pencil_range(h, g)
     t_end = time.perf_counter()
     return {
@@ -483,8 +467,9 @@ def cmd_verify(g_path: str, h_path: str) -> dict:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built on the first call and shared by every
-    later one: each parse_args call fills a fresh namespace. Each subcommand
-    sets `run`, which calls its cmd_* function by name at call time."""
+    later one: each parse_args call fills a fresh namespace. Every flag and
+    default is written here alone. Each subcommand sets `run`, which calls
+    its cmd_* function by name at call time with the parsed arguments."""
     parser = argparse.ArgumentParser(
         prog="lapsparse",
         description="Spectral sparsification toolkit: patch sparsifiers,"
@@ -498,14 +483,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("out", help="output file for the selected edges")
     p.add_argument("--k", type=int, required=True, help="protected eigenvalue count")
     p.add_argument("--n-budget", type=int, default=None, help="edge budget N (default 8k+1)")
-    p.set_defaults(run=lambda a: cmd_sparsify_patch(a.g, a.w, a.k, a.out, a.n_budget, a.trace_csv))
+    p.set_defaults(run=lambda a: cmd_sparsify_patch(a))
 
     p = sub.add_parser("ultra", help="build a spanning-tree-plus-few-edges approximation")
     p.add_argument("g", help="input graph file")
     p.add_argument("out", help="output file for the sparsifier")
     p.add_argument("--k", type=int, required=True, help="extra-edge budget parameter")
     p.add_argument("--seed", type=int, default=0, help="seed for the spanning-tree ensemble")
-    p.set_defaults(run=lambda a: cmd_ultra(a.g, a.k, a.out, a.seed, a.trace_csv))
+    p.set_defaults(run=lambda a: cmd_ultra(a))
 
     p = sub.add_parser("algconn", help="maximize lambda_2 by adding at most k candidate edges")
     p.add_argument("base", help="base graph file")
@@ -514,12 +499,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="edge budget")
     p.add_argument("--tol", type=float, default=1e-4, help="certified gap at which the fractional solver stops")
     p.add_argument("--oracle", action="store_true", help="also run the exhaustive oracle")
-    p.set_defaults(run=lambda a: cmd_algconn(a.base, a.candidates, a.k, a.out, a.tol, a.oracle, a.trace_csv))
+    p.set_defaults(run=lambda a: cmd_algconn(a))
 
     p = sub.add_parser("verify", help="measure the tightest c L_G <= L_H <= kappa L_G")
     p.add_argument("g", help="reference graph file")
     p.add_argument("h", help="graph to compare against the reference")
-    p.set_defaults(run=lambda a: cmd_verify(a.g, a.h))
+    p.set_defaults(run=lambda a: cmd_verify(a))
 
     for name, p in sub.choices.items():
         p.add_argument("--report", default=None, help="write the JSON report here instead of stdout")
@@ -539,55 +524,51 @@ def _keep_arrays_on_the_heap() -> None:
     np.empty(1 << 17)
 
 
-def _claim_report(path: str) -> bool:
-    """Check before the command runs that the report can be written, by
-    creating the file or opening it to append nothing; True if created."""
-    try:
-        try:
-            open(path, "x").close()
-            return True
-        except FileExistsError:
-            open(path, "a").close()
-            return False
-    except OSError as exc:
-        raise ParseError(f"{path}: cannot write: {exc}") from None
-
-
-def _check_written_paths(args) -> None:
-    """Raise ParseError when two of the files a command writes (its output,
-    --report, --trace-csv) resolve to one path: the later write would
-    replace a file the command already wrote and checked. An output may
-    still overwrite an input, which is read before anything is written."""
+def _claim_written_paths(args, created: list) -> None:
+    """Check before the command runs that each file it writes (its output,
+    --report, --trace-csv) can be written, appending to `created` each one
+    made here. Raises ParseError when two resolve to one path (the later
+    write would replace a file the command already wrote and checked), then
+    creates each file or opens it to append nothing. An output may still
+    overwrite an input, which is read before anything is written."""
+    named = {flag: path for flag, attr in (("out", "out"), ("--report", "report"), ("--trace-csv", "trace_csv"))
+             if (path := getattr(args, attr, None)) is not None}
     seen = {}
-    for flag, attr in (("out", "out"), ("--report", "report"), ("--trace-csv", "trace_csv")):
-        path = getattr(args, attr, None)
-        if path is not None:
-            real = os.path.realpath(path)
-            if real in seen:
-                raise ParseError(f"{seen[real]} and {flag} both name {real}: each written file needs its own path")
-            seen[real] = flag
+    for flag, path in named.items():
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ParseError(f"{seen[real]} and {flag} both name {real}: each written file needs its own path")
+        seen[real] = flag
+    for path in named.values():
+        try:
+            try:
+                open(path, "x").close()
+                created.append(path)
+            except FileExistsError:
+                open(path, "a").close()
+        except OSError as exc:
+            raise ParseError(f"{path}: cannot write: {exc}") from None
 
 
 def main(argv: list | None = None) -> int:
     args = build_parser().parse_args(argv)
     _keep_arrays_on_the_heap()
-    created = False
+    created = []
     try:
-        _check_written_paths(args)
-        created = bool(args.report) and _claim_report(args.report)
+        _claim_written_paths(args, created)
         # Every solve and product here is at most a few hundred wide: a
         # second BLAS thread adds no speed there, only a spinning core whose
         # availability the command's time then depends on.
         with numpy_blas_threads(1):
             report = args.run(args)
         text = dumps_report(report) + "\n"
-        if args.report:
-            _write_text(args.report, text)
-        else:
+        if args.report is None:
             sys.stdout.write(text)
+        else:
+            _write_text(args.report, text)
     except (ToolkitError, MemoryError) as exc:
-        if created:  # a failed command leaves no report file behind
-            os.remove(args.report)
+        for path in created:  # a failed command leaves no file it created behind
+            os.remove(path)
         print(f"error: {exc}", file=sys.stderr)
         code = 2 if isinstance(exc, ParseError) else 3 if isinstance(exc, PreconditionError) else 4
         if code == 4:

@@ -71,7 +71,7 @@ class ConnectivityInstance:
         object.__setattr__(self, "delta", max(float(g.weighted_degrees().max(initial=0.0)) for g in (base, cand)))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FractionalSolution:
     """Fractional edge weights with the exact lambda_2 they achieve
     (lambda_sdp), a certified upper bound on the fractional maximum
@@ -86,7 +86,7 @@ class FractionalSolution:
     converged: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RoundedSolution:
     """`selection`: W_k, at most 8k+1 reweighted candidate edges, with a certified floor.
 

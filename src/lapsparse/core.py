@@ -28,7 +28,7 @@ import ctypes
 import functools
 import math
 import numbers
-from collections.abc import Mapping, Set
+from collections.abc import Iterator, Mapping, Set
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,6 +258,8 @@ class WeightedGraph:
         the position of the first edge in input order that fails a check or
         overflows its pair's merged weight; a degree overflow has none."""
         rows = list(edges)
+        if any(issubclass(t, Iterator) for t in {*map(type, rows)}):  # read an iterator row once
+            rows = [tuple(row) if isinstance(row, Iterator) else row for row in rows]
         arrays = _edge_arrays(rows)
         if arrays is None:
             stop, fault = next((i, fault) for i, row in enumerate(rows) if (fault := _edge_fault(row, n)))
@@ -357,7 +359,7 @@ class WeightedGraph:
         return self.n <= 1 or int(self.component_labels().max()) == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralDecomposition:
     """Eigenvalues in ascending order with matching orthonormal eigenvector columns."""
 
@@ -602,7 +604,7 @@ def _rank_split(dec: SpectralDecomposition) -> np.ndarray:
     return np.abs(vals) > REL_RANK_TOL * max(lam_max, 1e-300)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FactorBlock:
     """One connected component's share of a LaplacianFactor: its vertex ids,
     ascending; `order`, the same ids in elimination order, whose first
@@ -624,7 +626,7 @@ class FactorBlock:
         return f
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LaplacianFactor:
     """One factor per connected component of a graph Laplacian L on n
     vertices, restricted to the image.

@@ -78,7 +78,7 @@ def _protected_count(vals: np.ndarray, k: int) -> int:
     return k_eff
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EngineProblem:
     """One selection instance on a working space of dimension d.
 
@@ -192,7 +192,7 @@ def init_schedule(k: int, n_budget: int, t_bound: int) -> EngineSchedule:
     )
 
 
-@dataclass
+@dataclass(eq=False)
 class EngineState:
     """Mutable iteration state.
 
@@ -274,7 +274,7 @@ class StepRecord(NamedTuple):
     feasible_candidates: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EngineResult:
     """Final weights and the certificate for M = X + sum w_i Y_i (`_certify`).
     The trace holds each step's potential increases, none above 1e-9."""
@@ -286,10 +286,7 @@ class EngineResult:
     lambda_star: float
     floor: float
     lambda_min_b_restricted: float
-    total_cost: float
     cost_bound: float
-    support: int
-    schedule: EngineSchedule
     trace: tuple
 
 
@@ -622,9 +619,6 @@ def _certify(
         lambda_star=lam_star,
         floor=floor,
         lambda_min_b_restricted=lam_min_b,
-        total_cost=total_cost,
         cost_bound=cost_fraction,
-        support=support,
-        schedule=schedule,
         trace=trace,
     )

@@ -42,7 +42,7 @@ class PatchParams:
     lambda_star: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PatchSparsifier:
     """Reweighted few-edge subgraph W_k of W with its spectral sandwich.
 

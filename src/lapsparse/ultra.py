@@ -33,7 +33,7 @@ TAIL_PROBES = (1.0, 2.0, 5.0, 10.0)
 C1 = 4.0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpanningTree:
     """Spanning tree `graph`, rooted, with the structures stretch queries need.
 
@@ -272,7 +272,7 @@ def sw_trace_check(g: WeightedGraph, tree: SpanningTree, report: StretchReport) 
     return trace
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class UltraResult:
     """Ultrasparsifier U = T + W_k with its measured and certified sandwich.
 

@@ -58,8 +58,8 @@ def test_01_engine_certificate_on_fifty_random_instances(engine_runs):
         # the certified floor the engine returns holds and implies the /72 one
         assert result.lambda_min >= result.floor - 1e-9
         assert result.floor >= (72 / 62.2) * floor
-        assert result.support <= problem.N
-        assert result.total_cost <= min(1.0, problem.N / problem.T)
+        assert np.count_nonzero(result.weights) <= problem.N
+        assert result.weights @ problem.costs <= min(1.0, problem.N / problem.T)
 
 
 def test_02_potentials_never_increase_across_any_step(engine_runs):

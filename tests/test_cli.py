@@ -475,8 +475,9 @@ def test_ultra_command_on_a_tree_returns_the_tree(tmp_path):
 
 
 def test_algconn_command_with_oracle_block(tmp_path, monkeypatch):
-    # the oracle block reads lambda_{k+2} off the rounding, which read it
-    # and lambda_2(base) off one spectrum of L_base
+    # the oracle runs first and solves its two subsets, the empty one being
+    # L_base; its block then reads lambda_{k+2} off the rounding, which read
+    # it and lambda_2(base) off one spectrum of L_base
     solves = record_eigensolves(monkeypatch)
     marks = mark_writes(monkeypatch, solves)
     base = WeightedGraph(3, [(0, 1, 1.0), (1, 2, 1.0)])
@@ -502,9 +503,23 @@ def test_algconn_command_with_oracle_block(tmp_path, monkeypatch):
     assert report["oracle"]["within_sdp_upper"] is True
     assert report["oracle"]["within_lambda_k2_upper"] is True
     l_base = hashlib.sha1(laplacian(base).tobytes()).hexdigest()
-    assert [solve[2] for solve in solves[: marks[0][0]]].count(l_base) == 1
+    hashes = [solve[2] for solve in solves[: marks[0][0]]]
+    assert hashes[0] == l_base and hashes[2:].count(l_base) == 1
     sel = read_graph(str(out))
     assert sel.edge_pairs() == {(0, 2)}
+
+
+def test_algconn_oracle_past_its_cap_exits_three_before_any_solve(tmp_path, capsys, monkeypatch):
+    base = WeightedGraph(40, [(i, i + 1, 1.0) for i in range(39)])
+    pool = [(u, v) for u in range(40) for v in range(u + 2, 40)]
+    cand = WeightedGraph(40, [(u, v, 1.0) for u, v in pool[:60]])
+    b_path, c_path = save_text(tmp_path, "base.txt", base), save_text(tmp_path, "cand.txt", cand)
+    out, rep = tmp_path / "sel.txt", tmp_path / "rep.json"
+    solves = record_eigensolves(monkeypatch)
+    assert main(["algconn", b_path, c_path, str(out), "--k", "6", "--oracle", "--report", str(rep)]) == 3
+    assert capsys.readouterr().err == "error: C(60,6) subsets exceed the 1e6 enumeration cap\n"
+    assert solves == []
+    assert not out.exists() and not rep.exists()
 
 
 def test_algconn_command_zero_budget_selects_nothing(tmp_path):
@@ -742,9 +757,9 @@ def test_commands_run_on_one_numpy_blas_thread_and_restore_it(tmp_path, monkeypa
     seen = []
     verify = cli.cmd_verify
 
-    def recording_verify(g_path, h_path):
+    def recording_verify(args):
         seen.append(count())
-        return verify(g_path, h_path)
+        return verify(args)
 
     monkeypatch.setattr(cli, "cmd_verify", recording_verify)
     g_path = save_text(tmp_path, "G.txt", random_connected_graph(np.random.default_rng(83), 8, extra_edges=4))
@@ -805,18 +820,26 @@ def test_exit_code_two_on_a_weighted_degree_that_overflows(tmp_path, capsys, arg
     "argv",
     [
         ["verify", "{g}", "{g}", "--report", "{bad}"],
-        ["sparsify-patch", "{g}", "{g}", "{bad}", "--k", "0"],
+        ["sparsify-patch", "{g}", "{g}", "{bad}", "--k", "0", "--report", "{rep}"],
         ["ultra", "{g}", "{out}", "--k", "1", "--trace-csv", "{bad}"],
+        ["ultra", "{g}", "{out}", "--k", "1", "--report", "{rep}", "--trace-csv", "{bad}"],
+        ["algconn", "{g}", "{g}", "{bad}", "--k", "1", "--trace-csv", "{trace}"],
     ],
 )
-def test_exit_code_two_on_an_unwritable_output_path(tmp_path, capsys, argv):
+def test_exit_code_two_on_an_unwritable_output_path(tmp_path, capsys, monkeypatch, argv):
+    # every written path is claimed before the command solves anything, and
+    # a failed claim removes the files claimed before it
     g = save_text(tmp_path, "G.txt", random_connected_graph(np.random.default_rng(84), 6, extra_edges=4))
     bad = tmp_path / "missing" / "file"
-    argv = [a.format(g=g, bad=bad, out=tmp_path / "out.txt") for a in argv]
+    argv = [a.format(g=g, bad=bad, out=tmp_path / "out.txt", rep=tmp_path / "rep.json", trace=tmp_path / "t.csv")
+            for a in argv]
+    solves = record_eigensolves(monkeypatch)
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: cannot write: ")
     assert err.count("\n") == 1  # one message, no traceback
+    assert solves == []
+    assert [path.name for path in tmp_path.iterdir()] == ["G.txt"]
 
 
 @pytest.mark.parametrize("name", ["bad.txt", "bad.json"])
@@ -854,7 +877,7 @@ def test_each_input_is_read_once_and_hashed_as_parsed(tmp_path, monkeypatch):
         return real_open(file, *args, **kwargs)
 
     monkeypatch.setattr("builtins.open", recording_open)
-    report = cli.cmd_verify(g_path, h_path)
+    report = cli.cmd_verify(cli.build_parser().parse_args(["verify", g_path, h_path]))
     monkeypatch.undo()
     assert [opened.count(path) for path in (g_path, h_path)] == [1, 1]
     for name, path in (("g", g_path), ("h", h_path)):
@@ -873,7 +896,8 @@ def test_inputs_read_line_breaks_as_text_mode_does(tmp_path, capsys, newline):
     good = write(tmp_path / "g.txt", "# head\nn 3\n0 1 1\n\n1 2 2.5 # c\n")
     assert read_graph(good) == WeightedGraph(3, [(0, 1, 1.0), (1, 2, 2.5)])
     with open(good, "rb") as handle:  # the hash is of the bytes as read
-        assert cli.cmd_verify(good, good)["inputs"]["g"]["sha256"] == hashlib.sha256(handle.read()).hexdigest()
+        report = cli.cmd_verify(cli.build_parser().parse_args(["verify", good, good]))
+        assert report["inputs"]["g"]["sha256"] == hashlib.sha256(handle.read()).hexdigest()
     for body, message in (("0 1 1\n1 2 x\n", "3: cannot parse edge line '1 2 x'"),
                           ("0 1 1\n\n2 2 1\n", "4: self-loop at vertex 2 rejected")):
         bad = write(tmp_path / "bad.txt", "n 3\n" + body)
@@ -899,19 +923,21 @@ def test_report_path_is_checked_before_the_command_and_a_failure_leaves_no_repor
     assert not out.exists()
 
     # exit 3 (a disconnected input) and exit 4 (an output that reads back
-    # one ulp off) remove the report file they created ...
+    # one ulp off) remove the output, report and trace files they created ...
     disc = save_text(tmp_path, "disc.txt", WeightedGraph(5, [(0, 1, 1.0)]))
-    rep = tmp_path / "rep.json"
-    assert main(["ultra", disc, str(out), "--k", "1", "--report", str(rep)]) == 3
-    assert not rep.exists()
+    rep, trace = tmp_path / "rep.json", tmp_path / "t.csv"
+    written = [str(out), "--k", "1", "--report", str(rep), "--trace-csv", str(trace)]
+    assert main(["ultra", disc, *written]) == 3
+    assert not out.exists() and not rep.exists() and not trace.exists()
     with mock.patch.object(cli, "write_graph", one_ulp_off_write):
-        assert main(["ultra", g_path, str(out), "--k", "1", "--report", str(rep)]) == 4
-    assert not rep.exists()
+        assert main(["ultra", g_path, *written]) == 4
+    assert not out.exists() and not rep.exists() and not trace.exists()
     # ... and leave a file that was there before as it was
-    rep.write_text("earlier report\n")
-    assert main(["ultra", disc, str(out), "--k", "1", "--report", str(rep)]) == 3
-    assert rep.read_text() == "earlier report\n"
-    assert main(["ultra", g_path, str(out), "--k", "1", "--report", str(rep)]) == 0
+    for path in (out, rep, trace):
+        path.write_text("earlier file\n")
+    assert main(["ultra", disc, *written]) == 3
+    assert [path.read_text() for path in (out, rep, trace)] == ["earlier file\n"] * 3
+    assert main(["ultra", g_path, *written]) == 0
     assert json.loads(rep.read_text())["command"] == "ultra"
 
 

@@ -207,6 +207,7 @@ def test_graph_rejects_non_integer_ids_and_bools():
         WeightedGraph(3, [(0, -1, 1.0)])
     g = WeightedGraph(3, [(np.int64(0), np.uint8(2), 1), (np.int16(2), 1, 0.5)])
     assert g.edges == ((0, 2, 1.0), (1, 2, 0.5))
+    assert WeightedGraph(3, [iter((0, 2, 1)), (x for x in (2, 1, 0.5))]) == g
 
 
 @pytest.mark.parametrize(
@@ -222,6 +223,8 @@ def test_graph_rejects_non_integer_ids_and_bools():
         ([(0, 1, 1.0), b"\x00\x02\x01"], 1, r"^edge b'\\x00\\x02\\x01' is not a \(u, v, w\) triple$"),
         ([(0, 1, 1.0), {0: "u", 2: "v", 1: "w"}], 1, r"^edge \{0: 'u', 2: 'v', 1: 'w'\} is not a \(u, v, w\) triple$"),
         ([(0, 1, 1.0), frozenset((0, 2, 5.0))], 1, r"^edge frozenset\(.*\) is not a \(u, v, w\) triple$"),
+        # an iterator row is read once: the fault is the next row's, not its own
+        ([iter((0, 1, 1.0)), (0, 2, "x")], 1, r"^edge \(0, 2, 'x'\) needs integer vertex ids"),
         # an id past Python's int-to-str digit limit is named, not written out
         ([(0, 10**5000, 1.0)], 0, r"^edge \(0,<int too long to print>\) out of range for n=3$"),
         ([(1, 2, 1.0), (10**5000,)], 1, r"^edge <tuple too long to print> is not a \(u, v, w\) triple$"),
@@ -234,6 +237,7 @@ def test_graph_rejects_non_integer_ids_and_bools():
         ([(0, 1, 1.0), (1, 2, 0.0), (0, 9, 1.0)], 1, "needs a positive finite weight, got 0.0"),
     ],
     ids=["types-in-row-order", "short-row", "scalar-row", "str-row", "bytes-row", "mapping-row", "set-row",
+         "iterator-row-before-type",
          "id-past-digit-limit",
          "row-past-digit-limit", "weight-beyond-float", "id-beyond-int64",
          "range-before-type", "self-loop-before-huge-weight", "merge-before-short-row", "zero-weight-before-range"],

@@ -17,12 +17,14 @@ public helper exists that only tests call.
 """
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import lapsparse
@@ -474,3 +476,59 @@ def test_every_exported_name_resolves_to_its_own_definition():
         lapsparse.no_such_name
     with pytest.raises(ImportError):
         exec("from lapsparse import no_such_name", {})
+
+
+def test_every_command_takes_only_its_parsed_arguments():
+    # build_parser states each flag and its default once; a command takes
+    # the parsed namespace alone, so no signature can restate a default
+    from lapsparse import cli
+
+    commands = {name: getattr(cli, name) for name in dir(cli) if name.startswith("cmd_")}
+    assert commands.keys() == {"cmd_sparsify_patch", "cmd_ultra", "cmd_algconn", "cmd_verify"}
+    for name, command in commands.items():
+        params = list(inspect.signature(command).parameters.values())
+        assert len(params) == 1 and params[0].default is inspect.Parameter.empty, f"{name}{inspect.signature(command)}"
+        assert params[0].kind is inspect.Parameter.POSITIONAL_OR_KEYWORD, name
+
+
+def _array_holding_results() -> list:
+    """One instance of each dataclass that holds numpy arrays, directly or
+    through another result, built afresh on every call."""
+    from conftest import make_engine_instance, random_connected_graph
+    from lapsparse.connectivity import ConnectivityInstance, round_solution, solve_fractional
+    from lapsparse.core import WeightedGraph, _decompose, factor_laplacian, laplacian
+    from lapsparse.engine import init_schedule, initial_state, run_engine
+    from lapsparse.patch import sparsify_patch
+    from lapsparse.ultra import SpanningTree, build_ultrasparsifier
+
+    rng = np.random.default_rng(38)
+    g = random_connected_graph(rng, 8, extra_edges=2)
+    pool = sorted({(u, v) for u in range(8) for v in range(u + 1, 8)} - g.edge_pairs())
+    cand = WeightedGraph(8, [pool[int(j)] + (1.0,) for j in rng.choice(len(pool), size=6, replace=False)])
+    problem = make_engine_instance(8, n=10, m=40, k=1)
+    dec_x = _decompose(problem.X)
+    state = initial_state(problem, init_schedule(problem.k, problem.N, problem.T), dec_x, np.zeros((0, 40)))
+    factor = factor_laplacian(g)
+    # a circulant whose fractional optimum has more than 8k + 1 edges, so
+    # the rounding runs the engine
+    circulant = WeightedGraph(12, [(i, (i + j) % 12, 1.0) for j in (1, 2, 3) for i in range(12)])
+    inst = ConnectivityInstance(WeightedGraph(12, []), circulant, 1)
+    frac = solve_fractional(inst)
+    rounded = round_solution(inst, frac)
+    assert rounded.engine is not None
+    tree = WeightedGraph(8, [(i, i + 1, 1.0) for i in range(7)])
+    return [
+        _decompose(laplacian(g)), factor.blocks[0], factor, problem, state, run_engine(problem),
+        sparsify_patch(g, cand, 1), SpanningTree.build(tree), build_ultrasparsifier(g, 1), frac, rounded,
+    ]
+
+
+def test_array_holding_results_compare_by_identity_and_hash():
+    # a generated __eq__ compares numpy fields with ==, which raises on
+    # arrays of more than one element, and unsafe_hash would hash them; these
+    # results compare and hash by identity, as their readers expect
+    firsts, seconds = _array_holding_results(), _array_holding_results()
+    assert len({type(obj) for obj in firsts}) == 11
+    for a, b in zip(firsts, seconds):
+        assert a == a and a != b and not a == b, type(a).__name__
+        assert hash(a) == hash(a) and len({a, b}) == 2, type(a).__name__
